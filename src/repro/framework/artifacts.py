@@ -7,10 +7,9 @@ the evaluation metrics without re-running the simulation.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationResult
@@ -20,8 +19,16 @@ from repro.metrics.trains import packets_by_train_length
 from repro.units import us
 
 
-def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> Dict[str, Any]:
-    """Serialize one repetition (capture records optional — they are big)."""
+def result_to_dict(
+    result: ExperimentResult,
+    include_capture: bool = False,
+    fingerprint: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Serialize one repetition (capture records optional — they are big).
+
+    ``fingerprint`` is ``result.fingerprint()`` when the caller already has
+    it (the sweep computes one digest per repetition); ``None`` computes it.
+    """
     gaps = inter_packet_gaps(result.server_records)
     # One train-detection pass feeds both the histogram and the <=5 share.
     trains = packets_by_train_length(result.server_records)
@@ -31,13 +38,12 @@ def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> D
         if train_total
         else 0.0
     )
-    # asdict keeps tuples (e.g. the impairment specs); normalize to the JSON
-    # data model so an in-memory dict equals its save/load round trip.
-    config_dict = json.loads(json.dumps(dataclasses.asdict(result.config)))
     out = {
-        "config": config_dict,
+        # In the JSON data model (impairment specs as lists, not tuples), so
+        # an in-memory dict equals its save/load round trip.
+        "config": result.config.canonical_dict(),
         "seed": result.seed,
-        "fingerprint": result.fingerprint(),
+        "fingerprint": fingerprint if fingerprint is not None else result.fingerprint(),
         "completed": result.completed,
         "duration_ns": result.duration_ns,
         "goodput_mbps": result.goodput_mbps,
@@ -63,15 +69,16 @@ def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> D
     return out
 
 
-def population_result_to_dict(result: PopulationResult) -> Dict[str, Any]:
+def population_result_to_dict(
+    result: PopulationResult, fingerprint: Optional[str] = None
+) -> Dict[str, Any]:
     """Serialize one population repetition: the aggregate evaluation view
     (distributions, fairness, competition matrix), never the per-flow
     capture — populations keep the capture columnar and in-memory only."""
-    config_dict = json.loads(json.dumps(dataclasses.asdict(result.config)))
     return {
-        "config": config_dict,
+        "config": result.config.canonical_dict(),
         "seed": result.seed,
-        "fingerprint": result.fingerprint(),
+        "fingerprint": fingerprint if fingerprint is not None else result.fingerprint(),
         "completed": result.completed,
         "flows": len(result.multi.flows),
         "completed_flows": result.completed_count,
@@ -94,7 +101,9 @@ def population_result_to_dict(result: PopulationResult) -> Dict[str, Any]:
     }
 
 
-def rep_to_dict(result, include_capture: bool = False) -> Dict[str, Any]:
+def rep_to_dict(
+    result, include_capture: bool = False, fingerprint: Optional[str] = None
+) -> Dict[str, Any]:
     """Serialize one repetition of either kind (experiment or population).
 
     This is the *single* canonical JSON form of a repetition: the result
@@ -102,8 +111,8 @@ def rep_to_dict(result, include_capture: bool = False) -> Dict[str, Any]:
     JSON artifact of the same run are equal by construction.
     """
     if isinstance(result, PopulationResult):
-        return population_result_to_dict(result)
-    return result_to_dict(result, include_capture)
+        return population_result_to_dict(result, fingerprint)
+    return result_to_dict(result, include_capture, fingerprint)
 
 
 _rep_to_dict = rep_to_dict  # backwards-compatible alias

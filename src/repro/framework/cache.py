@@ -31,7 +31,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -107,8 +107,7 @@ class ResultCache:
     @staticmethod
     def entry_key(config: ExperimentConfig, seed: int) -> str:
         """Per-repetition key: full config (repetitions normalized) + seed."""
-        per_rep = replace(config, repetitions=1)
-        return hashlib.sha256(f"{per_rep.cache_key()}/{seed}".encode()).hexdigest()
+        return hashlib.sha256(f"{config.per_rep.cache_key()}/{seed}".encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"

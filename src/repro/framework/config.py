@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.impairments import ImpairmentSpec
@@ -89,8 +90,65 @@ class NetworkConfig:
         return int(self.bdp_bytes * self.buffer_bdp_multiplier)
 
 
+class CanonicalForm:
+    """Canonical encodings of a frozen config dataclass, computed once per
+    *object*.
+
+    A sweep needs a config's sorted-JSON form and the hashes over it several
+    times per repetition (result fingerprint, cache entry key, store row key,
+    artifact payload); ``dataclasses.asdict`` deep-copies every nested field
+    each time. The config and everything nested in it is frozen, so the
+    encodings cannot go stale. They are memoized on the instance, never by
+    value: ``2`` and ``2.0`` compare and hash equal but encode differently,
+    so equal configs may not share an encoding. ``dataclasses.replace``
+    builds a new object (no memo carried over), and the memo is dropped when
+    pickling, so cache entries and worker payloads hold fields only.
+    """
+
+    @cached_property
+    def _declared_json(self) -> str:
+        return json.dumps(asdict(self))
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """``json.dumps(asdict(self), sort_keys=True)``: the form every
+        content hash and the result fingerprint are taken over."""
+        return json.dumps(json.loads(self._declared_json), sort_keys=True)
+
+    def canonical_dict(self) -> Dict[str, Any]:
+        """``asdict(self)`` in the JSON data model (tuples as lists), field
+        order kept; a fresh dict per call, so callers may keep or change it."""
+        return json.loads(self._declared_json)
+
+    @cached_property
+    def per_rep(self) -> "CanonicalForm":
+        """This config with ``repetitions`` normalized to 1: the identity of
+        one repetition, shared by sweeps of any length."""
+        return replace(self, repetitions=1)
+
+    def cache_key(self) -> str:
+        """Stable content hash over *all* fields (nested configs included).
+
+        Every field participates automatically via ``dataclasses.asdict``, so
+        adding a field can never silently alias two different configurations
+        (the failure mode of hand-built label/field-list keys). The hash is a
+        plain sha256 over the sorted-JSON form — stable across processes and
+        sessions, independent of ``PYTHONHASHSEED``.
+        """
+        return self._cache_key
+
+    @cached_property
+    def _cache_key(self) -> str:
+        return hashlib.sha256(self.canonical_json.encode()).hexdigest()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Fields only, in ``__dict__`` order: pickles are byte-identical to
+        # those of a config that never computed an encoding.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(CanonicalForm):
     stack: str = "quiche"
     cca: str = "cubic"
     qdisc: str = "none"
@@ -171,18 +229,6 @@ class ExperimentConfig:
         parts.extend(spec.slug for spec in self.network.forward_impairments)
         parts.extend(f"r-{spec.slug}" for spec in self.network.reverse_impairments)
         return "/".join(parts)
-
-    def cache_key(self) -> str:
-        """Stable content hash over *all* fields (nested configs included).
-
-        Every field participates automatically via ``dataclasses.asdict``, so
-        adding a field can never silently alias two different configurations
-        (the failure mode of hand-built label/field-list keys). The hash is a
-        plain sha256 over the sorted-JSON form — stable across processes and
-        sessions, independent of ``PYTHONHASHSEED``.
-        """
-        payload = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def scaled(self, file_size: int, repetitions: Optional[int] = None) -> "ExperimentConfig":
         return replace(

@@ -17,8 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cc.factory import make_cc
 from repro.errors import SimulationError
@@ -53,6 +53,44 @@ CLIENT_ADDR, CLIENT_PORT = "10.0.0.2", 40000
 MTU_PAYLOAD = 1252
 
 
+#: One capture record as ``json.dumps(asdict(record), sort_keys=True)`` writes
+#: it; ``flow`` arrives JSON-encoded, ``gso_id``/``packet_number`` as an int or
+#: ``"null"``.
+_CAPTURE_ROW = (
+    '{"dgram_id": %d, "flow": %s, "gso_id": %s, "packet_number": %s, '
+    '"payload_size": %d, "time_ns": %d, "wire_size": %d}'
+)
+
+#: Capture rows joined and handed to the hash per chunk, so a 100 MiB
+#: transfer's fingerprint never holds its whole encoding in memory.
+_CAPTURE_CHUNK_ROWS = 4096
+
+
+def _encode_capture(records: Sequence[CaptureRecord]) -> Iterator[bytes]:
+    """The capture as the elements of a JSON list (brackets excluded)."""
+    flows: Dict[Tuple[str, int, str, int], str] = {}
+    for start in range(0, len(records), _CAPTURE_CHUNK_ROWS):
+        rows = []
+        for r in records[start : start + _CAPTURE_CHUNK_ROWS]:
+            flow = flows.get(r.flow)
+            if flow is None:
+                flow = flows[r.flow] = json.dumps(r.flow)
+            gso_id, packet_number = r.gso_id, r.packet_number
+            rows.append(
+                _CAPTURE_ROW
+                % (
+                    r.dgram_id,
+                    flow,
+                    "null" if gso_id is None else gso_id,
+                    "null" if packet_number is None else packet_number,
+                    r.payload_size,
+                    r.time_ns,
+                    r.wire_size,
+                )
+            )
+        yield ((", " if start else "") + ", ".join(rows)).encode()
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -83,6 +121,46 @@ class ExperimentResult:
     def packets_on_wire(self) -> int:
         return len(self.server_records)
 
+    def canonical_encoding(self) -> Iterator[bytes]:
+        """The bytes :meth:`fingerprint` hashes, in order.
+
+        Exactly ``json.dumps(payload, sort_keys=True)`` of the deterministic
+        fields (config as ``asdict``, capture as one dict per record), but
+        written without building that tree: the config contributes its
+        memoized sorted JSON, and each capture row is one ``%``-format
+        (:func:`_encode_capture`). Every other field goes through
+        ``json.dumps`` itself.
+        """
+        encoded = {
+            key: json.dumps(value, sort_keys=True)
+            for key, value in (
+                ("seed", self.seed),
+                ("completed", self.completed),
+                ("duration_ns", self.duration_ns),
+                ("goodput_mbps", self.goodput_mbps),
+                ("dropped", self.dropped),
+                ("injected_drops", self.injected_drops),
+                ("expected_send_log", self.expected_send_log),
+                ("cwnd_trace", self.cwnd_trace),
+                ("queue_trace", self.queue_trace),
+                ("qdisc_stats", self.qdisc_stats),
+                ("server_stats", self.server_stats),
+                ("object_completion_ns", self.object_completion_ns),
+                ("impairment_stats", self.impairment_stats),
+            )
+        }
+        encoded["config"] = self.config.canonical_json
+        opener = "{"
+        for key in sorted([*encoded, "server_records"]):
+            if key == "server_records":
+                yield f'{opener}"server_records": ['.encode()
+                yield from _encode_capture(self.server_records)
+                yield b"]"
+            else:
+                yield f'{opener}"{key}": {encoded[key]}'.encode()
+            opener = ", "
+        yield b"}"
+
     def fingerprint(self) -> str:
         """Stable digest of every *deterministic* field of this result.
 
@@ -92,26 +170,15 @@ class ExperimentResult:
         worker counts, and cache hits. Two runs of the same (config, seed)
         must produce equal fingerprints regardless of serial/parallel/cached
         execution — the determinism test suite pins exactly that.
+
+        Computed from the fields on every call (results are mutable and
+        ``dataclasses.replace`` copies must digest fresh); callers that need
+        it more than once per result pass it along.
         """
-        payload = {
-            "config": asdict(self.config),
-            "seed": self.seed,
-            "completed": self.completed,
-            "duration_ns": self.duration_ns,
-            "goodput_mbps": self.goodput_mbps,
-            "dropped": self.dropped,
-            "injected_drops": self.injected_drops,
-            "server_records": [asdict(r) for r in self.server_records],
-            "expected_send_log": self.expected_send_log,
-            "cwnd_trace": self.cwnd_trace,
-            "queue_trace": self.queue_trace,
-            "qdisc_stats": self.qdisc_stats,
-            "server_stats": self.server_stats,
-            "object_completion_ns": self.object_completion_ns,
-            "impairment_stats": self.impairment_stats,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in self.canonical_encoding():
+            digest.update(chunk)
+        return digest.hexdigest()
 
     def validate(self) -> None:
         """Check this result against the framework's conservation invariants.

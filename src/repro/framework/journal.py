@@ -8,13 +8,15 @@ outcome, the repetition's derived seed, and (for successes) the result's
 ``fingerprint()`` so a resumed run can prove bit-identity with the
 uninterrupted one.
 
-Durability. Like the cache, every update rewrites the file through a
-temporary sibling and ``os.replace``, so the journal on disk is always a
-complete, parseable snapshot — a kill at any instant loses at most the
-repetition that was being recorded, never the file. Loading is tolerant:
-undecodable lines (torn by an unclean filesystem) are skipped, and a journal
-whose header names a different grid or format version is discarded wholesale
-rather than misapplied.
+Durability. The first update of an invocation writes the header and every
+entry known so far through a temporary sibling and ``os.replace``; every
+later update appends one line, so a sweep writes O(repetitions) bytes in
+total. A kill at any instant loses at most the repetition that was being
+recorded, never the file. A repetition recorded twice (a failure, then the
+success of a later retry) is two lines, and the last one wins. Loading is
+tolerant: undecodable lines (torn by a kill or an unclean filesystem) are
+skipped, and a journal whose header names a different grid or format version
+is discarded wholesale rather than misapplied.
 
 Resume semantics. On resume, successful repetitions are restored through the
 cache (a cache miss simply recomputes — determinism makes that equivalent),
@@ -86,7 +88,7 @@ class JournalEntry:
 
 
 class SweepJournal:
-    """Atomic JSONL manifest of settled repetitions for one grid."""
+    """Append-only JSONL manifest of settled repetitions for one grid."""
 
     def __init__(self, path: Union[str, Path], key: str, stream=None):
         self.path = Path(path)
@@ -98,6 +100,9 @@ class SweepJournal:
         self.resumed_entries = 0
         #: Torn/undecodable lines skipped while loading (those reps re-run).
         self.skipped_lines = 0
+        #: Whether this object has written the file (header included), so
+        #: further entries are appended to it.
+        self._appending = False
 
     @classmethod
     def for_grid(
@@ -160,7 +165,19 @@ class SweepJournal:
                 flush=True,
             )
 
-    def _flush(self) -> None:
+    def _append(self, entry: JournalEntry) -> None:
+        """Persist ``entry`` (already in ``_entries``) as one more line.
+
+        The first write of this object replaces the file atomically with the
+        header and every entry known so far: that starts a new journal,
+        supersedes one for another grid or format, and compacts a resumed one
+        (dropping superseded and torn lines, so the tail is a whole line
+        again). Every later write appends a single line.
+        """
+        if self._appending:
+            with open(self.path, "a") as handle:
+                handle.write(json.dumps(entry.as_dict()) + "\n")
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps({"journal": JOURNAL_VERSION, "grid_key": self.key})]
         lines.extend(json.dumps(e.as_dict()) for e in self._entries.values())
@@ -175,6 +192,7 @@ class SweepJournal:
             except OSError:
                 pass
             raise
+        self._appending = True
 
     # -- recording ---------------------------------------------------------
 
@@ -190,14 +208,15 @@ class SweepJournal:
         if existing == entry:
             return  # e.g. a cache hit re-confirming a journaled rep
         self._entries[(name, rep)] = entry
-        self._flush()
+        self._append(entry)
 
     def record_failure(self, failure: RepFailure) -> None:
-        self._entries[(failure.name, failure.rep)] = JournalEntry(
+        entry = JournalEntry(
             name=failure.name,
             rep=failure.rep,
             seed=failure.seed,
             status="failed",
             failure=failure,
         )
-        self._flush()
+        self._entries[(failure.name, failure.rep)] = entry
+        self._append(entry)

@@ -38,7 +38,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.cc.factory import make_cc
@@ -121,6 +121,9 @@ class FlowSpec:
         return "/".join(parts)
 
 
+_SPEC_FIELDS = tuple(f.name for f in fields(FlowSpec))
+
+
 @dataclass
 class FlowResult:
     spec: FlowSpec
@@ -198,15 +201,8 @@ class MultiFlowResult:
     def bytes_received(self) -> int:
         return sum(f.bytes_received for f in self.flows)
 
-    def fingerprint(self) -> str:
-        """Stable digest of every deterministic field.
-
-        Excludes execution observability (``wall_time_s``,
-        ``events_processed``) and the optional capture-record lists (which
-        are an observability toggle, not a result: a run with
-        ``capture_records=False`` must fingerprint identically to the same
-        run with capture on).
-        """
+    def canonical_bytes(self) -> bytes:
+        """The bytes :meth:`fingerprint` hashes."""
         payload = {
             "seed": self.seed,
             "sim_time_ns": self.sim_time_ns,
@@ -217,7 +213,8 @@ class MultiFlowResult:
             "impairment_stats": self.impairment_stats,
             "flows": [
                 {
-                    "spec": asdict(f.spec),
+                    # FlowSpec is flat, so a shallow field dict equals asdict.
+                    "spec": {name: getattr(f.spec, name) for name in _SPEC_FIELDS},
                     "completed": f.completed,
                     "duration_ns": f.duration_ns,
                     "goodput_mbps": f.goodput_mbps,
@@ -235,8 +232,18 @@ class MultiFlowResult:
         # golden fingerprint stays valid byte-for-byte.
         if self.drained:
             payload["drained"] = self.drained
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
+        return json.dumps(payload, sort_keys=True).encode()
+
+    def fingerprint(self) -> str:
+        """Stable digest of every deterministic field.
+
+        Excludes execution observability (``wall_time_s``,
+        ``events_processed``) and the optional capture-record lists (which
+        are an observability toggle, not a result: a run with
+        ``capture_records=False`` must fingerprint identically to the same
+        run with capture on).
+        """
+        return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def validate(self) -> None:
         """Check the multi-flow conservation invariants (see

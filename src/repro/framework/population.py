@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.framework.config import GSO_MODES, QDISCS, STACKS, NetworkConfig
+from repro.framework.config import GSO_MODES, QDISCS, STACKS, CanonicalForm, NetworkConfig
 from repro.framework.multiflow import (
     MAX_FLOWS,
     FlowSpec,
@@ -100,7 +101,7 @@ def parse_profile(text: str) -> StackProfile:
 
 
 @dataclass(frozen=True)
-class PopulationConfig:
+class PopulationConfig(CanonicalForm):
     """A generated flow population (sweepable/cacheable like a single
     experiment: every field participates in :meth:`cache_key`)."""
 
@@ -182,15 +183,13 @@ class PopulationConfig:
         parts.extend(p.replace(":", "-") for p in self.profiles)
         return "/".join(parts)
 
-    def cache_key(self) -> str:
-        """Stable content hash over all fields (same scheme as
-        :meth:`ExperimentConfig.cache_key`: sorted-JSON of ``asdict``).
-
-        Fields added after a cache generation shipped are stripped at their
-        default value, so every pre-existing key (and the sweep caches built
-        on them) stays valid.
-        """
-        fields = asdict(self)
+    @cached_property
+    def _cache_key(self) -> str:
+        # Same scheme as ExperimentConfig (sha256 of the sorted-JSON form),
+        # except that fields added after a cache generation shipped are
+        # stripped at their default value, so every pre-existing key (and the
+        # sweep caches built on them) stays valid.
+        fields = self.canonical_dict()
         if not fields["churn"]:
             del fields["churn"]
         payload = json.dumps(fields, sort_keys=True)

@@ -46,7 +46,6 @@ import json
 import pickle
 import time
 import zlib
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -149,7 +148,7 @@ def per_rep_key(config) -> str:
     :meth:`repro.framework.cache.ResultCache.entry_key` (sans seed): growing
     a sweep from 5 to 20 repetitions keeps the first 5 rows' keys.
     """
-    return per_rep_key_from_dict(asdict(replace(config, repetitions=1)))
+    return hashlib.sha256(config.per_rep.canonical_json.encode()).hexdigest()
 
 
 def per_rep_key_from_dict(config_dict: Dict[str, Any]) -> str:
@@ -265,9 +264,13 @@ class ResultStore:
 
     # -- recording ---------------------------------------------------------
 
-    def record_result(self, name: str, rep: int, result) -> None:
-        """Insert (or idempotently re-insert) one successful repetition."""
-        payload = rep_to_dict(result)
+    def record_result(self, name: str, rep: int, result, fingerprint: Optional[str] = None) -> None:
+        """Insert (or idempotently re-insert) one successful repetition.
+
+        ``fingerprint`` is ``result.fingerprint()`` when the caller already
+        computed it for this repetition; ``None`` computes it here.
+        """
+        payload = rep_to_dict(result, fingerprint=fingerprint)
         precision: Optional[float] = None
         expected = getattr(result, "expected_send_log", None)
         if expected and getattr(result, "server_records", None):

@@ -2,7 +2,8 @@
 process pool at per-repetition granularity, under supervision.
 
 Grids are duck-typed: any config with ``validate()``, ``label``,
-``repetitions``, ``seed``, and ``cache_key()`` runs here, so
+``repetitions``, ``seed``, and the :class:`~repro.framework.config.CanonicalForm`
+encodings (``cache_key()``, ``per_rep``, ``canonical_dict()``) runs here, so
 :class:`~repro.framework.population.PopulationConfig` grids (hundreds of
 concurrent flows per repetition) share the same caching, supervision, and
 checkpoint/resume machinery as single-connection experiment grids — the
@@ -177,10 +178,7 @@ class SweepRunner:
                         cached = None
                 if cached is not None:
                     slots[name][rep] = cached
-                    if journal is not None:
-                        journal.record_success(name, rep, seed, cached.fingerprint())
-                    if self.store is not None:
-                        self.store.record_result(name, rep, cached)
+                    self._settle(journal, name, rep, seed, cached, recomputed=False)
                     self._emit(name, config, rep, cached, cached_hit=True)
                 else:
                     pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
@@ -197,22 +195,7 @@ class SweepRunner:
                 slots[task.name][task.rep] = result
                 if self.cache is not None:
                     self.cache.put(task.config, result.seed, result)
-                if journal is not None:
-                    fingerprint = result.fingerprint()
-                    prior = journal.get(task.name, task.rep)
-                    if (
-                        prior is not None
-                        and prior.fingerprint
-                        and prior.fingerprint != fingerprint
-                    ):
-                        self._emit_line(
-                            f"[sweep] warning: {task.name} rep {task.rep} recomputed "
-                            f"with a different fingerprint than the journaled run "
-                            f"(determinism regression?)"
-                        )
-                    journal.record_success(task.name, task.rep, task.seed, fingerprint)
-                if self.store is not None:
-                    self.store.record_result(task.name, task.rep, result)
+                self._settle(journal, task.name, task.rep, task.seed, result, recomputed=True)
                 self._emit(task.name, task.config, task.rep, result, cached_hit=False)
 
             def on_failure(task: RepTask, failure: RepFailure) -> None:
@@ -229,6 +212,35 @@ class SweepRunner:
             name: summarize_results(config, slots[name], failures[name])
             for name, config in grid.items()
         }
+
+    def _settle(
+        self,
+        journal: Optional[SweepJournal],
+        name: str,
+        rep: int,
+        seed: int,
+        result: ExperimentResult,
+        recomputed: bool,
+    ) -> None:
+        """Journal and store one successful repetition under a single digest.
+
+        ``fingerprint()`` is O(packets), so it runs once here and travels to
+        both sinks as an argument.
+        """
+        if journal is None and self.store is None:
+            return
+        fingerprint = result.fingerprint()
+        if journal is not None:
+            prior = journal.get(name, rep) if recomputed else None
+            if prior is not None and prior.fingerprint and prior.fingerprint != fingerprint:
+                self._emit_line(
+                    f"[sweep] warning: {name} rep {rep} recomputed "
+                    f"with a different fingerprint than the journaled run "
+                    f"(determinism regression?)"
+                )
+            journal.record_success(name, rep, seed, fingerprint)
+        if self.store is not None:
+            self.store.record_result(name, rep, result, fingerprint=fingerprint)
 
     def _emit_line(self, line: str) -> None:
         if self.stream is not None:

@@ -47,14 +47,17 @@ def _check(condition: bool, invariant: str, detail: str) -> None:
         raise ValidationError(f"{invariant}: {detail}")
 
 
+def _went_backwards(invariant: str, index: int, t: int, previous: int) -> ValidationError:
+    return ValidationError(
+        f"{invariant}: timestamp at index {index} went backwards ({t} < {previous})"
+    )
+
+
 def _check_monotonic(times, invariant: str) -> None:
     previous = None
     for index, t in enumerate(times):
         if previous is not None and t < previous:
-            raise ValidationError(
-                f"{invariant}: timestamp at index {index} went backwards "
-                f"({t} < {previous})"
-            )
+            raise _went_backwards(invariant, index, t, previous)
         previous = t
 
 
@@ -220,13 +223,21 @@ def validate_experiment(result: ExperimentResult) -> None:
     )
 
     # -- capture monotonicity ---------------------------------------------
-    _check_monotonic((r.time_ns for r in result.server_records), "capture-monotonic")
+    # One walk over the capture serves both this check and the payload sum
+    # that byte conservation needs below.
+    wire_payload = 0
+    previous = None
+    for index, record in enumerate(result.server_records):
+        t = record.time_ns
+        if previous is not None and t < previous:
+            raise _went_backwards("capture-monotonic", index, t, previous)
+        previous = t
+        wire_payload += record.payload_size
     _check_monotonic((t for t, _ in result.cwnd_trace), "cwnd-trace-monotonic")
     _check_monotonic((t for t, _ in result.queue_trace), "queue-trace-monotonic")
 
     # -- byte conservation -------------------------------------------------
     if result.completed:
-        wire_payload = sum(r.payload_size for r in result.server_records)
         _check(
             wire_payload >= cfg.file_size,
             "bytes-conservation",

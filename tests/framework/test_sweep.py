@@ -70,3 +70,59 @@ def test_rep_results_slot_into_rep_order():
     assert [r.seed for r in summary.results] == [
         derive_seed(cfg.seed, rep) for rep in range(3)
     ]
+
+
+def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
+    """Cache + journal + store: ``fingerprint()`` is O(packets), so a sweep
+    computes it once per settled repetition (fresh or cache hit) and hands
+    the digest to the journal and the store."""
+    import dataclasses
+
+    from repro.framework.experiment import ExperimentResult
+    from repro.framework.journal import SweepJournal
+    from repro.framework.store import ResultStore
+
+    calls = []
+    original = ExperimentResult.fingerprint
+
+    def counting(self):
+        calls.append(self.seed)
+        return original(self)
+
+    monkeypatch.setattr(ExperimentResult, "fingerprint", counting)
+    total = sum(config.repetitions for config in GRID.values())
+
+    def sweep():
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            summaries = SweepRunner(
+                workers=1,
+                cache=ResultCache(tmp_path / "cache"),
+                journal_dir=tmp_path / "journal",
+                store=store,
+            ).run(GRID)
+            rows = {(row["name"], row["rep"]): row["fingerprint"] for row in store.query()}
+        return summaries, rows
+
+    for label in ("cold", "warm"):
+        del calls[:]
+        summaries, rows = sweep()
+        assert len(calls) == total, label
+        journal = SweepJournal.for_grid(tmp_path / "journal", GRID)
+        for name, summary in summaries.items():
+            for rep, result in enumerate(summary.results):
+                digest = original(result)
+                assert rows[(name, rep)] == digest
+                assert journal.get(name, rep).fingerprint == digest
+
+    # Without the argument the store computes the digest itself...
+    result = summaries["tcp"].results[0]
+    with ResultStore(tmp_path / "other.sqlite") as store:
+        del calls[:]
+        store.record_result("tcp", 0, result)
+        assert len(calls) == 1
+        assert store.query()[0]["fingerprint"] == original(result)
+    # ...and nothing is remembered on the result: an altered copy digests anew.
+    altered = dataclasses.replace(result, dropped=result.dropped + 1)
+    assert altered.fingerprint() != result.fingerprint()
+    result.dropped += 1
+    assert result.fingerprint() == altered.fingerprint()
