@@ -22,21 +22,6 @@ from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).parent / "baseline.json"
 
-#: The compiled engine must beat the pure engine by this much on the
-#: event-throughput microbenchmark for the accelerator to be worth shipping.
-MIN_COMPILED_MICRO_SPEEDUP = 2.0
-
-#: End-to-end, the compiled build must merely never be slower than pure
-#: beyond measurement noise (see the comment at the gate below).
-MIN_COMPILED_E2E_RATIO = 0.95
-
-#: The timer wheel must beat the plain lazy-cancel heap on the re-arm-churn
-#: microbenchmark by this much to be worth its admission bookkeeping. The
-#: measured margin is ~1.9x compiled / ~2.3x pure; 1.2x leaves room for
-#: runner noise while still catching a wheel that has degenerated into pure
-#: overhead (e.g. a pour bug dumping every admission straight into the heap).
-MIN_WHEEL_SPEEDUP = 1.2
-
 
 def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
     failures: list[str] = []
@@ -82,20 +67,13 @@ def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"is more than {tolerance:.0%} above baseline {entry['wall_s']:.3f}s"
             )
         # Determinism, not performance: the churn workload is a pure function
-        # of (config, seed), identical across builds and engine variants, so
-        # the fingerprint must match the baseline byte-for-byte.
+        # of (config, seed), so the fingerprint must match the baseline
+        # byte-for-byte.
         if entry.get("fingerprint") and churn["fingerprint"] != entry["fingerprint"]:
             failures.append(
                 f"manyflow_churn@{churn['flows']}flows: fingerprint "
                 f"{churn['fingerprint'][:16]}… does not match baseline "
                 f"{entry['fingerprint'][:16]}… (churn teardown broke determinism)"
-            )
-    rearm = result.get("micro", {}).get("timer_rearm")
-    if rearm and rearm.get("wheel_speedup") is not None:
-        if rearm["wheel_speedup"] < MIN_WHEEL_SPEEDUP:
-            failures.append(
-                f"timer_rearm: wheel is only {rearm['wheel_speedup']:.2f}x "
-                f"the lazy-cancel heap (gate: >= {MIN_WHEEL_SPEEDUP:.1f}x)"
             )
     census = result.get("census")
     if census and census.get("post_departure", 0) > 0:
@@ -113,26 +91,6 @@ def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
             f"backend: forkserver ({forkserver['wall_s']:.3f}s) is not faster "
             f"than spawn ({spawn['wall_s']:.3f}s) over the same grid"
         )
-    pure = result.get("pure_comparison")
-    if pure:
-        # The compiled event engine must be worth shipping: >= 2x the pure
-        # engine on the schedule/run microbenchmark. End-to-end wall time is
-        # gated as a no-regression floor only — the post-compile e2e profile
-        # is flat (QUIC stack callbacks dominate; the engine is ~10 %), so a
-        # 2x e2e win would require compiling the whole QUIC layer (the
-        # opt-in REPRO_MYPYC build), not just the C core.
-        if pure["event_throughput_speedup"] < MIN_COMPILED_MICRO_SPEEDUP:
-            failures.append(
-                "compiled: event_throughput is only "
-                f"{pure['event_throughput_speedup']:.2f}x the pure build "
-                f"(gate: >= {MIN_COMPILED_MICRO_SPEEDUP:.1f}x)"
-            )
-        if pure["e2e_speedup"] < MIN_COMPILED_E2E_RATIO:
-            failures.append(
-                f"compiled: e2e is {pure['e2e_speedup']:.2f}x the pure build "
-                f"— slower than pure beyond noise (floor: "
-                f">= {MIN_COMPILED_E2E_RATIO:.2f}x)"
-            )
     return failures
 
 

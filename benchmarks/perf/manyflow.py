@@ -86,8 +86,8 @@ def bench_manyflow(
 
 
 def census_totals(flows: int, seed: int = 1, churn: bool = False) -> Dict:
-    """One census-instrumented run (pure engine, uncounted in the timing):
-    the per-component totals recorded alongside the benchmark numbers."""
+    """One census-instrumented run (uncounted in the timing): the
+    per-component totals recorded alongside the benchmark numbers."""
     result = run_population(
         population_config(flows, churn=churn), seed=seed, profile_events=True
     )

@@ -8,7 +8,6 @@ cost, so absolute size barely matters beyond amortizing setup.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict
 
@@ -58,11 +57,9 @@ def bench_timer_rearm(
     superseded many times before one finally fires. Here ``n_timers``
     reusable timers are each re-armed ``rounds`` times (every re-arm leaves
     one stale soft-cancelled calendar entry behind) and the population then
-    runs to quiescence. One "op" is one (re-)arm. The same workload is
-    re-timed with the wheel disabled (``REPRO_TIMER_WHEEL=0`` — the plain
-    lazy-cancel heap) and reported as ``wheel_speedup``; the committed
-    baseline additionally records the pre-PR cancel-and-reschedule cost of
-    this pattern (``pre_pr_timer_rearm``) for the cross-PR speedup.
+    runs to quiescence. One "op" is one (re-)arm. The committed baseline
+    additionally records the pre-PR cancel-and-reschedule cost of this
+    pattern (``pre_pr_timer_rearm``) for the cross-PR speedup.
     """
 
     def run() -> int:
@@ -82,21 +79,7 @@ def bench_timer_rearm(
         assert fired[0] == n_timers
         return n_timers * rounds
 
-    record = best_of(run, repeats)
-    saved = os.environ.get("REPRO_TIMER_WHEEL")
-    os.environ["REPRO_TIMER_WHEEL"] = "0"
-    try:
-        heap = best_of(run, repeats)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_TIMER_WHEEL"]
-        else:
-            os.environ["REPRO_TIMER_WHEEL"] = saved
-    record["heap_ops_per_sec"] = heap["ops_per_sec"]
-    record["wheel_speedup"] = round(
-        record["ops_per_sec"] / heap["ops_per_sec"], 2
-    )
-    return record
+    return best_of(run, repeats)
 
 
 def bench_qdisc(n: int = 30_000, flows: int = 8, repeats: int = 3) -> Dict:

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m benchmarks.perf.run [--out BENCH_9.json] [--repeats 3] [--runs 5]
+    python -m benchmarks.perf.run [--out BENCH_13.json] [--repeats 3] [--runs 5]
 
 The output JSON holds the microbenchmark ops/sec, the end-to-end wall-clock
 and events/sec at the current ``REPRO_SCALE_MIB``, the many-flow population
@@ -11,12 +11,6 @@ comparison (forkserver vs spawn per-repetition cost), the result-transport
 comparison (shared memory vs queue), and — when the committed baseline
 records a pre-overhaul time for that scale — the speedup over the pre-PR
 engine.
-
-Every record carries a ``build_mode`` column (``compiled`` or ``pure``, from
-``repro.build_info()``). When this process runs the compiled build, the
-suite re-times the event-engine microbenchmark and the e2e transfer in a
-``REPRO_PURE_PYTHON=1`` subprocess and records the cross-build speedups
-under ``pure_comparison`` (``--no-compare-pure`` skips it).
 
 The timed repetitions are real, deterministic experiment results, so they
 are also streamed into a :class:`~repro.framework.store.ResultStore`
@@ -28,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import subprocess
 import sys
 from pathlib import Path
 
@@ -38,47 +30,17 @@ from benchmarks.perf.backend import bench_backends, bench_transport
 from benchmarks.perf.e2e import bench_e2e, scale_mib
 from benchmarks.perf.manyflow import bench_manyflow, census_totals, flow_count
 from benchmarks.perf.microbench import run_all
-from repro import build_info
 from repro.framework.store import ResultStore
 
 BASELINE_PATH = Path(__file__).parent / "baseline.json"
 
-#: Re-timed in the pure-build subprocess for the cross-build comparison.
-_PURE_PROBE = """\
-import json
-from benchmarks.perf.e2e import bench_e2e
-from benchmarks.perf.microbench import bench_event_throughput
-from repro import build_info
-
-assert build_info()["mode"] == "pure", build_info()
-print(json.dumps({
-    "event_throughput": bench_event_throughput(repeats=%d),
-    "e2e": bench_e2e(runs=%d),
-}))
-"""
-
-
-def _pure_comparison(repeats: int, runs: int) -> dict | None:
-    """Time the hot path under REPRO_PURE_PYTHON=1 in a subprocess."""
-    env = dict(os.environ)
-    env["REPRO_PURE_PYTHON"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", _PURE_PROBE % (repeats, runs)],
-        capture_output=True, text=True, env=env,
-    )
-    if proc.returncode != 0:
-        print(f"perf: pure-build probe failed:\n{proc.stderr}", file=sys.stderr)
-        return None
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_10.json", help="output JSON path")
+    parser.add_argument("--out", default="BENCH_13.json", help="output JSON path")
     parser.add_argument(
         "--force", action="store_true",
         help="overwrite an existing --out recorded under a different "
-        "schema/python/build",
+        "schema/python",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="repetitions per microbenchmark"
@@ -103,22 +65,17 @@ def main(argv: list[str] | None = None) -> int:
         help="repetitions of the result-transport sweep (0 skips the section)",
     )
     parser.add_argument(
-        "--no-compare-pure", action="store_true",
-        help="skip the REPRO_PURE_PYTHON=1 cross-build comparison",
-    )
-    parser.add_argument(
         "--store", default="perf-session.sqlite",
         help="stream the benchmark repetitions into this SQLite result store, "
         "queryable with `repro query`/`repro report` ('' disables)",
     )
     args = parser.parse_args(argv)
 
-    build_mode = build_info()["mode"]
     out = Path(args.out)
     if out.exists() and not args.force:
         # A BENCH record is a measurement artifact: silently replacing one
-        # taken under a different schema, interpreter, or build makes the
-        # committed history lie. Same-environment re-runs stay cheap.
+        # taken under a different schema or interpreter makes the committed
+        # history lie. Same-environment re-runs stay cheap.
         try:
             prior = json.loads(out.read_text())
         except (OSError, ValueError):
@@ -129,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
                 for key, new in (
                     ("schema", 1),
                     ("python", platform.python_version()),
-                    ("build_mode", build_mode),
                 )
                 if prior.get(key) != new
             ]
@@ -142,20 +98,11 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 return 1
     store = ResultStore(args.store) if args.store else None
-    print(f"perf: build mode {build_mode}")
 
     print(f"perf: microbenchmarks (best of {args.repeats}) ...")
     micro = run_all(repeats=args.repeats)
     for name, rec in micro.items():
         print(f"  {name:24s} {rec['ops_per_sec']:>14,.0f} ops/s")
-    rearm = micro.get("timer_rearm")
-    if rearm:
-        print(
-            f"  timer wheel vs lazy-cancel heap: "
-            f"{rearm['wheel_speedup']:.2f}x "
-            f"({rearm['heap_ops_per_sec']:,.0f} ops/s with "
-            "REPRO_TIMER_WHEEL=0)"
-        )
 
     scale = scale_mib()
     print(f"perf: end-to-end transfer at {scale:g} MiB (best of {args.runs}) ...")
@@ -186,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.census_flows > 0:
-        print(f"perf: event census at {args.census_flows} flows (pure engine) ...")
+        print(f"perf: event census at {args.census_flows} flows ...")
         census = census_totals(args.census_flows, churn=True)
         print(
             f"  {census['scheduled']} scheduled, {census['fired']} fired, "
@@ -196,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "schema": 1,
         "python": platform.python_version(),
-        "build_mode": build_mode,
         "micro": micro,
         "e2e": e2e,
         "manyflow": manyflow,
@@ -241,26 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         payload["transport"] = transport
 
-    if build_mode == "compiled" and not args.no_compare_pure:
-        print("perf: re-timing hot path under REPRO_PURE_PYTHON=1 ...")
-        pure = _pure_comparison(repeats=args.repeats, runs=min(args.runs, 3))
-        if pure is not None:
-            micro_ratio = (
-                micro["event_throughput"]["ops_per_sec"]
-                / pure["event_throughput"]["ops_per_sec"]
-            )
-            e2e_ratio = pure["e2e"]["wall_s"] / e2e["wall_s"]
-            payload["pure_comparison"] = {
-                "event_throughput_ops_per_sec": pure["event_throughput"]["ops_per_sec"],
-                "e2e_wall_s": pure["e2e"]["wall_s"],
-                "event_throughput_speedup": round(micro_ratio, 2),
-                "e2e_speedup": round(e2e_ratio, 2),
-            }
-            print(
-                f"  event_throughput: {micro_ratio:.2f}x over pure; "
-                f"e2e@{e2e['scale_mib']:g}MiB: {e2e_ratio:.2f}x"
-            )
-
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
         pre = baseline.get("pre_pr", {})
@@ -281,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"  manyflow@{flows} speedup vs pre-PR engine "
                 f"({pre_many['wall_s']:.3f}s): {speedup:.2f}x"
             )
-        pre_rearm = baseline.get("pre_pr_timer_rearm", {}).get(build_mode)
+        pre_rearm = baseline.get("pre_pr_timer_rearm")
+        rearm = micro.get("timer_rearm")
         if pre_rearm and rearm:
             speedup = rearm["ops_per_sec"] / pre_rearm["ops_per_sec"]
             payload["micro"]["timer_rearm"]["pre_pr_ops_per_sec"] = (
@@ -292,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(
                 f"  timer_rearm speedup vs pre-PR cancel+reschedule "
-                f"({pre_rearm['ops_per_sec']:,.0f} ops/s, {build_mode}): "
+                f"({pre_rearm['ops_per_sec']:,.0f} ops/s): "
                 f"{speedup:.2f}x"
             )
 

@@ -12,7 +12,8 @@ Quick start::
     print(summary.describe())
 """
 
-from repro._build import build_info
+import sys
+
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment, ExperimentResult, run_experiment
@@ -31,6 +32,19 @@ from repro.metrics import (
 )
 
 __version__ = "1.0.0"
+
+
+def build_info() -> dict:
+    """Describe the build this process runs (observability only; nothing
+    here enters a cache key or fingerprint). There is one engine, so
+    ``mode`` is always ``"pure"``; ``benchmarks/bench`` records it and flags
+    a change between the two sides of a comparison."""
+    return {
+        "mode": "pure",
+        "python": sys.version.split()[0],
+        "version": __version__,
+    }
+
 
 __all__ = [
     "build_info",

@@ -968,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build_p = sub.add_parser(
         "build-info",
-        help="show whether this process runs the compiled or pure build",
+        help="show the build this process runs (mode, python, version)",
     )
     build_p.add_argument(
         "--json", action="store_true", help="machine-readable build_info()"
@@ -978,21 +978,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_info(args: argparse.Namespace) -> int:
-    from repro import _build
+    from repro import build_info
 
-    if getattr(args, "json", False):
-        print(json.dumps(_build.build_info(), indent=1))
+    info = build_info()
+    if args.json:
+        print(json.dumps(info, indent=1))
     else:
-        print(_build.describe())
+        print("\n".join(f"{key}: {value}" for key, value in info.items()))
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``python -m repro --build-info`` is the documented quick check; map the
-    # flag spelling onto the subcommand.
-    argv = ["build-info" if a == "--build-info" else a for a in argv]
     parser = build_parser()
     args = parser.parse_args(argv)
     # `--sf` flips rollback off; stock behaviour is rollback on (None keeps

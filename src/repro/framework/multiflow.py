@@ -542,9 +542,8 @@ class MultiFlowExperiment:
         # Steady-state traffic allocates and frees at a rate that makes the
         # cyclic GC's periodic full scans pure overhead (the object graph
         # has no growing cycles; retirement breaks the per-flow ones
-        # explicitly). Results are identical either way; set
-        # REPRO_GC_DURING_RUN=1 to keep the collector running.
-        gc_paused = gc.isenabled() and os.environ.get("REPRO_GC_DURING_RUN") != "1"
+        # explicitly). Results are identical either way.
+        gc_paused = gc.isenabled()
         if gc_paused:
             gc.disable()
         try:

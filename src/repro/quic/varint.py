@@ -66,24 +66,3 @@ def decode_varint(data: memoryview | bytes, offset: int = 0) -> tuple[int, int]:
         value = (value << 8) | data[offset + i]
     return value, offset + 8
 
-
-# -- build-mode selection ---------------------------------------------------
-#
-# Pure implementations stay importable under ``pure_*`` names; the compiled
-# core shadows the public names when present (see repro/_build.py).
-
-pure_varint_len = varint_len
-pure_encode_varint = encode_varint
-pure_decode_varint = decode_varint
-
-from repro import _build as _build  # noqa: E402 - deliberate tail import
-
-_core = _build.compiled_core()
-if _core is not None:
-    varint_len = _core.varint_len
-    encode_varint = _core.encode_varint
-    decode_varint = _core.decode_varint
-    _build.register("repro.quic.varint", "compiled")
-else:
-    _build.register("repro.quic.varint", "pure")
-del _core

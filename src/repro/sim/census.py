@@ -6,8 +6,7 @@ many of them are soft-cancelled (re-armed) before firing, and — the churn
 invariant — whether a departed flow ever schedules anything again.
 
 :class:`CensusSimulator` is a drop-in :class:`~repro.sim.engine.Simulator`
-(always the pure implementation — a census run is a profiling run, not a
-production run) that attributes every calendar admission to a *component*
+subclass that attributes every calendar admission to a *component*
 (the class name of the callback's bound ``self``) and, when the owner is
 tagged with a ``census_flow`` attribute, to a flow. The multi-flow
 experiment tags every per-flow component at build time when the census is
@@ -17,9 +16,9 @@ Counters:
 
 * ``scheduled`` — admissions, per component.
 * ``fired`` — dispatched callbacks, per component.
-* ``stale`` — soft-cancelled entries discarded at pour or pop time, per
-  component (a re-armed timer contributes one stale entry per re-arm; this
-  is the census view of "cancelled").
+* ``stale`` — soft-cancelled entries discarded when they reach the head of
+  the heap, per component (a re-armed timer contributes one stale entry per
+  re-arm; this is the census view of "cancelled").
 * ``post_departure`` — admissions attributed to a flow *after*
   :meth:`CensusSimulator.mark_departed` was called for it. Flow churn's
   teardown invariant is that this stays empty; the population tests assert
@@ -33,11 +32,11 @@ the census tests against golden fingerprints).
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import PureSimulator, _L0_BITS, _L1_BITS
+from repro.sim.engine import Simulator
 
 
 def _callback_of(fn, args):
@@ -66,13 +65,8 @@ def flow_of(fn) -> Optional[int]:
     return getattr(owner, "census_flow", None)
 
 
-class CensusSimulator(PureSimulator):
-    """A Simulator that attributes every event to component and flow.
-
-    Pure-Python by design (instrumentation would defeat the compiled core's
-    point); interchangeable with either build because the engine contract is
-    bit-identical across implementations.
-    """
+class CensusSimulator(Simulator):
+    """A Simulator that attributes every event to component and flow."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -96,81 +90,30 @@ class CensusSimulator(PureSimulator):
                 self.post_departure[(flow, component_of(cb))] += 1
         super()._admit(time_ns, seq, fn, args)
 
-    def _count_stale(self, owner) -> None:
-        self.stale[component_of(owner.fn)] += 1
-
-    def _pour_one(self) -> None:
-        # Same pour as the base engine, with stale entries counted as they
-        # are discarded. Kept structurally identical (cascade order, rescan
-        # before cascade) so census runs stay bit-identical.
-        cur0 = self._cur0
-        if (cur0 & 255) == 0:
-            cur1 = cur0 >> 8
-            if (cur1 & 63) == 0 and self._overflow:
-                keep = []
-                for entry in self._overflow:
-                    if (entry[0] >> _L1_BITS) - cur1 < 64:
-                        if (entry[0] >> _L0_BITS) - cur0 < 256:
-                            self._l0[(entry[0] >> _L0_BITS) & 255].append(entry)
-                        else:
-                            self._l1[(entry[0] >> _L1_BITS) & 63].append(entry)
-                    else:
-                        keep.append(entry)
-                self._overflow = keep
-            slot1 = self._l1[cur1 & 63]
-            if slot1:
-                l0 = self._l0
-                for entry in slot1:
-                    l0[(entry[0] >> _L0_BITS) & 255].append(entry)
-                self._l1[cur1 & 63] = []
-        slot = self._l0[cur0 & 255]
-        if slot:
-            heap = self._heap
-            for entry in slot:
-                if entry[3] is None and entry[2]._live_seq != entry[1]:
-                    self._count_stale(entry[2])
-                    continue
-                _heappush(heap, entry)
-            self._wheel_count -= len(slot)
-            self._l0[cur0 & 255] = []
-        self._cur0 = cur0 + 1
-
-    def run(self, until=None, max_events=None):
+    def run(self, until=None):
         # Same dispatch loop as the base engine, with fired/stale counting.
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         heap = self._heap
-        processed = 0
         try:
-            while True:
-                if heap and (
-                    self._wheel_count == 0
-                    or (heap[0][0] >> _L0_BITS) < self._cur0
-                ):
-                    if max_events is not None and processed >= max_events:
-                        return
-                    entry = heap[0]
-                    if until is not None and entry[0] > until:
-                        break
-                    _heappop(heap)
-                    time_ns, seq, fn, args = entry
-                    if args is None:
-                        if fn._live_seq != seq:
-                            self._count_stale(fn)
-                            continue
-                        fn._live_seq = -1
-                        args = fn.args
-                        fn = fn.fn
-                    self._now = time_ns
-                    self.events_processed += 1
-                    processed += 1
-                    self.fired[component_of(fn)] += 1
-                    fn(*args)
-                elif self._wheel_count:
-                    self._pour_one()
-                else:
+            while heap:
+                entry = heap[0]
+                if until is not None and entry[0] > until:
                     break
+                _heappop(heap)
+                time_ns, seq, fn, args = entry
+                if args is None:
+                    if fn._live_seq != seq:
+                        self.stale[component_of(fn.fn)] += 1
+                        continue
+                    fn._live_seq = -1
+                    args = fn.args
+                    fn = fn.fn
+                self._now = time_ns
+                self.events_processed += 1
+                self.fired[component_of(fn)] += 1
+                fn(*args)
             if until is not None and until > self._now:
                 self._now = until
         finally:

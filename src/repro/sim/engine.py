@@ -1,9 +1,8 @@
 """Nanosecond-resolution discrete-event engine.
 
-The engine is a calendar built on a binary heap fronted by a two-level
-hierarchical timer wheel. Events scheduled for the same instant fire in
-scheduling order (FIFO), which keeps simulations deterministic for a fixed
-seed.
+The engine is a calendar built on a binary heap. Events scheduled for the
+same instant fire in scheduling order (FIFO), which keeps simulations
+deterministic for a fixed seed.
 
 Hot-path design: calendar entries are plain ``(time, seq, fn, args)``
 tuples, so ordering is decided by C-level tuple comparison on ``(time,
@@ -15,41 +14,19 @@ allocation. The call sites that cancel or re-arm events go through
 is None`` sentinel is how the run loop tells the two entry shapes apart
 without an isinstance check.
 
-Timer wheel (``REPRO_TIMER_WHEEL=0`` disables it; results are bit-identical
-either way):
-
-* L0: 256 slots of 2^20 ns (~1.05 ms) — covers ~268 ms ahead.
-* L1: 64 slots of 2^28 ns (~268 ms) — covers ~17.2 s ahead.
-* Overflow list beyond that, rescanned once per L1 wrap.
-
-Admission appends to a slot list in O(1) instead of paying an O(log n)
-heap sift for every far-future deadline. A slot is *poured* into the heap
-only when the clock is about to enter it (pour-before-trust: the heap head
-is never dispatched while an unpoured slot could still precede it), so
-events within one slot are heapified as a single batch — this is what makes
-thousands of per-flow pacing/ACK/PTO deadlines cheap. Because the heap
-performs the final ``(time, seq)`` ordering, wheel-on and wheel-off runs
-fire events in exactly the same order.
-
 Soft cancel: cancelling or re-arming never searches the calendar. Each
 cancellable entry records the owner's generation (the global ``seq`` it was
 armed with); :meth:`EventHandle.cancel` / :meth:`Timer.cancel` /
 re-arming simply bump the owner's ``_live_seq`` so stale entries no longer
-match and are dropped for free at pour or pop time.
+match and are dropped when they reach the head of the heap.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-
-#: L0 slot width is 2^20 ns (~1.05 ms); 256 slots cover ~268 ms.
-_L0_BITS = 20
-#: L1 slot width is 2^28 ns (~268 ms); 64 slots cover ~17.2 s.
-_L1_BITS = 28
 
 
 class EventHandle:
@@ -150,28 +127,12 @@ class Simulator:
         sim.run(until=seconds(10))
     """
 
-    #: Bound at class definition so the build-mode rebind at module tail
-    #: (which shadows the module-global ``EventHandle``/``Timer`` with the
-    #: C classes) cannot swap the types out from under the pure
-    #: implementation.
-    _handle_cls = EventHandle
-    _timer_cls = Timer
-
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
         self._heap: list[tuple] = []
         self._running = False
         self.events_processed = 0
-        # Timer wheel state. `_cur0` is the absolute index of the next L0
-        # slot to pour; every calendar entry with time < (_cur0 << 20) is
-        # guaranteed to be in the heap (the pour boundary).
-        self._wheel_on = os.environ.get("REPRO_TIMER_WHEEL", "1") != "0"
-        self._l0: list[list] = [[] for _ in range(256)]
-        self._l1: list[list] = [[] for _ in range(64)]
-        self._overflow: list = []
-        self._cur0 = 0
-        self._wheel_count = 0
 
     @property
     def now(self) -> int:
@@ -181,71 +142,9 @@ class Simulator:
     # -- admission ------------------------------------------------------
 
     def _admit(self, time_ns: int, seq: int, fn, args) -> None:
-        """Place one calendar entry: heap if it precedes the pour boundary,
-        otherwise the cheapest wheel level that can hold it."""
-        slot0 = time_ns >> _L0_BITS
-        cur0 = self._cur0
-        if not self._wheel_on or slot0 < cur0:
-            _heappush(self._heap, (time_ns, seq, fn, args))
-            return
-        if self._wheel_count == 0:
-            # Empty wheel: fast-forward the pour boundary so sparse
-            # calendars never pay per-slot pour scans to catch up.
-            if slot0 > cur0:
-                self._cur0 = cur0 = slot0
-            self._l0[slot0 & 255].append((time_ns, seq, fn, args))
-            self._wheel_count = 1
-            return
-        if slot0 - cur0 < 256:
-            self._l0[slot0 & 255].append((time_ns, seq, fn, args))
-        else:
-            slot1 = time_ns >> _L1_BITS
-            if slot1 - (cur0 >> 8) < 64:
-                self._l1[slot1 & 63].append((time_ns, seq, fn, args))
-            else:
-                self._overflow.append((time_ns, seq, fn, args))
-        self._wheel_count += 1
-
-    def _pour_one(self) -> None:
-        """Pour the next L0 slot into the heap and advance the boundary.
-
-        Stale soft-cancelled entries are dropped here without ever paying
-        a heap sift. Crossing an L0 ring boundary cascades the matching L1
-        slot down; crossing an L1 ring boundary first rescans the overflow
-        list for entries that now fit the wheel horizon.
-        """
-        cur0 = self._cur0
-        if (cur0 & 255) == 0:
-            cur1 = cur0 >> 8
-            if (cur1 & 63) == 0 and self._overflow:
-                keep = []
-                for entry in self._overflow:
-                    if (entry[0] >> _L1_BITS) - cur1 < 64:
-                        if (entry[0] >> _L0_BITS) - cur0 < 256:
-                            self._l0[(entry[0] >> _L0_BITS) & 255].append(entry)
-                        else:
-                            self._l1[(entry[0] >> _L1_BITS) & 63].append(entry)
-                    else:
-                        keep.append(entry)
-                self._overflow = keep
-            slot1 = self._l1[cur1 & 63]
-            if slot1:
-                l0 = self._l0
-                for entry in slot1:
-                    l0[(entry[0] >> _L0_BITS) & 255].append(entry)
-                self._l1[cur1 & 63] = []
-        slot = self._l0[cur0 & 255]
-        if slot:
-            heap = self._heap
-            for entry in slot:
-                # args-is-None entries are soft-cancellable: the owner's
-                # generation must still match the entry's seq.
-                if entry[3] is None and entry[2]._live_seq != entry[1]:
-                    continue
-                _heappush(heap, entry)
-            self._wheel_count -= len(slot)
-            self._l0[cur0 & 255] = []
-        self._cur0 = cur0 + 1
+        """Place one calendar entry; the single admission point (the
+        census counts here)."""
+        _heappush(self._heap, (time_ns, seq, fn, args))
 
     # -- scheduling -----------------------------------------------------
 
@@ -295,7 +194,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = self._handle_cls(time_ns, seq, fn, args)
+        handle = EventHandle(time_ns, seq, fn, args)
         self._admit(time_ns, seq, handle, None)
         return handle
 
@@ -305,14 +204,14 @@ class Simulator:
         Allocate once per recurring deadline (RTO, delayed-ACK, pacer,
         process wake-up) and re-arm it for free ever after.
         """
-        return self._timer_cls(self, fn, args)
+        return Timer(self, fn, args)
 
     # -- introspection --------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Number of events still in the calendar (including cancelled ones)."""
-        return len(self._heap) + self._wheel_count
+        return len(self._heap)
 
     @property
     def pending_live(self) -> int:
@@ -321,66 +220,49 @@ class Simulator:
 
         O(n); intended for diagnostics, not the run loop.
         """
-        live = 0
-        for entries in (self._heap, self._overflow, *self._l0, *self._l1):
-            for entry in entries:
-                if entry[3] is not None or entry[2]._live_seq == entry[1]:
-                    live += 1
-        return live
+        return sum(
+            1
+            for entry in self._heap
+            if entry[3] is not None or entry[2]._live_seq == entry[1]
+        )
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the calendar is empty."""
         heap = self._heap
-        while True:
-            while heap:
-                entry = heap[0]
-                if entry[3] is None and entry[2]._live_seq != entry[1]:
-                    _heappop(heap)
-                    continue
-                break
-            if heap and (
-                self._wheel_count == 0 or (heap[0][0] >> _L0_BITS) < self._cur0
-            ):
-                return heap[0][0]
-            if self._wheel_count:
-                self._pour_one()
+        while heap:
+            entry = heap[0]
+            if entry[3] is None and entry[2]._live_seq != entry[1]:
+                _heappop(heap)
                 continue
-            return None
+            return entry[0]
+        return None
 
     def step(self) -> bool:
         """Run the next live event. Returns False if there was none."""
         heap = self._heap
-        while True:
-            if heap and (
-                self._wheel_count == 0 or (heap[0][0] >> _L0_BITS) < self._cur0
-            ):
-                time_ns, seq, fn, args = _heappop(heap)
-                if args is None:  # soft-cancellable: fn is the handle/timer
-                    if fn._live_seq != seq:
-                        continue
-                    fn._live_seq = -1
-                    args = fn.args
-                    fn = fn.fn
-                self._now = time_ns
-                self.events_processed += 1
-                fn(*args)
-                return True
-            if self._wheel_count:
-                self._pour_one()
-                continue
-            return False
+        while heap:
+            time_ns, seq, fn, args = _heappop(heap)
+            if args is None:  # soft-cancellable: fn is the handle/timer
+                if fn._live_seq != seq:
+                    continue
+                fn._live_seq = -1
+                args = fn.args
+                fn = fn.fn
+            self._now = time_ns
+            self.events_processed += 1
+            fn(*args)
+            return True
+        return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the calendar is empty, ``until`` is reached, or
-        ``max_events`` have been processed.
+    def run(self, until: Optional[int] = None) -> None:
+        """Run events until the calendar is empty or ``until`` is reached.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the calendar empties earlier.
 
-        One inlined loop: the head entry is inspected once and popped once
-        per event (stale soft-cancelled entries are skipped in the same
-        pass); unpoured wheel slots are poured exactly when the head could
-        otherwise overtake them.
+        The head entry is inspected once and popped once per event; stale
+        soft-cancelled entries are skipped in the same pass, and the event
+        counter is folded in once on exit.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -389,88 +271,23 @@ class Simulator:
         pop = _heappop
         processed = 0
         try:
-            if max_events is None:
-                # The experiment hot loop: no per-event budget checks, and
-                # the event counter is folded in once on exit.
-                try:
-                    while True:
-                        if heap and (
-                            self._wheel_count == 0
-                            or (heap[0][0] >> _L0_BITS) < self._cur0
-                        ):
-                            entry = heap[0]
-                            if until is not None and entry[0] > until:
-                                break
-                            pop(heap)
-                            time_ns, seq, fn, args = entry
-                            if args is None:  # soft-cancellable entry
-                                if fn._live_seq != seq:
-                                    continue
-                                fn._live_seq = -1
-                                args = fn.args
-                                fn = fn.fn
-                            self._now = time_ns
-                            processed += 1
-                            fn(*args)
-                        elif self._wheel_count:
-                            self._pour_one()
-                        else:
-                            break
-                finally:
-                    self.events_processed += processed
-            else:
-                while True:
-                    if heap and (
-                        self._wheel_count == 0
-                        or (heap[0][0] >> _L0_BITS) < self._cur0
-                    ):
-                        if processed >= max_events:
-                            return
-                        entry = heap[0]
-                        if until is not None and entry[0] > until:
-                            break
-                        pop(heap)
-                        time_ns, seq, fn, args = entry
-                        if args is None:  # soft-cancellable entry
-                            if fn._live_seq != seq:
-                                continue
-                            fn._live_seq = -1
-                            args = fn.args
-                            fn = fn.fn
-                        self._now = time_ns
-                        self.events_processed += 1
-                        processed += 1
-                        fn(*args)
-                    elif self._wheel_count:
-                        self._pour_one()
-                    else:
-                        break
+            while heap:
+                entry = heap[0]
+                if until is not None and entry[0] > until:
+                    break
+                pop(heap)
+                time_ns, seq, fn, args = entry
+                if args is None:  # soft-cancellable entry
+                    if fn._live_seq != seq:
+                        continue
+                    fn._live_seq = -1
+                    args = fn.args
+                    fn = fn.fn
+                self._now = time_ns
+                processed += 1
+                fn(*args)
             if until is not None and until > self._now:
                 self._now = until
         finally:
+            self.events_processed += processed
             self._running = False
-
-
-# -- build-mode selection ---------------------------------------------------
-#
-# When the compiled core is importable (and REPRO_PURE_PYTHON is unset), the
-# C implementations shadow the pure classes above. The pure classes stay
-# importable under ``Pure*`` names for the fallback/equivalence tests; both
-# implementations are bit-identical by contract (pinned by the golden
-# fingerprints and tests/framework/test_build_modes.py).
-
-PureSimulator = Simulator
-PureEventHandle = EventHandle
-PureTimer = Timer
-
-from repro import _build as _build  # noqa: E402 - deliberate tail import
-
-_core = _build.compiled_core()
-if _core is not None:
-    Simulator = _core.Simulator  # type: ignore[misc]
-    EventHandle = _core.EventHandle  # type: ignore[misc]
-    Timer = _core.Timer  # type: ignore[misc]
-    _build.register("repro.sim.engine", "compiled")
-else:
-    _build.register("repro.sim.engine", "pure")
-del _core

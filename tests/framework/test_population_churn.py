@@ -3,10 +3,10 @@
 Churn (teardown on departure) is a *different deterministic workload*, not
 an engine optimization: cutting post-completion traffic perturbs the shared
 queue, so its fingerprint legitimately differs from the no-churn run — but
-it must be a pure function of (config, seed), identical across engine
-variants (wheel on/off, pure/compiled) and execution modes (serial, swept,
-cache-resumed). The census must be behaviour-neutral and must certify the
-teardown invariant: a departed flow schedules zero further events.
+it must be a pure function of (config, seed), identical across execution
+modes (serial, swept, cache-resumed). The census must be behaviour-neutral
+and must certify the teardown invariant: a departed flow schedules zero
+further events.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _BASE = dict(
     seed=5,
 )
 
-#: Recorded on the pre-wheel seed engine; every engine change must keep
+#: Recorded on the plain lazy-cancel heap; every engine change must keep
 #: reproducing it bit-for-bit (the population-scale golden).
 GOLDEN_PLAIN = "8484eddb03c4e44b94bd3d6017f9a3c7000a7e6d681a2ecbd4cfe8aa62b5929d"
 #: Recorded when churn shipped; pins churn determinism thereafter.
@@ -41,21 +41,17 @@ def _config(**overrides) -> PopulationConfig:
     return PopulationConfig(**{**_BASE, **overrides})
 
 
-def test_population_golden_fingerprint_wheel_on_and_off(monkeypatch):
-    assert run_population(_config()).fingerprint() == GOLDEN_PLAIN
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
+def test_population_golden_fingerprint():
     assert run_population(_config()).fingerprint() == GOLDEN_PLAIN
 
 
-def test_churn_golden_fingerprint_wheel_on_and_off(monkeypatch):
+def test_churn_golden_fingerprint():
     result = run_population(_config(churn=True))
     assert result.fingerprint() == GOLDEN_CHURN
     assert result.completed_count == 30
     # Teardown absorbed stragglers rather than mis-routing them.
     assert result.multi.drained > 0
     assert result.multi.unrouted == 0
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
-    assert run_population(_config(churn=True)).fingerprint() == GOLDEN_CHURN
 
 
 def test_drained_zero_without_churn():

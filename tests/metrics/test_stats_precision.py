@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,8 +44,6 @@ class TestSummarize:
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
     def test_matches_numpy_definition(self, values):
-        import numpy as np
-
         s = summarize(values)
         assert math.isclose(s.mean, float(np.mean(values)), abs_tol=1e-6)
         assert math.isclose(s.std, float(np.std(values, ddof=1)), abs_tol=1e-6)

@@ -121,13 +121,6 @@ def test_call_soon_runs_at_current_time_after_pending(sim):
     assert sim.now == 10
 
 
-def test_max_events_bound(sim):
-    for i in range(100):
-        sim.schedule(i + 1, lambda: None)
-    sim.run(max_events=10)
-    assert sim.events_processed == 10
-
-
 def test_step_returns_false_when_empty(sim):
     assert sim.step() is False
 

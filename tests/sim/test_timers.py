@@ -1,11 +1,9 @@
-"""Timer-wheel scheduling and soft-cancel timers.
+"""Soft-cancel timers on the lazy-cancel heap.
 
-The wheel is a pure scheduling-cost optimization: event order must be
-bit-identical with the wheel disabled (``REPRO_TIMER_WHEEL=0``) and across
-the pure/compiled builds. The property test drives a seeded random mix of
-plain events, cancellable handles, and re-armed timers across all three
-wheel levels (L0, L1, overflow) and requires the exact same fire sequence
-from every engine variant.
+The property test drives a seeded random mix of plain events, cancellable
+handles, and re-armed timers with deadlines from microseconds to tens of
+seconds through the engine and through an independent reference calendar
+(below), and requires the exact same fire sequence and final clock.
 """
 
 from __future__ import annotations
@@ -13,19 +11,59 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import PureSimulator, Simulator
+from repro.sim.engine import Simulator
 from repro.units import ms, seconds
 
 
-def _engines(monkeypatch=None):
-    """Engine constructors to cross-check: compiled (when present), pure,
-    and pure with the wheel disabled."""
-    variants = [("default", Simulator)]
-    if Simulator is not PureSimulator:
-        variants.append(("pure", PureSimulator))
-    return variants
+class _RefTimer:
+    """Reference soft-cancel owner: live while ``gen`` is its newest entry."""
+
+    def __init__(self, cal, fn, args):
+        self.cal, self.fn, self.args, self.gen = cal, fn, args, None
+
+    def schedule(self, delay):
+        self.gen = self.cal.push(delay, self)
+
+    def cancel(self):
+        self.gen = None
+
+
+class ReferenceCalendar:
+    """The oracle: an unsorted list scanned with ``min()`` by ``(time,
+    seq)``; every event is a one-entry-per-arm timer, and an entry whose
+    owner has moved on (re-armed, cancelled, fired) is dropped unfired."""
+
+    def __init__(self):
+        self.now = self.seq = 0
+        self.entries = []
+
+    def push(self, delay, owner):
+        self.seq += 1
+        self.entries.append((self.now + delay, self.seq, owner))
+        return self.seq
+
+    def timer(self, fn, *args):
+        return _RefTimer(self, fn, args)
+
+    def schedule_cancellable(self, delay, fn, *args):
+        owner = _RefTimer(self, fn, args)
+        owner.schedule(delay)
+        return owner
+
+    schedule = schedule_cancellable
+
+    def run(self):
+        while self.entries:
+            entry = min(self.entries)  # seq is unique: owners never compare
+            self.entries.remove(entry)
+            time, seq, owner = entry
+            if owner.gen == seq:
+                owner.gen = None
+                self.now = time
+                owner.fn(*owner.args)
 
 
 def _random_workload(sim, rng, fired):
@@ -38,17 +76,17 @@ def _random_workload(sim, rng, fired):
     def noteworthy(tag):
         fired.append((tag, sim.now))
 
-    # Spread deadlines across L0 (~ms), L1 (~hundreds of ms), and overflow
-    # (tens of seconds) territory, from a moving "now".
+    # Spread deadlines across ~ms, ~hundreds of ms, and tens of seconds,
+    # from a moving "now".
     def spray(depth):
         if depth == 0:
             return
         for _ in range(rng.randrange(1, 5)):
             choice = rng.randrange(6)
             delay = rng.choice(
-                [rng.randrange(0, 2_000_000),        # L0 horizon
-                 rng.randrange(0, 300_000_000),      # L1 horizon
-                 rng.randrange(0, 30 * 10**9)]       # overflow
+                [rng.randrange(0, 2_000_000),
+                 rng.randrange(0, 300_000_000),
+                 rng.randrange(0, 30 * 10**9)]
             )
             if choice == 0:
                 sim.schedule(delay, noteworthy, f"plain-{depth}")
@@ -70,36 +108,37 @@ def _random_workload(sim, rng, fired):
     return timers
 
 
+def _fire_sequences(seed):
+    """Run the seeded workload on the engine and on the reference."""
+    sim, fired = Simulator(), []
+    _random_workload(sim, random.Random(seed), fired)
+    sim.run()
+    assert sim.pending_live == 0
+    ref, expected = ReferenceCalendar(), []
+    _random_workload(ref, random.Random(seed), expected)
+    ref.run()
+    return (fired, sim.now), (expected, ref.now)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-def test_wheel_and_heap_fire_identically(seed, monkeypatch):
-    """Seeded random schedule/cancel/re-arm: wheel on, wheel off, and the
-    pure engine all produce the exact same fire sequence."""
-    sequences = []
-    for wheel in ("1", "0"):
-        monkeypatch.setenv("REPRO_TIMER_WHEEL", wheel)
-        for _name, engine_cls in _engines():
-            sim = engine_cls()
-            fired = []
-            _random_workload(sim, random.Random(seed), fired)
-            sim.run()
-            assert sim.pending_live == 0
-            sequences.append(fired)
-    reference = sequences[0]
-    assert reference, "workload fired nothing"
-    assert all(seq == reference for seq in sequences)
+def test_engine_matches_reference_calendar(seed):
+    """Seeded random schedule/cancel/re-arm: the heap fires exactly what
+    the min()-scan reference fires, in the same order, ending at the same
+    instant."""
+    engine, reference = _fire_sequences(seed)
+    assert engine[0], "workload fired nothing"
+    assert engine == reference
 
 
-def test_wheel_disabled_via_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
-    assert PureSimulator()._wheel_on is False
-    monkeypatch.delenv("REPRO_TIMER_WHEEL")
-    assert PureSimulator()._wheel_on is True
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_engine_matches_reference_calendar_for_any_seed(seed):
+    engine, reference = _fire_sequences(seed)
+    assert engine == reference
 
 
-@pytest.mark.parametrize("_name,engine_cls", _engines())
-def test_far_future_events_survive_cascade(_name, engine_cls):
-    """Events beyond the L1 horizon (overflow) still fire, in order."""
-    sim = engine_cls()
+def test_far_future_events_fire_in_order():
+    """Deadlines milliseconds, seconds and minutes out fire in time order."""
+    sim = Simulator()
     fired = []
     for t in (seconds(40), ms(1), seconds(20), seconds(300), 0):
         sim.schedule_at(t, fired.append, t)
@@ -108,10 +147,9 @@ def test_far_future_events_survive_cascade(_name, engine_cls):
     assert sim.now == seconds(300)
 
 
-@pytest.mark.parametrize("_name,engine_cls", _engines())
 class TestTimer:
-    def test_rearm_supersedes(self, _name, engine_cls):
-        sim = engine_cls()
+    def test_rearm_supersedes(self):
+        sim = Simulator()
         fired = []
         timer = sim.timer(lambda: fired.append(sim.now))
         timer.schedule(100)
@@ -119,8 +157,8 @@ class TestTimer:
         sim.run()
         assert fired == [50]
 
-    def test_cancel_and_rearm_cycle(self, _name, engine_cls):
-        sim = engine_cls()
+    def test_cancel_and_rearm_cycle(self):
+        sim = Simulator()
         fired = []
         timer = sim.timer(fired.append, "x")
         for _ in range(3):
@@ -133,8 +171,8 @@ class TestTimer:
         assert fired == ["x"]
         assert not timer.armed
 
-    def test_fire_disarms(self, _name, engine_cls):
-        sim = engine_cls()
+    def test_fire_disarms(self):
+        sim = Simulator()
         timer = sim.timer(lambda: None)
         timer.schedule(5)
         sim.run()
@@ -145,8 +183,8 @@ class TestTimer:
         sim.run()
         assert not timer.armed
 
-    def test_past_deadline_rejected(self, _name, engine_cls):
-        sim = engine_cls()
+    def test_past_deadline_rejected(self):
+        sim = Simulator()
         sim.schedule(100, lambda: None)
         sim.run()
         timer = sim.timer(lambda: None)
@@ -155,10 +193,10 @@ class TestTimer:
         with pytest.raises(SimulationError):
             timer.schedule(-1)
 
-    def test_stale_entries_are_free(self, _name, engine_cls):
+    def test_stale_entries_are_free(self):
         """Re-arming leaves stale calendar entries behind; they are dropped
         without firing and pending_live never counts them."""
-        sim = engine_cls()
+        sim = Simulator()
         fired = []
         timer = sim.timer(lambda: fired.append(sim.now))
         for delay in range(1, 51):
@@ -170,11 +208,10 @@ class TestTimer:
         assert sim.pending == 0
 
 
-@pytest.mark.parametrize("_name,engine_cls", _engines())
-def test_handle_cancelled_after_fire(_name, engine_cls):
+def test_handle_cancelled_after_fire():
     """EventHandle.cancelled is True once the event can no longer fire —
     including after it fired."""
-    sim = engine_cls()
+    sim = Simulator()
     handle = sim.schedule_cancellable(10, lambda: None)
     assert not handle.cancelled
     sim.run()
