@@ -82,15 +82,6 @@ def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
             f"census: {census['post_departure']} event(s) scheduled by "
             "departed flows (teardown left a live timer)"
         )
-    backend = result.get("backend", {}).get("backends", {})
-    spawn, forkserver = backend.get("spawn"), backend.get("forkserver")
-    if spawn and forkserver and forkserver["wall_s"] >= spawn["wall_s"]:
-        # The forkserver backend exists to kill per-repetition spawn/import
-        # overhead; losing to spawn means the preload is broken.
-        failures.append(
-            f"backend: forkserver ({forkserver['wall_s']:.3f}s) is not faster "
-            f"than spawn ({spawn['wall_s']:.3f}s) over the same grid"
-        )
     return failures
 
 

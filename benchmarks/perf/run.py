@@ -6,11 +6,10 @@ Usage::
 
 The output JSON holds the microbenchmark ops/sec, the end-to-end wall-clock
 and events/sec at the current ``REPRO_SCALE_MIB``, the many-flow population
-wall-clock at the current ``REPRO_FLOWS``, the execution-backend overhead
-comparison (forkserver vs spawn per-repetition cost), the result-transport
-comparison (shared memory vs queue), and — when the committed baseline
+wall-clock at the current ``REPRO_FLOWS``, and — when the committed baseline
 records a pre-overhaul time for that scale — the speedup over the pre-PR
-engine.
+engine. (Per-repetition framework overhead through the forkserver pool is the
+``campaign_cold`` workload of ``benchmarks/bench``.)
 
 The timed repetitions are real, deterministic experiment results, so they
 are also streamed into a :class:`~repro.framework.store.ResultStore`
@@ -26,7 +25,6 @@ import platform
 import sys
 from pathlib import Path
 
-from benchmarks.perf.backend import bench_backends, bench_transport
 from benchmarks.perf.e2e import bench_e2e, scale_mib
 from benchmarks.perf.manyflow import bench_manyflow, census_totals, flow_count
 from benchmarks.perf.microbench import run_all
@@ -55,14 +53,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--census-flows", type=int, default=200,
         help="flows for the (untimed) event-census run (0 skips the section)",
-    )
-    parser.add_argument(
-        "--backend-runs", type=int, default=3,
-        help="repetitions of the backend-overhead sweep (0 skips the section)",
-    )
-    parser.add_argument(
-        "--transport-runs", type=int, default=3,
-        help="repetitions of the result-transport sweep (0 skips the section)",
     )
     parser.add_argument(
         "--store", default="perf-session.sqlite",
@@ -159,33 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(f"perf: recorded {store.rep_count()} rep(s) into {args.store}")
         store.close()
-
-    if args.backend_runs > 0:
-        print(f"perf: backend overhead sweep (best of {args.backend_runs}) ...")
-        backend = bench_backends(runs=args.backend_runs)
-        for name, rec in backend["backends"].items():
-            print(
-                f"  {name:12s} wall {rec['wall_s']:.3f}s  "
-                f"per-rep overhead {rec['per_rep_overhead_ms']:+.2f} ms"
-            )
-        print(
-            f"  forkserver vs spawn: "
-            f"{backend['forkserver_vs_spawn']['overhead_reduction_ms_per_rep']:+.2f} "
-            f"ms/rep saved ({backend['forkserver_vs_spawn']['speedup']:.2f}x)"
-        )
-        payload["backend"] = backend
-
-    if args.transport_runs > 0:
-        print(f"perf: result-transport sweep (best of {args.transport_runs}) ...")
-        transport = bench_transport(runs=args.transport_runs)
-        for name, rec in transport["transports"].items():
-            print(f"  {name:12s} wall {rec['wall_s']:.3f}s  {rec['per_rep_ms']:.2f} ms/rep")
-        print(
-            f"  shm vs queue at {transport['payload_mib']} MiB payloads: "
-            f"{transport['shm_vs_queue']['saved_ms_per_rep']:+.2f} ms/rep saved "
-            f"({transport['shm_vs_queue']['speedup']:.2f}x)"
-        )
-        payload["transport"] = transport
 
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())

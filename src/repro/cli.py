@@ -125,7 +125,8 @@ def _impairments_from(args: argparse.Namespace) -> tuple:
 def _add_exec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool size (default: all cores; 1 forces serial in-process)",
+        help="process-pool size (default: all cores; 1 runs serially in-process "
+        "unless --timeout is set, which always needs a worker process)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -137,7 +138,8 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout", type=float, metavar="SECONDS", default=None,
         help="per-repetition wall-clock budget; a hung repetition is killed and "
-        "retried (needs --workers >= 2 to be enforceable)",
+        "retried (enforced under every backend except inprocess, whatever "
+        "--workers and --reps are)",
     )
     parser.add_argument(
         "--retries", type=int, metavar="N", default=2,
@@ -150,12 +152,11 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
         "discards the journal and re-runs everything; default: resume)",
     )
     parser.add_argument(
-        "--backend", default="pool", choices=BACKENDS,
-        help="execution backend: inprocess (serial), pool (supervised process "
-        "pool, platform default start method), spawn, forkserver "
-        "(simulator-preloaded workers), or distributed (multi-host worker "
-        "agents; see --hosts). Results are bit-identical across backends "
-        "(default: pool)",
+        "--backend", default=None, choices=BACKENDS,
+        help="execution backend: inprocess (serial), forkserver (supervised "
+        "pool of simulator-preloaded workers), or distributed (multi-host "
+        "worker agents; see --hosts). Results are bit-identical across "
+        "backends (default: forkserver)",
     )
     parser.add_argument(
         "--hosts", metavar="HOST[:SLOTS],...", default=None,
@@ -218,7 +219,7 @@ def _resolve_backend(args: argparse.Namespace):
 
         hosts += load_hosts_file(args.hosts_file)
     backend = args.backend
-    if hosts and backend not in ("pool", "distributed"):
+    if hosts and backend not in (None, "distributed"):
         raise ConfigError(
             f"--hosts/--hosts-file need --backend distributed, not {backend!r}"
         )
@@ -229,7 +230,8 @@ def _resolve_backend(args: argparse.Namespace):
         coordinator_kwargs["advertise_host"] = args.advertise_host
     if coordinator_kwargs and not (backend == "distributed" or hosts):
         raise ConfigError(
-            f"--bind-host/--advertise-host need --backend distributed, not {backend!r}"
+            "--bind-host/--advertise-host need --backend distributed, not "
+            f"{backend or 'forkserver'!r}"
         )
     if backend == "distributed" or hosts:
         from repro.framework.executors import DistributedExecutor

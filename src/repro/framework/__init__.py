@@ -12,8 +12,6 @@ from repro.framework.executors import (
     Executor,
     ForkServerExecutor,
     InProcessExecutor,
-    PoolExecutor,
-    SpawnExecutor,
     make_executor,
 )
 from repro.framework.experiment import Experiment, ExperimentResult
@@ -36,13 +34,11 @@ __all__ = [
     "NetworkConfig",
     "Experiment",
     "ExperimentResult",
-    "PoolExecutor",
     "RepFailure",
     "ResultCache",
     "ResultStore",
     "RunSummary",
     "STORE_VERSION",
-    "SpawnExecutor",
     "SupervisionPolicy",
     "Supervisor",
     "SweepJournal",

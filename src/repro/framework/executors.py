@@ -1,41 +1,26 @@
-"""Pluggable execution backends for the sweep layer.
+"""Execution backends for the sweep layer: where repetitions run.
 
-The supervised sweep (ROADMAP item 3) has to serve very different campaign
-shapes from one code path: a debugger stepping through a single repetition, a
-laptop fanning a paper grid across its cores, and a 10^4-10^6-repetition
-campaign where per-repetition process overhead is the dominant cost. An
-:class:`Executor` names *where repetitions run*; the
+An :class:`Executor` names *where repetitions run*; the
 :class:`~repro.framework.supervision.Supervisor` owns *how they are watched*
 (timeouts, retries, crash attribution), so every backend inherits the full
-supervision/journal/cache semantics unchanged.
-
-Backends
---------
+supervision/journal/cache semantics unchanged. There are three, one per
+caller:
 
 ``inprocess``
     Serial, in the calling process. No subprocesses, no pickling — the
-    debugging and testing backend (and what ``workers=1`` always collapsed
-    to). Cannot enforce wall-clock timeouts: a hung repetition cannot be
-    interrupted from inside its own process.
-
-``pool``
-    Today's supervised ``ProcessPoolExecutor`` on the platform's default
-    multiprocessing start method (``fork`` on Linux), wrapped *unchanged*
-    behind the interface. The default.
-
-``spawn``
-    A pool on the ``spawn`` start method: every worker boots a fresh
-    interpreter and re-imports the simulator (~hundreds of ms each). The
-    portable/paranoid choice — and the baseline the ``forkserver`` backend
-    is benchmarked against (``benchmarks/perf/backend.py``).
+    debugging, profiling and portable backend. Cannot enforce wall-clock
+    timeouts: a hung repetition cannot be interrupted from inside its own
+    process.
 
 ``forkserver``
-    A pool whose workers are forked from a long-lived server process that
-    *pre-imports* the simulator once (:data:`FORKSERVER_PRELOAD`). Worker
-    start-up is a cheap ``fork()`` of an already-warm interpreter, which
-    kills the per-worker spawn/import overhead the supervision layer
-    otherwise re-pays on every pool restart (watchdog kills, crash
-    recovery) and every short-lived campaign shard.
+    The one local pool, and the default. Workers are forked from a
+    long-lived server process that *pre-imports* the simulator once
+    (:data:`FORKSERVER_PRELOAD`), so worker start-up — paid up front and
+    again on every supervision restart (watchdog kill, crash recovery) — is
+    a ``fork()`` of a warm, thread-free interpreter, not a re-import. The
+    server is started once per process (≈ 0.25 s, measured in DESIGN §7.2)
+    and snapshots the environment then: run-time state must travel to a
+    worker inside the task, never through ``os.environ``.
 
 ``distributed``
     A lease-dispatching :class:`~repro.framework.remote.Coordinator` over
@@ -44,6 +29,10 @@ Backends
     retry/timeout/quarantine loop runs unchanged; host failures (crashes,
     hangs, partitions) are absorbed *below* the pool surface by lease
     reclaim + agent relaunch and charged to the host, never the config.
+
+Every pooled backend hands results back the same way: the Supervisor submits
+the repetition function itself and reads ``future.result()`` itself, so a
+result is pickled once, by the pool's own queue.
 
 Selection is an *execution* concern, deliberately independent of
 ``ExperimentConfig``: the backend participates in no ``cache_key()``, no
@@ -54,21 +43,11 @@ suite (``tests/framework/test_store_differential.py``) pins exactly that.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import multiprocessing
-import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.errors import ConfigError, ExecutionError
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds only
-    _shared_memory = None
+from repro.errors import ConfigError
 
 __all__ = [
     "BACKENDS",
@@ -76,10 +55,6 @@ __all__ = [
     "Executor",
     "ForkServerExecutor",
     "InProcessExecutor",
-    "PoolExecutor",
-    "SharedMemoryTransport",
-    "ShmSegmentRef",
-    "SpawnExecutor",
     "make_executor",
 ]
 
@@ -90,197 +65,6 @@ FORKSERVER_PRELOAD: Tuple[str, ...] = (
     "repro.framework.runner",
     "repro.framework.population",
 )
-
-
-# -- shared-memory result transport -----------------------------------------
-#
-# A pooled repetition's result travels back to the parent through the
-# executor's result queue: the worker pickles it, the queue's feeder thread
-# chunks it through a pipe, and the parent's collector thread reassembles
-# and unpickles. For payload-heavy repetitions (capture columns, per-flow
-# distributions) that pipe copy is the dominant per-rep overhead left after
-# the forkserver work (ROADMAP items 2b/3). Co-located workers can skip it:
-# the worker serializes once into a POSIX shared-memory segment and sends
-# only a tiny (name, size) ref through the queue; the parent maps the
-# segment, unpickles in place, and unlinks it.
-#
-# Failure containment:
-#   * creation failure (no /dev/shm, size limits, name clash) falls back to
-#     the queue path for that repetition — never an error;
-#   * every segment name carries a per-transport prefix, so segments leaked
-#     by a worker that died between creating a segment and settling its
-#     result are found and unlinked by a post-campaign sweep (and again by
-#     an atexit hook if the campaign itself died);
-#   * a ref whose segment vanished before the parent read it raises
-#     ExecutionError, which the Supervisor treats like any worker failure —
-#     charged, retried with the same derived seed, bit-identical.
-#
-# The transport is invisible to results: fingerprints, cache keys, journal
-# and store identity never see it (pinned by tests/framework/
-# test_shm_transport.py).
-
-#: Results whose pickled payload reaches this many bytes ride shared
-#: memory; smaller ones stay on the queue (override: REPRO_SHM_THRESHOLD).
-DEFAULT_SHM_THRESHOLD = 256 * 1024
-
-#: Set ``REPRO_SHM=0`` to force every result onto the queue path.
-SHM_ENV = "REPRO_SHM"
-SHM_THRESHOLD_ENV = "REPRO_SHM_THRESHOLD"
-
-
-@dataclass(frozen=True)
-class ShmSegmentRef:
-    """A result parked in a shared-memory segment: what rides the queue."""
-
-    name: str
-    size: int
-
-
-@dataclass(frozen=True)
-class _InlineBlob:
-    """A result too small for shared memory, pre-pickled by the worker.
-
-    Sending the worker's existing pickle avoids serializing the object a
-    second time for the queue; ``bytes`` payloads re-pickle as a header and
-    one memcpy.
-    """
-
-    blob: bytes
-
-
-#: Per-worker segment counter; combined with the worker PID for uniqueness
-#: (fork copies the counter, but not the PID).
-_SHM_SEQ = itertools.count()
-
-
-def _untrack_segment(segment: Any) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    The creating worker hands ownership to the parent (which unlinks after
-    reading), so the tracker must not also unlink it at worker exit.
-    """
-    try:  # pragma: no cover - tracker layout is a CPython internal
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _shm_worker_run(
-    run_fn: Callable, prefix: str, threshold: int, config: Any, seed: int
-) -> Any:
-    """Worker-side wrapper: run the repetition, choose the transport."""
-    result = run_fn(config, seed)
-    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < threshold or _shared_memory is None:
-        return _InlineBlob(blob)
-    name = f"{prefix}{os.getpid()}-{next(_SHM_SEQ)}"
-    try:
-        segment = _shared_memory.SharedMemory(
-            name=name, create=True, size=len(blob)
-        )
-    except (OSError, ValueError):
-        # No /dev/shm, size limit, or name collision: queue fallback.
-        return _InlineBlob(blob)
-    try:
-        segment.buf[: len(blob)] = blob
-    finally:
-        _untrack_segment(segment)
-        segment.close()
-    return ShmSegmentRef(name=name, size=len(blob))
-
-
-class SharedMemoryTransport:
-    """Shared-memory result transport for one executor's campaigns."""
-
-    def __init__(self, threshold: Optional[int] = None, enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = os.environ.get(SHM_ENV, "").strip() not in ("0", "off")
-        if threshold is None:
-            try:
-                threshold = int(os.environ.get(SHM_THRESHOLD_ENV, ""))
-            except ValueError:
-                threshold = DEFAULT_SHM_THRESHOLD
-        self.threshold = threshold
-        self.enabled = bool(enabled) and _shared_memory is not None
-        #: Prefix namespacing every segment this transport's workers create;
-        #: the leak sweep removes exactly this namespace and nothing else.
-        self.prefix = f"repro-shm-{os.getpid()}-{os.urandom(4).hex()}-"
-        self.stats = {"shm_results": 0, "inline_results": 0, "swept_segments": 0}
-        self._atexit_registered = False
-
-    def wrap(self, run_fn: Callable) -> Callable:
-        """The callable actually submitted to worker processes."""
-        if not self.enabled:
-            return run_fn
-        if not self._atexit_registered:
-            import atexit
-
-            atexit.register(self.sweep)
-            self._atexit_registered = True
-        return functools.partial(
-            _shm_worker_run, run_fn, self.prefix, self.threshold
-        )
-
-    def resolve(self, obj: Any) -> Any:
-        """Parent-side: materialize whatever the worker sent back."""
-        if isinstance(obj, _InlineBlob):
-            self.stats["inline_results"] += 1
-            return pickle.loads(obj.blob)
-        if not isinstance(obj, ShmSegmentRef):
-            return obj
-        try:
-            segment = _shared_memory.SharedMemory(name=obj.name)
-        except FileNotFoundError:
-            raise ExecutionError(
-                f"shared-memory segment {obj.name} vanished before its "
-                "result was read"
-            ) from None
-        # Unlink *before* unpickling (POSIX keeps the mapping alive until
-        # close): even a poisoned payload cannot leak the segment. Unpickle
-        # straight from the mapped buffer — no intermediate bytes copy.
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - lost a race to sweep
-            pass
-        view = segment.buf[: obj.size]
-        try:
-            result = pickle.loads(view)
-        finally:
-            view.release()
-            segment.close()
-        self.stats["shm_results"] += 1
-        return result
-
-    def sweep(self) -> int:
-        """Unlink leftover segments in this transport's namespace.
-
-        Covers workers that died between creating a segment and settling
-        the repetition (SIGKILL, watchdog pool teardown). Linux backs POSIX
-        shared memory with /dev/shm; on platforms without it there is
-        nothing to enumerate and the sweep is a no-op.
-        """
-        if not self.enabled:
-            return 0
-        shm_dir = "/dev/shm"
-        removed = 0
-        if os.path.isdir(shm_dir):
-            for fname in os.listdir(shm_dir):
-                if not fname.startswith(self.prefix):
-                    continue
-                try:
-                    segment = _shared_memory.SharedMemory(name=fname)
-                except (FileNotFoundError, OSError):
-                    continue
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    continue
-                removed += 1
-        self.stats["swept_segments"] += removed
-        return removed
 
 
 class Executor:
@@ -313,24 +97,6 @@ class Executor:
         the watchdog instead of masquerading as a host failure.
         """
 
-    # -- result transport hooks (overridden by co-located pool backends) ---
-
-    def wrap_run_fn(self, run_fn: Callable) -> Callable:
-        """The callable the Supervisor submits to this backend's pool."""
-        return run_fn
-
-    def resolve_result(self, obj: Any) -> Any:
-        """Materialize a value collected from one of this backend's futures."""
-        return obj
-
-    def cleanup_transport(self) -> int:
-        """Reclaim transport resources after a pooled campaign.
-
-        Returns the number of leaked shared-memory segments removed (always
-        0 for queue-only backends).
-        """
-        return 0
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -342,70 +108,22 @@ class InProcessExecutor(Executor):
     serial = True
 
 
-class LocalPoolExecutor(Executor):
-    """Shared behaviour of co-located pool backends (pool/spawn/forkserver):
-    workers share the host's memory, so results ride the shared-memory
-    transport when they are big enough to be worth it."""
-
-    def __init__(self, transport: Optional[SharedMemoryTransport] = None):
-        self.transport = transport if transport is not None else SharedMemoryTransport()
-
-    def wrap_run_fn(self, run_fn: Callable) -> Callable:
-        return self.transport.wrap(run_fn)
-
-    def resolve_result(self, obj: Any) -> Any:
-        return self.transport.resolve(obj)
-
-    def cleanup_transport(self) -> int:
-        return self.transport.sweep()
-
-
-class PoolExecutor(LocalPoolExecutor):
-    """The platform-default ``ProcessPoolExecutor`` (today's behaviour)."""
-
-    name = "pool"
-
-    def make_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers)
-
-
-class SpawnExecutor(LocalPoolExecutor):
-    """Pool on the ``spawn`` start method: fresh interpreter per worker."""
-
-    name = "spawn"
-
-    def make_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        )
-
-
-class ForkServerExecutor(LocalPoolExecutor):
+class ForkServerExecutor(Executor):
     """Pool forked from a simulator-preloaded server process.
 
     The forkserver context is a process-wide singleton: the preload list
-    must be registered before its server first starts, so it is set at
-    construction time. Once the server is running (first pool of the
-    process), later pools fork from the same warm server — which is exactly
-    the point: a supervision pool restart costs a ``fork()``, not a
+    only takes effect if it is registered before the server first starts, so
+    it is set at construction time. Once the server is running (first pool
+    of the process), later pools fork from the same warm server — which is
+    exactly the point: a supervision pool restart costs a ``fork()``, not a
     re-import of the simulator.
     """
 
     name = "forkserver"
 
-    def __init__(
-        self,
-        preload: Tuple[str, ...] = FORKSERVER_PRELOAD,
-        transport: Optional[SharedMemoryTransport] = None,
-    ):
-        super().__init__(transport)
-        self.preload = tuple(preload)
+    def __init__(self):
         self._context = multiprocessing.get_context("forkserver")
-        if self.preload:
-            try:
-                self._context.set_forkserver_preload(list(self.preload))
-            except ValueError:  # pragma: no cover - server already running
-                pass
+        self._context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
 
     def make_pool(self, workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
@@ -480,27 +198,25 @@ class DistributedExecutor(Executor):
         return f"DistributedExecutor({specs})"
 
 
-#: Backend registry, in documentation order.
-BACKENDS: Tuple[str, ...] = ("inprocess", "pool", "spawn", "forkserver", "distributed")
-
 _FACTORIES = {
     InProcessExecutor.name: InProcessExecutor,
-    PoolExecutor.name: PoolExecutor,
-    SpawnExecutor.name: SpawnExecutor,
     ForkServerExecutor.name: ForkServerExecutor,
     DistributedExecutor.name: DistributedExecutor,
 }
+
+#: Backend names, in documentation order; also the CLI ``--backend`` choices.
+BACKENDS: Tuple[str, ...] = tuple(_FACTORIES)
 
 
 def make_executor(backend: Optional[str]) -> Executor:
     """Resolve a backend name (or pass an :class:`Executor` through).
 
-    ``None`` means the default (``pool``). Unknown names raise
+    ``None`` means the default (``forkserver``). Unknown names raise
     :class:`~repro.errors.ConfigError` — an operator error, mapped to exit
     code 2 by the CLI like every other configuration mistake.
     """
     if backend is None:
-        return PoolExecutor()
+        return ForkServerExecutor()
     if isinstance(backend, Executor):
         return backend
     factory = _FACTORIES.get(backend)

@@ -2,13 +2,14 @@
 pool capture records for distribution metrics (as the paper combines all
 repetitions before computing gap/train distributions).
 
-Repetitions are independent simulations, so they fan out to a process pool by
-default (``workers=None`` uses ``os.cpu_count()``); results are bit-identical
-to a serial run (seeds are derived the same way) but wall time divides by the
-worker count — useful for full-scale (100 MiB x 20) reproduction runs. Pass
-``workers=1`` to force the in-process serial path (no subprocesses, easier to
-debug/profile), and a :class:`~repro.framework.cache.ResultCache` to reuse
-completed repetitions across sessions.
+Repetitions are independent simulations, so they fan out to a ``forkserver``
+process pool by default (``workers=None`` uses ``os.cpu_count()``); results
+are bit-identical to a serial run (seeds are derived the same way) but wall
+time divides by the worker count — useful for full-scale (100 MiB x 20)
+reproduction runs. Pass ``backend="inprocess"`` to force the in-process
+serial path (no subprocesses, easier to debug/profile), and a
+:class:`~repro.framework.cache.ResultCache` to reuse completed repetitions
+across sessions.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def run_repetitions(
 
     ``workers=None`` defaults to ``os.cpu_count()``; one worker (or a single
     pending repetition) falls back to running serially in-process instead of
-    spawning a pool. Serial and parallel runs are bit-identical. ``cache``
+    starting a pool, unless ``policy`` sets a timeout. ``backend=None`` is
+    the ``forkserver`` pool. Serial and parallel runs are bit-identical.
+    ``cache``
     serves previously-computed repetitions from disk; ``stream`` receives one
     structured progress line per finished repetition. ``policy`` supervises
     execution (timeouts, retries, crash recovery); ``journal_dir`` enables

@@ -54,7 +54,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.framework.config import ExperimentConfig
-from repro.framework.executors import Executor, PoolExecutor
+from repro.framework.executors import Executor, make_executor
 
 __all__ = [
     "RepFailure",
@@ -205,14 +205,11 @@ class Supervisor:
         self.policy = policy
         self.run_fn = run_fn
         self.validate_fn = validate_fn
-        self.executor = executor if executor is not None else PoolExecutor()
+        self.executor = make_executor(executor)
         self._consecutive_failures: Dict[str, int] = {}
         self._quarantined: set = set()
         self._queue: deque = deque()
         self._suspects: deque = deque()
-        #: ``run_fn`` wrapped by the executor's result transport (set per
-        #: pooled run; the serial path never wraps).
-        self._pooled_run_fn: Callable[[ExperimentConfig, int], Any] = run_fn
 
     # -- public entry ------------------------------------------------------
 
@@ -232,13 +229,17 @@ class Supervisor:
         self.executor.observe_policy(self.policy)
         # A distributed "pool" spans machines: even one task must go through
         # the coordinator (the point may be to run it elsewhere), so only
-        # local backends collapse small workloads to the serial path.
+        # local backends collapse small workloads to the serial path — and
+        # only when no timeout is set, because the serial path has no
+        # watchdog: a repetition that may be killed needs a worker process.
         if self.executor.serial or (
-            not self.executor.distributed and (workers <= 1 or len(tasks) <= 1)
+            not self.executor.distributed
+            and self.policy.timeout_s is None
+            and (workers <= 1 or len(tasks) <= 1)
         ):
             self._run_serial(tasks, on_success, on_failure)
         else:
-            self._run_pool(tasks, workers, on_success, on_failure)
+            self._run_pool(tasks, max(workers, 1), on_success, on_failure)
 
     # -- serial path -------------------------------------------------------
 
@@ -246,8 +247,8 @@ class Supervisor:
         """In-process execution: retries and failure capture, no watchdog.
 
         A hung repetition cannot be interrupted from inside its own process,
-        so ``timeout_s`` is only enforced on the pooled path (use
-        ``workers >= 2`` when a watchdog is required).
+        so ``timeout_s`` is only enforced on the pooled path; :meth:`run`
+        comes here with a timeout set only under the ``inprocess`` backend.
         """
         for task in tasks:
             if task.name in self._quarantined:
@@ -280,10 +281,6 @@ class Supervisor:
     def _run_pool(self, tasks, workers, on_success, on_failure) -> None:
         queue = self._queue = deque(tasks)
         suspects = self._suspects = deque()
-        # Local pooled backends route large result payloads through shared
-        # memory instead of the result queue (see executors.py); the wrap is
-        # a no-op for backends without a transport.
-        self._pooled_run_fn = self.executor.wrap_run_fn(self.run_fn)
         pool = self.executor.make_pool(workers)
         flights: Dict[Any, _Flight] = {}
         try:
@@ -308,7 +305,7 @@ class Supervisor:
                     flight = flights.pop(future)
                     flight.task.elapsed_s += time.monotonic() - flight.started
                     try:
-                        result = self.executor.resolve_result(future.result())
+                        result = future.result()
                         if self.validate_fn is not None:
                             self.validate_fn(result)
                     except BrokenProcessPool:
@@ -334,9 +331,6 @@ class Supervisor:
                 pool = self._reap_timeouts(pool, workers, flights, on_failure)
         finally:
             self._kill_pool(pool)
-            # Sweep shared-memory segments orphaned by killed/crashed
-            # workers; a no-op (0) for transport-less backends.
-            self.executor.cleanup_transport()
 
     def _absorb_crash(self, crashed: List[_Flight], on_failure) -> None:
         """Attribute a dead pool to its culprit.
@@ -410,7 +404,7 @@ class Supervisor:
         task.attempts += 1
         now = time.monotonic()
         try:
-            future = pool.submit(self._pooled_run_fn, task.config, task.seed)
+            future = pool.submit(self.run_fn, task.config, task.seed)
         except BrokenProcessPool:
             # The pool died between collections; don't charge the task.
             task.attempts -= 1

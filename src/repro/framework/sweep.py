@@ -78,11 +78,12 @@ class SweepRunner:
     """Runs experiment grids with caching, supervision, and checkpointing.
 
     ``workers=None`` uses ``os.cpu_count()``. With one worker — or a single
-    pending repetition — execution falls back to the serial in-process path
-    (no subprocesses), which is byte-for-byte equivalent and simpler to
-    debug (but cannot enforce ``policy.timeout_s``; hung repetitions need
-    ``workers >= 2``). ``stream`` (e.g. ``sys.stderr``) receives one progress
-    line per finished repetition.
+    pending repetition — and no ``policy.timeout_s``, execution falls back
+    to the serial in-process path (no subprocesses), which is byte-for-byte
+    equivalent and simpler to debug. With a timeout set the repetitions
+    always run in worker processes, where the watchdog can kill them; only
+    ``backend="inprocess"`` runs unwatched. ``stream`` (e.g. ``sys.stderr``)
+    receives one progress line per finished repetition.
 
     ``policy=None`` uses the default :class:`SupervisionPolicy` (no timeout,
     two retries, quarantine after three consecutive failures).
@@ -93,9 +94,8 @@ class SweepRunner:
 
     ``backend`` selects the execution backend
     (:mod:`repro.framework.executors`): ``"inprocess"`` (serial),
-    ``"pool"`` (the default supervised process pool), ``"spawn"``,
-    ``"forkserver"`` (simulator-preloaded workers), or ``"distributed"``
-    (multi-host worker agents) — or a ready
+    ``"forkserver"`` (the default: a supervised pool of simulator-preloaded
+    workers), or ``"distributed"`` (multi-host worker agents) — or a ready
     :class:`~repro.framework.executors.Executor`. Backends are invisible to
     cache keys, journals, and fingerprints: the same grid produces
     bit-identical results under every backend.

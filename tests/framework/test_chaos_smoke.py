@@ -3,11 +3,14 @@ mid-run kill, and the surviving/resumed repetitions are bit-identical
 (``fingerprint()``) to an uninterrupted serial run.
 
 The chaotic worker functions wrap the real ``_run_one`` and consult marker
-files under ``$REPRO_CHAOS_DIR`` (inherited by pool workers), so each fault
-fires exactly once and the retry — which reuses the repetition's derived
-seed — must reproduce the clean result bit for bit.
+files under a per-test directory, so each fault fires exactly once and the
+retry — which reuses the repetition's derived seed — must reproduce the
+clean result bit for bit. The directory is bound into the submitted function
+(``functools.partial``) and so travels with every task: forkserver workers
+see the environment as it was when the server started, not the live one.
 """
 
+import functools
 import os
 import time
 from pathlib import Path
@@ -22,6 +25,7 @@ from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.net.impairments import iid_loss
 from repro.units import kib
+from tests.conftest import LOCAL_POOLS
 
 FAST = SupervisionPolicy(timeout_s=20.0, retries=2, backoff_base_s=0.0, poll_interval_s=0.02)
 
@@ -46,36 +50,36 @@ def _fingerprints(summaries):
     }
 
 
-def _chaos_marker(tag: str) -> Path:
-    return Path(os.environ["REPRO_CHAOS_DIR"]) / tag
-
-
-def crash_once_run_one(config, seed):
+def crash_once_run_one(markers, config, seed):
     """First execution of the 'lossy' config's rep 0 kills its worker."""
-    marker = _chaos_marker(f"crashed-{seed}")
+    marker = Path(markers) / f"crashed-{seed}"
     if config.network.forward_impairments and not marker.exists():
         marker.touch()
         os._exit(23)
     return _run_one(config, seed)
 
 
-def hang_once_run_one(config, seed):
+def hang_once_run_one(markers, config, seed):
     """First execution of the 'lossy' config's rep 0 hangs past the timeout."""
-    marker = _chaos_marker(f"hung-{seed}")
+    marker = Path(markers) / f"hung-{seed}"
     if config.network.forward_impairments and not marker.exists():
         marker.touch()
         time.sleep(120)
     return _run_one(config, seed)
 
 
-def interrupted_run_one(config, seed):
+def interrupted_run_one(markers, config, seed):
     """Simulates the operator killing the sweep after two settled reps."""
-    done = len(list(Path(os.environ["REPRO_CHAOS_DIR"]).glob("settled-*")))
+    done = len(list(Path(markers).glob("settled-*")))
     if done >= 2:
         raise KeyboardInterrupt
     result = _run_one(config, seed)
-    _chaos_marker(f"settled-{seed}").touch()
+    (Path(markers) / f"settled-{seed}").touch()
     return result
+
+
+def _with_markers(run_one, chaos_dir):
+    return functools.partial(run_one, str(chaos_dir / "chaos"))
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +89,14 @@ def clean_serial():
 
 
 @pytest.fixture
-def chaos_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "chaos"))
+def chaos_dir(tmp_path):
     (tmp_path / "chaos").mkdir()
     return tmp_path
 
 
 def test_sweep_survives_worker_crash(chaos_dir, clean_serial):
     summaries = SweepRunner(
-        workers=2, policy=FAST, run_fn=crash_once_run_one
+        workers=2, policy=FAST, run_fn=_with_markers(crash_once_run_one, chaos_dir)
     ).run(_grid())
     assert _fingerprints(summaries) == _fingerprints(clean_serial)
     assert all(not s.failures for s in summaries.values())
@@ -104,7 +107,7 @@ def test_sweep_survives_hung_worker(chaos_dir, clean_serial):
         timeout_s=3.0, retries=2, backoff_base_s=0.0, poll_interval_s=0.02
     )
     summaries = SweepRunner(
-        workers=2, policy=policy, run_fn=hang_once_run_one
+        workers=2, policy=policy, run_fn=_with_markers(hang_once_run_one, chaos_dir)
     ).run(_grid())
     assert _fingerprints(summaries) == _fingerprints(clean_serial)
 
@@ -117,7 +120,7 @@ def test_killed_sweep_resumes_bit_identically(chaos_dir, clean_serial):
             workers=1,
             cache=cache,
             journal_dir=journal_dir,
-            run_fn=interrupted_run_one,
+            run_fn=_with_markers(interrupted_run_one, chaos_dir),
         ).run(_grid())
     settled = len(list((chaos_dir / "chaos").glob("settled-*")))
     assert settled == 2  # the kill really landed mid-sweep
@@ -190,7 +193,7 @@ def _store_of(summaries, path) -> ResultStore:
     return store
 
 
-@pytest.mark.parametrize("backend", ["pool", "forkserver"])
+@pytest.mark.parametrize("backend", LOCAL_POOLS)
 def test_killed_campaign_resumes_to_bit_identical_store(
     chaos_dir, clean_serial, backend
 ):
@@ -202,7 +205,7 @@ def test_killed_campaign_resumes_to_bit_identical_store(
             workers=1,
             cache=cache,
             journal_dir=journal_dir,
-            run_fn=interrupted_run_one,
+            run_fn=_with_markers(interrupted_run_one, chaos_dir),
             store=ResultStore(store_path),
         ).run(_grid())
     half_written = ResultStore(store_path)
@@ -224,13 +227,10 @@ def test_killed_campaign_resumes_to_bit_identical_store(
     assert resumed_store.content_fingerprint() == clean_store.content_fingerprint()
 
 
-@pytest.mark.parametrize("backend", ["pool", "spawn", "forkserver"])
+@pytest.mark.parametrize("backend", LOCAL_POOLS)
 def test_crash_looping_config_fails_into_the_store_under_every_pooled_backend(
     tmp_path, backend
 ):
-    # always_crash_lossy_run_one consults no chaos markers, so it behaves
-    # identically under spawn/forkserver workers (which see a snapshot of the
-    # parent environment, not the live one).
     policy = SupervisionPolicy(retries=1, backoff_base_s=0.0, poll_interval_s=0.02)
     store = ResultStore(tmp_path / f"{backend}.sqlite")
     summaries = SweepRunner(

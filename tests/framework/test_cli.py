@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.framework.executors import BACKENDS
+from tests.conftest import LOCAL_POOLS
 
 
 def test_parser_rejects_unknown_stack():
@@ -128,7 +130,7 @@ def test_scenarios_command(capsys):
 # operator error (ConfigError) — under the default and the new backends.
 
 
-@pytest.mark.parametrize("backend", ["pool", "forkserver"])
+@pytest.mark.parametrize("backend", LOCAL_POOLS)
 def test_failed_reps_exit_1_and_show_in_the_failed_column(capsys, backend):
     # A 1 MiB transfer cannot finish inside 50 ms of wall clock; with zero
     # retries every repetition fails, the table stays partial, and rc is 1.
@@ -142,18 +144,25 @@ def test_failed_reps_exit_1_and_show_in_the_failed_column(capsys, backend):
     assert "RepTimeoutError" in out
 
 
-def test_invalid_backend_is_rejected_by_the_parser():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "quiche", "--backend", "threads"])
+def test_invalid_backend_is_rejected_by_the_parser(capsys):
+    for backend in ("threads", "pool", "spawn"):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "quiche", "--backend", backend])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{backend}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("backend", ["inprocess", "forkserver", "distributed"])
+def test_backend_defaults_to_the_executor_layers_default():
+    assert build_parser().parse_args(["run", "quiche"]).backend is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_run_under_new_backends_matches_pool_output(capsys, backend):
     argv = ["run", "quiche", "--size-mib", "0.25", "--no-cache"]
-    assert main(argv + ["--backend", "pool"]) == 0
-    pool_out = capsys.readouterr().out
+    assert main(argv + ["--backend", "inprocess"]) == 0
+    inprocess_out = capsys.readouterr().out
     assert main(argv + ["--backend", backend, "--workers", "2"]) == 0
-    assert capsys.readouterr().out == pool_out
+    assert capsys.readouterr().out == inprocess_out
 
 
 def test_hosts_flag_selects_distributed_and_narrates_per_host(capsys):

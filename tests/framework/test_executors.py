@@ -1,11 +1,13 @@
 """Execution backends: selection, start methods, and result invisibility.
 
 The executor layer must be *invisible* in every observable output: the same
-grid run under inprocess, pool, spawn, and forkserver backends produces
-bit-identical fingerprints, because backends only decide *where* a repetition
+grid run under every backend in ``BACKENDS`` produces bit-identical
+fingerprints, because backends only decide *where* a repetition
 runs, never *what* it computes (seeds, validation, and aggregation are all
 backend-independent).
 """
+
+import pickle
 
 import pytest
 
@@ -17,12 +19,10 @@ from repro.framework.executors import (
     Executor,
     ForkServerExecutor,
     InProcessExecutor,
-    PoolExecutor,
-    SpawnExecutor,
     make_executor,
 )
 from repro.framework.sweep import SweepRunner
-from repro.units import kib
+from repro.units import kib, mib
 
 
 def _start_method(pool) -> str:
@@ -32,11 +32,11 @@ def _start_method(pool) -> str:
 
 
 class TestMakeExecutor:
-    def test_default_is_pool(self):
-        assert isinstance(make_executor(None), PoolExecutor)
+    def test_default_is_forkserver(self):
+        assert isinstance(make_executor(None), ForkServerExecutor)
 
     def test_every_advertised_backend_resolves(self):
-        assert BACKENDS == ("inprocess", "pool", "spawn", "forkserver", "distributed")
+        assert BACKENDS == ("inprocess", "forkserver", "distributed")
         for backend in BACKENDS:
             executor = make_executor(backend)
             assert isinstance(executor, Executor)
@@ -50,10 +50,15 @@ class TestMakeExecutor:
         with pytest.raises(ConfigError, match="unknown backend"):
             make_executor("threads")
 
+    @pytest.mark.parametrize("backend", ["pool", "spawn"])
+    def test_deleted_backends_are_unknown_and_the_error_names_the_rest(self, backend):
+        with pytest.raises(ConfigError, match="unknown backend") as excinfo:
+            make_executor(backend)
+        for remaining in BACKENDS:
+            assert remaining in str(excinfo.value)
+
     def test_only_inprocess_is_serial(self):
         assert InProcessExecutor().serial
-        assert not PoolExecutor().serial
-        assert not SpawnExecutor().serial
         assert not ForkServerExecutor().serial
         assert not DistributedExecutor().serial
         with pytest.raises(RuntimeError):
@@ -63,7 +68,7 @@ class TestMakeExecutor:
         # The flag keeps the Supervisor from collapsing remote campaigns to
         # the local serial path when workers or tasks drop to one.
         assert DistributedExecutor().distributed
-        for local in (InProcessExecutor, PoolExecutor, SpawnExecutor, ForkServerExecutor):
+        for local in (InProcessExecutor, ForkServerExecutor):
             assert not local().distributed
 
     def test_distributed_host_specs(self):
@@ -91,13 +96,10 @@ class TestMakeExecutor:
         executor.observe_policy(Policy())
         assert executor.coordinator_kwargs["lease_timeout_s"] == pytest.approx(500.0)
         # Local backends accept the announcement and ignore it.
-        PoolExecutor().observe_policy(Policy())
+        ForkServerExecutor().observe_policy(Policy())
 
 
 class TestStartMethods:
-    def test_spawn_pool_uses_spawn(self):
-        assert _start_method(SpawnExecutor().make_pool(1)) == "spawn"
-
     def test_forkserver_pool_uses_forkserver(self):
         assert _start_method(ForkServerExecutor().make_pool(1)) == "forkserver"
 
@@ -138,3 +140,16 @@ def test_backend_does_not_change_cache_keys():
     for backend in BACKENDS:
         SweepRunner(workers=1, backend=backend)  # construction has no side effect
         assert config.cache_key() == key
+
+
+def test_large_result_crosses_the_pool_queue_intact():
+    # An 8 MiB transfer pickles to ~380 KiB — past the 256 KiB mark where
+    # results used to leave the queue for a shared-memory segment. The
+    # pool's own queue must hand it back bit for bit. (A worker that dies
+    # while producing a result is charged WorkerCrashError: test_chaos_smoke.)
+    grid = {"big": ExperimentConfig(stack="quiche", file_size=mib(8), repetitions=2)}
+    baseline = SweepRunner(workers=1, backend="inprocess").run(grid)
+    assert len(pickle.dumps(baseline["big"].results[0])) > 256 * 1024
+    swept = SweepRunner(workers=2, backend="forkserver").run(grid)
+    assert _fingerprints(swept) == _fingerprints(baseline)
+    assert not swept["big"].failures

@@ -1,9 +1,10 @@
 """Differential acceptance: JSON artifacts and the result store agree, and
 neither can tell execution backends apart.
 
-One grid, four execution paths — serial in-process, the default pool,
-forkserver, and a warm-cache replay — each streaming into its own fresh
-store. Every pairwise comparison must hold bit for bit:
+One grid, one execution path per backend in ``BACKENDS`` (serial in-process,
+the forkserver pool, localhost worker agents) plus a warm-cache replay, each
+streaming into its own fresh store. Every pairwise comparison must hold bit
+for bit:
 
 * result ``fingerprint()`` lists are identical across all paths;
 * every store digests to the same :meth:`ResultStore.content_fingerprint`;
@@ -17,6 +18,7 @@ import pytest
 from repro.framework.artifacts import summary_to_dict
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
+from repro.framework.executors import BACKENDS
 from repro.framework.store import ResultStore
 from repro.framework.sweep import SweepRunner
 from repro.net.impairments import iid_loss
@@ -45,10 +47,10 @@ def runs(tmp_path_factory):
     """(summaries, store) per execution path, all over the same grid."""
     root = tmp_path_factory.mktemp("differential")
     out = {}
-    for backend, workers in (("inprocess", 1), ("pool", 2), ("forkserver", 2)):
+    for backend in BACKENDS:
         store = ResultStore(root / f"{backend}.sqlite")
         out[backend] = (
-            SweepRunner(workers=workers, backend=backend, store=store).run(GRID),
+            SweepRunner(workers=2, backend=backend, store=store).run(GRID),
             store,
         )
     # Warm-cache replay: populate the cache, then serve every rep from it.

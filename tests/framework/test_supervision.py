@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ValidationError
+from repro.framework.executors import make_executor
 from repro.framework.supervision import (
     RepFailure,
     RepTask,
     SupervisionPolicy,
     Supervisor,
 )
+from tests.conftest import LOCAL_POOLS
 
 FAST = dict(backoff_base_s=0.0, poll_interval_s=0.02)
 
@@ -250,11 +252,26 @@ class TestPooledSupervision:
         assert len(successes) == 2
         assert failures[(stuck.label, 0)].attempts == 2
 
+    def test_timeout_is_enforced_for_one_task_on_one_worker(self, tmp_path):
+        # One worker, one task: without a timeout this collapses to the
+        # serial path, which has no watchdog. With one, it must not.
+        stuck = FaultConfig(mode="hang", marker=str(tmp_path))
+        supervisor = Supervisor(
+            SupervisionPolicy(timeout_s=0.4, retries=0, **FAST),
+            run_fn=fault_run,
+            executor=make_executor("forkserver"),
+        )
+        start = time.monotonic()
+        successes, failures = _collect(supervisor, _tasks(stuck, 1), workers=1)
+        assert time.monotonic() - start < 30  # nowhere near the 60s sleep
+        assert not successes
+        assert failures[(stuck.label, 0)].error_type == "RepTimeoutError"
+
 
 @dataclass(frozen=True)
 class FlakyExperiment:
     """A real experiment config plus a marker directory, picklable across
-    spawn/forkserver workers (which see a stale environment snapshot, so the
+    forkserver workers (which see a stale environment snapshot, so the
     marker path must travel inside the config, not in ``os.environ``)."""
 
     config: object
@@ -280,10 +297,9 @@ class TestRetryDeterminism:
     its result is byte-identical to a first-try success — under every pooled
     backend (the distributed equivalent lives in ``test_remote_chaos``)."""
 
-    @pytest.mark.parametrize("backend", ["pool", "spawn", "forkserver"])
+    @pytest.mark.parametrize("backend", LOCAL_POOLS)
     def test_retried_rep_matches_first_try_success(self, tmp_path, backend):
         from repro.framework.config import ExperimentConfig
-        from repro.framework.executors import make_executor
         from repro.framework.runner import _run_one, derive_seed
         from repro.units import kib
 
