@@ -766,25 +766,26 @@ def _cmd_store_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_compete(args: argparse.Namespace) -> int:
-    specs: List[FlowSpec] = []
-    for raw in args.flows:
-        parts = raw.split(":")
-        stack = parts[0]
-        cca = parts[1] if len(parts) > 1 else "cubic"
-        qdisc = parts[2] if len(parts) > 2 else "none"
-        specs.append(
-            FlowSpec(
-                stack=stack, cca=cca, qdisc=qdisc, file_size=int(args.size_mib * 1024 * 1024)
-            )
-        )
+    from repro.framework.population import parse_profile
+
+    size = int(args.size_mib * 1024 * 1024)
+    profiles = [parse_profile(raw) for raw in args.flows]
+    specs = [
+        FlowSpec(stack=p.stack, cca=p.cca, qdisc=p.qdisc, gso=p.gso, file_size=size)
+        for p in profiles
+    ]
     print(f"running {len(specs)} competing flows ...")
     result = MultiFlowExperiment(specs, seed=args.seed).run()
     rows = [
-        [f.spec.label, str(f.completed), fmt_time(f.duration_ns), f"{f.goodput_mbps:.2f}", str(f.dropped)]
-        for f in result.flows
+        [p.label, str(f.completed), fmt_time(f.duration_ns), f"{f.goodput_mbps:.2f}", str(f.dropped)]
+        for p, f in zip(profiles, result.flows)
     ]
     print(render_table(["flow", "done", "duration", "goodput [Mbit/s]", "dropped"], rows))
     print(f"Jain fairness: {result.fairness:.3f}   aggregate: {result.aggregate_goodput_mbps:.2f} Mbit/s")
+    stalled = [p.label for p, f in zip(profiles, result.flows) if not f.completed]
+    if stalled:
+        print(f"{len(stalled)} of {len(specs)} flow(s) did not complete: {', '.join(stalled)}")
+        return 1
     return 0
 
 
@@ -898,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compete_p = sub.add_parser("compete", help="run competing flows")
     compete_p.add_argument(
-        "flows", nargs="+", metavar="STACK[:CCA[:QDISC]]",
-        help="e.g. quiche:cubic:fq picoquic:bbr tcp",
+        "flows", nargs="+", metavar="STACK[:CCA[:QDISC[:GSO]]]",
+        help="e.g. quiche:cubic:fq:paced picoquic:bbr tcp",
     )
     compete_p.add_argument("--size-mib", type=float, default=4.0)
     compete_p.add_argument("--seed", type=int, default=1)

@@ -115,15 +115,12 @@ def rep_to_dict(
     return result_to_dict(result, include_capture, fingerprint)
 
 
-_rep_to_dict = rep_to_dict  # backwards-compatible alias
-
-
 def summary_to_dict(summary: RunSummary, include_capture: bool = False) -> Dict[str, Any]:
     return {
         "label": summary.config.label,
         "goodput_mbps": {"mean": summary.goodput.mean, "std": summary.goodput.std},
         "dropped": {"mean": summary.dropped.mean, "std": summary.dropped.std},
-        "repetitions": [_rep_to_dict(r, include_capture) for r in summary.results],
+        "repetitions": [rep_to_dict(r, include_capture) for r in summary.results],
         # Failed repetitions ride along as structured records (never silently
         # dropped from the artifact): exception type, attempts, wall time.
         "failures": [f.as_dict() for f in summary.failures],

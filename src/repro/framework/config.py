@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
+from repro.cc.factory import CCA_NAMES
 from repro.errors import ConfigError
 from repro.net.impairments import ImpairmentSpec
 from repro.units import SEC, gbit, mbit, mib, ms, seconds, us
@@ -189,6 +190,10 @@ class ExperimentConfig(CanonicalForm):
     def validate(self) -> None:
         if self.stack not in STACKS:
             raise ConfigError(f"unknown stack {self.stack!r}; expected one of {STACKS}")
+        if self.cca not in CCA_NAMES:
+            raise ConfigError(
+                f"unknown congestion controller {self.cca!r}; expected one of {CCA_NAMES}"
+            )
         if self.qdisc not in QDISCS:
             raise ConfigError(f"unknown qdisc {self.qdisc!r}; expected one of {QDISCS}")
         if self.gso not in GSO_MODES:

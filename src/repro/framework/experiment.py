@@ -1,15 +1,8 @@
-"""One measurement: assemble the Figure-1 topology, run a single download.
+"""One measurement: a single download over the Figure-1 testbed.
 
-Topology (measurement direction, left to right)::
-
-    server app/stack -> UDP socket -> qdisc -> GSO segmenter -> NIC (+LaunchTime)
-        -> 1 Gbit/s link -> optical tap (sniffer) -> TBF 40 Mbit/s (2xBDP buffer)
-        -> netem +20 ms -> client socket -> client stack
-
-    client ACKs -> 1 Gbit/s link -> netem +20 ms -> server socket
-
-The sniffer sits *before* the bottleneck, so captured timestamps show the
-server's pacing, not the shaper's.
+The topology (stack -> socket -> qdisc -> GSO -> NIC -> tap -> bottleneck ->
+netem -> client) is wired in :mod:`repro.framework.testbed`; this module
+configures it for one flow, runs it and collects the result.
 """
 
 from __future__ import annotations
@@ -20,37 +13,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cc.factory import make_cc
-from repro.errors import SimulationError
 from repro.framework.config import ExperimentConfig
-from repro.kernel.gso import GsoSegmenter
-from repro.kernel.qdisc import make_qdisc
-from repro.kernel.socket import UdpSocket
+from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
 from repro.metrics.goodput import goodput_mbps
-from repro.net.bottleneck import Bottleneck
-from repro.net.impairments import build_impairments
-from repro.net.link import Link
-from repro.net.nic import Nic
-from repro.kernel.socket import reset_gso_ids
-from repro.net.packet import reset_dgram_ids
-from repro.net.tap import CaptureRecord, FiberTap, Sniffer
-from repro.pacing.gso_policy import GsoPolicy
-from repro.quic import h3
-from repro.quic.connection import Connection, ConnectionConfig
+from repro.net.tap import CaptureRecord, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
-from repro.stacks.base import ServerDriver, make_pacer
-from repro.stacks.client import ClientDriver
-from repro.stacks.profiles import profile_for
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
-from repro.units import mib, ms, us
+from repro.units import ms
 
-SERVER_ADDR, SERVER_PORT = "10.0.0.1", 443
-CLIENT_ADDR, CLIENT_PORT = "10.0.0.2", 40000
+SERVER_PORT = 443
+CLIENT_PORT = 40000
 
-#: QUIC max UDP payload used throughout (paper-like 1252-byte packets).
-MTU_PAYLOAD = 1252
+#: RNG stream of each component role (the names are part of every golden).
+_RNG_STREAMS = {"nic": "nic", "qdisc": "qdisc", "server": "server-proc", "client": "client-proc"}
 
 
 #: One capture record as ``json.dumps(asdict(record), sort_keys=True)`` writes
@@ -198,253 +173,44 @@ class Experiment:
 
     def __init__(self, config: ExperimentConfig, seed: Optional[int] = None):
         config.validate()
-        self.config = config
+        cfg = self.config = config
         self.seed = config.seed if seed is None else seed
         self.rngs = RngRegistry(self.seed)
         self.sim = Simulator()
         self.sniffer = Sniffer()
-        # Datagram and GSO-buffer ids must be a pure function of this run,
-        # not of earlier experiments in the same process (bit-identical
-        # serial/parallel/cached results depend on it).
-        reset_dgram_ids()
-        reset_gso_ids()
-        self._build()
 
-    # -- assembly ------------------------------------------------------------
-
-    def _build(self) -> None:
-        cfg = self.config
-        net = cfg.network
-
-        # Client-side receive path (bottleneck emulation + ingress socket).
-        self.client_sock = UdpSocket(
-            self.sim, CLIENT_ADDR, CLIENT_PORT, rcvbuf_bytes=mib(50)
+        # One flow, wired straight to the shared paths.
+        testbed = Testbed(self.sim, self.rngs, cfg.network, self.sniffer, ecn=cfg.ecn)
+        flow = WiredFlow(
+            testbed,
+            cfg,
+            "server",
+            SERVER_PORT,
+            CLIENT_PORT,
+            rng_for=lambda role: self.rngs.stream(_RNG_STREAMS[role]),
         )
-        if net.bottleneck == "wifi":
-            from repro.net.wifi import WifiBottleneck
+        testbed.deliver_to(flow.client_sock, flow.server_sock)
+        self.bottleneck = testbed.bottleneck
+        self.fwd_impairments = testbed.fwd_impairments
+        self.rev_impairments = testbed.rev_impairments
+        self.server_sock, self.client_sock = flow.server_sock, flow.client_sock
+        self.qdisc, self.segmenter = flow.qdisc, flow.segmenter
+        self.profile, self.server_cc = flow.profile, flow.server_cc
+        self.server, self.client = flow.server, flow.client
+        self.tcp_sender, self.tcp_receiver = flow.tcp_sender, flow.tcp_receiver
 
-            self.bottleneck = WifiBottleneck(
-                self.sim,
-                "wifi-bottleneck",
-                phy_rate_bps=net.wifi_phy_rate_bps,
-                access_overhead_ns=net.wifi_access_overhead_ns,
-                max_aggregate=net.wifi_max_aggregate,
-                queue_limit_bytes=net.buffer_bytes,
-                delay_ns=net.one_way_delay_ns,
-                sink=self.client_sock,
-            )
-        else:
-            self.bottleneck = Bottleneck(
-                self.sim,
-                "bottleneck",
-                rate_bps=net.bottleneck_rate_bps,
-                queue_limit_bytes=net.buffer_bytes,
-                burst_bytes=net.tbf_burst_bytes,
-                delay_ns=net.one_way_delay_ns,
-                ecn_mark_threshold_bytes=(net.buffer_bytes // 4 if cfg.ecn else None),
-                sink=self.client_sock,
-            )
         self.bottleneck.trace_queue = cfg.trace_queue
-        # Forward-path fault injection sits between the capture tap and the
-        # bottleneck: the sniffer still sees the sender's pacing untouched
-        # (tap-before-bottleneck, as in the paper), while the client observes
-        # the impaired path. Each stage draws from its own named per-rep
-        # stream, so impairment randomness is independent per repetition and
-        # identical across serial/parallel/cached execution.
-        flap_target = self.bottleneck if net.bottleneck == "tbf" else None
-        fwd_head, self.fwd_impairments, self.flappers = build_impairments(
-            net.forward_impairments,
-            self.sim,
-            sink=self.bottleneck,
-            rng_for=self.rngs.stream,
-            direction="fwd",
-            bottleneck=flap_target,
-        )
-        tap = FiberTap(self.sim, self.sniffer, sink=fwd_head)
-        server_link = Link(
-            self.sim, "server-link", net.link_rate_bps, propagation_ns=us(1), sink=tap
-        )
-        self.server_nic = Nic(
-            self.sim,
-            "server-nic",
-            server_link,
-            launchtime=(cfg.qdisc == "etf-offload"),
-            rng=self.rngs.stream("nic"),
-        )
-        segmenter = GsoSegmenter(self.sim, sink=self.server_nic)
-        self.segmenter = segmenter
-        qdisc_params = {}
-        if cfg.qdisc in ("etf", "etf-offload"):
-            qdisc_params["delta_ns"] = cfg.etf_delta_ns
-        self.qdisc = make_qdisc(
-            cfg.qdisc if cfg.qdisc != "none" else "pfifo_fast",
-            self.sim,
-            sink=segmenter,
-            rng=self.rngs.stream("qdisc"),
-            **qdisc_params,
-        )
+        if cfg.trace_cwnd:
+            self.server_cc.enable_trace()
+        self.qlog_trace = None
+        if cfg.qlog and self.server is not None:
+            from repro.quic.qlog import QlogTrace, attach_qlog
 
-        # Server egress socket.
-        so_txtime = cfg.stack == "quiche"
-        self.server_sock = UdpSocket(
-            self.sim, SERVER_ADDR, SERVER_PORT, egress=self.qdisc, so_txtime=so_txtime
-        )
-        self.server_sock.connect(CLIENT_ADDR, CLIENT_PORT)
-
-        # Client egress (ACK) path: 1 Gbit/s + 20 ms, no rate limit needed.
-        from repro.kernel.qdisc.netem import NetemQdisc
-
-        reverse_delay = NetemQdisc(
-            self.sim,
-            "reverse-netem",
-            sink=self.server_sock,
-            delay_ns=net.one_way_delay_ns,
-            rng=self.rngs.stream("reverse-netem"),
-        )
-        # Reverse-path (ACK) fault injection sits between the client link and
-        # the delay stage.
-        rev_head, self.rev_impairments, _ = build_impairments(
-            net.reverse_impairments,
-            self.sim,
-            sink=reverse_delay,
-            rng_for=self.rngs.stream,
-            direction="rev",
-        )
-        client_link = Link(
-            self.sim, "client-link", net.link_rate_bps, propagation_ns=us(1), sink=rev_head
-        )
-        self.client_sock.egress = client_link
-        self.client_sock.connect(SERVER_ADDR, SERVER_PORT)
-
-        if cfg.stack == "tcp":
-            self._build_tcp()
-        else:
-            self._build_quic()
-
-        if self.qlog_trace is not None:
-            trace = self.qlog_trace
+            trace = self.qlog_trace = QlogTrace(f"{cfg.label} seed={self.seed}")
+            attach_qlog(self.server.conn, trace)
             hook = lambda name, time_ns, data: trace.log(time_ns, name, **data)
             for stage in (*self.fwd_impairments, *self.rev_impairments):
                 stage.on_event = hook
-
-    def _gso_policy(self) -> GsoPolicy:
-        if self.config.gso == "off":
-            return GsoPolicy(enabled=False)
-        return GsoPolicy(
-            enabled=True,
-            max_segments=self.config.gso_segments,
-            paced=(self.config.gso == "paced"),
-        )
-
-    def _build_quic(self) -> None:
-        cfg = self.config
-        overrides = {}
-        if cfg.stack == "quiche":
-            overrides["gso"] = self._gso_policy()
-            if cfg.spurious_rollback is not None:
-                overrides["spurious_rollback"] = cfg.spurious_rollback
-            if cfg.qdisc in ("etf", "etf-offload"):
-                # ETF drops packets whose timestamp is in the past; senders
-                # must stamp at least delta (plus slack) into the future.
-                overrides["txtime_min_offset_ns"] = cfg.etf_delta_ns + us(100)
-        if cfg.pacing_override is not None:
-            overrides["pacing"] = cfg.pacing_override
-        if cfg.client_ack_threshold is not None:
-            overrides["client_ack_threshold"] = cfg.client_ack_threshold
-        if cfg.client_max_ack_delay_ns is not None:
-            overrides["client_max_ack_delay_ns"] = cfg.client_max_ack_delay_ns
-        if cfg.bucket_packets is not None:
-            overrides["bucket_packets"] = cfg.bucket_packets
-        profile = profile_for(cfg.stack, cfg.cca, **overrides)
-        self.profile = profile
-
-        server_cc = make_cc(
-            profile.cca,
-            mtu=MTU_PAYLOAD,
-            hystart=profile.hystart,
-            spurious_rollback=profile.spurious_rollback,
-            rollback_loss_threshold=profile.rollback_loss_threshold,
-            bbr_params=profile.bbr_params,
-        )
-        server_cc.pacing_gain_factor = profile.pacing_gain
-        if cfg.trace_cwnd:
-            server_cc.enable_trace()
-        self.server_cc = server_cc
-
-        server_conn = Connection(
-            "server",
-            cc=server_cc,
-            config=ConnectionConfig(
-                mtu_payload=MTU_PAYLOAD,
-                peer_max_data=profile.recv_conn_window,
-                peer_max_stream_data=profile.recv_stream_window,
-                recv_conn_window=mib(1),
-                recv_stream_window=mib(1),
-                fc_autotune=True,
-                ecn=cfg.ecn,
-            ),
-        )
-        client_conn = Connection(
-            "client",
-            cc=make_cc("newreno", mtu=MTU_PAYLOAD),
-            config=ConnectionConfig(
-                mtu_payload=MTU_PAYLOAD,
-                recv_conn_window=profile.recv_conn_window,
-                recv_stream_window=profile.recv_stream_window,
-                fc_autotune=profile.fc_autotune,
-                peer_max_data=mib(1),
-                peer_max_stream_data=mib(1),
-                ack_threshold=profile.client_ack_threshold,
-                max_ack_delay_ns=profile.client_max_ack_delay_ns,
-                ecn=cfg.ecn,
-            ),
-        )
-        if cfg.qlog:
-            from repro.quic.qlog import QlogTrace, attach_qlog
-
-            self.qlog_trace = QlogTrace(f"{cfg.label} seed={self.seed}")
-            attach_qlog(server_conn, self.qlog_trace)
-        else:
-            self.qlog_trace = None
-
-        pacer = make_pacer(profile, MTU_PAYLOAD)
-        object_size = cfg.file_size // cfg.objects
-        self.server = ServerDriver(
-            self.sim,
-            server_conn,
-            self.server_sock,
-            profile,
-            pacer,
-            response_size=h3.response_stream_size(object_size),
-            rng=self.rngs.stream("server-proc"),
-        )
-        self.client = ClientDriver(
-            self.sim,
-            client_conn,
-            self.client_sock,
-            rng=self.rngs.stream("client-proc"),
-            request_count=cfg.objects,
-        )
-        self.tcp_sender = None
-        self.tcp_receiver = None
-
-    def _build_tcp(self) -> None:
-        cfg = self.config
-        from repro.cc.cubic import Cubic, CubicParams
-        from repro.tcp.segment import TCP_MSS
-
-        cc = make_cc(cfg.cca, mtu=TCP_MSS) if cfg.cca != "cubic" else Cubic(
-            params=CubicParams(hystart=True, hystart_ack_train=True), mtu=TCP_MSS
-        )
-        if cfg.trace_cwnd:
-            cc.enable_trace()
-        self.server_cc = cc
-        self.tcp_sender = TcpSender(self.sim, self.server_sock, cfg.file_size, cc=cc)
-        self.tcp_receiver = TcpReceiver(self.sim, self.client_sock, cfg.file_size)
-        self.server = None
-        self.client = None
-        self.profile = None
-        self.qlog_trace = None
 
     # -- run -----------------------------------------------------------------
 

@@ -7,12 +7,11 @@ each downloading its own file, and we measure per-flow goodput, loss, and
 Jain fairness. It also exercises FQ's multi-flow scheduling, which the
 single-connection experiments never touch.
 
-Topology: every sender has its own host (socket, qdisc, GSO stage, NIC,
-1 Gbit/s link) feeding the shared optical tap and TBF bottleneck; the
-bottleneck egress demultiplexes to per-flow client sockets by destination
-port; ACKs return over a shared reverse link with 20 ms delay, plus an
-optional per-flow extra delay stage (``FlowSpec.extra_rtt_ns``) so flow
-populations can have heterogeneous RTTs over one shared queue.
+Topology: the testbed of :mod:`repro.framework.testbed`, with one sender
+host per flow and a port demux at the end of each shared path, plus an
+optional per-flow extra delay stage on the ACK path
+(``FlowSpec.extra_rtt_ns``) so flow populations can have heterogeneous RTTs
+over one shared queue.
 
 Accounting. Per-flow goodput is computed from the bytes actually delivered
 to the receiving application (``FlowResult.bytes_received``), never from the
@@ -35,49 +34,29 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.cc.factory import make_cc
-from repro.framework.config import NetworkConfig
-from repro.kernel.gso import GsoSegmenter
-from repro.kernel.qdisc import make_qdisc
+from repro.framework.config import ExperimentConfig, NetworkConfig
+from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
 from repro.kernel.qdisc.netem import NetemQdisc
-from repro.kernel.socket import UdpSocket, reset_gso_ids
 from repro.metrics.fairness import jain_index
 from repro.metrics.goodput import goodput_mbps
-from repro.net.bottleneck import Bottleneck
 from repro.net.demux import PortDemux
-from repro.net.impairments import build_impairments
-from repro.net.link import Link
-from repro.net.nic import Nic
-from repro.net.packet import reset_dgram_ids
-from repro.net.tap import CaptureRecord, FiberTap, Sniffer
-from repro.pacing.gso_policy import GsoPolicy
+from repro.net.tap import CaptureRecord, Sniffer
 from repro.quic import h3
-from repro.quic.connection import Connection, ConnectionConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
-from repro.stacks.base import ServerDriver, make_pacer
-from repro.stacks.client import ClientDriver
-from repro.stacks.profiles import profile_for
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
-from repro.units import mib, ms, seconds, us
+from repro.units import mib, ms, seconds
 
-SERVER_ADDR = "10.0.0.1"
-CLIENT_ADDR = "10.0.0.2"
 BASE_SERVER_PORT = 4433
 BASE_CLIENT_PORT = 50000
 
 #: Ports are allocated as BASE + index on both sides; beyond this many flows
 #: the server range would collide with the client range.
 MAX_FLOWS = BASE_CLIENT_PORT - BASE_SERVER_PORT
-
-MTU_PAYLOAD = 1252
 
 
 class DrainSink:
@@ -253,22 +232,33 @@ class MultiFlowResult:
         validate_multiflow(self)
 
 
+def _flow_config(spec: FlowSpec, network: NetworkConfig) -> ExperimentConfig:
+    """``spec`` as the single-flow configuration of the same sender: what a
+    FlowSpec cannot say (ETF delta, GSO buffer size, ACK policy, bucket
+    depth, ECN) takes the :class:`ExperimentConfig` default."""
+    return ExperimentConfig(
+        stack=spec.stack,
+        cca=spec.cca,
+        qdisc=spec.qdisc,
+        gso=spec.gso,
+        spurious_rollback=spec.spurious_rollback,
+        file_size=spec.file_size,
+        network=network,
+    )
+
+
 class _Flow:
-    """Internal per-flow assembly."""
+    """Internal per-flow state."""
 
     def __init__(self, spec: FlowSpec, index: int):
         self.spec = spec
         self.index = index
         self.server_port = BASE_SERVER_PORT + index
         self.client_port = BASE_CLIENT_PORT + index
-        self.server_driver: Optional[ServerDriver] = None
-        self.client_driver: Optional[ClientDriver] = None
-        self.tcp_sender: Optional[TcpSender] = None
-        self.tcp_receiver: Optional[TcpReceiver] = None
-        #: Endpoint refs kept only for churn teardown.
-        self.client_sock = None
-        self.server_sock = None
-        self.per_flow_delay = None
+        #: Sockets, sender host and endpoints; dropped at churn teardown.
+        self.wired: Optional[WiredFlow] = None
+        #: The extra-RTT stage, if any; dropped at churn teardown.
+        self.per_flow_delay: Optional[NetemQdisc] = None
         #: Frozen (start, end, bytes) snapshot taken at retirement; after
         #: teardown the live objects are gone and these answer for them.
         self._frozen: Optional[tuple[int, int, int]] = None
@@ -277,9 +267,9 @@ class _Flow:
     def done(self) -> bool:
         if self._frozen is not None:
             return True
-        if self.tcp_receiver is not None:
-            return self.tcp_receiver.done
-        return self.client_driver is not None and self.client_driver.done
+        if self.wired.tcp_receiver is not None:
+            return self.wired.tcp_receiver.done
+        return self.wired.client.done
 
     def freeze(self, now: int) -> None:
         """Snapshot the result-facing state ahead of teardown."""
@@ -289,23 +279,24 @@ class _Flow:
     def timing(self, fallback_now: int) -> tuple[int, int]:
         if self._frozen is not None:
             return self._frozen[0], self._frozen[1]
-        if self.tcp_receiver is not None:
-            start = self.tcp_sender.started_at or self.spec.start_ns
-            end = self.tcp_receiver.completed_at or fallback_now
+        wired = self.wired
+        if wired.tcp_receiver is not None:
+            start = wired.tcp_sender.started_at or self.spec.start_ns
+            end = wired.tcp_receiver.completed_at or fallback_now
         else:
-            start = self.client_driver.request_sent_at or self.spec.start_ns
-            end = self.client_driver.completed_at or fallback_now
+            start = wired.client.request_sent_at or self.spec.start_ns
+            end = wired.client.completed_at or fallback_now
         return start, max(end, start + 1)
 
     def bytes_delivered(self) -> int:
         """Application bytes the receiver actually got (contiguous)."""
         if self._frozen is not None:
             return self._frozen[2]
-        if self.tcp_receiver is not None:
+        if self.wired.tcp_receiver is not None:
             # rcv_nxt is the contiguous in-order frontier; the FIN carries no
             # payload, so it never exceeds the file size.
-            return min(self.tcp_receiver.rcv_nxt, self.spec.file_size)
-        stream = self.client_driver.conn.recv_streams.get(0)
+            return min(self.wired.tcp_receiver.rcv_nxt, self.spec.file_size)
+        stream = self.wired.client.conn.recv_streams.get(0)
         if stream is None:
             return 0
         # Strip the HTTP/3 response framing (HEADERS + DATA frame header) so
@@ -347,9 +338,7 @@ class MultiFlowExperiment:
         self.max_sim_time_ns = max_sim_time_ns
         self.capture_records = capture_records
         self.churn = churn
-        self.profile_events = (
-            profile_events or os.environ.get("REPRO_EVENT_CENSUS") == "1"
-        )
+        self.profile_events = profile_events
         if self.profile_events:
             from repro.sim.census import CensusSimulator
 
@@ -361,183 +350,60 @@ class MultiFlowExperiment:
         self._flows: List[_Flow] = []
         #: Shared terminal sink for every departed flow's ports.
         self._drain = DrainSink()
-        reset_dgram_ids()
-        reset_gso_ids()
-        self._build()
 
-    # -- assembly ------------------------------------------------------------
-
-    def _build(self) -> None:
-        net = self.network
+        # The shared paths end in a port demux per direction; every flow
+        # brings its own sender host, client socket and endpoints.
+        testbed = Testbed(self.sim, self.rngs, self.network, self.sniffer)
         self.client_demux = PortDemux()
-        self.bottleneck = Bottleneck(
-            self.sim,
-            "bottleneck",
-            rate_bps=net.bottleneck_rate_bps,
-            queue_limit_bytes=net.buffer_bytes,
-            burst_bytes=net.tbf_burst_bytes,
-            delay_ns=net.one_way_delay_ns,
-            sink=self.client_demux,
-        )
-        # Forward-path fault injection between the tap and the bottleneck,
-        # exactly as in the single-flow Experiment: the sniffer sees the
-        # senders' pacing untouched, the clients observe the impaired path.
-        fwd_head, self.fwd_impairments, self.flappers = build_impairments(
-            net.forward_impairments,
-            self.sim,
-            sink=self.bottleneck,
-            rng_for=self.rngs.stream,
-            direction="fwd",
-            bottleneck=self.bottleneck,
-        )
-        tap = FiberTap(self.sim, self.sniffer, sink=fwd_head)
-
         self.server_demux = PortDemux()
-        reverse_netem = NetemQdisc(
-            self.sim,
-            "reverse-netem",
-            sink=self.server_demux,
-            delay_ns=net.one_way_delay_ns,
-            rng=self.rngs.stream("reverse-netem"),
-        )
-        # Reverse-path (ACK) fault injection between the shared reverse link
-        # and the delay stage.
-        rev_head, self.rev_impairments, _ = build_impairments(
-            net.reverse_impairments,
-            self.sim,
-            sink=reverse_netem,
-            rng_for=self.rngs.stream,
-            direction="rev",
-        )
-        reverse_link = Link(
-            self.sim, "reverse-link", net.link_rate_bps, propagation_ns=us(1), sink=rev_head
-        )
-
+        testbed.deliver_to(self.client_demux, self.server_demux)
+        self.bottleneck = testbed.bottleneck
+        self.fwd_impairments = testbed.fwd_impairments
+        self.rev_impairments = testbed.rev_impairments
         for index, spec in enumerate(self.specs):
             flow = _Flow(spec, index)
             self._flows.append(flow)
-            rng_tag = f"flow{index}"
-
-            client_sock = UdpSocket(
-                self.sim, CLIENT_ADDR, flow.client_port, egress=reverse_link, rcvbuf_bytes=mib(50)
-            )
-            client_sock.connect(SERVER_ADDR, flow.server_port)
-            self.client_demux.add_route(flow.client_port, client_sock)
-
-            link = Link(
-                self.sim, f"link-{index}", net.link_rate_bps, propagation_ns=us(1), sink=tap
-            )
-            nic = Nic(self.sim, f"nic-{index}", link, rng=self.rngs.stream(f"{rng_tag}-nic"))
-            segmenter = GsoSegmenter(self.sim, sink=nic)
-            qdisc = make_qdisc(
-                spec.qdisc if spec.qdisc != "none" else "pfifo_fast",
-                self.sim,
-                sink=segmenter,
-                rng=self.rngs.stream(f"{rng_tag}-qdisc"),
-            )
-            server_sock = UdpSocket(
-                self.sim,
-                SERVER_ADDR,
+            cfg = _flow_config(spec, self.network)
+            cfg.validate()
+            wired = flow.wired = WiredFlow(
+                testbed,
+                cfg,
+                f"flow{index}",
                 flow.server_port,
-                egress=qdisc,
-                so_txtime=(spec.stack == "quiche"),
+                flow.client_port,
+                rng_for=lambda role: self.rngs.stream(f"flow{index}-{role}"),
             )
-            server_sock.connect(CLIENT_ADDR, flow.client_port)
+            self.client_demux.add_route(flow.client_port, wired.client_sock)
             # Heterogeneous per-flow RTT: extra one-way delay on this flow's
             # reverse path only, inserted between the shared demux and the
             # server socket so the shared forward queue stays untouched.
-            per_flow_delay = None
             if spec.extra_rtt_ns > 0:
-                per_flow_delay = NetemQdisc(
+                flow.per_flow_delay = NetemQdisc(
                     self.sim,
                     f"rtt-{index}",
-                    sink=server_sock,
+                    sink=wired.server_sock,
                     delay_ns=spec.extra_rtt_ns,
-                    rng=self.rngs.stream(f"{rng_tag}-rtt"),
+                    rng=self.rngs.stream(f"flow{index}-rtt"),
                 )
-                self.server_demux.add_route(flow.server_port, per_flow_delay)
+                self.server_demux.add_route(flow.server_port, flow.per_flow_delay)
             else:
-                self.server_demux.add_route(flow.server_port, server_sock)
-
-            if spec.stack == "tcp":
-                flow.tcp_sender = TcpSender(self.sim, server_sock, spec.file_size)
-                flow.tcp_receiver = TcpReceiver(self.sim, client_sock, spec.file_size)
-            else:
-                self._build_quic_flow(flow, spec, server_sock, client_sock, rng_tag)
-
-            flow.client_sock = client_sock
-            flow.server_sock = server_sock
-            flow.per_flow_delay = per_flow_delay
+                self.server_demux.add_route(flow.server_port, wired.server_sock)
             if self.profile_events:
                 from repro.sim.census import tag
 
-                for component in (
-                    client_sock, server_sock, link, nic, segmenter, qdisc,
-                    per_flow_delay, flow.server_driver, flow.client_driver,
-                    flow.tcp_sender, flow.tcp_receiver,
-                ):
+                for component in (*vars(wired).values(), flow.per_flow_delay):
                     if component is not None:
                         tag(component, index)
-
-    def _build_quic_flow(self, flow, spec, server_sock, client_sock, rng_tag) -> None:
-        overrides = {}
-        if spec.stack == "quiche":
-            if spec.gso != "off":
-                overrides["gso"] = GsoPolicy(enabled=True, paced=(spec.gso == "paced"))
-            if spec.spurious_rollback is not None:
-                overrides["spurious_rollback"] = spec.spurious_rollback
-        profile = profile_for(spec.stack, spec.cca, **overrides)
-        cc = make_cc(
-            profile.cca,
-            mtu=MTU_PAYLOAD,
-            hystart=profile.hystart,
-            spurious_rollback=profile.spurious_rollback,
-            rollback_loss_threshold=profile.rollback_loss_threshold,
-            bbr_params=profile.bbr_params,
-        )
-        cc.pacing_gain_factor = profile.pacing_gain
-        server_conn = Connection(
-            "server",
-            cc=cc,
-            config=ConnectionConfig(
-                mtu_payload=MTU_PAYLOAD,
-                peer_max_data=profile.recv_conn_window,
-                peer_max_stream_data=profile.recv_stream_window,
-            ),
-        )
-        client_conn = Connection(
-            "client",
-            config=ConnectionConfig(
-                mtu_payload=MTU_PAYLOAD,
-                recv_conn_window=profile.recv_conn_window,
-                recv_stream_window=profile.recv_stream_window,
-                fc_autotune=profile.fc_autotune,
-                ack_threshold=profile.client_ack_threshold,
-                max_ack_delay_ns=profile.client_max_ack_delay_ns,
-            ),
-        )
-        flow.server_driver = ServerDriver(
-            self.sim,
-            server_conn,
-            server_sock,
-            profile,
-            make_pacer(profile, MTU_PAYLOAD),
-            response_size=h3.response_stream_size(spec.file_size),
-            rng=self.rngs.stream(f"{rng_tag}-server"),
-        )
-        flow.client_driver = ClientDriver(
-            self.sim, client_conn, client_sock, rng=self.rngs.stream(f"{rng_tag}-client")
-        )
 
     # -- run -------------------------------------------------------------------
 
     def run(self) -> MultiFlowResult:
         wall_start = time.perf_counter()
         for flow in self._flows:
-            if flow.tcp_sender is not None:
-                self.sim.schedule_at(flow.spec.start_ns, flow.tcp_sender.start)
+            if flow.wired.tcp_sender is not None:
+                self.sim.schedule_at(flow.spec.start_ns, flow.wired.tcp_sender.start)
             else:
-                self.sim.schedule_at(flow.spec.start_ns, flow.client_driver.start)
+                self.sim.schedule_at(flow.spec.start_ns, flow.wired.client.start)
 
         # Steady-state traffic allocates and frees at a rate that makes the
         # cyclic GC's periodic full scans pure overhead (the object graph
@@ -580,12 +446,13 @@ class MultiFlowExperiment:
         as ``drained``) instead of a dead socket.
         """
         flow.freeze(self.sim.now)
-        if flow.tcp_sender is not None:
-            flow.tcp_sender.detach()
-            flow.tcp_receiver.detach()
+        wired = flow.wired
+        if wired.tcp_sender is not None:
+            wired.tcp_sender.detach()
+            wired.tcp_receiver.detach()
         else:
-            flow.server_driver.detach()
-            flow.client_driver.detach()
+            wired.server.detach()
+            wired.client.detach()
         self.client_demux.add_route(flow.client_port, self._drain)
         self.server_demux.add_route(flow.server_port, self._drain)
         # The per-flow extra-RTT stage sits *between* the shared demux and
@@ -597,12 +464,7 @@ class MultiFlowExperiment:
             flow.per_flow_delay.sink = self._drain
         if self.profile_events:
             self.sim.mark_departed(flow.index)
-        flow.server_driver = None
-        flow.client_driver = None
-        flow.tcp_sender = None
-        flow.tcp_receiver = None
-        flow.client_sock = None
-        flow.server_sock = None
+        flow.wired = None
         flow.per_flow_delay = None
 
     def census_report(self) -> Optional[dict]:

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.framework.config import GSO_MODES, QDISCS, STACKS, CanonicalForm, NetworkConfig
+from repro.framework.config import CanonicalForm, ExperimentConfig, NetworkConfig
 from repro.framework.multiflow import (
     MAX_FLOWS,
     FlowSpec,
@@ -75,14 +75,10 @@ class StackProfile:
         return "/".join(parts)
 
     def validate(self) -> None:
-        if self.stack not in STACKS:
-            raise ConfigError(f"unknown stack {self.stack!r}; expected one of {STACKS}")
-        if self.qdisc not in QDISCS:
-            raise ConfigError(f"unknown qdisc {self.qdisc!r}; expected one of {QDISCS}")
-        if self.gso not in GSO_MODES:
-            raise ConfigError(f"unknown gso mode {self.gso!r}; expected one of {GSO_MODES}")
-        if self.stack == "tcp" and self.gso != "off":
-            raise ConfigError("GSO modes only apply to QUIC stacks here")
+        """A profile is valid iff the single-flow configuration it names is."""
+        ExperimentConfig(
+            stack=self.stack, cca=self.cca, qdisc=self.qdisc, gso=self.gso
+        ).validate()
 
 
 def parse_profile(text: str) -> StackProfile:
@@ -437,9 +433,9 @@ def run_population(
 ) -> PopulationResult:
     """Generate the population for (config, seed) and run it to completion.
 
-    ``profile_events=True`` (or ``REPRO_EVENT_CENSUS=1``) runs under the
-    :class:`~repro.sim.census.CensusSimulator` and attaches the
-    per-component event census to the result.
+    ``profile_events=True`` runs under the
+    :class:`~repro.sim.census.CensusSimulator` and attaches the per-component
+    event census to the result.
     """
     seed = config.seed if seed is None else seed
     specs = FlowPopulation(config).specs(seed)

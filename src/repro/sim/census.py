@@ -10,7 +10,7 @@ subclass that attributes every calendar admission to a *component*
 (the class name of the callback's bound ``self``) and, when the owner is
 tagged with a ``census_flow`` attribute, to a flow. The multi-flow
 experiment tags every per-flow component at build time when the census is
-enabled (``REPRO_EVENT_CENSUS=1`` or ``population --profile-events``).
+enabled (``profile_events=True`` / ``population --profile-events``).
 
 Counters:
 

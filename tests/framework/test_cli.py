@@ -112,9 +112,35 @@ def test_compete_command(capsys):
 
 
 def test_compete_parses_flow_spec_shorthand(capsys):
-    rc = main(["compete", "picoquic:bbr", "--size-mib", "0.25"])
+    rc = main(["compete", "picoquic:bbr", "quiche:cubic:fq:paced", "--size-mib", "0.25"])
     assert rc == 0
-    assert "picoquic/bbr" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "picoquic/bbr" in out
+    assert "quiche/cubic/fq/gso-paced" in out
+
+
+@pytest.mark.parametrize("bad", ["msquic", "tcp:nonsense", "quiche:cubic:htb", "quiche:cubic:fq:sometimes"])
+def test_compete_rejects_unknown_profile_fields(bad, capsys):
+    assert main(["compete", bad, "--size-mib", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown ")
+    assert "running" not in captured.out
+    if bad == "msquic":
+        assert "('quiche', 'picoquic', 'ngtcp2', 'tcp')" in captured.err
+
+
+def test_compete_exits_1_when_a_flow_does_not_complete(capsys, monkeypatch):
+    import functools
+
+    from repro import cli
+    from repro.units import ms
+
+    # The run loop stops at its first 200 ms step, ahead of quiche's 256 KiB.
+    cut_short = functools.partial(cli.MultiFlowExperiment, max_sim_time_ns=ms(100))
+    monkeypatch.setattr(cli, "MultiFlowExperiment", cut_short)
+    assert main(["compete", "quiche:cubic:fq", "tcp", "--size-mib", "0.25"]) == 1
+    last_line = capsys.readouterr().out.splitlines()[-1]
+    assert last_line == "1 of 2 flow(s) did not complete: quiche/cubic/fq"
 
 
 def test_scenarios_command(capsys):

@@ -39,6 +39,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("stack", "msquic"),
+        ("cca", "nonsense"),
         ("qdisc", "htb"),
         ("gso", "sometimes"),
         ("file_size", 0),

@@ -42,7 +42,10 @@ def test_parse_profile_full():
     assert profile.label == "quiche/bbr/fq/gso-paced"
 
 
-@pytest.mark.parametrize("bad", ["", "nosuchstack", "quiche:cubic:fq:paced:extra", "tcp:cubic:none:on"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "nosuchstack", "quiche:cubic:fq:paced:extra", "tcp:cubic:none:on", "tcp:nonsense"],
+)
 def test_parse_profile_rejects(bad):
     with pytest.raises(ConfigError):
         parse_profile(bad)
@@ -69,6 +72,7 @@ def test_config_validates():
         dict(min_file_size=0),
         dict(profiles=()),
         dict(profiles=("nosuchstack",)),
+        dict(profiles=("quiche:nonsense",)),
         dict(repetitions=0),
         dict(extra_rtt_max_ns=-1),
     ],
