@@ -13,7 +13,8 @@ Commands:
   paper's published pcaps);
 * ``query``    — filter/aggregate repetitions in a result store (``--store``);
 * ``report``   — render EXPERIMENTS.md-style summary tables from a store;
-* ``store``    — inspect, migrate into, and export from a result store;
+* ``store``    — inspect, migrate into, merge shard parts into, and export from
+  a result store;
 * ``scenarios``— list the canonical paper scenarios.
 """
 
@@ -22,15 +23,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
+from repro.cc.factory import CCA_NAMES
 from repro.errors import ConfigError
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, GSO_MODES, QDISCS, STACKS
 from repro.framework.executors import BACKENDS
+from repro.framework.journal import grid_key
 from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
-from repro.framework.runner import RunSummary, run_repetitions
+from repro.framework.runner import RunSummary
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.metrics.gaps import Distribution, fraction_leq, inter_packet_gaps, pooled_gaps
@@ -45,7 +49,7 @@ from repro.units import fmt_time, mib, us
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cca", default="cubic", choices=("cubic", "newreno", "bbr", "bbr2"))
+    parser.add_argument("--cca", default="cubic", choices=CCA_NAMES)
     parser.add_argument("--qdisc", default="none", choices=QDISCS)
     parser.add_argument("--gso", default="off", choices=GSO_MODES)
     parser.add_argument("--size-mib", type=float, default=4.0, help="file size in MiB")
@@ -153,31 +157,15 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", default=None, choices=BACKENDS,
-        help="execution backend: inprocess (serial), forkserver (supervised "
-        "pool of simulator-preloaded workers), or distributed (multi-host "
-        "worker agents; see --hosts). Results are bit-identical across "
-        "backends (default: forkserver)",
+        help="execution backend: inprocess (serial) or forkserver (supervised "
+        "pool of simulator-preloaded workers). Results are bit-identical "
+        "across backends (default: forkserver)",
     )
     parser.add_argument(
-        "--hosts", metavar="HOST[:SLOTS],...", default=None,
-        help="worker hosts for the distributed backend (localhost spawns "
-        "local agents; other names are reached over ssh). Giving --hosts "
-        "selects --backend distributed automatically",
-    )
-    parser.add_argument(
-        "--hosts-file", metavar="PATH", default=None,
-        help="file with one HOST[:SLOTS] per line (# comments allowed); "
-        "merged with --hosts",
-    )
-    parser.add_argument(
-        "--bind-host", metavar="ADDR", default=None,
-        help="interface the distributed coordinator listens on (default: "
-        "127.0.0.1 for all-local fleets, 0.0.0.0 when any host is remote)",
-    )
-    parser.add_argument(
-        "--advertise-host", metavar="ADDR", default=None,
-        help="address agents connect back to (default: 127.0.0.1 for "
-        "all-local fleets, otherwise this machine's hostname)",
+        "--shard", metavar="I/N", default="0/1",
+        help="run part I of a campaign split N ways (one invocation per host, "
+        "0 <= I < N): every N-th repetition of the grid, starting at the I-th. "
+        "Give each part its own --store and unite them with `repro store merge`",
     )
     parser.add_argument(
         "--store", metavar="PATH", default=None,
@@ -202,50 +190,45 @@ def _make_policy(args: argparse.Namespace) -> SupervisionPolicy:
     return SupervisionPolicy(timeout_s=args.timeout, retries=args.retries)
 
 
-def _resolve_backend(args: argparse.Namespace):
-    """Combine --backend/--hosts/--hosts-file into a backend selection.
-
-    Host lists only make sense distributed, so giving one upgrades the
-    default backend automatically; naming a *different* local backend at
-    the same time is a contradiction and fails as an operator error.
-    """
-    hosts = ()
-    if getattr(args, "hosts", None):
-        from repro.framework.remote import parse_hosts
-
-        hosts += parse_hosts(args.hosts)
-    if getattr(args, "hosts_file", None):
-        from repro.framework.remote import load_hosts_file
-
-        hosts += load_hosts_file(args.hosts_file)
-    backend = args.backend
-    if hosts and backend not in (None, "distributed"):
-        raise ConfigError(
-            f"--hosts/--hosts-file need --backend distributed, not {backend!r}"
-        )
-    coordinator_kwargs = {}
-    if getattr(args, "bind_host", None):
-        coordinator_kwargs["bind_host"] = args.bind_host
-    if getattr(args, "advertise_host", None):
-        coordinator_kwargs["advertise_host"] = args.advertise_host
-    if coordinator_kwargs and not (backend == "distributed" or hosts):
-        raise ConfigError(
-            "--bind-host/--advertise-host need --backend distributed, not "
-            f"{backend or 'forkserver'!r}"
-        )
-    if backend == "distributed" or hosts:
-        from repro.framework.executors import DistributedExecutor
-
-        return DistributedExecutor(
-            hosts=hosts or ("localhost",), stream=sys.stderr, **coordinator_kwargs
-        )
-    return backend
-
-
 def _journal_dir(cache: Optional[ResultCache]) -> Optional[str]:
     """Journals live alongside the cache; no cache means no checkpointing
     (there would be nowhere to restore results from)."""
     return str(cache.root / "journals") if cache is not None else None
+
+
+def _make_runner(args: argparse.Namespace, cache: Optional[ResultCache]) -> SweepRunner:
+    """The runner every executing command uses, from the ``_add_exec`` flags."""
+    try:
+        index, count = map(int, args.shard.split("/"))
+    except ValueError:
+        raise ConfigError(f"--shard must be I/N (two integers), got {args.shard!r}") from None
+    return SweepRunner(
+        workers=args.workers,
+        cache=cache,
+        stream=sys.stderr,
+        policy=_make_policy(args),
+        journal_dir=_journal_dir(cache),
+        resume=args.resume,
+        backend=args.backend,
+        store=_make_store(args),
+        shard=(index, count),
+    )
+
+
+def _run_grid(
+    args: argparse.Namespace, cache: Optional[ResultCache], grid: dict
+) -> Dict[str, RunSummary]:
+    """Run ``grid``; a shard first says which grid it is a part of, so an
+    operator can see that every part ran the same one."""
+    runner = _make_runner(args, cache)
+    index, count = runner.shard
+    if count > 1:
+        total = sum(config.repetitions for config in grid.values())
+        print(
+            f"shard {index}/{count} of grid {grid_key(grid)[:12]}: "
+            f"{len(range(index, total, count))} of {total} repetitions"
+        )
+    return runner.run(grid)
 
 
 def _report_failures(summaries: dict) -> int:
@@ -279,17 +262,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config.validate()
     cache = _make_cache(args)
     print(f"running {config.label} x{config.repetitions} ...")
-    summary = run_repetitions(
-        config,
-        workers=args.workers,
-        cache=cache,
-        stream=sys.stderr,
-        policy=_make_policy(args),
-        journal_dir=_journal_dir(cache),
-        resume=args.resume,
-        backend=_resolve_backend(args),
-        store=_make_store(args),
-    )
+    summary = _run_grid(args, cache, {config.label: config})[config.label]
     print(summary.describe())
     injected = sum(r.injected_drops for r in summary.results)
     if injected:
@@ -368,17 +341,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     grid = _sweep_grid(args)
     print(f"sweeping {len(grid)} configurations x{args.reps} reps ...")
-    runner = SweepRunner(
-        workers=args.workers,
-        cache=cache,
-        stream=sys.stderr,
-        policy=_make_policy(args),
-        journal_dir=_journal_dir(cache),
-        resume=args.resume,
-        backend=_resolve_backend(args),
-        store=_make_store(args),
-    )
-    summaries = runner.run(grid)
+    summaries = _run_grid(args, cache, grid)
 
     rows = []
     for name, summary in summaries.items():
@@ -499,17 +462,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
         f"running population: {config.flows} flows, {config.arrival} arrivals, "
         f"{len(config.profiles)} profile(s), x{config.repetitions} rep(s) ..."
     )
-    runner = SweepRunner(
-        workers=args.workers,
-        cache=cache,
-        stream=sys.stderr,
-        policy=_make_policy(args),
-        journal_dir=_journal_dir(cache),
-        resume=args.resume,
-        backend=_resolve_backend(args),
-        store=_make_store(args),
-    )
-    summaries = runner.run({config.label: config})
+    summaries = _run_grid(args, cache, {config.label: config})
     summary = summaries[config.label]
     if summary.results:
         rep0 = summary.results[0]
@@ -600,7 +553,7 @@ def _add_store_filters(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--label", help="full configuration label")
     group.add_argument("--kind", choices=("experiment", "population"))
     group.add_argument("--stack", choices=STACKS)
-    group.add_argument("--cca", choices=("cubic", "newreno", "bbr", "bbr2"))
+    group.add_argument("--cca", choices=CCA_NAMES)
     group.add_argument("--qdisc", choices=QDISCS)
     group.add_argument("--gso", choices=GSO_MODES)
     group.add_argument(
@@ -732,8 +685,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_info(args: argparse.Namespace) -> int:
-    import json
-
     with _open_store(args.store_path) as store:
         info = store.info()
         info["fingerprint"] = store.content_fingerprint()
@@ -745,15 +696,26 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
     if not args.from_cache and not args.from_json:
         raise ConfigError("nothing to migrate: give --from-cache and/or --from-json")
     with ResultStore(args.store_path, stream=sys.stderr) as store:
-        total = 0
         if args.from_cache:
             count = store.migrate_cache(args.from_cache)
             print(f"migrated {count} repetition(s) from cache {args.from_cache}")
-            total += count
         for path in args.from_json or ():
             count = store.ingest_summary_json(path)
             print(f"migrated {count} repetition(s) from artifact {path}")
-            total += count
+        print(f"store now holds {store.rep_count()} repetition(s), {store.failure_count()} failure(s)")
+    return 0
+
+
+def _cmd_store_merge(args: argparse.Namespace) -> int:
+    with ResultStore(args.store_path, stream=sys.stderr) as store:
+        merged: Counter = Counter()
+        for part in args.parts:
+            merged.update(store.merge_from(part))
+        for name, group in store.group_summaries().items():
+            print(
+                f"{name}: {merged[name]} row(s) merged, "
+                f"{group['reps']} repetition(s), {group['failed']} failure(s)"
+            )
         print(f"store now holds {store.rep_count()} repetition(s), {store.failure_count()} failure(s)")
     return 0
 
@@ -937,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.set_defaults(func=_cmd_report)
 
     store_p = sub.add_parser(
-        "store", help="inspect, migrate into, or export from a result store"
+        "store", help="inspect, migrate into, merge into, or export from a result store"
     )
     store_sub = store_p.add_subparsers(dest="action", required=True)
     info_p = store_sub.add_parser(
@@ -958,6 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="migrate a legacy JSON artifact (repeatable)",
     )
     migrate_p.set_defaults(func=_cmd_store_migrate)
+    merge_p = store_sub.add_parser(
+        "merge", help="unite the part stores of a sharded campaign (see --shard)"
+    )
+    merge_p.add_argument("store_path", metavar="DEST", help="store to create or extend")
+    merge_p.add_argument("parts", metavar="PART", nargs="+", help="part store to merge in")
+    merge_p.set_defaults(func=_cmd_store_merge)
     export_p = store_sub.add_parser(
         "export", help="write one grid entry back out as a legacy JSON artifact"
     )

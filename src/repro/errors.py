@@ -44,18 +44,6 @@ class QuarantinedError(ExecutionError):
     after repeated consecutive failures."""
 
 
-class RemoteRepError(ExecutionError):
-    """A repetition failed on a remote worker agent and the original
-    exception type could not be reconstructed coordinator-side; the remote
-    type name and traceback ride along in the message/attributes."""
-
-
-class HostLostError(ExecutionError):
-    """A distributed repetition could not run because its worker host (or
-    every configured host) was lost; attributed to the host, never the
-    configuration — carries a ``host`` attribute naming the culprit."""
-
-
 class ValidationError(ReproError):
     """A finished repetition violated a result invariant (conservation,
     monotonicity, rate ceiling); the result must not be cached or summarized."""

@@ -8,7 +8,6 @@ from repro.framework.cache import CACHE_VERSION, CacheStats, ResultCache, defaul
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.executors import (
     BACKENDS,
-    DistributedExecutor,
     Executor,
     ForkServerExecutor,
     InProcessExecutor,
@@ -26,7 +25,6 @@ __all__ = [
     "BACKENDS",
     "CACHE_VERSION",
     "CacheStats",
-    "DistributedExecutor",
     "Executor",
     "ExperimentConfig",
     "ForkServerExecutor",

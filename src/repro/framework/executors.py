@@ -3,8 +3,7 @@
 An :class:`Executor` names *where repetitions run*; the
 :class:`~repro.framework.supervision.Supervisor` owns *how they are watched*
 (timeouts, retries, crash attribution), so every backend inherits the full
-supervision/journal/cache semantics unchanged. There are three, one per
-caller:
+supervision/journal/cache semantics unchanged. There are two:
 
 ``inprocess``
     Serial, in the calling process. No subprocesses, no pickling — the
@@ -13,7 +12,7 @@ caller:
     process.
 
 ``forkserver``
-    The one local pool, and the default. Workers are forked from a
+    The one pool, and the default. Workers are forked from a
     long-lived server process that *pre-imports* the simulator once
     (:data:`FORKSERVER_PRELOAD`), so worker start-up — paid up front and
     again on every supervision restart (watchdog kill, crash recovery) — is
@@ -22,17 +21,11 @@ caller:
     and snapshots the environment then: run-time state must travel to a
     worker inside the task, never through ``os.environ``.
 
-``distributed``
-    A lease-dispatching :class:`~repro.framework.remote.Coordinator` over
-    long-lived worker agents on one or more hosts (SSH-launched, or local
-    subprocesses for ``localhost``). Pool-compatible, so the Supervisor's
-    retry/timeout/quarantine loop runs unchanged; host failures (crashes,
-    hangs, partitions) are absorbed *below* the pool surface by lease
-    reclaim + agent relaunch and charged to the host, never the config.
-
-Every pooled backend hands results back the same way: the Supervisor submits
-the repetition function itself and reads ``future.result()`` itself, so a
-result is pickled once, by the pool's own queue.
+The Supervisor submits the repetition function itself and reads
+``future.result()`` itself, so a result is pickled once, by the pool's own
+queue. More machines are not a third backend: a campaign is split with
+``SweepRunner(shard=(i, n))`` and the part stores are united with
+:meth:`~repro.framework.store.ResultStore.merge_from`.
 
 Selection is an *execution* concern, deliberately independent of
 ``ExperimentConfig``: the backend participates in no ``cache_key()``, no
@@ -51,7 +44,6 @@ from repro.errors import ConfigError
 
 __all__ = [
     "BACKENDS",
-    "DistributedExecutor",
     "Executor",
     "ForkServerExecutor",
     "InProcessExecutor",
@@ -81,21 +73,9 @@ class Executor:
     name: str = "abstract"
     #: True for backends that run repetitions in the calling process.
     serial: bool = False
-    #: True for backends whose "pool" spans machines; the Supervisor never
-    #: collapses these to the serial in-process path, even for one task.
-    distributed: bool = False
 
     def make_pool(self, workers: int) -> ProcessPoolExecutor:
         raise NotImplementedError(f"{self.name!r} backend does not pool")
-
-    def observe_policy(self, policy) -> None:
-        """Hook: the Supervisor announces its policy before pools are made.
-
-        Local backends ignore it; the distributed backend derives its lease
-        deadline from the per-repetition timeout so a legitimately slow
-        repetition is charged a :class:`~repro.errors.RepTimeoutError` by
-        the watchdog instead of masquerading as a host failure.
-        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -129,79 +109,9 @@ class ForkServerExecutor(Executor):
         return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
 
 
-class DistributedExecutor(Executor):
-    """Multi-host coordinator backend (``repro.framework.remote``).
-
-    ``make_pool`` starts a fresh :class:`~repro.framework.remote.Coordinator`
-    (listening socket + agent launches) — called up front and again on every
-    supervision restart, exactly like local pool construction. The most
-    recent coordinator is kept on :attr:`last_coordinator` so callers and
-    tests can read per-host accounting after a campaign.
-
-    Default tuning is campaign-scale (5-minute leases, half-second
-    heartbeats); the chaos suite passes much tighter knobs.
-    """
-
-    name = "distributed"
-    distributed = True
-
-    def __init__(
-        self,
-        hosts=("localhost",),
-        *,
-        stream=None,
-        **coordinator_kwargs,
-    ):
-        from repro.framework.remote import merge_hosts
-
-        if isinstance(hosts, str):
-            from repro.framework.remote import parse_hosts
-
-            hosts = parse_hosts(hosts)
-        self.hosts = merge_hosts(hosts)
-        if not self.hosts:
-            raise ConfigError("distributed backend needs at least one host")
-        self.stream = stream
-        self.coordinator_kwargs = dict(coordinator_kwargs)
-        self.last_coordinator = None
-
-    #: A lease deadline must outlive the Supervisor's own per-rep watchdog
-    #: by this factor, so the watchdog (which charges the config a
-    #: RepTimeoutError and retries) always fires before lease expiry
-    #: (which kills the agent and charges the host).
-    LEASE_TIMEOUT_FACTOR = 1.25
-
-    def observe_policy(self, policy) -> None:
-        timeout_s = getattr(policy, "timeout_s", None)
-        if timeout_s is None:
-            return
-        floor = timeout_s * self.LEASE_TIMEOUT_FACTOR
-        current = self.coordinator_kwargs.get("lease_timeout_s", 300.0)
-        if current < floor:
-            self.coordinator_kwargs["lease_timeout_s"] = floor
-
-    def make_pool(self, workers: int):
-        from repro.framework.remote import Coordinator
-
-        coordinator = Coordinator(
-            self.hosts, stream=self.stream, **self.coordinator_kwargs
-        )
-        coordinator.start()
-        self.last_coordinator = coordinator
-        return coordinator
-
-    def __repr__(self) -> str:
-        specs = ",".join(
-            f"{spec.host}:{spec.slots}" if spec.slots != 1 else spec.host
-            for spec in self.hosts
-        )
-        return f"DistributedExecutor({specs})"
-
-
 _FACTORIES = {
     InProcessExecutor.name: InProcessExecutor,
     ForkServerExecutor.name: ForkServerExecutor,
-    DistributedExecutor.name: DistributedExecutor,
 }
 
 #: Backend names, in documentation order; also the CLI ``--backend`` choices.

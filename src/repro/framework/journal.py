@@ -111,10 +111,19 @@ class SweepJournal:
         grid: Mapping[str, ExperimentConfig],
         fresh: bool = False,
         stream=None,
+        shard: Tuple[int, int] = (0, 1),
     ) -> "SweepJournal":
-        """Open (or start) the journal for ``grid`` under ``directory``."""
+        """Open (or start) the journal for ``grid`` under ``directory``.
+
+        Each shard of a split campaign (``shard=(i, n)``, ``n > 1``) gets a
+        file of its own: the first write of an invocation replaces the file
+        with the entries that invocation knows, so two shards sharing a cache
+        directory must never share a journal.
+        """
         key = grid_key(grid)
-        journal = cls(Path(directory) / f"{key[:16]}.jsonl", key, stream=stream)
+        index, count = shard
+        stem = key[:16] if count == 1 else f"{key[:16]}.shard-{index}-of-{count}"
+        journal = cls(Path(directory) / f"{stem}.jsonl", key, stream=stream)
         if fresh:
             journal._discard()
         else:

@@ -42,6 +42,7 @@ history.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import pickle
 import time
@@ -285,7 +286,10 @@ class ResultStore:
 
     def record_failure(self, failure: RepFailure, config) -> None:
         """Insert (or idempotently re-insert) one finally-failed repetition."""
-        key = per_rep_key(config)
+        self._write_failure(per_rep_key(config), failure)
+
+    def _write_failure(self, key: str, failure: RepFailure) -> None:
+        """The one writer of ``failures`` rows (live runs and migration)."""
 
         def _write() -> None:
             with self._conn:
@@ -413,38 +417,16 @@ class ResultStore:
         """
         data = json.loads(Path(path).read_text())
         label = data["label"]
-        count = 0
-        for rep, payload in enumerate(data.get("repetitions", [])):
+        reps = data.get("repetitions", [])
+        for rep, payload in enumerate(reps):
             self._ingest_payload(name=label, label=label, rep=rep, payload=payload)
-            count += 1
-        for failure in data.get("failures", []):
-            rec = RepFailure.from_dict(failure)
+        if reps:
             # Legacy artifacts carry no config per failure; key on the
-            # summary's config via the failed rep's own fields.
-            reps = data.get("repetitions", [])
-            if reps:
-                config_dict = reps[0]["config"]
-                key = per_rep_key_from_dict(config_dict)
-                with self._conn:
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO failures (config_key, seed, name,"
-                        " label, rep, error_type, message, traceback, attempts,"
-                        " wall_time_s, quarantined) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                        (
-                            key,
-                            _db_seed(rec.seed),
-                            rec.name,
-                            rec.label,
-                            rec.rep,
-                            rec.error_type,
-                            rec.message,
-                            rec.traceback,
-                            rec.attempts,
-                            rec.wall_time_s,
-                            int(rec.quarantined),
-                        ),
-                    )
-        return count
+            # summary's config via a surviving repetition.
+            key = per_rep_key_from_dict(reps[0]["config"])
+            for failure in data.get("failures", []):
+                self._write_failure(key, RepFailure.from_dict(failure))
+        return len(reps)
 
     def migrate_cache(self, cache_root: Union[str, Path]) -> int:
         """Migrate every readable repetition out of a result-cache directory.
@@ -490,6 +472,48 @@ class ResultStore:
             if derive_seed(config.seed, rep) == seed:
                 return rep
         return 0
+
+    def merge_from(self, path: Union[str, Path]) -> Dict[str, int]:
+        """Union another store (one shard's part) into this one.
+
+        Rows are a pure function of their ``(config_key, seed)`` key, so this
+        is idempotent and order-independent; a success in either store
+        supersedes the other's failure (as :meth:`_ingest_payload` does).
+        Returns the repetition rows read per grid name.
+        """
+        part = Path(path)
+        if not part.is_file():
+            raise ConfigError(f"no result store at {str(part)!r} to merge")
+        if part.resolve() == self.path.resolve():
+            raise ConfigError(f"cannot merge store {str(part)!r} into itself")
+        self._conn.execute("ATTACH DATABASE ? AS part", (str(part),))
+        try:
+            version = self._conn.execute("PRAGMA part.user_version").fetchone()[0]
+            if version != STORE_VERSION:
+                raise ConfigError(
+                    f"store {part} has schema version {version}, not this "
+                    f"build's {STORE_VERSION}; refusing to misread it"
+                )
+            merged = dict(
+                self._conn.execute("SELECT name, COUNT(*) FROM part.reps GROUP BY name")
+            )
+
+            def _write() -> None:
+                # One version, one _SCHEMA: ``SELECT *`` copies column for column.
+                with self._conn:
+                    for table in ("reps", "failures"):
+                        self._conn.execute(
+                            f"INSERT OR REPLACE INTO {table} SELECT * FROM part.{table}"
+                        )
+                    self._conn.execute(
+                        "DELETE FROM failures WHERE (config_key, seed) IN"
+                        " (SELECT config_key, seed FROM reps)"
+                    )
+
+            self._retry_locked_write(_write)
+        finally:
+            self._conn.execute("DETACH DATABASE part")
+        return merged
 
     # -- querying ----------------------------------------------------------
 
@@ -601,42 +625,35 @@ class ResultStore:
         across repetitions — numerically identical to pooling the raw gaps
         (the sweep CLI's method), not a mean of per-repetition ratios.
         """
-        out: Dict[str, Dict[str, Any]] = {}
         where, params = self._where(filters)
+        # One pass, one filter: a name's lists and pooled counts come from the
+        # same matching rows. Names arrive in first-insertion order, their
+        # rows in repetition order, one name in memory at a time.
         cursor = self._conn.execute(
-            "SELECT name, label, kind, COUNT(*) AS reps,"
-            " SUM(dropped) AS dropped_sum, SUM(injected_drops) AS injected,"
-            " SUM(gap_count) AS gaps, SUM(b2b_count) AS b2b,"
-            " SUM(train_packets) AS train_pkts,"
-            " SUM(trains_leq5_packets) AS train_leq5"
-            f" FROM reps{where} GROUP BY name, label ORDER BY MIN(rowid)",
+            "SELECT name, label, kind, goodput_mbps, dropped, injected_drops,"
+            " gap_count, b2b_count, train_packets, trains_leq5_packets,"
+            " MIN(rowid) OVER (PARTITION BY name) AS first"
+            f" FROM reps{where} ORDER BY first, rep",
             params,
         )
-        for row in cursor.fetchall():
-            goodput = [
-                r[0]
-                for r in self._conn.execute(
-                    "SELECT goodput_mbps FROM reps WHERE name = ? ORDER BY rep",
-                    (row["name"],),
-                )
-            ]
-            dropped = [
-                float(r[0])
-                for r in self._conn.execute(
-                    "SELECT dropped FROM reps WHERE name = ? ORDER BY rep",
-                    (row["name"],),
-                )
-            ]
-            out[row["name"]] = {
-                "label": row["label"],
-                "kind": row["kind"],
-                "reps": row["reps"],
-                "goodput": summarize(goodput),
-                "dropped": summarize(dropped),
-                "injected": int(row["injected"] or 0),
-                "b2b_share": (row["b2b"] / row["gaps"]) if row["gaps"] else None,
+        out: Dict[str, Dict[str, Any]] = {}
+        for name, group in itertools.groupby(cursor, key=lambda row: row["name"]):
+            rows = list(group)
+
+            def total(column: str) -> int:
+                return sum(row[column] or 0 for row in rows)
+
+            gaps, train_pkts = total("gap_count"), total("train_packets")
+            out[name] = {
+                "label": rows[0]["label"],
+                "kind": rows[0]["kind"],
+                "reps": len(rows),
+                "goodput": summarize([row["goodput_mbps"] for row in rows]),
+                "dropped": summarize([float(row["dropped"]) for row in rows]),
+                "injected": total("injected_drops"),
+                "b2b_share": total("b2b_count") / gaps if gaps else None,
                 "trains_leq5_share": (
-                    row["train_leq5"] / row["train_pkts"] if row["train_pkts"] else None
+                    total("trains_leq5_packets") / train_pkts if train_pkts else None
                 ),
                 "failed": 0,
             }

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import (
-    HostLostError,
     QuarantinedError,
     RepTimeoutError,
     ValidationError,
@@ -122,9 +121,6 @@ class RepFailure:
     attempts: int
     wall_time_s: float
     quarantined: bool = False
-    #: Worker host the failure is attributed to (distributed backend only);
-    #: ``None`` for local backends and for failures charged to the config.
-    host: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
@@ -138,7 +134,6 @@ class RepFailure:
             "attempts": self.attempts,
             "wall_time_s": self.wall_time_s,
             "quarantined": self.quarantined,
-            "host": self.host,
         }
 
     @classmethod
@@ -224,18 +219,11 @@ class Supervisor:
         self._quarantined = set()
         self._queue = deque()
         self._suspects = deque()
-        # Backends may tune themselves from the policy (the distributed
-        # backend keeps lease deadlines strictly above the rep timeout).
-        self.executor.observe_policy(self.policy)
-        # A distributed "pool" spans machines: even one task must go through
-        # the coordinator (the point may be to run it elsewhere), so only
-        # local backends collapse small workloads to the serial path — and
-        # only when no timeout is set, because the serial path has no
-        # watchdog: a repetition that may be killed needs a worker process.
+        # Small workloads collapse to the serial path only when no timeout is
+        # set, because the serial path has no watchdog: a repetition that may
+        # be killed needs a worker process.
         if self.executor.serial or (
-            not self.executor.distributed
-            and self.policy.timeout_s is None
-            and (workers <= 1 or len(tasks) <= 1)
+            self.policy.timeout_s is None and (workers <= 1 or len(tasks) <= 1)
         ):
             self._run_serial(tasks, on_success, on_failure)
         else:
@@ -470,10 +458,6 @@ class Supervisor:
             # The simulation is deterministic: a result that violates an
             # invariant will violate it again. Fail immediately.
             return False
-        if isinstance(exc, HostLostError):
-            # Every configured host is quarantined; retrying cannot help and
-            # the failure is charged to the fleet, not the configuration.
-            return False
         return task.attempts < self.policy.max_attempts and task.name not in self._quarantined
 
     def _attempt_failed(self, task, exc, on_failure) -> None:
@@ -484,14 +468,11 @@ class Supervisor:
             on_failure(task, self._final_failure(task, exc))
 
     def _final_failure(self, task: RepTask, exc: Exception) -> RepFailure:
-        if not isinstance(exc, HostLostError):
-            # Host-loss failures are charged to the fleet; they must not
-            # push an innocent configuration toward quarantine.
-            count = self._consecutive_failures.get(task.name, 0) + 1
-            self._consecutive_failures[task.name] = count
-            if count >= self.policy.quarantine_after:
-                self._quarantined.add(task.name)
-        tb = getattr(exc, "remote_traceback", "") or "".join(
+        count = self._consecutive_failures.get(task.name, 0) + 1
+        self._consecutive_failures[task.name] = count
+        if count >= self.policy.quarantine_after:
+            self._quarantined.add(task.name)
+        tb = "".join(
             traceback_module.format_exception(type(exc), exc, exc.__traceback__)
         )
         return RepFailure(
@@ -505,7 +486,6 @@ class Supervisor:
             attempts=task.attempts,
             wall_time_s=task.elapsed_s,
             quarantined=task.name in self._quarantined,
-            host=getattr(exc, "host", None),
         )
 
     def _quarantine_failure(self, task: RepTask) -> RepFailure:

@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, TextIO, Union
+from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
 
+from repro.errors import ConfigError
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
 from repro.framework.executors import Executor, make_executor
@@ -93,9 +94,9 @@ class SweepRunner:
     tests, which substitute crashing/hanging stand-ins.
 
     ``backend`` selects the execution backend
-    (:mod:`repro.framework.executors`): ``"inprocess"`` (serial),
-    ``"forkserver"`` (the default: a supervised pool of simulator-preloaded
-    workers), or ``"distributed"`` (multi-host worker agents) — or a ready
+    (:mod:`repro.framework.executors`): ``"inprocess"`` (serial)
+    or ``"forkserver"`` (the default: a supervised pool of
+    simulator-preloaded workers) — or a ready
     :class:`~repro.framework.executors.Executor`. Backends are invisible to
     cache keys, journals, and fingerprints: the same grid produces
     bit-identical results under every backend.
@@ -104,6 +105,13 @@ class SweepRunner:
     settled repetition is streamed into as it lands (successes, cache hits,
     and final failures alike) — the queryable canonical artifact for
     campaign-scale sweeps.
+
+    ``shard=(i, n)`` runs part ``i`` of a campaign split ``n`` ways (one
+    invocation per host): of the grid's repetitions, numbered in grid order,
+    those numbered ``i`` modulo ``n`` — round-robin, so configurations of
+    unequal cost spread evenly. The rest are not looked up, journaled or
+    stored; :meth:`~repro.framework.store.ResultStore.merge_from` unites the
+    parts' stores into the one an unsharded run (``(0, 1)``) writes.
     """
 
     def __init__(
@@ -118,7 +126,12 @@ class SweepRunner:
         run_fn=_run_one,
         backend: Union[str, Executor, None] = None,
         store: Optional[ResultStore] = None,
+        shard: Tuple[int, int] = (0, 1),
     ):
+        index, count = shard
+        if not 0 <= index < count:
+            raise ConfigError(f"shard must be I/N with 0 <= I < N, got {index}/{count}")
+        self.shard = (index, count)
         self.workers = resolve_workers(workers)
         self.cache = cache
         self.stream = stream
@@ -131,10 +144,6 @@ class SweepRunner:
         self.store = store
         if self.cache is not None and self.cache.stream is None:
             self.cache.stream = stream
-        # Distributed executors narrate per-host progress (launches, lease
-        # reclaims, quarantines) onto the sweep's progress stream.
-        if getattr(self.executor, "distributed", False) and self.executor.stream is None:
-            self.executor.stream = stream
 
     def run(self, grid: Mapping[str, ExperimentConfig]) -> Dict[str, RunSummary]:
         """Run every repetition of every named config; summaries keep grid order."""
@@ -142,7 +151,11 @@ class SweepRunner:
             config.validate()
         journal = (
             SweepJournal.for_grid(
-                self.journal_dir, grid, fresh=not self.resume, stream=self.stream
+                self.journal_dir,
+                grid,
+                fresh=not self.resume,
+                stream=self.stream,
+                shard=self.shard,
             )
             if self.journal_dir is not None
             else None
@@ -152,8 +165,13 @@ class SweepRunner:
         }
         failures: Dict[str, List[RepFailure]] = {name: [] for name in grid}
         pending: List[RepTask] = []
+        index, count = self.shard
+        position = -1
         for name, config in grid.items():
             for rep in range(config.repetitions):
+                position += 1
+                if position % count != index:
+                    continue  # another shard's repetition
                 seed = derive_seed(config.seed, rep)
                 entry = journal.get(name, rep) if journal is not None else None
                 if entry is not None and entry.status == "failed" and entry.failure:

@@ -9,12 +9,9 @@ import pytest
 from repro.framework.executors import BACKENDS, make_executor
 from repro.sim.engine import Simulator
 
-#: Backends whose workers are local processes a fault can kill outright
-#: (host-level faults of the distributed backend: ``test_remote_chaos``).
+#: Backends whose workers are processes a fault can kill outright.
 LOCAL_POOLS = [
-    executor.name
-    for executor in map(make_executor, BACKENDS)
-    if not (executor.serial or executor.distributed)
+    executor.name for executor in map(make_executor, BACKENDS) if not executor.serial
 ]
 
 

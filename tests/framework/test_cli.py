@@ -171,11 +171,16 @@ def test_failed_reps_exit_1_and_show_in_the_failed_column(capsys, backend):
 
 
 def test_invalid_backend_is_rejected_by_the_parser(capsys):
-    for backend in ("threads", "pool", "spawn"):
+    for backend in ("threads", "pool", "spawn", "distributed"):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["run", "quiche", "--backend", backend])
         assert excinfo.value.code == 2
         assert f"invalid choice: '{backend}'" in capsys.readouterr().err
+    # The multi-host backend went with its flags: no alias, no tombstone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "quiche", "--hosts", "localhost"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --hosts" in capsys.readouterr().err
 
 
 def test_backend_defaults_to_the_executor_layers_default():
@@ -189,35 +194,6 @@ def test_run_under_new_backends_matches_pool_output(capsys, backend):
     inprocess_out = capsys.readouterr().out
     assert main(argv + ["--backend", backend, "--workers", "2"]) == 0
     assert capsys.readouterr().out == inprocess_out
-
-
-def test_hosts_flag_selects_distributed_and_narrates_per_host(capsys):
-    # --hosts alone upgrades the default backend; the campaign really runs
-    # through localhost worker agents and reports per-host progress.
-    rc = main(["run", "quiche", "--size-mib", "0.25", "--no-cache",
-               "--hosts", "localhost", "--workers", "1"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "goodput" in captured.out
-    assert "[remote] localhost: rep settled" in captured.err
-
-
-def test_hosts_file_merges_with_hosts_flag(capsys, tmp_path):
-    hosts_file = tmp_path / "hosts.txt"
-    hosts_file.write_text("# the fleet\nlocalhost:1\n")
-    rc = main(["run", "quiche", "--size-mib", "0.25", "--no-cache",
-               "--hosts", "localhost", "--hosts-file", str(hosts_file)])
-    assert rc == 0
-    assert "[remote] localhost: rep settled" in capsys.readouterr().err
-
-
-def test_hosts_with_a_local_backend_is_an_operator_error(capsys):
-    rc = main(["run", "quiche", "--size-mib", "0.25", "--no-cache",
-               "--backend", "forkserver", "--hosts", "localhost"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "--backend distributed" in err
 
 
 def test_missing_store_is_an_operator_error_exit_2(capsys, tmp_path):

@@ -15,7 +15,6 @@ from repro.errors import ConfigError
 from repro.framework.config import ExperimentConfig
 from repro.framework.executors import (
     BACKENDS,
-    DistributedExecutor,
     Executor,
     ForkServerExecutor,
     InProcessExecutor,
@@ -36,7 +35,7 @@ class TestMakeExecutor:
         assert isinstance(make_executor(None), ForkServerExecutor)
 
     def test_every_advertised_backend_resolves(self):
-        assert BACKENDS == ("inprocess", "forkserver", "distributed")
+        assert BACKENDS == ("inprocess", "forkserver")
         for backend in BACKENDS:
             executor = make_executor(backend)
             assert isinstance(executor, Executor)
@@ -50,7 +49,7 @@ class TestMakeExecutor:
         with pytest.raises(ConfigError, match="unknown backend"):
             make_executor("threads")
 
-    @pytest.mark.parametrize("backend", ["pool", "spawn"])
+    @pytest.mark.parametrize("backend", ["pool", "spawn", "distributed"])
     def test_deleted_backends_are_unknown_and_the_error_names_the_rest(self, backend):
         with pytest.raises(ConfigError, match="unknown backend") as excinfo:
             make_executor(backend)
@@ -60,43 +59,8 @@ class TestMakeExecutor:
     def test_only_inprocess_is_serial(self):
         assert InProcessExecutor().serial
         assert not ForkServerExecutor().serial
-        assert not DistributedExecutor().serial
         with pytest.raises(RuntimeError):
             InProcessExecutor().make_pool(2)
-
-    def test_only_distributed_is_distributed(self):
-        # The flag keeps the Supervisor from collapsing remote campaigns to
-        # the local serial path when workers or tasks drop to one.
-        assert DistributedExecutor().distributed
-        for local in (InProcessExecutor, ForkServerExecutor):
-            assert not local().distributed
-
-    def test_distributed_host_specs(self):
-        executor = DistributedExecutor(hosts="localhost:2,node1")
-        assert [(h.host, h.slots) for h in executor.hosts] == [("localhost", 2), ("node1", 1)]
-        with pytest.raises(ConfigError, match="at least one host"):
-            DistributedExecutor(hosts=())
-
-    def test_observe_policy_floors_lease_timeout_above_rep_timeout(self):
-        # The lease deadline must strictly outlive the Supervisor's per-rep
-        # watchdog, so a slow repetition is charged to the config (retryable
-        # RepTimeoutError) and never to the host.
-        class Policy:
-            timeout_s = 400.0
-
-        executor = DistributedExecutor()
-        executor.observe_policy(Policy())
-        assert executor.coordinator_kwargs["lease_timeout_s"] == pytest.approx(500.0)
-        # An explicitly larger lease timeout is left alone...
-        executor = DistributedExecutor(lease_timeout_s=1000.0)
-        executor.observe_policy(Policy())
-        assert executor.coordinator_kwargs["lease_timeout_s"] == 1000.0
-        # ...a smaller one is raised to the floor.
-        executor = DistributedExecutor(lease_timeout_s=30.0)
-        executor.observe_policy(Policy())
-        assert executor.coordinator_kwargs["lease_timeout_s"] == pytest.approx(500.0)
-        # Local backends accept the announcement and ignore it.
-        ForkServerExecutor().observe_policy(Policy())
 
 
 class TestStartMethods:

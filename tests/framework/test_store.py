@@ -202,6 +202,23 @@ class TestQuerying:
         )
         assert grp["failed"] == 0
 
+    def test_group_summaries_filter_the_statistics_not_only_the_count(
+        self, store, results
+    ):
+        # One completed and one cut-off repetition under one name: the
+        # mean ± std must come from the rows the rep count comes from.
+        cut_off = dataclasses.replace(results[1], completed=False, goodput_mbps=1.0)
+        store.record_result("quiche", 0, results[0])
+        store.record_result("quiche", 1, cut_off)
+        grp = store.group_summaries(completed=True)["quiche"]
+        assert grp["reps"] == 1
+        assert grp["goodput"].n == 1
+        assert grp["goodput"].mean == results[0].goodput_mbps
+        assert grp["goodput"].std == 0.0
+        assert grp["dropped"].n == 1
+        both = store.group_summaries()["quiche"]
+        assert both["reps"] == both["goodput"].n == 2
+
     def test_group_summaries_surface_all_failed_configs(self, store):
         store.record_failure(_failure(), CONFIG)
         groups = store.group_summaries()
@@ -217,7 +234,7 @@ class TestConcurrency:
 
     def test_reader_queries_while_a_campaign_streams_in(self, tmp_path, results):
         """`repro store query/report` must work mid-campaign: WAL readers
-        never block (or get blocked by) the coordinator's writer connection."""
+        never block (or get blocked by) the campaign's writer connection."""
         import threading
 
         path = tmp_path / "live.sqlite"
@@ -353,15 +370,20 @@ class TestMigration:
         from repro.framework.artifacts import save_summary
         from repro.framework.runner import summarize_results
 
-        summary = summarize_results(CONFIG, results)
+        # A third repetition failed: its record goes through the same writer
+        # a live campaign's failures do.
+        failure = _failure(name=CONFIG.label, seed=13, rep=2)
+        summary = summarize_results(CONFIG, results, [failure])
         artifact = save_summary(summary, tmp_path / "a.json")
 
         live = ResultStore(tmp_path / "live.sqlite")
         for rep, result in enumerate(results):
             live.record_result(CONFIG.label, rep, result)
+        live.record_failure(failure, CONFIG)
 
         migrated = ResultStore(tmp_path / "migrated.sqlite")
         assert migrated.ingest_summary_json(artifact) == 2
+        assert migrated.failures() == [failure]
         # precision_ns is the one live-only column (needs the expected-send
         # log); this config has no pacing log, so content matches exactly.
         assert migrated.content_fingerprint() == live.content_fingerprint()

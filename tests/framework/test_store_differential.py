@@ -1,16 +1,17 @@
 """Differential acceptance: JSON artifacts and the result store agree, and
 neither can tell execution backends apart.
 
-One grid, one execution path per backend in ``BACKENDS`` (serial in-process,
-the forkserver pool, localhost worker agents) plus a warm-cache replay, each
-streaming into its own fresh store. Every pairwise comparison must hold bit
-for bit:
+One grid, four execution paths: one per backend in ``BACKENDS`` (serial
+in-process, the forkserver pool), the campaign cut into two shards whose part
+stores are merged, and a warm-cache replay — each into its own fresh store.
+Every pairwise comparison must hold bit for bit:
 
 * result ``fingerprint()`` lists are identical across all paths;
 * every store digests to the same :meth:`ResultStore.content_fingerprint`;
 * each store's :meth:`ResultStore.export_summary_dict` equals the
-  ``summary_to_dict`` JSON artifact of the live run that produced it, so the
-  store is a lossless replacement for per-run JSON, not a parallel truth.
+  ``summary_to_dict`` JSON artifact of the live run that produced it (for the
+  merged store: of the unsharded run), so the store is a lossless replacement
+  for per-run JSON, not a parallel truth.
 """
 
 import pytest
@@ -53,6 +54,15 @@ def runs(tmp_path_factory):
             SweepRunner(workers=2, backend=backend, store=store).run(GRID),
             store,
         )
+    # Sharded: two forkserver shards, each into its own part store, merged.
+    # The merged store is held against the unsharded run's summaries.
+    merged = ResultStore(root / "sharded.sqlite")
+    for index in range(2):
+        with ResultStore(root / f"part-{index}.sqlite") as part:
+            shard = SweepRunner(workers=2, store=part, shard=(index, 2)).run(GRID)
+            assert all(not s.failures for s in shard.values())
+        merged.merge_from(part.path)
+    out["sharded"] = (out["inprocess"][0], merged)
     # Warm-cache replay: populate the cache, then serve every rep from it.
     cache = ResultCache(root / "cache")
     SweepRunner(workers=2, cache=cache).run(GRID)
@@ -66,13 +76,18 @@ def runs(tmp_path_factory):
 
 def test_fingerprints_identical_across_all_paths(runs):
     reference = _fingerprints(runs["inprocess"][0])
-    for path, (summaries, _) in runs.items():
+    for path, (summaries, store) in runs.items():
         assert _fingerprints(summaries) == reference, path
         assert all(not s.failures for s in summaries.values()), path
+        stored = {
+            name: [row["fingerprint"] for row in store.query(name=name)] for name in GRID
+        }
+        assert stored == reference, path
 
 
 def test_stores_digest_identically_across_all_paths(runs):
     digests = {path: store.content_fingerprint() for path, (_, store) in runs.items()}
+    assert set(digests) == {"inprocess", "forkserver", "sharded", "warm-cache"}
     assert len(set(digests.values())) == 1, digests
     counts = {path: store.rep_count() for path, (_, store) in runs.items()}
     assert set(counts.values()) == {4}  # 2 configs x 2 reps, no duplicates

@@ -110,7 +110,7 @@ class TestPolicy:
     def test_backoff_schedule_is_derived_not_random(self):
         # Retry delays are a pure function of (policy, failed-attempt count):
         # no wall clock, no RNG — so a campaign's retry timing is replayable
-        # and two coordinators with the same policy behave identically.
+        # and two supervisors with the same policy behave identically.
         policy = SupervisionPolicy(backoff_base_s=0.05, backoff_max_s=5.0)
         schedule = [policy.backoff_s(n) for n in range(1, 12)]
         assert schedule == [policy.backoff_s(n) for n in range(1, 12)]
@@ -127,6 +127,9 @@ class TestRepFailure:
             quarantined=True,
         )
         assert RepFailure.from_dict(failure.as_dict()) == failure
+        # Journal lines and JSON artifacts written before the multi-host
+        # backend was removed carry a "host" key; they must still load.
+        assert RepFailure.from_dict({**failure.as_dict(), "host": "node1"}) == failure
 
     def test_describe_names_the_error(self):
         failure = RepFailure(
@@ -295,7 +298,7 @@ def flaky_experiment_run(wrapper: FlakyExperiment, seed: int):
 class TestRetryDeterminism:
     """Satellite guarantee: a retried repetition reuses its derived seed, so
     its result is byte-identical to a first-try success — under every pooled
-    backend (the distributed equivalent lives in ``test_remote_chaos``)."""
+    backend."""
 
     @pytest.mark.parametrize("backend", LOCAL_POOLS)
     def test_retried_rep_matches_first_try_success(self, tmp_path, backend):
