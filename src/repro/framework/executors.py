@@ -18,8 +18,10 @@ supervision/journal/cache semantics unchanged. There are two:
     again on every supervision restart (watchdog kill, crash recovery) — is
     a ``fork()`` of a warm, thread-free interpreter, not a re-import. The
     server is started once per process (≈ 0.25 s, measured in DESIGN §7.2)
-    and snapshots the environment then: run-time state must travel to a
-    worker inside the task, never through ``os.environ``.
+    by the first :meth:`~ForkServerExecutor.make_pool`, with this package's
+    directory on its ``PYTHONPATH`` so that the preload can import. It
+    snapshots the environment then: run-time state must travel to a worker
+    inside the task, never through ``os.environ``.
 
 The Supervisor submits the repetition function itself and reads
 ``future.result()`` itself, so a result is pickled once, by the pool's own
@@ -37,7 +39,10 @@ suite (``tests/framework/test_store_differential.py``) pins exactly that.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import forkserver
+from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
@@ -57,6 +62,9 @@ FORKSERVER_PRELOAD: Tuple[str, ...] = (
     "repro.framework.runner",
     "repro.framework.population",
 )
+
+#: The directory that holds the ``repro`` package this process imported.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
 
 class Executor:
@@ -106,7 +114,31 @@ class ForkServerExecutor(Executor):
         self._context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
 
     def make_pool(self, workers: int) -> ProcessPoolExecutor:
+        self._ensure_server()
         return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
+
+    @staticmethod
+    def _ensure_server() -> None:
+        """Start the server (a lock and a ``waitpid`` once it runs) where it
+        can import the preload list.
+
+        The preload is a plain ``__import__`` in the server's fresh
+        interpreter, whose ``ImportError`` CPython swallows, and that
+        interpreter gets ``sys.path`` from ``PYTHONPATH`` alone (3.11's
+        ``forkserver.main`` accepts ``sys_path`` and never applies it): a
+        parent that found ``repro`` through a ``sys.path`` entry would fork
+        cold workers that each re-import the simulator. The package root is
+        therefore on ``PYTHONPATH`` for the length of this call.
+        """
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_PACKAGE_ROOT, saved)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
 
 
 _FACTORIES = {

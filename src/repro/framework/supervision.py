@@ -6,9 +6,11 @@ repetition; one hung simulation stalls the whole sweep forever. This module
 wraps the pool with the supervision loop a long-running measurement fleet
 needs:
 
-* **bounded in-flight work** — at most ``workers`` repetitions are submitted
-  at a time, so a pool crash can only lose work that is actually running and
-  a per-repetition wall-clock deadline starts when the work starts;
+* **bounded in-flight work** — at most ``workers`` repetitions run at a
+  time, plus one *staged* in the pool's call queue so the worker that lands
+  next finds it without a round trip through this process; a pool crash can
+  only lose those, and a repetition's wall-clock deadline starts when a
+  landing promotes it out of the staged slot, never while it waits there;
 * **watchdog timeouts** — a repetition that exceeds ``timeout_s`` is killed
   (the pool's worker processes are terminated and the pool restarted, since a
   hung worker cannot be cancelled individually); innocent repetitions that
@@ -74,6 +76,8 @@ class SupervisionPolicy:
     as before). ``retries`` is the number of *re*-attempts, so every
     repetition runs at most ``retries + 1`` times. Backoff before attempt
     ``n+1`` is ``backoff_base_s * 2**(n-1)`` capped at ``backoff_max_s``.
+    In flight at any moment: ``workers`` repetitions running and one staged
+    (one alone, nothing staged, while a crash suspect is unresolved).
     """
 
     timeout_s: Optional[float] = None
@@ -169,8 +173,13 @@ class RepTask:
 @dataclass
 class _Flight:
     task: RepTask
-    started: float
-    deadline: Optional[float]
+    #: Both ``None`` while the flight is staged behind ``workers`` running
+    #: ones; stamped when a landing promotes it (:meth:`Supervisor._fill`).
+    started: Optional[float] = None
+    deadline: Optional[float] = None
+
+    def ran_s(self, now: float) -> float:
+        return now - self.started if self.started is not None else 0.0
 
 
 class Supervisor:
@@ -181,7 +190,8 @@ class Supervisor:
     stand-ins). ``validate_fn(result)`` may raise
     :class:`~repro.errors.ValidationError` to reject a structurally broken
     result. Outcomes are delivered via ``on_success(task, result)`` and
-    ``on_failure(task, failure)`` callbacks, in completion order.
+    ``on_failure(task, failure)`` callbacks, in completion order (a pooled
+    wave's successes once the workers it freed have been refilled).
 
     ``executor`` selects the execution backend
     (:mod:`repro.framework.executors`): a serial backend routes everything
@@ -214,7 +224,8 @@ class Supervisor:
         workers: int,
         on_success: Callable[[RepTask, Any], None],
         on_failure: Callable[[RepTask, RepFailure], None],
-    ) -> None:
+    ) -> bool:
+        """Run ``tasks`` to completion; True if a process pool ran them."""
         self._consecutive_failures = {}
         self._quarantined = set()
         self._queue = deque()
@@ -226,8 +237,9 @@ class Supervisor:
             self.policy.timeout_s is None and (workers <= 1 or len(tasks) <= 1)
         ):
             self._run_serial(tasks, on_success, on_failure)
-        else:
-            self._run_pool(tasks, max(workers, 1), on_success, on_failure)
+            return False
+        self._run_pool(tasks, max(workers, 1), on_success, on_failure)
+        return True
 
     # -- serial path -------------------------------------------------------
 
@@ -271,9 +283,17 @@ class Supervisor:
         suspects = self._suspects = deque()
         pool = self.executor.make_pool(workers)
         flights: Dict[Any, _Flight] = {}
+        landed: List[tuple] = []
         try:
-            while queue or suspects or flights:
+            while queue or suspects or flights or landed:
+                # Decide, refill, then settle: everything that can change
+                # what may be launched was decided as the wave was collected,
+                # so idle workers are fed before ``on_success`` spends
+                # milliseconds per result on fingerprint, cache and store.
                 pool = self._fill(pool, workers, flights, on_failure)
+                for task, result in landed:
+                    on_success(task, result)
+                landed.clear()
                 if not flights:
                     # Everything runnable is backing off; sleep to the
                     # earliest retry moment.
@@ -291,7 +311,7 @@ class Supervisor:
                 crashed: List[_Flight] = []
                 for future in done:
                     flight = flights.pop(future)
-                    flight.task.elapsed_s += time.monotonic() - flight.started
+                    flight.task.elapsed_s += flight.ran_s(time.monotonic())
                     try:
                         result = future.result()
                         if self.validate_fn is not None:
@@ -305,12 +325,14 @@ class Supervisor:
                     else:
                         flight.task.suspect = False
                         self._consecutive_failures[flight.task.name] = 0
-                        on_success(flight.task, result)
+                        landed.append((flight.task, result))
                 if crashed:
-                    # Every other in-flight future died with the pool too.
+                    # Every other in-flight future died with the pool too,
+                    # the staged one included: a worker may have picked it up
+                    # before this process saw the landing that freed it.
                     now = time.monotonic()
                     for flight in flights.values():
-                        flight.task.elapsed_s += now - flight.started
+                        flight.task.elapsed_s += flight.ran_s(now)
                         crashed.append(flight)
                     flights.clear()
                     self._absorb_crash(crashed, on_failure)
@@ -348,13 +370,21 @@ class Supervisor:
             self._suspects.appendleft(task)
 
     def _fill(self, pool, workers, flights, on_failure):
-        """Submit ready tasks up to the worker count; fail fast quarantined ones.
+        """Submit ready tasks until ``workers`` run and one more is staged;
+        fail fast quarantined ones.
+
+        A flight is staged (no clock, no deadline) when ``workers`` others
+        already run, and is promoted (:meth:`_start_clocks`) once a landing
+        has left a worker for it. The landing is seen late, never early, so a
+        repetition is never killed before ``timeout_s`` of its own run time.
 
         While any crash suspect is unresolved, exactly one repetition flies
-        at a time so a repeat crash is unambiguous (:meth:`_absorb_crash`);
-        full parallelism resumes once the suspects are cleared.
+        at a time, nothing staged, so a repeat crash is unambiguous
+        (:meth:`_absorb_crash`); full parallelism resumes once the suspects
+        are cleared.
         """
         now = time.monotonic()
+        self._start_clocks(flights, workers)
         if self._suspects or any(f.task.suspect for f in flights.values()):
             if flights or not self._suspects:
                 return pool
@@ -370,7 +400,7 @@ class Supervisor:
                 break
             return pool
         deferred = []
-        while self._queue and len(flights) < workers:
+        while self._queue and len(flights) < workers + 1:
             task = self._queue.popleft()
             if task.name in self._quarantined:
                 on_failure(task, self._quarantine_failure(task))
@@ -390,7 +420,6 @@ class Supervisor:
     def _launch(self, pool, workers, task, flights):
         """Charge an attempt and submit; handle a pool that died while idle."""
         task.attempts += 1
-        now = time.monotonic()
         try:
             future = pool.submit(self.run_fn, task.config, task.seed)
         except BrokenProcessPool:
@@ -400,11 +429,21 @@ class Supervisor:
             if flights:
                 return pool, False
             return self._restart_pool(pool, workers), False
-        deadline = (
-            now + self.policy.timeout_s if self.policy.timeout_s is not None else None
-        )
-        flights[future] = _Flight(task=task, started=now, deadline=deadline)
+        flights[future] = _Flight(task=task)
+        self._start_clocks(flights, workers)
         return pool, True
+
+    def _start_clocks(self, flights, workers) -> None:
+        """With at most ``workers`` flights in the air none is staged (any
+        more): stamp those that have no clock yet."""
+        if len(flights) > workers:
+            return
+        now = time.monotonic()
+        for flight in flights.values():
+            if flight.started is None:
+                flight.started = now
+                if self.policy.timeout_s is not None:
+                    flight.deadline = now + self.policy.timeout_s
 
     def _reap_timeouts(self, pool, workers, flights, on_failure):
         """Kill the pool if any flight blew its deadline; requeue innocents."""
@@ -416,10 +455,10 @@ class Supervisor:
             return pool
         # A hung worker cannot be cancelled individually, so the whole pool
         # is torn down. Expired flights are charged a timed-out attempt;
-        # the rest were innocent and are requeued uncharged.
+        # the rest, staged or running, were innocent and are requeued uncharged.
         for future in expired:
             flight = flights.pop(future)
-            flight.task.elapsed_s += now - flight.started
+            flight.task.elapsed_s += flight.ran_s(now)
             self._attempt_failed(
                 flight.task,
                 RepTimeoutError(
@@ -429,7 +468,7 @@ class Supervisor:
             )
         for flight in flights.values():
             flight.task.attempts -= 1
-            flight.task.elapsed_s += now - flight.started
+            flight.task.elapsed_s += flight.ran_s(now)
             flight.task.not_before = 0.0
             (self._suspects if flight.task.suspect else self._queue).appendleft(flight.task)
         flights.clear()

@@ -42,12 +42,14 @@ retried. ``resume=False`` discards the journal and starts over.
 Progress is streamed as one structured line per finished repetition (config
 label, rep, sim-time, wall-time, events/sec from
 ``Simulator.events_processed``), conventionally to stderr so stdout stays a
-clean report.
+clean report. A sweep that ran a pool ends with one line saying what share
+of the workers' time went into simulating (``busy``).
 """
 
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
 
@@ -209,8 +211,11 @@ class SweepRunner:
                 executor=self.executor,
             )
 
+            fresh_wall_s: List[float] = []
+
             def on_success(task: RepTask, result: ExperimentResult) -> None:
                 slots[task.name][task.rep] = result
+                fresh_wall_s.append(result.wall_time_s)
                 if self.cache is not None:
                     self.cache.put(task.config, result.seed, result)
                 self._settle(journal, task.name, task.rep, task.seed, result, recomputed=True)
@@ -224,7 +229,17 @@ class SweepRunner:
                     self.store.record_failure(failure, task.config)
                 self._emit_line(f"[sweep] {failure.describe()}")
 
-            supervisor.run(pending, self.workers, on_success, on_failure)
+            start = time.monotonic()
+            pooled = supervisor.run(pending, self.workers, on_success, on_failure)
+            wall_s = time.monotonic() - start
+            if pooled:
+                # How much of the pool's time went into simulating: start-up,
+                # hand-off and this process's settling are the rest.
+                busy = sum(fresh_wall_s) / (wall_s * self.workers)
+                self._emit_line(
+                    f"[sweep] {len(fresh_wall_s)} repetitions in {wall_s:.2f} s "
+                    f"on {self.workers} workers, busy {busy * 100:.0f} %"
+                )
 
         return {
             name: summarize_results(config, slots[name], failures[name])

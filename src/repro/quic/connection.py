@@ -180,10 +180,17 @@ class Connection:
     def open_send_stream(self, stream_id: int, source: DataSource) -> SendStream:
         stream = SendStream(stream_id, source)
         self.send_streams[stream_id] = stream
-        self.stream_send_limits.setdefault(
-            stream_id, SendLimit(self.config.peer_max_stream_data)
-        )
+        self._stream_send_limit(stream_id)
         return stream
+
+    def _stream_send_limit(self, stream_id: int) -> SendLimit:
+        """The stream's flow-control limit, created at the peer's initial value."""
+        limit = self.stream_send_limits.get(stream_id)
+        if limit is None:
+            limit = self.stream_send_limits[stream_id] = SendLimit(
+                self.config.peer_max_stream_data
+            )
+        return limit
 
     def start_handshake(self) -> None:
         """Client: queue the INITIAL crypto flight."""
@@ -291,10 +298,7 @@ class Connection:
         elif isinstance(frame, MaxDataFrame):
             self.conn_send_limit.update_limit(frame.max_data)
         elif isinstance(frame, MaxStreamDataFrame):
-            limit = self.stream_send_limits.setdefault(
-                frame.stream_id, SendLimit(self.config.peer_max_stream_data)
-            )
-            limit.update_limit(frame.max_data)
+            self._stream_send_limit(frame.stream_id).update_limit(frame.max_data)
         elif isinstance(frame, HandshakeDoneFrame):
             self.handshake_done_received = True
             self.established = True
@@ -610,9 +614,7 @@ class Connection:
     ) -> int:
         """Append STREAM frames for ``stream``; returns the remaining budget."""
         stream_id = stream.stream_id
-        slimit = self.stream_send_limits.setdefault(
-            stream_id, SendLimit(self.config.peer_max_stream_data)
-        )
+        slimit = self._stream_send_limit(stream_id)
         conn_limit = self.conn_send_limit
         while budget >= 24 and stream.has_data:
             probe_len = budget - StreamFrame.header_overhead(

@@ -27,6 +27,7 @@ from repro.kernel.socket import SendSpec, UdpSocket
 from repro.pacing import IntervalPacer, LeakyBucketPacer, NullPacer, Pacer
 from repro.pacing.gso_policy import GsoPolicy
 from repro.quic.connection import Connection
+from repro.quic.stream import DataSource
 from repro.sim.clock import TimerModel, HIGHRES_TIMER
 from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
@@ -136,8 +137,6 @@ class ServerDriver(SimProcess):
         self._rearm(now)
 
     def _maybe_start_response(self) -> None:
-        from repro.quic.stream import DataSource
-
         for sid, stream in self.conn.recv_streams.items():
             if stream.complete and sid not in self._responded:
                 self._responded.add(sid)

@@ -7,7 +7,13 @@ runs, never *what* it computes (seeds, validation, and aggregation are all
 backend-independent).
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +79,56 @@ class TestStartMethods:
         first = ForkServerExecutor()
         first.make_pool(1).shutdown(wait=True)
         assert _start_method(ForkServerExecutor().make_pool(1)) == "forkserver"
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Run as a script with ``repro`` reachable through ``sys.path`` alone, the way
+#: ``benchmarks/bench/worker.py`` and any embedding program reach it.
+_WARM_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {here!r})
+
+if __name__ == "__main__":
+    import warm_probe
+    from repro.framework.executors import ForkServerExecutor
+
+    before = os.environ.get("PYTHONPATH")
+    pool = ForkServerExecutor().make_pool(1)
+    after = os.environ.get("PYTHONPATH")
+    warm = pool.submit(warm_probe.loaded).result(timeout=120)
+    pool.shutdown()
+    print(json.dumps({{"warm": warm, "before": before, "after": after}}))
+"""
+
+#: Imports nothing of ``repro``, so unpickling the call cannot warm the worker.
+_WARM_PROBE = """
+import sys
+
+def loaded():
+    return [name in sys.modules for name in ("repro.framework.runner", "repro.framework.population")]
+"""
+
+
+@pytest.mark.parametrize("pythonpath", [None, "/nonexistent/site"])
+def test_workers_start_warm_however_the_parent_found_the_package(tmp_path, pythonpath):
+    # CPython's forkserver preload is an ``__import__`` in a fresh interpreter
+    # whose ImportError is swallowed: without the package root on the server's
+    # PYTHONPATH every worker of every pool re-imports the simulator.
+    (tmp_path / "warm_probe.py").write_text(_WARM_PROBE)
+    script = tmp_path / "warm_main.py"
+    script.write_text(textwrap.dedent(_WARM_SCRIPT).format(src=str(SRC), here=str(tmp_path)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if pythonpath is not None:
+        env["PYTHONPATH"] = pythonpath
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=180
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["warm"] == [True, True]
+    assert report["before"] == report["after"] == pythonpath  # os.environ untouched
 
 
 GRID = {

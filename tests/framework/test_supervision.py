@@ -7,13 +7,17 @@ per-test temporary directory.
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.framework.executors import make_executor
+from repro.framework import supervision
+from repro.framework.executors import Executor, make_executor
 from repro.framework.supervision import (
     RepFailure,
     RepTask,
@@ -269,6 +273,217 @@ class TestPooledSupervision:
         assert time.monotonic() - start < 30  # nowhere near the 60s sleep
         assert not successes
         assert failures[(stuck.label, 0)].error_type == "RepTimeoutError"
+
+
+class _HandPool:
+    """A pool whose futures the test completes by hand."""
+
+    def __init__(self):
+        self.calls = []  # (future, config, seed), in submission order
+
+    def submit(self, fn, config, seed):
+        future = Future()
+        self.calls.append((future, config, seed))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _HandExecutor(Executor):
+    name = "by-hand"
+
+    def __init__(self):
+        self.pools = []
+
+    def make_pool(self, workers):
+        self.pools.append(_HandPool())
+        return self.pools[-1]
+
+    def future(self, seed):
+        """The newest future submitted for ``seed``."""
+        return [f for pool in self.pools for f, _, s in pool.calls if s == seed][-1]
+
+    @property
+    def seeds(self):
+        return [seed for pool in self.pools for _, _, seed in pool.calls]
+
+
+class _Scripted:
+    """One-threaded drive of ``Supervisor._run_pool``: the supervisor's clock
+    and its ``futures_wait`` are replaced, and every wait first resumes the
+    test's ``script`` generator, which lands futures and moves the clock.
+    ``in_flight`` records how many futures each wait was given."""
+
+    def __init__(self, monkeypatch, policy, workers, validate_fn=None):
+        self.now = 100.0
+        self.executor = _HandExecutor()
+        self.workers = workers
+        self.in_flight = []
+        self.events = []  # ("ok" | "failed", seed, futures submitted so far)
+        self.failures = {}
+        self.supervisor = Supervisor(
+            policy, run_fn=fault_run, validate_fn=validate_fn, executor=self.executor
+        )
+        clock = SimpleNamespace(monotonic=lambda: self.now, sleep=self._sleep)
+        monkeypatch.setattr(supervision, "time", clock)
+        monkeypatch.setattr(supervision, "futures_wait", self._wait)
+
+    def _sleep(self, seconds):
+        self.now += seconds
+
+    def _wait(self, futures, timeout=None, return_when=None):
+        self.in_flight.append((len(futures), self.unresolved_suspects()))
+        next(self._script)  # StopIteration: the script ended with work in flight
+        return {f for f in futures if f.done()}, None
+
+    def unresolved_suspects(self):
+        return bool(self.supervisor._suspects) or any(t.suspect for t in self.tasks)
+
+    def run(self, tasks, script):
+        self.tasks = tasks
+        self._script = script(self)
+
+        def on_success(task, result):
+            self.events.append(("ok", task.seed, len(self.executor.seeds)))
+
+        def on_failure(task, failure):
+            self.events.append(("failed", task.seed, len(self.executor.seeds)))
+            self.failures[task.seed] = failure
+
+        assert self.supervisor.run(tasks, self.workers, on_success, on_failure)
+        settled = sorted(seed for _, seed, _ in self.events)
+        assert settled == sorted(t.seed for t in tasks)  # each exactly once
+
+    def land(self, seed, result="ok"):
+        self.executor.future(seed).set_result(result)
+
+    def fail(self, seed, exc):
+        self.executor.future(seed).set_exception(exc)
+
+
+class TestStagingAndSettleOrder:
+    """The pooled loop against hand-completed futures: ``workers`` running
+    plus one staged, decide -> refill -> settle."""
+
+    def test_slot_is_refilled_before_its_result_is_settled(self, monkeypatch):
+        cfg = FaultConfig()
+
+        def script(h):
+            assert h.executor.seeds == [1000, 1001, 1002]  # 2 running + 1 staged
+            h.land(1000)
+            yield
+            for seed in (1001, 1002, 1003, 1004):
+                h.land(seed)
+                yield
+
+        harness = _Scripted(monkeypatch, SupervisionPolicy(**FAST), workers=2)
+        harness.run(_tasks(cfg, 5), script)
+        # When rep 0 was settled its replacement (the fourth submission) was
+        # already in the pool, and so on until the queue ran dry.
+        assert harness.events[:2] == [("ok", 1000, 4), ("ok", 1001, 5)]
+        assert max(count for count, _ in harness.in_flight) == 3
+
+    def test_quarantine_tripped_in_a_wave_stops_that_waves_refill(self, monkeypatch):
+        good, bad = FaultConfig(mode="ok"), FaultConfig(mode="boom")
+        tasks = [
+            RepTask(name=cfg.label, config=cfg, rep=rep, seed=seed)
+            for seed, (cfg, rep) in enumerate(
+                [(bad, 0), (good, 0), (good, 1), (bad, 1), (bad, 2)], start=1000
+            )
+        ]
+
+        def script(h):
+            h.fail(1000, ValueError("boom"))
+            h.land(1001)  # same wave: its success must not delay the verdict
+            yield
+            h.land(1002)
+            yield
+
+        policy = SupervisionPolicy(retries=0, quarantine_after=1, **FAST)
+        harness = _Scripted(monkeypatch, policy, workers=2)
+        harness.run(tasks, script)
+        assert harness.executor.seeds == [1000, 1001, 1002]  # bad reps 1, 2 never launched
+        assert harness.failures[1000].error_type == "ValueError"
+        assert {harness.failures[s].error_type for s in (1003, 1004)} == {"QuarantinedError"}
+
+    def test_validation_error_is_still_never_retried(self, monkeypatch):
+        def validate(result):
+            if result == "torn":
+                raise ValidationError("conservation violated")
+
+        def script(h):
+            h.land(1000, "torn")
+            yield
+            h.land(1001)
+            yield
+
+        policy = SupervisionPolicy(retries=2, **FAST)
+        harness = _Scripted(monkeypatch, policy, workers=2, validate_fn=validate)
+        harness.run(_tasks(FaultConfig(), 2), script)
+        assert harness.executor.seeds == [1000, 1001]
+        assert harness.failures[1000].error_type == "ValidationError"
+        assert harness.failures[1000].attempts == 1
+
+    def test_staged_flight_outlives_the_timeout_and_is_requeued_uncharged(self, monkeypatch):
+        def script(h):
+            h.now += 11.0  # both running flights blow the 10 s budget
+            yield
+            # A new pool: the staged rep starts over, uncharged, with rep 3.
+            assert len(h.executor.pools) == 2
+            assert h.executor.seeds[3:] == [1002, 1003]
+            assert h.tasks[2].attempts == 1 and h.tasks[2].elapsed_s == 0.0
+            h.now += 2.0
+            h.land(1002)
+            h.land(1003)
+            yield
+
+        policy = SupervisionPolicy(timeout_s=10.0, retries=0, **FAST)
+        harness = _Scripted(monkeypatch, policy, workers=2)
+        harness.run(_tasks(FaultConfig(), 4), script)
+        assert {harness.failures[s].error_type for s in (1000, 1001)} == {"RepTimeoutError"}
+        assert harness.tasks[2].attempts == 1
+        assert harness.tasks[2].elapsed_s == pytest.approx(2.0)  # staging not counted
+
+    def test_deadline_starts_at_promotion_not_at_submission(self, monkeypatch):
+        def script(h):
+            h.now += 6.0
+            h.land(1001)  # promotes the staged rep 2 at +6 s, stages rep 3
+            yield
+            h.now += 5.0  # +11 s: rep 0 is over budget, rep 2 has run 5 s
+            yield
+            assert set(h.failures) == {1000}
+            assert [t.attempts for t in h.tasks[2:]] == [1, 1]  # relaunched, uncharged
+            h.land(1002)
+            h.land(1003)
+            yield
+
+        policy = SupervisionPolicy(timeout_s=10.0, retries=0, **FAST)
+        harness = _Scripted(monkeypatch, policy, workers=2)
+        harness.run(_tasks(FaultConfig(), 4), script)
+        assert harness.failures[1000].error_type == "RepTimeoutError"
+        assert harness.tasks[2].elapsed_s == pytest.approx(5.0)
+
+    def test_crash_with_a_staged_flight_charges_nobody_and_reruns_all_alone(self, monkeypatch):
+        def script(h):
+            h.fail(1000, BrokenProcessPool("a worker died"))
+            yield
+            for rerun in range(3):  # one suspect at a time, nothing staged
+                assert len(h.executor.seeds) == 3 + rerun + 1
+                h.land(h.executor.seeds[-1])
+                yield
+            h.land(1003)
+            h.land(1004)
+            yield
+
+        harness = _Scripted(monkeypatch, SupervisionPolicy(**FAST), workers=2)
+        harness.run(_tasks(FaultConfig(), 5), script)
+        assert not harness.failures
+        assert sorted(harness.executor.seeds[3:6]) == [1000, 1001, 1002]
+        assert [t.attempts for t in harness.tasks] == [1] * 5
+        assert max(count for count, _ in harness.in_flight) == 3
+        assert all(count <= 1 for count, suspects in harness.in_flight if suspects)
+        assert sum(suspects for _, suspects in harness.in_flight) == 3
 
 
 @dataclass(frozen=True)

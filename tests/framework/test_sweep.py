@@ -1,6 +1,7 @@
 """SweepRunner: grid fan-out, serial/parallel determinism, progress lines."""
 
 import io
+import re
 
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
@@ -53,6 +54,21 @@ def test_progress_lines(tmp_path):
     warm = io.StringIO()
     run_sweep(GRID, workers=1, cache=cache, stream=warm)
     assert sum(1 for line in warm.getvalue().splitlines() if "[cached]" in line) == 4
+
+
+def test_pooled_sweep_ends_with_the_busy_share(tmp_path):
+    cache = ResultCache(tmp_path)
+    stream = io.StringIO()
+    run_sweep(GRID, workers=2, cache=cache, stream=stream)
+    *reps, last = stream.getvalue().splitlines()
+    assert len(reps) == 4
+    match = re.fullmatch(r"\[sweep\] 4 repetitions in \d+\.\d\d s on 2 workers, busy (\d+) %", last)
+    assert match, last
+    assert 0 < int(match.group(1)) <= 100  # simulated seconds over wall x workers
+    # Cache-only (no pool ran): per-repetition lines and nothing else.
+    warm = io.StringIO()
+    run_sweep(GRID, workers=2, cache=cache, stream=warm)
+    assert len(warm.getvalue().splitlines()) == 4 and "busy" not in warm.getvalue()
 
 
 def test_resolve_workers():
