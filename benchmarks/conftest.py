@@ -16,6 +16,7 @@ Outputs are printed and archived under ``benchmarks/output/``.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -64,8 +65,13 @@ class RunCache:
 
 
 @pytest.fixture(scope="session")
-def runs() -> RunCache:
-    return RunCache(disk=None if NO_CACHE else ResultCache())
+def runs():
+    disk = None if NO_CACHE else ResultCache()
+    yield RunCache(disk=disk)
+    if disk is not None:
+        # The CLI's cache line (visible under ``pytest -s``): a session served
+        # entirely from disk reads ``0 misses``, which is what CI asserts.
+        print(f"cache: {disk.stats}", file=sys.stderr)
 
 
 def publish(name: str, text: str) -> None:

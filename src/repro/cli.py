@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.cc.factory import CCA_NAMES
@@ -33,7 +34,7 @@ from repro.framework.config import ExperimentConfig, GSO_MODES, QDISCS, STACKS
 from repro.framework.executors import BACKENDS
 from repro.framework.journal import grid_key
 from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore
-from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
+from repro.framework.multiflow import MultiFlowExperiment
 from repro.framework.runner import RunSummary
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
@@ -243,8 +244,6 @@ def _report_failures(summaries: dict) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.framework.config import NetworkConfig
 
     network = replace(NetworkConfig(), forward_impairments=_impairments_from(args))
@@ -731,20 +730,16 @@ def _cmd_compete(args: argparse.Namespace) -> int:
     from repro.framework.population import parse_profile
 
     size = int(args.size_mib * 1024 * 1024)
-    profiles = [parse_profile(raw) for raw in args.flows]
-    specs = [
-        FlowSpec(stack=p.stack, cca=p.cca, qdisc=p.qdisc, gso=p.gso, file_size=size)
-        for p in profiles
-    ]
+    specs = [replace(parse_profile(raw), file_size=size) for raw in args.flows]
     print(f"running {len(specs)} competing flows ...")
     result = MultiFlowExperiment(specs, seed=args.seed).run()
     rows = [
-        [p.label, str(f.completed), fmt_time(f.duration_ns), f"{f.goodput_mbps:.2f}", str(f.dropped)]
-        for p, f in zip(profiles, result.flows)
+        [f.spec.label, str(f.completed), fmt_time(f.duration_ns), f"{f.goodput_mbps:.2f}", str(f.dropped)]
+        for f in result.flows
     ]
     print(render_table(["flow", "done", "duration", "goodput [Mbit/s]", "dropped"], rows))
     print(f"Jain fairness: {result.fairness:.3f}   aggregate: {result.aggregate_goodput_mbps:.2f} Mbit/s")
-    stalled = [p.label for p, f in zip(profiles, result.flows) if not f.completed]
+    stalled = [f.spec.label for f in result.flows if not f.completed]
     if stalled:
         print(f"{len(stalled)} of {len(specs)} flow(s) did not complete: {', '.join(stalled)}")
         return 1

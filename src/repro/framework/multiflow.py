@@ -37,6 +37,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.framework.config import ExperimentConfig, NetworkConfig
@@ -97,6 +98,8 @@ class FlowSpec:
         parts = [self.stack, self.cca]
         if self.qdisc != "none":
             parts.append(self.qdisc)
+        if self.gso != "off":
+            parts.append(f"gso-{self.gso}")
         return "/".join(parts)
 
 
@@ -232,7 +235,7 @@ class MultiFlowResult:
         validate_multiflow(self)
 
 
-def _flow_config(spec: FlowSpec, network: NetworkConfig) -> ExperimentConfig:
+def flow_config(spec: FlowSpec, network: NetworkConfig) -> ExperimentConfig:
     """``spec`` as the single-flow configuration of the same sender: what a
     FlowSpec cannot say (ETF delta, GSO buffer size, ACK policy, bucket
     depth, ECN) takes the :class:`ExperimentConfig` default."""
@@ -363,7 +366,7 @@ class MultiFlowExperiment:
         for index, spec in enumerate(self.specs):
             flow = _Flow(spec, index)
             self._flows.append(flow)
-            cfg = _flow_config(spec, self.network)
+            cfg = flow_config(spec, self.network)
             cfg.validate()
             wired = flow.wired = WiredFlow(
                 testbed,
@@ -471,6 +474,16 @@ class MultiFlowExperiment:
         """The event census (``profile_events`` runs only)."""
         return self.sim.report() if self.profile_events else None
 
+    @cached_property
+    def _records_by_port(self) -> Dict[int, List[CaptureRecord]]:
+        """The finished run's server-side capture bucketed by server port, in
+        capture order: one pass over the records, not one per flow. Read only
+        by ``capture_records`` runs."""
+        by_port: Dict[int, List[CaptureRecord]] = {}
+        for record in self.sniffer.from_host(SERVER_ADDR):
+            by_port.setdefault(record.flow[1], []).append(record)
+        return by_port
+
     def _collect(self, wall_start: float) -> MultiFlowResult:
         # One columnar pass: frames on the wire per server port. The tap sees
         # only the forward direction (server hosts feed it), but filter by
@@ -504,11 +517,7 @@ class MultiFlowExperiment:
             start, end = flow.timing(self.sim.now)
             port = flow.server_port
             if self.capture_records:
-                records = [
-                    r
-                    for r in self.sniffer.from_host(SERVER_ADDR)
-                    if r.flow[1] == port
-                ]
+                records = self._records_by_port.get(port, [])
             else:
                 records = []
             bytes_received = flow.bytes_delivered()

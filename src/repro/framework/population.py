@@ -29,17 +29,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.framework.config import CanonicalForm, ExperimentConfig, NetworkConfig
+from repro.framework.config import CanonicalForm, NetworkConfig
 from repro.framework.multiflow import (
     MAX_FLOWS,
     FlowSpec,
     MultiFlowExperiment,
     MultiFlowResult,
+    flow_config,
 )
 from repro.metrics.fairness import (
     beats_relation,
@@ -56,44 +57,17 @@ SIZE_DISTS = ("fixed", "exp")
 PERCENTILES = (50, 90, 99)
 
 
-@dataclass(frozen=True)
-class StackProfile:
-    """One parsed ``"stack:cca:qdisc:gso"`` population profile."""
-
-    stack: str
-    cca: str = "cubic"
-    qdisc: str = "none"
-    gso: str = "off"
-
-    @property
-    def label(self) -> str:
-        parts = [self.stack, self.cca]
-        if self.qdisc != "none":
-            parts.append(self.qdisc)
-        if self.gso != "off":
-            parts.append(f"gso-{self.gso}")
-        return "/".join(parts)
-
-    def validate(self) -> None:
-        """A profile is valid iff the single-flow configuration it names is."""
-        ExperimentConfig(
-            stack=self.stack, cca=self.cca, qdisc=self.qdisc, gso=self.gso
-        ).validate()
-
-
-def parse_profile(text: str) -> StackProfile:
-    """Parse ``"stack[:cca[:qdisc[:gso]]]"`` (the compete-CLI syntax)."""
+def parse_profile(text: str) -> FlowSpec:
+    """Parse ``"stack[:cca[:qdisc[:gso]]]"`` (the compete-CLI syntax) into the
+    sender it names. Size, start and extra RTT keep the :class:`FlowSpec`
+    defaults; callers fill them with ``dataclasses.replace``. A profile is
+    valid iff the single-flow configuration it names is."""
     parts = text.split(":")
     if not 1 <= len(parts) <= 4 or not parts[0]:
         raise ConfigError(f"malformed profile {text!r}; expected stack[:cca[:qdisc[:gso]]]")
-    profile = StackProfile(
-        stack=parts[0],
-        cca=parts[1] if len(parts) > 1 else "cubic",
-        qdisc=parts[2] if len(parts) > 2 else "none",
-        gso=parts[3] if len(parts) > 3 else "off",
-    )
-    profile.validate()
-    return profile
+    spec = FlowSpec(*parts)
+    flow_config(spec, NetworkConfig()).validate()
+    return spec
 
 
 @dataclass(frozen=True)
@@ -227,15 +201,7 @@ class FlowPopulation:
             extra_rtt = int(rng.uniform(0, cfg.extra_rtt_max_ns)) if cfg.extra_rtt_max_ns else 0
             profile = self.parsed_profiles[index % len(self.parsed_profiles)]
             specs.append(
-                FlowSpec(
-                    stack=profile.stack,
-                    cca=profile.cca,
-                    qdisc=profile.qdisc,
-                    gso=profile.gso,
-                    file_size=size,
-                    start_ns=start_ns,
-                    extra_rtt_ns=extra_rtt,
-                )
+                replace(profile, file_size=size, start_ns=start_ns, extra_rtt_ns=extra_rtt)
             )
         return specs
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
+from repro.framework.multiflow import BASE_SERVER_PORT, FlowSpec, MultiFlowExperiment
+from repro.framework.testbed import SERVER_ADDR
 from repro.units import kib, mib, ms
 
 SMALL = kib(400)
@@ -41,6 +42,25 @@ def test_flows_are_isolated_in_capture_and_drops():
         flow_ports = {r.flow[1] for r in flow.records}
         assert len(flow_ports) == 1
     assert sum(f.dropped for f in result.flows) == result.total_dropped
+
+
+def test_per_flow_records_partition_the_server_capture_in_order():
+    # A `compete`-shaped run: three profiles, one tap, records on.
+    experiment = MultiFlowExperiment(
+        [
+            FlowSpec(qdisc="fq", file_size=SMALL),
+            FlowSpec(stack="tcp", file_size=SMALL),
+            FlowSpec(qdisc="fq", gso="paced", file_size=SMALL),
+        ],
+        seed=6,
+    )
+    result = experiment.run()
+    capture = experiment.sniffer.from_host(SERVER_ADDR)
+    for index, flow in enumerate(result.flows):
+        port = BASE_SERVER_PORT + index
+        assert flow.records == [r for r in capture if r.flow[1] == port]
+        assert len(flow.records) == flow.wire_packets > 0
+    assert sum(len(f.records) for f in result.flows) == len(capture)
 
 
 def test_staggered_start():

@@ -236,20 +236,58 @@ def test_duel_analysis_reports_head_to_head():
     assert analysis["transitivity_violations"] == []
 
 
+def test_gso_duel_is_a_competition():
+    # Fig 6 / Table 2 as a duel: two senders that differ only in GSO mode
+    # are two profiles, not one.
+    from repro.framework.scenarios import fairness_duels
+
+    grid = fairness_duels(
+        profiles=("quiche:cubic:fq", "quiche:cubic:fq:paced"), file_size=kib(256)
+    )
+    results = {name: run_population(cfg) for name, cfg in grid.items()}
+    (result,) = results.values()
+    assert sorted(result.per_profile) == ["quiche/cubic/fq", "quiche/cubic/fq/gso-paced"]
+    assert set(result.ratio_matrix) == set(result.per_profile)
+    assert len(duel_analysis(results)["head_to_head"]) == 1
+
+
+#: The 200-flow mixed population (`population` of benchmarks/bench at its
+#: default scale), seed 1: recorded on the lazy-cancel heap (PR 13 engine).
+GOLDEN_200 = "316e0b5ab22ce1be10ed79de9378d090e147c897bff11bb66e953bdeb1e50e7b"
+#: The same population with churn, carried over unedited from BENCH_13.json's
+#: census record. A population fingerprint covers the config's cache key, so
+#: reproducing it also proves the config below is field for field the one
+#: that record was taken with.
+GOLDEN_200_CHURN = "4cb2356a0035239d9b89731e09751f820e7e4742e0cac68b95183316736f652c"
+
+
+def two_hundred_flows(**overrides):
+    from repro.framework.scenarios import population_sweep
+
+    grid = population_sweep(
+        200, file_size=kib(64), max_sim_time_ns=seconds(300), **overrides
+    )
+    return grid["mixed"]
+
+
 @pytest.mark.slow
 def test_two_hundred_flow_poisson_population_is_deterministic():
     # The acceptance-scale run: 200 Poisson arrivals, four mixed profiles,
-    # heterogeneous RTTs, one shared bottleneck. Same seed => identical
+    # heterogeneous RTTs, one shared bottleneck. Same seed => the recorded
     # fingerprint, delivered-byte goodput, clean conservation counters.
-    from benchmarks.perf.manyflow import population_config
-
-    config = population_config(200)
-    first = run_population(config, seed=1)
-    second = run_population(config, seed=1)
-    assert first.fingerprint() == second.fingerprint()
-    assert len(first.multi.flows) == 200
-    assert first.completed
-    assert first.multi.unrouted == 0
-    for flow in first.multi.flows:
+    result = run_population(two_hundred_flows(), seed=1)
+    assert result.fingerprint() == GOLDEN_200
+    assert len(result.multi.flows) == 200
+    assert result.completed
+    assert result.multi.unrouted == 0
+    for flow in result.multi.flows:
         assert flow.bytes_received == flow.spec.file_size
-    first.multi.validate()
+    result.multi.validate()
+
+
+@pytest.mark.slow
+def test_two_hundred_flow_churn_population_matches_bench_13():
+    result = run_population(two_hundred_flows(churn=True), seed=1)
+    assert result.fingerprint() == GOLDEN_200_CHURN
+    assert result.completed_count == 200
+    assert result.multi.unrouted == 0

@@ -15,6 +15,7 @@ import pytest
 
 from repro.framework.cache import ResultCache
 from repro.framework.population import PopulationConfig, run_population
+from repro.framework.scenarios import population_sweep
 from repro.framework.sweep import SweepRunner
 from repro.units import kib, ms, seconds
 
@@ -35,6 +36,9 @@ _BASE = dict(
 GOLDEN_PLAIN = "8484eddb03c4e44b94bd3d6017f9a3c7000a7e6d681a2ecbd4cfe8aa62b5929d"
 #: Recorded when churn shipped; pins churn determinism thereafter.
 GOLDEN_CHURN = "985b24de449ee96280c1036a9dc72d73bb908e00c701a342fb4bcc6d5e916320"
+#: 60 flows of the 200/2000-flow mixed population with churn, carried over
+#: unedited from the deleted perf gate's baseline (the CI smoke scale).
+GOLDEN_CHURN_60 = "a306215035e64ef4411accced51bc0431a7d702bc76abcb9a41a0f32f60de608"
 
 
 def _config(**overrides) -> PopulationConfig:
@@ -52,6 +56,13 @@ def test_churn_golden_fingerprint():
     # Teardown absorbed stragglers rather than mis-routing them.
     assert result.multi.drained > 0
     assert result.multi.unrouted == 0
+
+
+def test_sixty_flow_churn_golden_fingerprint():
+    grid = population_sweep(60, file_size=kib(64), max_sim_time_ns=seconds(300), churn=True)
+    result = run_population(grid["mixed"], seed=1)
+    assert result.fingerprint() == GOLDEN_CHURN_60
+    assert result.completed_count == 60
 
 
 def test_drained_zero_without_churn():
