@@ -24,6 +24,8 @@ class AckManager:
         self._largest_time: int = 0
         self._largest: int = -1
         self._unacked_eliciting: int = 0
+        #: Ack-eliciting packets were received since the last ACK frame.
+        self.ack_pending: bool = False
         self._ack_deadline: Optional[int] = None
         self._immediate: bool = False
         self.duplicates: int = 0
@@ -32,24 +34,28 @@ class AckManager:
 
     def record(self, pn: int, ack_eliciting: bool, now_ns: int) -> None:
         prev_largest = self._largest
-        if pn > self._largest:
+        if pn > prev_largest:
             self._largest = pn
             self._largest_time = now_ns
-        if self._insert(pn):
-            if ack_eliciting:
-                self._unacked_eliciting += 1
-                if self._unacked_eliciting >= self.ack_eliciting_threshold:
-                    self._immediate = True
-                elif self._ack_deadline is None:
-                    self._ack_deadline = now_ns + self.max_ack_delay_ns
-                # A *newly appearing* gap signals loss/reordering: ack at once
-                # (RFC 9000 §13.2.1). Packets received while an old hole is
-                # still being repaired follow the normal cadence, as stacks
-                # with ACK-frequency logic do.
-                if pn > prev_largest + 1 and prev_largest >= 0:
-                    self._immediate = True
-        else:
+        ranges = self._ranges
+        if ranges and ranges[-1][1] == pn - 1:
+            ranges[-1][1] = pn  # in order: extends the last range
+        elif not self._insert(pn):
             self.duplicates += 1
+            return
+        if ack_eliciting:
+            self.ack_pending = True
+            self._unacked_eliciting += 1
+            if self._unacked_eliciting >= self.ack_eliciting_threshold:
+                self._immediate = True
+            elif self._ack_deadline is None:
+                self._ack_deadline = now_ns + self.max_ack_delay_ns
+            # A *newly appearing* gap signals loss/reordering: ack at once
+            # (RFC 9000 §13.2.1). Packets received while an old hole is
+            # still being repaired follow the normal cadence, as stacks
+            # with ACK-frequency logic do.
+            if pn > prev_largest + 1 and prev_largest >= 0:
+                self._immediate = True
 
     def _insert(self, pn: int) -> bool:
         """Insert pn into the range set; returns False on duplicate."""
@@ -79,11 +85,10 @@ class AckManager:
 
     # -- ACK emission ----------------------------------------------------------
 
-    @property
-    def ack_pending(self) -> bool:
-        return self._unacked_eliciting > 0
-
     def should_ack_now(self, now_ns: int) -> bool:
+        """An ACK is due: implies ``ack_pending`` (the immediate flag and the
+        deadline are only ever set by an ack-eliciting packet and are cleared
+        with it in :meth:`build_ack`)."""
         if self._immediate:
             return True
         return self._ack_deadline is not None and now_ns >= self._ack_deadline
@@ -100,7 +105,7 @@ class AckManager:
         if not self._ranges:
             return None
         descending: Tuple[Tuple[int, int], ...] = tuple(
-            (lo, hi) for lo, hi in reversed(self._ranges[-MAX_ACK_RANGES:])
+            map(tuple, reversed(self._ranges[-MAX_ACK_RANGES:]))
         )
         delay_ns = max(0, now_ns - self._largest_time)
         # The wire encodes the delay in 2**ACK_DELAY_EXPONENT µs units, so
@@ -109,6 +114,7 @@ class AckManager:
         delay_us = (delay_ns // 1000) >> ACK_DELAY_EXPONENT << ACK_DELAY_EXPONENT
         frame = AckFrame(self._largest, delay_us, descending)
         self._unacked_eliciting = 0
+        self.ack_pending = False
         self._ack_deadline = None
         self._immediate = False
         return frame

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cc.base import CongestionController
 from repro.cc.newreno import NewReno
-from repro.errors import ProtocolError
+from repro.errors import EncodingError, ProtocolError
 from repro.quic.ack import AckManager
 from repro.quic.flowcontrol import RecvLimit, SendLimit
 from repro.quic.frames import (
@@ -40,6 +40,7 @@ from repro.quic.packet import (
     DEFAULT_MAX_UDP_PAYLOAD,
     PacketType,
     QuicPacket,
+    packet_len,
     short_header_overhead,
 )
 from repro.quic.recovery import LossRecovery, SentPacket
@@ -73,26 +74,22 @@ class ConnectionConfig:
 
 
 class BuiltPacket:
-    """A packet ready to send.
+    """A packet ready to send, plus what its sender must re-send if it is lost.
 
     Serialization is lazy: inside the simulator the packet object itself
     travels through the network (the ``Datagram`` payload is opaque), so the
     wire bytes are only produced when something actually asks for them —
-    ``size`` comes from the exact ``encoded_len`` arithmetic instead.
+    ``size`` and ``ack_eliciting`` are the packet's own ``encoded_len`` and
+    ``ack_eliciting``, which the connection tallied while assembling it.
     """
 
-    __slots__ = ("packet", "size", "ack_eliciting", "retx", "_encoded")
+    __slots__ = ("packet", "pn", "size", "ack_eliciting", "retx", "_encoded")
 
-    def __init__(
-        self,
-        packet: QuicPacket,
-        size: int,
-        ack_eliciting: bool,
-        retx: List[Tuple[Any, ...]],
-    ):
+    def __init__(self, packet: QuicPacket, retx: List[Tuple[Any, ...]]):
         self.packet = packet
-        self.size = size
-        self.ack_eliciting = ack_eliciting
+        self.pn = packet.packet_number
+        self.size = packet.encoded_len
+        self.ack_eliciting = packet.ack_eliciting
         self.retx = retx
         self._encoded: Optional[bytes] = None
 
@@ -116,8 +113,10 @@ class Connection:
             raise ProtocolError(f"role must be client or server, not {role!r}")
         self.role = role
         self.config = config or ConnectionConfig()
-        #: Frame budget of a full 1-RTT packet (cached off the hot path).
-        self._payload_budget = self.config.mtu_payload - short_header_overhead()
+        #: Max datagram size and the frame budget of a full 1-RTT packet
+        #: (cached off the hot path).
+        self._mtu_payload = self.config.mtu_payload
+        self._payload_budget = self._mtu_payload - short_header_overhead()
         self.cc = cc or NewReno(mtu=self._payload_budget)
         self.rtt = RttEstimator(max_ack_delay_ns=self.config.max_ack_delay_ns)
         self.recovery = LossRecovery(self.rtt)
@@ -153,6 +152,9 @@ class Connection:
             self.config.recv_conn_window, autotune=self.config.fc_autotune
         )
         self.stream_recv_limits: Dict[int, RecvLimit] = {}
+        #: Sum of every receive stream's highest received offset: what the
+        #: peer has used of the connection-level limit.
+        self._recv_offsets_total = 0
 
         self._control_frames: List[Frame] = []
         self.probe_packets_pending = 0
@@ -178,6 +180,7 @@ class Connection:
     # ------------------------------------------------------------------ setup
 
     def open_send_stream(self, stream_id: int, source: DataSource) -> SendStream:
+        """Every send stream has its flow-control limit from here on."""
         stream = SendStream(stream_id, source)
         self.send_streams[stream_id] = stream
         self._stream_send_limit(stream_id)
@@ -267,11 +270,9 @@ class Connection:
         3 CE). Undecodable datagrams are counted and dropped, like a real
         endpoint discarding packets that fail authentication or parsing.
         """
-        if type(data) is QuicPacket:
+        if data.__class__ is QuicPacket:
             packet = data
         else:
-            from repro.errors import EncodingError
-
             try:
                 packet = QuicPacket.decode(data)
             except EncodingError:
@@ -286,15 +287,17 @@ class Connection:
         self.packets_received += 1
         self.ack_mgr.record(packet.packet_number, packet.ack_eliciting, now)
         for frame in packet.frames:
-            self._process_frame(frame, now)
+            if isinstance(frame, StreamFrame):
+                self._process_stream(frame, now)
+            elif isinstance(frame, AckFrame):
+                self._process_ack(frame, now)
+            else:
+                self._process_other_frame(frame, now)
 
-    def _process_frame(self, frame: Frame, now: int) -> None:
-        if isinstance(frame, AckFrame):
-            self._process_ack(frame, now)
-        elif isinstance(frame, CryptoFrame):
+    def _process_other_frame(self, frame: Frame, now: int) -> None:
+        """Everything but the two frame types that make up a transfer."""
+        if isinstance(frame, CryptoFrame):
             self._process_crypto(frame, now)
-        elif isinstance(frame, StreamFrame):
-            self._process_stream(frame, now)
         elif isinstance(frame, MaxDataFrame):
             self.conn_send_limit.update_limit(frame.max_data)
         elif isinstance(frame, MaxStreamDataFrame):
@@ -321,8 +324,13 @@ class Connection:
                 result.spurious_pns, now, self.recovery.lost_packets_total
             )
         if result.newly_acked:
+            streams = self.send_streams
             for sp in result.newly_acked:
-                self._handle_acked_retx(sp)
+                for item in sp.retx or ():
+                    if item[0] == "stream":
+                        stream = streams.get(item[1])
+                        if stream is not None:
+                            stream.on_ack(item[2], item[3], item[4])
             self.cc.on_packets_acked(
                 result.newly_acked,
                 now,
@@ -336,14 +344,6 @@ class Connection:
             self._handle_lost(result.lost, now)
             if result.persistent_congestion:
                 self.cc.on_persistent_congestion(now)
-
-    def _handle_acked_retx(self, sp: SentPacket) -> None:
-        for item in sp.retx or ():
-            if item[0] == "stream":
-                _, sid, offset, length, fin = item
-                stream = self.send_streams.get(sid)
-                if stream is not None:
-                    stream.on_ack(offset, length, fin)
 
     def _handle_lost(self, lost: List[SentPacket], now: int) -> None:
         for sp in lost:
@@ -383,32 +383,29 @@ class Connection:
                 self._queue_crypto(self.config.client_finish_bytes)
 
     def _process_stream(self, frame: StreamFrame, now: int) -> None:
-        stream = self.recv_streams.get(frame.stream_id)
+        stream_id = frame.stream_id
+        stream = self.recv_streams.get(stream_id)
         if stream is None:
-            stream = RecvStream(frame.stream_id)
-            self.recv_streams[frame.stream_id] = stream
-            self.stream_recv_limits[frame.stream_id] = RecvLimit(
+            stream = RecvStream(stream_id)
+            self.recv_streams[stream_id] = stream
+            self.stream_recv_limits[stream_id] = RecvLimit(
                 self.config.recv_stream_window, autotune=self.config.fc_autotune
             )
-        end = frame.offset + len(frame.data)
-        slimit = self.stream_recv_limits[frame.stream_id]
-        slimit.check(end)
+        offset = frame.offset
+        length = frame.length
+        slimit = self.stream_recv_limits[stream_id]
+        slimit.check(offset + length)
+        conn_limit = self.conn_recv_limit
         prev_frontier = stream.delivered
-        new_bytes = stream.on_frame(frame.offset, len(frame.data), frame.fin)
-        if new_bytes:
-            self.conn_recv_limit.check(self._total_recv_offsets())
+        prev_highest = stream.highest_received
+        if stream.on_frame(offset, length, frame.fin):
+            self._recv_offsets_total += stream.highest_received - prev_highest
+            conn_limit.check(self._recv_offsets_total)
         # The application consumes data immediately in our workloads.
-        slimit.on_consumed(stream.delivered)
-        self.conn_recv_limit.on_consumed(
-            self.conn_recv_limit.consumed + (stream.delivered - prev_frontier)
-        )
-        if slimit.wants_update():
-            self._queue_max_stream_data(frame.stream_id, now)
-        if self.conn_recv_limit.wants_update():
+        if slimit.on_consumed(stream.delivered):
+            self._queue_max_stream_data(stream_id, now)
+        if conn_limit.on_consumed(conn_limit.consumed + (stream.delivered - prev_frontier)):
             self._queue_max_data(now)
-
-    def _total_recv_offsets(self) -> int:
-        return sum(s.highest_received for s in self.recv_streams.values())
 
     def _queue_max_data(self, now: int) -> None:
         limit = self.conn_recv_limit.next_limit(now, self.rtt.smoothed_rtt)
@@ -438,57 +435,68 @@ class Connection:
             self._close_pending = ConnectionCloseFrame(error_code, reason)
 
     def wants_to_send(self, now: int) -> bool:
-        """Anything to transmit right now (ignoring pacing)?"""
+        """Anything to transmit right now (ignoring pacing)? A pure query."""
         if self.closed:
             return False
         if self._close_pending is not None:
             return True
         if self.close_sent:
             return False
-        if self.probe_packets_pending:
-            return True
-        if self.ack_mgr.ack_pending and self.ack_mgr.should_ack_now(now):
-            return True
-        if self._control_frames or self._crypto_to_send or self._handshake_done_pending:
+        if (
+            self.probe_packets_pending
+            or self._control_frames
+            or self._crypto_to_send
+            or self._handshake_done_pending
+            or (self.ack_mgr.ack_pending and self.ack_mgr.should_ack_now(now))
+        ):
             return True
         return self._has_sendable_stream_data()
 
     def _has_sendable_stream_data(self) -> bool:
-        if self.cc.can_send(self.recovery.bytes_in_flight) < self.config.mtu_payload:
-            return False
+        """The first stream with data (new, retransmission or a bare FIN) is
+        not flow-control blocked and the window has room for a full packet."""
         for stream in self.send_streams.values():
-            if stream.has_retx:
-                return True
-            if stream.has_data:
-                if self.conn_send_limit.available <= 0:
-                    self.conn_send_limit.note_blocked()
+            if not stream.has_retx:  # a retransmission needs no new credit
+                new_bytes = stream.size - stream.next_offset
+                if new_bytes <= 0 and stream.fin_sent:
+                    continue  # nothing queued on this one
+                conn_limit = self.conn_send_limit
+                if conn_limit.limit <= conn_limit.used:
                     return False
-                slimit = self.stream_send_limits.get(stream.stream_id)
-                if slimit is not None and slimit.available <= 0 and stream.new_bytes_available:
-                    slimit.note_blocked()
-                    return False
-                return True
+                if new_bytes > 0:
+                    slimit = self.stream_send_limits[stream.stream_id]
+                    if slimit.limit <= slimit.used:
+                        return False
+            return self.cc.can_send(self.recovery.bytes_in_flight) >= self._mtu_payload
         return False
 
-    def has_stream_data_queued(self) -> bool:
-        """Data (new or retx) exists regardless of cwnd/flow limits."""
-        return any(s.has_data for s in self.send_streams.values())
-
-    def _fc_blocked(self) -> bool:
-        """New stream data exists but flow-control credit is exhausted."""
+    def _app_limited(self) -> bool:
+        """Nothing is queued on any stream, or flow control blocks the first
+        stream with new data before any retransmission is due."""
+        queued = False
+        conn_limit = self.conn_send_limit
         for stream in self.send_streams.values():
             if stream.has_retx:
                 return False
-            if stream.new_bytes_available > 0:
-                if self.conn_send_limit.available <= 0:
+            if stream.next_offset < stream.size:
+                if conn_limit.limit <= conn_limit.used:
                     return True
-                slimit = self.stream_send_limits.get(stream.stream_id)
-                if slimit is not None and slimit.available <= 0:
+                slimit = self.stream_send_limits[stream.stream_id]
+                if slimit.limit <= slimit.used:
                     return True
-        return False
+                queued = True
+            elif not stream.fin_sent:
+                queued = True
+        return not queued
 
     def build_packet(self, now: int) -> Optional[BuiltPacket]:
-        """Assemble the next packet, or None if nothing (or no window)."""
+        """Assemble the next packet, or None if nothing (or no window).
+
+        The packet's size and ack-elicitation are tallied here, while the
+        frames are chosen, and travel on the packet: ``budget`` is debited
+        the encoded length of every frame, and every ack-eliciting frame
+        leaves an entry in ``retx``.
+        """
         if self.closed:
             return None
         if self._close_pending is not None:
@@ -497,25 +505,23 @@ class Connection:
             self.close_sent = True
             packet = QuicPacket(PacketType.ONE_RTT, self.next_pn, [frame])
             self.next_pn += 1
-            return BuiltPacket(packet, packet.encoded_len, False, [])
+            return BuiltPacket(packet, [])
         if self.close_sent:
             return None
-        probe = False
-        if self.probe_packets_pending:
-            probe = True
+        probe = self.probe_packets_pending > 0
         frames: List[Frame] = []
         retx: List[Tuple[Any, ...]] = []
-        budget = self._payload_budget
+        full_budget = budget = self._payload_budget
 
-        include_ack = self.ack_mgr.ack_pending and (
-            self.ack_mgr.should_ack_now(now)
+        ack_mgr = self.ack_mgr
+        if ack_mgr.ack_pending and (
+            ack_mgr.should_ack_now(now)
             or self._crypto_to_send
             or self._control_frames
-            or self._has_sendable_stream_data()
             or probe
-        )
-        if include_ack:
-            ack = self.ack_mgr.build_ack(now)
+            or self._has_sendable_stream_data()
+        ):
+            ack = ack_mgr.build_ack(now)
             if ack is not None:
                 if self.config.ecn and any(self.ecn_received):
                     ack = AckFrame(
@@ -541,6 +547,8 @@ class Connection:
                 retx.append(("max_data",))
             elif isinstance(frame, MaxStreamDataFrame):
                 retx.append(("max_stream_data", frame.stream_id))
+            elif frame.ack_eliciting:
+                retx.append(("control",))
 
         packet_type = PacketType.ONE_RTT
         if self._crypto_to_send and budget > 32:
@@ -560,17 +568,20 @@ class Connection:
         # Stream data, limited by cwnd and flow control. Streams are served
         # round-robin (per packet) so concurrent transfers share the
         # connection fairly, like HTTP/3 stream multiplexing.
-        cwnd_room = self.cc.can_send(self.recovery.bytes_in_flight)
-        allow_data = probe or cwnd_room >= self.config.mtu_payload
-        if allow_data and self.send_streams:
-            if len(self.send_streams) == 1:
+        streams = self.send_streams
+        if (
+            budget >= 24
+            and streams
+            and (probe or self.cc.can_send(self.recovery.bytes_in_flight) >= self._mtu_payload)
+        ):
+            if len(streams) == 1:
                 # Single-transfer fast path: no rotation to compute, and the
                 # round-robin cursor is irrelevant with one stream.
-                (stream,) = self.send_streams.values()
-                if budget >= 24:
-                    budget = self._fill_stream_frames(stream, frames, retx, now, budget)
+                (stream,) = streams.values()
+                if stream.has_retx or stream.next_offset < stream.size or not stream.fin_sent:
+                    budget = self._fill_stream_frames(stream, frames, retx, budget)
             else:
-                order = list(self.send_streams.values())
+                order = list(streams.values())
                 start = self._stream_rr % len(order)
                 rotated = order[start:] + order[:start]
                 filled_any = False
@@ -578,64 +589,79 @@ class Connection:
                     if budget < 24:
                         break
                     before = budget
-                    budget = self._fill_stream_frames(stream, frames, retx, now, budget)
+                    budget = self._fill_stream_frames(stream, frames, retx, budget)
                     if budget < before and not filled_any:
                         filled_any = True
                         self._stream_rr = start + 1
 
-        if not frames and probe:
+        if not frames:
+            if not probe:
+                return None
             frames.append(PingFrame())
             retx.append(("ping",))
             budget -= 1
 
-        if not frames:
-            return None
-
         if probe:
-            self.probe_packets_pending = max(0, self.probe_packets_pending - 1)
+            self.probe_packets_pending -= 1
 
+        payload_len = full_budget - budget
         if packet_type is PacketType.INITIAL:
-            current = self._payload_budget - budget
-            pad = self.config.initial_pad_to - current
+            pad = self.config.initial_pad_to - payload_len
             if pad > 0:
                 frames.append(PaddingFrame(pad))
+                payload_len += pad
 
-        packet = QuicPacket(packet_type, self.next_pn, frames)
+        packet = QuicPacket(
+            packet_type,
+            self.next_pn,
+            frames,
+            ack_eliciting=bool(retx),
+            encoded_len=packet_len(packet_type, payload_len),
+        )
         self.next_pn += 1
-        return BuiltPacket(packet, packet.encoded_len, packet.ack_eliciting, retx)
+        return BuiltPacket(packet, retx)
 
     def _fill_stream_frames(
         self,
         stream: SendStream,
         frames: List[Frame],
         retx: List[Tuple[Any, ...]],
-        now: int,
         budget: int,
     ) -> int:
         """Append STREAM frames for ``stream``; returns the remaining budget."""
         stream_id = stream.stream_id
-        slimit = self._stream_send_limit(stream_id)
+        slimit = self.stream_send_limits[stream_id]
         conn_limit = self.conn_send_limit
-        while budget >= 24 and stream.has_data:
+        # A synthetic all-zero source is sent as byte counts (see StreamFrame).
+        as_length = stream.source.fill == 0
+        while budget >= 24 and (
+            stream.has_retx or stream.next_offset < stream.size or not stream.fin_sent
+        ):
             probe_len = budget - StreamFrame.header_overhead(
                 stream_id, stream.next_offset or 1, budget
             )
             if probe_len <= 0:
                 break
-            max_new = min(probe_len, conn_limit.available, slimit.available)
             if stream.has_retx:
                 chunk = stream.next_chunk(probe_len)
-            elif max_new > 0 or (
-                stream.new_bytes_available == 0 and not stream.fin_sent
-            ):
-                chunk = stream.next_chunk(max_new if max_new > 0 else 0)
             else:
-                chunk = None
+                max_new = min(
+                    probe_len,
+                    conn_limit.limit - conn_limit.used,
+                    slimit.limit - slimit.used,
+                )
+                if max_new > 0:
+                    chunk = stream.next_chunk(max_new)
+                elif stream.next_offset >= stream.size and not stream.fin_sent:
+                    chunk = stream.next_chunk(0)
+                else:
+                    chunk = None
             if chunk is None:
                 break
             offset, length, fin, is_retx = chunk
-            data = stream.read(offset, length)
-            frame = StreamFrame(stream_id, offset, data, fin)
+            frame = StreamFrame(
+                stream_id, offset, length if as_length else stream.read(offset, length), fin
+            )
             frames.append(frame)
             retx.append(("stream", stream_id, offset, length, fin))
             budget -= frame.encoded_len
@@ -651,27 +677,23 @@ class Connection:
 
     def on_packet_sent(self, built: BuiltPacket, now: int) -> None:
         """Register a built packet as sent (driver calls this at write time)."""
-        in_flight = built.ack_eliciting
-        sp = SentPacket(
-            pn=built.packet.packet_number,
-            time_sent=now,
-            size=built.size,
-            ack_eliciting=built.ack_eliciting,
-            in_flight=in_flight,
-            retx=built.retx,
-        )
+        recovery = self.recovery
+        size = built.size
+        eliciting = built.ack_eliciting
+        # The record outlives the wire packet (an ACK-only packet is never
+        # acknowledged), so it keeps the numbers and not the frames.
+        sp = SentPacket(built.pn, now, size, eliciting, eliciting, built.retx)
         # App-limited marking (RFC 9002 §7.8): the window is underutilized
         # because the application has no data or flow control blocks it.
         # Controllers skip window growth for such packets, and BBR discounts
         # their rate samples.
-        self.recovery.app_limited = (
-            self.cc.can_send(self.recovery.bytes_in_flight + built.size) > 0
-            and (not self.has_stream_data_queued() or self._fc_blocked())
+        recovery.app_limited = (
+            self._app_limited() and self.cc.can_send(recovery.bytes_in_flight + size) > 0
         )
-        self.recovery.on_packet_sent(sp, now)
-        self.cc.on_packet_sent(sp, self.recovery.bytes_in_flight, now)
+        recovery.on_packet_sent(sp, now)
+        self.cc.on_packet_sent(sp, recovery.bytes_in_flight, now)
         self.packets_sent += 1
-        self.bytes_sent += built.size
+        self.bytes_sent += size
 
     # ------------------------------------------------------------- queries
 

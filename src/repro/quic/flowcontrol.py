@@ -23,7 +23,6 @@ class SendLimit:
     def __init__(self, initial_limit: int):
         self.limit = initial_limit
         self.used = 0
-        self.blocked_events = 0
 
     @property
     def available(self) -> int:
@@ -31,7 +30,7 @@ class SendLimit:
         return credit if credit > 0 else 0
 
     def consume(self, nbytes: int) -> None:
-        if nbytes > self.available:
+        if nbytes > self.limit - self.used:
             raise FlowControlError(
                 f"attempt to consume {nbytes}B with only {self.available}B of credit"
             )
@@ -43,9 +42,6 @@ class SendLimit:
             self.limit = new_limit
             return True
         return False
-
-    def note_blocked(self) -> None:
-        self.blocked_events += 1
 
 
 class RecvLimit:
@@ -72,9 +68,12 @@ class RecvLimit:
                 f"peer wrote to offset {end_offset} beyond advertised {self.advertised}"
             )
 
-    def on_consumed(self, new_consumed: int) -> None:
+    def on_consumed(self, new_consumed: int) -> bool:
+        """The application read up to ``new_consumed``; returns
+        :meth:`wants_update`."""
         if new_consumed > self.consumed:
             self.consumed = new_consumed
+        return self.advertised - self.consumed < self.window // 2
 
     def wants_update(self) -> bool:
         return self.advertised - self.consumed < self.window // 2

@@ -32,6 +32,8 @@ TYPE_HANDSHAKE_DONE: Final[int] = 0x1E
 class Frame:
     """Base frame."""
 
+    __slots__ = ()
+
     #: Frames that count as ack-eliciting (everything except ACK/PADDING/CLOSE).
     ack_eliciting: bool = True
 
@@ -108,11 +110,6 @@ class AckFrame(Frame):
 
     @property
     def encoded_len(self) -> int:
-        # Queried repeatedly while budgeting a packet; the frame is frozen,
-        # so the length is computed once and cached.
-        cached = self.__dict__.get("_encoded_len")
-        if cached is not None:
-            return cached
         first_lo, first_hi = self.ranges[0]
         n = (
             1
@@ -123,12 +120,14 @@ class AckFrame(Frame):
         )
         prev_lo = first_lo
         for lo, hi in self.ranges[1:]:
-            n += varint_len(prev_lo - hi - 2) + varint_len(hi - lo)
+            # Gaps and range lengths are nearly always one-byte varints.
+            gap = prev_lo - hi - 2
+            n += 1 if 0 <= gap <= 0x3F else varint_len(gap)
+            n += 1 if 0 <= hi - lo <= 0x3F else varint_len(hi - lo)
             prev_lo = lo
         if self.ecn_counts is not None:
             for count in self.ecn_counts:
                 n += varint_len(count)
-        self.__dict__["_encoded_len"] = n
         return n
 
     def acked_packet_numbers(self) -> List[int]:
@@ -157,12 +156,31 @@ class CryptoFrame(Frame):
         return 1 + varint_len(self.offset) + varint_len(len(self.data)) + len(self.data)
 
 
-@dataclass(frozen=True)
 class StreamFrame(Frame):
-    stream_id: int
-    offset: int
-    data: bytes
-    fin: bool = False
+    """STREAM frame, always encoded with the LEN bit.
+
+    ``data`` is the payload: the bytes themselves on a parsed frame, or just
+    their count on a frame the sender assembles from a synthetic
+    :class:`~repro.quic.stream.DataSource` — the receiver only ever measures
+    the payload, so those zero bytes exist nowhere until :meth:`encode`
+    writes them. ``length`` and ``encoded_len`` are fixed at construction.
+    Frames are equal when they encode to the same bytes.
+    """
+
+    __slots__ = ("stream_id", "offset", "data", "fin", "length", "encoded_len")
+
+    def __init__(self, stream_id: int, offset: int, data: "bytes | int", fin: bool = False):
+        length = data if data.__class__ is int else len(data)
+        self.stream_id = stream_id
+        self.offset = offset
+        self.data = data
+        self.fin = fin
+        self.length = length
+        self.encoded_len = self.header_overhead(stream_id, offset, length) + length
+
+    def payload(self) -> bytes:
+        data = self.data
+        return bytes(data) if data.__class__ is int else data
 
     def encode(self) -> bytes:
         flags = TYPE_STREAM_BASE | 0x02  # LEN always set
@@ -174,20 +192,26 @@ class StreamFrame(Frame):
         out += encode_varint(self.stream_id)
         if self.offset:
             out += encode_varint(self.offset)
-        out += encode_varint(len(self.data))
-        out += self.data
+        out += encode_varint(self.length)
+        out += self.payload()
         return bytes(out)
 
-    @property
-    def encoded_len(self) -> int:
-        cached = self.__dict__.get("_encoded_len")
-        if cached is not None:
-            return cached
-        n = 1 + varint_len(self.stream_id) + varint_len(len(self.data)) + len(self.data)
-        if self.offset:
-            n += varint_len(self.offset)
-        self.__dict__["_encoded_len"] = n
-        return n
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StreamFrame:
+            return NotImplemented
+        return (
+            self.stream_id == other.stream_id
+            and self.offset == other.offset
+            and self.fin == other.fin
+            and self.length == other.length
+            and self.payload() == other.payload()
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamFrame(stream_id={self.stream_id}, offset={self.offset}, "
+            f"length={self.length}, fin={self.fin})"
+        )
 
     @staticmethod
     def header_overhead(stream_id: int, offset: int, data_len: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Final, List, Sequence
+from typing import Dict, Final, List, Optional
 
 from repro.errors import EncodingError
 from repro.quic.frames import Frame, parse_frames
@@ -61,6 +61,13 @@ def short_header_overhead() -> int:
     return _SHORT_HEADER_OVERHEAD
 
 
+def packet_len(packet_type: PacketType, payload_len: int) -> int:
+    """Wire size of a packet whose frames encode to ``payload_len`` bytes."""
+    if packet_type is PacketType.ONE_RTT:
+        return payload_len + _SHORT_HEADER_OVERHEAD
+    return payload_len + long_header_overhead(payload_len)
+
+
 def long_header_overhead(payload_len: int) -> int:
     length_field = len(encode_varint(payload_len + PACKET_NUMBER_LEN + AEAD_TAG_LEN))
     return 1 + 4 + 1 + CONNECTION_ID_LEN + 1 + CONNECTION_ID_LEN + length_field + (
@@ -68,25 +75,34 @@ def long_header_overhead(payload_len: int) -> int:
     )
 
 
-@dataclass
+_ZERO_CID: Final[bytes] = b"\x00" * CONNECTION_ID_LEN
+
+
+@dataclass(slots=True)
 class QuicPacket:
-    """A parsed or to-be-encoded QUIC packet."""
+    """A parsed or to-be-encoded QUIC packet.
+
+    ``ack_eliciting`` and ``encoded_len`` are facts of the frame list, fixed
+    at construction. The connection passes what it tallied while assembling
+    the packet; everyone else (the parser, tests) leaves them out and they
+    are derived from ``frames`` once.
+    """
 
     packet_type: PacketType
     packet_number: int
     frames: List[Frame] = field(default_factory=list)
-    dcid: bytes = b"\x00" * CONNECTION_ID_LEN
-    scid: bytes = b"\x00" * CONNECTION_ID_LEN
+    dcid: bytes = _ZERO_CID
+    scid: bytes = _ZERO_CID
+    ack_eliciting: Optional[bool] = field(default=None, compare=False, kw_only=True)
+    encoded_len: Optional[int] = field(default=None, compare=False, kw_only=True)
 
-    @property
-    def ack_eliciting(self) -> bool:
-        # Cached: sender and receiver both query it, and with packets passed
-        # by object between stacks the same instance answers both.
-        cached = self.__dict__.get("_ack_eliciting")
-        if cached is None:
-            cached = any(f.ack_eliciting for f in self.frames)
-            self.__dict__["_ack_eliciting"] = cached
-        return cached
+    def __post_init__(self) -> None:
+        if self.ack_eliciting is None:
+            self.ack_eliciting = any(f.ack_eliciting for f in self.frames)
+        if self.encoded_len is None:
+            self.encoded_len = packet_len(
+                self.packet_type, sum(f.encoded_len for f in self.frames)
+            )
 
     def payload_bytes(self) -> bytes:
         return b"".join(f.encode() for f in self.frames)
@@ -108,15 +124,6 @@ class QuicPacket:
             return bytes(out)
         flags = 0x40 | (PACKET_NUMBER_LEN - 1)
         return bytes([flags]) + self.dcid + pn + payload + tag
-
-    @property
-    def encoded_len(self) -> int:
-        payload_len = 0
-        for f in self.frames:
-            payload_len += f.encoded_len
-        if self.packet_type is not PacketType.ONE_RTT:
-            return payload_len + long_header_overhead(payload_len)
-        return payload_len + _SHORT_HEADER_OVERHEAD
 
     @classmethod
     def decode(cls, data: bytes | memoryview) -> "QuicPacket":

@@ -30,7 +30,7 @@ K_GRANULARITY = ms(1)
 LOST_HISTORY_LIMIT = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class SentPacket:
     pn: int
     time_sent: int
@@ -47,7 +47,7 @@ class SentPacket:
     is_app_limited: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class RateSample:
     """One delivery-rate sample, fed to BBR."""
 
@@ -58,8 +58,9 @@ class RateSample:
     rtt_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AckResult:
+    #: Ascending by packet number.
     newly_acked: List[SentPacket] = field(default_factory=list)
     lost: List[SentPacket] = field(default_factory=list)
     spurious_pns: List[int] = field(default_factory=list)
@@ -84,6 +85,8 @@ class LossRecovery:
         self.lost_packets_total: int = 0
         self.acked_packets_total: int = 0
         self._lost_history: Dict[int, int] = {}  # pn -> declared-lost time
+        #: Its keys ascending; None after the history changed.
+        self._lost_sorted: Optional[List[int]] = None
 
         # Delivery-rate tracking (RACK/BBR style).
         self.delivered: int = 0
@@ -94,6 +97,8 @@ class LossRecovery:
     # -- sending ------------------------------------------------------------
 
     def on_packet_sent(self, sp: SentPacket, now: int) -> None:
+        """Track ``sp``. Packet numbers must arrive in ascending order:
+        ``sent`` keeps insertion order and ACK processing relies on it."""
         sp.delivered = self.delivered
         sp.delivered_time = self.delivered_time or now
         sp.first_sent_time = self.first_sent_time or now
@@ -111,16 +116,14 @@ class LossRecovery:
     # -- ACK processing --------------------------------------------------------
 
     def on_ack_frame(self, ack: AckFrame, now: int) -> AckResult:
-        result = AckResult()
-        newly: List[SentPacket] = []
-        self._prune_lost_history(now)
         # ACK frames re-cover everything ever received, but almost all of it
         # was acked before: only packets still tracked (outstanding or
         # recently declared lost) can change state. Walk the *tracked* sets
         # against the ranges instead of every covered packet number — the
         # ``sent`` dict is keyed in ascending-pn insertion order, so a single
-        # merge pass over (sorted ranges x sent keys) is O(outstanding) and
-        # exits as soon as the keys pass the highest range.
+        # merge pass over (sorted ranges x sent keys) is O(outstanding), exits
+        # as soon as the keys pass the highest range and yields the newly
+        # acked packets already ascending.
         sent = self.sent
         ascending = ack.ranges[::-1]  # wire order is descending by hi
         ri = 0
@@ -133,25 +136,33 @@ class LossRecovery:
                 break
             if pn >= ascending[ri][0]:
                 acked_pns.append(pn)
-        for pn in acked_pns:
-            newly.append(sent.pop(pn))
+        pop = sent.pop
+        newly = [pop(pn) for pn in acked_pns]
+        spurious: List[int] = []
         if self._lost_history:
-            # Spurious losses: declared-lost packets the ACK now covers.
-            # Reported in the original scan order (descending ranges,
-            # ascending pn within each range).
-            lost_sorted = sorted(self._lost_history)
+            self._prune_lost_history(now)
+            # Spurious losses: declared-lost packets the ACK now covers,
+            # reported range by range (descending), ascending within a range.
+            # Lost packets sit in the gaps between ranges, so nearly every
+            # range finds none.
+            lost_sorted = self._lost_sorted
+            if lost_sorted is None:
+                lost_sorted = self._lost_sorted = sorted(self._lost_history)
             for lo, hi in ack.ranges:
-                for pn in lost_sorted[bisect_left(lost_sorted, lo):bisect_right(lost_sorted, hi)]:
-                    if pn in self._lost_history:
-                        del self._lost_history[pn]
-                        result.spurious_pns.append(pn)
-        if not newly and not result.spurious_pns:
+                i = bisect_left(lost_sorted, lo)
+                if i < len(lost_sorted) and lost_sorted[i] <= hi:
+                    for pn in lost_sorted[i:bisect_right(lost_sorted, hi)]:
+                        if pn in self._lost_history:
+                            del self._lost_history[pn]
+                            spurious.append(pn)
+            if spurious:
+                self._lost_sorted = None
+        result = AckResult(newly, [], spurious)
+        if not newly and not spurious:
             return result
-        newly.sort(key=lambda sp: sp.pn)
-        result.newly_acked = newly
         if newly:
-            result.largest_newly_acked = newly[-1].pn
             largest_sp = newly[-1]
+            result.largest_newly_acked = largest_sp.pn
             if largest_sp.pn > self.largest_acked:
                 self.largest_acked = largest_sp.pn
             if largest_sp.pn == ack.largest and largest_sp.ack_eliciting:
@@ -162,8 +173,8 @@ class LossRecovery:
                     self.bytes_in_flight -= sp.size
                 if sp.ack_eliciting:
                     self.ack_eliciting_in_flight -= 1
-                self.acked_packets_total += 1
                 self.delivered += sp.size
+            self.acked_packets_total += len(newly)
             self.delivered_time = now
             result.rate_sample = self._make_rate_sample(largest_sp, now)
             # Delivery-rate algorithm: the next send interval is measured from
@@ -173,7 +184,7 @@ class LossRecovery:
         result.lost = self._detect_lost(now)
         if result.lost:
             result.persistent_congestion = self._is_persistent_congestion(
-                result.lost, result.newly_acked
+                result.lost, newly
             )
         return result
 
@@ -203,11 +214,11 @@ class LossRecovery:
         if interval <= 0 or delivered <= 0:
             return None
         return RateSample(
-            delivery_rate_bps=delivered * 8 * 1e9 / interval,
-            interval_ns=interval,
-            delivered_bytes=delivered,
-            is_app_limited=sp.is_app_limited,
-            rtt_ns=max(now - sp.time_sent, 1),
+            delivered * 8 * 1e9 / interval,
+            interval,
+            delivered,
+            sp.is_app_limited,
+            max(now - sp.time_sent, 1),
         )
 
     # -- loss detection -------------------------------------------------------
@@ -218,18 +229,19 @@ class LossRecovery:
 
     def _detect_lost(self, now: int) -> List[SentPacket]:
         self.loss_time = None
-        if self.largest_acked < 0:
-            return []
         lost: List[SentPacket] = []
-        delay = self._loss_delay()
-        threshold_time = now - delay
+        largest_acked = self.largest_acked
         # Packets are tracked in send (insertion) order, so candidates below
         # largest_acked sit at the front; stop at the first newer one.
         candidates: List[int] = []
         for pn in self.sent:
-            if pn >= self.largest_acked:
+            if pn >= largest_acked:
                 break
             candidates.append(pn)
+        if not candidates:
+            return lost
+        delay = self._loss_delay()
+        threshold_time = now - delay
         for pn in candidates:
             sp = self.sent[pn]
             if sp.time_sent <= threshold_time or self.largest_acked - pn >= K_PACKET_THRESHOLD:
@@ -254,9 +266,11 @@ class LossRecovery:
             if declared >= horizon:
                 break
             del self._lost_history[pn]
+            self._lost_sorted = None
 
     def _remember_lost(self, pn: int, now: int) -> None:
         self._lost_history[pn] = now
+        self._lost_sorted = None
         if len(self._lost_history) > LOST_HISTORY_LIMIT:
             # Drop the oldest half to amortize the cleanup.
             for key in list(self._lost_history)[: LOST_HISTORY_LIMIT // 2]:

@@ -34,34 +34,28 @@ class SendStream:
     def __init__(self, stream_id: int, source: DataSource):
         self.stream_id = stream_id
         self.source = source
-        self.next_offset = 0  # next never-sent byte
+        self.size = source.size
+        self.next_offset = 0  # next never-sent byte, never past ``size``
         self.acked = RangeSet()
         self.fin_sent = False
         self.fin_acked = False
         self._retx: List[List[int]] = []  # [start, end) queue, FIFO-ish sorted
+        #: ``_retx`` is non-empty. A plain attribute (like ``size``,
+        #: ``next_offset`` and ``fin_sent``) because the connection reads it
+        #: several times per packet.
+        self.has_retx = False
         self.retx_bytes_total = 0
 
     # -- what can we send -------------------------------------------------
 
     @property
-    def size(self) -> int:
-        return self.source.size
-
-    @property
-    def has_retx(self) -> bool:
-        return bool(self._retx)
-
-    @property
     def new_bytes_available(self) -> int:
-        remaining = self.source.size - self.next_offset
-        return remaining if remaining > 0 else 0
+        return self.size - self.next_offset
 
     @property
     def has_data(self) -> bool:
         # retx pending, unsent bytes remaining, or a bare FIN still to send.
-        if self._retx:
-            return True
-        return self.next_offset < self.source.size or not self.fin_sent
+        return self.has_retx or self.next_offset < self.size or not self.fin_sent
 
     @property
     def all_acked(self) -> bool:
@@ -90,6 +84,7 @@ class SendStream:
             take = min(max_len, end - start)
             if take == end - start:
                 self._retx.pop(0)
+                self.has_retx = bool(self._retx)
             else:
                 self._retx[0][0] = start + take
             fin = (start + take) >= self.size
@@ -131,6 +126,7 @@ class SendStream:
             self.fin_sent = False
 
     def _queue_retx(self, start: int, end: int) -> None:
+        self.has_retx = True
         self.retx_bytes_total += end - start
         # Merge with an adjacent tail entry when possible; otherwise append.
         for entry in self._retx:
@@ -159,6 +155,7 @@ class RecvStream:
         self.received = RangeSet()
         self.final_size: Optional[int] = None
         self.delivered = 0  # contiguous bytes handed to the application
+        self.highest_received = 0  # one past the highest byte received
         self.bytes_received_total = 0  # includes retransmitted duplicates
 
     def on_frame(self, offset: int, length: int, fin: bool) -> int:
@@ -172,16 +169,16 @@ class RecvStream:
             self.final_size = end
         elif self.final_size is not None and offset + length > self.final_size:
             raise ProtocolError("data past final size")
+        if not length:
+            return 0
         self.bytes_received_total += length
-        new = self.received.add(offset, offset + length) if length else 0
+        end = offset + length
+        if end > self.highest_received:
+            self.highest_received = end
+        new = self.received.add(offset, end)
         self.delivered = self.received.first_gap_from(0)
         return new
 
     @property
     def complete(self) -> bool:
         return self.final_size is not None and self.delivered >= self.final_size
-
-    @property
-    def highest_received(self) -> int:
-        # Ranges are sorted and disjoint, so the frontier is the last end.
-        return self.received.upper

@@ -130,9 +130,10 @@ class ServerDriver(SimProcess):
         woke_by_ack = bool(socket.rx_pending)
         if woke_by_ack:
             for dgram in socket.recv_all():
-                conn.on_datagram(dgram.payload, now, ecn=dgram.ecn)
+                conn.on_datagram(dgram.payload, now, dgram.ecn)
         conn.on_timeout(now)
-        self._maybe_start_response()
+        if len(self._responded) < len(conn.recv_streams):  # a request is unanswered
+            self._maybe_start_response()
         self._do_send(now, on_ack_wake=woke_by_ack)
         self._rearm(now)
 
@@ -230,26 +231,19 @@ class ServerDriver(SimProcess):
             built = conn.build_packet(now)
             if built is None:
                 break
+            size = built.size
             txtime = None
             expected = now
             if stamp_txtime and built.ack_eliciting:
-                txtime = pacer.release_time(now, built.size)
+                # Nothing touched the pacer since the horizon check above.
+                txtime = release if size == mtu else pacer.release_time(now, size)
                 if min_offset:
                     txtime = max(txtime, now + min_offset)
-                pacer.commit(txtime, built.size)
+                pacer.commit(txtime, size)
                 expected = txtime
             conn.on_packet_sent(built, now)
-            self.expected_send_log.append((built.packet.packet_number, expected))
-            specs.append(
-                SendSpec(
-                    payload=built.packet,
-                    payload_size=built.size,
-                    txtime_ns=txtime,
-                    expected_send_ns=expected,
-                    packet_number=built.packet.packet_number,
-                    ecn=ecn,
-                )
-            )
+            self.expected_send_log.append((built.pn, expected))
+            specs.append(SendSpec(built.packet, size, txtime, expected, built.pn, ecn))
         return specs
 
     def _write(self, specs: List[SendSpec]) -> None:
@@ -306,28 +300,24 @@ class ServerDriver(SimProcess):
             if self.conn.wants_to_send(now):
                 self._pacer_deadline = self.pacer.release_time(now, threshold)
             return
+        conn = self.conn
+        pacer = self.pacer
+        ecn = 2 if conn.config.ecn else 0
         sent = 0
-        while sent < MAX_PACKETS_PER_WAKEUP and self.conn.wants_to_send(now):
-            release = self.pacer.release_time(now, mtu)
+        while sent < MAX_PACKETS_PER_WAKEUP and conn.wants_to_send(now):
+            release = pacer.release_time(now, mtu)
             if release > now:
                 self._pacer_deadline = release
                 break
-            built = self.conn.build_packet(now)
+            built = conn.build_packet(now)
             if built is None:
                 break
             if built.ack_eliciting:
-                self.pacer.commit(now, built.size)
-            self.conn.on_packet_sent(built, now)
-            self.expected_send_log.append((built.packet.packet_number, release))
+                pacer.commit(now, built.size)
+            conn.on_packet_sent(built, now)
+            self.expected_send_log.append((built.pn, release))
             self.socket.sendmsg(
-                SendSpec(
-                    payload=built.packet,
-                    payload_size=built.size,
-                    txtime_ns=None,
-                    expected_send_ns=release,
-                    packet_number=built.packet.packet_number,
-                    ecn=2 if self.conn.config.ecn else 0,
-                )
+                SendSpec(built.packet, built.size, None, release, built.pn, ecn)
             )
             sent += 1
 

@@ -57,7 +57,7 @@ class ClientDriver(SimProcess):
         if socket.rx_pending:
             received = True
             for dgram in socket.recv_all():
-                conn.on_datagram(dgram.payload, now, ecn=dgram.ecn)
+                conn.on_datagram(dgram.payload, now, dgram.ecn)
         conn.on_timeout(now)
         if not self.request_sent:
             self._maybe_send_request(now)
@@ -97,19 +97,14 @@ class ClientDriver(SimProcess):
             self.conn.close(0, b"download complete")
 
     def _send_pending(self, now: int) -> None:
+        conn = self.conn
         sent = 0
-        while sent < 64 and self.conn.wants_to_send(now):
-            built = self.conn.build_packet(now)
+        while sent < 64 and conn.wants_to_send(now):
+            built = conn.build_packet(now)
             if built is None:
                 break
-            self.conn.on_packet_sent(built, now)
-            self.socket.sendmsg(
-                SendSpec(
-                    payload=built.packet,
-                    payload_size=built.size,
-                    packet_number=built.packet.packet_number,
-                )
-            )
+            conn.on_packet_sent(built, now)
+            self.socket.sendmsg(SendSpec(built.packet, built.size, packet_number=built.pn))
             sent += 1
 
     @property

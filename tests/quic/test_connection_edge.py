@@ -125,3 +125,31 @@ def test_bytes_conservation_over_lossless_transfer():
     # No loss: zero retransmitted stream bytes, no duplicates received.
     assert server.stream_bytes_retx == 0
     assert stream.bytes_received_total == size
+
+
+def test_wants_to_send_is_a_pure_query_when_flow_control_blocks():
+    """Asking must not change the connection: how often a driver polls is a
+    property of its event loop, not of flow control."""
+    import pickle
+
+    server, client = make_pair(peer_max_data=kib(4), peer_max_stream_data=kib(4))
+    complete_handshake(server, client)
+    server.open_send_stream(0, DataSource(kib(64)))
+    now = ms(1)
+    while server.wants_to_send(now):
+        server.on_packet_sent(server.build_packet(now), now)
+    # The window has room, data is queued, and only the peer's limit blocks.
+    assert server.cc.can_send(server.recovery.bytes_in_flight) >= server.config.mtu_payload
+    assert server.send_streams[0].has_data
+    assert server.conn_send_limit.available == 0
+
+    def limits():
+        return [dict(vars(server.conn_send_limit))] + [
+            dict(vars(limit)) for limit in server.stream_send_limits.values()
+        ]
+
+    before, limits_before = pickle.dumps(server), limits()
+    assert not server.wants_to_send(now)
+    assert not server.wants_to_send(now)
+    assert limits() == limits_before
+    assert pickle.dumps(server) == before

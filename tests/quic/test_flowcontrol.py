@@ -25,12 +25,6 @@ class TestSendLimit:
         assert not sl.update_limit(150)  # stale MAX_DATA ignored
         assert sl.limit == 200
 
-    def test_blocked_counter(self):
-        sl = SendLimit(0)
-        sl.note_blocked()
-        sl.note_blocked()
-        assert sl.blocked_events == 2
-
 
 class TestRecvLimit:
     def test_check_rejects_beyond_advertised(self):

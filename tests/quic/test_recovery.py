@@ -177,3 +177,21 @@ def test_oldest_unacked():
     rec.on_packet_sent(mk(3, 0), 0)
     rec.on_packet_sent(mk(4, 1), 1)
     assert rec.oldest_unacked().pn == 3
+
+
+def test_newly_acked_is_ascending_under_a_reordered_multi_range_ack():
+    """``sent`` keeps send order and the merge pass walks it once, so the
+    newly acked packets come out ascending by packet number with no sort —
+    the congestion controllers take ``newly_acked[-1]`` as the largest."""
+    rec = fresh()
+    for pn in range(10):
+        rec.on_packet_sent(mk(pn, pn * 10), pn * 10)
+    # Wire order is descending; 0, 1 and 4 fall to the packet threshold, 7 waits.
+    first = rec.on_ack_frame(ack_frame((8, 9), (5, 6), (2, 3)), ms(40))
+    assert [sp.pn for sp in first.newly_acked] == [2, 3, 5, 6, 8, 9]
+    assert first.largest_newly_acked == 9
+    assert [sp.pn for sp in first.lost] == [0, 1, 4]
+    # The reordered stragglers arrive: 7 is newly acked, 4 and 0 were spurious.
+    second = rec.on_ack_frame(ack_frame((2, 9), (0, 0)), ms(41))
+    assert [sp.pn for sp in second.newly_acked] == [7]
+    assert second.spurious_pns == [4, 0]
