@@ -7,7 +7,10 @@ tests. Ranges are half-open ``[start, end)`` over non-negative integers.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, List, Tuple
+
+_start = itemgetter(0)
 
 
 class RangeSet:
@@ -33,8 +36,7 @@ class RangeSet:
         if start > last[1]:
             ranges.append([start, end])
             return end - start
-        starts: List[int] = [r[0] for r in ranges]
-        i: int = bisect_left(starts, start)
+        i: int = bisect_left(ranges, start, key=_start)
         # The predecessor may overlap or touch.
         if i > 0 and ranges[i - 1][1] >= start:
             i -= 1
@@ -51,17 +53,27 @@ class RangeSet:
         return max(added, 0)
 
     def contains(self, value: int) -> bool:
-        starts = [r[0] for r in self._ranges]
-        i = bisect_left(starts, value + 1) - 1
+        i = bisect_left(self._ranges, value + 1, key=_start) - 1
         return i >= 0 and self._ranges[i][0] <= value < self._ranges[i][1]
 
     def covers(self, start: int, end: int) -> bool:
         """True if the whole of ``[start, end)`` is present."""
         if end <= start:
             return True
-        starts = [r[0] for r in self._ranges]
-        i = bisect_left(starts, start + 1) - 1
+        i = bisect_left(self._ranges, start + 1, key=_start) - 1
         return i >= 0 and self._ranges[i][0] <= start and self._ranges[i][1] >= end
+
+    def discard_below(self, bound: int) -> None:
+        """Forget every value ``< bound``, trimming a range that straddles it."""
+        ranges = self._ranges
+        if not ranges or ranges[0][0] >= bound:
+            return
+        drop = 0
+        while drop < len(ranges) and ranges[drop][1] <= bound:
+            drop += 1
+        del ranges[:drop]
+        if ranges and ranges[0][0] < bound:
+            ranges[0][0] = bound
 
     def first_gap_from(self, start: int) -> int:
         """Smallest value >= start not in the set (the contiguous frontier)."""

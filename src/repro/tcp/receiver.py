@@ -12,7 +12,7 @@ from typing import Optional
 from repro.kernel.socket import SendSpec, UdpSocket
 from repro.quic.ranges import RangeSet
 from repro.sim.engine import Simulator
-from repro.tcp.segment import TcpSegment
+from repro.tcp.segment import MAX_SACK_BLOCKS, TcpSegment
 from repro.units import ms
 
 DELAYED_ACK_TIMEOUT = ms(40)
@@ -29,7 +29,7 @@ class TcpReceiver:
         self.fin_seq: Optional[int] = None
         self.rcv_nxt = 0
         self._unacked_segments = 0
-        # Reusable delayed-ACK timer (RFC 1122 200 ms).
+        # Reusable delayed-ACK timer (40 ms, as Linux).
         self._delack_timer = sim.timer(self._send_ack)
         self._detached = False
         self.first_data_at: Optional[int] = None
@@ -56,7 +56,7 @@ class TcpReceiver:
             self.fin_seq = segment.seq + segment.length
         old_rcv_nxt = self.rcv_nxt
         self.rcv_nxt = self.received.first_gap_from(0)
-        out_of_order = segment.seq > old_rcv_nxt or self.rcv_nxt < self._highest_seen()
+        out_of_order = segment.seq > old_rcv_nxt or self.rcv_nxt < self.received.upper
         if (
             self.completed_at is None
             and self.fin_seq is not None
@@ -69,14 +69,10 @@ class TcpReceiver:
         elif not self._delack_timer.armed:
             self._delack_timer.schedule(DELAYED_ACK_TIMEOUT)
 
-    def _highest_seen(self) -> int:
-        high = 0
-        for _lo, hi in self.received:
-            high = max(high, hi)
-        return high
-
     def _sack_blocks(self) -> tuple:
         """Up to three received ranges above the cumulative ACK (RFC 2018)."""
+        if self.received.upper <= self.rcv_nxt:
+            return ()
         blocks = [
             (lo, hi)
             for lo, hi in self.received
@@ -84,7 +80,7 @@ class TcpReceiver:
         ]
         # Highest (most recent) blocks first, as real stacks report them.
         blocks.sort(key=lambda b: -b[1])
-        return tuple(blocks[:3])
+        return tuple(blocks[:MAX_SACK_BLOCKS])
 
     def detach(self) -> None:
         """Tear down on flow departure: no further timers may fire."""
@@ -94,14 +90,9 @@ class TcpReceiver:
     def _send_ack(self) -> None:
         self._delack_timer.cancel()
         self._unacked_segments = 0
-        ack = TcpSegment(
-            seq=0,
-            length=0,
-            ack_no=self.rcv_nxt,
-            sack_blocks=self._sack_blocks(),
-        )
+        ack = TcpSegment(0, 0, self.rcv_nxt, False, self._sack_blocks())
         self.acks_sent += 1
-        self.socket.sendmsg(SendSpec(payload=ack, payload_size=ack.wire_payload))
+        self.socket.sendmsg(SendSpec(ack, ack.wire_payload))
 
     @property
     def done(self) -> bool:

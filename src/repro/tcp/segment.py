@@ -7,7 +7,6 @@ TCP header + TLS framing + payload, so serialization delays match reality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 #: Application bytes per full segment (1500 MTU - IP/TCP headers - TLS framing).
@@ -20,17 +19,31 @@ TCP_WIRE_EXTRA = 24 + 29
 MAX_SACK_BLOCKS = 3
 
 
-@dataclass(frozen=True)
 class TcpSegment:
-    """One TCP segment (data or pure ACK)."""
+    """One TCP segment (data or pure ACK); built once, never modified.
 
-    seq: int  # first application byte carried
-    length: int  # application bytes carried (0 for pure ACK)
-    ack_no: int  # cumulative acknowledgment
-    fin: bool = False
-    #: SACK blocks: up to three [lo, hi) byte ranges received above ack_no,
-    #: most recently changed first (RFC 2018).
-    sack_blocks: Tuple[Tuple[int, int], ...] = ()
+    ``seq`` is the first application byte carried, ``length`` the application
+    bytes carried (0 for a pure ACK), ``ack_no`` the cumulative
+    acknowledgment. ``sack_blocks`` holds up to ``MAX_SACK_BLOCKS``
+    ``[lo, hi)`` byte ranges received above ``ack_no``, highest first
+    (RFC 2018).
+    """
+
+    __slots__ = ("seq", "length", "ack_no", "fin", "sack_blocks")
+
+    def __init__(
+        self,
+        seq: int,
+        length: int,
+        ack_no: int,
+        fin: bool = False,
+        sack_blocks: Tuple[Tuple[int, int], ...] = (),
+    ):
+        self.seq = seq
+        self.length = length
+        self.ack_no = ack_no
+        self.fin = fin
+        self.sack_blocks = sack_blocks
 
     @property
     def wire_payload(self) -> int:

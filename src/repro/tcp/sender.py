@@ -16,6 +16,7 @@ event loops and pacing enforcement.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Optional
 
 from repro.cc.base import CongestionController
@@ -68,6 +69,10 @@ class TcpSender:
         self.recover = 0  # recovery ends when snd_una passes this
 
         self._sent_times: Dict[int, int] = {}  # seq -> first-send time
+        # Min-heap of every key put into _sent_times: an ACK finds the keys
+        # below it here instead of scanning the window. Duplicates (go-back-N
+        # re-enters lower keys) and keys Karn already popped are harmless.
+        self._sent_seqs: list[int] = []
         self._segment_index = 0
         # Reusable soft-cancel timer: re-armed on nearly every ACK.
         self._rto_timer = sim.timer(self._on_rto)
@@ -93,6 +98,8 @@ class TcpSender:
         outstanding = self.snd_nxt - self.snd_una
         if outstanding <= 0:
             return 0
+        if self.highest_sacked <= self.snd_una:
+            return outstanding  # nothing SACKed above the ACK point
         sacked = 0
         for lo, hi in self.sacked:
             lo = max(lo, self.snd_una)
@@ -114,6 +121,9 @@ class TcpSender:
     def _send_window(self) -> None:
         """ACK clock: retransmit lost holes first, then new data."""
         now = self.sim.now
+        # Holes exist only below a SACK frontier above the ACK point; neither
+        # moves while this pass transmits.
+        may_have_holes = self.highest_sacked > self.snd_una
         sent = 0
         while sent < MAX_BURST_SEGMENTS:
             pipe = self._pipe()
@@ -121,11 +131,10 @@ class TcpSender:
             if room < self.mss // 2:
                 break
             # 1. Repair lost holes not yet retransmitted.
-            hole = self._next_hole_to_retransmit()
+            hole = self._next_hole_to_retransmit() if may_have_holes else None
             if hole is not None:
                 lo, hi = hole
-                length = min(self.mss, hi - lo)
-                self._transmit(lo, length, fin=False, now=now, retx=True)
+                self._transmit(lo, min(self.mss, hi - lo), False, now, pipe, retx=True)
                 sent += 1
                 continue
             # 2. New data.
@@ -134,7 +143,7 @@ class TcpSender:
                 if length <= 0:
                     break
                 fin = (self.snd_nxt + length) >= self.file_size
-                self._transmit(self.snd_nxt, length, fin, now)
+                self._transmit(self.snd_nxt, length, fin, now, pipe)
                 self.snd_nxt += length
                 if fin:
                     self.fin_sent = True
@@ -142,7 +151,7 @@ class TcpSender:
                 continue
             # 3. Bare FIN if everything was sent but the FIN flag got lost.
             if not self.fin_sent and self.snd_nxt >= self.file_size:
-                self._transmit(self.snd_nxt, 0, True, now)
+                self._transmit(self.snd_nxt, 0, True, now, pipe)
                 self.fin_sent = True
                 sent += 1
                 continue
@@ -155,29 +164,24 @@ class TcpSender:
                 return (gap_lo, gap_hi)
         return None
 
-    def _transmit(self, seq: int, length: int, fin: bool, now: int, retx: bool = False) -> None:
-        segment = TcpSegment(seq=seq, length=length, ack_no=0, fin=fin)
+    def _transmit(
+        self, seq: int, length: int, fin: bool, now: int, pipe: int, retx: bool = False
+    ) -> None:
+        """Send one segment; ``pipe`` is the caller's, unchanged since it was taken."""
         if retx:
             self.retransmissions += 1
             self.retx_sent.add(seq, seq + length)
             self._sent_times.pop(seq, None)  # Karn: no RTT sample from retx
+            pipe = self._pipe()  # the hole counts as in flight again
         else:
             self._sent_times[seq] = now
+            heappush(self._sent_seqs, seq)
+        segment = TcpSegment(seq, length, 0, fin)
         self._segment_index += 1
-        sp = SentPacket(
-            pn=self._segment_index,
-            time_sent=now,
-            size=max(length, 1),
-            ack_eliciting=True,
-            in_flight=True,
-        )
-        self.cc.on_packet_sent(sp, self._pipe(), now)
+        sp = SentPacket(self._segment_index, now, max(length, 1), True, True)
+        self.cc.on_packet_sent(sp, pipe, now)
         self.socket.sendmsg(
-            SendSpec(
-                payload=segment,
-                payload_size=segment.wire_payload,
-                packet_number=seq // self.mss,
-            )
+            SendSpec(segment, segment.wire_payload, None, None, seq // self.mss)
         )
 
     # -- receive ACKs --------------------------------------------------------------
@@ -194,30 +198,30 @@ class TcpSender:
     def _on_ack(self, segment: TcpSegment) -> None:
         now = self.sim.now
         ack = segment.ack_no
-        newly_sacked = 0
         for lo, hi in segment.sack_blocks:
-            newly_sacked += self.sacked.add(lo, hi)
+            self.sacked.add(lo, hi)
             self.highest_sacked = max(self.highest_sacked, hi)
 
         if ack > self.snd_una:
             acked_bytes = ack - self.snd_una
-            sent_time = self._sent_times.pop(self.snd_una, None)
-            for s in [s for s in self._sent_times if s < ack]:
-                del self._sent_times[s]
+            sent_times = self._sent_times
+            sent_time = sent_times.pop(self.snd_una, None)
+            sent_seqs = self._sent_seqs
+            while sent_seqs and sent_seqs[0] < ack:
+                sent_times.pop(heappop(sent_seqs), None)
             if sent_time is not None:
                 self.rtt.update(now - sent_time)
             self.snd_una = ack
+            # Every reader clamps at snd_una; forget what lies below it.
+            self.sacked.discard_below(ack)
+            self.retx_sent.discard_below(ack)
             if self.in_recovery and ack >= self.recover:
                 self.in_recovery = False
             if ack >= self.file_size and self.fin_sent:
                 self.fin_acked = True
-            sp = SentPacket(
-                pn=ack // self.mss,
-                time_sent=sent_time if sent_time is not None else now - self.rtt.smoothed_rtt,
-                size=acked_bytes,
-                ack_eliciting=True,
-                in_flight=True,
-            )
+            if sent_time is None:
+                sent_time = now - self.rtt.smoothed_rtt
+            sp = SentPacket(ack // self.mss, sent_time, acked_bytes, True, True)
             self.cc.on_packets_acked([sp], now, self.rtt, self._pipe(), 0)
 
         # Loss detection: holes with >= 3 MSS SACKed above them.
@@ -277,8 +281,3 @@ class TcpSender:
     @property
     def complete(self) -> bool:
         return self.fin_acked
-
-    # Back-compat alias used in a few tests.
-    @property
-    def in_fast_recovery(self) -> bool:
-        return self.in_recovery
