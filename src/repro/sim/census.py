@@ -106,6 +106,8 @@ class CensusSimulator(Simulator):
                 if args is None:
                     if fn._live_seq != seq:
                         self.stale[component_of(fn.fn)] += 1
+                        if fn._entry_seq == seq:
+                            fn._surfaced()
                         continue
                     fn._live_seq = -1
                     args = fn.args

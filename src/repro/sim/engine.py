@@ -19,6 +19,14 @@ cancellable entry records the owner's generation (the global ``seq`` it was
 armed with); :meth:`EventHandle.cancel` / :meth:`Timer.cancel` /
 re-arming simply bump the owner's ``_live_seq`` so stale entries no longer
 match and are dropped when they reach the head of the heap.
+
+Deferred re-arm: a :class:`Timer` whose deadline moves *later* (an RTO
+pushed out by every ACK, a delayed-ACK timer cancelled and armed again)
+pushes nothing while an entry of its own is still ahead of the clock. The
+generation is allocated at arm time all the same, and when that entry
+surfaces the live deadline is pushed under the ``(time, seq)`` key the eager
+push would have had — so fire order, ``_seq`` and ``events_processed`` do not
+depend on whether a push was deferred.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ class EventHandle:
     """
 
     __slots__ = ("time", "seq", "fn", "args", "_live_seq")
+
+    #: Only a :class:`Timer` rides on entries (read by the dispatch loops).
+    _entry_seq = -1
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -74,9 +85,15 @@ class Timer:
     stops matching the timer's generation and is discarded for free when
     the calendar reaches it. This is what per-flow ACK/PTO/pacing
     deadlines use — they re-arm on nearly every packet.
+
+    ``(_entry_time, _entry_seq)`` is the newest entry pushed for this timer.
+    While the clock is short of ``_entry_time`` that entry is in the calendar
+    (firing it moves the clock there; dropping it as stale goes through
+    :meth:`_surfaced`), and a deadline at or after it rides on it instead of
+    pushing its own.
     """
 
-    __slots__ = ("time", "fn", "args", "_live_seq", "_sim")
+    __slots__ = ("time", "fn", "args", "_live_seq", "_sim", "_entry_time", "_entry_seq")
 
     def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: tuple):
         self._sim = sim
@@ -84,6 +101,8 @@ class Timer:
         self.args = args
         self.time = 0
         self._live_seq = -1
+        self._entry_time = -1
+        self._entry_seq = -1
 
     def schedule_at(self, time_ns: int) -> None:
         """(Re-)arm at absolute time ``time_ns``; supersedes any prior arm."""
@@ -96,7 +115,21 @@ class Timer:
         sim._seq = seq + 1
         self.time = time_ns
         self._live_seq = seq
+        if sim._now < self._entry_time <= time_ns:
+            return  # rides on the pending entry; _surfaced() pushes it then
+        self._entry_time = time_ns
+        self._entry_seq = seq
         sim._admit(time_ns, seq, self, None)
+
+    def _surfaced(self) -> None:
+        """The entry ``_entry_seq`` was popped superseded: give a live
+        deadline that rode on it the entry its own arm would have pushed."""
+        if self._live_seq >= 0:
+            self._entry_time = self.time
+            self._entry_seq = self._live_seq
+            self._sim._admit(self.time, self._live_seq, self, None)
+        else:
+            self._entry_time = -1
 
     def schedule(self, delay_ns: int) -> None:
         """(Re-)arm ``delay_ns`` from now; supersedes any prior arm."""
@@ -222,8 +255,10 @@ class Simulator:
         """
         return sum(
             1
-            for entry in self._heap
-            if entry[3] is not None or entry[2]._live_seq == entry[1]
+            for _time, seq, fn, args in self._heap
+            if args is not None
+            or fn._live_seq == seq
+            or (fn._live_seq >= 0 and fn._entry_seq == seq)  # ridden on
         )
 
     def peek_time(self) -> Optional[int]:
@@ -233,6 +268,8 @@ class Simulator:
             entry = heap[0]
             if entry[3] is None and entry[2]._live_seq != entry[1]:
                 _heappop(heap)
+                if entry[2]._entry_seq == entry[1]:
+                    entry[2]._surfaced()
                 continue
             return entry[0]
         return None
@@ -244,6 +281,8 @@ class Simulator:
             time_ns, seq, fn, args = _heappop(heap)
             if args is None:  # soft-cancellable: fn is the handle/timer
                 if fn._live_seq != seq:
+                    if fn._entry_seq == seq:
+                        fn._surfaced()
                     continue
                 fn._live_seq = -1
                 args = fn.args
@@ -279,6 +318,8 @@ class Simulator:
                 time_ns, seq, fn, args = entry
                 if args is None:  # soft-cancellable entry
                     if fn._live_seq != seq:
+                        if fn._entry_seq == seq:
+                            fn._surfaced()
                         continue
                     fn._live_seq = -1
                     args = fn.args

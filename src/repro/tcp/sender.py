@@ -167,12 +167,13 @@ class TcpSender:
     def _transmit(
         self, seq: int, length: int, fin: bool, now: int, pipe: int, retx: bool = False
     ) -> None:
-        """Send one segment; ``pipe`` is the caller's, unchanged since it was taken."""
+        """Send one segment. ``pipe`` is the caller's and still holds for new
+        data; a retransmission takes it again, its hole being back in flight."""
         if retx:
             self.retransmissions += 1
             self.retx_sent.add(seq, seq + length)
             self._sent_times.pop(seq, None)  # Karn: no RTT sample from retx
-            pipe = self._pipe()  # the hole counts as in flight again
+            pipe = self._pipe()
         else:
             self._sent_times[seq] = now
             heappush(self._sent_seqs, seq)
@@ -181,7 +182,7 @@ class TcpSender:
         sp = SentPacket(self._segment_index, now, max(length, 1), True, True)
         self.cc.on_packet_sent(sp, pipe, now)
         self.socket.sendmsg(
-            SendSpec(segment, segment.wire_payload, None, None, seq // self.mss)
+            SendSpec(segment, segment.wire_payload, packet_number=seq // self.mss)
         )
 
     # -- receive ACKs --------------------------------------------------------------

@@ -128,3 +128,47 @@ def test_missing_within_model(ops, start, length):
         assert lo < hi
         flat |= set(range(lo, hi))
     assert flat == set(range(start, end)) - model
+
+
+def test_discard_below_empty_set():
+    rs = RangeSet()
+    rs.discard_below(10)
+    assert list(rs) == [] and rs.upper == 0
+
+
+def test_discard_below_cuts_inside_a_range():
+    rs = RangeSet()
+    rs.add(0, 10)
+    rs.add(20, 30)
+    rs.add(40, 50)
+    rs.discard_below(25)
+    assert list(rs) == [(25, 30), (40, 50)]
+    rs.discard_below(25)  # idempotent
+    assert list(rs) == [(25, 30), (40, 50)]
+    rs.discard_below(30)  # a range ending at the bound goes whole
+    assert list(rs) == [(40, 50)]
+    rs.discard_below(35)  # a bound inside a gap touches nothing
+    assert list(rs) == [(40, 50)]
+
+
+def test_discard_below_past_upper_empties():
+    rs = RangeSet()
+    rs.add(5, 10)
+    rs.add(20, 30)
+    rs.discard_below(31)
+    assert list(rs) == [] and len(rs) == 0
+    assert rs.add(0, 3) == 3  # still usable
+
+
+@given(range_ops(), st.integers(min_value=0, max_value=260))
+def test_discard_below_model(ops, bound):
+    rs = RangeSet()
+    model: set[int] = set()
+    for s, ln in ops:
+        rs.add(s, s + ln)
+        model |= set(range(s, s + ln))
+    rs.discard_below(bound)
+    kept = {v for v in model if v >= bound}
+    assert {v for lo, hi in rs for v in range(lo, hi)} == kept
+    assert rs.total == len(kept)
+    assert all(rs.contains(v) == (v in kept) for v in range(0, 245))

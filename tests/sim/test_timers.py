@@ -37,7 +37,7 @@ class ReferenceCalendar:
     owner has moved on (re-armed, cancelled, fired) is dropped unfired."""
 
     def __init__(self):
-        self.now = self.seq = 0
+        self.now = self.seq = self.processed = 0
         self.entries = []
 
     def push(self, delay, owner):
@@ -63,6 +63,7 @@ class ReferenceCalendar:
             if owner.gen == seq:
                 owner.gen = None
                 self.now = time
+                self.processed += 1
                 owner.fn(*owner.args)
 
 
@@ -117,6 +118,9 @@ def _fire_sequences(seed):
     ref, expected = ReferenceCalendar(), []
     _random_workload(ref, random.Random(seed), expected)
     ref.run()
+    # One generation per arm, whether or not its push was deferred.
+    assert sim._seq == ref.seq
+    assert sim.events_processed == ref.processed
     return (fired, sim.now), (expected, ref.now)
 
 
@@ -194,18 +198,119 @@ class TestTimer:
             timer.schedule(-1)
 
     def test_stale_entries_are_free(self):
-        """Re-arming leaves stale calendar entries behind; they are dropped
-        without firing and pending_live never counts them."""
+        """Re-arming to an earlier deadline leaves stale calendar entries
+        behind; they are dropped without firing and pending_live never
+        counts them."""
         sim = Simulator()
         fired = []
         timer = sim.timer(lambda: fired.append(sim.now))
-        for delay in range(1, 51):
+        for delay in range(50, 0, -1):
             timer.schedule(delay)
-        assert sim.pending >= 1
+        assert sim.pending == 50
         assert sim.pending_live == 1
         sim.run()
-        assert fired == [50]
+        assert fired == [1]
         assert sim.pending == 0
+
+
+class TestDeferredRearm:
+    """A deadline that only moves later rides on the timer's pending entry
+    and is pushed, under the key its own arm would have had, when that entry
+    surfaces."""
+
+    def test_later_deadlines_keep_one_calendar_entry(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        for delay in range(100, 1100, 100):
+            timer.schedule(delay)
+        assert sim.pending == 1
+        assert sim.pending_live == 1
+        assert timer.armed and timer.time == 1000
+        sim.run()
+        assert fired == [1000]
+        assert sim.events_processed == 1
+        assert sim._seq == 10
+
+    def test_same_instant_order_is_the_arm_order(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(fired.append, "timer")
+        timer.schedule_at(100)
+        sim.schedule_at(1000, fired.append, "before")
+        timer.schedule_at(1000)  # rides on the entry at 100
+        sim.schedule_at(1000, fired.append, "after")
+        assert sim.pending == 3
+        sim.run()
+        assert fired == ["before", "timer", "after"]
+
+    def test_cancel_then_later_arm_reuses_the_entry(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        timer.schedule(40)
+        timer.cancel()
+        timer.schedule(60)
+        assert sim.pending == 1
+        timer.cancel()
+        timer.schedule(20)  # earlier than the entry: needs its own
+        assert sim.pending == 2
+        sim.run()
+        assert fired == [20]
+
+    def test_cancelled_while_riding_never_fires(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(fired.append, "x")
+        timer.schedule(10)
+        timer.schedule(50)
+        timer.cancel()
+        sim.run()
+        assert fired == [] and sim.pending == 0 and sim.now == 0
+
+    @pytest.mark.parametrize("drain", ["run", "step", "peek_time"])
+    def test_entry_dropped_ahead_of_the_clock_is_forgotten(self, drain):
+        """run() without ``until``, step() and peek_time() pop stale entries
+        without moving the clock to them; an idle timer must not wait for an
+        entry that is gone."""
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        timer.schedule(10)
+        timer.cancel()
+        if drain == "run":
+            sim.run()
+        elif drain == "step":
+            assert sim.step() is False
+        else:
+            assert sim.peek_time() is None
+        assert sim.pending == 0 and sim.now == 0
+        timer.schedule(30)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [30]
+
+    def test_peek_time_sees_the_riding_deadline(self):
+        sim = Simulator()
+        timer = sim.timer(lambda: None)
+        timer.schedule(10)
+        timer.schedule(70)
+        assert sim.peek_time() == 70
+        assert sim.pending_live == 1
+
+    def test_rearm_from_own_callback(self):
+        sim = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) < 3:
+                timer.schedule(10)
+
+        timer = sim.timer(tick)
+        timer.schedule(10)
+        sim.run()
+        assert fired == [10, 20, 30]
 
 
 def test_handle_cancelled_after_fire():

@@ -41,19 +41,48 @@ GOLDEN = {
 }
 
 
-def run_tcp(cca, file_size, network, seed):
+def tcp_experiment(cca, file_size, network, seed):
     config = ExperimentConfig(
         stack="tcp", cca=cca, file_size=file_size, network=network, seed=seed
     )
-    experiment = Experiment(config, seed=config.seed)
-    return experiment, experiment.run()
+    return Experiment(config, seed=config.seed)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_recovery_golden_fingerprint(name):
     cca, file_size, network, seed, expected, min_rtos = GOLDEN[name]
-    experiment, result = run_tcp(cca, file_size, network, seed)
+    experiment = tcp_experiment(cca, file_size, network, seed)
+    result = experiment.run()
     assert result.completed
     assert experiment.tcp_sender.retransmissions > 0
     assert experiment.tcp_sender.rto_events >= min_rtos
     assert result.fingerprint() == expected
+
+
+def test_scoreboard_forgets_what_is_acknowledged():
+    """After every ACK both range sets lie at or above ``snd_una`` and
+    ``sacked`` has at most one range per hole in flight, so the scoreboard is
+    bounded by the window and not by the transfer's history (15 + 6 ranges
+    were left at the end of this run before pruning). ``retx_sent`` is held
+    to the window only: a repaired hole stays in it until the ACK point
+    passes."""
+    experiment = tcp_experiment("cubic", mib(2), LOSSY, 3)
+    sender = experiment.tcp_sender
+    on_ack = sender._on_ack
+    peak = 0
+
+    def checked_on_ack(segment):
+        nonlocal peak
+        on_ack(segment)
+        una = sender.snd_una
+        assert all(lo >= una for lo, _hi in sender.sacked)
+        assert all(lo >= una for lo, _hi in sender.retx_sent)
+        holes = sender.sacked.missing_within(una, max(una, sender.highest_sacked))
+        assert len(sender.sacked) <= len(holes)
+        peak = max(peak, len(sender.sacked) + len(sender.retx_sent))
+
+    sender._on_ack = checked_on_ack
+    assert experiment.run().completed
+    assert sender.retransmissions > 0
+    assert 0 < peak <= 4
+    assert len(sender.sacked) + len(sender.retx_sent) <= 4

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.socket import UdpSocket
 from repro.quic.ranges import RangeSet
@@ -84,6 +86,82 @@ class TestScoreboard:
         assert sender.in_recovery
         sender._on_ack(TcpSegment(0, 0, ack_no=10 * TCP_MSS))
         assert not sender.in_recovery
+
+
+class TestPipeAgainstPerByteReference:
+    """Seeded random scoreboards: the range arithmetic of ``_pipe``,
+    ``_lost_ranges`` and ``_next_hole_to_retransmit`` against one flag per
+    byte, with the scoreboard as the ACKs left it and again after everything
+    below ``snd_una`` has been forgotten."""
+
+    UNIT = TCP_MSS // 6  # scoreboard edges fall on a coarse grid
+    SPAN = 60  # units of sequence space
+
+    def _scoreboard(self, sim, rng):
+        sender, _ = build_pair(sim, kib(512))
+        unit, span = self.UNIT, self.SPAN
+        sender.snd_una = rng.randrange(0, span // 2) * unit
+        # Go-back-N may leave snd_nxt below what has been SACKed.
+        sender.snd_nxt = sender.snd_una + rng.randrange(0, span // 2) * unit
+        for _ in range(rng.randrange(0, 6)):  # below, straddling, above snd_una
+            lo = rng.randrange(0, span) * unit
+            hi = lo + rng.randrange(1, 12) * unit
+            sender.sacked.add(lo, hi)
+            sender.highest_sacked = max(sender.highest_sacked, hi)
+        for _ in range(rng.randrange(0, 4)):
+            lo = rng.randrange(0, span) * unit
+            sender.retx_sent.add(lo, lo + rng.randrange(1, 7) * unit)
+        return sender
+
+    @staticmethod
+    def _runs(flags):
+        """Maximal runs of set flags as half-open ranges."""
+        out, start = [], None
+        for i, flag in enumerate(flags + [False]):
+            if flag and start is None:
+                start = i
+            elif not flag and start is not None:
+                out.append((start, i))
+                start = None
+        return out
+
+    def _reference(self, sender):
+        top = (self.SPAN + 12) * self.UNIT
+        sacked = [False] * top
+        retx = [False] * top
+        for flags, ranges in ((sacked, sender.sacked), (retx, sender.retx_sent)):
+            for lo, hi in ranges:
+                flags[lo:hi] = [True] * (hi - lo)
+        una, nxt, frontier = (
+            sender.snd_una, sender.snd_nxt, sender.highest_sacked - LOSS_SACK_BYTES,
+        )
+        lost = [una <= b < frontier and not sacked[b] for b in range(top)]
+        unrepaired = [lost[b] and not retx[b] for b in range(top)]
+        pipe = 0
+        if nxt > una:
+            pipe = (nxt - una) - sum(sacked[una:nxt]) - sum(unrepaired)
+        # A repaired stretch splits a hole; a hole never spans a SACKed byte.
+        holes = self._runs(unrepaired)
+        return max(0, pipe), self._runs(lost), holes[0] if holes else None
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference_before_and_after_pruning(self, sim, seed):
+        sender = self._scoreboard(sim, random.Random(seed))
+        expected = self._reference(sender)
+
+        def actual():
+            return (
+                sender._pipe(),
+                sender._lost_ranges(),
+                sender._next_hole_to_retransmit(),
+            )
+
+        assert actual() == expected
+        sender.sacked.discard_below(sender.snd_una)
+        sender.retx_sent.discard_below(sender.snd_una)
+        assert all(lo >= sender.snd_una for lo, _hi in sender.sacked)
+        assert all(lo >= sender.snd_una for lo, _hi in sender.retx_sent)
+        assert actual() == expected
 
 
 class TestReceiverSack:
