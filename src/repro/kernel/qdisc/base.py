@@ -53,7 +53,9 @@ class Qdisc:
     def enqueue(self, dgram: Datagram) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # Qdiscs are packet sinks too, so they can be stacked.
+    # Qdiscs are packet sinks too, so they can be stacked. ``receive`` looks
+    # ``enqueue`` up on the instance every time: that is the loss-injection
+    # seam (tests replace ``enqueue`` on one qdisc), so it is not an alias.
     def receive(self, dgram: Datagram) -> None:
         self.enqueue(dgram)
 

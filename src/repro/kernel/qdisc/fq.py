@@ -92,8 +92,7 @@ class FqQdisc(Qdisc):
     def _schedule_head(self, key: FlowTuple, flow: _Flow) -> None:
         if not flow.queue:
             flow.armed = False
-            if not flow.queue:
-                self._flows.pop(key, None)
+            self._flows.pop(key, None)
             return
         head = flow.queue[0]
         release = self.sim.now

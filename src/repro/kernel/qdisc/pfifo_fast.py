@@ -17,7 +17,7 @@ from repro.sim.engine import Simulator
 
 #: TOS-to-band mapping is irrelevant for our single-class traffic; we keep the
 #: three bands for structural fidelity and put everything in band 1 ("best
-#: effort") unless the datagram carries a priority hint.
+#: effort") — a datagram carries no priority hint.
 _BANDS = 3
 
 
@@ -41,8 +41,7 @@ class PfifoFast(Qdisc):
         if self._len >= self.limit_packets:
             self.stats.dropped += 1
             return
-        band = getattr(dgram, "priority_band", 1)
-        self._bands[band].append(dgram)
+        self._bands[1].append(dgram)
         self._len += 1
         # The device in this simulation is never the bottleneck on the server
         # side (1 Gbit/s), so dequeue immediately in priority order.

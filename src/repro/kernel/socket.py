@@ -94,7 +94,9 @@ class UdpSocket:
         self._flow: Optional[FlowTuple] = None
 
         self._cpu_free_at = 0
-        self._rx: deque[Datagram] = deque()
+        #: The receive queue: test it for truth (readable?), drain it with
+        #: :meth:`recv_all` — which swaps in a fresh deque, so do not keep it.
+        self.rx: deque[Datagram] = deque()
         self._rx_bytes = 0
         self.rx_dropped = 0
         self.on_readable: Optional[Callable[[], None]] = None
@@ -117,56 +119,62 @@ class UdpSocket:
         return self._flow
 
     # -- send path ---------------------------------------------------------
-
-    def _charge(self, cost_ns: int) -> int:
-        """Advance the thread's CPU timeline by ``cost_ns``; returns the
-        instant the kernel work completes."""
-        now = self.sim.now
-        start = now if now > self._cpu_free_at else self._cpu_free_at
-        self._cpu_free_at = start + cost_ns
-        return self._cpu_free_at
+    #
+    # Each send call, in one frame: advance the thread's CPU timeline by the
+    # syscall's cost, build the datagram(s) in send order (``dgram_id`` and
+    # ``gso_id`` are drawn here), schedule the hand-off to the egress at the
+    # instant the kernel work completes.
 
     @property
     def cpu_free_at(self) -> int:
         """When the sending thread finishes its queued kernel work."""
         return max(self._cpu_free_at, self.sim.now)
 
-    def _make_dgram(self, spec: SendSpec) -> Datagram:
-        return Datagram(
-            flow=self.flow,
-            payload_size=spec.payload_size,
-            payload=spec.payload,
-            txtime_ns=spec.txtime_ns if self.so_txtime else None,
-            expected_send_ns=spec.expected_send_ns,
-            packet_number=spec.packet_number,
-            ecn=spec.ecn,
-            created_ns=self.sim.now,
-        )
-
     def sendmsg(self, spec: SendSpec) -> int:
         """Write one datagram; returns when the syscall completes."""
-        done = self._charge(self.syscalls.sendmsg_cost(spec.payload_size))
-        dgram = self._make_dgram(spec)
+        flow = self._flow or self.flow  # the property raises if not connected
+        size = spec.payload_size
+        sim = self.sim
+        now = sim.now
+        syscalls = self.syscalls
+        free = self._cpu_free_at
+        # SyscallModel.sendmsg_cost(size), inline like sendmmsg's per-datagram cost.
+        done = self._cpu_free_at = (
+            (now if now > free else free)
+            + syscalls.syscall_ns + syscalls.per_datagram_ns + round(syscalls.per_byte_ns * size)
+        )
+        dgram = Datagram(
+            flow, size, spec.payload, spec.txtime_ns if self.so_txtime else None,
+            spec.expected_send_ns, None, spec.packet_number, spec.ecn, now,
+        )
         self.datagrams_sent += 1
-        self.bytes_sent += spec.payload_size
-        self.sim.schedule_at(done, self._to_egress, dgram)
+        self.bytes_sent += size
+        sim.schedule_at(done, self._to_egress, dgram)
         return done
 
     def sendmmsg(self, specs: Sequence[SendSpec]) -> int:
         """Write a batch in one syscall; datagrams reach the qdisc staggered
         by their per-datagram kernel cost."""
+        sim = self.sim
+        now = sim.now
         if not specs:
-            return self.sim.now
-        t = self._charge(self.syscalls.syscall_ns)
+            return now
+        flow = self._flow or self.flow  # the property raises if not connected
+        syscalls = self.syscalls
+        so_txtime = self.so_txtime
+        free = self._cpu_free_at
+        t = (now if now > free else free) + syscalls.syscall_ns
         for spec in specs:
-            cost = self.syscalls.per_datagram_ns + round(
-                self.syscalls.per_byte_ns * spec.payload_size
+            size = spec.payload_size
+            t += syscalls.per_datagram_ns + round(syscalls.per_byte_ns * size)
+            dgram = Datagram(
+                flow, size, spec.payload, spec.txtime_ns if so_txtime else None,
+                spec.expected_send_ns, None, spec.packet_number, spec.ecn, now,
             )
-            t = self._charge(cost)
-            dgram = self._make_dgram(spec)
             self.datagrams_sent += 1
-            self.bytes_sent += spec.payload_size
-            self.sim.schedule_at(t, self._to_egress, dgram)
+            self.bytes_sent += size
+            sim.schedule_at(t, self._to_egress, dgram)
+        self._cpu_free_at = t
         return t
 
     def send_gso(
@@ -181,32 +189,32 @@ class UdpSocket:
         The buffer traverses the qdisc as a single unit (one txtime for the
         whole buffer). ``pacing_rate_Bps`` engages the paced-GSO kernel patch.
         """
+        sim = self.sim
+        now = sim.now
         if not specs:
-            return self.sim.now
+            return now
+        flow = self._flow or self.flow  # the property raises if not connected
         gso_id = next(_gso_ids)
         segments: List[Datagram] = []
         total = 0
         for spec in specs:
-            seg = self._make_dgram(spec)
-            seg.txtime_ns = None  # segments inherit scheduling from the buffer
-            seg.gso_id = gso_id
-            segments.append(seg)
+            # Segments inherit scheduling from the buffer: no txtime of their own.
+            segments.append(Datagram(
+                flow, spec.payload_size, spec.payload, None,
+                spec.expected_send_ns, gso_id, spec.packet_number, spec.ecn, now,
+            ))
             total += spec.payload_size
-        done = self._charge(self.syscalls.gso_cost(total))
+        free = self._cpu_free_at
+        done = self._cpu_free_at = (now if now > free else free) + self.syscalls.gso_cost(total)
         buffer = GsoBuffer(segments=segments, pacing_rate_Bps=pacing_rate_Bps)
         super_dgram = Datagram(
-            flow=self.flow,
-            payload_size=total,
-            payload=buffer,
-            txtime_ns=txtime_ns if self.so_txtime else None,
-            expected_send_ns=expected_send_ns,
-            gso_id=gso_id,
-            created_ns=self.sim.now,
+            flow, total, buffer, txtime_ns if self.so_txtime else None,
+            expected_send_ns, gso_id, None, 0, now,
         )
         self.datagrams_sent += len(specs)
         self.bytes_sent += total
         self.gso_sends += 1
-        self.sim.schedule_at(done, self._to_egress, super_dgram)
+        sim.schedule_at(done, self._to_egress, super_dgram)
         return done
 
     def _to_egress(self, dgram: Datagram) -> None:
@@ -220,7 +228,7 @@ class UdpSocket:
         if self._rx_bytes + dgram.payload_size > self.rcvbuf_bytes:
             self.rx_dropped += 1
             return
-        self._rx.append(dgram)
+        self.rx.append(dgram)
         self._rx_bytes += dgram.payload_size
         if self.on_readable is not None:
             self.on_readable()
@@ -234,11 +242,11 @@ class UdpSocket:
         Hands back the queue itself and starts a fresh one, so draining is
         O(1) instead of copying every pending datagram.
         """
-        out = self._rx
-        self._rx = deque()
+        out = self.rx
+        self.rx = deque()
         self._rx_bytes = 0
         return out
 
     @property
     def rx_pending(self) -> int:
-        return len(self._rx)
+        return len(self.rx)

@@ -34,7 +34,7 @@ surfaces them as ``ExperimentResult.injected_drops`` /
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -279,7 +279,7 @@ class DuplicateStage(ImpairmentStage):
             # A distinct object with identical ids: both copies are "the same
             # packet" to captures and the receiving stack, but wire devices
             # must not see one object twice (they mutate per-hop state).
-            self.sim.call_soon(self.sink.receive, dc_replace(dgram))
+            self.sim.call_soon(self.sink.receive, dgram.copy())
 
 
 class LinkFlapper:

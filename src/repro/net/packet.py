@@ -9,7 +9,6 @@ SO_TXTIME timestamp, GSO grouping).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Final, Optional, Protocol, Tuple
 
 #: Ethernet + IPv4 + UDP header bytes added to a UDP payload on the wire.
@@ -39,40 +38,61 @@ def reset_dgram_ids() -> None:
 FlowTuple = Tuple[str, int, str, int]
 
 
-@dataclass(slots=True)
 class Datagram:
     """One UDP datagram traveling through the simulated network.
 
     :param flow: (src addr, src port, dst addr, dst port); used by FQ hashing.
-    :param payload_size: UDP payload length in bytes.
+    :param payload_size: UDP payload length in bytes (never reassigned).
     :param payload: opaque object for the receiving stack.
     :param txtime_ns: SCM_TXTIME timestamp, if the sender set SO_TXTIME.
     :param expected_send_ns: the sender's intended departure time (logged by
         the server application for the Section 4.4 precision metric).
     :param gso_id: identifier grouping segments split from one GSO buffer.
     :param packet_number: QUIC packet number (or TCP seq) for trace matching.
+
+    Construction draws ``dgram_id`` (so build datagrams in send order) and
+    fixes ``wire_size``, the bytes a capture counts (payload + Ethernet/IP/UDP
+    headers), and ``serialized_size``, the bytes of link time (+ preamble/FCS/IFG).
     """
 
-    flow: FlowTuple
-    payload_size: int
-    payload: Any = None
-    txtime_ns: Optional[int] = None
-    expected_send_ns: Optional[int] = None
-    gso_id: Optional[int] = None
-    packet_number: Optional[int] = None
-    ecn: int = 0
-    dgram_id: int = field(default_factory=lambda: next(_dgram_ids))
-    created_ns: Optional[int] = None
+    __slots__ = (
+        "flow", "payload_size", "payload", "txtime_ns", "expected_send_ns",
+        "gso_id", "packet_number", "ecn", "dgram_id", "created_ns",
+        "wire_size", "serialized_size",
+    )
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes as counted by a capture (payload + Ethernet/IP/UDP headers)."""
-        return self.payload_size + ETHERNET_OVERHEAD
+    def __init__(
+        self,
+        flow: FlowTuple,
+        payload_size: int,
+        payload: Any = None,
+        txtime_ns: Optional[int] = None,
+        expected_send_ns: Optional[int] = None,
+        gso_id: Optional[int] = None,
+        packet_number: Optional[int] = None,
+        ecn: int = 0,
+        created_ns: Optional[int] = None,
+    ):
+        self.flow = flow
+        self.payload_size = payload_size
+        self.payload = payload
+        self.txtime_ns = txtime_ns
+        self.expected_send_ns = expected_send_ns
+        self.gso_id = gso_id
+        self.packet_number = packet_number
+        self.ecn = ecn
+        self.dgram_id = next(_dgram_ids)
+        self.created_ns = created_ns
+        self.wire_size = payload_size + ETHERNET_OVERHEAD
+        self.serialized_size = payload_size + (ETHERNET_OVERHEAD + WIRE_FRAMING)
 
-    @property
-    def serialized_size(self) -> int:
-        """Bytes of link time the frame consumes (adds preamble/FCS/IFG)."""
-        return self.wire_size + WIRE_FRAMING
+    def copy(self) -> "Datagram":
+        """A second object for the same wire packet (a duplicate on the
+        path): every field equal, ``dgram_id`` included — no id is drawn."""
+        dup = Datagram.__new__(Datagram)
+        for name in Datagram.__slots__:
+            setattr(dup, name, getattr(self, name))
+        return dup
 
     def reply_flow(self) -> FlowTuple:
         src_addr, src_port, dst_addr, dst_port = self.flow

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Final, Iterable, List, Optional, Tuple
 
-from repro.net.packet import ETHERNET_OVERHEAD, Datagram, FlowTuple, PacketSink
+from repro.net.packet import Datagram, FlowTuple, PacketSink
 from repro.sim.engine import Simulator
 
 #: Column sentinel for "field was None" (packet_number, gso_id). Both fields
@@ -140,7 +140,7 @@ class Sniffer:
             rows = self._host_rows[flow[0]]
         rows.append(len(cols.time_ns))
         cols.time_ns.append(time_ns)
-        cols.wire_size.append(dgram.payload_size + ETHERNET_OVERHEAD)
+        cols.wire_size.append(dgram.wire_size)
         cols.payload_size.append(dgram.payload_size)
         pn = dgram.packet_number
         cols.packet_number.append(_NONE if pn is None else pn)

@@ -393,18 +393,27 @@ class Connection:
             )
         offset = frame.offset
         length = frame.length
+        # Flow control (RecvLimit.check / on_consumed) is done on the limits'
+        # fields here; a violation goes through ``check``, which raises.
         slimit = self.stream_recv_limits[stream_id]
-        slimit.check(offset + length)
+        if offset + length > slimit.advertised:
+            slimit.check(offset + length)
         conn_limit = self.conn_recv_limit
         prev_frontier = stream.delivered
         prev_highest = stream.highest_received
         if stream.on_frame(offset, length, frame.fin):
             self._recv_offsets_total += stream.highest_received - prev_highest
-            conn_limit.check(self._recv_offsets_total)
+            if self._recv_offsets_total > conn_limit.advertised:
+                conn_limit.check(self._recv_offsets_total)
         # The application consumes data immediately in our workloads.
-        if slimit.on_consumed(stream.delivered):
+        delivered = stream.delivered
+        if delivered > slimit.consumed:
+            slimit.consumed = delivered
+        if slimit.advertised - slimit.consumed < slimit.window // 2:
             self._queue_max_stream_data(stream_id, now)
-        if conn_limit.on_consumed(conn_limit.consumed + (stream.delivered - prev_frontier)):
+        if delivered > prev_frontier:
+            conn_limit.consumed += delivered - prev_frontier
+        if conn_limit.advertised - conn_limit.consumed < conn_limit.window // 2:
             self._queue_max_data(now)
 
     def _queue_max_data(self, now: int) -> None:
@@ -670,8 +679,15 @@ class Connection:
             else:
                 advance = offset + length - slimit.used
                 if advance > 0:
-                    slimit.consume(advance)
-                    conn_limit.consume(advance)
+                    if (
+                        advance > slimit.limit - slimit.used
+                        or advance > conn_limit.limit - conn_limit.used
+                    ):
+                        slimit.consume(advance)  # over a limit: one of these raises
+                        conn_limit.consume(advance)
+                    else:
+                        slimit.used += advance
+                        conn_limit.used += advance
             self.stream_bytes_sent += length
         return budget
 

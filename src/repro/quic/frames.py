@@ -215,10 +215,18 @@ class StreamFrame(Frame):
 
     @staticmethod
     def header_overhead(stream_id: int, offset: int, data_len: int) -> int:
-        """Bytes of framing for a STREAM frame with the given fields."""
-        n = 1 + varint_len(stream_id) + varint_len(data_len)
+        """Bytes of framing for a STREAM frame with the given fields: the
+        type byte plus the varint lengths of id, length and non-zero offset."""
+        if stream_id < 0 or offset < 0 or data_len < 0 or (
+            stream_id | offset | data_len
+        ) > 0x3FFF_FFFF:
+            # 8-byte varints, or a value no varint encodes (raises).
+            n = 1 + varint_len(stream_id) + varint_len(data_len)
+            return n + varint_len(offset) if offset else n
+        n = 2 if stream_id <= 0x3F else 3 if stream_id <= 0x3FFF else 5
+        n += 1 if data_len <= 0x3F else 2 if data_len <= 0x3FFF else 4
         if offset:
-            n += varint_len(offset)
+            n += 1 if offset <= 0x3F else 2 if offset <= 0x3FFF else 4
         return n
 
 

@@ -289,9 +289,9 @@ class LossRecovery:
         loss = self.loss_time
         if self.ack_eliciting_in_flight == 0:
             return loss
-        pto = self.time_of_last_ack_eliciting + self.rtt.pto_interval() * (
-            1 << min(self.pto_count, 10)
-        )
+        rtt = self.rtt  # RttEstimator.pto_interval() inline: asked on every wake-up
+        interval = rtt.smoothed_rtt + max(4 * rtt.rttvar, K_GRANULARITY) + rtt.max_ack_delay_ns
+        pto = self.time_of_last_ack_eliciting + interval * (1 << min(self.pto_count, 10))
         if loss is None:
             return pto
         return loss if loss < pto else pto

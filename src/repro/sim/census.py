@@ -77,18 +77,20 @@ class CensusSimulator(Simulator):
         #: ``(flow, component) -> count`` of admissions after departure.
         self.post_departure: Counter = Counter()
         self._departed: set = set()
+        self._push = self._admit
+        self._admit = self._count_and_admit
 
     # -- counting hooks --------------------------------------------------
 
-    def _admit(self, time_ns, seq, fn, args):
-        cb = _callback_of(fn, args)
+    def _count_and_admit(self, entry):
+        cb = _callback_of(entry[2], entry[3])
         self.scheduled[component_of(cb)] += 1
         flow = flow_of(cb)
         if flow is not None:
             self.scheduled_by_flow[flow] += 1
             if flow in self._departed:
                 self.post_departure[(flow, component_of(cb))] += 1
-        super()._admit(time_ns, seq, fn, args)
+        self._push(entry)
 
     def run(self, until=None):
         # Same dispatch loop as the base engine, with fired/stale counting.
@@ -112,12 +114,12 @@ class CensusSimulator(Simulator):
                     fn._live_seq = -1
                     args = fn.args
                     fn = fn.fn
-                self._now = time_ns
+                self.now = time_ns
                 self.events_processed += 1
                 self.fired[component_of(fn)] += 1
                 fn(*args)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 

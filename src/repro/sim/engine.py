@@ -31,6 +31,7 @@ depend on whether a push was deferred.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 
@@ -107,19 +108,20 @@ class Timer:
     def schedule_at(self, time_ns: int) -> None:
         """(Re-)arm at absolute time ``time_ns``; supersedes any prior arm."""
         sim = self._sim
-        if time_ns < sim._now:
+        now = sim.now
+        if time_ns < now:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, already at {sim._now}ns"
+                f"cannot schedule at {time_ns}ns, already at {now}ns"
             )
         seq = sim._seq
         sim._seq = seq + 1
         self.time = time_ns
         self._live_seq = seq
-        if sim._now < self._entry_time <= time_ns:
+        if now < self._entry_time <= time_ns:
             return  # rides on the pending entry; _surfaced() pushes it then
         self._entry_time = time_ns
         self._entry_seq = seq
-        sim._admit(time_ns, seq, self, None)
+        sim._admit((time_ns, seq, self, None))
 
     def _surfaced(self) -> None:
         """The entry ``_entry_seq`` was popped superseded: give a live
@@ -127,7 +129,7 @@ class Timer:
         if self._live_seq >= 0:
             self._entry_time = self.time
             self._entry_seq = self._live_seq
-            self._sim._admit(self.time, self._live_seq, self, None)
+            self._sim._admit((self.time, self._live_seq, self, None))
         else:
             self._entry_time = -1
 
@@ -135,7 +137,7 @@ class Timer:
         """(Re-)arm ``delay_ns`` from now; supersedes any prior arm."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        self.schedule_at(self._sim._now + delay_ns)
+        self.schedule_at(self._sim.now + delay_ns)
 
     def cancel(self) -> None:
         """Disarm. Safe to call at any time, including when not armed."""
@@ -161,23 +163,15 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0
+        #: Current simulation time in nanoseconds; only ``step``/``run`` assign it.
+        self.now = 0
         self._seq = 0
-        self._heap: list[tuple] = []
+        self._heap: list[tuple] = []  # never reassigned: ``_admit`` is bound to it
+        #: Places one ``(time, seq, fn, args)`` entry: the single admission
+        #: point, a C call (the census rebinds it to its counting wrapper).
+        self._admit: Callable[[tuple], None] = partial(_heappush, self._heap)
         self._running = False
         self.events_processed = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
-    # -- admission ------------------------------------------------------
-
-    def _admit(self, time_ns: int, seq: int, fn, args) -> None:
-        """Place one calendar entry; the single admission point (the
-        census counts here)."""
-        _heappush(self._heap, (time_ns, seq, fn, args))
 
     # -- scheduling -----------------------------------------------------
 
@@ -187,23 +181,23 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
         seq = self._seq
         self._seq = seq + 1
-        self._admit(self._now + delay_ns, seq, fn, args)
+        self._admit((self.now + delay_ns, seq, fn, args))
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time_ns``."""
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, already at {self._now}ns"
+                f"cannot schedule at {time_ns}ns, already at {self.now}ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        self._admit(time_ns, seq, fn, args)
+        self._admit((time_ns, seq, fn, args))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current instant (after pending same-time events)."""
         seq = self._seq
         self._seq = seq + 1
-        self._admit(self._now, seq, fn, args)
+        self._admit((self.now, seq, fn, args))
 
     def schedule_cancellable(
         self, delay_ns: int, fn: Callable[..., Any], *args: Any
@@ -215,20 +209,20 @@ class Simulator:
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        return self.schedule_at_cancellable(self._now + delay_ns, fn, *args)
+        return self.schedule_at_cancellable(self.now + delay_ns, fn, *args)
 
     def schedule_at_cancellable(
         self, time_ns: int, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, already at {self._now}ns"
+                f"cannot schedule at {time_ns}ns, already at {self.now}ns"
             )
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time_ns, seq, fn, args)
-        self._admit(time_ns, seq, handle, None)
+        self._admit((time_ns, seq, handle, None))
         return handle
 
     def timer(self, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -287,7 +281,7 @@ class Simulator:
                 fn._live_seq = -1
                 args = fn.args
                 fn = fn.fn
-            self._now = time_ns
+            self.now = time_ns
             self.events_processed += 1
             fn(*args)
             return True
@@ -324,11 +318,11 @@ class Simulator:
                     fn._live_seq = -1
                     args = fn.args
                     fn = fn.fn
-                self._now = time_ns
+                self.now = time_ns
                 processed += 1
                 fn(*args)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self.events_processed += processed
             self._running = False

@@ -70,7 +70,7 @@ class SimProcess:
         if pending_deadline is not None and deadline_ns >= pending_deadline:
             return
         sim = self.sim
-        now = sim._now
+        now = sim.now
         # Inline TimerModel.fire_time: clamp, grid-round up, add overhead
         # and one jitter draw. Overhead and jitter are non-negative, so the
         # result never lands before `now`.
@@ -97,7 +97,7 @@ class SimProcess:
         if self._pending_deadline == _DETACHED:
             return
         sim = self.sim
-        now = sim._now
+        now = sim.now
         t = now
         median = self._jitter_median
         if median > 0:

@@ -127,7 +127,7 @@ class ServerDriver(SimProcess):
         now = self.sim.now
         conn = self.conn
         socket = self.socket
-        woke_by_ack = bool(socket.rx_pending)
+        woke_by_ack = bool(socket.rx)
         if woke_by_ack:
             for dgram in socket.recv_all():
                 conn.on_datagram(dgram.payload, now, dgram.ecn)

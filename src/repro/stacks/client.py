@@ -54,7 +54,7 @@ class ClientDriver(SimProcess):
         conn = self.conn
         socket = self.socket
         received = False
-        if socket.rx_pending:
+        if socket.rx:
             received = True
             for dgram in socket.recv_all():
                 conn.on_datagram(dgram.payload, now, dgram.ecn)

@@ -5,19 +5,20 @@ packet over a 1 MiB run. The count is deterministic for a given interpreter
 and tracks how many times a packet is described, asked about and handed on
 between ``build_packet`` and ``on_ack_frame`` — what ROADMAP item 4 spends.
 
-Measured on CPython 3.11 (calls per wire packet; the QUIC rows PR 20 -> PR 21,
-the TCP row PR 21 -> PR 22):
+Measured on CPython 3.11 (calls per wire packet, PR 22 -> PR 23: the clock an
+attribute, admission a C call, a datagram that knows its sizes, one frame per
+send syscall; PR 20 read 253 / 212 / 256 / 124):
 
 =================  ======  =====  =====
 config             before  after  bound
 =================  ======  =====  =====
-quiche:cubic:fq     253.2  191.2    200
-picoquic:bbr        212.3  156.4    165
-ngtcp2:cubic        256.3  191.3    200
-tcp:cubic           124.2  106.9    112
+quiche:cubic:fq     191.2  133.0    140
+picoquic:bbr        156.4  110.1    115
+ngtcp2:cubic        191.3  135.3    140
+tcp:cubic           106.9   72.8     75
 =================  ======  =====  =====
 
-ROADMAP item 4's target is ``calls per wire packet <= 200`` in this unit. A
+ROADMAP item 4's round target is ``<= 160 / 130 / 160`` in this unit. A
 change that pushes a count over its bound added per-packet calls to the
 engine, kernel, net or endpoint path; lower the bound when a PR earns it.
 A call count cannot see a loop inside one function (the TCP sender's per-ACK
@@ -55,11 +56,13 @@ def _calls_per_wire_packet(config: ExperimentConfig) -> float:
 @pytest.mark.parametrize(
     "stack, cca, qdisc, bound",
     [
-        ("quiche", "cubic", "fq", 200),
-        ("picoquic", "bbr", "none", 165),
-        ("ngtcp2", "cubic", "none", 200),
-        ("tcp", "cubic", "none", 112),
+        ("quiche", "cubic", "fq", 140),
+        ("picoquic", "bbr", "none", 115),
+        ("ngtcp2", "cubic", "none", 140),
+        ("tcp", "cubic", "none", 75),
     ],
+    # The bound stays out of the test id, so lowering it renames nothing.
+    ids=["quiche-cubic-fq", "picoquic-bbr-none", "ngtcp2-cubic-none", "tcp-cubic-none"],
 )
 def test_python_calls_per_wire_packet(stack, cca, qdisc, bound):
     config = ExperimentConfig(stack=stack, cca=cca, qdisc=qdisc, file_size=mib(1), seed=1)

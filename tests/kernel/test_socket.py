@@ -1,11 +1,13 @@
 """UDP socket model: send staggering, SO_TXTIME gating, GSO wrapping, rcvbuf."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.kernel.gso import GsoBuffer
 from repro.kernel.socket import SendSpec, UdpSocket
 from repro.kernel.syscall import SyscallModel
+from repro.sim.engine import Simulator
 from repro.units import kib
 from tests.conftest import Collector
 
@@ -35,6 +37,22 @@ def test_sendmsg_charges_cost_before_enqueue(sim, collector):
     sock.sendmsg(SendSpec(payload=b"x", payload_size=1))
     sim.run()
     assert collector.times == [150]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=65507), min_size=1, max_size=8))
+def test_sendmsg_charges_exactly_the_models_cost(sizes):
+    """The socket prices a send itself, in the frame that builds the datagram;
+    every send, first or repeated, advances the CPU timeline by exactly
+    ``SyscallModel.sendmsg_cost``."""
+    sim = Simulator()
+    model = SyscallModel()
+    sock = UdpSocket(sim, "10.0.0.1", 443, egress=Collector(sim), syscalls=model)
+    sock.connect("10.0.0.2", 40000)
+    for size in sizes + sizes:
+        before = sock.cpu_free_at
+        done = sock.sendmsg(SendSpec(payload=None, payload_size=size))
+        assert done - before == model.sendmsg_cost(size)
+        assert sock.cpu_free_at == done
 
 
 def test_consecutive_sends_stagger(sim, collector):

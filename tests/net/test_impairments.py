@@ -136,13 +136,19 @@ class TestReorderDuplicate:
 
     def test_duplicate_is_a_distinct_object(self, sim, collector):
         stage = DuplicateStage(sim, duplication(1.0), collector, random.Random(1))
-        original = make_dgram(1252, pn=0)
+        original = make_dgram(1252, pn=7)
+        original.gso_id = 3
+        original.payload = object()
         stage.receive(original)
         sim.run()
         assert len(collector) == 2
         dup = collector.dgrams[1]
         assert dup is not original
         assert dup.dgram_id == original.dgram_id
+        assert (dup.packet_number, dup.gso_id) == (7, 3)
+        assert dup.payload is original.payload
+        assert dup.wire_size == original.wire_size
+        assert dup.serialized_size == original.serialized_size
 
 
 class TestLinkFlapper:

@@ -1,18 +1,31 @@
 """Datagram metadata and size accounting."""
 
+from hypothesis import given, strategies as st
+
 from repro.net.packet import Datagram, ETHERNET_OVERHEAD, WIRE_FRAMING
 
 FLOW = ("10.0.0.1", 443, "10.0.0.2", 40000)
 
 
-def test_wire_size_adds_headers():
-    d = Datagram(flow=FLOW, payload_size=1252)
-    assert d.wire_size == 1252 + ETHERNET_OVERHEAD
+@given(st.integers(min_value=0, max_value=65507))
+def test_wire_size_adds_headers(size):
+    d = Datagram(flow=FLOW, payload_size=size)
+    assert d.wire_size == d.payload_size + ETHERNET_OVERHEAD
 
 
-def test_serialized_size_adds_framing():
-    d = Datagram(flow=FLOW, payload_size=100)
+@given(st.integers(min_value=0, max_value=65507))
+def test_serialized_size_adds_framing(size):
+    d = Datagram(flow=FLOW, payload_size=size)
     assert d.serialized_size == d.wire_size + WIRE_FRAMING
+
+
+def test_copy_draws_no_id_and_keeps_every_field():
+    d = Datagram(FLOW, 1200, payload=object(), txtime_ns=5, gso_id=9, packet_number=4, ecn=2)
+    dup = d.copy()
+    after = Datagram(flow=FLOW, payload_size=1)
+    assert dup is not d
+    assert after.dgram_id == d.dgram_id + 1
+    assert all(getattr(dup, name) == getattr(d, name) for name in Datagram.__slots__)
 
 
 def test_dgram_ids_unique_and_increasing():

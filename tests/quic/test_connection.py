@@ -7,9 +7,10 @@ passing packets between them by hand with controlled timing.
 import pytest
 
 from repro.cc.newreno import NewReno
-from repro.errors import ProtocolError
+from repro.errors import FlowControlError, ProtocolError
 from repro.quic.connection import Connection, ConnectionConfig
-from repro.quic.packet import PacketType
+from repro.quic.frames import StreamFrame
+from repro.quic.packet import PacketType, QuicPacket
 from repro.quic.stream import DataSource
 from repro.units import kib, mib, ms
 
@@ -246,3 +247,44 @@ def test_spurious_loss_reported_to_cc():
         client.on_datagram(built.encoded, now + ms(45))
     pump(client, server, now + ms(50))
     assert calls, "late ACK should surface a spurious-loss event"
+
+
+# -- flow-control violations (the connection does the arithmetic on the
+# limits' fields; a violation still raises through check / consume) ---------
+
+
+def _deliver_stream(conn, pn, stream_id, offset, length):
+    packet = QuicPacket(PacketType.ONE_RTT, pn, [StreamFrame(stream_id, offset, length)])
+    conn.on_datagram(packet, ms(1))
+
+
+def test_peer_writing_past_the_stream_limit_raises():
+    server, client = make_pair(recv_stream_window=kib(4), recv_conn_window=kib(64))
+    complete_handshake(server, client)
+    _deliver_stream(client, 100, 0, 0, kib(4))  # exactly at the limit; consumed, so it moves on
+    with pytest.raises(FlowControlError, match=r"peer wrote to offset 8193 beyond advertised 8192"):
+        _deliver_stream(client, 101, 0, kib(4), kib(4) + 1)
+
+
+def test_peer_writing_past_the_connection_limit_raises():
+    server, client = make_pair(recv_stream_window=kib(4), recv_conn_window=kib(6))
+    complete_handshake(server, client)
+    client.conn_recv_limit.advertised = kib(6)  # no window update in between
+    _deliver_stream(client, 100, 0, 0, 1000)
+    client.conn_recv_limit.advertised = kib(1)
+    with pytest.raises(FlowControlError, match=r"peer wrote to offset 2000 beyond advertised 1024"):
+        _deliver_stream(client, 101, 4, 0, 1000)
+
+
+def test_sender_consuming_more_than_its_credit_raises():
+    server, client = make_pair()
+    complete_handshake(server, client)
+    server.open_send_stream(0, DataSource(kib(50)))
+    built = server.build_packet(ms(1))
+    server.on_packet_sent(built, ms(1))
+    # Forget what was consumed: the next frame's advance (its end offset
+    # minus ``used``) now exceeds the credit the frame was sized to.
+    limit = server.stream_send_limits[0]
+    limit.limit, limit.used = 10, 0
+    with pytest.raises(FlowControlError, match=r"attempt to consume \d+B with only 10B of credit"):
+        server.build_packet(ms(1))

@@ -18,6 +18,7 @@ from repro.quic.frames import (
     StreamDataBlockedFrame,
     parse_frames,
 )
+from repro.quic.varint import varint_len
 
 
 def roundtrip(frame):
@@ -58,6 +59,31 @@ def test_stream_header_overhead_helper():
     f = StreamFrame(stream_id=8, offset=300, data=bytes(50))
     overhead = StreamFrame.header_overhead(8, 300, 50)
     assert overhead == f.encoded_len - 50
+
+
+#: Values on both sides of every varint length boundary, 8-byte ones included.
+_varint_values = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 62) - 1),
+    st.sampled_from(
+        [0, 1, 63, 64, (1 << 14) - 1, 1 << 14, (1 << 30) - 1, 1 << 30, (1 << 62) - 1]
+    ),
+)
+
+
+@given(_varint_values, _varint_values, _varint_values)
+def test_stream_header_overhead_is_the_varint_sum(stream_id, offset, length):
+    expected = 1 + varint_len(stream_id) + varint_len(length)
+    if offset:
+        expected += varint_len(offset)
+    assert StreamFrame.header_overhead(stream_id, offset, length) == expected
+    # A frame of byte counts carries the same header as one of bytes.
+    assert StreamFrame(stream_id, offset, length).encoded_len == expected + length
+
+
+@pytest.mark.parametrize("fields", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1 << 62, 0, 0), (0, 1 << 62, 1)])
+def test_stream_header_overhead_rejects_what_no_varint_encodes(fields):
+    with pytest.raises(EncodingError):
+        StreamFrame.header_overhead(*fields)
 
 
 def test_control_frames_roundtrip():

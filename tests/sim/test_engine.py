@@ -1,5 +1,7 @@
 """Event-engine semantics: ordering, cancellation, run bounds."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -185,3 +187,28 @@ def test_cancelled_events_drop_references(sim):
     handle = sim.schedule_cancellable(100, lambda o: None, obj)
     handle.cancel()
     assert handle.args == ()
+
+
+def test_admission_adds_no_python_frame(sim):
+    """``schedule`` is the only Python frame between a caller and the heap:
+    admission is a C call (``partial(heappush, heap)``), the clock an
+    attribute. A frame around either shows up here as a second ``call``."""
+    nothing = lambda: None  # noqa: E731 - never fires
+    calls = 0
+    engine = sys.modules[Simulator.__module__].__file__
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == engine:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for i in range(1000):
+            sim.schedule(i, nothing)
+    finally:
+        sys.setprofile(previous)
+    assert calls == 1000
+    assert sim.pending == 1000
+    assert sim.now == 0
