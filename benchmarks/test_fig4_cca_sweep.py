@@ -8,6 +8,8 @@ Paper observations:
   magnitude).
 """
 
+from bisect import bisect_left
+
 from benchmarks.conftest import publish, scaled
 from repro.metrics.gaps import cdf, inter_packet_gaps
 from repro.metrics.report import render_cdf, render_table
@@ -22,8 +24,9 @@ def _steady_state(records):
     behaviour; at reduced scale BBR's startup occupies much of the run)."""
     if not records:
         return records
-    cutoff = records[0].time_ns + 3 * (records[-1].time_ns - records[0].time_ns) // 4
-    return [r for r in records if r.time_ns >= cutoff]
+    times = records.time_ns
+    cutoff = times[0] + 3 * (times[-1] - times[0]) // 4
+    return records[bisect_left(times, cutoff):]
 
 
 def _collect(runs):

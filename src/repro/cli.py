@@ -518,11 +518,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     records = load_capture(args.capture)
     if args.src:
-        records = [r for r in records if r.flow[0] == args.src]
+        flows = records.flows
+        records = records.select(
+            [row for row, idx in enumerate(records.flow_index) if flows[idx][0] == args.src]
+        )
     if not records:
         print("no records after filtering")
         return 1
-    duration = records[-1].time_ns - records[0].time_ns
+    duration = records.time_ns[-1] - records.time_ns[0]
     print(f"{len(records)} frames over {fmt_time(duration)}")
 
     # One sort answers both the CDF and the back-to-back share.

@@ -24,7 +24,7 @@ def result_to_dict(
     include_capture: bool = False,
     fingerprint: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Serialize one repetition (capture records optional — they are big).
+    """Serialize one repetition (the capture is optional — it is big).
 
     ``fingerprint`` is ``result.fingerprint()`` when the caller already has
     it (the sweep computes one digest per repetition); ``None`` computes it.
@@ -62,9 +62,10 @@ def result_to_dict(
         },
     }
     if include_capture:
+        cols = result.server_records
         out["capture"] = [
-            {"t_ns": r.time_ns, "pn": r.packet_number, "size": r.wire_size}
-            for r in result.server_records
+            {"t_ns": t, "pn": None if pn < 0 else pn, "size": size}
+            for t, pn, size in zip(cols.time_ns, cols.packet_number, cols.wire_size)
         ]
     return out
 

@@ -42,7 +42,8 @@ from repro.framework.population import PopulationResult
 #: Bump whenever the on-disk entry format or ``ExperimentResult`` shape
 #: changes incompatibly; older entries are evicted on first touch.
 #: v2: ExperimentResult gained injected_drops / impairment_stats.
-CACHE_VERSION = 2
+#: v3: captures are CaptureColumns, not lists of CaptureRecord.
+CACHE_VERSION = 3
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.

@@ -11,12 +11,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
 from repro.metrics.goodput import goodput_mbps
-from repro.net.tap import CaptureRecord, Sniffer
+from repro.net.tap import CaptureColumns, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.units import ms
@@ -28,7 +28,7 @@ CLIENT_PORT = 40000
 _RNG_STREAMS = {"nic": "nic", "qdisc": "qdisc", "server": "server-proc", "client": "client-proc"}
 
 
-#: One capture record as ``json.dumps(asdict(record), sort_keys=True)`` writes
+#: One capture row as ``json.dumps(asdict(record), sort_keys=True)`` writes
 #: it; ``flow`` arrives JSON-encoded, ``gso_id``/``packet_number`` as an int or
 #: ``"null"``.
 _CAPTURE_ROW = (
@@ -41,28 +41,21 @@ _CAPTURE_ROW = (
 _CAPTURE_CHUNK_ROWS = 4096
 
 
-def _encode_capture(records: Sequence[CaptureRecord]) -> Iterator[bytes]:
+def _encode_capture(cols: CaptureColumns) -> Iterator[bytes]:
     """The capture as the elements of a JSON list (brackets excluded)."""
-    flows: Dict[Tuple[str, int, str, int], str] = {}
-    for start in range(0, len(records), _CAPTURE_CHUNK_ROWS):
-        rows = []
-        for r in records[start : start + _CAPTURE_CHUNK_ROWS]:
-            flow = flows.get(r.flow)
-            if flow is None:
-                flow = flows[r.flow] = json.dumps(r.flow)
-            gso_id, packet_number = r.gso_id, r.packet_number
-            rows.append(
-                _CAPTURE_ROW
-                % (
-                    r.dgram_id,
-                    flow,
-                    "null" if gso_id is None else gso_id,
-                    "null" if packet_number is None else packet_number,
-                    r.payload_size,
-                    r.time_ns,
-                    r.wire_size,
-                )
-            )
+    flows = [json.dumps(flow) for flow in cols.flows]
+    for start in range(0, len(cols), _CAPTURE_CHUNK_ROWS):
+        stop = start + _CAPTURE_CHUNK_ROWS
+        fields = zip(
+            cols.dgram_id[start:stop],
+            [flows[i] for i in cols.flow_index[start:stop]],
+            ["null" if v < 0 else v for v in cols.gso_id[start:stop]],
+            ["null" if v < 0 else v for v in cols.packet_number[start:stop]],
+            cols.payload_size[start:stop],
+            cols.time_ns[start:stop],
+            cols.wire_size[start:stop],
+        )
+        rows = [_CAPTURE_ROW % row for row in fields]
         yield ((", " if start else "") + ", ".join(rows)).encode()
 
 
@@ -74,7 +67,8 @@ class ExperimentResult:
     duration_ns: int
     goodput_mbps: float
     dropped: int
-    server_records: List[CaptureRecord]
+    #: The tap's capture of the server's frames, in arrival order.
+    server_records: CaptureColumns
     expected_send_log: List[Tuple[int, int]]
     cwnd_trace: List[Tuple[int, int]] = field(default_factory=list)
     queue_trace: List[Tuple[int, int]] = field(default_factory=list)

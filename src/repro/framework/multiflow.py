@@ -22,11 +22,10 @@ forward-path impairment drops per flow, injected reverse-path (ACK) drops
 per flow, and unrouted demux datagrams (always a wiring bug; the
 conservation validator gates on zero).
 
-Scale. ``capture_records=False`` skips materializing per-flow
-:class:`CaptureRecord` lists, so a several-hundred-flow population run keeps
-the capture columnar (O(packets) machine integers, PR 5's layout) instead of
-holding O(flows × packets) record objects; per-flow wire-packet counts are
-still derived in one pass over the columns.
+Scale. ``capture_records=False`` skips the per-flow split of the capture
+(``FlowResult.records`` stay empty), so a several-hundred-flow population run
+holds the tap's columns once; per-flow wire-packet counts are still derived
+in one pass over them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.framework.config import ExperimentConfig, NetworkConfig
@@ -46,7 +44,7 @@ from repro.kernel.qdisc.netem import NetemQdisc
 from repro.metrics.fairness import jain_index
 from repro.metrics.goodput import goodput_mbps
 from repro.net.demux import PortDemux
-from repro.net.tap import CaptureRecord, Sniffer
+from repro.net.tap import CaptureColumns, Sniffer
 from repro.quic import h3
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
@@ -126,12 +124,9 @@ class FlowResult:
     #: Frames this flow put on the wire (tap capture), counted columnar.
     wire_packets: int = 0
     start_ns: int = 0
-    records: List[CaptureRecord] = field(default_factory=list)
-
-    @property
-    def fct_ns(self) -> int:
-        """Flow completion time (valid when ``completed``)."""
-        return self.duration_ns
+    #: This flow's frames at the tap, in arrival order (``capture_records``
+    #: runs; empty otherwise).
+    records: CaptureColumns = field(default_factory=CaptureColumns)
 
 
 @dataclass
@@ -312,10 +307,9 @@ class _Flow:
 class MultiFlowExperiment:
     """N flows over one shared bottleneck.
 
-    ``capture_records=False`` keeps the capture columnar only: per-flow
-    ``FlowResult.records`` lists stay empty (wire-packet counts are still
-    reported), which is what flow-population runs use to avoid holding
-    O(flows × packets) record objects.
+    ``capture_records=False`` leaves every ``FlowResult.records`` empty
+    (wire-packet counts are still reported), which is what flow-population
+    runs use.
     """
 
     def __init__(
@@ -474,16 +468,6 @@ class MultiFlowExperiment:
         """The event census (``profile_events`` runs only)."""
         return self.sim.report() if self.profile_events else None
 
-    @cached_property
-    def _records_by_port(self) -> Dict[int, List[CaptureRecord]]:
-        """The finished run's server-side capture bucketed by server port, in
-        capture order: one pass over the records, not one per flow. Read only
-        by ``capture_records`` runs."""
-        by_port: Dict[int, List[CaptureRecord]] = {}
-        for record in self.sniffer.from_host(SERVER_ADDR):
-            by_port.setdefault(record.flow[1], []).append(record)
-        return by_port
-
     def _collect(self, wall_start: float) -> MultiFlowResult:
         # One columnar pass: frames on the wire per server port. The tap sees
         # only the forward direction (server hosts feed it), but filter by
@@ -496,6 +480,14 @@ class MultiFlowExperiment:
             f = cols.flows[flow_idx]
             if f[0] == SERVER_ADDR:
                 wire_by_port[f[1]] = wire_by_port.get(f[1], 0) + count
+        # The capture's rows per server port, in capture order: one pass over
+        # the rows, not one per flow.
+        rows_by_port: Dict[int, List[int]] = {}
+        if self.capture_records:
+            for row, flow_idx in enumerate(cols.flow_index):
+                f = cols.flows[flow_idx]
+                if f[0] == SERVER_ADDR:
+                    rows_by_port.setdefault(f[1], []).append(row)
 
         # Congestion drops per server port (forward path: src port == server).
         congestion_by_port: Dict[int, int] = {}
@@ -516,10 +508,6 @@ class MultiFlowExperiment:
         for flow in self._flows:
             start, end = flow.timing(self.sim.now)
             port = flow.server_port
-            if self.capture_records:
-                records = self._records_by_port.get(port, [])
-            else:
-                records = []
             bytes_received = flow.bytes_delivered()
             results.append(
                 FlowResult(
@@ -533,7 +521,7 @@ class MultiFlowExperiment:
                     ack_drops=ack_injected_by_port.get(port, 0),
                     wire_packets=wire_by_port.get(port, 0),
                     start_ns=flow.spec.start_ns,
-                    records=records,
+                    records=cols.select(rows_by_port.get(port, ())),
                 )
             )
         impairment_stats = {

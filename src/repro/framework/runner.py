@@ -1,5 +1,5 @@
 """Repetition runner: run a configuration N times, aggregate mean ± std, and
-pool capture records for distribution metrics (as the paper combines all
+pool the captures for distribution metrics (as the paper combines all
 repetitions before computing gap/train distributions).
 
 Repetitions are independent simulations, so they fan out to a ``forkserver``
@@ -21,7 +21,7 @@ from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment, ExperimentResult
 from repro.framework.supervision import RepFailure, SupervisionPolicy
 from repro.metrics.stats import Summary, summarize
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns
 from repro.sim.random import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -47,8 +47,8 @@ class RunSummary:
     failures: List[RepFailure] = field(default_factory=list)
 
     @property
-    def pooled_records(self) -> List[List[CaptureRecord]]:
-        """Per-repetition capture records (gaps must not straddle reps).
+    def pooled_records(self) -> List[CaptureColumns]:
+        """Per-repetition captures (gaps must not straddle reps).
 
         Population results carry no single-flow capture, so they contribute
         no groups here — gap/train metrics simply report "-" for them.

@@ -47,17 +47,13 @@ def _check(condition: bool, invariant: str, detail: str) -> None:
         raise ValidationError(f"{invariant}: {detail}")
 
 
-def _went_backwards(invariant: str, index: int, t: int, previous: int) -> ValidationError:
-    return ValidationError(
-        f"{invariant}: timestamp at index {index} went backwards ({t} < {previous})"
-    )
-
-
 def _check_monotonic(times, invariant: str) -> None:
     previous = None
     for index, t in enumerate(times):
         if previous is not None and t < previous:
-            raise _went_backwards(invariant, index, t, previous)
+            raise ValidationError(
+                f"{invariant}: timestamp at index {index} went backwards ({t} < {previous})"
+            )
         previous = t
 
 
@@ -186,7 +182,7 @@ def validate_population(result: PopulationResult) -> None:
         _check(
             all(not f.records for f in result.multi.flows),
             "capture-opt-in",
-            "capture_records=False but per-flow record lists were materialized",
+            "capture_records=False but per-flow captures were materialized",
         )
 
 
@@ -223,16 +219,8 @@ def validate_experiment(result: ExperimentResult) -> None:
     )
 
     # -- capture monotonicity ---------------------------------------------
-    # One walk over the capture serves both this check and the payload sum
-    # that byte conservation needs below.
-    wire_payload = 0
-    previous = None
-    for index, record in enumerate(result.server_records):
-        t = record.time_ns
-        if previous is not None and t < previous:
-            raise _went_backwards("capture-monotonic", index, t, previous)
-        previous = t
-        wire_payload += record.payload_size
+    _check_monotonic(result.server_records.time_ns, "capture-monotonic")
+    wire_payload = sum(result.server_records.payload_size)
     _check_monotonic((t for t, _ in result.cwnd_trace), "cwnd-trace-monotonic")
     _check_monotonic((t for t, _ in result.queue_trace), "queue-trace-monotonic")
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.errors import ConfigError
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 
 CSV_FIELDS = [
     "time_ns",
@@ -34,7 +34,7 @@ CSV_FIELDS = [
 ]
 
 
-def save_capture(records: Sequence[CaptureRecord], path: str | Path) -> Path:
+def save_capture(records: CaptureColumns, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
@@ -61,7 +61,38 @@ def _opt_int(value: str) -> Optional[int]:
     return int(value) if value not in ("", None) else None
 
 
-def load_capture(path: str | Path, strict: bool = False) -> List[CaptureRecord]:
+def _rows(reader: csv.DictReader, path: Path, strict: bool) -> Iterator[CaptureRecord]:
+    previous: Optional[int] = None
+    for i, row in enumerate(reader):
+        try:
+            time_ns = int(float(row["time_ns"]))
+            wire_size = int(row.get("wire_size") or 0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad row {i + 2}: {exc}") from exc
+        if strict and previous is not None and time_ns < previous:
+            raise ConfigError(
+                f"{path}: row {i + 2} is out of order "
+                f"({time_ns} < {previous}); "
+                "re-export in timestamp order or load with strict=False"
+            )
+        previous = time_ns
+        yield CaptureRecord(
+            time_ns=time_ns,
+            wire_size=wire_size,
+            payload_size=int(row.get("payload_size") or max(wire_size - 42, 0)),
+            flow=(
+                row.get("src") or "unknown",
+                int(row.get("src_port") or 0),
+                row.get("dst") or "unknown",
+                int(row.get("dst_port") or 0),
+            ),
+            packet_number=_opt_int(row.get("packet_number", "")),
+            dgram_id=i,
+            gso_id=_opt_int(row.get("gso_id", "")),
+        )
+
+
+def load_capture(path: str | Path, strict: bool = False) -> CaptureColumns:
     """Load a capture CSV; rows are sorted by ``time_ns``.
 
     tshark exports are not guaranteed monotone (reordered frames, merged
@@ -72,38 +103,9 @@ def load_capture(path: str | Path, strict: bool = False) -> List[CaptureRecord]:
     indicates a broken export.
     """
     path = Path(path)
-    records: List[CaptureRecord] = []
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "time_ns" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a header row including 'time_ns'")
-        for i, row in enumerate(reader):
-            try:
-                time_ns = int(float(row["time_ns"]))
-                wire_size = int(row.get("wire_size") or 0)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad row {i + 2}: {exc}") from exc
-            if strict and records and time_ns < records[-1].time_ns:
-                raise ConfigError(
-                    f"{path}: row {i + 2} is out of order "
-                    f"({time_ns} < {records[-1].time_ns}); "
-                    "re-export in timestamp order or load with strict=False"
-                )
-            records.append(
-                CaptureRecord(
-                    time_ns=time_ns,
-                    wire_size=wire_size,
-                    payload_size=int(row.get("payload_size") or max(wire_size - 42, 0)),
-                    flow=(
-                        row.get("src") or "unknown",
-                        int(row.get("src_port") or 0),
-                        row.get("dst") or "unknown",
-                        int(row.get("dst_port") or 0),
-                    ),
-                    packet_number=_opt_int(row.get("packet_number", "")),
-                    dgram_id=i,
-                    gso_id=_opt_int(row.get("gso_id", "")),
-                )
-            )
-    records.sort(key=lambda r: r.time_ns)
-    return records
+        cols = CaptureColumns.from_records(_rows(reader, path, strict))
+    return cols.select(sorted(range(len(cols)), key=cols.time_ns.__getitem__))

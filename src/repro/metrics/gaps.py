@@ -1,8 +1,7 @@
 """Inter-packet gap analysis (paper Figure 2 / Figure 4 top rows).
 
-Gap extraction accepts either the classic ``CaptureRecord`` sequences or the
-sniffer's columnar view (:class:`~repro.net.tap.CaptureColumns`), reading the
-raw time column directly in the latter case. Quantile queries share one sort
+Gap extraction reads the time column of a capture
+(:class:`~repro.net.tap.CaptureColumns`). Quantile queries share one sort
 via :class:`Distribution`; the free functions (``cdf``, ``percentile``,
 ``fraction_leq``) remain for one-off calls and delegate to it.
 """
@@ -11,26 +10,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from repro.net.tap import CaptureColumns, CaptureRecord
-
-Capture = Union[Sequence[CaptureRecord], CaptureColumns]
+from repro.net.tap import CaptureColumns
 
 
-def _times(records: Capture) -> Sequence[int]:
-    if isinstance(records, CaptureColumns):
-        return records.time_ns
-    return [r.time_ns for r in records]
-
-
-def inter_packet_gaps(records: Capture) -> List[int]:
+def inter_packet_gaps(records: CaptureColumns) -> List[int]:
     """Gaps (ns) between consecutive captured packets, in capture order."""
-    times = _times(records)
+    times = records.time_ns
     return [b - a for a, b in zip(times, islice(times, 1, None))]
 
 
-def pooled_gaps(groups: Sequence[Capture]) -> List[int]:
+def pooled_gaps(groups: Sequence[CaptureColumns]) -> List[int]:
     """Gaps pooled across capture groups (repetitions), computed per group.
 
     The paper combines all repetitions before computing the gap distribution;

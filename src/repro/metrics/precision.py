@@ -6,39 +6,29 @@ packet number. Because server and sniffer clocks are unsynchronized, the mean
 difference is meaningless; the **standard deviation** of the differences is
 the precision metric.
 
-Accepts ``CaptureRecord`` sequences or the sniffer's columnar view; the
-columnar path matches straight off the packet-number and time columns.
+Matching reads the packet-number and time columns of the capture.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from repro.net.tap import CaptureColumns, CaptureRecord
-
-Capture = Union[Sequence[CaptureRecord], CaptureColumns]
+from repro.net.tap import CaptureColumns
 
 
-def _actual_by_pn(records: Capture) -> Dict[int, int]:
+def _actual_by_pn(records: CaptureColumns) -> Dict[int, int]:
     """First wire timestamp per packet number (first capture wins)."""
     actual: Dict[int, int] = {}
-    if isinstance(records, CaptureColumns):
-        times = records.time_ns
-        for i, pn in enumerate(records.packet_number):
-            if pn >= 0 and pn not in actual:
-                actual[pn] = times[i]
-        return actual
-    for record in records:
-        pn = record.packet_number
-        if pn is not None and pn not in actual:
-            actual[pn] = record.time_ns
+    for pn, time_ns in zip(records.packet_number, records.time_ns):
+        if pn >= 0 and pn not in actual:
+            actual[pn] = time_ns
     return actual
 
 
 def match_expected_actual(
     expected_log: Sequence[Tuple[int, int]],
-    records: Capture,
+    records: CaptureColumns,
 ) -> List[int]:
     """Per-packet (actual - expected) send-time differences in ns.
 
@@ -57,7 +47,7 @@ def match_expected_actual(
 
 def pacing_precision_ns(
     expected_log: Sequence[Tuple[int, int]],
-    records: Capture,
+    records: CaptureColumns,
 ) -> float:
     """Standard deviation of actual-vs-expected send times, in ns."""
     diffs = match_expected_actual(expected_log, records)

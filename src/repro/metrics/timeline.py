@@ -12,8 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.metrics.gaps import inter_packet_gaps
 from repro.metrics.trains import TRAIN_GAP_THRESHOLD_NS
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns
 from repro.units import ms
 
 
@@ -29,40 +30,34 @@ class Burst:
 
 
 def bursts(
-    records: Sequence[CaptureRecord],
+    records: CaptureColumns,
     min_packets: int = 8,
     threshold_ns: int = TRAIN_GAP_THRESHOLD_NS,
 ) -> List[Burst]:
     """Packet trains of at least ``min_packets``, with their time extent."""
-    if not records:
+    times = records.time_ns
+    if not times:
         return []
     out: List[Burst] = []
-    start = records[0].time_ns
-    prev = records[0].time_ns
+    start = prev = times[0]
     count = 1
-    for record in records[1:]:
-        if record.time_ns - prev <= threshold_ns:
+    for t in times[1:]:
+        if t - prev <= threshold_ns:
             count += 1
         else:
             if count >= min_packets:
                 out.append(Burst(start, prev, count))
-            start = record.time_ns
+            start = t
             count = 1
-        prev = record.time_ns
+        prev = t
     if count >= min_packets:
         out.append(Burst(start, prev, count))
     return out
 
 
-def idle_gaps(
-    records: Sequence[CaptureRecord], min_idle_ns: int = ms(2)
-) -> List[int]:
+def idle_gaps(records: CaptureColumns, min_idle_ns: int = ms(2)) -> List[int]:
     """Gaps of at least ``min_idle_ns`` between consecutive packets."""
-    return [
-        records[i].time_ns - records[i - 1].time_ns
-        for i in range(1, len(records))
-        if records[i].time_ns - records[i - 1].time_ns >= min_idle_ns
-    ]
+    return [gap for gap in inter_packet_gaps(records) if gap >= min_idle_ns]
 
 
 def dominant_cycle_ns(
@@ -96,7 +91,7 @@ class CycleReport:
 
 
 def analyze_cycle(
-    records: Sequence[CaptureRecord],
+    records: CaptureColumns,
     min_burst_packets: int = 8,
     min_idle_ns: int = ms(2),
 ) -> CycleReport:

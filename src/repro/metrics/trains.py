@@ -5,36 +5,27 @@ between each pair; a train of length one is a single, well-paced packet. The
 paper weights the distribution *by packets* ("distribution of packets across
 packet trains"), so a single 16-packet burst counts 16 packets at length 16.
 
-Like :mod:`repro.metrics.gaps`, every function accepts either
-``CaptureRecord`` sequences or the sniffer's columnar view and walks the raw
-time column in the latter case.
+Like :mod:`repro.metrics.gaps`, every function walks the time column of a
+capture.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
-from repro.net.tap import CaptureColumns, CaptureRecord
+from repro.net.tap import CaptureColumns
 from repro.units import us
 
 #: The paper's threshold: 0.1 ms (minimum serialization gap is ~0.012 ms).
 TRAIN_GAP_THRESHOLD_NS = us(100)
 
-Capture = Union[Sequence[CaptureRecord], CaptureColumns]
-
-
-def _times(records: Capture) -> Sequence[int]:
-    if isinstance(records, CaptureColumns):
-        return records.time_ns
-    return [r.time_ns for r in records]
-
 
 def packet_trains(
-    records: Capture, threshold_ns: int = TRAIN_GAP_THRESHOLD_NS
+    records: CaptureColumns, threshold_ns: int = TRAIN_GAP_THRESHOLD_NS
 ) -> List[int]:
     """Lengths of consecutive packet trains."""
-    times = _times(records)
+    times = records.time_ns
     if not times:
         return []
     lengths: List[int] = []
@@ -52,7 +43,7 @@ def packet_trains(
 
 
 def packets_by_train_length(
-    records: Capture, threshold_ns: int = TRAIN_GAP_THRESHOLD_NS
+    records: CaptureColumns, threshold_ns: int = TRAIN_GAP_THRESHOLD_NS
 ) -> Dict[int, int]:
     """Map train length -> number of *packets* in trains of that length."""
     counts: Counter[int] = Counter()
@@ -62,7 +53,7 @@ def packets_by_train_length(
 
 
 def fraction_of_packets_in_trains_leq(
-    records: Capture,
+    records: CaptureColumns,
     max_length: int,
     threshold_ns: int = TRAIN_GAP_THRESHOLD_NS,
 ) -> float:
@@ -75,7 +66,7 @@ def fraction_of_packets_in_trains_leq(
 
 
 def pooled_packets_by_train_length(
-    groups: Sequence[Capture],
+    groups: Sequence[CaptureColumns],
     threshold_ns: int = TRAIN_GAP_THRESHOLD_NS,
 ) -> Dict[int, int]:
     """Train-length distribution pooled across groups (repetitions).
@@ -90,7 +81,7 @@ def pooled_packets_by_train_length(
 
 
 def pooled_fraction_of_packets_in_trains_leq(
-    groups: Sequence[Capture],
+    groups: Sequence[CaptureColumns],
     max_length: int,
     threshold_ns: int = TRAIN_GAP_THRESHOLD_NS,
 ) -> float:

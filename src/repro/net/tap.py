@@ -6,22 +6,19 @@ so that measurement neither perturbs the connection nor is re-shaped by the
 network emulation. In simulation the tap is a zero-delay pass-through feeding
 a :class:`Sniffer`.
 
-The sniffer stores captures **columnar**: six parallel ``array('q')`` columns
-plus an interned flow table, appended in arrival order. A multi-MiB transfer
-captures thousands of frames, and building a frozen dataclass per frame was a
-measurable slice of the simulation hot loop; appending six machine integers
-is far cheaper and keeps the capture cache-friendly for the metrics code,
-which consumes the raw columns directly. The classic record view
-(:attr:`Sniffer.records`, :meth:`Sniffer.from_host`) is materialized lazily
-and cached, so existing consumers — including the result fingerprint — see
-exactly the same :class:`CaptureRecord` objects as before.
+The capture is **columnar** end to end: :class:`CaptureColumns` holds seven
+parallel ``array('q')`` columns plus an interned flow table, appended in
+arrival order, and that object is what a result carries, what validation,
+fingerprint and metrics read, and what crosses a pickle boundary. A
+:class:`CaptureRecord` is one row of it, built on demand when a caller
+indexes or iterates the columns.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Final, Iterable, List, Optional, Tuple
+from typing import Dict, Final, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net.packet import Datagram, FlowTuple, PacketSink
 from repro.sim.engine import Simulator
@@ -29,6 +26,12 @@ from repro.sim.engine import Simulator
 #: Column sentinel for "field was None" (packet_number, gso_id). Both fields
 #: are non-negative whenever present, so -1 is unambiguous.
 _NONE: Final[int] = -1
+
+#: The integer columns other than ``flow_index``, which is relative to a
+#: flow table and so never copied between captures as-is.
+_VALUE_COLUMNS: Final = (
+    "time_ns", "wire_size", "payload_size", "packet_number", "dgram_id", "gso_id",
+)
 
 
 @dataclass(frozen=True)
@@ -53,19 +56,18 @@ class CaptureRecord:
 
 
 class CaptureColumns:
-    """Struct-of-arrays view over a capture: parallel columns, one row per
-    frame, in arrival order.
+    """A capture: parallel columns, one row per frame, in arrival order.
 
-    ``packet_number`` and ``gso_id`` use ``-1`` where the record-level API
-    reports ``None``. ``flow_index`` indexes into :attr:`flows`.
+    ``packet_number`` and ``gso_id`` hold ``-1`` where a :class:`CaptureRecord`
+    reports ``None``; ``flow_index`` indexes into :attr:`flows`. Consumers on
+    a per-packet path read the columns; the object is also a read-only
+    sequence of its rows (``len``, iteration, ``cols[i]``, ``cols[a:b]``,
+    ``==``), each row built as a :class:`CaptureRecord` when asked for.
     """
 
-    __slots__ = (
-        "time_ns", "wire_size", "payload_size",
-        "packet_number", "dgram_id", "gso_id", "flow_index", "flows",
-    )
+    __slots__ = (*_VALUE_COLUMNS, "flow_index", "flows")
 
-    def __init__(self, flows: Optional[List[FlowTuple]] = None):
+    def __init__(self) -> None:
         self.time_ns: "array[int]" = array("q")
         self.wire_size: "array[int]" = array("q")
         self.payload_size: "array[int]" = array("q")
@@ -74,20 +76,66 @@ class CaptureColumns:
         self.gso_id: "array[int]" = array("q")
         self.flow_index: "array[int]" = array("q")
         #: Interned flow tuples; ``flow_index`` rows point into this list.
-        self.flows: List[FlowTuple] = flows if flows is not None else []
+        self.flows: List[FlowTuple] = []
+
+    @classmethod
+    def from_records(cls, records: Iterable[CaptureRecord]) -> "CaptureColumns":
+        """The columns whose rows are ``records`` (tests, the CSV loader)."""
+        out = cls()
+        flow_ids: Dict[FlowTuple, int] = {}
+        for r in records:
+            out.time_ns.append(r.time_ns)
+            out.wire_size.append(r.wire_size)
+            out.payload_size.append(r.payload_size)
+            out.packet_number.append(_NONE if r.packet_number is None else r.packet_number)
+            out.dgram_id.append(r.dgram_id)
+            out.gso_id.append(_NONE if r.gso_id is None else r.gso_id)
+            idx = flow_ids.get(r.flow)
+            if idx is None:
+                idx = flow_ids[r.flow] = len(out.flows)
+                out.flows.append(r.flow)
+            out.flow_index.append(idx)
+        return out
 
     def __len__(self) -> int:
         return len(self.time_ns)
 
-    def select(self, indices: Iterable[int]) -> "CaptureColumns":
-        """New columns holding only the given rows (shared flow table)."""
-        out = CaptureColumns(flows=self.flows)
-        for name in (
-            "time_ns", "wire_size", "payload_size",
-            "packet_number", "dgram_id", "gso_id", "flow_index",
-        ):
+    def __iter__(self) -> Iterator[CaptureRecord]:
+        return map(self.record, range(len(self)))
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[CaptureRecord, "CaptureColumns"]:
+        if isinstance(key, slice):
+            return self.select(range(*key.indices(len(self))))
+        return self.record(key)
+
+    def __eq__(self, other: object) -> bool:
+        """Same rows in the same order (flow tables may be interned differently)."""
+        if not isinstance(other, CaptureColumns):
+            return NotImplemented
+        if any(getattr(self, name) != getattr(other, name) for name in _VALUE_COLUMNS):
+            return False
+        if self.flows == other.flows:
+            return self.flow_index == other.flow_index
+        mine, theirs = self.flows, other.flows
+        return all(mine[a] == theirs[b] for a, b in zip(self.flow_index, other.flow_index))
+
+    def select(self, indices: Sequence[int]) -> "CaptureColumns":
+        """New columns holding only the given rows, with a flow table of just
+        the flows those rows reference (so a per-flow selection pickles its
+        own flow, not the population's)."""
+        out = CaptureColumns()
+        for name in _VALUE_COLUMNS:
             src = getattr(self, name)
-            getattr(out, name).extend(src[i] for i in indices)
+            getattr(out, name).extend([src[i] for i in indices])
+        remap: Dict[int, int] = {}
+        flow_index = self.flow_index
+        for i in indices:
+            old = flow_index[i]
+            new = remap.get(old)
+            if new is None:
+                new = remap[old] = len(out.flows)
+                out.flows.append(self.flows[old])
+            out.flow_index.append(new)
         return out
 
     def record(self, i: int) -> CaptureRecord:
@@ -105,15 +153,6 @@ class CaptureColumns:
         )
 
 
-class _RecordsView(list):
-    """The lazy ``Sniffer.records`` list.
-
-    A real ``list`` subclass so every consumer (slicing, ``len``, iteration,
-    identity as a Sequence) behaves exactly as before; the sniffer refreshes
-    it in place when rows were appended since the last materialization.
-    """
-
-
 class Sniffer:
     """Accumulates captures, in arrival order, as columnar arrays."""
 
@@ -121,11 +160,9 @@ class Sniffer:
         self.name: str = name
         self.columns: CaptureColumns = CaptureColumns()
         self._flow_ids: Dict[FlowTuple, int] = {}
-        self._records = _RecordsView()
         #: Per-source-address row indices, maintained at capture time so
         #: ``from_host`` never rescans the capture.
         self._host_rows: Dict[str, List[int]] = {}
-        self._host_records: Dict[str, List[CaptureRecord]] = {}
 
     def capture(self, time_ns: int, dgram: Datagram) -> None:
         cols = self.columns
@@ -149,39 +186,15 @@ class Sniffer:
         cols.gso_id.append(_NONE if gso is None else gso)
         cols.flow_index.append(idx)
 
-    @property
-    def records(self) -> List[CaptureRecord]:
-        """All captures as :class:`CaptureRecord` objects (lazy, cached)."""
-        view = self._records
-        n = len(self.columns)
-        if len(view) != n:
-            record = self.columns.record
-            view.extend(record(i) for i in range(len(view), n))
-        return view
-
-    def from_host(self, addr: str) -> List[CaptureRecord]:
-        """Records whose source address is ``addr`` (e.g. the server)."""
+    def from_host(self, addr: str) -> CaptureColumns:
+        """The frames whose source address is ``addr`` (e.g. the server): the
+        capture itself when every frame is."""
         rows = self._host_rows.get(addr)
         if rows is None:
-            return []
-        cached = self._host_records.get(addr)
-        if cached is not None and len(cached) == len(rows):
-            return cached
-        record = self.columns.record
-        out = [record(i) for i in rows]
-        self._host_records[addr] = out
-        return out
-
-    def columns_from_host(self, addr: str) -> CaptureColumns:
-        """Columnar view of the frames sourced by ``addr``."""
-        rows = self._host_rows.get(addr)
-        if rows is None:
-            return CaptureColumns(flows=self.columns.flows)
+            return CaptureColumns()
+        if len(rows) == len(self.columns):
+            return self.columns
         return self.columns.select(rows)
-
-    def host_rows(self, addr: str) -> List[int]:
-        """Capture row indices for frames sourced by ``addr``."""
-        return list(self._host_rows.get(addr, ()))
 
     def __len__(self) -> int:
         return len(self.columns)

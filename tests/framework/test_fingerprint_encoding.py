@@ -30,7 +30,7 @@ from repro.framework.multiflow import (
     MultiFlowResult,
 )
 from repro.net.impairments import burst_loss, duplication, iid_loss, reordering
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 from repro.units import kib
 
 
@@ -162,8 +162,8 @@ def _synthetic(records, **overrides) -> ExperimentResult:
     return ExperimentResult(**fields)
 
 
-def _records(rng: random.Random, count: int, flows) -> list:
-    return [
+def _records(rng: random.Random, count: int, flows) -> CaptureColumns:
+    return CaptureColumns.from_records(
         CaptureRecord(
             time_ns=1_000 * i + rng.randrange(1_000),
             wire_size=rng.randrange(60, 1_500),
@@ -174,7 +174,7 @@ def _records(rng: random.Random, count: int, flows) -> list:
             gso_id=rng.choice((None, 0, i // 10)),
         )
         for i in range(count)
-    ]
+    )
 
 
 FLOW_A = ("10.0.0.1", 443, "10.0.0.2", 40000)

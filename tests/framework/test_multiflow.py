@@ -4,6 +4,7 @@ import pytest
 
 from repro.framework.multiflow import BASE_SERVER_PORT, FlowSpec, MultiFlowExperiment
 from repro.framework.testbed import SERVER_ADDR
+from repro.net.tap import CaptureColumns
 from repro.units import kib, mib, ms
 
 SMALL = kib(400)
@@ -58,7 +59,9 @@ def test_per_flow_records_partition_the_server_capture_in_order():
     capture = experiment.sniffer.from_host(SERVER_ADDR)
     for index, flow in enumerate(result.flows):
         port = BASE_SERVER_PORT + index
-        assert flow.records == [r for r in capture if r.flow[1] == port]
+        assert flow.records == CaptureColumns.from_records(r for r in capture if r.flow[1] == port)
+        # A flow's capture carries its own flow, not the population's table.
+        assert flow.records.flows == [f for f in capture.flows if f[1] == port]
         assert len(flow.records) == flow.wire_packets > 0
     assert sum(len(f.records) for f in result.flows) == len(capture)
 

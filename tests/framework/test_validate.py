@@ -9,6 +9,7 @@ from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment
 from repro.framework.validate import validate_result
 from repro.net.impairments import iid_loss
+from repro.net.tap import CaptureColumns
 from repro.sim.random import derive_seed
 from repro.units import kib
 
@@ -51,7 +52,10 @@ def test_negative_drop_counter_rejected(result):
 def test_non_monotonic_capture_rejected(result):
     records = list(result.server_records)
     records[1], records[2] = records[2], records[1]
-    _expect("capture-monotonic", dataclasses.replace(result, server_records=records))
+    _expect(
+        "capture-monotonic",
+        dataclasses.replace(result, server_records=CaptureColumns.from_records(records)),
+    )
 
 
 def test_injected_drops_must_match_stage_counters(result):

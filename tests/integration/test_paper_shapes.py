@@ -4,6 +4,8 @@ The benchmarks regenerate the full tables/figures; these tests pin the load-
 bearing *orderings* at reduced scale so regressions surface in `pytest tests/`.
 """
 
+from bisect import bisect_left
+
 import pytest
 
 from repro.framework.config import ExperimentConfig
@@ -87,10 +89,9 @@ class TestCcaSweep:
             # claim concerns post-startup behaviour; BBR's startup itself is
             # a high-gain burst phase in every implementation).
             records = r.server_records
-            cutoff = records[0].time_ns + int(
-                0.75 * (records[-1].time_ns - records[0].time_ns)
-            )
-            tail = [rec for rec in records if rec.time_ns >= cutoff]
+            times = records.time_ns
+            cutoff = times[0] + int(0.75 * (times[-1] - times[0]))
+            tail = records[bisect_left(times, cutoff):]
             dist = packets_by_train_length(tail)
             total = sum(dist.values())
             return sum(v for k, v in dist.items() if k > 5) / total

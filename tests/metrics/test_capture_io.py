@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.metrics.capture_io import load_capture, save_capture
 from repro.metrics.gaps import inter_packet_gaps
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 
 
 def rec(t, pn=None):
@@ -17,7 +17,7 @@ def rec(t, pn=None):
 
 
 def test_roundtrip(tmp_path):
-    records = [rec(100, 0), rec(350, 1), rec(900, None)]
+    records = CaptureColumns.from_records([rec(100, 0), rec(350, 1), rec(900, None)])
     path = save_capture(records, tmp_path / "cap.csv")
     loaded = load_capture(path)
     assert [r.time_ns for r in loaded] == [100, 350, 900]

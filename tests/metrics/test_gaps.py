@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.gaps import cdf, fraction_leq, inter_packet_gaps, percentile
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 
 
 def rec(t):
@@ -15,13 +15,13 @@ def rec(t):
 
 
 def test_gaps_between_consecutive_records():
-    records = [rec(0), rec(100), rec(250), rec(1000)]
+    records = CaptureColumns.from_records([rec(0), rec(100), rec(250), rec(1000)])
     assert inter_packet_gaps(records) == [100, 150, 750]
 
 
 def test_gaps_empty_and_single():
-    assert inter_packet_gaps([]) == []
-    assert inter_packet_gaps([rec(5)]) == []
+    assert inter_packet_gaps(CaptureColumns()) == []
+    assert inter_packet_gaps(CaptureColumns.from_records([rec(5)])) == []
 
 
 def test_fraction_leq():

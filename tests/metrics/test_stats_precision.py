@@ -9,14 +9,18 @@ from hypothesis import given, strategies as st
 from repro.metrics.goodput import goodput_mbps
 from repro.metrics.precision import match_expected_actual, pacing_precision_ns
 from repro.metrics.stats import Summary, summarize
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 from repro.units import SEC, mib, seconds
 
 
-def rec(t, pn):
-    return CaptureRecord(
-        time_ns=t, wire_size=1294, payload_size=1252,
-        flow=("a", 1, "b", 2), packet_number=pn, dgram_id=pn, gso_id=None,
+def recs(*rows):
+    """A capture of ``(time_ns, packet_number)`` rows."""
+    return CaptureColumns.from_records(
+        CaptureRecord(
+            time_ns=t, wire_size=1294, payload_size=1252,
+            flow=("a", 1, "b", 2), packet_number=pn, dgram_id=pn, gso_id=None,
+        )
+        for t, pn in rows
     )
 
 
@@ -62,30 +66,30 @@ class TestGoodput:
 class TestPrecision:
     def test_matches_by_packet_number(self):
         expected = [(0, 100), (1, 200), (2, 300)]
-        records = [rec(150, 0), rec(250, 1), rec(350, 2)]
+        records = recs((150, 0), (250, 1), (350, 2))
         assert match_expected_actual(expected, records) == [50, 50, 50]
 
     def test_constant_offset_has_zero_std(self):
         # Unsynchronized clocks: constant offset is fine, stddev is the metric.
         expected = [(i, i * 1000) for i in range(50)]
-        records = [rec(i * 1000 + 777, i) for i in range(50)]
+        records = recs(*((i * 1000 + 777, i) for i in range(50)))
         assert pacing_precision_ns(expected, records) == 0.0
 
     def test_jitter_produces_std(self):
         expected = [(i, i * 1000) for i in range(4)]
-        records = [rec(0, 0), rec(1100, 1), rec(1900, 2), rec(3100, 3)]
+        records = recs((0, 0), (1100, 1), (1900, 2), (3100, 3))
         std = pacing_precision_ns(expected, records)
         assert std > 0
 
     def test_dropped_packets_skipped(self):
         expected = [(0, 100), (1, 200)]
-        records = [rec(150, 0)]  # pn 1 never hit the wire
+        records = recs((150, 0))  # pn 1 never hit the wire
         assert match_expected_actual(expected, records) == [50]
 
     def test_first_capture_wins_for_duplicates(self):
         expected = [(0, 100)]
-        records = [rec(150, 0), rec(900, 0)]
+        records = recs((150, 0), (900, 0))
         assert match_expected_actual(expected, records) == [50]
 
     def test_too_few_samples_returns_zero(self):
-        assert pacing_precision_ns([(0, 1)], [rec(5, 0)]) == 0.0
+        assert pacing_precision_ns([(0, 1)], recs((5, 0))) == 0.0

@@ -1,18 +1,20 @@
 """Burst-cycle analysis, including the paper's picoquic 10 ms claim."""
 
+from bisect import bisect_right
+
 from repro.metrics.timeline import Burst, analyze_cycle, bursts, dominant_cycle_ns, idle_gaps
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 from repro.units import ms, us
 
 
 def recs(times):
-    return [
+    return CaptureColumns.from_records(
         CaptureRecord(
             time_ns=t, wire_size=1294, payload_size=1252,
             flow=("a", 1, "b", 2), packet_number=i, dgram_id=i, gso_id=None,
         )
         for i, t in enumerate(times)
-    ]
+    )
 
 
 def synthetic_cycle(period_ns=ms(10), burst_len=16, cycles=20):
@@ -35,8 +37,8 @@ class TestBursts:
         ]
 
     def test_empty(self):
-        assert bursts([]) == []
-        assert idle_gaps([]) == []
+        assert bursts(recs([])) == []
+        assert idle_gaps(recs([])) == []
 
 
 class TestIdleGaps:
@@ -86,7 +88,8 @@ class TestPaperClaim:
             seed=21,
         ).run()
         # Steady state only (skip slow start).
-        records = [r for r in result.server_records if r.time_ns > result.duration_ns // 2]
+        capture = result.server_records
+        records = capture[bisect_right(capture.time_ns, result.duration_ns // 2):]
         report = analyze_cycle(records, min_burst_packets=10)
         assert report.burst_count > 15
         assert 12 <= report.median_burst_packets <= 20

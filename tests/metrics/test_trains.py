@@ -8,18 +8,18 @@ from repro.metrics.trains import (
     packet_trains,
     packets_by_train_length,
 )
-from repro.net.tap import CaptureRecord
+from repro.net.tap import CaptureColumns, CaptureRecord
 from repro.units import us
 
 
 def recs(times):
-    return [
+    return CaptureColumns.from_records(
         CaptureRecord(
             time_ns=t, wire_size=1294, payload_size=1252,
             flow=("a", 1, "b", 2), packet_number=i, dgram_id=i, gso_id=None,
         )
         for i, t in enumerate(times)
-    ]
+    )
 
 
 def test_default_threshold_is_100us():
@@ -47,9 +47,9 @@ def test_boundary_gap_exactly_threshold_joins():
 
 
 def test_empty_input():
-    assert packet_trains([]) == []
-    assert packets_by_train_length([]) == {}
-    assert fraction_of_packets_in_trains_leq([], 5) == 0.0
+    assert packet_trains(recs([])) == []
+    assert packets_by_train_length(recs([])) == {}
+    assert fraction_of_packets_in_trains_leq(recs([]), 5) == 0.0
 
 
 def test_packets_by_train_length_weights_by_packets():

@@ -1,6 +1,6 @@
 """Fiber tap and sniffer capture."""
 
-from repro.net.tap import FiberTap, Sniffer
+from repro.net.tap import CaptureColumns, FiberTap, Sniffer
 from tests.conftest import Collector, make_dgram
 
 
@@ -13,7 +13,7 @@ def test_tap_forwards_and_captures(sim):
     sim.run()
     assert len(col) == 1
     assert len(sniffer) == 1
-    rec = sniffer.records[0]
+    rec = sniffer.columns[0]
     assert rec.time_ns == 100
     assert rec.packet_number == 7
     assert rec.wire_size == d.wire_size
@@ -36,7 +36,9 @@ def test_sniffer_filters_by_source(sim):
     tap.receive(make_dgram(10, flow=("a", 1, "b", 2)))
     assert len(sniffer.from_host("a")) == 2
     assert len(sniffer.from_host("b")) == 1
-    assert len(sniffer.from_host("c")) == 0
+    assert sniffer.from_host("b").flows == [("b", 2, "a", 1)]
+    unknown = sniffer.from_host("c")
+    assert isinstance(unknown, CaptureColumns) and len(unknown) == 0
 
 
 def test_capture_records_are_immutable(sim):
@@ -46,4 +48,4 @@ def test_capture_records_are_immutable(sim):
     sniffer = Sniffer()
     FiberTap(sim, sniffer).receive(make_dgram(10))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sniffer.records[0].time_ns = 5
+        sniffer.columns[0].time_ns = 5

@@ -66,7 +66,7 @@ class TestGsoDriver:
         assert e.segmenter.buffers_split > 0
         # Reconstruct group sizes from gso ids on the wire.
         sizes = {}
-        for r in e.sniffer.records:
+        for r in e.sniffer.columns:
             if r.gso_id is not None:
                 sizes[r.gso_id] = sizes.get(r.gso_id, 0) + 1
         assert sizes
