@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cc.base import CongestionController, K_INITIAL_RTT_NS
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.quic.recovery import RateSample, SentPacket
@@ -102,7 +101,7 @@ class Bbr(CongestionController):
         srtt = rtt.smoothed_rtt if rtt.has_sample else K_INITIAL_RTT_NS
         return max(int(self.pacing_gain * self.cwnd * 8 * SEC / srtt), 8 * self.mtu)
 
-    def _bdp_bytes(self, gain: float) -> int:
+    def _bdp_bytes(self, gain: float = 1.0) -> int:
         if self.btlbw_bps <= 0 or self.rtprop_ns <= 0:
             return self.cwnd
         return int(gain * self.btlbw_bps * self.rtprop_ns / (8 * SEC))
@@ -148,16 +147,16 @@ class Bbr(CongestionController):
         if acked[-1].delivered >= self._next_round_delivered:
             self.round_count += 1
             self._next_round_delivered = self._delivered
-            self._on_round_start()
+            self._on_round_start(now, bytes_in_flight)
         # ProbeRTT is triggered by the rtprop filter *expiring*; evaluate the
         # expiry before the update below refreshes the stamp.
         self._rtprop_expired = now - self._rtprop_stamp > PROBE_RTT_INTERVAL
         self._update_rtprop(rtt, now)
         self._advance_state(now, bytes_in_flight)
-        self._set_cwnd(now)
+        self._set_cwnd()
         self._record(now)
 
-    def _on_round_start(self) -> None:
+    def _on_round_start(self, now: int, bytes_in_flight: int) -> None:
         # Full-pipe detection is evaluated once per round trip: the pipe is
         # full when BtlBw stopped growing >= 25% for three consecutive rounds.
         self._check_full_pipe()
@@ -185,7 +184,8 @@ class Bbr(CongestionController):
             self._enter_probe_bw(now)
         if self.state == "probe_bw":
             self._cycle_phase(now, bytes_in_flight)
-        self._maybe_probe_rtt(now, bytes_in_flight)
+        if self.params.probe_rtt_enabled:
+            self._maybe_probe_rtt(now)
 
     def _enter_probe_bw(self, now: int) -> None:
         self.state = "probe_bw"
@@ -201,8 +201,8 @@ class Bbr(CongestionController):
             self._cycle_stamp = now
             self.pacing_gain = PROBE_BW_GAINS[self._cycle_index]
 
-    def _maybe_probe_rtt(self, now: int, bytes_in_flight: int) -> None:
-        if not self.params.probe_rtt_enabled or self.state == "startup":
+    def _maybe_probe_rtt(self, now: int) -> None:
+        if self.state == "startup":
             return
         if self.state != "probe_rtt":
             if self._rtprop_expired and now - self._probe_rtt_last > PROBE_RTT_INTERVAL:
@@ -216,7 +216,7 @@ class Bbr(CongestionController):
             self.cwnd = max(self._cwnd_before_probe_rtt, self.min_cwnd)
             self._enter_probe_bw(now)
 
-    def _set_cwnd(self, now: int) -> None:
+    def _set_cwnd(self) -> None:
         if self.state == "probe_rtt":
             self.cwnd = max(4 * self.mtu, self.min_cwnd)
             return
@@ -247,10 +247,13 @@ class Bbr(CongestionController):
         # delivered plus headroom (conservation), never below minimum.
         lost_bytes = sum(sp.size for sp in lost)
         self.cwnd = max(self.cwnd - lost_bytes, self._bdp_bytes(1.0), self.min_cwnd)
-        if self.state == "startup" and self.filled_pipe is False:
-            # Persistent startup loss marks the pipe as full (like TCP BBR's
-            # loss-based startup exit in later revisions).
+        self._on_startup_loss()
+        self._record(now)
+
+    def _on_startup_loss(self) -> None:
+        """Persistent startup loss marks the pipe as full (like TCP BBR's
+        loss-based startup exit in later revisions)."""
+        if not self.filled_pipe:
             self._full_bw_count += 1
             if self._full_bw_count >= FULL_BW_COUNT:
                 self.filled_pipe = True
-        self._record(now)

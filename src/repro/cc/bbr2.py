@@ -4,8 +4,9 @@ The paper's related work points at the BBRv2/BBRv3 evaluations (Song et al.,
 Zeynali et al.): v2's headline change is *loss awareness* — an ``inflight_hi``
 bound learned from loss, explicit probe phases (DOWN → CRUISE → REFILL → UP)
 and cruising with headroom below the learned bound, instead of v1's
-loss-blind 2xBDP. This implementation keeps the recognizable v2 skeleton
-while reusing the library's delivery-rate sampling:
+loss-blind 2xBDP. This implementation keeps the recognizable v2 skeleton on
+top of :class:`~repro.cc.bbr.Bbr`, whose BtlBw and RTprop filters, round
+counting, full-pipe detection, pacing rate and PROBE_RTT it inherits:
 
 * STARTUP / DRAIN as in v1 (2/ln2 gain, plateau detection);
 * PROBE_BW as a DOWN/CRUISE/REFILL/UP cycle;
@@ -18,25 +19,13 @@ Like v1 it *requires* pacing; the pacer consumes ``pacing_rate_bps``.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cc.base import CongestionController, K_INITIAL_RTT_NS
+from repro.cc.bbr import DRAIN_GAIN, STARTUP_GAIN, Bbr
 
 if TYPE_CHECKING:
-    from repro.quic.recovery import RateSample, SentPacket
-    from repro.quic.rtt import RttEstimator
-from repro.units import SEC, ms
-
-STARTUP_GAIN = 2.0 / math.log(2.0)
-DRAIN_GAIN = 1.0 / STARTUP_GAIN
-BTLBW_FILTER_ROUNDS = 10
-FULL_BW_THRESHOLD = 1.25
-FULL_BW_COUNT = 3
-PROBE_RTT_INTERVAL = 10 * SEC
-PROBE_RTT_DURATION = ms(200)
+    from repro.quic.recovery import SentPacket
 
 
 @dataclass(frozen=True)
@@ -50,97 +39,28 @@ class Bbr2Params:
     cruise_rtts: int = 2
 
 
-class Bbr2(CongestionController):
+class Bbr2(Bbr):
     name = "bbr2"
 
     def __init__(self, params: Bbr2Params = Bbr2Params(), **kwargs):
         super().__init__(**kwargs)
+        #: Replaces v1's knobs, which only methods overridden here read.
         self.params = params
-        self.state = "startup"
-        self.pacing_gain = STARTUP_GAIN
-
-        self._btlbw_samples: deque[tuple[int, float]] = deque()
-        self.btlbw_bps = 0.0
-        self.rtprop_ns = 0
-        self._rtprop_stamp = 0
-        self._rtprop_expired = False
-
-        self.round_count = 0
-        self._next_round_delivered = 0
-        self._delivered = 0
-
-        self._full_bw = 0.0
-        self._full_bw_count = 0
-        self.filled_pipe = False
 
         #: Loss-learned inflight bound (None until the first loss signal).
         self.inflight_hi: Optional[int] = None
         self._round_lost_bytes = 0
-        self._round_delivered_bytes = 0
+        self._round_start_delivered = 0
         self._cruise_rounds = 0
         self._phase_rounds = 0
 
-        self._probe_rtt_done_at: Optional[int] = None
-        self._probe_rtt_last = 0
-        self._cwnd_before_probe_rtt = 0
-
-    # -- model ------------------------------------------------------------
-
-    def _bdp_bytes(self, gain: float = 1.0) -> int:
-        if self.btlbw_bps <= 0 or self.rtprop_ns <= 0:
-            return self.cwnd
-        return int(gain * self.btlbw_bps * self.rtprop_ns / (8 * SEC))
-
-    def pacing_rate_bps(self, rtt: "RttEstimator") -> int:
-        if self.btlbw_bps > 0:
-            return max(int(self.pacing_gain * self.btlbw_bps), 8 * self.mtu)
-        srtt = rtt.smoothed_rtt if rtt.has_sample else K_INITIAL_RTT_NS
-        return max(int(self.pacing_gain * self.cwnd * 8 * SEC / srtt), 8 * self.mtu)
-
-    def on_rate_sample(self, sample: "RateSample", now: int) -> None:
-        if sample.is_app_limited and sample.delivery_rate_bps < self.btlbw_bps:
-            return
-        self._btlbw_samples.append((self.round_count, sample.delivery_rate_bps))
-        while (
-            self._btlbw_samples
-            and self._btlbw_samples[0][0] < self.round_count - BTLBW_FILTER_ROUNDS
-        ):
-            self._btlbw_samples.popleft()
-        self.btlbw_bps = max(bw for _, bw in self._btlbw_samples)
-
-    # -- acks -----------------------------------------------------------------
-
-    def on_packets_acked(
-        self,
-        acked: Sequence["SentPacket"],
-        now: int,
-        rtt: "RttEstimator",
-        bytes_in_flight: int,
-        lost_packets_total: int = 0,
-    ) -> None:
-        if not acked:
-            return
-        acked_bytes = sum(sp.size for sp in acked)
-        self._delivered += acked_bytes
-        self._round_delivered_bytes += acked_bytes
-        if acked[-1].delivered >= self._next_round_delivered:
-            self.round_count += 1
-            self._next_round_delivered = self._delivered
-            self._on_round_start(now, bytes_in_flight)
-        self._rtprop_expired = now - self._rtprop_stamp > PROBE_RTT_INTERVAL
-        latest = rtt.latest_rtt
-        if latest > 0 and (
-            self.rtprop_ns == 0 or latest < self.rtprop_ns or self._rtprop_expired
-        ):
-            self.rtprop_ns = latest
-            self._rtprop_stamp = now
-        self._advance_state(now, bytes_in_flight)
-        self._set_cwnd()
-        self._record(now)
+    # -- rounds ---------------------------------------------------------------
 
     def _on_round_start(self, now: int, bytes_in_flight: int) -> None:
         # Per-round loss-rate bookkeeping.
-        total = self._round_delivered_bytes + self._round_lost_bytes
+        delivered = self._delivered - self._round_start_delivered
+        self._round_start_delivered = self._delivered
+        total = delivered + self._round_lost_bytes
         loss_rate = self._round_lost_bytes / total if total else 0.0
         if loss_rate > self.params.loss_thresh and self.filled_pipe:
             self._cap_inflight(bytes_in_flight, now)
@@ -149,15 +69,7 @@ class Bbr2(CongestionController):
             # grows inflight_hi while UP sees acceptable loss).
             self.inflight_hi += max(self.mtu, self.inflight_hi // 8)
         self._round_lost_bytes = 0
-        self._round_delivered_bytes = 0
-        if not self.filled_pipe:
-            if self.btlbw_bps >= self._full_bw * FULL_BW_THRESHOLD:
-                self._full_bw = self.btlbw_bps
-                self._full_bw_count = 0
-            else:
-                self._full_bw_count += 1
-                if self._full_bw_count >= FULL_BW_COUNT:
-                    self.filled_pipe = True
+        self._check_full_pipe()
         if self.state == "cruise":
             self._cruise_rounds += 1
         self._phase_rounds += 1
@@ -182,7 +94,6 @@ class Bbr2(CongestionController):
             "cruise": 1.0,
             "refill": 1.0,
             "probe_up": self.params.probe_up_gain,
-            "probe_rtt": 1.0,
         }[state]
         if state == "cruise":
             self._cruise_rounds = 0
@@ -213,24 +124,14 @@ class Bbr2(CongestionController):
                 self._enter("probe_down")
         self._maybe_probe_rtt(now)
 
+    def _enter_probe_bw(self, now: int) -> None:
+        """Where PROBE_RTT resumes: v2's cycle starts DOWN."""
+        self._enter("probe_down")
+
     def _cruise_target(self) -> int:
         if self.inflight_hi is not None:
             return int(self.inflight_hi * self.params.headroom)
         return self._bdp_bytes()
-
-    def _maybe_probe_rtt(self, now: int) -> None:
-        if self.state == "startup":
-            return
-        if self.state != "probe_rtt":
-            if self._rtprop_expired and now - self._probe_rtt_last > PROBE_RTT_INTERVAL:
-                self._cwnd_before_probe_rtt = self.cwnd
-                self._probe_rtt_done_at = now + PROBE_RTT_DURATION
-                self._enter("probe_rtt")
-        elif self._probe_rtt_done_at is not None and now >= self._probe_rtt_done_at:
-            self._probe_rtt_last = now
-            self._rtprop_stamp = now
-            self.cwnd = max(self._cwnd_before_probe_rtt, self.min_cwnd)
-            self._enter("probe_down")
 
     def _set_cwnd(self) -> None:
         if self.state == "probe_rtt":
@@ -253,7 +154,7 @@ class Bbr2(CongestionController):
 
     def on_packets_lost(
         self,
-        lost: Sequence["SentPacket"],
+        lost: Sequence[SentPacket],
         now: int,
         bytes_in_flight: int,
         lost_packets_total: int,
@@ -268,10 +169,7 @@ class Bbr2(CongestionController):
             self._cap_inflight(bytes_in_flight + sum(sp.size for sp in lost), now)
             self._set_cwnd()
         else:
-            # Loss in startup: mark the pipe full like later BBR revisions.
-            self._full_bw_count += 1
-            if self._full_bw_count >= FULL_BW_COUNT:
-                self.filled_pipe = True
+            self._on_startup_loss()
         self._record(now)
 
     def on_ecn_ce(self, now: int, sent_time: int) -> None:

@@ -162,7 +162,7 @@ class Sniffer:
         self._flow_ids: Dict[FlowTuple, int] = {}
         #: Per-source-address row indices, maintained at capture time so
         #: ``from_host`` never rescans the capture.
-        self._host_rows: Dict[str, List[int]] = {}
+        self._rows_by_host: Dict[str, List[int]] = {}
 
     def capture(self, time_ns: int, dgram: Datagram) -> None:
         cols = self.columns
@@ -172,9 +172,9 @@ class Sniffer:
             idx = len(cols.flows)
             self._flow_ids[flow] = idx
             cols.flows.append(flow)
-            rows = self._host_rows.setdefault(flow[0], [])
+            rows = self._rows_by_host.setdefault(flow[0], [])
         else:
-            rows = self._host_rows[flow[0]]
+            rows = self._rows_by_host[flow[0]]
         rows.append(len(cols.time_ns))
         cols.time_ns.append(time_ns)
         cols.wire_size.append(dgram.wire_size)
@@ -189,7 +189,7 @@ class Sniffer:
     def from_host(self, addr: str) -> CaptureColumns:
         """The frames whose source address is ``addr`` (e.g. the server): the
         capture itself when every frame is."""
-        rows = self._host_rows.get(addr)
+        rows = self._rows_by_host.get(addr)
         if rows is None:
             return CaptureColumns()
         if len(rows) == len(self.columns):

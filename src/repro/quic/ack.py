@@ -119,9 +119,5 @@ class AckManager:
         self._immediate = False
         return frame
 
-    @property
-    def largest_received(self) -> int:
-        return self._largest
-
     def received_count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self._ranges)

@@ -316,7 +316,3 @@ class LossRecovery:
         for pn in self.sent:
             return self.sent[pn]
         return None
-
-    @property
-    def packets_outstanding(self) -> int:
-        return len(self.sent)

@@ -6,13 +6,12 @@ timer-imprecision models (:mod:`repro.sim.clock`) and event-loop processes
 (:class:`~repro.sim.process.SimProcess`).
 """
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.sim.clock import JitterModel, TimerModel, PERFECT_TIMER
 from repro.sim.process import SimProcess
 
 __all__ = [
-    "EventHandle",
     "Simulator",
     "RngRegistry",
     "JitterModel",

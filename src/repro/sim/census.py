@@ -132,10 +132,6 @@ class CensusSimulator(Simulator):
         self._departed.add(flow)
 
     @property
-    def departed_count(self) -> int:
-        return len(self._departed)
-
-    @property
     def post_departure_events(self) -> int:
         """Total admissions attributed to already-departed flows."""
         return sum(self.post_departure.values())

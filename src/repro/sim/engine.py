@@ -7,18 +7,16 @@ deterministic for a fixed seed.
 Hot-path design: calendar entries are plain ``(time, seq, fn, args)``
 tuples, so ordering is decided by C-level tuple comparison on ``(time,
 seq)`` — no ``__lt__`` dispatch into Python, and no per-event handle
-allocation. The call sites that cancel or re-arm events go through
-:meth:`Simulator.schedule_cancellable` / :meth:`Simulator.schedule_at_cancellable`
-(one-shot :class:`EventHandle`) or :meth:`Simulator.timer` (reusable
-:class:`Timer`); both push ``(time, seq, obj, None)`` entries — the ``args
-is None`` sentinel is how the run loop tells the two entry shapes apart
-without an isinstance check.
+allocation. A deadline that is cancelled or re-armed holds a reusable
+:class:`Timer` (:meth:`Simulator.timer`), which pushes ``(time, seq, timer,
+None)`` entries — the ``args is None`` sentinel is how the run loop tells
+the two entry shapes apart without an isinstance check.
 
 Soft cancel: cancelling or re-arming never searches the calendar. Each
-cancellable entry records the owner's generation (the global ``seq`` it was
-armed with); :meth:`EventHandle.cancel` / :meth:`Timer.cancel` /
-re-arming simply bump the owner's ``_live_seq`` so stale entries no longer
-match and are dropped when they reach the head of the heap.
+timer entry records the generation (the global ``seq``) it was armed with;
+:meth:`Timer.cancel` and re-arming simply move the timer's ``_live_seq`` so
+stale entries no longer match and are dropped when they reach the head of
+the heap.
 
 Deferred re-arm: a :class:`Timer` whose deadline moves *later* (an RTO
 pushed out by every ACK, a delayed-ACK timer cancelled and armed again)
@@ -36,46 +34,6 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-
-
-class EventHandle:
-    """A cancellable reference to a one-shot event scheduled via
-    :meth:`Simulator.schedule_cancellable`.
-
-    ``cancelled`` is True once the event can no longer fire — either
-    because :meth:`cancel` was called or because it already fired.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "_live_seq")
-
-    #: Only a :class:`Timer` rides on entries (read by the dispatch loops).
-    _entry_seq = -1
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._live_seq = seq
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once."""
-        self._live_seq = -1
-        # Drop references so cancelled events don't pin objects in the heap.
-        self.fn = _noop
-        self.args = ()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._live_seq != self.seq
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    return None
 
 
 class Timer:
@@ -199,32 +157,6 @@ class Simulator:
         self._seq = seq + 1
         self._admit((self.now, seq, fn, args))
 
-    def schedule_cancellable(
-        self, delay_ns: int, fn: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Like :meth:`schedule`, but returns a cancellable handle.
-
-        For one-shot cancellations; a deadline that is re-armed repeatedly
-        should hold a reusable :meth:`timer` instead.
-        """
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        return self.schedule_at_cancellable(self.now + delay_ns, fn, *args)
-
-    def schedule_at_cancellable(
-        self, time_ns: int, fn: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns}ns, already at {self.now}ns"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time_ns, seq, fn, args)
-        self._admit((time_ns, seq, handle, None))
-        return handle
-
     def timer(self, fn: Callable[..., Any], *args: Any) -> Timer:
         """Create a reusable soft-cancel :class:`Timer` for ``fn(*args)``.
 
@@ -273,7 +205,7 @@ class Simulator:
         heap = self._heap
         while heap:
             time_ns, seq, fn, args = _heappop(heap)
-            if args is None:  # soft-cancellable: fn is the handle/timer
+            if args is None:  # soft-cancellable: fn is the timer
                 if fn._live_seq != seq:
                     if fn._entry_seq == seq:
                         fn._surfaced()

@@ -18,7 +18,7 @@ profile's ``pacing`` mode — is where the paper's three approaches live:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cc.bbr import BbrParams
@@ -89,9 +89,6 @@ class StackProfile:
     def validate(self) -> None:
         if self.pacing not in PACING_MODES:
             raise ConfigError(f"unknown pacing mode {self.pacing!r}")
-
-    def with_cca(self, cca: str) -> "StackProfile":
-        return replace(self, cca=cca)
 
 
 class ServerDriver(SimProcess):

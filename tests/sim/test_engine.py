@@ -40,8 +40,13 @@ def test_same_time_events_fire_fifo(sim):
 def test_schedule_at_absolute_time(sim):
     sim.schedule(10, lambda: None)
     sim.run()
-    handle = sim.schedule_at_cancellable(500, lambda: None)
-    assert handle.time == 500
+    fired = []
+    sim.schedule_at(500, fired.append, "plain")
+    timer = sim.timer(fired.append, "timer")
+    timer.schedule_at(500)
+    assert timer.time == 500
+    sim.run()
+    assert fired == ["plain", "timer"] and sim.now == 500
 
 
 def test_cannot_schedule_in_past(sim):
@@ -51,34 +56,35 @@ def test_cannot_schedule_in_past(sim):
         sim.schedule(-1, lambda: None)
     with pytest.raises(SimulationError):
         sim.schedule_at(50, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_cancellable(-1, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_at_cancellable(50, lambda: None)
 
 
 def test_cancelled_event_does_not_fire(sim):
     fired = []
-    handle = sim.schedule_cancellable(100, fired.append, 1)
-    handle.cancel()
+    timer = sim.timer(fired.append, 1)
+    timer.schedule(100)
+    timer.cancel()
     sim.run()
     assert fired == []
-    assert handle.cancelled
+    assert not timer.armed
 
 
 def test_cancellable_event_fires_when_not_cancelled(sim):
     fired = []
-    sim.schedule_cancellable(100, fired.append, 1)
+    sim.timer(fired.append, 1).schedule(100)
     sim.run()
     assert fired == [1]
     assert sim.now == 100
 
 
 def test_cancel_is_idempotent(sim):
-    handle = sim.schedule_cancellable(100, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    fired = []
+    timer = sim.timer(fired.append, 1)
+    timer.cancel()  # never armed
+    timer.schedule(100)
+    timer.cancel()
+    timer.cancel()
     sim.run()
+    assert fired == []
 
 
 def test_run_until_stops_before_later_events(sim):
@@ -128,19 +134,21 @@ def test_step_returns_false_when_empty(sim):
 
 
 def test_peek_time_skips_cancelled(sim):
-    h1 = sim.schedule_cancellable(100, lambda: None)
+    t1 = sim.timer(lambda: None)
+    t1.schedule(100)
     sim.schedule(200, lambda: None)
-    h1.cancel()
+    t1.cancel()
     assert sim.peek_time() == 200
 
 
 def test_pending_live_excludes_cancelled(sim):
-    h1 = sim.schedule_cancellable(100, lambda: None)
-    sim.schedule_cancellable(150, lambda: None)
+    t1 = sim.timer(lambda: None)
+    t1.schedule(100)
+    sim.timer(lambda: None).schedule(150)
     sim.schedule(200, lambda: None)
     assert sim.pending == 3
     assert sim.pending_live == 3
-    h1.cancel()
+    t1.cancel()
     assert sim.pending == 3
     assert sim.pending_live == 2
 
@@ -148,16 +156,17 @@ def test_pending_live_excludes_cancelled(sim):
 def test_mixed_plain_and_cancellable_fifo_order(sim):
     order = []
     sim.schedule(50, order.append, "plain-0")
-    sim.schedule_cancellable(50, order.append, "cancellable")
+    sim.timer(order.append, "cancellable").schedule(50)
     sim.schedule(50, order.append, "plain-1")
     sim.run()
     assert order == ["plain-0", "cancellable", "plain-1"]
 
 
 def test_run_skips_cancelled_without_counting(sim):
-    h = sim.schedule_cancellable(100, lambda: None)
+    timer = sim.timer(lambda: None)
+    timer.schedule(100)
     sim.schedule(200, lambda: None)
-    h.cancel()
+    timer.cancel()
     sim.run()
     assert sim.events_processed == 1
     assert sim.now == 200
@@ -177,16 +186,6 @@ def test_reentrant_run_rejected(sim):
 
     sim.schedule(1, inner)
     sim.run()
-
-
-def test_cancelled_events_drop_references(sim):
-    class Big:
-        pass
-
-    obj = Big()
-    handle = sim.schedule_cancellable(100, lambda o: None, obj)
-    handle.cancel()
-    assert handle.args == ()
 
 
 def test_admission_adds_no_python_frame(sim):

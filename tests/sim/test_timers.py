@@ -1,9 +1,10 @@
 """Soft-cancel timers on the lazy-cancel heap.
 
-The property test drives a seeded random mix of plain events, cancellable
-handles, and re-armed timers with deadlines from microseconds to tens of
-seconds through the engine and through an independent reference calendar
-(below), and requires the exact same fire sequence and final clock.
+The property test drives a seeded random mix of plain events, one-shot
+timers that may be cancelled, and re-armed timers with deadlines from
+microseconds to tens of seconds through the engine and through an
+independent reference calendar (below), and requires the exact same fire
+sequence and final clock.
 """
 
 from __future__ import annotations
@@ -48,12 +49,8 @@ class ReferenceCalendar:
     def timer(self, fn, *args):
         return _RefTimer(self, fn, args)
 
-    def schedule_cancellable(self, delay, fn, *args):
-        owner = _RefTimer(self, fn, args)
-        owner.schedule(delay)
-        return owner
-
-    schedule = schedule_cancellable
+    def schedule(self, delay, fn, *args):
+        _RefTimer(self, fn, args).schedule(delay)
 
     def run(self):
         while self.entries:
@@ -92,9 +89,9 @@ def _random_workload(sim, rng, fired):
             if choice == 0:
                 sim.schedule(delay, noteworthy, f"plain-{depth}")
             elif choice == 1:
-                handles.append(
-                    sim.schedule_cancellable(delay, noteworthy, f"canc-{depth}")
-                )
+                one_shot = sim.timer(noteworthy, f"canc-{depth}")
+                one_shot.schedule(delay)
+                handles.append(one_shot)
             elif choice == 2 and handles:
                 handles.pop(rng.randrange(len(handles))).cancel()
             elif choice == 3:
@@ -311,16 +308,6 @@ class TestDeferredRearm:
         timer.schedule(10)
         sim.run()
         assert fired == [10, 20, 30]
-
-
-def test_handle_cancelled_after_fire():
-    """EventHandle.cancelled is True once the event can no longer fire —
-    including after it fired."""
-    sim = Simulator()
-    handle = sim.schedule_cancellable(10, lambda: None)
-    assert not handle.cancelled
-    sim.run()
-    assert handle.cancelled
 
 
 def test_detached_process_never_reschedules():
