@@ -1,5 +1,6 @@
 """On-disk result cache: identity on hit, versioning, corruption fallback."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -107,6 +108,25 @@ def test_wrong_payload_type_rejected(tmp_path, result):
     path.write_bytes(pickle.dumps((CACHE_VERSION, "not a result")))
     assert cache.get(CFG, result.seed) is None
     assert cache.stats.evictions == 1
+
+
+def test_version_2_entry_is_quarantined_and_recomputed(tmp_path, result):
+    """A pre-columnar entry (``CACHE_VERSION`` 2: the capture pickled as a list
+    of ``CaptureRecord``) is never served: it is quarantined, counted, and the
+    repetition recomputed to the same fingerprint."""
+    cache = ResultCache(tmp_path)
+    stale = dataclasses.replace(result, server_records=list(result.server_records))
+    path = _entry_path(cache, CFG, result.seed)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(pickle.dumps((2, stale)))
+    summary = run_repetitions(CFG, workers=1, cache=cache)
+    assert (tmp_path / "quarantine" / path.name).exists()
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.evictions, stats.quarantined, stats.stores) == (
+        0, 1, 1, 1, 1,
+    )
+    assert [r.fingerprint() for r in summary.results] == [result.fingerprint()]
+    assert cache.get(CFG, result.seed).server_records == result.server_records
 
 
 def test_run_repetitions_served_from_cache(tmp_path):
