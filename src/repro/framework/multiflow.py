@@ -215,7 +215,7 @@ class MultiFlowResult:
         """Stable digest of every deterministic field.
 
         Excludes execution observability (``wall_time_s``,
-        ``events_processed``) and the optional capture-record lists (which
+        ``events_processed``) and the optional per-flow captures (which
         are an observability toggle, not a result: a run with
         ``capture_records=False`` must fingerprint identically to the same
         run with capture on).

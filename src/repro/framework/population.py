@@ -21,8 +21,8 @@ population grids drop straight into :class:`~repro.framework.sweep.SweepRunner`
 (cacheable, journaled/resumable, supervised). :class:`PopulationResult`
 exposes the duck-typed result surface the sweep stack consumes
 (``fingerprint()``, ``goodput_mbps``, ``dropped``, ``completed``, …).
-Capture records default to *off* here: a 500-flow run keeps the tap capture
-columnar instead of materializing O(flows × packets) record objects.
+Capture records default to *off* here: a 500-flow run holds the tap's columns
+once instead of a second, per-flow copy of them.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class PopulationConfig(CanonicalForm):
     seed: int = 1
     network: NetworkConfig = field(default_factory=NetworkConfig)
     max_sim_time_ns: int = seconds(600)
-    #: Materialize per-flow CaptureRecord lists (O(flows × packets) memory);
-    #: populations default to columnar-only capture.
+    #: Split the tap capture into per-flow ``FlowResult.records`` (a second
+    #: copy of every row); populations default to the shared capture only.
     capture_records: bool = False
     #: Flow churn: tear each flow down when it completes (timers silenced,
     #: ports rerouted to a counting drain, references dropped) so a
