@@ -483,6 +483,7 @@ class MultiFlowExperiment:
         # The capture's rows per server port, in capture order: one pass over
         # the rows, not one per flow.
         rows_by_port: Dict[int, List[int]] = {}
+        no_rows = CaptureColumns()  # shared by every flow without a capture
         if self.capture_records:
             for row, flow_idx in enumerate(cols.flow_index):
                 f = cols.flows[flow_idx]
@@ -521,7 +522,7 @@ class MultiFlowExperiment:
                     ack_drops=ack_injected_by_port.get(port, 0),
                     wire_packets=wire_by_port.get(port, 0),
                     start_ns=flow.spec.start_ns,
-                    records=cols.select(rows_by_port.get(port, ())),
+                    records=cols.select(rows_by_port[port]) if port in rows_by_port else no_rows,
                 )
             )
         impairment_stats = {
