@@ -10,7 +10,12 @@ configuration via :meth:`ExperimentConfig.cache_key` (every field, nested
 network config included) with ``repetitions`` normalized out, plus the
 repetition's derived seed. Normalizing ``repetitions`` means growing a sweep
 from 5 to 20 repetitions reuses the first 5 instead of recomputing them — the
-per-rep seed already encodes everything rep-specific.
+per-rep seed already encodes everything rep-specific. A hit is served as the
+requesting grid's repetition: the result comes back carrying the config
+object it was asked for (``repetitions`` included), so it fingerprints and
+stores exactly as a fresh run of that grid would. An entry whose config
+differs from the request in anything but ``repetitions`` is a stale entry:
+quarantined, counted and treated as a miss.
 
 Layout and robustness. Entries live under ``<root>/<key[:2]>/<key>.pkl``
 (``~/.cache/repro`` by default, overridable with ``$REPRO_CACHE_DIR`` or an
@@ -114,7 +119,11 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, config: ExperimentConfig, seed: int) -> Optional[ExperimentResult]:
-        """The stored result for (config, seed), or None on miss/stale/corrupt."""
+        """The stored result for (config, seed), or None on miss/stale/corrupt.
+
+        A hit's ``config`` is ``config`` itself, whichever sweep length first
+        computed it; its memoized encodings then serve every hit.
+        """
         path = self._path(self.entry_key(config, seed))
         try:
             payload = path.read_bytes()
@@ -125,11 +134,14 @@ class ResultCache:
             version, result = pickle.loads(payload)
             if version != self.version or not isinstance(result, _RESULT_TYPES):
                 raise ValueError(f"stale cache entry (version {version!r})")
+            if result.config.per_rep != config.per_rep:
+                raise ValueError("stale cache entry (computed for another config)")
         except Exception as exc:
             self._evict(path, reason=f"{type(exc).__name__}: {exc}")
             self.stats.misses += 1
             return None
         self.stats.hits += 1
+        result.config = config
         return result
 
     def put(self, config: ExperimentConfig, seed: int, result: ExperimentResult) -> Path:

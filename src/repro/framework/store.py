@@ -26,7 +26,15 @@ journal, a cache hit re-confirming a row — is a no-op rather than a
 duplicate, and an interrupted-then-resumed campaign converges to a store
 *bit-identical* in content to an uninterrupted one
 (:meth:`ResultStore.content_fingerprint`; the chaos suite pins this). A
+cache hit is recorded as the requesting sweep's repetition, so a sweep grown
+from 2 to 3 repetitions writes the rows a fresh 3-repetition sweep writes. A
 success recorded for a key deletes any stale failure row for that key.
+
+Commits. Each write is its own transaction, committed (and fsynced) before
+the call returns, unless it runs inside :meth:`ResultStore.batch`: then the
+block's writes share one commit at its end. A sweep batches one grid entry's
+cache hits, and migration batches each source; a crash inside a batch loses
+at most that batch's rows, which a resume records again.
 
 Versioning and migration. The schema version lives in SQLite's
 ``user_version`` pragma; opening a newer-versioned store raises instead of
@@ -41,6 +49,7 @@ history.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -48,7 +57,7 @@ import pickle
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import sqlite3
 
@@ -203,6 +212,8 @@ class ResultStore:
         self.path = Path(path)
         self.stream = stream
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: Inside :meth:`batch`: writes leave their transaction open.
+        self._batched = False
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
@@ -251,6 +262,31 @@ class ResultStore:
                 time.sleep(_LOCK_RETRY_BASE_S * 2**attempt)
         return None
 
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Commit every write of the block once, when the block ends.
+
+        One commit (one fsync) instead of one per row. A block left by an
+        exception still commits the rows written before it.
+        """
+        self._batched = True
+        try:
+            yield
+        finally:
+            self._batched = False
+            self._retry_locked_write(self._conn.commit)
+
+    def _write(self, *statements: Tuple[str, Sequence[Any]]) -> None:
+        """Run one record's statements: a transaction of their own, or part
+        of the open :meth:`batch`."""
+
+        def write() -> None:
+            with contextlib.nullcontext() if self._batched else self._conn:
+                for sql, params in statements:
+                    self._conn.execute(sql, params)
+
+        self._retry_locked_write(write)
+
     def close(self) -> None:
         self._conn.close()
 
@@ -290,29 +326,26 @@ class ResultStore:
 
     def _write_failure(self, key: str, failure: RepFailure) -> None:
         """The one writer of ``failures`` rows (live runs and migration)."""
-
-        def _write() -> None:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO failures (config_key, seed, name, label,"
-                    " rep, error_type, message, traceback, attempts, wall_time_s,"
-                    " quarantined) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                    (
-                        key,
-                        _db_seed(failure.seed),
-                        failure.name,
-                        failure.label,
-                        failure.rep,
-                        failure.error_type,
-                        failure.message,
-                        failure.traceback,
-                        failure.attempts,
-                        failure.wall_time_s,
-                        int(failure.quarantined),
-                    ),
-                )
-
-        self._retry_locked_write(_write)
+        self._write(
+            (
+                "INSERT OR REPLACE INTO failures (config_key, seed, name, label,"
+                " rep, error_type, message, traceback, attempts, wall_time_s,"
+                " quarantined) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
+                (
+                    key,
+                    _db_seed(failure.seed),
+                    failure.name,
+                    failure.label,
+                    failure.rep,
+                    failure.error_type,
+                    failure.message,
+                    failure.traceback,
+                    failure.attempts,
+                    failure.wall_time_s,
+                    int(failure.quarantined),
+                ),
+            )
+        )
 
     def _ingest_payload(
         self,
@@ -391,41 +424,40 @@ class ResultStore:
             )
         columns = ", ".join(row)
         placeholders = ", ".join("?" * len(row))
-
-        def _write() -> None:
-            with self._conn:
-                self._conn.execute(
-                    f"INSERT OR REPLACE INTO reps ({columns}) VALUES ({placeholders})",
-                    tuple(row.values()),
-                )
-                # A success supersedes any stale failure for the same repetition
-                # (e.g. re-run after --no-resume healed a crash-looping config).
-                self._conn.execute(
-                    "DELETE FROM failures WHERE config_key = ? AND seed = ?",
-                    (key, _db_seed(seed)),
-                )
-
-        self._retry_locked_write(_write)
+        self._write(
+            (
+                f"INSERT OR REPLACE INTO reps ({columns}) VALUES ({placeholders})",
+                tuple(row.values()),
+            ),
+            # A success supersedes any stale failure for the same repetition
+            # (e.g. re-run after --no-resume healed a crash-looping config).
+            (
+                "DELETE FROM failures WHERE config_key = ? AND seed = ?",
+                (key, _db_seed(seed)),
+            ),
+        )
 
     # -- migration ---------------------------------------------------------
 
     def ingest_summary_json(self, path: Union[str, Path]) -> int:
         """Migrate one legacy JSON artifact (``save_summary`` layout).
 
-        Returns the number of repetitions ingested. The artifact's label
-        doubles as the grid name (per-run artifacts predate grids).
+        Returns the number of repetitions ingested, committed together. The
+        artifact's label doubles as the grid name (per-run artifacts predate
+        grids).
         """
         data = json.loads(Path(path).read_text())
         label = data["label"]
         reps = data.get("repetitions", [])
-        for rep, payload in enumerate(reps):
-            self._ingest_payload(name=label, label=label, rep=rep, payload=payload)
-        if reps:
-            # Legacy artifacts carry no config per failure; key on the
-            # summary's config via a surviving repetition.
-            key = per_rep_key_from_dict(reps[0]["config"])
-            for failure in data.get("failures", []):
-                self._write_failure(key, RepFailure.from_dict(failure))
+        with self.batch():
+            for rep, payload in enumerate(reps):
+                self._ingest_payload(name=label, label=label, rep=rep, payload=payload)
+            if reps:
+                # Legacy artifacts carry no config per failure; key on the
+                # summary's config via a surviving repetition.
+                key = per_rep_key_from_dict(reps[0]["config"])
+                for failure in data.get("failures", []):
+                    self._write_failure(key, RepFailure.from_dict(failure))
         return len(reps)
 
     def migrate_cache(self, cache_root: Union[str, Path]) -> int:
@@ -434,30 +466,31 @@ class ResultStore:
         Walks the cache's two-level ``<key[:2]>/<key>.pkl`` layout (skipping
         its quarantine), unpickles each entry, and ingests entries whose
         version matches the current cache format. Returns the number of
-        repetitions ingested; unreadable or stale entries are skipped with a
-        warning on ``stream``, never propagated.
+        repetitions ingested, committed together; unreadable or stale
+        entries are skipped with a warning on ``stream``, never propagated.
         """
         from repro.framework.cache import CACHE_VERSION
 
         root = Path(cache_root)
         count = 0
-        for path in sorted(root.glob("??/*.pkl")):
-            try:
-                version, result = pickle.loads(path.read_bytes())
-                if version != CACHE_VERSION:
-                    raise ValueError(f"stale cache version {version!r}")
-                config = result.config
-                rep = self._recover_rep(config, result.seed)
-                self.record_result(name=config.label, rep=rep, result=result)
-                count += 1
-            except Exception as exc:  # noqa: BLE001 - per-entry isolation
-                if self.stream is not None:
-                    print(
-                        f"[store] warning: skipped {path.name} during migration "
-                        f"({type(exc).__name__}: {exc})",
-                        file=self.stream,
-                        flush=True,
-                    )
+        with self.batch():
+            for path in sorted(root.glob("??/*.pkl")):
+                try:
+                    version, result = pickle.loads(path.read_bytes())
+                    if version != CACHE_VERSION:
+                        raise ValueError(f"stale cache version {version!r}")
+                    config = result.config
+                    rep = self._recover_rep(config, result.seed)
+                    self.record_result(name=config.label, rep=rep, result=result)
+                    count += 1
+                except Exception as exc:  # noqa: BLE001 - per-entry isolation
+                    if self.stream is not None:
+                        print(
+                            f"[store] warning: skipped {path.name} during migration "
+                            f"({type(exc).__name__}: {exc})",
+                            file=self.stream,
+                            flush=True,
+                        )
         return count
 
     @staticmethod

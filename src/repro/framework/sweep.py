@@ -48,6 +48,7 @@ of the workers' time went into simulating (``busy``).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from pathlib import Path
@@ -106,7 +107,8 @@ class SweepRunner:
     ``store`` names a :class:`~repro.framework.store.ResultStore` that every
     settled repetition is streamed into as it lands (successes, cache hits,
     and final failures alike) — the queryable canonical artifact for
-    campaign-scale sweeps.
+    campaign-scale sweeps. A computed repetition is committed on its own;
+    a grid entry's cache hits share one commit.
 
     ``shard=(i, n)`` runs part ``i`` of a campaign split ``n`` ways (one
     invocation per host): of the grid's repetitions, numbered in grid order,
@@ -169,39 +171,43 @@ class SweepRunner:
         pending: List[RepTask] = []
         index, count = self.shard
         position = -1
+        # What the scan settles (hits, carried failures) is committed once
+        # per grid entry, not once per repetition.
+        batch = self.store.batch if self.store is not None else contextlib.nullcontext
         for name, config in grid.items():
-            for rep in range(config.repetitions):
-                position += 1
-                if position % count != index:
-                    continue  # another shard's repetition
-                seed = derive_seed(config.seed, rep)
-                entry = journal.get(name, rep) if journal is not None else None
-                if entry is not None and entry.status == "failed" and entry.failure:
-                    # Carried forward from the interrupted run; re-run it by
-                    # resuming with --no-resume (or deleting the journal).
-                    failures[name].append(entry.failure)
-                    if self.store is not None:
-                        self.store.record_failure(entry.failure, config)
-                    self._emit_line(
-                        f"[sweep] {name} rep {rep + 1}/{config.repetitions}: "
-                        f"FAILED previously ({entry.failure.error_type}) [journal]"
-                    )
-                    continue
-                cached = self.cache.get(config, seed) if self.cache else None
-                if cached is not None and self.validate:
-                    try:
-                        validate_result(cached)
-                    except Exception as exc:
-                        # A torn or stale entry that still unpickled:
-                        # quarantine it and recompute.
-                        self.cache.invalidate(config, seed, reason=str(exc))
-                        cached = None
-                if cached is not None:
-                    slots[name][rep] = cached
-                    self._settle(journal, name, rep, seed, cached, recomputed=False)
-                    self._emit(name, config, rep, cached, cached_hit=True)
-                else:
-                    pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
+            with batch():
+                for rep in range(config.repetitions):
+                    position += 1
+                    if position % count != index:
+                        continue  # another shard's repetition
+                    seed = derive_seed(config.seed, rep)
+                    entry = journal.get(name, rep) if journal is not None else None
+                    if entry is not None and entry.status == "failed" and entry.failure:
+                        # Carried forward from the interrupted run; re-run it by
+                        # resuming with --no-resume (or deleting the journal).
+                        failures[name].append(entry.failure)
+                        if self.store is not None:
+                            self.store.record_failure(entry.failure, config)
+                        self._emit_line(
+                            f"[sweep] {name} rep {rep + 1}/{config.repetitions}: "
+                            f"FAILED previously ({entry.failure.error_type}) [journal]"
+                        )
+                        continue
+                    cached = self.cache.get(config, seed) if self.cache else None
+                    if cached is not None and self.validate:
+                        try:
+                            validate_result(cached)
+                        except Exception as exc:
+                            # A torn or stale entry that still unpickled:
+                            # quarantine it and recompute.
+                            self.cache.invalidate(config, seed, reason=str(exc))
+                            cached = None
+                    if cached is not None:
+                        slots[name][rep] = cached
+                        self._settle(journal, name, rep, seed, cached, recomputed=False)
+                        self._emit(name, config, rep, cached, cached_hit=True)
+                    else:
+                        pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
 
         if pending:
             supervisor = Supervisor(

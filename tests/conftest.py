@@ -52,6 +52,14 @@ def collector(sim) -> Collector:
     return Collector(sim)
 
 
+def statement_log(store) -> list[str]:
+    """Every SQL statement a ``ResultStore`` runs from here on (its commits
+    are the ``"COMMIT"`` entries)."""
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    return statements
+
+
 def make_dgram(size: int = 1252, txtime=None, pn=None, flow=None):
     from repro.net.packet import Datagram
 

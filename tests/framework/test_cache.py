@@ -129,6 +129,37 @@ def test_version_2_entry_is_quarantined_and_recomputed(tmp_path, result):
     assert cache.get(CFG, result.seed).server_records == result.server_records
 
 
+def test_entry_of_another_config_is_quarantined_and_recomputed(tmp_path, result):
+    """A pickle under this config's key whose result was computed for another
+    config is stale: quarantined, counted as a miss, and recomputed to the
+    fingerprint a fresh run has."""
+    cache = ResultCache(tmp_path)
+    other = dataclasses.replace(CFG, cca="bbr")
+    foreign = Experiment(other, seed=result.seed).run()
+    path = _entry_path(cache, CFG, result.seed)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(pickle.dumps((CACHE_VERSION, foreign)))
+    assert cache.get(CFG, result.seed) is None
+    assert (tmp_path / "quarantine" / path.name).exists()
+    assert (cache.stats.quarantined, cache.stats.misses, cache.stats.hits) == (1, 1, 0)
+
+    path.write_bytes(pickle.dumps((CACHE_VERSION, foreign)))
+    summary = run_repetitions(CFG, workers=1, cache=cache)
+    assert (cache.stats.quarantined, cache.stats.misses, cache.stats.stores) == (2, 2, 1)
+    assert [r.fingerprint() for r in summary.results] == [result.fingerprint()]
+
+
+def test_hit_is_served_as_the_requesting_config(tmp_path, result):
+    """Repetitions are normalized out of the key, not out of the result: a
+    hit reports (and fingerprints with) the config it was asked for."""
+    cache = ResultCache(tmp_path)
+    cache.put(CFG, result.seed, result)
+    grown = dataclasses.replace(CFG, repetitions=3)
+    loaded = cache.get(grown, result.seed)
+    assert loaded.config is grown
+    assert loaded.fingerprint() == dataclasses.replace(result, config=grown).fingerprint()
+
+
 def test_run_repetitions_served_from_cache(tmp_path):
     cfg = ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=2)
     cache = ResultCache(tmp_path)

@@ -30,6 +30,7 @@ from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.trains import pooled_fraction_of_packets_in_trains_leq
 from repro.net.impairments import iid_loss
 from repro.units import kib, us
+from tests.conftest import statement_log
 
 CONFIG = ExperimentConfig(stack="quiche", file_size=kib(96), repetitions=2)
 LOSSY = ExperimentConfig(
@@ -108,6 +109,29 @@ class TestRecording:
             assert row["precision_ns"] is not None and row["precision_ns"] >= 0.0
         else:
             assert row["precision_ns"] is None
+
+
+class TestBatch:
+    def test_one_commit_per_batch_and_per_write_outside(self, store, results):
+        statements = statement_log(store)
+        with store.batch():
+            for rep, result in enumerate(results):
+                store.record_result("quiche", rep, result)
+            store.record_failure(_failure(), CONFIG)
+        assert statements.count("COMMIT") == 1
+        store.record_failure(_failure(seed=100), CONFIG)
+        assert statements.count("COMMIT") == 2
+        assert (store.rep_count(), store.failure_count()) == (2, 2)
+
+    def test_an_exception_commits_the_rows_already_written(self, tmp_path, results):
+        path = tmp_path / "interrupted.sqlite"
+        with ResultStore(path) as store:
+            with pytest.raises(KeyboardInterrupt):
+                with store.batch():
+                    store.record_result("quiche", 0, results[0])
+                    raise KeyboardInterrupt
+        with ResultStore(path) as reader:
+            assert reader.rep_count() == 1
 
 
 class TestSeeds:
@@ -348,7 +372,9 @@ class TestMigration:
         run_repetitions(CONFIG, workers=1, cache=cache, store=live)
 
         migrated = ResultStore(tmp_path / "migrated.sqlite")
+        statements = statement_log(migrated)
         assert migrated.migrate_cache(cache.root) == 2
+        assert statements.count("COMMIT") == 1  # one per source, not per entry
         # Cache entries key by label (the per-run grid name), as does the
         # single-config run above — content must match bit for bit.
         assert migrated.content_fingerprint() == live.content_fingerprint()
@@ -382,7 +408,9 @@ class TestMigration:
         live.record_failure(failure, CONFIG)
 
         migrated = ResultStore(tmp_path / "migrated.sqlite")
+        statements = statement_log(migrated)
         assert migrated.ingest_summary_json(artifact) == 2
+        assert statements.count("COMMIT") == 1
         assert migrated.failures() == [failure]
         # precision_ns is the one live-only column (needs the expected-send
         # log); this config has no pacing log, so content matches exactly.

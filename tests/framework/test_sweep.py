@@ -1,12 +1,18 @@
 """SweepRunner: grid fan-out, serial/parallel determinism, progress lines."""
 
+import dataclasses
 import io
 import re
 
+import pytest
+
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
+from repro.framework.population import PopulationConfig
+from repro.framework.store import ResultStore
 from repro.framework.sweep import SweepRunner, resolve_workers, run_sweep
-from repro.units import kib
+from repro.units import kib, seconds
+from tests.conftest import statement_log
 
 GRID = {
     "quiche": ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=2),
@@ -92,11 +98,8 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
     """Cache + journal + store: ``fingerprint()`` is O(packets), so a sweep
     computes it once per settled repetition (fresh or cache hit) and hands
     the digest to the journal and the store."""
-    import dataclasses
-
     from repro.framework.experiment import ExperimentResult
     from repro.framework.journal import SweepJournal
-    from repro.framework.store import ResultStore
 
     calls = []
     original = ExperimentResult.fingerprint
@@ -142,3 +145,89 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
     assert altered.fingerprint() != result.fingerprint()
     result.dropped += 1
     assert result.fingerprint() == altered.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "two_reps",
+    [
+        ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=2),
+        PopulationConfig(
+            flows=8,
+            arrival_rate_per_s=200.0,
+            file_size=kib(32),
+            profiles=("quiche:cubic", "tcp"),
+            max_sim_time_ns=seconds(120),
+            repetitions=2,
+        ),
+    ],
+    ids=["experiment", "population"],
+)
+def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, two_reps):
+    """Growing a sweep from 2 to 3 repetitions over one cache serves reps 0-1
+    as this grid's repetitions: rows and per-rep fingerprints equal those of
+    a fresh 3-repetition sweep."""
+    three_reps = dataclasses.replace(two_reps, repetitions=3)
+    cache = ResultCache(tmp_path / "cache")
+    with ResultStore(tmp_path / "grown.sqlite") as grown:
+        SweepRunner(workers=1, cache=cache, store=grown).run({"x": two_reps})
+        summary = SweepRunner(workers=1, cache=cache, store=grown).run({"x": three_reps})["x"]
+        assert cache.stats.hits == 2
+        grown_digest = grown.content_fingerprint()
+    with ResultStore(tmp_path / "fresh.sqlite") as fresh_store:
+        fresh = SweepRunner(workers=1, cache=None, store=fresh_store).run({"x": three_reps})["x"]
+        fresh_digest = fresh_store.content_fingerprint()
+    assert [r.fingerprint() for r in summary.results] == [r.fingerprint() for r in fresh.results]
+    assert grown_digest == fresh_digest
+
+
+class _InterruptAtHit(io.StringIO):
+    """A progress stream that raises ``KeyboardInterrupt`` on the k-th hit."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def write(self, text):
+        if "[cached]" in text:
+            self.k -= 1
+            if self.k == 0:
+                raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_hit_scan_commits_once_per_grid_entry(tmp_path):
+    entries = len(GRID)
+    total = sum(config.repetitions for config in GRID.values())
+    cache = ResultCache(tmp_path / "cache")
+
+    # A fresh pooled sweep commits each computed repetition on its own.
+    with ResultStore(tmp_path / "cold.sqlite") as cold:
+        statements = statement_log(cold)
+        SweepRunner(workers=2, cache=cache, store=cold).run(GRID)
+        assert statements.count("COMMIT") == total
+        expected = cold.content_fingerprint()
+
+    # A warm sweep commits each grid entry's hits together.
+    with ResultStore(tmp_path / "warm.sqlite") as warm:
+        statements = statement_log(warm)
+        SweepRunner(workers=2, cache=cache, store=warm).run(GRID)
+        assert statements.count("COMMIT") == entries
+        assert warm.content_fingerprint() == expected
+
+    # Interrupted on the third hit (the second entry's first repetition):
+    # the rows written before the interrupt are committed, and running the
+    # sweep again converges to the uninterrupted store.
+    path = tmp_path / "interrupted.sqlite"
+    with ResultStore(path) as store:
+        runner = SweepRunner(
+            workers=1, cache=cache, store=store, stream=_InterruptAtHit(3),
+            journal_dir=tmp_path / "journal",
+        )
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(GRID)
+    with ResultStore(path) as store:
+        assert store.rep_count() == 3
+        SweepRunner(
+            workers=1, cache=cache, store=store, journal_dir=tmp_path / "journal"
+        ).run(GRID)
+        assert store.content_fingerprint() == expected
