@@ -19,22 +19,29 @@ population breakdowns) stay available without schema churn. Failed
 repetitions land in a ``failures`` table mirroring
 :class:`~repro.framework.supervision.RepFailure`.
 
-Identity and idempotence. Rows are keyed ``(config_key, seed)`` with
-``INSERT OR REPLACE``, and the payload blob is a canonical (sorted-keys)
-encoding, so re-recording a repetition — a resumed campaign replaying its
-journal, a cache hit re-confirming a row — is a no-op rather than a
-duplicate, and an interrupted-then-resumed campaign converges to a store
-*bit-identical* in content to an uninterrupted one
+Identity and idempotence. Rows are keyed ``(config_key, seed)``, and every
+column and the canonical (sorted-keys) payload blob are functions of the
+result's fingerprint plus ``(name, label, rep)``. Recording first looks the
+key up: a row with the same name, label, rep and fingerprint, no failure
+beside it and no ``precision_ns`` left to fill is already the row the record
+would write, and is kept without building a payload or writing. Anything else
+is written with ``INSERT OR REPLACE``. So re-recording a repetition — a
+resumed campaign replaying its journal, a cache hit confirming its row — is a
+no-op rather than a duplicate, and an interrupted-then-resumed campaign
+converges to a store *bit-identical* in content to an uninterrupted one
 (:meth:`ResultStore.content_fingerprint`; the chaos suite pins this). A
 cache hit is recorded as the requesting sweep's repetition, so a sweep grown
-from 2 to 3 repetitions writes the rows a fresh 3-repetition sweep writes. A
-success recorded for a key deletes any stale failure row for that key.
+from 2 to 3 repetitions rewrites the rows a fresh 3-repetition sweep writes
+(their fingerprint covers ``repetitions``). A success supersedes a failure
+for the same key, whichever is recorded first.
 
 Commits. Each write is its own transaction, committed (and fsynced) before
 the call returns, unless it runs inside :meth:`ResultStore.batch`: then the
-block's writes share one commit at its end. A sweep batches one grid entry's
-cache hits, and migration batches each source; a crash inside a batch loses
-at most that batch's rows, which a resume records again.
+block's writes share one commit at its end, and a block that wrote nothing
+commits nothing. A sweep batches one grid entry's cache hits, so a grid
+entry whose rows are all present commits nothing; migration batches each
+source. A crash inside a batch loses at most that batch's rows, which a
+resume records again.
 
 Versioning and migration. The schema version lives in SQLite's
 ``user_version`` pragma; opening a newer-versioned store raises instead of
@@ -266,7 +273,8 @@ class ResultStore:
     def batch(self) -> Iterator[None]:
         """Commit every write of the block once, when the block ends.
 
-        One commit (one fsync) instead of one per row. A block left by an
+        One commit (one fsync) instead of one per row, and none when the
+        block wrote nothing: no transaction is open then. A block left by an
         exception still commits the rows written before it.
         """
         self._batched = True
@@ -302,22 +310,31 @@ class ResultStore:
     # -- recording ---------------------------------------------------------
 
     def record_result(self, name: str, rep: int, result, fingerprint: Optional[str] = None) -> None:
-        """Insert (or idempotently re-insert) one successful repetition.
+        """Record one successful repetition, or confirm the row already held.
 
         ``fingerprint`` is ``result.fingerprint()`` when the caller already
-        computed it for this repetition; ``None`` computes it here.
+        computed it for this repetition; ``None`` computes it here. When the
+        store already holds this repetition's row (:meth:`_holds`), no payload
+        is built and nothing is written.
         """
-        payload = rep_to_dict(result, fingerprint=fingerprint)
-        precision: Optional[float] = None
+        if fingerprint is None:
+            fingerprint = result.fingerprint()
+        label = result.config.label
         expected = getattr(result, "expected_send_log", None)
-        if expected and getattr(result, "server_records", None):
-            precision = pacing_precision_ns(expected, result.server_records)
-        self._ingest_payload(
-            name=name,
-            label=result.config.label,
-            rep=rep,
-            payload=payload,
-            precision_ns=precision,
+        measures_precision = bool(expected and getattr(result, "server_records", None))
+        key, seed = per_rep_key(result.config), result.seed
+        stored = self._stored(key, seed)
+        if self._holds(stored, name, label, rep, fingerprint, measures_precision):
+            return
+        self._write_row(
+            key,
+            seed,
+            name,
+            label,
+            rep,
+            rep_to_dict(result, fingerprint=fingerprint),
+            pacing_precision_ns(expected, result.server_records) if measures_precision else None,
+            stored,
         )
 
     def record_failure(self, failure: RepFailure, config) -> None:
@@ -325,15 +342,22 @@ class ResultStore:
         self._write_failure(per_rep_key(config), failure)
 
     def _write_failure(self, key: str, failure: RepFailure) -> None:
-        """The one writer of ``failures`` rows (live runs and migration)."""
+        """The one writer of ``failures`` rows (live runs and migration).
+
+        A key that already holds a success is left alone: a success
+        supersedes a failure whichever is recorded first, as in
+        :meth:`merge_from`.
+        """
+        seed = _db_seed(failure.seed)
         self._write(
             (
                 "INSERT OR REPLACE INTO failures (config_key, seed, name, label,"
                 " rep, error_type, message, traceback, attempts, wall_time_s,"
-                " quarantined) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
+                " quarantined) SELECT ?,?,?,?,?,?,?,?,?,?,? WHERE NOT EXISTS"
+                " (SELECT 1 FROM reps WHERE config_key = ? AND seed = ?)",
                 (
                     key,
-                    _db_seed(failure.seed),
+                    seed,
                     failure.name,
                     failure.label,
                     failure.rep,
@@ -343,17 +367,73 @@ class ResultStore:
                     failure.attempts,
                     failure.wall_time_s,
                     int(failure.quarantined),
+                    key,
+                    seed,
                 ),
             )
         )
 
-    def _ingest_payload(
+    def _stored(self, key: str, seed: int) -> Optional[sqlite3.Row]:
+        """The ``reps`` row held for ``(key, seed)``, if any, with ``failed``:
+        whether a ``failures`` row sits beside it."""
+        rows = self._conn.execute(
+            "SELECT name, label, rep, fingerprint, precision_ns, EXISTS (SELECT 1"
+            " FROM failures WHERE config_key = ?1 AND seed = ?2) AS failed"
+            " FROM reps WHERE config_key = ?1 AND seed = ?2",
+            (key, _db_seed(seed)),
+        ).fetchall()
+        return rows[0] if rows else None
+
+    @staticmethod
+    def _holds(
+        stored: Optional[sqlite3.Row],
+        name: str,
+        label: str,
+        rep: int,
+        fingerprint: str,
+        measures_precision: bool,
+    ) -> bool:
+        """Whether ``stored`` already is the row this record would write.
+
+        Every column and the payload are functions of the fingerprinted
+        result (config with ``repetitions``, seed, counters, traces, capture,
+        expected-send log) plus ``(name, label, rep)``, so equal values mean
+        a rewrite would be byte-identical. Not held: a row beside a failure
+        (the write deletes the failure), or a NULL ``precision_ns`` this
+        record would fill.
+        """
+        return (
+            stored is not None
+            and not stored["failed"]
+            and (stored["name"], stored["label"], stored["rep"], stored["fingerprint"])
+            == (name, label, rep, fingerprint)
+            and (stored["precision_ns"] is not None or not measures_precision)
+        )
+
+    def _ingest_payload(self, name: str, label: str, rep: int, payload: Dict[str, Any]) -> None:
+        """Record one repetition from its canonical payload (JSON migration),
+        or confirm the row already held, by the rule of :meth:`record_result`.
+
+        The payload carries no expected-send log, so it never fills
+        ``precision_ns``; a row it rewrites keeps a stored value.
+        """
+        key = per_rep_key_from_dict(payload["config"])
+        seed = int(payload["seed"])
+        stored = self._stored(key, seed)
+        if self._holds(stored, name, label, rep, payload["fingerprint"], False):
+            return
+        self._write_row(key, seed, name, label, rep, payload, None, stored)
+
+    def _write_row(
         self,
+        key: str,
+        seed: int,
         name: str,
         label: str,
         rep: int,
         payload: Dict[str, Any],
-        precision_ns: Optional[float] = None,
+        precision_ns: Optional[float],
+        stored: Optional[sqlite3.Row],
     ) -> None:
         """Shared row builder for live results and migrated artifacts.
 
@@ -362,9 +442,12 @@ class ResultStore:
         produce identical rows (``precision_ns`` excepted: it needs the
         expected-send log, which the JSON artifact does not carry).
         """
+        if precision_ns is None and stored is not None:
+            if stored["fingerprint"] == payload["fingerprint"]:
+                # Same fingerprint, same capture and expected-send log: a
+                # stored precision is this record's too; None never replaces it.
+                precision_ns = stored["precision_ns"]
         config = payload["config"]
-        key = per_rep_key_from_dict(config)
-        seed = int(payload["seed"])
         population = "aggregate_goodput_mbps" in payload
         impairments = _impairments_slug(config.get("network", {}) or {})
         row: Dict[str, Any] = {
@@ -511,7 +594,7 @@ class ResultStore:
 
         Rows are a pure function of their ``(config_key, seed)`` key, so this
         is idempotent and order-independent; a success in either store
-        supersedes the other's failure (as :meth:`_ingest_payload` does).
+        supersedes the other's failure (as recording does).
         Returns the repetition rows read per grid name.
         """
         part = Path(path)

@@ -108,7 +108,9 @@ class SweepRunner:
     settled repetition is streamed into as it lands (successes, cache hits,
     and final failures alike) — the queryable canonical artifact for
     campaign-scale sweeps. A computed repetition is committed on its own;
-    a grid entry's cache hits share one commit.
+    a grid entry's cache hits share one commit. A hit whose row the store
+    already holds is confirmed against it and not written again, so a warm
+    sweep over the store it wrote writes and commits nothing.
 
     ``shard=(i, n)`` runs part ``i`` of a campaign split ``n`` ways (one
     invocation per host): of the grid's repetitions, numbered in grid order,

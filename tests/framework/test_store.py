@@ -100,6 +100,21 @@ class TestRecording:
         assert store.failure_count() == 0
         assert store.rep_count() == 1
 
+    def test_a_failure_never_lands_beside_a_success(self, tmp_path, results):
+        """Success then failure for one key stores what the success alone
+        stores: the success supersedes the failure in either order."""
+        digests = []
+        for path, record_failure in (("alone", False), ("then", True)):
+            with ResultStore(tmp_path / f"{path}.sqlite") as store:
+                for rep, result in enumerate(results):
+                    store.record_result("quiche", rep, result)
+                if record_failure:
+                    store.record_failure(_failure(name="quiche", seed=results[1].seed, rep=1), CONFIG)
+                assert store.failure_count() == 0
+                assert store.group_summaries()["quiche"]["failed"] == 0
+                digests.append(store.content_fingerprint())
+        assert digests[0] == digests[1]
+
     def test_precision_column_filled_when_expected_log_present(self, store):
         config = ExperimentConfig(stack="quiche", qdisc="etf", file_size=kib(96))
         result = run_experiment(config, seed=5)
@@ -109,6 +124,48 @@ class TestRecording:
             assert row["precision_ns"] is not None and row["precision_ns"] >= 0.0
         else:
             assert row["precision_ns"] is None
+
+
+def _precision(store):
+    return [row["precision_ns"] for row in store.query()]
+
+
+class TestConfirm:
+    """A record of a row the store already holds is one lookup, no write."""
+
+    def test_a_held_row_is_confirmed_by_one_select(self, store, results):
+        store.record_result("quiche", 0, results[0])
+        digest = store.content_fingerprint()
+        statements = statement_log(store)
+        with store.batch():
+            store.record_result("quiche", 0, results[0])
+        assert len(statements) == 1 and statements[0].startswith("SELECT")
+        assert store.content_fingerprint() == digest
+
+    def test_another_name_or_rep_rewrites_the_row(self, store, results):
+        store.record_result("quiche", 0, results[0])
+        precision = _precision(store)
+        for name, rep in (("renamed", 0), ("renamed", 1)):
+            statements = statement_log(store)
+            store.record_result(name, rep, results[0])
+            assert statements.count("COMMIT") == 1
+            (row,) = store.query()
+            assert (row["name"], row["rep"]) == (name, rep)
+        assert _precision(store) == precision
+
+    def test_a_null_precision_is_filled_and_never_erased(self, store, results):
+        from repro.framework.artifacts import rep_to_dict
+
+        payload = rep_to_dict(results[0])
+        store._ingest_payload(name="quiche", label=CONFIG.label, rep=0, payload=payload)
+        assert _precision(store) == [None]
+        store.record_result("quiche", 0, results[0])  # measures it: rewritten
+        (precision,) = _precision(store)
+        assert precision is not None
+        # Neither a confirming nor a rewriting payload without it erases it.
+        for name in ("quiche", "renamed"):
+            store._ingest_payload(name=name, label=CONFIG.label, rep=0, payload=payload)
+            assert _precision(store) == [precision]
 
 
 class TestBatch:
@@ -412,6 +469,26 @@ class TestMigration:
         assert migrated.ingest_summary_json(artifact) == 2
         assert statements.count("COMMIT") == 1
         assert migrated.failures() == [failure]
-        # precision_ns is the one live-only column (needs the expected-send
-        # log); this config has no pacing log, so content matches exactly.
+        # precision_ns, the one live-only column (it needs the expected-send
+        # log), is outside the content fingerprint.
         assert migrated.content_fingerprint() == live.content_fingerprint()
+
+    @pytest.mark.parametrize("cache_first", [True, False], ids=["cache-json", "json-cache"])
+    def test_either_migration_order_keeps_precision(self, tmp_path, cache_first):
+        from repro.framework.artifacts import save_summary
+
+        cache = ResultCache(tmp_path / "cache")
+        with ResultStore(tmp_path / "live.sqlite") as live:
+            summary = run_repetitions(CONFIG, workers=1, cache=cache, store=live)
+            precision, digest = _precision(live), live.content_fingerprint()
+        assert None not in precision
+        artifact = save_summary(summary, tmp_path / "a.json")
+        with ResultStore(tmp_path / "migrated.sqlite") as migrated:
+            sources = [
+                lambda: migrated.migrate_cache(cache.root),
+                lambda: migrated.ingest_summary_json(artifact),
+            ]
+            for migrate in sources if cache_first else sources[::-1]:
+                assert migrate() == 2
+            assert _precision(migrated) == precision
+            assert migrated.content_fingerprint() == digest

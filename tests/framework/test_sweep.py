@@ -180,6 +180,55 @@ def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, two_reps):
     assert grown_digest == fresh_digest
 
 
+def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
+    """Over the store it wrote, a warm sweep writes and commits nothing, and
+    leaves the content and the cold sweep's per-rep fingerprints; the same
+    grid under other names rewrites its rows."""
+    total = sum(config.repetitions for config in GRID.values())
+    cache = ResultCache(tmp_path / "cache")
+
+    def digests(summaries):
+        return {name: [r.fingerprint() for r in s.results] for name, s in summaries.items()}
+
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        cold = SweepRunner(workers=1, cache=cache, store=store).run(GRID)
+        expected = store.content_fingerprint()
+        statements = statement_log(store)
+        warm = SweepRunner(workers=1, cache=cache, store=store).run(GRID)
+        assert cache.stats.hits == total
+        assert len(statements) == total
+        assert all(statement.startswith("SELECT") for statement in statements)
+        assert store.content_fingerprint() == expected
+        assert digests(warm) == digests(cold)
+
+        renamed = {f"{name}-again": config for name, config in GRID.items()}
+        statements = statement_log(store)
+        SweepRunner(workers=1, cache=cache, store=store).run(renamed)
+        assert statements.count("COMMIT") == len(GRID)
+        assert sorted(row["name"] for row in store.query()) == sorted(
+            name for name, config in renamed.items() for _ in range(config.repetitions)
+        )
+
+
+def test_a_hit_clears_a_failure_beside_its_row(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        SweepRunner(workers=1, cache=cache, store=store).run(GRID)
+        expected = store.content_fingerprint()
+        # A failure row beside a success, as a store written before a failure
+        # yielded to a held success can contain.
+        store._conn.execute(
+            "INSERT INTO failures SELECT config_key, seed, name, label, rep,"
+            " 'WorkerCrashError', 'exit code 23', '', 3, 1.0, 0"
+            " FROM reps WHERE name = 'quiche' AND rep = 1"
+        )
+        store._conn.commit()
+        assert store.group_summaries()["quiche"]["failed"] == 1
+        SweepRunner(workers=1, cache=cache, store=store).run(GRID)
+        assert store.failure_count() == 0
+        assert store.content_fingerprint() == expected
+
+
 class _InterruptAtHit(io.StringIO):
     """A progress stream that raises ``KeyboardInterrupt`` on the k-th hit."""
 
