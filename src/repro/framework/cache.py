@@ -17,16 +17,29 @@ stores exactly as a fresh run of that grid would. An entry whose config
 differs from the request in anything but ``repetitions`` is a stale entry:
 quarantined, counted and treated as a miss.
 
+Fingerprints. A result is digested once, when it is computed: the entry
+stores its ``fingerprint()`` beside it, with the config encoding that
+fingerprint was taken over (``result.config.cache_key()``). A hit whose
+encoding is the request's serves the stored fingerprint, so a warm sweep
+never re-digests a result. A hit served to a sweep of another length comes
+back without one, because its fingerprint covers ``repetitions``.
+
 Layout and robustness. Entries live under ``<root>/<key[:2]>/<key>.pkl``
 (``~/.cache/repro`` by default, overridable with ``$REPRO_CACHE_DIR`` or an
-explicit root). Each file is a pickle of ``(CACHE_VERSION, result)``; an
-entry with a stale version or one that fails to unpickle is *evicted* and
-treated as a miss, so format changes and torn writes degrade to
-recomputation, never to wrong results. Eviction is never silent: the bad
-file is moved to ``<root>/quarantine/`` (not deleted) so a torn write can be
-inspected post-hoc, the eviction is counted on :attr:`stats`, and one
-warning line goes to the progress ``stream``. Writes go through a temporary
-file and ``os.replace`` so concurrent workers can share one cache directory.
+explicit root). Each file is one header line followed by the pickled result::
+
+    repro-cache <CACHE_VERSION> <digest> <encoding> <fingerprint>\\n<pickle>
+
+where ``<digest>`` is the sha256 of every byte after it, so it binds the
+stored fingerprint to the bytes it is served with. An entry of another
+format or version, with a digest mismatch, that fails to unpickle, or that
+:meth:`ResultCache.get`'s ``validate`` rejects is *evicted* and treated as a
+miss, so format changes and torn or flipped bytes degrade to recomputation,
+never to wrong results. Eviction is never silent: the bad file is moved to
+``<root>/quarantine/`` (not deleted) so a torn write can be inspected
+post-hoc, the eviction is counted on :attr:`stats`, and one warning line goes
+to the progress ``stream``. Writes go through a temporary file and
+``os.replace`` so concurrent workers can share one cache directory.
 Hit/miss/store/eviction counters are kept on :attr:`stats`.
 """
 
@@ -38,21 +51,61 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Any, Callable, NamedTuple, Optional, TextIO, Tuple, Union
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationResult
 
-#: Bump whenever the on-disk entry format or ``ExperimentResult`` shape
-#: changes incompatibly; older entries are evicted on first touch.
+#: Bump whenever the on-disk entry format, the ``ExperimentResult`` shape or
+#: the byte encoding ``fingerprint()`` hashes changes incompatibly; older
+#: entries are evicted on first touch.
 #: v2: ExperimentResult gained injected_drops / impairment_stats.
 #: v3: captures are CaptureColumns, not lists of CaptureRecord.
-CACHE_VERSION = 3
+#: v4: a header line with the result's fingerprint, its config encoding and a
+#: sha256 over both and the pickle, instead of a pickled ``(version, result)``.
+CACHE_VERSION = 4
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.
 _RESULT_TYPES = (ExperimentResult, PopulationResult)
+
+_MAGIC = b"repro-cache"
+
+
+def _pack(version: int, encoding: str, fingerprint: str, body: bytes) -> bytes:
+    """One entry file: the header line, then ``body`` (the pickled result)."""
+    rest = f"{encoding} {fingerprint}\n".encode() + body
+    return b"%s %d %s %s" % (_MAGIC, version, hashlib.sha256(rest).hexdigest().encode(), rest)
+
+
+def _unpack(payload: bytes, version: int) -> Tuple[Any, str, str]:
+    """``(result, encoding, fingerprint)`` of one entry file; raises
+    ``ValueError`` on a file of another format or version or a digest
+    mismatch, before anything is unpickled."""
+    head = payload.split(b" ", 3)
+    if len(head) != 4 or head[0] != _MAGIC:
+        raise ValueError("stale cache entry (no repro-cache header)")
+    _, found, digest, rest = head
+    if found != str(version).encode():
+        raise ValueError(f"stale cache entry (version {found.decode(errors='replace')})")
+    if hashlib.sha256(rest).hexdigest().encode() != digest:
+        raise ValueError("corrupt cache entry (digest mismatch)")
+    newline = rest.index(b"\n")
+    encoding, fingerprint = rest[:newline].decode().split(" ")
+    result = pickle.loads(memoryview(rest)[newline + 1 :])
+    if not isinstance(result, _RESULT_TYPES):
+        raise ValueError(f"stale cache entry (holds a {type(result).__name__})")
+    return result, encoding, fingerprint
+
+
+class CacheHit(NamedTuple):
+    """A result read from the cache, with its fingerprint when one applies."""
+
+    result: Union[ExperimentResult, PopulationResult]
+    #: ``result.fingerprint()`` as stored with the entry; ``None`` when the
+    #: hit is served to a sweep of another length and must be digested anew.
+    fingerprint: Optional[str]
 
 
 def default_cache_dir() -> Path:
@@ -118,11 +171,21 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, config: ExperimentConfig, seed: int) -> Optional[ExperimentResult]:
+    def get(
+        self,
+        config: ExperimentConfig,
+        seed: int,
+        validate: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[CacheHit]:
         """The stored result for (config, seed), or None on miss/stale/corrupt.
 
         A hit's ``config`` is ``config`` itself, whichever sweep length first
-        computed it; its memoized encodings then serve every hit.
+        computed it; its memoized encodings then serve every hit. The stored
+        fingerprint comes with it when it was taken over ``config``'s
+        encoding. ``validate`` (e.g.
+        :func:`~repro.framework.validate.validate_result`) runs on the result
+        before it is served: an entry it rejects is quarantined and counted
+        as a miss, like a torn one.
         """
         path = self._path(self.entry_key(config, seed))
         try:
@@ -131,27 +194,42 @@ class ResultCache:
             self.stats.misses += 1
             return None
         try:
-            version, result = pickle.loads(payload)
-            if version != self.version or not isinstance(result, _RESULT_TYPES):
-                raise ValueError(f"stale cache entry (version {version!r})")
-            if result.config.per_rep != config.per_rep:
-                raise ValueError("stale cache entry (computed for another config)")
+            result, encoding, fingerprint = _unpack(payload, self.version)
+            if encoding != config.cache_key():
+                if result.config.per_rep != config.per_rep:
+                    raise ValueError("stale cache entry (computed for another config)")
+                fingerprint = None  # taken over another ``repetitions``
+            result.config = config
+            if validate is not None:
+                validate(result)
         except Exception as exc:
             self._evict(path, reason=f"{type(exc).__name__}: {exc}")
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        result.config = config
-        return result
+        return CacheHit(result, fingerprint)
 
-    def put(self, config: ExperimentConfig, seed: int, result: ExperimentResult) -> Path:
-        """Store one repetition's result atomically; returns the entry path."""
+    def read(self, path: Union[str, Path]) -> CacheHit:
+        """One entry file as stored: its result, carrying the config it was
+        computed for, and that result's fingerprint. Raises on an entry
+        :meth:`get` would quarantine for its format, version, digest or
+        contents; nothing is moved or counted."""
+        result, _, fingerprint = _unpack(Path(path).read_bytes(), self.version)
+        return CacheHit(result, fingerprint)
+
+    def put(
+        self, config: ExperimentConfig, seed: int, result: ExperimentResult, fingerprint: str
+    ) -> Path:
+        """Store one repetition's result with its ``fingerprint()``
+        atomically; returns the entry path."""
         path = self._path(self.entry_key(config, seed))
+        body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        entry = _pack(self.version, result.config.cache_key(), fingerprint, body)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump((self.version, result), handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(entry)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -162,12 +240,7 @@ class ResultCache:
         self.stats.stores += 1
         return path
 
-    def invalidate(self, config: ExperimentConfig, seed: int, reason: str = "invalidated") -> None:
-        """Quarantine the entry for (config, seed), e.g. after it failed
-        result validation — the next :meth:`get` will miss and recompute."""
-        self._evict(self._path(self.entry_key(config, seed)), reason=reason)
-
-    def _evict(self, path: Path, reason: str = "corrupt entry") -> None:
+    def _evict(self, path: Path, reason: str) -> None:
         """Move a bad entry to ``<root>/quarantine/`` (same filesystem, so the
         move is an atomic rename) instead of destroying the evidence."""
         quarantine = self.root / "quarantine" / path.name

@@ -141,8 +141,12 @@ class ExperimentResult:
         execution — the determinism test suite pins exactly that.
 
         Computed from the fields on every call (results are mutable and
-        ``dataclasses.replace`` copies must digest fresh); callers that need
-        it more than once per result pass it along.
+        ``dataclasses.replace`` copies must digest fresh). It is O(packets),
+        so it is taken once, when a repetition is computed: callers pass it
+        along, and the :class:`~repro.framework.cache.ResultCache` stores it
+        with the entry, so a cache hit serves it without digesting again. A
+        change to the bytes :meth:`canonical_encoding` yields therefore needs
+        a ``CACHE_VERSION`` bump.
         """
         digest = hashlib.sha256()
         for chunk in self.canonical_encoding():

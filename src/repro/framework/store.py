@@ -60,7 +60,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import pickle
 import time
 import zlib
 from pathlib import Path
@@ -547,24 +546,27 @@ class ResultStore:
         """Migrate every readable repetition out of a result-cache directory.
 
         Walks the cache's two-level ``<key[:2]>/<key>.pkl`` layout (skipping
-        its quarantine), unpickles each entry, and ingests entries whose
-        version matches the current cache format. Returns the number of
-        repetitions ingested, committed together; unreadable or stale
-        entries are skipped with a warning on ``stream``, never propagated.
+        its quarantine) and reads each entry through
+        :meth:`~repro.framework.cache.ResultCache.read`, so an entry of
+        another version or whose digest does not match is not ingested; the
+        rest are recorded under the fingerprint stored with them. Returns
+        the number of repetitions ingested, committed together; unreadable
+        or stale entries are skipped with a warning on ``stream``, never
+        propagated.
         """
-        from repro.framework.cache import CACHE_VERSION
+        from repro.framework.cache import ResultCache
 
-        root = Path(cache_root)
+        cache = ResultCache(cache_root)
         count = 0
         with self.batch():
-            for path in sorted(root.glob("??/*.pkl")):
+            for path in sorted(cache.root.glob("??/*.pkl")):
                 try:
-                    version, result = pickle.loads(path.read_bytes())
-                    if version != CACHE_VERSION:
-                        raise ValueError(f"stale cache version {version!r}")
+                    result, fingerprint = cache.read(path)
                     config = result.config
                     rep = self._recover_rep(config, result.seed)
-                    self.record_result(name=config.label, rep=rep, result=result)
+                    self.record_result(
+                        name=config.label, rep=rep, result=result, fingerprint=fingerprint
+                    )
                     count += 1
                 except Exception as exc:  # noqa: BLE001 - per-entry isolation
                     if self.stream is not None:

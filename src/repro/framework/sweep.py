@@ -195,19 +195,18 @@ class SweepRunner:
                             f"FAILED previously ({entry.failure.error_type}) [journal]"
                         )
                         continue
-                    cached = self.cache.get(config, seed) if self.cache else None
-                    if cached is not None and self.validate:
-                        try:
-                            validate_result(cached)
-                        except Exception as exc:
-                            # A torn or stale entry that still unpickled:
-                            # quarantine it and recompute.
-                            self.cache.invalidate(config, seed, reason=str(exc))
-                            cached = None
-                    if cached is not None:
-                        slots[name][rep] = cached
-                        self._settle(journal, name, rep, seed, cached, recomputed=False)
-                        self._emit(name, config, rep, cached, cached_hit=True)
+                    # An entry that fails validation is quarantined and missed.
+                    hit = (
+                        self.cache.get(config, seed, validate_result if self.validate else None)
+                        if self.cache
+                        else None
+                    )
+                    if hit is not None:
+                        slots[name][rep] = hit.result
+                        self._settle(
+                            journal, name, rep, seed, hit.result, hit.fingerprint, recomputed=False
+                        )
+                        self._emit(name, config, rep, hit.result, cached_hit=True)
                     else:
                         pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
 
@@ -224,9 +223,13 @@ class SweepRunner:
             def on_success(task: RepTask, result: ExperimentResult) -> None:
                 slots[task.name][task.rep] = result
                 fresh_wall_s.append(result.wall_time_s)
+                fingerprint = None
                 if self.cache is not None:
-                    self.cache.put(task.config, result.seed, result)
-                self._settle(journal, task.name, task.rep, task.seed, result, recomputed=True)
+                    fingerprint = result.fingerprint()
+                    self.cache.put(task.config, result.seed, result, fingerprint)
+                self._settle(
+                    journal, task.name, task.rep, task.seed, result, fingerprint, recomputed=True
+                )
                 self._emit(task.name, task.config, task.rep, result, cached_hit=False)
 
             def on_failure(task: RepTask, failure: RepFailure) -> None:
@@ -261,16 +264,20 @@ class SweepRunner:
         rep: int,
         seed: int,
         result: ExperimentResult,
+        fingerprint: Optional[str],
         recomputed: bool,
     ) -> None:
         """Journal and store one successful repetition under a single digest.
 
-        ``fingerprint()`` is O(packets), so it runs once here and travels to
-        both sinks as an argument.
+        ``fingerprint()`` is O(packets), so it is taken once per computed
+        repetition, kept with its cache entry, and travels to both sinks as
+        ``fingerprint``. ``None`` (no cache, or a hit served to a sweep of
+        another length) is digested here, once, and only if a sink needs it.
         """
         if journal is None and self.store is None:
             return
-        fingerprint = result.fingerprint()
+        if fingerprint is None:
+            fingerprint = result.fingerprint()
         if journal is not None:
             prior = journal.get(name, rep) if recomputed else None
             if prior is not None and prior.fingerprint and prior.fingerprint != fingerprint:

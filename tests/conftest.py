@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -58,6 +59,18 @@ def statement_log(store) -> list[str]:
     statements: list[str] = []
     store._conn.set_trace_callback(statements.append)
     return statements
+
+
+def flip_capture_byte(path, result) -> None:
+    """Flip one bit in the body of the cache entry at ``path``: the low bit
+    of ``result``'s last captured timestamp, stored raw in the pickled
+    ``array('q')``. The body still unpickles, and the capture stays monotonic,
+    so only the entry's digest can tell."""
+    data = bytearray(path.read_bytes())
+    at = data.rfind(struct.pack("=q", result.server_records.time_ns[-1]))
+    assert at > data.index(b"\n"), "timestamp not found in the entry's body"
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
 
 
 def make_dgram(size: int = 1252, txtime=None, pn=None, flow=None):

@@ -5,11 +5,13 @@ import pickle
 
 import pytest
 
-from repro.framework.cache import CACHE_VERSION, ResultCache
+from repro.framework.cache import CACHE_VERSION, ResultCache, _pack
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment
 from repro.framework.runner import derive_seed, run_repetitions
+from repro.framework.validate import validate_result
 from repro.units import kib
+from tests.conftest import flip_capture_byte
 
 CFG = ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=1)
 
@@ -23,12 +25,17 @@ def _entry_path(cache, config, seed):
     return cache._path(cache.entry_key(config, seed))
 
 
+def _put(cache, result, config=CFG):
+    return cache.put(config, result.seed, result, result.fingerprint())
+
+
 def test_hit_returns_identical_result(tmp_path, result):
     cache = ResultCache(tmp_path)
     assert cache.get(CFG, result.seed) is None  # cold
-    cache.put(CFG, result.seed, result)
-    loaded = cache.get(CFG, result.seed)
+    _put(cache, result)
+    loaded, fingerprint = cache.get(CFG, result.seed)
     assert loaded == result  # dataclass equality covers records, traces, stats
+    assert fingerprint == result.fingerprint()  # stored, not re-digested
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.stores == 1
@@ -59,7 +66,7 @@ def test_repetitions_normalized_out_of_key():
 
 def test_version_bump_invalidates(tmp_path, result):
     writer = ResultCache(tmp_path, version=CACHE_VERSION)
-    writer.put(CFG, result.seed, result)
+    _put(writer, result)
     reader = ResultCache(tmp_path, version=CACHE_VERSION + 1)
     assert reader.get(CFG, result.seed) is None
     assert reader.stats.evictions == 1
@@ -69,7 +76,7 @@ def test_version_bump_invalidates(tmp_path, result):
 
 def test_corrupted_entry_falls_back(tmp_path, result):
     cache = ResultCache(tmp_path)
-    path = cache.put(CFG, result.seed, result)
+    path = _put(cache, result)
     path.write_bytes(b"not a pickle")
     assert cache.get(CFG, result.seed) is None
     assert cache.stats.evictions == 1
@@ -81,7 +88,7 @@ def test_eviction_quarantines_instead_of_deleting(tmp_path, result):
 
     stream = io.StringIO()
     cache = ResultCache(tmp_path, stream=stream)
-    path = cache.put(CFG, result.seed, result)
+    path = _put(cache, result)
     path.write_bytes(b"not a pickle")
     assert cache.get(CFG, result.seed) is None
     moved = tmp_path / "quarantine" / path.name
@@ -93,32 +100,18 @@ def test_eviction_quarantines_instead_of_deleting(tmp_path, result):
     assert "quarantined" in warning and path.name in warning
 
 
-def test_invalidate_quarantines_on_demand(tmp_path, result):
-    cache = ResultCache(tmp_path)
-    path = cache.put(CFG, result.seed, result)
-    cache.invalidate(CFG, result.seed, reason="failed validation")
-    assert not path.exists()
-    assert (tmp_path / "quarantine" / path.name).exists()
-    assert cache.get(CFG, result.seed) is None  # miss -> recompute
-
-
 def test_wrong_payload_type_rejected(tmp_path, result):
     cache = ResultCache(tmp_path)
-    path = cache.put(CFG, result.seed, result)
-    path.write_bytes(pickle.dumps((CACHE_VERSION, "not a result")))
+    path = _put(cache, result)
+    body = pickle.dumps("not a result")
+    path.write_bytes(_pack(CACHE_VERSION, CFG.cache_key(), result.fingerprint(), body))
     assert cache.get(CFG, result.seed) is None
     assert cache.stats.evictions == 1
 
 
-def test_version_2_entry_is_quarantined_and_recomputed(tmp_path, result):
-    """A pre-columnar entry (``CACHE_VERSION`` 2: the capture pickled as a list
-    of ``CaptureRecord``) is never served: it is quarantined, counted, and the
-    repetition recomputed to the same fingerprint."""
-    cache = ResultCache(tmp_path)
-    stale = dataclasses.replace(result, server_records=list(result.server_records))
-    path = _entry_path(cache, CFG, result.seed)
-    path.parent.mkdir(parents=True)
-    path.write_bytes(pickle.dumps((2, stale)))
+def _recomputes(tmp_path, cache, result, path):
+    """``run_repetitions`` over a bad entry at ``path``: quarantined, counted
+    as a miss, recomputed to ``result``'s fingerprint and stored anew."""
     summary = run_repetitions(CFG, workers=1, cache=cache)
     assert (tmp_path / "quarantine" / path.name).exists()
     stats = cache.stats
@@ -126,7 +119,47 @@ def test_version_2_entry_is_quarantined_and_recomputed(tmp_path, result):
         0, 1, 1, 1, 1,
     )
     assert [r.fingerprint() for r in summary.results] == [result.fingerprint()]
-    assert cache.get(CFG, result.seed).server_records == result.server_records
+    hit = cache.get(CFG, result.seed)
+    assert hit.result.server_records == result.server_records
+    assert hit.fingerprint == result.fingerprint()
+
+
+def test_version_3_entry_is_quarantined_and_recomputed(tmp_path, result):
+    """An entry of the previous format (``CACHE_VERSION`` 3: a pickled
+    ``(version, result)`` with no stored fingerprint) is never served: it is
+    quarantined, counted, and the repetition recomputed to the same
+    fingerprint."""
+    cache = ResultCache(tmp_path)
+    path = _entry_path(cache, CFG, result.seed)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(pickle.dumps((3, result)))
+    _recomputes(tmp_path, cache, result, path)
+
+
+def test_flipped_body_byte_is_quarantined_and_recomputed(tmp_path, result):
+    """One flipped bit inside the pickled capture still unpickles and
+    validates; the entry's digest catches it before anything is served."""
+    cache = ResultCache(tmp_path)
+    path = _put(cache, result)
+    flip_capture_byte(path, result)
+    data = path.read_bytes()
+    tampered = pickle.loads(data[data.index(b"\n") + 1 :])
+    validate_result(tampered)
+    assert tampered.server_records.time_ns[-1] != result.server_records.time_ns[-1]
+    _recomputes(tmp_path, ResultCache(tmp_path), result, path)
+
+
+def test_hit_that_fails_validation_counts_as_a_miss(tmp_path, result):
+    """An entry that reads back but fails validation is quarantined and
+    counted as a miss, not a hit: the repetition is recomputed, so the cache
+    line must not say ``0 misses``."""
+    broken = dataclasses.replace(result, dropped=-5)
+    path = _put(ResultCache(tmp_path), broken)
+    cache = ResultCache(tmp_path)
+    summary = run_repetitions(CFG, workers=1, cache=cache)
+    assert str(cache.stats) == "0 hits, 1 misses, 1 stores, 1 evictions"
+    assert (tmp_path / "quarantine" / path.name).exists()
+    assert [r.fingerprint() for r in summary.results] == [result.fingerprint()]
 
 
 def test_entry_of_another_config_is_quarantined_and_recomputed(tmp_path, result):
@@ -136,28 +169,32 @@ def test_entry_of_another_config_is_quarantined_and_recomputed(tmp_path, result)
     cache = ResultCache(tmp_path)
     other = dataclasses.replace(CFG, cca="bbr")
     foreign = Experiment(other, seed=result.seed).run()
-    path = _entry_path(cache, CFG, result.seed)
-    path.parent.mkdir(parents=True)
-    path.write_bytes(pickle.dumps((CACHE_VERSION, foreign)))
+    path = _put(cache, foreign, config=CFG)  # under this config's key
     assert cache.get(CFG, result.seed) is None
     assert (tmp_path / "quarantine" / path.name).exists()
     assert (cache.stats.quarantined, cache.stats.misses, cache.stats.hits) == (1, 1, 0)
 
-    path.write_bytes(pickle.dumps((CACHE_VERSION, foreign)))
+    _put(cache, foreign, config=CFG)
     summary = run_repetitions(CFG, workers=1, cache=cache)
-    assert (cache.stats.quarantined, cache.stats.misses, cache.stats.stores) == (2, 2, 1)
+    assert (cache.stats.quarantined, cache.stats.misses, cache.stats.stores) == (2, 2, 3)
     assert [r.fingerprint() for r in summary.results] == [result.fingerprint()]
 
 
 def test_hit_is_served_as_the_requesting_config(tmp_path, result):
     """Repetitions are normalized out of the key, not out of the result: a
-    hit reports (and fingerprints with) the config it was asked for."""
+    hit reports (and fingerprints with) the config it was asked for. The
+    stored fingerprint covers the computing config's ``repetitions``, so a
+    hit served to another length comes without one."""
     cache = ResultCache(tmp_path)
-    cache.put(CFG, result.seed, result)
+    _put(cache, result)
     grown = dataclasses.replace(CFG, repetitions=3)
-    loaded = cache.get(grown, result.seed)
+    loaded, fingerprint = cache.get(grown, result.seed)
     assert loaded.config is grown
+    assert fingerprint is None
     assert loaded.fingerprint() == dataclasses.replace(result, config=grown).fingerprint()
+    same = dataclasses.replace(CFG)  # an equal config object: same encoding
+    loaded, fingerprint = cache.get(same, result.seed)
+    assert loaded.config is same and fingerprint == result.fingerprint()
 
 
 def test_run_repetitions_served_from_cache(tmp_path):

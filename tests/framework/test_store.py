@@ -30,7 +30,7 @@ from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.trains import pooled_fraction_of_packets_in_trains_leq
 from repro.net.impairments import iid_loss
 from repro.units import kib, us
-from tests.conftest import statement_log
+from tests.conftest import flip_capture_byte, statement_log
 
 CONFIG = ExperimentConfig(stack="quiche", file_size=kib(96), repetitions=2)
 LOSSY = ExperimentConfig(
@@ -446,6 +446,33 @@ class TestMigration:
         assert store.migrate_cache(root) == 0
         warnings = stream.getvalue()
         assert warnings.count("[store] warning: skipped") == 2
+
+    def test_cache_migration_skips_an_entry_with_a_flipped_body_byte(
+        self, tmp_path, monkeypatch
+    ):
+        """Migration reads entries through the cache's own reader: a flipped
+        bit is skipped on its digest (it would unpickle and validate), and
+        the rest migrate under their stored fingerprints to the live rows."""
+        from repro.framework.experiment import ExperimentResult
+
+        cache = ResultCache(tmp_path / "cache")
+        summary = run_repetitions(CONFIG, workers=1, cache=cache)
+        flipped, kept = summary.results
+        flip_capture_byte(cache._path(cache.entry_key(CONFIG, flipped.seed)), flipped)
+        with ResultStore(tmp_path / "live.sqlite") as live:
+            live.record_result(CONFIG.label, 1, kept)
+            expected = live.content_fingerprint()
+
+        monkeypatch.setattr(
+            ExperimentResult, "fingerprint", lambda self: pytest.fail("migration re-digested")
+        )
+        stream = io.StringIO()
+        with ResultStore(tmp_path / "migrated.sqlite", stream=stream) as migrated:
+            assert migrated.migrate_cache(cache.root) == 1
+            assert migrated.content_fingerprint() == expected
+        warnings = stream.getvalue().splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("[store] warning: skipped") and "digest" in warnings[0]
 
     def test_json_artifact_migration_matches_live_recording(
         self, tmp_path, results

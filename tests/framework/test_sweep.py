@@ -8,7 +8,8 @@ import pytest
 
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
-from repro.framework.population import PopulationConfig
+from repro.framework.experiment import ExperimentResult
+from repro.framework.population import PopulationConfig, PopulationResult
 from repro.framework.store import ResultStore
 from repro.framework.sweep import SweepRunner, resolve_workers, run_sweep
 from repro.units import kib, seconds
@@ -95,10 +96,10 @@ def test_rep_results_slot_into_rep_order():
 
 
 def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
-    """Cache + journal + store: ``fingerprint()`` is O(packets), so a sweep
-    computes it once per settled repetition (fresh or cache hit) and hands
-    the digest to the journal and the store."""
-    from repro.framework.experiment import ExperimentResult
+    """Cache + journal + store: ``fingerprint()`` is O(packets), so a cold
+    sweep computes it once per repetition and hands the digest to the cache
+    entry, the journal and the store; a warm sweep reads it back from the
+    entries and computes none."""
     from repro.framework.journal import SweepJournal
 
     calls = []
@@ -122,10 +123,10 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
             rows = {(row["name"], row["rep"]): row["fingerprint"] for row in store.query()}
         return summaries, rows
 
-    for label in ("cold", "warm"):
+    for label, expected in (("cold", total), ("warm", 0)):
         del calls[:]
         summaries, rows = sweep()
-        assert len(calls) == total, label
+        assert len(calls) == expected, label
         journal = SweepJournal.for_grid(tmp_path / "journal", GRID)
         for name, summary in summaries.items():
             for rep, result in enumerate(summary.results):
@@ -162,16 +163,29 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
     ],
     ids=["experiment", "population"],
 )
-def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, two_reps):
+def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, monkeypatch, two_reps):
     """Growing a sweep from 2 to 3 repetitions over one cache serves reps 0-1
     as this grid's repetitions: rows and per-rep fingerprints equal those of
-    a fresh 3-repetition sweep."""
+    a fresh 3-repetition sweep. The entries' fingerprints cover the 2-rep
+    config, so exactly the two hits are digested anew, plus the computed
+    third repetition."""
     three_reps = dataclasses.replace(two_reps, repetitions=3)
     cache = ResultCache(tmp_path / "cache")
+    result_type = PopulationResult if isinstance(two_reps, PopulationConfig) else ExperimentResult
+    calls = []
+    original = result_type.fingerprint
+
+    def counting(self):
+        calls.append(self.seed)
+        return original(self)
+
     with ResultStore(tmp_path / "grown.sqlite") as grown:
         SweepRunner(workers=1, cache=cache, store=grown).run({"x": two_reps})
+        monkeypatch.setattr(result_type, "fingerprint", counting)
         summary = SweepRunner(workers=1, cache=cache, store=grown).run({"x": three_reps})["x"]
+        monkeypatch.undo()
         assert cache.stats.hits == 2
+        assert calls == [r.seed for r in summary.results]
         grown_digest = grown.content_fingerprint()
     with ResultStore(tmp_path / "fresh.sqlite") as fresh_store:
         fresh = SweepRunner(workers=1, cache=None, store=fresh_store).run({"x": three_reps})["x"]
