@@ -138,7 +138,8 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
         help="result cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="recompute everything, touch no cache"
+        "--no-cache", action="store_true",
+        help="touch no cache: recompute everything --store does not already hold",
     )
     parser.add_argument(
         "--timeout", type=float, metavar="SECONDS", default=None,

@@ -31,7 +31,10 @@ explicit root). Each file is one header line followed by the pickled result::
     repro-cache <CACHE_VERSION> <digest> <encoding> <fingerprint>\\n<pickle>
 
 where ``<digest>`` is the sha256 of every byte after it, so it binds the
-stored fingerprint to the bytes it is served with. An entry of another
+stored fingerprint to the bytes it is served with. A
+:class:`~repro.framework.store.ResultStore` row keeps its result in the same
+format (pickled without its config) and reads it with the same
+:func:`_unpack`. An entry of another
 format or version, with a digest mismatch, that fails to unpickle, or that
 :meth:`ResultCache.get`'s ``validate`` rejects is *evicted* and treated as a
 miss, so format changes and torn or flipped bytes degrade to recomputation,
@@ -79,21 +82,29 @@ def _pack(version: int, encoding: str, fingerprint: str, body: bytes) -> bytes:
     return b"%s %d %s %s" % (_MAGIC, version, hashlib.sha256(rest).hexdigest().encode(), rest)
 
 
+def _stamp(payload: bytes, version: int) -> Tuple[bytes, str, str]:
+    """``(digest, encoding, fingerprint)`` as the header line of an entry
+    names them, nothing checked against them yet; raises ``ValueError`` on a
+    file of another format or version."""
+    fields = payload[: payload.find(b"\n")].split(b" ")
+    if len(fields) != 5 or fields[0] != _MAGIC:
+        raise ValueError("stale cache entry (no repro-cache header)")
+    if fields[1] != b"%d" % version:
+        raise ValueError(f"stale cache entry (version {fields[1].decode(errors='replace')})")
+    return fields[2], fields[3].decode(), fields[4].decode()
+
+
 def _unpack(payload: bytes, version: int) -> Tuple[Any, str, str]:
     """``(result, encoding, fingerprint)`` of one entry file; raises
     ``ValueError`` on a file of another format or version or a digest
     mismatch, before anything is unpickled."""
-    head = payload.split(b" ", 3)
-    if len(head) != 4 or head[0] != _MAGIC:
-        raise ValueError("stale cache entry (no repro-cache header)")
-    _, found, digest, rest = head
-    if found != str(version).encode():
-        raise ValueError(f"stale cache entry (version {found.decode(errors='replace')})")
-    if hashlib.sha256(rest).hexdigest().encode() != digest:
+    digest, encoding, fingerprint = _stamp(payload, version)
+    view = memoryview(payload)
+    # The digest covers everything after "<magic> <version> <digest> ".
+    signed = len(_MAGIC) + len(b"%d" % version) + len(digest) + 3
+    if hashlib.sha256(view[signed:]).hexdigest().encode() != digest:
         raise ValueError("corrupt cache entry (digest mismatch)")
-    newline = rest.index(b"\n")
-    encoding, fingerprint = rest[:newline].decode().split(" ")
-    result = pickle.loads(memoryview(rest)[newline + 1 :])
+    result = pickle.loads(view[payload.index(b"\n") + 1 :])
     if not isinstance(result, _RESULT_TYPES):
         raise ValueError(f"stale cache entry (holds a {type(result).__name__})")
     return result, encoding, fingerprint

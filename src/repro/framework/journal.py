@@ -6,7 +6,9 @@ already settled?" — the heavy results themselves live in the
 :class:`~repro.framework.cache.ResultCache`; a journal line only records the
 outcome, the repetition's derived seed, and (for successes) the result's
 ``fingerprint()`` so a resumed run can prove bit-identity with the
-uninterrupted one.
+uninterrupted one. A sweep that writes a
+:class:`~repro.framework.store.ResultStore` journals failures only: its
+committed rows are the checkpoint of its successes.
 
 Durability. The first update of an invocation writes the header and every
 entry known so far through a temporary sibling and ``os.replace``; every

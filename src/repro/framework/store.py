@@ -19,14 +19,27 @@ population breakdowns) stay available without schema churn. Failed
 repetitions land in a ``failures`` table mirroring
 :class:`~repro.framework.supervision.RepFailure`.
 
+The row is also the repetition's cache entry. Its ``result`` blob is the
+result pickled without its config, behind the
+:class:`~repro.framework.cache.ResultCache` entry header (fingerprint, config
+encoding, sha256 over both and the pickle); a migrated JSON artifact leaves it
+NULL. :meth:`ResultStore.served` reads one grid entry's rows in one ``SELECT``
+and serves those that are the request's repetition, checked as a cache hit is
+(digest, unpickle, validation), so a sweep over its own store opens no cache
+file and writes nothing. A blob that fails those checks is cleared, counted on
+:attr:`ResultStore.evictions` and reported on ``stream``. The blob never
+enters the content fingerprint, ``query`` or an export.
+
 Identity and idempotence. Rows are keyed ``(config_key, seed)``, and every
 column and the canonical (sorted-keys) payload blob are functions of the
 result's fingerprint plus ``(name, label, rep)``. Recording first looks the
 key up: a row with the same name, label, rep and fingerprint, no failure
-beside it and no ``precision_ns`` left to fill is already the row the record
-would write, and is kept without building a payload or writing. Anything else
-is written with ``INSERT OR REPLACE``. So re-recording a repetition — a
-resumed campaign replaying its journal, a cache hit confirming its row — is a
+beside it, no ``precision_ns`` left to fill and a blob of this result is
+already the row the record would write, and is kept without building a
+payload or writing. Anything else is written with ``INSERT OR REPLACE``; a
+row whose blob names the same config encoding but another fingerprint is
+replaced with a warning on ``stream`` (a determinism regression). So
+re-recording a repetition — a cache hit confirming its row, a migration — is a
 no-op rather than a duplicate, and an interrupted-then-resumed campaign
 converges to a store *bit-identical* in content to an uninterrupted one
 (:meth:`ResultStore.content_fingerprint`; the chaos suite pins this). A
@@ -45,21 +58,26 @@ resume records again.
 
 Versioning and migration. The schema version lives in SQLite's
 ``user_version`` pragma; opening a newer-versioned store raises instead of
-misreading it. Existing artifacts migrate in: :meth:`migrate_cache` walks a
+misreading it, and opening a version 1 store adds its ``result`` column in
+place. Existing artifacts migrate in: :meth:`migrate_cache` walks a
 :class:`~repro.framework.cache.ResultCache` directory and ingests every
 pickled repetition, and :meth:`ingest_summary_json` ingests the legacy
-per-run JSON layout. Deliberately *not* stored: wall-clock times, host
-names, or any other nondeterministic execution detail — equal campaigns must
-produce equal stores regardless of backend, worker count, or interruption
-history.
+per-run JSON layout. Deliberately *not* stored in a column or payload:
+wall-clock times, host names, or any other nondeterministic execution detail
+— equal campaigns must produce equal stores regardless of backend, worker
+count, or interruption history. (The ``result`` blob, like a cache entry,
+keeps the result whole, its wall time included; it is outside the content
+fingerprint.)
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import time
 import zlib
 from pathlib import Path
@@ -69,6 +87,7 @@ import sqlite3
 
 from repro.errors import ConfigError
 from repro.framework.artifacts import rep_to_dict
+from repro.framework.cache import CACHE_VERSION, ResultCache, _pack, _stamp, _unpack
 from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import Distribution
 from repro.metrics.precision import pacing_precision_ns
@@ -80,7 +99,8 @@ __all__ = ["STORE_VERSION", "ResultStore", "per_rep_key", "per_rep_key_from_dict
 
 #: Bump on any incompatible change to the schema or the canonical payload
 #: encoding; an older store is migrated (or rejected) on open, never misread.
-STORE_VERSION = 1
+#: v2: ``reps`` gained the ``result`` blob (NULL in an upgraded v1 row).
+STORE_VERSION = 2
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the
@@ -136,6 +156,7 @@ CREATE TABLE IF NOT EXISTS reps (
     flows               INTEGER,
     completed_flows     INTEGER,
     payload             BLOB    NOT NULL,
+    result              BLOB,
     PRIMARY KEY (config_key, seed)
 );
 CREATE INDEX IF NOT EXISTS reps_by_name  ON reps (name, rep);
@@ -211,6 +232,33 @@ def _decode_payload(blob: bytes) -> Dict[str, Any]:
     return json.loads(zlib.decompress(blob).decode())
 
 
+def _pack_result(result, encoding: str, fingerprint: str) -> bytes:
+    """A row's ``result`` blob: the cache entry format, with the result
+    pickled without its config (the row's reader binds the requesting one)."""
+    bare = copy.copy(result)
+    bare.config = None
+    body = pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
+    return _pack(CACHE_VERSION, encoding, fingerprint, body)
+
+
+def _blob_stamp(blob: Optional[bytes]) -> Optional[Tuple[str, str]]:
+    """``(encoding, fingerprint)`` a row's blob names; None when there is no
+    blob of this cache version."""
+    if blob is None:
+        return None
+    try:
+        return _stamp(blob, CACHE_VERSION)[1:]
+    except ValueError:
+        return None
+
+
+def _measures_precision(result) -> bool:
+    """Whether ``result`` carries what ``precision_ns`` is computed from."""
+    return bool(
+        getattr(result, "expected_send_log", None) and getattr(result, "server_records", None)
+    )
+
+
 class ResultStore:
     """SQLite-backed store of settled repetitions (results and failures)."""
 
@@ -218,6 +266,8 @@ class ResultStore:
         self.path = Path(path)
         self.stream = stream
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: Result blobs :meth:`served` found bad and cleared.
+        self.evictions = 0
         #: Inside :meth:`batch`: writes leave their transaction open.
         self._batched = False
         self._conn = sqlite3.connect(str(self.path))
@@ -243,8 +293,18 @@ class ResultStore:
                 f"store {self.path} has schema version {version}, newer than "
                 f"this build's {STORE_VERSION}; refusing to misread it"
             )
-        # version == STORE_VERSION: nothing to do. Older-but-nonzero versions
-        # would migrate here once STORE_VERSION moves past 1.
+        elif version < STORE_VERSION:
+            self._retry_locked_write(self._upgrade)
+
+    def _upgrade(self) -> None:
+        """v1 → v2 in one transaction: the rows gain an empty ``result``
+        column, which sweeps fill as they serve the rows. The version is read
+        again under the write lock, so two openers upgrade once."""
+        with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            if self._conn.execute("PRAGMA user_version").fetchone()[0] == 1:
+                self._conn.execute("ALTER TABLE reps ADD COLUMN result BLOB")
+                self._conn.execute(f"PRAGMA user_version = {STORE_VERSION}")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -313,18 +373,26 @@ class ResultStore:
 
         ``fingerprint`` is ``result.fingerprint()`` when the caller already
         computed it for this repetition; ``None`` computes it here. When the
-        store already holds this repetition's row (:meth:`_holds`), no payload
-        is built and nothing is written.
+        store already holds this repetition's row (:meth:`_holds`) with a
+        blob of this result, no payload is built and nothing is written.
         """
         if fingerprint is None:
             fingerprint = result.fingerprint()
         label = result.config.label
-        expected = getattr(result, "expected_send_log", None)
-        measures_precision = bool(expected and getattr(result, "server_records", None))
+        encoding = result.config.cache_key()
+        measures_precision = _measures_precision(result)
         key, seed = per_rep_key(result.config), result.seed
         stored = self._stored(key, seed)
-        if self._holds(stored, name, label, rep, fingerprint, measures_precision):
+        stamp = _blob_stamp(stored["result"]) if stored is not None else None
+        if stamp == (encoding, fingerprint) and self._holds(
+            stored, name, label, rep, fingerprint, measures_precision
+        ):
             return
+        if stamp is not None and stamp[0] == encoding and stored["fingerprint"] != fingerprint:
+            self._warn(
+                f"{name} rep {rep} recomputed with a different fingerprint than "
+                f"the stored row (determinism regression?)"
+            )
         self._write_row(
             key,
             seed,
@@ -332,9 +400,78 @@ class ResultStore:
             label,
             rep,
             rep_to_dict(result, fingerprint=fingerprint),
-            pacing_precision_ns(expected, result.server_records) if measures_precision else None,
+            (
+                pacing_precision_ns(result.expected_send_log, result.server_records)
+                if measures_precision
+                else None
+            ),
             stored,
+            _pack_result(result, encoding, fingerprint),
         )
+
+    def served(
+        self,
+        name: str,
+        config,
+        reps: Sequence[int],
+        validate: Optional[Callable[[Any], None]] = None,
+    ) -> Dict[int, Any]:
+        """The repetitions ``reps`` of grid entry ``name`` that the store's
+        rows serve, by repetition, from one ``SELECT``.
+
+        A row serves its repetition when it has the request's name, label,
+        rep and config encoding, its fingerprint is its blob's, no failure
+        sits beside it and ``precision_ns`` is filled where the result
+        measures it. The blob's digest is checked, the result unpickled and
+        bound to ``config`` (as a cache hit is), then ``validate`` runs. A
+        blob that fails those checks is cleared and counted; any other row
+        is left for the caller to rewrite.
+        """
+        seeds = {_db_seed(derive_seed(config.seed, rep)): rep for rep in reps}
+        if not seeds:
+            return {}
+        key = per_rep_key(config)
+        rows = self._conn.execute(
+            "SELECT seed, name, label, rep, fingerprint, precision_ns, result,"
+            " EXISTS (SELECT 1 FROM failures AS f WHERE f.config_key = reps.config_key"
+            " AND f.seed = reps.seed) AS failed FROM reps WHERE config_key = ?"
+            f" AND seed IN ({', '.join('?' * len(seeds))})",
+            (key, *seeds),
+        )
+        encoding, label = config.cache_key(), config.label
+        out: Dict[int, Any] = {}
+        bad: List[Tuple[int, str]] = []
+        for row in rows:
+            rep, blob = seeds[row["seed"]], row["result"]
+            same = (row["name"], row["label"], row["rep"]) == (name, label, rep)
+            if not same or row["failed"] or blob is None:
+                continue
+            try:
+                result, its_encoding, its_fingerprint = _unpack(blob, CACHE_VERSION)
+                if (its_encoding, its_fingerprint) != (encoding, row["fingerprint"]):
+                    continue  # another sweep length's row, or a rewritten one
+                if row["precision_ns"] is None and _measures_precision(result):
+                    continue
+                result.config = config
+                if validate is not None:
+                    validate(result)
+            except Exception as exc:
+                bad.append((row["seed"], f"{name} rep {rep} ({type(exc).__name__}: {exc})"))
+                continue
+            out[rep] = result
+        for seed, reason in bad:
+            # Cleared as the cache quarantines a bad entry: counted, reported
+            # and never read again; the caller's rewrite fills it anew.
+            self._write(
+                ("UPDATE reps SET result = NULL WHERE config_key = ? AND seed = ?", (key, seed))
+            )
+            self.evictions += 1
+            self._warn(f"cleared the result blob of {reason}")
+        return out
+
+    def _warn(self, text: str) -> None:
+        if self.stream is not None:
+            print(f"[store] warning: {text}", file=self.stream, flush=True)
 
     def record_failure(self, failure: RepFailure, config) -> None:
         """Insert (or idempotently re-insert) one finally-failed repetition."""
@@ -376,7 +513,7 @@ class ResultStore:
         """The ``reps`` row held for ``(key, seed)``, if any, with ``failed``:
         whether a ``failures`` row sits beside it."""
         rows = self._conn.execute(
-            "SELECT name, label, rep, fingerprint, precision_ns, EXISTS (SELECT 1"
+            "SELECT name, label, rep, fingerprint, precision_ns, result, EXISTS (SELECT 1"
             " FROM failures WHERE config_key = ?1 AND seed = ?2) AS failed"
             " FROM reps WHERE config_key = ?1 AND seed = ?2",
             (key, _db_seed(seed)),
@@ -433,13 +570,15 @@ class ResultStore:
         payload: Dict[str, Any],
         precision_ns: Optional[float],
         stored: Optional[sqlite3.Row],
+        result: Optional[bytes] = None,
     ) -> None:
         """Shared row builder for live results and migrated artifacts.
 
         Every scalar column is derived from the canonical payload, so a
         migrated JSON artifact and a live recording of the same repetition
-        produce identical rows (``precision_ns`` excepted: it needs the
-        expected-send log, which the JSON artifact does not carry).
+        produce identical rows (``precision_ns`` and the ``result`` blob
+        excepted: the JSON artifact carries neither the expected-send log nor
+        the result).
         """
         if precision_ns is None and stored is not None:
             if stored["fingerprint"] == payload["fingerprint"]:
@@ -468,6 +607,7 @@ class ResultStore:
             "injected_drops": int(payload["injected_drops"]),
             "precision_ns": precision_ns,
             "payload": _encode_payload(payload),
+            "result": result,
         }
         if population:
             row.update(
@@ -549,13 +689,11 @@ class ResultStore:
         its quarantine) and reads each entry through
         :meth:`~repro.framework.cache.ResultCache.read`, so an entry of
         another version or whose digest does not match is not ingested; the
-        rest are recorded under the fingerprint stored with them. Returns
-        the number of repetitions ingested, committed together; unreadable
-        or stale entries are skipped with a warning on ``stream``, never
-        propagated.
+        rest are recorded under the fingerprint stored with them, each row
+        with its result blob. Returns the number of repetitions ingested,
+        committed together; unreadable or stale entries are skipped with a
+        warning on ``stream``, never propagated.
         """
-        from repro.framework.cache import ResultCache
-
         cache = ResultCache(cache_root)
         count = 0
         with self.batch():
@@ -569,13 +707,9 @@ class ResultStore:
                     )
                     count += 1
                 except Exception as exc:  # noqa: BLE001 - per-entry isolation
-                    if self.stream is not None:
-                        print(
-                            f"[store] warning: skipped {path.name} during migration "
-                            f"({type(exc).__name__}: {exc})",
-                            file=self.stream,
-                            flush=True,
-                        )
+                    self._warn(
+                        f"skipped {path.name} during migration ({type(exc).__name__}: {exc})"
+                    )
         return count
 
     @staticmethod
@@ -617,11 +751,17 @@ class ResultStore:
             )
 
             def _write() -> None:
-                # One version, one _SCHEMA: ``SELECT *`` copies column for column.
+                # By name, not position: an upgrade appends its column, so
+                # column order records a store's history, not its schema.
                 with self._conn:
                     for table in ("reps", "failures"):
+                        columns = ", ".join(
+                            row[1]
+                            for row in self._conn.execute(f"PRAGMA main.table_info({table})")
+                        )
                         self._conn.execute(
-                            f"INSERT OR REPLACE INTO {table} SELECT * FROM part.{table}"
+                            f"INSERT OR REPLACE INTO {table} ({columns})"
+                            f" SELECT {columns} FROM part.{table}"
                         )
                     self._conn.execute(
                         "DELETE FROM failures WHERE (config_key, seed) IN"

@@ -31,13 +31,15 @@ loses the surviving grid. Every fresh or cached result is checked against the
 invariants in :mod:`repro.framework.validate` before it is cached or
 summarized.
 
-Checkpoint/resume. With ``journal_dir`` set, a
-:class:`~repro.framework.journal.SweepJournal` records one atomic JSON line
-per settled repetition. An interrupted invocation re-run with the same grid
-resumes where it stopped: journaled successes are restored through the
-:class:`~repro.framework.cache.ResultCache` (or recomputed bit-identically on
-a cache miss), and journaled failures are carried forward instead of being
-retried. ``resume=False`` discards the journal and starts over.
+Checkpoint/resume. An interrupted invocation re-run with the same grid
+resumes where it stopped. With a ``store``, its committed rows are the
+checkpoint: each is served back as its repetition's result. Without one,
+``journal_dir`` names where a :class:`~repro.framework.journal.SweepJournal`
+records one atomic JSON line per settled repetition, and journaled successes
+are restored through the :class:`~repro.framework.cache.ResultCache` (or
+recomputed bit-identically on a cache miss). Either way journaled failures
+are carried forward instead of being retried; ``resume=False`` discards the
+journal and starts over.
 
 Progress is streamed as one structured line per finished repetition (config
 label, rep, sim-time, wall-time, events/sec from
@@ -107,10 +109,13 @@ class SweepRunner:
     ``store`` names a :class:`~repro.framework.store.ResultStore` that every
     settled repetition is streamed into as it lands (successes, cache hits,
     and final failures alike) — the queryable canonical artifact for
-    campaign-scale sweeps. A computed repetition is committed on its own;
-    a grid entry's cache hits share one commit. A hit whose row the store
-    already holds is confirmed against it and not written again, so a warm
-    sweep over the store it wrote writes and commits nothing.
+    campaign-scale sweeps. Its rows are looked up first, one ``SELECT`` per
+    grid entry: a row that is the requested repetition is served as is, so
+    a sweep over the store it wrote opens no cache entry and writes and
+    commits nothing. The rest fall through to the cache, then to the pool.
+    A computed repetition is committed on its own (the row is its
+    checkpoint: with a store only failures are journaled); a grid entry's
+    cache hits share one commit.
 
     ``shard=(i, n)`` runs part ``i`` of a campaign split ``n`` ways (one
     invocation per host): of the grid's repetitions, numbered in grid order,
@@ -148,8 +153,9 @@ class SweepRunner:
         self.run_fn = run_fn
         self.executor = make_executor(backend)
         self.store = store
-        if self.cache is not None and self.cache.stream is None:
-            self.cache.stream = stream
+        for sink in (self.cache, self.store):
+            if sink is not None and sink.stream is None:
+                sink.stream = stream
 
     def run(self, grid: Mapping[str, ExperimentConfig]) -> Dict[str, RunSummary]:
         """Run every repetition of every named config; summaries keep grid order."""
@@ -172,17 +178,22 @@ class SweepRunner:
         failures: Dict[str, List[RepFailure]] = {name: [] for name in grid}
         pending: List[RepTask] = []
         index, count = self.shard
-        position = -1
+        position = 0
+        validate = validate_result if self.validate else None
         # What the scan settles (hits, carried failures) is committed once
         # per grid entry, not once per repetition.
         batch = self.store.batch if self.store is not None else contextlib.nullcontext
         for name, config in grid.items():
+            # Round-robin over the flattened grid: this shard's repetitions.
+            reps = range((index - position) % count, config.repetitions, count)
+            position += config.repetitions
             with batch():
-                for rep in range(config.repetitions):
-                    position += 1
-                    if position % count != index:
-                        continue  # another shard's repetition
-                    seed = derive_seed(config.seed, rep)
+                served = (
+                    self.store.served(name, config, reps, validate)
+                    if self.store is not None
+                    else {}
+                )
+                for rep in reps:
                     entry = journal.get(name, rep) if journal is not None else None
                     if entry is not None and entry.status == "failed" and entry.failure:
                         # Carried forward from the interrupted run; re-run it by
@@ -195,12 +206,14 @@ class SweepRunner:
                             f"FAILED previously ({entry.failure.error_type}) [journal]"
                         )
                         continue
+                    if rep in served:
+                        # The row is the entry: nothing to read or write.
+                        slots[name][rep] = served[rep]
+                        self._emit(name, config, rep, served[rep], cached_hit=True)
+                        continue
+                    seed = derive_seed(config.seed, rep)
                     # An entry that fails validation is quarantined and missed.
-                    hit = (
-                        self.cache.get(config, seed, validate_result if self.validate else None)
-                        if self.cache
-                        else None
-                    )
+                    hit = self.cache.get(config, seed, validate) if self.cache else None
                     if hit is not None:
                         slots[name][rep] = hit.result
                         self._settle(
@@ -214,13 +227,17 @@ class SweepRunner:
             supervisor = Supervisor(
                 self.policy,
                 run_fn=self.run_fn,
-                validate_fn=validate_result if self.validate else None,
+                validate_fn=validate,
                 executor=self.executor,
             )
 
             fresh_wall_s: List[float] = []
 
             def on_success(task: RepTask, result: ExperimentResult) -> None:
+                # A pooled result carries the worker's unpickled copy of the
+                # config, whose encodings are cold; the grid's own object has
+                # them memoized (equal by construction, as a hit is bound).
+                result.config = task.config
                 slots[task.name][task.rep] = result
                 fresh_wall_s.append(result.wall_time_s)
                 fingerprint = None
@@ -267,28 +284,30 @@ class SweepRunner:
         fingerprint: Optional[str],
         recomputed: bool,
     ) -> None:
-        """Journal and store one successful repetition under a single digest.
+        """Store, or else journal, one successful repetition.
 
         ``fingerprint()`` is O(packets), so it is taken once per computed
-        repetition, kept with its cache entry, and travels to both sinks as
+        repetition, kept with its cache entry, and travels to the sink as
         ``fingerprint``. ``None`` (no cache, or a hit served to a sweep of
-        another length) is digested here, once, and only if a sink needs it.
+        another length) is digested once, and only if a sink needs it. With
+        a store the committed row is the checkpoint, and the store warns of
+        a fingerprint that moved; the journal keeps failures only.
         """
-        if journal is None and self.store is None:
+        if self.store is not None:
+            self.store.record_result(name, rep, result, fingerprint=fingerprint)
+            return
+        if journal is None:
             return
         if fingerprint is None:
             fingerprint = result.fingerprint()
-        if journal is not None:
-            prior = journal.get(name, rep) if recomputed else None
-            if prior is not None and prior.fingerprint and prior.fingerprint != fingerprint:
-                self._emit_line(
-                    f"[sweep] warning: {name} rep {rep} recomputed "
-                    f"with a different fingerprint than the journaled run "
-                    f"(determinism regression?)"
-                )
-            journal.record_success(name, rep, seed, fingerprint)
-        if self.store is not None:
-            self.store.record_result(name, rep, result, fingerprint=fingerprint)
+        prior = journal.get(name, rep) if recomputed else None
+        if prior is not None and prior.fingerprint and prior.fingerprint != fingerprint:
+            self._emit_line(
+                f"[sweep] warning: {name} rep {rep} recomputed "
+                f"with a different fingerprint than the journaled run "
+                f"(determinism regression?)"
+            )
+        journal.record_success(name, rep, seed, fingerprint)
 
     def _emit_line(self, line: str) -> None:
         if self.stream is not None:

@@ -223,7 +223,7 @@ def test_a_store_is_not_merged_into_itself(tmp_path, capsys):
 class _KillAfter:
     """A progress stream whose write raises once enough repetitions have
     been reported — the in-process stand-in for SIGKILLing a shard's process.
-    The SweepRunner prints a repetition's line after journaling and storing it.
+    The SweepRunner prints a repetition's line after storing it.
     """
 
     def __init__(self, sweep_lines: int):
@@ -239,12 +239,11 @@ class _KillAfter:
         pass
 
 
-def test_killed_shard_resumes_from_its_own_journal(tmp_path):
+def test_killed_shard_resumes_from_its_own_store(tmp_path):
     cache_dir, journal_dir = tmp_path / "cache", tmp_path / "journals"
     # The sibling shard finishes first; both share one cache directory.
     _run_shard(1, 2, tmp_path / "part-1.sqlite", cache_dir, journal_dir=journal_dir)
-    sibling = SweepJournal.for_grid(journal_dir, GRID, shard=(1, 2)).path
-    sibling_bytes = sibling.read_bytes()
+    sibling = (tmp_path / "part-1.sqlite").read_bytes()
 
     with pytest.raises(KeyboardInterrupt):
         _run_shard(
@@ -252,12 +251,12 @@ def test_killed_shard_resumes_from_its_own_journal(tmp_path):
             journal_dir=journal_dir, stream=_KillAfter(sweep_lines=1),
         )
     with ResultStore(tmp_path / "part-0.sqlite") as interrupted:
-        assert 0 < interrupted.rep_count() < 4  # the kill landed mid-shard
-    own = SweepJournal.for_grid(journal_dir, GRID, shard=(0, 2))
-    assert own.path != sibling and 0 < own.resumed_entries < 4
+        settled = interrupted.rep_count()
+    assert 0 < settled < 4  # the kill landed mid-shard
 
-    # The same line again: settled reps come back through the journal and
-    # cache, the rest run, and nothing of the sibling's is touched.
+    # The same line again: the settled reps are served by their rows, the
+    # rest run, and nothing of the sibling's is touched. The rows are the
+    # checkpoint: neither shard journals a success.
     resumed_cache = ResultCache(cache_dir)
     with ResultStore(tmp_path / "part-0.sqlite") as part:
         summaries = SweepRunner(
@@ -265,11 +264,12 @@ def test_killed_shard_resumes_from_its_own_journal(tmp_path):
             shard=(0, 2), journal_dir=journal_dir,
         ).run(GRID)
         assert all(not s.failures for s in summaries.values())
-        assert resumed_cache.stats.hits == own.resumed_entries
-        assert resumed_cache.stats.stores == 4 - own.resumed_entries
+        assert (resumed_cache.stats.hits, resumed_cache.stats.stores) == (0, 4 - settled)
         resumed = part.content_fingerprint()
-    assert sibling.read_bytes() == sibling_bytes
-    assert len(SweepJournal.for_grid(journal_dir, GRID, shard=(0, 2))) == 4
+    assert (tmp_path / "part-1.sqlite").read_bytes() == sibling
+    assert not any(
+        SweepJournal.for_grid(journal_dir, GRID, shard=(i, 2)).path.exists() for i in range(2)
+    )
 
     _run_shard(0, 2, tmp_path / "clean-0.sqlite", cache_dir)
     with ResultStore(tmp_path / "clean-0.sqlite") as clean:

@@ -15,6 +15,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ConfigError
+from repro.framework import store as store_module
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import run_experiment
@@ -130,6 +131,36 @@ def _precision(store):
     return [row["precision_ns"] for row in store.query()]
 
 
+def _blobs(store):
+    return [row[0] for row in store._conn.execute("SELECT result FROM reps ORDER BY rep")]
+
+
+#: The schema before ``reps`` gained its ``result`` blob.
+V1_SCHEMA = store_module._SCHEMA.replace("    result              BLOB,\n", "")
+
+
+def _copy(source, dest, schema=V1_SCHEMA, version=1):
+    """``source``'s rows in a store built from ``schema`` (v1 by default)."""
+    conn = sqlite3.connect(dest)
+    conn.executescript(schema)
+    conn.execute("ATTACH DATABASE ? AS source", (str(source),))
+    for table in ("reps", "failures"):
+        columns = ", ".join(row[1] for row in conn.execute(f"PRAGMA main.table_info({table})"))
+        conn.execute(f"INSERT INTO {table} ({columns}) SELECT {columns} FROM source.{table}")
+    conn.execute(f"PRAGMA user_version = {version}")
+    conn.commit()
+    conn.close()
+    return dest
+
+
+def _reversed_schema():
+    """The current schema with the ``reps`` columns declared in reverse."""
+    lines = store_module._SCHEMA.splitlines()
+    start = lines.index("CREATE TABLE IF NOT EXISTS reps (") + 1
+    end = lines.index("    PRIMARY KEY (config_key, seed)", start)
+    return "\n".join(lines[:start] + lines[start:end][::-1] + lines[end:])
+
+
 class TestConfirm:
     """A record of a row the store already holds is one lookup, no write."""
 
@@ -166,6 +197,24 @@ class TestConfirm:
         for name in ("quiche", "renamed"):
             store._ingest_payload(name=name, label=CONFIG.label, rep=0, payload=payload)
             assert _precision(store) == [precision]
+
+    def test_a_moved_fingerprint_is_reported_and_its_row_rewritten(self, tmp_path):
+        """A repetition recomputed to another fingerprint than its row's, over
+        a blob of the same config encoding, is a determinism regression: the
+        store says so with no journal open, and rewrites the row."""
+        stream = io.StringIO()
+        with ResultStore(tmp_path / "moved.sqlite", stream=stream) as store:
+            run_repetitions(CONFIG, workers=1, store=store)
+            expected = store.content_fingerprint()
+            store._conn.execute("UPDATE reps SET fingerprint = 'moved' WHERE rep = 0")
+            store._conn.commit()
+            run_repetitions(CONFIG, workers=1, store=store)
+            assert "moved" not in [row["fingerprint"] for row in store.query()]
+            assert store.content_fingerprint() == expected
+        assert stream.getvalue().splitlines() == [
+            f"[store] warning: {CONFIG.label} rep 0 recomputed with a different "
+            "fingerprint than the stored row (determinism regression?)"
+        ]
 
 
 class TestBatch:
@@ -407,6 +456,61 @@ class TestVersioning:
             assert store.rep_count() == 1
             assert store.content_fingerprint() == fingerprint
 
+    def test_a_v1_store_is_upgraded_in_place(self, tmp_path):
+        """Opening a v1 store adds the empty ``result`` column; a warm sweep
+        fills the blobs from the cache, and the content fingerprint never
+        sees them."""
+        cache = ResultCache(tmp_path / "cache")
+        with ResultStore(tmp_path / "fresh.sqlite") as fresh:
+            run_repetitions(CONFIG, workers=1, cache=cache, store=fresh)
+            expected = fresh.content_fingerprint()
+        old = _copy(tmp_path / "fresh.sqlite", tmp_path / "v1.sqlite")
+        conn = sqlite3.connect(old)
+        assert "result" not in [row[1] for row in conn.execute("PRAGMA table_info(reps)")]
+        conn.close()
+        with ResultStore(old) as store:
+            assert store._conn.execute("PRAGMA user_version").fetchone()[0] == STORE_VERSION
+            assert _blobs(store) == [None, None]
+            assert store.content_fingerprint() == expected
+            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
+            assert cache.stats.hits == 2
+            assert None not in _blobs(store)
+            assert store.content_fingerprint() == expected
+        with ResultStore(old) as store:  # already v2: opened as is
+            statements = statement_log(store)
+            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
+            assert cache.stats.hits == 2 and statements.count("COMMIT") == 0
+
+    def test_an_upgraded_and_a_fresh_store_merge_either_way(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        fresh = tmp_path / "fresh.sqlite"
+        with ResultStore(fresh) as store:
+            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
+            expected = store.content_fingerprint()
+        upgraded = _copy(fresh, tmp_path / "v1.sqlite")
+        with ResultStore(upgraded) as store:
+            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
+        for order, parts in (("forward", [upgraded, fresh]), ("backward", [fresh, upgraded])):
+            with ResultStore(tmp_path / f"{order}.sqlite") as merged:
+                for part in parts:
+                    merged.merge_from(part)
+                assert merged.content_fingerprint() == expected
+                with ResultStore(parts[-1]) as last:
+                    assert _blobs(merged) == _blobs(last)
+                assert None not in _blobs(merged)
+
+    def test_merge_copies_columns_by_name(self, tmp_path):
+        """A part whose columns sit in another order merges to the same rows."""
+        source = tmp_path / "source.sqlite"
+        with ResultStore(source) as store:
+            run_repetitions(CONFIG, workers=1, store=store)
+            expected, blobs = store.content_fingerprint(), _blobs(store)
+        part = _copy(source, tmp_path / "reordered.sqlite", _reversed_schema(), STORE_VERSION)
+        with ResultStore(tmp_path / "dest.sqlite") as dest:
+            dest.merge_from(part)
+            assert dest.content_fingerprint() == expected
+            assert _blobs(dest) == blobs
+
 
 class TestExport:
     def test_export_unknown_name_is_a_config_error(self, store):
@@ -499,6 +603,24 @@ class TestMigration:
         # precision_ns, the one live-only column (it needs the expected-send
         # log), is outside the content fingerprint.
         assert migrated.content_fingerprint() == live.content_fingerprint()
+
+    def test_cache_migration_fills_blobs_and_json_leaves_them_empty(self, tmp_path):
+        from repro.framework.artifacts import save_summary
+
+        cache = ResultCache(tmp_path / "cache")
+        artifact = save_summary(
+            run_repetitions(CONFIG, workers=1, cache=cache), tmp_path / "a.json"
+        )
+        with ResultStore(tmp_path / "json.sqlite") as from_json:
+            from_json.ingest_summary_json(artifact)
+            assert _blobs(from_json) == [None, None]
+        with ResultStore(tmp_path / "cache.sqlite") as from_cache:
+            from_cache.migrate_cache(cache.root)
+            assert None not in _blobs(from_cache)
+            # The migrated rows serve a sweep with no cache: nothing runs.
+            stream = io.StringIO()
+            run_repetitions(CONFIG, workers=1, store=from_cache, stream=stream)
+            assert stream.getvalue().count("[cached]") == 2
 
     @pytest.mark.parametrize("cache_first", [True, False], ids=["cache-json", "json-cache"])
     def test_either_migration_order_keeps_precision(self, tmp_path, cache_first):

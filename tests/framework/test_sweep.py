@@ -98,8 +98,8 @@ def test_rep_results_slot_into_rep_order():
 def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
     """Cache + journal + store: ``fingerprint()`` is O(packets), so a cold
     sweep computes it once per repetition and hands the digest to the cache
-    entry, the journal and the store; a warm sweep reads it back from the
-    entries and computes none."""
+    entry and the store row, which is the checkpoint (the journal records
+    no success); a warm sweep is served by the rows and computes none."""
     from repro.framework.journal import SweepJournal
 
     calls = []
@@ -127,12 +127,10 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
         del calls[:]
         summaries, rows = sweep()
         assert len(calls) == expected, label
-        journal = SweepJournal.for_grid(tmp_path / "journal", GRID)
+        assert len(SweepJournal.for_grid(tmp_path / "journal", GRID)) == 0
         for name, summary in summaries.items():
             for rep, result in enumerate(summary.results):
-                digest = original(result)
-                assert rows[(name, rep)] == digest
-                assert journal.get(name, rep).fingerprint == digest
+                assert rows[(name, rep)] == original(result)
 
     # Without the argument the store computes the digest itself...
     result = summaries["tcp"].results[0]
@@ -197,7 +195,7 @@ def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, monkeypatch, two
 def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
     """Over the store it wrote, a warm sweep writes and commits nothing, and
     leaves the content and the cold sweep's per-rep fingerprints; the same
-    grid under other names rewrites its rows."""
+    grid under other names is served by the cache and rewrites its rows."""
     total = sum(config.repetitions for config in GRID.values())
     cache = ResultCache(tmp_path / "cache")
 
@@ -209,8 +207,8 @@ def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
         expected = store.content_fingerprint()
         statements = statement_log(store)
         warm = SweepRunner(workers=1, cache=cache, store=store).run(GRID)
-        assert cache.stats.hits == total
-        assert len(statements) == total
+        assert (cache.stats.hits, cache.stats.misses) == (0, total)  # the cold sweep's misses
+        assert len(statements) == len(GRID)
         assert all(statement.startswith("SELECT") for statement in statements)
         assert store.content_fingerprint() == expected
         assert digests(warm) == digests(cold)
@@ -218,6 +216,7 @@ def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
         renamed = {f"{name}-again": config for name, config in GRID.items()}
         statements = statement_log(store)
         SweepRunner(workers=1, cache=cache, store=store).run(renamed)
+        assert cache.stats.hits == total
         assert statements.count("COMMIT") == len(GRID)
         assert sorted(row["name"] for row in store.query()) == sorted(
             name for name, config in renamed.items() for _ in range(config.repetitions)
@@ -243,15 +242,17 @@ def test_a_hit_clears_a_failure_beside_its_row(tmp_path):
         assert store.content_fingerprint() == expected
 
 
-class _InterruptAtHit(io.StringIO):
-    """A progress stream that raises ``KeyboardInterrupt`` on the k-th hit."""
+class _InterruptAt(io.StringIO):
+    """A progress stream that raises ``KeyboardInterrupt`` on the k-th line
+    holding ``marker``: the sweep prints a repetition's line after settling it."""
 
-    def __init__(self, k):
+    def __init__(self, k, marker="[cached]"):
         super().__init__()
         self.k = k
+        self.marker = marker
 
     def write(self, text):
-        if "[cached]" in text:
+        if self.marker in text:
             self.k -= 1
             if self.k == 0:
                 raise KeyboardInterrupt
@@ -283,7 +284,7 @@ def test_hit_scan_commits_once_per_grid_entry(tmp_path):
     path = tmp_path / "interrupted.sqlite"
     with ResultStore(path) as store:
         runner = SweepRunner(
-            workers=1, cache=cache, store=store, stream=_InterruptAtHit(3),
+            workers=1, cache=cache, store=store, stream=_InterruptAt(3),
             journal_dir=tmp_path / "journal",
         )
         with pytest.raises(KeyboardInterrupt):
@@ -294,3 +295,151 @@ def test_hit_scan_commits_once_per_grid_entry(tmp_path):
             workers=1, cache=cache, store=store, journal_dir=tmp_path / "journal"
         ).run(GRID)
         assert store.content_fingerprint() == expected
+
+
+# -- the row is the entry -------------------------------------------------------
+
+
+def _counting_run(ran):
+    from repro.framework.runner import _run_one
+
+    def run(config, seed):
+        ran.append(seed)
+        return _run_one(config, seed)
+
+    return run
+
+
+def test_a_warm_sweep_is_served_by_its_rows(tmp_path, monkeypatch):
+    """Over the store it wrote, a sweep is one ``SELECT`` per grid entry: no
+    cache entry is opened, no fingerprint taken, nothing run, journaled,
+    written or committed, and every repetition is validated once."""
+    from repro.framework import sweep as sweep_module
+    from repro.framework.journal import SweepJournal
+
+    cache = ResultCache(tmp_path / "cache")
+    journal_dir = tmp_path / "journal"
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        cold = SweepRunner(workers=1, cache=cache, journal_dir=journal_dir, store=store).run(GRID)
+        expected = store.content_fingerprint()
+        digests = {name: [r.fingerprint() for r in s.results] for name, s in cold.items()}
+
+        touched, validated, ran = [], [], []
+        for method in ("get", "read"):
+            monkeypatch.setattr(ResultCache, method, lambda *args, **kw: touched.append(args))
+        monkeypatch.setattr(
+            ExperimentResult, "fingerprint", lambda self: pytest.fail("a hit was digested")
+        )
+        validate = sweep_module.validate_result
+        monkeypatch.setattr(
+            sweep_module,
+            "validate_result",
+            lambda result: (validated.append(result.seed), validate(result)),
+        )
+        statements = statement_log(store)
+        warm = SweepRunner(
+            workers=1, cache=cache, journal_dir=journal_dir, store=store,
+            run_fn=_counting_run(ran),
+        ).run(GRID)
+        monkeypatch.undo()
+
+        assert len(statements) == len(GRID)
+        assert all(statement.startswith("SELECT") for statement in statements)
+        assert touched == [] and ran == []
+        assert sorted(validated) == sorted(r.seed for s in cold.values() for r in s.results)
+        assert all(not s.failures for s in warm.values())
+        assert {name: [r.fingerprint() for r in s.results] for name, s in warm.items()} == digests
+        assert all(r.config is GRID[name] for name, s in warm.items() for r in s.results)
+        assert store.content_fingerprint() == expected
+    assert not SweepJournal.for_grid(journal_dir, GRID).path.exists()
+
+
+def test_a_store_alone_resumes_from_its_rows(tmp_path):
+    """No cache, no journal: what an interrupted sweep committed serves its
+    repetitions on the next run, which computes only the rest."""
+    total = sum(config.repetitions for config in GRID.values())
+    path = tmp_path / "store.sqlite"
+    with ResultStore(path) as store:
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(workers=1, store=store, stream=_InterruptAt(2, "[sweep]")).run(GRID)
+        settled = store.rep_count()
+    assert settled == 2  # a repetition is committed before its line is printed
+
+    ran = []
+    stream = io.StringIO()
+    with ResultStore(path) as store:
+        SweepRunner(workers=1, store=store, stream=stream, run_fn=_counting_run(ran)).run(GRID)
+        resumed = store.content_fingerprint()
+    assert len(ran) == total - settled
+    assert stream.getvalue().count("[cached]") == settled
+    with ResultStore(tmp_path / "clean.sqlite") as clean:
+        SweepRunner(workers=1, store=clean).run(GRID)
+        assert clean.content_fingerprint() == resumed
+
+
+def test_a_grown_sweep_is_not_served_by_the_shorter_sweeps_rows(tmp_path):
+    """A row's fingerprint covers ``repetitions``: growing 1 → 2 reps over a
+    store alone recomputes rep 0 (silently: its encoding is another) and
+    stores what a fresh 2-rep sweep stores."""
+    one = ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=1)
+    two = dataclasses.replace(one, repetitions=2)
+    ran = []
+    stream = io.StringIO()
+    with ResultStore(tmp_path / "grown.sqlite") as grown:
+        SweepRunner(workers=1, store=grown).run({"x": one})
+        SweepRunner(workers=1, store=grown, stream=stream, run_fn=_counting_run(ran)).run(
+            {"x": two}
+        )
+        grown_digest = grown.content_fingerprint()
+    assert len(ran) == 2
+    assert "[cached]" not in stream.getvalue() and "warning" not in stream.getvalue()
+    with ResultStore(tmp_path / "fresh.sqlite") as fresh:
+        SweepRunner(workers=1, store=fresh).run({"x": two})
+        assert fresh.content_fingerprint() == grown_digest
+
+
+def test_a_flipped_byte_in_a_row_blob_is_cleared_and_recomputed(tmp_path):
+    """The blob's sha256 catches a flipped bit that would still unpickle:
+    the blob is cleared, counted and reported, the repetition recomputed,
+    and the row rewritten to the same content."""
+    stream = io.StringIO()
+    with ResultStore(tmp_path / "store.sqlite", stream=stream) as store:
+        SweepRunner(workers=1, store=store).run(GRID)
+        expected = store.content_fingerprint()
+        where = "WHERE name = 'quiche' AND rep = 1"
+        (blob,) = store._conn.execute(f"SELECT result FROM reps {where}").fetchone()
+        blob = bytearray(blob)
+        body = blob.index(b"\n") + 1
+        blob[body + (len(blob) - body) // 2] ^= 1
+        store._conn.execute(f"UPDATE reps SET result = ? {where}", (bytes(blob),))
+        store._conn.commit()
+
+        ran = []
+        SweepRunner(workers=1, store=store, run_fn=_counting_run(ran)).run(GRID)
+        assert len(ran) == 1 and store.evictions == 1
+        (line,) = stream.getvalue().splitlines()
+        assert line.startswith("[store] warning: cleared the result blob of quiche rep 1")
+        assert "digest mismatch" in line
+        assert store.content_fingerprint() == expected
+        assert None not in [row[0] for row in store._conn.execute("SELECT result FROM reps")]
+
+
+def test_a_pooled_sweep_encodes_each_grid_config_once(tmp_path, monkeypatch):
+    """A computed result comes back from the pool with the worker's copy of
+    its config; bound to the grid's own object, the parent takes each
+    config's (and its per-rep form's) ``asdict`` once, not per repetition."""
+    from repro.framework import config as config_module
+
+    encoded = []
+    asdict = config_module.asdict
+    monkeypatch.setattr(
+        config_module, "asdict", lambda obj: (encoded.append(obj), asdict(obj))[1]
+    )
+    grid = {name: dataclasses.replace(config) for name, config in GRID.items()}  # cold memos
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        summaries = SweepRunner(
+            workers=2, backend="forkserver", cache=ResultCache(tmp_path / "cache"), store=store
+        ).run(grid)
+    assert all(len(s.results) == s.config.repetitions for s in summaries.values())
+    expected = [*grid.values(), *(config.per_rep for config in grid.values())]
+    assert sorted(map(id, encoded)) == sorted(map(id, expected))
