@@ -32,8 +32,7 @@ from repro.errors import ConfigError
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, GSO_MODES, QDISCS, STACKS
 from repro.framework.executors import BACKENDS
-from repro.framework.journal import grid_key
-from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore
+from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore, grid_key
 from repro.framework.multiflow import MultiFlowExperiment
 from repro.framework.runner import RunSummary
 from repro.framework.supervision import SupervisionPolicy
@@ -154,8 +153,7 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume", action=argparse.BooleanOptionalAction, default=True,
-        help="resume an interrupted invocation from its journal (--no-resume "
-        "discards the journal and re-runs everything; default: resume)",
+        help="carry recorded failures forward (--no-resume runs them again)",
     )
     parser.add_argument(
         "--backend", default=None, choices=BACKENDS,
@@ -193,8 +191,8 @@ def _make_policy(args: argparse.Namespace) -> SupervisionPolicy:
 
 
 def _journal_dir(cache: Optional[ResultCache]) -> Optional[str]:
-    """Journals live alongside the cache; no cache means no checkpointing
-    (there would be nowhere to restore results from)."""
+    """Where a sweep without ``--store`` keeps its checkpoint store: beside
+    the cache. ``--no-cache`` without ``--store`` checkpoints nothing."""
     return str(cache.root / "journals") if cache is not None else None
 
 

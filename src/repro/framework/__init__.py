@@ -1,8 +1,8 @@
 """Measurement framework: reproducible single-connection experiments over the
 emulated testbed, with repetition and aggregation (paper Section 3), parallel
 grid fan-out under supervision (timeouts, retries, crash recovery),
-checkpoint/resume journaling, result validation, and persistent result
-caching."""
+checkpoint/resume through the result store, result validation, and
+persistent result caching."""
 
 from repro.framework.cache import CACHE_VERSION, CacheStats, ResultCache, default_cache_dir
 from repro.framework.config import ExperimentConfig, NetworkConfig
@@ -14,9 +14,8 @@ from repro.framework.executors import (
     make_executor,
 )
 from repro.framework.experiment import Experiment, ExperimentResult
-from repro.framework.journal import SweepJournal, grid_key
 from repro.framework.runner import RunSummary, derive_seed, run_repetitions
-from repro.framework.store import STORE_VERSION, ResultStore
+from repro.framework.store import STORE_VERSION, ResultStore, grid_key
 from repro.framework.supervision import RepFailure, SupervisionPolicy, Supervisor
 from repro.framework.sweep import SweepRunner, run_sweep
 from repro.framework.validate import validate_result
@@ -39,7 +38,6 @@ __all__ = [
     "STORE_VERSION",
     "SupervisionPolicy",
     "Supervisor",
-    "SweepJournal",
     "SweepRunner",
     "default_cache_dir",
     "derive_seed",

@@ -3,7 +3,7 @@
 An :class:`Executor` names *where repetitions run*; the
 :class:`~repro.framework.supervision.Supervisor` owns *how they are watched*
 (timeouts, retries, crash attribution), so every backend inherits the full
-supervision/journal/cache semantics unchanged. There are two:
+supervision/store/cache semantics unchanged. There are two:
 
 ``inprocess``
     Serial, in the calling process. No subprocesses, no pickling — the
@@ -31,7 +31,7 @@ queue. More machines are not a third backend: a campaign is split with
 
 Selection is an *execution* concern, deliberately independent of
 ``ExperimentConfig``: the backend participates in no ``cache_key()``, no
-journal ``grid_key()``, and no result ``fingerprint()``, so the same grid is
+campaign ``grid_key()``, and no result ``fingerprint()``, so the same grid is
 served by the same cache entries under every backend — the differential test
 suite (``tests/framework/test_store_differential.py``) pins exactly that.
 """

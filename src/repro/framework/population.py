@@ -18,7 +18,7 @@ Integration. :class:`PopulationConfig` follows the same contract as
 :class:`~repro.framework.config.ExperimentConfig` — ``validate()``,
 ``label``, ``repetitions``, ``seed``, ``cache_key()`` over every field — so
 population grids drop straight into :class:`~repro.framework.sweep.SweepRunner`
-(cacheable, journaled/resumable, supervised). :class:`PopulationResult`
+(cacheable, stored/resumable, supervised). :class:`PopulationResult`
 exposes the duck-typed result surface the sweep stack consumes
 (``fingerprint()``, ``goodput_mbps``, ``dropped``, ``completed``, …).
 Capture records default to *off* here: a 500-flow run holds the tap's columns
@@ -261,7 +261,7 @@ class PopulationResult:
     #: observability, never part of the fingerprint.
     census: Optional[Dict[str, object]] = None
 
-    # -- duck-typed result surface (sweep/_emit/summarize/journal) ---------
+    # -- duck-typed result surface (sweep/_emit/summarize/store) -----------
 
     @property
     def completed(self) -> bool:

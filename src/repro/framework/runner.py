@@ -121,8 +121,9 @@ def run_repetitions(
     ``cache``
     serves previously-computed repetitions from disk; ``stream`` receives one
     structured progress line per finished repetition. ``policy`` supervises
-    execution (timeouts, retries, crash recovery); ``journal_dir`` enables
-    checkpoint/resume (see :class:`~repro.framework.sweep.SweepRunner`).
+    execution (timeouts, retries, crash recovery); ``store``, or else a
+    checkpoint store under ``journal_dir``, enables checkpoint/resume (see
+    :class:`~repro.framework.sweep.SweepRunner`).
     """
     from repro.framework.sweep import SweepRunner
 

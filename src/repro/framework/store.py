@@ -17,7 +17,8 @@ zlib-compressed JSON blob, so nothing is lost relative to the JSON artifact
 and distribution-shaped metrics (the train-length histogram, per-profile
 population breakdowns) stay available without schema churn. Failed
 repetitions land in a ``failures`` table mirroring
-:class:`~repro.framework.supervision.RepFailure`.
+:class:`~repro.framework.supervision.RepFailure`, and a ``campaigns`` row
+records each ``(grid_key, shard)`` a sweep ran into the store.
 
 The row is also the repetition's cache entry. Its ``result`` blob is the
 result pickled without its config, behind the
@@ -26,7 +27,9 @@ encoding, sha256 over both and the pickle); a migrated JSON artifact leaves it
 NULL. :meth:`ResultStore.served` reads one grid entry's rows in one ``SELECT``
 and serves those that are the request's repetition, checked as a cache hit is
 (digest, unpickle, validation), so a sweep over its own store opens no cache
-file and writes nothing. A blob that fails those checks is cleared, counted on
+file and writes nothing; the same ``SELECT`` returns the failures recorded
+for the request's repetitions, which a resumed sweep carries forward. A blob
+that fails those checks is cleared, counted on
 :attr:`ResultStore.evictions` and reported on ``stream``. The blob never
 enters the content fingerprint, ``query`` or an export.
 
@@ -53,13 +56,13 @@ the call returns, unless it runs inside :meth:`ResultStore.batch`: then the
 block's writes share one commit at its end, and a block that wrote nothing
 commits nothing. A sweep batches one grid entry's cache hits, so a grid
 entry whose rows are all present commits nothing; migration batches each
-source. A crash inside a batch loses at most that batch's rows, which a
-resume records again.
+source. A sweep's new campaign row rides its first write. A crash inside a
+batch loses at most that batch's rows, which a resume records again.
 
 Versioning and migration. The schema version lives in SQLite's
 ``user_version`` pragma; opening a newer-versioned store raises instead of
-misreading it, and opening a version 1 store adds its ``result`` column in
-place. Existing artifacts migrate in: :meth:`migrate_cache` walks a
+misreading it, and opening a version 1 or 2 store upgrades it in place.
+Existing artifacts migrate in: :meth:`migrate_cache` walks a
 :class:`~repro.framework.cache.ResultCache` directory and ingests every
 pickled repetition, and :meth:`ingest_summary_json` ingests the legacy
 per-run JSON layout. Deliberately *not* stored in a column or payload:
@@ -81,7 +84,9 @@ import pickle
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 import sqlite3
 
@@ -95,12 +100,13 @@ from repro.metrics.stats import summarize
 from repro.net.impairments import ImpairmentSpec
 from repro.sim.random import derive_seed
 
-__all__ = ["STORE_VERSION", "ResultStore", "per_rep_key", "per_rep_key_from_dict"]
+__all__ = ["STORE_VERSION", "ResultStore", "grid_key", "per_rep_key", "per_rep_key_from_dict"]
 
 #: Bump on any incompatible change to the schema or the canonical payload
 #: encoding; an older store is migrated (or rejected) on open, never misread.
 #: v2: ``reps`` gained the ``result`` blob (NULL in an upgraded v1 row).
-STORE_VERSION = 2
+#: v3: the ``campaigns`` table (empty in an upgraded store).
+STORE_VERSION = 3
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the
@@ -177,6 +183,29 @@ CREATE TABLE IF NOT EXISTS failures (
 );
 """
 
+#: One row per ``(grid_key, shard)`` a sweep ran into the store (v3).
+_CAMPAIGNS = """
+CREATE TABLE IF NOT EXISTS campaigns (
+    grid_key    TEXT    NOT NULL,
+    shard_index INTEGER NOT NULL,
+    shard_count INTEGER NOT NULL,
+    PRIMARY KEY (grid_key, shard_index, shard_count)
+);
+"""
+_SCHEMA += _CAMPAIGNS
+
+
+def grid_key(grid: Mapping[str, Any]) -> str:
+    """Content hash identifying a sweep: every name and full config key.
+
+    Unlike the per-repetition keys, ``repetitions`` participates: growing a
+    grid makes another campaign.
+    """
+    payload = json.dumps(
+        sorted((name, config.cache_key(), config.repetitions) for name, config in grid.items())
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
 
 def per_rep_key(config) -> str:
     """Per-repetition config key: full config with ``repetitions`` normalized.
@@ -221,6 +250,13 @@ def _db_seed(seed: int) -> int:
 
 def _from_db_seed(value: int) -> int:
     return value + (1 << 64) if value < 0 else value
+
+
+def _failure_from_row(row: sqlite3.Row) -> RepFailure:
+    """The :class:`RepFailure` a ``failures`` row records."""
+    fields = {field: row[field] for field in RepFailure.__dataclass_fields__}
+    fields.update(seed=_from_db_seed(row["seed"]), quarantined=bool(row["quarantined"]))
+    return RepFailure(**fields)
 
 
 def _encode_payload(payload: Dict[str, Any]) -> bytes:
@@ -270,6 +306,8 @@ class ResultStore:
         self.evictions = 0
         #: Inside :meth:`batch`: writes leave their transaction open.
         self._batched = False
+        #: A ``campaigns`` row the next write inserts (see :meth:`campaign`).
+        self._campaign: Optional[Tuple[str, int, int]] = None
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
@@ -297,13 +335,17 @@ class ResultStore:
             self._retry_locked_write(self._upgrade)
 
     def _upgrade(self) -> None:
-        """v1 → v2 in one transaction: the rows gain an empty ``result``
-        column, which sweeps fill as they serve the rows. The version is read
-        again under the write lock, so two openers upgrade once."""
+        """v1 or v2 → v3 in one transaction: v1 rows gain an empty ``result``
+        column, which sweeps fill as they serve the rows, and the empty
+        ``campaigns`` table is added. The version is read again under the
+        write lock, so two openers upgrade once."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            if self._conn.execute("PRAGMA user_version").fetchone()[0] == 1:
+            version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+            if version == 1:
                 self._conn.execute("ALTER TABLE reps ADD COLUMN result BLOB")
+            if version < STORE_VERSION:
+                self._conn.execute(_CAMPAIGNS)
                 self._conn.execute(f"PRAGMA user_version = {STORE_VERSION}")
 
     # -- lifecycle ---------------------------------------------------------
@@ -343,9 +385,34 @@ class ResultStore:
             self._batched = False
             self._retry_locked_write(self._conn.commit)
 
+    @contextlib.contextmanager
+    def campaign(self, key: str, shard: Tuple[int, int] = (0, 1)) -> Iterator[None]:
+        """Record that the sweep of grid ``key`` runs as part ``shard`` here.
+
+        A held row costs one ``SELECT``. A new one is inserted by the block's
+        first write, in that write's transaction, so it adds no commit; a
+        block that wrote nothing commits it alone when it ends.
+        """
+        row = (key, *shard)
+        held = self._conn.execute(
+            "SELECT 1 FROM campaigns WHERE grid_key = ? AND shard_index = ? AND shard_count = ?",
+            row,
+        ).fetchone()
+        self._campaign = None if held else row
+        try:
+            yield
+        finally:
+            if self._campaign is not None:
+                self._write()
+
     def _write(self, *statements: Tuple[str, Sequence[Any]]) -> None:
         """Run one record's statements: a transaction of their own, or part
-        of the open :meth:`batch`."""
+        of the open :meth:`batch`. A pending :meth:`campaign` row rides along."""
+        if self._campaign is not None:
+            statements = (
+                ("INSERT OR IGNORE INTO campaigns VALUES (?, ?, ?)", self._campaign),
+                *statements,
+            )
 
         def write() -> None:
             with contextlib.nullcontext() if self._batched else self._conn:
@@ -353,6 +420,7 @@ class ResultStore:
                     self._conn.execute(sql, params)
 
         self._retry_locked_write(write)
+        self._campaign = None
 
     def close(self) -> None:
         self._conn.close()
@@ -416,8 +484,9 @@ class ResultStore:
         reps: Sequence[int],
         validate: Optional[Callable[[Any], None]] = None,
     ) -> Dict[int, Any]:
-        """The repetitions ``reps`` of grid entry ``name`` that the store's
-        rows serve, by repetition, from one ``SELECT``.
+        """The repetitions ``reps`` of grid entry ``name`` that the store
+        holds, by repetition, from one ``SELECT``: a result, or the
+        :class:`RepFailure` recorded for it.
 
         A row serves its repetition when it has the request's name, label,
         rep and config encoding, its fingerprint is its blob's, no failure
@@ -425,26 +494,37 @@ class ResultStore:
         measures it. The blob's digest is checked, the result unpickled and
         bound to ``config`` (as a cache hit is), then ``validate`` runs. A
         blob that fails those checks is cleared and counted; any other row
-        is left for the caller to rewrite.
+        is left for the caller to rewrite. A failure with the request's
+        name, label and rep, and no row beside it, is returned as recorded.
         """
         seeds = {_db_seed(derive_seed(config.seed, rep)): rep for rep in reps}
         if not seeds:
             return {}
         key = per_rep_key(config)
-        rows = self._conn.execute(
-            "SELECT seed, name, label, rep, fingerprint, precision_ns, result,"
-            " EXISTS (SELECT 1 FROM failures AS f WHERE f.config_key = reps.config_key"
-            " AND f.seed = reps.seed) AS failed FROM reps WHERE config_key = ?"
-            f" AND seed IN ({', '.join('?' * len(seeds))})",
-            (key, *seeds),
+        among = "config_key = ?1 AND seed IN ({})".format(
+            ", ".join(f"?{number}" for number in range(2, len(seeds) + 2))
         )
+        rows = self._conn.execute(
+            "SELECT seed, name, label, rep, fingerprint, precision_ns, result, NULL AS error_type,"
+            " NULL AS message, NULL AS traceback, NULL AS attempts, NULL AS wall_time_s,"
+            f" NULL AS quarantined FROM reps WHERE {among} UNION ALL SELECT seed, name, label,"
+            " rep, NULL, NULL, NULL, error_type, message, traceback, attempts, wall_time_s,"
+            f" quarantined FROM failures WHERE {among}",
+            (key, *seeds),
+        ).fetchall()
+        failed = {row["seed"] for row in rows if row["error_type"] is not None}
+        stored = {row["seed"] for row in rows if row["error_type"] is None}
         encoding, label = config.cache_key(), config.label
         out: Dict[int, Any] = {}
         bad: List[Tuple[int, str]] = []
         for row in rows:
             rep, blob = seeds[row["seed"]], row["result"]
             same = (row["name"], row["label"], row["rep"]) == (name, label, rep)
-            if not same or row["failed"] or blob is None:
+            if row["error_type"] is not None:
+                if same and row["seed"] not in stored:
+                    out[rep] = _failure_from_row(row)
+                continue
+            if not same or row["seed"] in failed or blob is None:
                 continue
             try:
                 result, its_encoding, its_fingerprint = _unpack(blob, CACHE_VERSION)
@@ -730,7 +810,9 @@ class ResultStore:
 
         Rows are a pure function of their ``(config_key, seed)`` key, so this
         is idempotent and order-independent; a success in either store
-        supersedes the other's failure (as recording does).
+        supersedes the other's failure (as recording does), and campaign rows
+        are copied. A part holding shards (``n > 1``) of a grid this store
+        holds no shards of is refused while it holds shards of other grids.
         Returns the repetition rows read per grid name.
         """
         part = Path(path)
@@ -742,9 +824,19 @@ class ResultStore:
         try:
             version = self._conn.execute("PRAGMA part.user_version").fetchone()[0]
             if version != STORE_VERSION:
+                hint = "; opening it once upgrades it" if 0 < version < STORE_VERSION else ""
                 raise ConfigError(
                     f"store {part} has schema version {version}, not this "
-                    f"build's {STORE_VERSION}; refusing to misread it"
+                    f"build's {STORE_VERSION}; refusing to misread it{hint}"
+                )
+            sharded = "SELECT DISTINCT grid_key FROM {}.campaigns WHERE shard_count > 1"
+            ours = {row[0] for row in self._conn.execute(sharded.format("main"))}
+            foreign = sorted({row[0] for row in self._conn.execute(sharded.format("part"))} - ours)
+            if ours and foreign:
+                raise ConfigError(
+                    f"store {part} holds shards of grid {foreign[0][:12]}, but "
+                    f"{self.path} holds shards only of grid "
+                    f"{', '.join(key[:12] for key in sorted(ours))}; refusing to mix campaigns"
                 )
             merged = dict(
                 self._conn.execute("SELECT name, COUNT(*) FROM part.reps GROUP BY name")
@@ -754,7 +846,7 @@ class ResultStore:
                 # By name, not position: an upgrade appends its column, so
                 # column order records a store's history, not its schema.
                 with self._conn:
-                    for table in ("reps", "failures"):
+                    for table in ("reps", "failures", "campaigns"):
                         columns = ", ".join(
                             row[1]
                             for row in self._conn.execute(f"PRAGMA main.table_info({table})")
@@ -865,16 +957,7 @@ class ResultStore:
             " ORDER BY name, rep, seed",
             params,
         )
-        return [
-            RepFailure(
-                **{
-                    **dict(row),
-                    "seed": _from_db_seed(row["seed"]),
-                    "quarantined": bool(row["quarantined"]),
-                }
-            )
-            for row in cursor.fetchall()
-        ]
+        return [_failure_from_row(row) for row in cursor.fetchall()]
 
     def group_summaries(self, **filters: Any) -> Dict[str, Dict[str, Any]]:
         """Per-grid-name aggregates, shaped like the sweep CLI's table rows.
@@ -1004,15 +1087,22 @@ class ResultStore:
             "reps": self.rep_count(),
             "failures": self.failure_count(),
             "names": self.names(),
+            "campaigns": [
+                {"grid_key": key, "shard": f"{index}/{count}"}
+                for key, index, count in self._conn.execute(
+                    "SELECT * FROM campaigns ORDER BY grid_key, shard_count, shard_index"
+                )
+            ],
         }
 
     def content_fingerprint(self) -> str:
         """Digest of every row's content, insertion-order independent.
 
         Two stores of the same campaign — uninterrupted, or killed and
-        resumed through the journal, on any backend — must digest equal.
+        resumed, sharded and merged, on any backend — must digest equal.
         Row iteration is ordered by key columns, never rowid, so replay
-        order cannot leak in.
+        order cannot leak in; ``campaigns`` rows (how the work was split)
+        stay out.
         """
         digest = hashlib.sha256()
         for row in self._conn.execute(

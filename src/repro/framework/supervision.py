@@ -64,7 +64,7 @@ __all__ = [
     "Supervisor",
 ]
 
-#: Cap stored tracebacks so a pathological repr cannot bloat journals.
+#: Cap stored tracebacks so a pathological repr cannot bloat a store.
 _TRACEBACK_LIMIT_CHARS = 8_000
 
 
@@ -111,8 +111,8 @@ class RepFailure:
     """One repetition that could not produce a valid result.
 
     Serializable (``as_dict``/``from_dict``) so failures survive in JSON
-    artifacts and the sweep journal, and a resumed run can carry them
-    forward verbatim.
+    artifacts; a result store records them too, and a resumed run carries
+    them forward verbatim.
     """
 
     name: str

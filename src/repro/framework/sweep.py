@@ -32,14 +32,11 @@ invariants in :mod:`repro.framework.validate` before it is cached or
 summarized.
 
 Checkpoint/resume. An interrupted invocation re-run with the same grid
-resumes where it stopped. With a ``store``, its committed rows are the
-checkpoint: each is served back as its repetition's result. Without one,
-``journal_dir`` names where a :class:`~repro.framework.journal.SweepJournal`
-records one atomic JSON line per settled repetition, and journaled successes
-are restored through the :class:`~repro.framework.cache.ResultCache` (or
-recomputed bit-identically on a cache miss). Either way journaled failures
-are carried forward instead of being retried; ``resume=False`` discards the
-journal and starts over.
+resumes where it stopped: the checkpoint is a
+:class:`~repro.framework.store.ResultStore`, the ``store`` given or, without
+one, a store of its own under ``journal_dir``. Each committed row is served
+back as its repetition's result, and each recorded failure is carried
+forward instead of being retried; ``resume=False`` runs the failures again.
 
 Progress is streamed as one structured line per finished repetition (config
 label, rep, sim-time, wall-time, events/sec from
@@ -61,8 +58,7 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
 from repro.framework.executors import Executor, make_executor
 from repro.framework.experiment import ExperimentResult
-from repro.framework.journal import SweepJournal
-from repro.framework.store import ResultStore
+from repro.framework.store import ResultStore, grid_key
 from repro.framework.runner import RunSummary, _run_one, derive_seed, summarize_results
 from repro.framework.supervision import (
     RepFailure,
@@ -93,36 +89,39 @@ class SweepRunner:
 
     ``policy=None`` uses the default :class:`SupervisionPolicy` (no timeout,
     two retries, quarantine after three consecutive failures).
-    ``journal_dir`` names a directory for the sweep's checkpoint journal
-    (keyed by grid content); ``resume=False`` discards any prior journal.
-    ``run_fn`` is the per-repetition worker function — a seam for chaos
-    tests, which substitute crashing/hanging stand-ins.
+    Without a ``store``, ``journal_dir`` names a directory for the sweep's
+    checkpoint store, ``<grid_key[:16]>.sqlite`` (keyed by grid content),
+    opened for the run; with one, it is ignored. ``resume=False`` runs the
+    checkpoint's recorded failures again. ``run_fn`` is the per-repetition
+    worker function — a seam for chaos tests, which substitute
+    crashing/hanging stand-ins.
 
     ``backend`` selects the execution backend
     (:mod:`repro.framework.executors`): ``"inprocess"`` (serial)
     or ``"forkserver"`` (the default: a supervised pool of
     simulator-preloaded workers) — or a ready
     :class:`~repro.framework.executors.Executor`. Backends are invisible to
-    cache keys, journals, and fingerprints: the same grid produces
+    cache keys, grid keys, and fingerprints: the same grid produces
     bit-identical results under every backend.
 
     ``store`` names a :class:`~repro.framework.store.ResultStore` that every
     settled repetition is streamed into as it lands (successes, cache hits,
     and final failures alike) — the queryable canonical artifact for
-    campaign-scale sweeps. Its rows are looked up first, one ``SELECT`` per
-    grid entry: a row that is the requested repetition is served as is, so
-    a sweep over the store it wrote opens no cache entry and writes and
-    commits nothing. The rest fall through to the cache, then to the pool.
-    A computed repetition is committed on its own (the row is its
-    checkpoint: with a store only failures are journaled); a grid entry's
-    cache hits share one commit.
+    campaign-scale sweeps, and the sweep's checkpoint. Its rows are looked
+    up first, one ``SELECT`` per grid entry: a row that is the requested
+    repetition is served as is, so a sweep over the store it wrote opens no
+    cache entry and writes and commits nothing. The rest fall through to
+    the cache, then to the pool. A computed repetition is committed on its
+    own; a grid entry's cache hits share one commit. The store also records
+    the run's ``(grid_key, shard)`` campaign row.
 
     ``shard=(i, n)`` runs part ``i`` of a campaign split ``n`` ways (one
     invocation per host): of the grid's repetitions, numbered in grid order,
     those numbered ``i`` modulo ``n`` — round-robin, so configurations of
-    unequal cost spread evenly. The rest are not looked up, journaled or
-    stored; :meth:`~repro.framework.store.ResultStore.merge_from` unites the
-    parts' stores into the one an unsharded run (``(0, 1)``) writes.
+    unequal cost spread evenly. The rest are not looked up or stored;
+    :meth:`~repro.framework.store.ResultStore.merge_from` unites the parts'
+    stores into the one an unsharded run (``(0, 1)``) writes. A checkpoint
+    store under ``journal_dir`` is named ``….shard-I-of-N.sqlite`` then.
     """
 
     def __init__(
@@ -161,17 +160,21 @@ class SweepRunner:
         """Run every repetition of every named config; summaries keep grid order."""
         for config in grid.values():
             config.validate()
-        journal = (
-            SweepJournal.for_grid(
-                self.journal_dir,
-                grid,
-                fresh=not self.resume,
-                stream=self.stream,
-                shard=self.shard,
-            )
-            if self.journal_dir is not None
-            else None
-        )
+        with contextlib.ExitStack() as opened:
+            store = self.store
+            if store is not None or self.journal_dir is not None:
+                key = grid_key(grid)
+                if store is None:
+                    index, count = self.shard
+                    stem = key[:16] if count == 1 else f"{key[:16]}.shard-{index}-of-{count}"
+                    checkpoint = ResultStore(self.journal_dir / f"{stem}.sqlite", self.stream)
+                    store = opened.enter_context(checkpoint)
+                opened.enter_context(store.campaign(key, self.shard))
+            return self._run(grid, store)
+
+    def _run(
+        self, grid: Mapping[str, ExperimentConfig], store: Optional[ResultStore]
+    ) -> Dict[str, RunSummary]:
         slots: Dict[str, List[Optional[ExperimentResult]]] = {
             name: [None] * config.repetitions for name, config in grid.items()
         }
@@ -180,45 +183,39 @@ class SweepRunner:
         index, count = self.shard
         position = 0
         validate = validate_result if self.validate else None
-        # What the scan settles (hits, carried failures) is committed once
-        # per grid entry, not once per repetition.
-        batch = self.store.batch if self.store is not None else contextlib.nullcontext
+        # The cache hits of the scan are committed once per grid entry, not
+        # once per repetition.
+        batch = store.batch if store is not None else contextlib.nullcontext
         for name, config in grid.items():
             # Round-robin over the flattened grid: this shard's repetitions.
             reps = range((index - position) % count, config.repetitions, count)
             position += config.repetitions
             with batch():
-                served = (
-                    self.store.served(name, config, reps, validate)
-                    if self.store is not None
-                    else {}
-                )
+                served = store.served(name, config, reps, validate) if store is not None else {}
                 for rep in reps:
-                    entry = journal.get(name, rep) if journal is not None else None
-                    if entry is not None and entry.status == "failed" and entry.failure:
-                        # Carried forward from the interrupted run; re-run it by
-                        # resuming with --no-resume (or deleting the journal).
-                        failures[name].append(entry.failure)
-                        if self.store is not None:
-                            self.store.record_failure(entry.failure, config)
-                        self._emit_line(
-                            f"[sweep] {name} rep {rep + 1}/{config.repetitions}: "
-                            f"FAILED previously ({entry.failure.error_type}) [journal]"
-                        )
-                        continue
-                    if rep in served:
+                    held = served.get(rep)
+                    if isinstance(held, RepFailure):
+                        if self.resume:
+                            # Carried forward as recorded: nothing runs or is
+                            # written. --no-resume runs it again.
+                            failures[name].append(held)
+                            self._emit_line(
+                                f"[sweep] {name} rep {rep + 1}/{config.repetitions}: "
+                                f"FAILED previously ({held.error_type}) [store]"
+                            )
+                            continue
+                    elif held is not None:
                         # The row is the entry: nothing to read or write.
-                        slots[name][rep] = served[rep]
-                        self._emit(name, config, rep, served[rep], cached_hit=True)
+                        slots[name][rep] = held
+                        self._emit(name, config, rep, held, cached_hit=True)
                         continue
                     seed = derive_seed(config.seed, rep)
                     # An entry that fails validation is quarantined and missed.
                     hit = self.cache.get(config, seed, validate) if self.cache else None
                     if hit is not None:
                         slots[name][rep] = hit.result
-                        self._settle(
-                            journal, name, rep, seed, hit.result, hit.fingerprint, recomputed=False
-                        )
+                        if store is not None:
+                            store.record_result(name, rep, hit.result, fingerprint=hit.fingerprint)
                         self._emit(name, config, rep, hit.result, cached_hit=True)
                     else:
                         pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
@@ -240,21 +237,20 @@ class SweepRunner:
                 result.config = task.config
                 slots[task.name][task.rep] = result
                 fresh_wall_s.append(result.wall_time_s)
+                # fingerprint() is O(packets): taken once, for the cache entry
+                # and the row (without a cache, the store takes it).
                 fingerprint = None
                 if self.cache is not None:
                     fingerprint = result.fingerprint()
                     self.cache.put(task.config, result.seed, result, fingerprint)
-                self._settle(
-                    journal, task.name, task.rep, task.seed, result, fingerprint, recomputed=True
-                )
+                if store is not None:
+                    store.record_result(task.name, task.rep, result, fingerprint=fingerprint)
                 self._emit(task.name, task.config, task.rep, result, cached_hit=False)
 
             def on_failure(task: RepTask, failure: RepFailure) -> None:
                 failures[task.name].append(failure)
-                if journal is not None:
-                    journal.record_failure(failure)
-                if self.store is not None:
-                    self.store.record_failure(failure, task.config)
+                if store is not None:
+                    store.record_failure(failure, task.config)
                 self._emit_line(f"[sweep] {failure.describe()}")
 
             start = time.monotonic()
@@ -273,41 +269,6 @@ class SweepRunner:
             name: summarize_results(config, slots[name], failures[name])
             for name, config in grid.items()
         }
-
-    def _settle(
-        self,
-        journal: Optional[SweepJournal],
-        name: str,
-        rep: int,
-        seed: int,
-        result: ExperimentResult,
-        fingerprint: Optional[str],
-        recomputed: bool,
-    ) -> None:
-        """Store, or else journal, one successful repetition.
-
-        ``fingerprint()`` is O(packets), so it is taken once per computed
-        repetition, kept with its cache entry, and travels to the sink as
-        ``fingerprint``. ``None`` (no cache, or a hit served to a sweep of
-        another length) is digested once, and only if a sink needs it. With
-        a store the committed row is the checkpoint, and the store warns of
-        a fingerprint that moved; the journal keeps failures only.
-        """
-        if self.store is not None:
-            self.store.record_result(name, rep, result, fingerprint=fingerprint)
-            return
-        if journal is None:
-            return
-        if fingerprint is None:
-            fingerprint = result.fingerprint()
-        prior = journal.get(name, rep) if recomputed else None
-        if prior is not None and prior.fingerprint and prior.fingerprint != fingerprint:
-            self._emit_line(
-                f"[sweep] warning: {name} rep {rep} recomputed "
-                f"with a different fingerprint than the journaled run "
-                f"(determinism regression?)"
-            )
-        journal.record_success(name, rep, seed, fingerprint)
 
     def _emit_line(self, line: str) -> None:
         if self.stream is not None:

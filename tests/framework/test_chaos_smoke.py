@@ -20,7 +20,7 @@ import pytest
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.runner import _run_one
-from repro.framework.store import ResultStore
+from repro.framework.store import ResultStore, grid_key
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.net.impairments import iid_loss
@@ -112,64 +112,98 @@ def test_sweep_survives_hung_worker(chaos_dir, clean_serial):
     assert _fingerprints(summaries) == _fingerprints(clean_serial)
 
 
-def test_killed_sweep_resumes_bit_identically(chaos_dir, clean_serial):
-    cache = ResultCache(chaos_dir / "cache")
-    journal_dir = chaos_dir / "journals"
+#: Where a sweep keeps its checkpoint: a store of its own under
+#: ``journal_dir``, the ``store`` given, or that store behind a cache.
+SETUPS = ["journal_dir", "store", "cache+store"]
+
+
+def _checkpointed(setup, root):
+    """Runner arguments for ``setup``: fresh handles on the same checkpoint."""
+    if setup == "journal_dir":
+        return {"journal_dir": root / "journals"}
+    kwargs = {"store": ResultStore(root / "campaign.sqlite")}
+    if setup == "cache+store":
+        kwargs["cache"] = ResultCache(root / "cache")
+    return kwargs
+
+
+def _checkpoint(setup, root, grid) -> ResultStore:
+    """The store that ``setup``'s sweeps of ``grid`` checkpointed into."""
+    if setup == "journal_dir":
+        return ResultStore(root / "journals" / f"{grid_key(grid)[:16]}.sqlite")
+    return ResultStore(root / "campaign.sqlite")
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_killed_sweep_resumes_bit_identically(chaos_dir, clean_serial, setup):
     with pytest.raises(KeyboardInterrupt):
         SweepRunner(
             workers=1,
-            cache=cache,
-            journal_dir=journal_dir,
             run_fn=_with_markers(interrupted_run_one, chaos_dir),
+            **_checkpointed(setup, chaos_dir),
         ).run(_grid())
     settled = len(list((chaos_dir / "chaos").glob("settled-*")))
     assert settled == 2  # the kill really landed mid-sweep
-    assert cache.stats.stores == 2
 
-    # Resume: journaled reps come back from the cache, the rest run fresh.
-    resumed_cache = ResultCache(chaos_dir / "cache")
+    # Resume: the settled reps are served by their rows, the rest run fresh.
+    ran = []
+
+    def counted(config, seed):
+        ran.append(seed)
+        return _run_one(config, seed)
+
     summaries = SweepRunner(
-        workers=1, cache=resumed_cache, journal_dir=journal_dir
+        workers=1, run_fn=counted, **_checkpointed(setup, chaos_dir)
     ).run(_grid())
-    assert resumed_cache.stats.hits == 2
-    assert resumed_cache.stats.stores == 2  # only the remaining reps computed
+    assert len(ran) == 2  # only the remaining reps computed
     assert _fingerprints(summaries) == _fingerprints(clean_serial)
+    with _checkpoint(setup, chaos_dir, _grid()) as resumed:
+        clean_store = _store_of(clean_serial, chaos_dir / "clean.sqlite")
+        assert resumed.content_fingerprint() == clean_store.content_fingerprint()
 
 
 def test_journaled_failures_carry_forward_until_no_resume(chaos_dir):
-    """A rep that exhausts retries is recorded, carried forward on resume,
-    and re-run (successfully) only when the operator passes fresh=True."""
+    _failures_carry_forward_until_no_resume("journal_dir", chaos_dir)
+
+
+@pytest.mark.parametrize("setup", ["store", "cache+store"])
+def test_recorded_failures_carry_forward_until_no_resume(chaos_dir, setup):
+    _failures_carry_forward_until_no_resume(setup, chaos_dir)
+
+
+def _failures_carry_forward_until_no_resume(setup, chaos_dir):
+    """A rep that exhausts retries is recorded, carried forward on resume
+    exactly as recorded, and re-run (successfully) only with resume=False."""
 
     grid = _grid()
-    cache = ResultCache(chaos_dir / "cache")
-    journal_dir = chaos_dir / "journals"
     # The poison config crashes on every attempt; crash attribution must
     # shield the clean config's reps — an ambiguous pool crash re-runs the
     # in-flight suspects alone instead of charging them retry budget.
     policy = SupervisionPolicy(retries=1, backoff_base_s=0.0, poll_interval_s=0.02)
     summaries = SweepRunner(
-        workers=2, cache=cache, journal_dir=journal_dir, policy=policy,
-        run_fn=always_crash_lossy_run_one,
+        workers=2, policy=policy, run_fn=always_crash_lossy_run_one,
+        **_checkpointed(setup, chaos_dir),
     ).run(grid)
-    assert len(summaries["lossy"].failures) == 2
-    assert summaries["lossy"].failures[0].error_type == "WorkerCrashError"
+    recorded = sorted(summaries["lossy"].failures, key=lambda failure: failure.rep)
+    assert len(recorded) == 2
+    assert recorded[0].error_type == "WorkerCrashError"
     assert not summaries["clean"].failures
 
-    # Resume without clearing: failures are carried forward, nothing re-runs.
+    # Resume: the failures are carried forward verbatim, nothing re-runs.
     carried = SweepRunner(
-        workers=2, cache=ResultCache(chaos_dir / "cache"), journal_dir=journal_dir,
-        policy=policy, run_fn=always_crash_lossy_run_one,
+        workers=2, policy=policy, run_fn=always_crash_lossy_run_one,
+        **_checkpointed(setup, chaos_dir),
     ).run(grid)
-    assert len(carried["lossy"].failures) == 2
-    assert carried["lossy"].failures[0].error_type == "WorkerCrashError"
+    assert carried["lossy"].failures == recorded
 
-    # --no-resume: the journal is discarded and the reps run for real.
+    # resume=False: the reps run for real.
     healed = SweepRunner(
-        workers=2, cache=ResultCache(chaos_dir / "cache"), journal_dir=journal_dir,
-        resume=False, policy=policy,
+        workers=2, resume=False, policy=policy, **_checkpointed(setup, chaos_dir)
     ).run(grid)
     assert not healed["lossy"].failures
     assert len(healed["lossy"].results) == 2
+    with _checkpoint(setup, chaos_dir, grid) as store:
+        assert (store.rep_count(), store.failure_count()) == (4, 0)
 
 
 def always_crash_lossy_run_one(config, seed):
@@ -180,7 +214,7 @@ def always_crash_lossy_run_one(config, seed):
 
 # ---------------------------------------------------------------------------
 # Store chaos: a campaign killed with its result store half-written must,
-# after a journal resume — under any backend — converge to a store whose
+# after a resume — under any backend — converge to a store whose
 # content is bit-identical to an uninterrupted run's, with no duplicate rows.
 
 
@@ -221,7 +255,7 @@ def test_killed_campaign_resumes_to_bit_identical_store(
         store=resumed_store,
     ).run(_grid())
     assert all(not s.failures for s in summaries.values())
-    assert resumed_store.rep_count() == 4  # journal replay added no duplicates
+    assert resumed_store.rep_count() == 4  # the resume added no duplicates
     assert resumed_store.failure_count() == 0
     clean_store = _store_of(clean_serial, chaos_dir / "clean.sqlite")
     assert resumed_store.content_fingerprint() == clean_store.content_fingerprint()

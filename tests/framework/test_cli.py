@@ -92,14 +92,18 @@ def test_supervision_flags_are_accepted(capsys, tmp_path):
 
 
 def test_sweep_resume_serves_journaled_reps_from_cache(capsys, tmp_path):
+    """Without --store, the checkpoint store beside the cache serves every
+    repetition of the second invocation: none is computed."""
     argv = ["sweep", "baselines", "--size-mib", "0.25", "--reps", "1",
             "--cache-dir", str(tmp_path / "cache"), "--workers", "1"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv) == 0  # resume: everything is journaled + cached
+    assert main(argv) == 0  # resume: every repetition is in the checkpoint
     warm = capsys.readouterr()
-    assert "4 hits" in warm.err
-    assert "[cached]" in warm.err
+    reps = [line for line in warm.err.splitlines() if line.startswith("[sweep]")]
+    assert len(reps) == 4 and all(line.endswith("[cached]") for line in reps)
+    assert "cache: 0 hits, 0 misses, 0 stores" in warm.err
+    assert [path.suffix for path in (tmp_path / "cache" / "journals").iterdir()] == [".sqlite"]
 
 
 def test_compete_command(capsys):

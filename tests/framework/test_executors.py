@@ -154,7 +154,7 @@ def test_every_backend_reproduces_the_serial_fingerprints(backend):
 
 def test_backend_does_not_change_cache_keys():
     # The executor must be invisible to config identity: cache keys and
-    # journal grid keys hash the config alone, never the backend.
+    # campaign grid keys hash the config alone, never the backend.
     config = GRID["quiche"]
     key = config.cache_key()
     for backend in BACKENDS:

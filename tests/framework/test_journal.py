@@ -1,126 +1,108 @@
-"""Sweep journal: atomic manifest, tolerant loading, grid keying."""
+"""Sweep journal: the checkpoint store a sweep keeps under ``journal_dir``
+when it is given no store — one file per grid, keyed by grid content."""
 
-import json
+import pytest
 
 from repro.framework.config import ExperimentConfig
-from repro.framework.journal import JOURNAL_VERSION, SweepJournal, grid_key
-from repro.framework.supervision import RepFailure
+from repro.framework.experiment import run_experiment
+from repro.framework.store import ResultStore, grid_key
+from repro.framework.supervision import SupervisionPolicy
+from repro.framework.sweep import SweepRunner
+from repro.sim.random import derive_seed
 from repro.units import kib
 
 GRID = {
-    "a": ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=2),
-    "b": ExperimentConfig(stack="tcp", file_size=kib(150), repetitions=2),
+    "a": ExperimentConfig(stack="quiche", file_size=kib(96), repetitions=2),
+    "b": ExperimentConfig(stack="tcp", file_size=kib(96), repetitions=2),
 }
 
-
-def _failure(name="a", rep=1):
-    return RepFailure(
-        name=name, label=name, rep=rep, seed=99, error_type="WorkerCrashError",
-        message="pool died", traceback="tb", attempts=3, wall_time_s=2.5,
-    )
+NO_RETRY = SupervisionPolicy(retries=0, backoff_base_s=0.0)
 
 
-def test_grid_key_sees_names_configs_and_repetitions():
-    base = grid_key(GRID)
+@pytest.fixture(scope="module")
+def computed():
+    """Every repetition of ``GRID``, by seed, computed once for the module."""
+    return {
+        derive_seed(config.seed, rep): run_experiment(config, seed=derive_seed(config.seed, rep))
+        for config in GRID.values()
+        for rep in range(config.repetitions)
+    }
+
+
+class Recorded:
+    """A ``run_fn`` serving precomputed results, noting every seed it runs;
+    configs whose stack is in ``failing`` raise instead."""
+
+    def __init__(self, computed, failing=()):
+        self.computed, self.failing, self.ran = computed, set(failing), []
+
+    def __call__(self, config, seed):
+        self.ran.append(seed)
+        if config.stack in self.failing:
+            raise RuntimeError("injected failure")
+        result = self.computed[seed]
+        result.config = config
+        return result
+
+
+def _sweep(root, run_fn, grid=GRID, resume=True):
+    return SweepRunner(
+        workers=1, backend="inprocess", policy=NO_RETRY, journal_dir=root,
+        resume=resume, run_fn=run_fn,
+    ).run(grid)
+
+
+def _journal(root, grid=GRID) -> ResultStore:
+    return ResultStore(root / f"{grid_key(grid)[:16]}.sqlite")
+
+
+def test_mismatched_grid_starts_fresh(tmp_path, computed):
+    _sweep(tmp_path, Recorded(computed))
+    # Another grid in the same directory: its own journal, nothing misapplied.
     renamed = {"a2": GRID["a"], "b": GRID["b"]}
-    assert grid_key(renamed) != base
-    import dataclasses
-
-    grown = dict(GRID, a=dataclasses.replace(GRID["a"], repetitions=5))
-    assert grid_key(grown) != base
-    assert grid_key(dict(reversed(list(GRID.items())))) == base  # order-free
-
-
-def test_round_trip_success_and_failure(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1234, "fp-a0")
-    journal.record_failure(_failure())
-
-    reloaded = SweepJournal.for_grid(tmp_path, GRID)
-    assert len(reloaded) == 2
-    assert reloaded.resumed_entries == 2
-    ok = reloaded.get("a", 0)
-    assert ok.status == "ok" and ok.fingerprint == "fp-a0" and ok.seed == 1234
-    failed = reloaded.get("a", 1)
-    assert failed.status == "failed"
-    assert failed.failure == _failure()
+    run_fn = Recorded(computed)
+    _sweep(tmp_path, run_fn, grid=renamed)
+    assert len(run_fn.ran) == 4
+    assert {path.name for path in tmp_path.glob("*.sqlite")} == {
+        f"{grid_key(grid)[:16]}.sqlite" for grid in (GRID, renamed)
+    }
+    with _journal(tmp_path) as journal:
+        assert journal.names() == ["a", "b"]
 
 
-def test_journal_is_a_single_parseable_snapshot(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1, "fp")
-    journal.record_success("b", 1, 2, "fp2")
-    lines = journal.path.read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header == {"journal": JOURNAL_VERSION, "grid_key": grid_key(GRID)}
-    assert all(json.loads(line) for line in lines[1:])
-    assert len(lines) == 3
+def test_fresh_discards_previous_run(tmp_path, computed):
+    failed = _sweep(tmp_path, Recorded(computed, failing={"tcp"}))
+    assert len(failed["b"].failures) == 2
+    # resume=False runs the recorded failures again; the successes are served.
+    run_fn = Recorded(computed)
+    healed = _sweep(tmp_path, run_fn, resume=False)
+    assert sorted(run_fn.ran) == sorted(r.seed for r in healed["b"].results)
+    assert not healed["b"].failures
+    with _journal(tmp_path) as journal:
+        assert (journal.rep_count(), journal.failure_count()) == (4, 0)
 
 
-def test_torn_line_is_skipped(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1, "fp")
-    journal.record_success("a", 1, 2, "fp2")
-    text = journal.path.read_text().splitlines()
-    journal.path.write_text("\n".join(text[:-1]) + "\n" + text[-1][: len(text[-1]) // 2])
-    reloaded = SweepJournal.for_grid(tmp_path, GRID)
-    assert reloaded.get("a", 0) is not None
-    assert reloaded.get("a", 1) is None  # torn entry simply re-runs
+def test_rerecord_identical_success_is_a_noop(tmp_path, computed):
+    _sweep(tmp_path, Recorded(computed))
+    with _journal(tmp_path) as journal:
+        digest = journal.content_fingerprint()
+    path = tmp_path / f"{grid_key(GRID)[:16]}.sqlite"
+    mtime = path.stat().st_mtime_ns
+    run_fn = Recorded(computed)
+    _sweep(tmp_path, run_fn)
+    assert run_fn.ran == []
+    assert path.stat().st_mtime_ns == mtime  # no rewrite churn
+    with _journal(tmp_path) as journal:
+        assert journal.content_fingerprint() == digest
 
 
-def test_torn_line_warns_instead_of_aborting_resume(tmp_path, capsys):
-    """A crash mid-append leaves a truncated final line; resume must skip it
-    with a warning naming the journal, not abort the campaign."""
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1, "fp")
-    journal.record_success("a", 1, 2, "fp2")
-    raw = journal.path.read_bytes()
-    journal.path.write_bytes(raw[:-7])  # byte-level tear, mid-JSON
-
-    import io
-
-    stream = io.StringIO()
-    reloaded = SweepJournal.for_grid(tmp_path, GRID, stream=stream)
-    assert reloaded.skipped_lines == 1
-    assert reloaded.get("a", 0) is not None  # intact entries survive
-    warning = stream.getvalue()
-    assert "skipped 1 torn/undecodable line" in warning
-    assert str(reloaded.path) in warning
-
-    # Without an explicit stream the warning lands on stderr.
-    SweepJournal.for_grid(tmp_path, GRID)
-    assert "torn/undecodable" in capsys.readouterr().err
-
-
-def test_mismatched_grid_starts_fresh(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1, "fp")
-    # Same path, different claimed grid key: entries must not be misapplied.
-    imposter = SweepJournal(journal.path, "different-key")
-    imposter._load()
-    assert len(imposter) == 0
-
-
-def test_fresh_discards_previous_run(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_failure(_failure())
-    fresh = SweepJournal.for_grid(tmp_path, GRID, fresh=True)
-    assert len(fresh) == 0
-    assert not fresh.path.exists()
-
-
-def test_rerecord_identical_success_is_a_noop(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_success("a", 0, 1, "fp")
-    mtime = journal.path.stat().st_mtime_ns
-    journal.record_success("a", 0, 1, "fp")
-    assert journal.path.stat().st_mtime_ns == mtime  # no rewrite churn
-
-
-def test_failure_then_success_overwrites(tmp_path):
-    journal = SweepJournal.for_grid(tmp_path, GRID)
-    journal.record_failure(_failure(rep=0))
-    journal.record_success("a", 0, 99, "fp-after-retry")
-    assert journal.get("a", 0).status == "ok"
-    reloaded = SweepJournal.for_grid(tmp_path, GRID)
-    assert reloaded.get("a", 0).status == "ok"
+def test_failure_then_success_overwrites(tmp_path, computed):
+    _sweep(tmp_path, Recorded(computed, failing={"tcp"}))
+    _sweep(tmp_path, Recorded(computed), resume=False)
+    with _journal(tmp_path) as journal:
+        assert journal.failures() == []
+        assert sorted(row["rep"] for row in journal.query(name="b")) == [0, 1]
+    # A resumed sweep reads the successes back: nothing runs, nothing failed.
+    run_fn = Recorded(computed)
+    reloaded = _sweep(tmp_path, run_fn)
+    assert run_fn.ran == [] and not reloaded["b"].failures

@@ -1,5 +1,6 @@
 """Flow populations: generation, determinism, sweep integration, scale."""
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -208,11 +209,14 @@ def test_deterministic_fingerprint_serial_vs_swept():
         summary = runner.run({"pop": config})["pop"]
         assert not summary.failures
         assert [r.fingerprint() for r in summary.results] == serial
-        # Second invocation resumes entirely from cache, bit-identically.
-        rerun = SweepRunner(workers=2, cache=cache, journal_dir=Path(tmp) / "j")
+        # Second invocation resumes entirely from its checkpoint, bit-identically.
+        stream = io.StringIO()
+        rerun = SweepRunner(workers=2, cache=cache, journal_dir=Path(tmp) / "j", stream=stream)
         cached = rerun.run({"pop": config})["pop"]
         assert [r.fingerprint() for r in cached.results] == serial
-        assert cache.stats.hits == 2
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 2 and all(line.endswith("[cached]") for line in lines)
+        assert cache.stats.stores == 2  # the first invocation's: none computed since
 
 
 def test_population_artifact_roundtrip():

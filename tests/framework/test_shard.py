@@ -7,6 +7,8 @@ tried here replay from it (the fresh sharded path, under ``forkserver``, is
 the ``sharded`` row of ``test_store_differential.py``).
 """
 
+import dataclasses
+import json
 import re
 import sqlite3
 import tempfile
@@ -19,10 +21,9 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
-from repro.framework.journal import SweepJournal, grid_key
 from repro.framework.population import PopulationConfig
 from repro.framework.runner import derive_seed
-from repro.framework.store import ResultStore
+from repro.framework.store import ResultStore, grid_key
 from repro.framework.supervision import RepFailure
 from repro.framework.sweep import SweepRunner
 from repro.net.impairments import iid_loss
@@ -75,12 +76,13 @@ def _run_shard(index, count, store_path, cache_dir, **kwargs):
         ).run(GRID)
 
 
-def _merged(dest, parts) -> str:
+def _merged(dest, parts):
+    """The merged store's content fingerprint and campaign rows."""
     with ResultStore(dest) as store:
         for part in parts:
             store.merge_from(part)
         assert store.failure_count() == 0
-        return store.content_fingerprint()
+        return store.content_fingerprint(), store.info()["campaigns"]
 
 
 def _check_split(campaign, count):
@@ -103,8 +105,11 @@ def _check_split(campaign, count):
         assert sum(map(len, held)) == len(EVERY_REP)
         assert set().union(*held) == EVERY_REP
         assert max(map(len, held)) - min(map(len, held)) <= 1
-        # Any order, any number of times: the unsharded store.
-        expected = whole.content_fingerprint()
+        # Any order, any number of times: the unsharded store, and every part.
+        expected = (
+            whole.content_fingerprint(),
+            [{"grid_key": grid_key(GRID), "shard": f"{i}/{count}"} for i in range(count)],
+        )
         assert _merged(tmp / "forward.sqlite", parts) == expected
         assert _merged(tmp / "backward.sqlite", parts[::-1] + parts) == expected
 
@@ -127,12 +132,29 @@ def test_shard_must_name_a_part_of_the_split():
             SweepRunner(shard=shard)
 
 
-def test_only_a_real_split_renames_the_journal(tmp_path):
-    stem = grid_key(GRID)[:16]
-    assert SweepJournal.for_grid(tmp_path, GRID).path.name == f"{stem}.jsonl"
-    assert SweepJournal.for_grid(tmp_path, GRID, shard=(0, 1)).path.name == f"{stem}.jsonl"
-    names = {SweepJournal.for_grid(tmp_path, GRID, shard=(i, 3)).path.name for i in range(3)}
-    assert names == {f"{stem}.shard-{i}-of-3.jsonl" for i in range(3)}
+def test_grid_key_sees_names_configs_and_repetitions():
+    base = grid_key(GRID)
+    renamed = {("quiche2" if name == "quiche" else name): config for name, config in GRID.items()}
+    assert grid_key(renamed) != base
+    grown = dict(GRID, tcp=dataclasses.replace(GRID["tcp"], repetitions=5))
+    assert grid_key(grown) != base
+    assert grid_key(dict(reversed(list(GRID.items())))) == base  # order-free
+
+
+def test_only_a_real_split_renames_the_journal(campaign, tmp_path):
+    """Without a store, ``journal_dir`` holds one checkpoint store per grid,
+    and per part of a real split; each records its campaign row."""
+    root, _ = campaign
+    key = grid_key(GRID)
+    for shard in [(0, 1), (0, 3), (1, 3), (2, 3)]:
+        SweepRunner(
+            workers=1, backend="inprocess", cache=ResultCache(root / "cache"),
+            journal_dir=tmp_path, shard=shard,
+        ).run(GRID)
+    names = {path.name for path in tmp_path.iterdir()}
+    assert names == {f"{key[:16]}.sqlite"} | {f"{key[:16]}.shard-{i}-of-3.sqlite" for i in range(3)}
+    with ResultStore(tmp_path / f"{key[:16]}.shard-2-of-3.sqlite") as part:
+        assert part.info()["campaigns"] == [{"grid_key": key, "shard": "2/3"}]
 
 
 # -- merge_from ---------------------------------------------------------------
@@ -173,6 +195,29 @@ def test_merge_reports_the_rows_read_per_name(campaign, tmp_path):
         assert dest.merge_from(whole.path) == {
             name: config.repetitions for name, config in GRID.items()
         }
+
+
+def test_a_part_of_another_grid_is_refused_in_either_order(campaign, tmp_path):
+    root, _ = campaign
+    other = {"tcp": GRID["tcp"]}
+    ours, theirs = tmp_path / "ours.sqlite", tmp_path / "theirs.sqlite"
+    _run_shard(0, 2, ours, root / "cache")
+    with ResultStore(theirs) as part:
+        SweepRunner(
+            workers=1, backend="inprocess", cache=ResultCache(root / "cache"),
+            store=part, shard=(0, 2),
+        ).run(other)
+    for first, second in ((ours, theirs), (theirs, ours)):
+        with ResultStore(tmp_path / f"after-{first.stem}.sqlite") as dest:
+            dest.merge_from(first)
+            before = dest.content_fingerprint(), dest.info()
+            with pytest.raises(ConfigError, match="refusing to mix campaigns") as refused:
+                dest.merge_from(second)
+            assert grid_key(GRID)[:12] in str(refused.value)
+            assert grid_key(other)[:12] in str(refused.value)
+            # DEST is untouched and detached.
+            assert (dest.content_fingerprint(), dest.info()) == before
+            assert [row[1] for row in dest._conn.execute("PRAGMA database_list")] == ["main"]
 
 
 def test_a_part_of_another_schema_version_is_refused(campaign, tmp_path):
@@ -255,8 +300,8 @@ def test_killed_shard_resumes_from_its_own_store(tmp_path):
     assert 0 < settled < 4  # the kill landed mid-shard
 
     # The same line again: the settled reps are served by their rows, the
-    # rest run, and nothing of the sibling's is touched. The rows are the
-    # checkpoint: neither shard journals a success.
+    # rest run, and nothing of the sibling's is touched. The part store is
+    # the checkpoint: neither shard writes one under ``journal_dir``.
     resumed_cache = ResultCache(cache_dir)
     with ResultStore(tmp_path / "part-0.sqlite") as part:
         summaries = SweepRunner(
@@ -267,9 +312,7 @@ def test_killed_shard_resumes_from_its_own_store(tmp_path):
         assert (resumed_cache.stats.hits, resumed_cache.stats.stores) == (0, 4 - settled)
         resumed = part.content_fingerprint()
     assert (tmp_path / "part-1.sqlite").read_bytes() == sibling
-    assert not any(
-        SweepJournal.for_grid(journal_dir, GRID, shard=(i, 2)).path.exists() for i in range(2)
-    )
+    assert not journal_dir.exists()
 
     _run_shard(0, 2, tmp_path / "clean-0.sqlite", cache_dir)
     with ResultStore(tmp_path / "clean-0.sqlite") as clean:
@@ -315,5 +358,11 @@ def test_cli_shards_merge_to_the_unsharded_store(capsys, tmp_path):
     infos = []
     for path in (merged, str(tmp_path / "whole.sqlite")):
         assert main(["store", "info", path]) == 0
-        infos.append(capsys.readouterr().out.replace(path, "STORE"))
+        infos.append(json.loads(capsys.readouterr().out.replace(path, "STORE")))
+    # The same content, split another way: the campaign rows say how.
+    campaigns = [info.pop("campaigns") for info in infos]
     assert infos[0] == infos[1]
+    (key,) = {campaign["grid_key"] for campaign in campaigns[0] + campaigns[1]}
+    assert key.startswith(announced[0].group(2))
+    assert [c["shard"] for c in campaigns[0]] == ["0/2", "1/2"]
+    assert [c["shard"] for c in campaigns[1]] == ["0/1"]

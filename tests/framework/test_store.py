@@ -135,8 +135,10 @@ def _blobs(store):
     return [row[0] for row in store._conn.execute("SELECT result FROM reps ORDER BY rep")]
 
 
+#: The schema before the ``campaigns`` table.
+V2_SCHEMA = store_module._SCHEMA.replace(store_module._CAMPAIGNS, "")
 #: The schema before ``reps`` gained its ``result`` blob.
-V1_SCHEMA = store_module._SCHEMA.replace("    result              BLOB,\n", "")
+V1_SCHEMA = V2_SCHEMA.replace("    result              BLOB,\n", "")
 
 
 def _copy(source, dest, schema=V1_SCHEMA, version=1):
@@ -201,7 +203,7 @@ class TestConfirm:
     def test_a_moved_fingerprint_is_reported_and_its_row_rewritten(self, tmp_path):
         """A repetition recomputed to another fingerprint than its row's, over
         a blob of the same config encoding, is a determinism regression: the
-        store says so with no journal open, and rewrites the row."""
+        store says so, and rewrites the row."""
         stream = io.StringIO()
         with ResultStore(tmp_path / "moved.sqlite", stream=stream) as store:
             run_repetitions(CONFIG, workers=1, store=store)
@@ -476,10 +478,32 @@ class TestVersioning:
             assert cache.stats.hits == 2
             assert None not in _blobs(store)
             assert store.content_fingerprint() == expected
-        with ResultStore(old) as store:  # already v2: opened as is
+        with ResultStore(old) as store:  # already upgraded: opened as is
             statements = statement_log(store)
             run_repetitions(CONFIG, workers=1, cache=cache, store=store)
             assert cache.stats.hits == 2 and statements.count("COMMIT") == 0
+
+    def test_a_v2_store_is_upgraded_in_place_and_refused_as_a_part_until_then(self, tmp_path):
+        """A v2 store gains an empty ``campaigns`` table on open, keeping its
+        content fingerprint; until opened once, ``merge_from`` refuses it and
+        says so. Upgraded, it merges as today: it holds no campaign row."""
+        with ResultStore(tmp_path / "fresh.sqlite") as fresh:
+            run_repetitions(CONFIG, workers=1, store=fresh)
+            expected, blobs = fresh.content_fingerprint(), _blobs(fresh)
+        old = _copy(tmp_path / "fresh.sqlite", tmp_path / "v2.sqlite", V2_SCHEMA, 2)
+        with ResultStore(tmp_path / "dest.sqlite") as dest:
+            with pytest.raises(ConfigError, match="schema version 2.*opening it once upgrades it"):
+                dest.merge_from(old)
+            assert dest.rep_count() == 0
+        with ResultStore(old) as store:
+            assert store._conn.execute("PRAGMA user_version").fetchone()[0] == STORE_VERSION
+            assert store.content_fingerprint() == expected and _blobs(store) == blobs
+            assert store.info()["campaigns"] == []
+        with ResultStore(tmp_path / "dest.sqlite") as dest:
+            with dest.campaign("f" * 64, (0, 2)):  # shards of some grid already merged
+                pass
+            dest.merge_from(old)
+            assert dest.content_fingerprint() == expected
 
     def test_an_upgraded_and_a_fresh_store_merge_either_way(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -276,7 +276,7 @@ class TestContentIdentity:
             _ingest(store, corpus)
             digest = store.content_fingerprint()
             count = store.rep_count()
-            _ingest(store, corpus)  # a resumed campaign replaying its journal
+            _ingest(store, corpus)  # a resumed campaign recording again
             assert store.content_fingerprint() == digest
             assert store.rep_count() == count
 

@@ -131,7 +131,7 @@ class TestRepFailure:
             quarantined=True,
         )
         assert RepFailure.from_dict(failure.as_dict()) == failure
-        # Journal lines and JSON artifacts written before the multi-host
+        # JSON artifacts written before the multi-host
         # backend was removed carry a "host" key; they must still load.
         assert RepFailure.from_dict({**failure.as_dict(), "host": "node1"}) == failure
 

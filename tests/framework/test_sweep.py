@@ -10,7 +10,7 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationConfig, PopulationResult
-from repro.framework.store import ResultStore
+from repro.framework.store import ResultStore, grid_key
 from repro.framework.sweep import SweepRunner, resolve_workers, run_sweep
 from repro.units import kib, seconds
 from tests.conftest import statement_log
@@ -96,12 +96,10 @@ def test_rep_results_slot_into_rep_order():
 
 
 def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
-    """Cache + journal + store: ``fingerprint()`` is O(packets), so a cold
-    sweep computes it once per repetition and hands the digest to the cache
-    entry and the store row, which is the checkpoint (the journal records
-    no success); a warm sweep is served by the rows and computes none."""
-    from repro.framework.journal import SweepJournal
-
+    """Cache + store: ``fingerprint()`` is O(packets), so a cold sweep
+    computes it once per repetition and hands the digest to the cache entry
+    and the store row, which is the checkpoint (``journal_dir`` is ignored);
+    a warm sweep is served by the rows and computes none."""
     calls = []
     original = ExperimentResult.fingerprint
 
@@ -127,7 +125,7 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
         del calls[:]
         summaries, rows = sweep()
         assert len(calls) == expected, label
-        assert len(SweepJournal.for_grid(tmp_path / "journal", GRID)) == 0
+        assert not (tmp_path / "journal").exists()
         for name, summary in summaries.items():
             for rep, result in enumerate(summary.results):
                 assert rows[(name, rep)] == original(result)
@@ -208,7 +206,7 @@ def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
         statements = statement_log(store)
         warm = SweepRunner(workers=1, cache=cache, store=store).run(GRID)
         assert (cache.stats.hits, cache.stats.misses) == (0, total)  # the cold sweep's misses
-        assert len(statements) == len(GRID)
+        assert len(statements) == len(GRID) + 1  # and the campaign row's lookup
         assert all(statement.startswith("SELECT") for statement in statements)
         assert store.content_fingerprint() == expected
         assert digests(warm) == digests(cold)
@@ -268,7 +266,8 @@ def test_hit_scan_commits_once_per_grid_entry(tmp_path):
     with ResultStore(tmp_path / "cold.sqlite") as cold:
         statements = statement_log(cold)
         SweepRunner(workers=2, cache=cache, store=cold).run(GRID)
-        assert statements.count("COMMIT") == total
+        assert statements.count("COMMIT") == total  # the campaign row rode the first
+        assert cold.info()["campaigns"] == [{"grid_key": grid_key(GRID), "shard": "0/1"}]
         expected = cold.content_fingerprint()
 
     # A warm sweep commits each grid entry's hits together.
@@ -312,10 +311,9 @@ def _counting_run(ran):
 
 def test_a_warm_sweep_is_served_by_its_rows(tmp_path, monkeypatch):
     """Over the store it wrote, a sweep is one ``SELECT`` per grid entry: no
-    cache entry is opened, no fingerprint taken, nothing run, journaled,
-    written or committed, and every repetition is validated once."""
+    cache entry is opened, no fingerprint taken, nothing run, written or
+    committed, and every repetition is validated once."""
     from repro.framework import sweep as sweep_module
-    from repro.framework.journal import SweepJournal
 
     cache = ResultCache(tmp_path / "cache")
     journal_dir = tmp_path / "journal"
@@ -343,7 +341,7 @@ def test_a_warm_sweep_is_served_by_its_rows(tmp_path, monkeypatch):
         ).run(GRID)
         monkeypatch.undo()
 
-        assert len(statements) == len(GRID)
+        assert len(statements) == len(GRID) + 1  # and the campaign row's lookup
         assert all(statement.startswith("SELECT") for statement in statements)
         assert touched == [] and ran == []
         assert sorted(validated) == sorted(r.seed for s in cold.values() for r in s.results)
@@ -351,7 +349,7 @@ def test_a_warm_sweep_is_served_by_its_rows(tmp_path, monkeypatch):
         assert {name: [r.fingerprint() for r in s.results] for name, s in warm.items()} == digests
         assert all(r.config is GRID[name] for name, s in warm.items() for r in s.results)
         assert store.content_fingerprint() == expected
-    assert not SweepJournal.for_grid(journal_dir, GRID).path.exists()
+    assert not journal_dir.exists()
 
 
 def test_a_store_alone_resumes_from_its_rows(tmp_path):
@@ -375,6 +373,41 @@ def test_a_store_alone_resumes_from_its_rows(tmp_path):
     with ResultStore(tmp_path / "clean.sqlite") as clean:
         SweepRunner(workers=1, store=clean).run(GRID)
         assert clean.content_fingerprint() == resumed
+
+
+def test_a_resumed_sweep_carries_recorded_failures_without_writing(tmp_path):
+    """Over a store that holds failures, a resumed sweep only reads: each
+    failure is carried forward as recorded, and nothing runs or is written.
+    ``resume=False`` runs them again."""
+    from repro.framework.runner import _run_one
+    from repro.framework.supervision import SupervisionPolicy
+
+    def tcp_crashes(config, seed):
+        if config.stack == "tcp":
+            raise RuntimeError("tcp crashed")
+        return _run_one(config, seed)
+
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        policy = SupervisionPolicy(retries=0)
+        recorded = SweepRunner(workers=1, store=store, policy=policy, run_fn=tcp_crashes).run(
+            GRID
+        )["tcp"].failures
+        assert len(recorded) == 2 and store.failure_count() == 2
+
+        ran, stream = [], io.StringIO()
+        statements = statement_log(store)
+        carried = SweepRunner(
+            workers=1, store=store, stream=stream, run_fn=_counting_run(ran)
+        ).run(GRID)
+        assert ran == [] and carried["tcp"].failures == recorded
+        assert statements and all(statement.startswith("SELECT") for statement in statements)
+        assert stream.getvalue().count("FAILED previously (RuntimeError) [store]") == 2
+
+        healed = SweepRunner(
+            workers=1, store=store, resume=False, run_fn=_counting_run(ran)
+        ).run(GRID)
+        assert len(ran) == 2 and not healed["tcp"].failures
+        assert store.failure_count() == 0
 
 
 def test_a_grown_sweep_is_not_served_by_the_shorter_sweeps_rows(tmp_path):
