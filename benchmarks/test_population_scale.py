@@ -4,7 +4,7 @@ The mixed population of ``scenarios.population_sweep`` (Poisson 100/s,
 64 KiB objects, RTTs spread over +40 ms, four stack profiles) at the size
 ``BENCH_*.json`` has tracked since BENCH_10 — ``population`` of
 ``benchmarks/bench`` at ``--scale 2.5`` is the same run, timed. Half a minute
-per run, so it sits beside the figure benchmarks, outside tier-1, which pins
+per run, so it sits beside the ablation benchmarks, outside tier-1, which pins
 the same population at 60 and 200 flows. Fixed size and seed: the
 fingerprints are machine-invariant and were carried over unedited from
 BENCH_13.json.

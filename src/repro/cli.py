@@ -4,7 +4,8 @@ Commands:
 
 * ``run``      — run one configuration and print the paper metrics;
 * ``sweep``    — run a whole scenario grid in parallel with result caching
-  (including ``population`` and head-to-head ``duels`` grids);
+  (including ``population`` and head-to-head ``duels`` grids, and the
+  ``paper`` grid, which ends with the paper's claims table);
 * ``population`` — run a generated flow population (hundreds of concurrent
   flows over one bottleneck) and report per-flow distributions + fairness;
 * ``compete``  — run several flows against each other over one bottleneck;
@@ -15,7 +16,7 @@ Commands:
 * ``report``   — render EXPERIMENTS.md-style summary tables from a store;
 * ``store``    — inspect, migrate into, merge shard parts into, and export from
   a result store;
-* ``scenarios``— list the canonical paper scenarios.
+* ``scenarios``— list the paper grid: the configurations the claims name.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.framework.runner import RunSummary
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.metrics.gaps import Distribution, fraction_leq, inter_packet_gaps, pooled_gaps
-from repro.metrics.report import render_histogram, render_table
+from repro.metrics.report import render_histogram, render_markdown_table, render_table
 from repro.metrics.trains import (
     fraction_of_packets_in_trains_leq,
     packets_by_train_length,
@@ -308,24 +309,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_grid(args: argparse.Namespace) -> dict:
-    from repro.framework import scenarios
+    from repro.framework import claims, scenarios
 
     scale = dict(
         file_size=int(args.size_mib * 1024 * 1024),
         repetitions=args.reps,
         seed=args.seed,
     )
+    if args.grid == "paper":
+        return claims.paper_grid(**scale)
     if args.grid == "baselines":
         return scenarios.all_baselines(**scale)
-    if args.grid == "cca":
-        return scenarios.cca_sweep(args.stack, **scale)
-    if args.grid == "gso":
-        return {f"gso-{mode}": scenarios.quiche_gso(mode, **scale) for mode in GSO_MODES}
-    if args.grid == "precision":
-        return {
-            qdisc: scenarios.precision_config(qdisc, **scale)
-            for qdisc in ("none", "fq", "etf", "etf-offload")
-        }
     if args.grid == "impairments":
         return scenarios.impairment_sweep(**scale)
     if args.grid == "population":
@@ -388,6 +382,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"  {a} beats {b}, {b} beats {c}, but {a} does not beat {c}")
         else:
             print("transitivity holds: competition outcomes form a consistent order")
+    if args.grid == "paper":
+        from repro.framework.claims import render
+
+        print(render(summaries))
     if cache is not None:
         print(f"cache: {cache.stats}", file=sys.stderr)
     return _report_failures(summaries)
@@ -581,16 +579,6 @@ def _open_store(path: str) -> ResultStore:
     return ResultStore(path, stream=sys.stderr)
 
 
-def _md_table(headers: List[str], rows: List[List[str]]) -> str:
-    """GitHub-flavoured markdown table (the EXPERIMENTS.md format)."""
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join(" --- " for _ in headers) + "|",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines)
-
-
 def _percentiles(raw: Optional[str]) -> tuple:
     if not raw:
         return (0.5, 0.9, 0.99)
@@ -679,7 +667,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "b2b share", "trains<=5", "failed",
         ]
         if args.format == "md":
-            print(_md_table(headers, rows))
+            print(render_markdown_table(headers, rows))
         else:
             print(render_table(headers, rows, title="store report (metrics pooled across reps)"))
     return 0
@@ -749,18 +737,15 @@ def _cmd_compete(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    from repro.framework import scenarios
+    from repro.framework.claims import REPETITIONS, SEED, grid_rows, paper_grid
 
-    rows = []
-    for stack, cfg in scenarios.all_baselines().items():
-        rows.append(["baseline", cfg.label])
-    rows.append(["section 4.2", scenarios.quiche_fq(True).label])
-    rows.append(["section 4.2 (SF)", scenarios.quiche_fq(False).label])
-    for mode in ("off", "on", "paced"):
-        rows.append(["section 4.3", scenarios.quiche_gso(mode).label])
-    for qdisc in ("none", "fq", "etf", "etf-offload"):
-        rows.append(["section 4.4", scenarios.precision_config(qdisc).label])
-    print(render_table(["experiment", "configuration"], rows, title="paper scenarios"))
+    print(
+        render_table(
+            ["name", "configuration", "size", "claims from"],
+            grid_rows(paper_grid()),
+            title=f"paper grid (`sweep paper`, {REPETITIONS} reps, seed {SEED})",
+        )
+    )
     return 0
 
 
@@ -789,13 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "grid",
-        choices=(
-            "baselines", "cca", "gso", "precision", "network", "impairments",
-            "population", "duels",
-        ),
-    )
-    sweep_p.add_argument(
-        "--stack", default="quiche", choices=STACKS, help="stack for the cca grid"
+        choices=("paper", "baselines", "network", "impairments", "population", "duels"),
     )
     sweep_p.add_argument("--size-mib", type=float, default=4.0, help="file size in MiB")
     sweep_p.add_argument(

@@ -60,11 +60,6 @@ def precision_config(qdisc: str, **kwargs) -> ExperimentConfig:
     )
 
 
-def cca_sweep(stack: str, **kwargs) -> Dict[str, ExperimentConfig]:
-    """Figure 4: one config per CCA for the given library."""
-    return {cca: _base(stack=stack, cca=cca, **kwargs) for cca in ("cubic", "newreno", "bbr")}
-
-
 def all_baselines(**kwargs) -> Dict[str, ExperimentConfig]:
     """Figure 2/3 and Table 1: the four stacks with CUBIC."""
     return {stack: baseline(stack, **kwargs) for stack in ("quiche", "picoquic", "ngtcp2", "tcp")}

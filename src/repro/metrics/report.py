@@ -28,6 +28,16 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], title: s
     return "\n".join(lines)
 
 
+def render_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """GitHub-flavoured markdown table (the EXPERIMENTS.md format)."""
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "|" + "|".join(" --- " for _ in headers) + "|",
+    ]
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    return "\n".join(lines)
+
+
 def render_cdf(
     series: Dict[str, Tuple[List[float], List[float]]],
     quantiles: Sequence[float] = (0.10, 0.25, 0.50, 0.75, 0.90, 0.99),

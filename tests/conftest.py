@@ -16,6 +16,30 @@ LOCAL_POOLS = [
 ]
 
 
+@pytest.fixture(scope="session")
+def paper_summaries():
+    """The paper grid at its defaults (4 MiB x 3 repetitions, seed 1), run
+    once per session."""
+    from repro.framework.claims import paper_grid
+    from repro.framework.sweep import SweepRunner
+
+    return SweepRunner().run(paper_grid())
+
+
+@pytest.fixture(scope="session")
+def paper_verdicts(paper_summaries):
+    """Every claim's verdict on :func:`paper_summaries`, by claim id."""
+    from repro.framework.claims import evaluate
+
+    return {v.claim.id: v for v in evaluate(paper_summaries)}
+
+
+def assert_claims(verdicts, *ids) -> None:
+    """Each named claim has its declared status."""
+    wrong = [verdicts[i].describe() for i in ids if not verdicts[i].agrees]
+    assert not wrong, "\n".join(wrong)
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

@@ -151,8 +151,29 @@ def test_scenarios_command(capsys):
     rc = main(["scenarios"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "baseline" in out
-    assert "section 4.4" in out
+    assert "fq-sf-x4 " in out and "quiche/cubic/fq/sf" in out and "16 MiB" in out
+    assert "§4.4" in out
+
+
+def test_sweep_paper_prints_one_line_per_claim(capsys):
+    from repro.framework.claims import CLAIMS
+
+    rc = main(["sweep", "paper", "--size-mib", "0.25", "--reps", "1", "--no-cache", "--workers", "2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    for claim in CLAIMS:
+        assert sum(line.startswith(f"| {claim.id} |") for line in lines) == 1, claim.id
+
+
+def test_a_shard_of_sweep_paper_judges_no_claim(capsys):
+    from repro.framework.claims import CLAIMS
+
+    # Two reps cut two ways: every grid entry holds one of its two reps.
+    argv = ["sweep", "paper", "--size-mib", "0.25", "--reps", "2", "--no-cache", "--shard", "0/2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line.startswith("| ") and "**incomplete**" in line]
+    assert len(rows) == len(CLAIMS)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class TestExperimentConfig:
 
 
 def test_scenarios_cover_paper_experiments():
-    from repro.framework import scenarios
+    from repro.framework import claims, scenarios
 
     base = scenarios.all_baselines()
     assert set(base) == {"quiche", "picoquic", "ngtcp2", "tcp"}
@@ -164,8 +164,10 @@ def test_scenarios_cover_paper_experiments():
     gso = scenarios.quiche_gso("paced")
     assert gso.gso == "paced" and gso.spurious_rollback is False
 
-    sweep = scenarios.cca_sweep("picoquic")
-    assert set(sweep) == {"cubic", "newreno", "bbr"}
+    paper = claims.paper_grid()
+    assert [paper[name].cca for name in ("picoquic", "picoquic-newreno", "picoquic-bbr")] == [
+        "cubic", "newreno", "bbr"
+    ]
 
     for qdisc in ("none", "fq", "etf", "etf-offload"):
         scenarios.precision_config(qdisc).validate()

@@ -1,10 +1,9 @@
 """Burst-cycle analysis, including the paper's picoquic 10 ms claim."""
 
-from bisect import bisect_right
-
 from repro.metrics.timeline import Burst, analyze_cycle, bursts, dominant_cycle_ns, idle_gaps
 from repro.net.tap import CaptureColumns, CaptureRecord
 from repro.units import ms, us
+from tests.conftest import assert_claims
 
 
 def recs(times):
@@ -77,21 +76,10 @@ class TestAnalyzeCycle:
 
 
 class TestPaperClaim:
-    def test_picoquic_cycle_matches_section_41(self):
-        """Bursts 'after a 5 ms idle period happening almost every 10 ms'."""
-        from repro.framework.config import ExperimentConfig
-        from repro.framework.experiment import Experiment
-        from repro.units import mib
-
-        result = Experiment(
-            ExperimentConfig(stack="picoquic", file_size=mib(4), repetitions=1),
-            seed=21,
-        ).run()
-        # Steady state only (skip slow start).
-        capture = result.server_records
-        records = capture[bisect_right(capture.time_ns, result.duration_ns // 2):]
-        report = analyze_cycle(records, min_burst_packets=10)
-        assert report.burst_count > 15
-        assert 12 <= report.median_burst_packets <= 20
-        assert ms(6) <= report.cycle_ns <= ms(14)  # "almost every 10 ms"
-        assert ms(2) <= report.median_idle_ns <= ms(8)  # "~5 ms idle"
+    def test_picoquic_cycle_matches_section_41(self, paper_verdicts):
+        """Bursts 'after a 5 ms idle period happening almost every 10 ms',
+        read by the claims table from the paper grid's picoquic runs."""
+        assert_claims(
+            paper_verdicts, "fig3.picoquic_bursts", "fig3.picoquic_burst_size",
+            "fig3.picoquic_idle", "fig3.picoquic_cycle",
+        )
