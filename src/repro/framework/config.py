@@ -16,11 +16,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.cc.factory import CCA_NAMES
 from repro.errors import ConfigError
+from repro.kernel.qdisc.factory import QDISCS
 from repro.net.impairments import ImpairmentSpec
 from repro.units import SEC, gbit, mbit, mib, ms, seconds, us
 
 STACKS = ("quiche", "picoquic", "ngtcp2", "tcp")
-QDISCS = ("none", "fq", "fq_codel", "etf", "etf-offload")
 GSO_MODES = ("off", "on", "paced")
 
 

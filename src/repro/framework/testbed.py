@@ -181,7 +181,7 @@ class WiredFlow:
         if cfg.qdisc in _ETF_QDISCS:
             qdisc_params["delta_ns"] = cfg.etf_delta_ns
         self.qdisc = make_qdisc(
-            cfg.qdisc if cfg.qdisc != "none" else "pfifo_fast",
+            cfg.qdisc,
             sim,
             sink=self.segmenter,
             rng=rng_for("qdisc"),

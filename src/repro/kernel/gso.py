@@ -64,22 +64,28 @@ class GsoSegmenter:
 
     def receive(self, dgram: Datagram) -> None:
         payload = dgram.payload
-        start = max(self.sim.now, self._busy_until)
+        sim = self.sim
+        now = sim.now
         if not isinstance(payload, GsoBuffer):
-            self._busy_until = start
-            self.sim.schedule_at(start, self._emit, dgram)
+            if self._busy_until <= now:
+                # Nothing of ours is still being spread out: a same-instant hop.
+                self._busy_until = now
+                sim.call_soon(self._emit, dgram)
+            else:
+                sim.schedule_at(self._busy_until, self._emit, dgram)
             return
+        start = max(now, self._busy_until)
         self.buffers_split += 1
         rate = payload.pacing_rate_Bps
         at = start
         if rate:
             self.paced_buffers += 1
             for seg in payload.segments:
-                self.sim.schedule_at(at, self._emit, seg)
+                sim.schedule_at(at, self._emit, seg)
                 at += seg.payload_size * SEC // rate
         else:
             for seg in payload.segments:
-                self.sim.schedule_at(at, self._emit, seg)
+                sim.schedule_at(at, self._emit, seg)
                 at += SEGMENT_SPLIT_NS
         self._busy_until = at
 

@@ -10,15 +10,12 @@ from repro.kernel.qdisc.base import Qdisc
 from repro.kernel.qdisc.etf import EtfQdisc
 from repro.kernel.qdisc.fq import FqQdisc
 from repro.kernel.qdisc.fq_codel import FqCodel
-from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.qdisc.pfifo_fast import PfifoFast
-from repro.kernel.qdisc.tbf import TbfQdisc
 from repro.net.packet import PacketSink
 from repro.sim.engine import Simulator
 
-#: Names accepted in experiment configurations. ``etf-offload`` selects the
-#: same qdisc as ``etf``; the offload itself lives on the NIC (LaunchTime).
-QDISC_NAMES = ("none", "pfifo_fast", "fq_codel", "fq", "etf", "etf-offload", "tbf", "netem")
+#: The qdisc names an experiment config accepts (``ExperimentConfig.qdisc``).
+QDISCS = ("none", "fq", "fq_codel", "etf", "etf-offload")
 
 
 def make_qdisc(
@@ -28,8 +25,11 @@ def make_qdisc(
     rng: Optional[random.Random] = None,
     **params,
 ) -> Qdisc:
+    """The qdisc a config's ``qdisc`` names: ``"none"`` is the kernel
+    default, pfifo_fast; ``etf-offload`` is ETF (the offload itself lives on
+    the NIC, LaunchTime)."""
     rng = rng or random.Random(0)
-    if kind in ("none", "pfifo_fast"):
+    if kind == "none":
         return PfifoFast(sim, sink=sink, **params)
     if kind == "fq_codel":
         return FqCodel(sim, sink=sink, **params)
@@ -37,8 +37,4 @@ def make_qdisc(
         return FqQdisc(sim, sink=sink, rng=rng, **params)
     if kind in ("etf", "etf-offload"):
         return EtfQdisc(sim, sink=sink, rng=rng, **params)
-    if kind == "tbf":
-        return TbfQdisc(sim, sink=sink, **params)
-    if kind == "netem":
-        return NetemQdisc(sim, sink=sink, rng=rng, **params)
-    raise ConfigError(f"unknown qdisc {kind!r}; expected one of {QDISC_NAMES}")
+    raise ConfigError(f"unknown qdisc {kind!r}; expected one of {QDISCS}")

@@ -94,15 +94,14 @@ class FqQdisc(Qdisc):
             flow.armed = False
             self._flows.pop(key, None)
             return
-        head = flow.queue[0]
-        release = self.sim.now
-        if head.txtime_ns is not None and head.txtime_ns > self.sim.now:
-            release = head.txtime_ns
-            self.throttled_events += 1
-        if release > self.sim.now:
-            release += self.release_jitter.sample(self.rng)
+        txtime = flow.queue[0].txtime_ns
+        sim = self.sim
         flow.armed = True
-        self.sim.schedule_at(max(release, self.sim.now), self._release, key)
+        if txtime is not None and txtime > sim.now:
+            self.throttled_events += 1
+            sim.schedule_at(txtime + self.release_jitter.sample(self.rng), self._release, key)
+        else:  # its time has come: a same-instant hop
+            sim.call_soon(self._release, key)
 
     def _release(self, key: FlowTuple) -> None:
         flow = self._flows.get(key)

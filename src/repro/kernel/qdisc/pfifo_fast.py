@@ -4,21 +4,21 @@ Three-band strict-priority FIFO. It ignores SO_TXTIME timestamps entirely —
 packets flow straight through to the device (our device model applies its own
 serialization), subject only to a packet-count limit (``txqueuelen``).
 This is the "no pacing help from the kernel" configuration.
+
+The model holds no bands: every datagram would land in band 1 ("best
+effort": a datagram carries no TOS hint), and the device below is never the
+bottleneck on the server side (1 Gbit/s), so a packet leaves the moment it
+is enqueued. The queue is empty whenever a packet arrives, and only a zero
+limit drops.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from repro.net.packet import Datagram, PacketSink
 from repro.kernel.qdisc.base import Qdisc
+from repro.net.packet import Datagram, PacketSink
 from repro.sim.engine import Simulator
-
-#: TOS-to-band mapping is irrelevant for our single-class traffic; we keep the
-#: three bands for structural fidelity and put everything in band 1 ("best
-#: effort") — a datagram carries no priority hint.
-_BANDS = 3
 
 
 class PfifoFast(Qdisc):
@@ -33,25 +33,10 @@ class PfifoFast(Qdisc):
     ):
         super().__init__(sim, name, sink)
         self.limit_packets = limit_packets
-        self._bands: list[deque[Datagram]] = [deque() for _ in range(_BANDS)]
-        self._len = 0
 
     def enqueue(self, dgram: Datagram) -> None:
         self.stats.enqueued += 1
-        if self._len >= self.limit_packets:
+        if self.limit_packets <= 0:  # the empty queue is already at its limit
             self.stats.dropped += 1
             return
-        self._bands[1].append(dgram)
-        self._len += 1
-        # The device in this simulation is never the bottleneck on the server
-        # side (1 Gbit/s), so dequeue immediately in priority order.
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._len:
-            for band in self._bands:
-                if band:
-                    dgram = band.popleft()
-                    self._len -= 1
-                    self.emit(dgram)
-                    break
+        self.emit(dgram)

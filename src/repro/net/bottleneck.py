@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import Datagram, FlowTuple, PacketSink
 from repro.sim.engine import Simulator
-from repro.units import SEC, tx_time_ns
+from repro.units import BYTE_NS
 
 
 class Bottleneck:
@@ -94,7 +94,7 @@ class Bottleneck:
         if elapsed > 0:
             self._tokens = min(
                 float(self.burst_bytes),
-                self._tokens + self.rate_bps * elapsed / (8 * SEC),
+                self._tokens + self.rate_bps * elapsed / BYTE_NS,
             )
             self._last_refill_ns = now
 
@@ -128,7 +128,8 @@ class Bottleneck:
         self._queue_bytes += size
         if self.trace_queue:
             self.queue_trace.append((self.sim.now, self._queue_bytes))
-        self._maybe_drain()
+        if not self._drain_scheduled:
+            self._maybe_drain()
 
     def _drop(self, dgram: Datagram) -> None:
         self.dropped += 1
@@ -139,47 +140,46 @@ class Bottleneck:
             return
         self._refill()
         need = self._queue[0].wire_size
-        if self._tokens >= need:
-            wait = 0
-        else:
-            deficit_bytes = need - self._tokens
-            wait = -(-int(deficit_bytes * 8 * SEC) // self.rate_bps)
-            if wait < 1:
-                wait = 1
         self._drain_scheduled = True
-        self.sim.schedule(wait, self._drain, self._drain_gen)
+        if self._tokens >= need:
+            # The tokens are there: the drain is a same-instant hop.
+            self.sim.call_soon(self._drain, self._drain_gen)
+            return
+        wait = -(-int((need - self._tokens) * BYTE_NS) // self.rate_bps)
+        self.sim.schedule(wait if wait > 1 else 1, self._drain, self._drain_gen)
 
     def _drain(self, gen: int) -> None:
         if gen != self._drain_gen:
             return  # superseded by a rate change
         self._drain_scheduled = False
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
         self._refill()
-        head = self._queue[0]
+        tokens = self._tokens
+        head = queue[0]
         size = head.wire_size
-        if self._tokens < size:
+        if tokens < size:
             self._maybe_drain()
             return
-        self._queue.popleft()
-        self._tokens -= size
+        queue.popleft()
+        self._tokens = tokens = tokens - size
         self._queue_bytes -= size
         if self.trace_queue:
             self.queue_trace.append((self.sim.now, self._queue_bytes))
         self.forwarded += 1
         self.bytes_forwarded += size
+        sim = self.sim
         if self.sink is not None:
-            self.sim.schedule(self.delay_ns, self.sink.receive, head)
-        # Inline re-arm (same math as _maybe_drain): tokens were refilled a
-        # few lines up at this same timestamp, so a second refill is a no-op.
-        if self._queue:
-            need = self._queue[0].wire_size
-            tokens = self._tokens
-            if tokens >= need:
-                wait = 0
-            else:
-                wait = -(-int((need - tokens) * 8 * SEC) // self.rate_bps)
-                if wait < 1:
-                    wait = 1
+            sim.schedule(self.delay_ns, self.sink.receive, head)
+        # Re-arm inline, with _maybe_drain's math: the tokens are this
+        # instant's. Tokens already there chain one hand-off per packet;
+        # the engine's loop calls each in turn, so this never recurses.
+        if queue:
+            need = queue[0].wire_size
             self._drain_scheduled = True
-            self.sim.schedule(wait, self._drain, self._drain_gen)
+            if tokens >= need:
+                sim.call_soon(self._drain, gen)
+                return
+            wait = -(-int((need - tokens) * BYTE_NS) // self.rate_bps)
+            sim.schedule(wait if wait > 1 else 1, self._drain, gen)

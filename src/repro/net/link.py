@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.net.packet import Datagram, PacketSink
 from repro.sim.engine import Simulator
 from repro.units import tx_time_ns
@@ -27,6 +28,8 @@ class Link:
         propagation_ns: int = 0,
         sink: Optional[PacketSink] = None,
     ):
+        if rate_bps <= 0:
+            raise ConfigError(f"link {name!r}: rate_bps must be positive, got {rate_bps}")
         self.sim: Simulator = sim
         self.name: str = name
         self.rate_bps: int = rate_bps
@@ -39,9 +42,11 @@ class Link:
 
     def receive(self, dgram: Datagram) -> None:
         """Accept a frame for transmission (queues if the link is busy)."""
-        self._queue.append(dgram)
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            self._queue.append(dgram)
+        else:
+            self._busy = True
+            self.sim.schedule(tx_time_ns(dgram.serialized_size, self.rate_bps), self._finish, dgram)
 
     @property
     def busy(self) -> bool:
@@ -51,15 +56,6 @@ class Link:
     def queued(self) -> int:
         return len(self._queue)
 
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        dgram = self._queue.popleft()
-        duration = tx_time_ns(dgram.serialized_size, self.rate_bps)
-        self.sim.schedule(duration, self._finish, dgram)
-
     def _finish(self, dgram: Datagram) -> None:
         self.frames_sent += 1
         self.bytes_sent += dgram.wire_size
@@ -68,4 +64,8 @@ class Link:
                 self.sim.schedule(self.propagation_ns, self.sink.receive, dgram)
             else:
                 self.sink.receive(dgram)
-        self._start_next()
+        if self._queue:
+            nxt = self._queue.popleft()
+            self.sim.schedule(tx_time_ns(nxt.serialized_size, self.rate_bps), self._finish, nxt)
+        else:
+            self._busy = False

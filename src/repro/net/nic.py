@@ -37,11 +37,12 @@ class Nic:
         self.launchtime_precision_ns: int = launchtime_precision_ns
         self.rng: random.Random = rng or random.Random(0)
         self.frames_held: int = 0
-        self.frames_sent: int = 0
         self._last_launch_at: int = 0
+        if not launchtime:  # nothing to hold: frames go straight to the link
+            self.receive = link.receive
 
     def receive(self, dgram: Datagram) -> None:
-        if self.launchtime and dgram.txtime_ns is not None and dgram.txtime_ns > self.sim.now:
+        if dgram.txtime_ns is not None and dgram.txtime_ns > self.sim.now:
             jitter = 0
             if self.launchtime_precision_ns > 0:
                 jitter = self.rng.randrange(0, self.launchtime_precision_ns + 1)
@@ -55,5 +56,4 @@ class Nic:
             self._emit(dgram)
 
     def _emit(self, dgram: Datagram) -> None:
-        self.frames_sent += 1
         self.link.receive(dgram)

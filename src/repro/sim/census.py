@@ -93,7 +93,9 @@ class CensusSimulator(Simulator):
         self._push(entry)
 
     def run(self, until=None):
-        # Same dispatch loop as the base engine, with fired/stale counting.
+        # The base engine's dispatch, with fired/stale counting. It parks no
+        # hand-off (``_tail`` stays full), so every ``call_soon`` is admitted
+        # and counted here: the census of a run is the eager calendar's.
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True

@@ -25,6 +25,15 @@ generation is allocated at arm time all the same, and when that entry
 surfaces the live deadline is pushed under the ``(time, seq)`` key the eager
 push would have had — so fire order, ``_seq`` and ``events_processed`` do not
 depend on whether a push was deferred.
+
+Same-instant hand-off: :meth:`Simulator.call_soon` is how the datapath's
+zero-delay hops are made. Inside :meth:`Simulator.run` the first hand-off an
+event makes waits in a one-entry tail slot instead of the heap; when the
+event returns, the loop calls it straight away if no calendar entry is due
+before it, and otherwise pushes it under the ``(time, seq)`` it took. It is
+the entry the loop would have popped next, so the same argument holds: fire
+order, ``_seq`` and ``events_processed`` are the eager calendar's, and no
+call site has to prove anything about what its caller does afterwards.
 """
 
 from __future__ import annotations
@@ -34,6 +43,13 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
+
+#: The tail slot outside :meth:`Simulator.run`: already full, so every
+#: :meth:`Simulator.call_soon` there goes to the calendar.
+_NO_SLOT = (None,)
+
+#: ``run()``'s bound when it has none.
+_FOREVER = float("inf")
 
 
 class Timer:
@@ -130,6 +146,8 @@ class Simulator:
         self._admit: Callable[[tuple], None] = partial(_heappush, self._heap)
         self._running = False
         self.events_processed = 0
+        #: ``run()``'s one-entry list of a parked ``(seq, fn, args)`` hand-off.
+        self._tail: list | tuple = _NO_SLOT
 
     # -- scheduling -----------------------------------------------------
 
@@ -152,10 +170,20 @@ class Simulator:
         self._admit((time_ns, seq, fn, args))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at the current instant (after pending same-time events)."""
+        """Schedule ``fn(*args)`` at the current instant (after pending same-time events).
+
+        Inside :meth:`run` the first such hand-off of an event is parked and
+        called as soon as the event returns, if no calendar entry comes
+        before it; else it is pushed under the ``(time, seq)`` it took. It
+        counts in ``events_processed`` either way.
+        """
         seq = self._seq
         self._seq = seq + 1
-        self._admit((self.now, seq, fn, args))
+        tail = self._tail
+        if tail:  # outside run(), or this event already parked one
+            self._admit((self.now, seq, fn, args))
+        else:
+            tail.append((seq, fn, args))
 
     def timer(self, fn: Callable[..., Any], *args: Any) -> Timer:
         """Create a reusable soft-cancel :class:`Timer` for ``fn(*args)``.
@@ -225,9 +253,12 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the calendar empties earlier.
 
-        The head entry is inspected once and popped once per event; stale
-        soft-cancelled entries are skipped in the same pass, and the event
-        counter is folded in once on exit.
+        Each entry is popped once: stale soft-cancelled entries are skipped
+        in the same pass, the one found past ``until`` is pushed back, and
+        the event counter is folded in once on exit. After each event the
+        loop calls the hand-off the event parked (:meth:`call_soon`) if it is
+        the calendar's least entry: nothing in the heap is due at ``now``
+        with a smaller ``seq`` (a stale entry counts, conservatively).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -235,13 +266,15 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         processed = 0
+        self._tail = tail = []
         try:
+            limit = _FOREVER if until is None else until
             while heap:
-                entry = heap[0]
-                if until is not None and entry[0] > until:
-                    break
-                pop(heap)
+                entry = pop(heap)
                 time_ns, seq, fn, args = entry
+                if time_ns > limit:
+                    _heappush(heap, entry)  # past ``until``: back where it was
+                    break
                 if args is None:  # soft-cancellable entry
                     if fn._live_seq != seq:
                         if fn._entry_seq == seq:
@@ -253,8 +286,18 @@ class Simulator:
                 self.now = time_ns
                 processed += 1
                 fn(*args)
+                while tail:
+                    seq, fn, args = tail.pop()
+                    if heap and heap[0][0] == time_ns and heap[0][1] < seq:
+                        self._admit((time_ns, seq, fn, args))
+                        break
+                    processed += 1
+                    fn(*args)
             if until is not None and until > self.now:
                 self.now = until
         finally:
+            if tail:  # an event raised with a hand-off parked
+                self._admit((self.now, *tail.pop()))
+            self._tail = _NO_SLOT
             self.events_processed += processed
             self._running = False

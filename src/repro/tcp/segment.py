@@ -29,7 +29,7 @@ class TcpSegment:
     (RFC 2018).
     """
 
-    __slots__ = ("seq", "length", "ack_no", "fin", "sack_blocks")
+    __slots__ = ("seq", "length", "ack_no", "fin", "sack_blocks", "wire_payload", "is_data")
 
     def __init__(
         self,
@@ -44,11 +44,6 @@ class TcpSegment:
         self.ack_no = ack_no
         self.fin = fin
         self.sack_blocks = sack_blocks
-
-    @property
-    def wire_payload(self) -> int:
-        return self.length + TCP_WIRE_EXTRA
-
-    @property
-    def is_data(self) -> bool:
-        return self.length > 0 or self.fin
+        #: The datagram payload the segment occupies on the wire.
+        self.wire_payload = length + TCP_WIRE_EXTRA
+        self.is_data = length > 0 or fin

@@ -17,6 +17,9 @@ USEC = 1_000
 MSEC = 1_000_000
 #: Nanoseconds per second.
 SEC = 1_000_000_000
+#: Bits per byte times nanoseconds per second: ``nbytes * BYTE_NS / rate_bps``
+#: is a transmission time in nanoseconds, ``rate_bps * ns / BYTE_NS`` bytes.
+BYTE_NS = 8 * SEC
 
 
 def us(value: float) -> int:
@@ -61,13 +64,12 @@ def tx_time_ns(nbytes: int, rate_bps: int) -> int:
     """
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps}")
-    bits = nbytes * 8
-    return -(-bits * SEC // rate_bps)  # ceil division
+    return -(-nbytes * BYTE_NS // rate_bps)  # ceil division
 
 
 def bytes_per_ns(rate_bps: int, duration_ns: int) -> int:
     """How many whole bytes fit into ``duration_ns`` at ``rate_bps``."""
-    return rate_bps * duration_ns // (8 * SEC)
+    return rate_bps * duration_ns // BYTE_NS
 
 
 def rate_bps_from(nbytes: int, duration_ns: int) -> float:

@@ -9,14 +9,18 @@ Measured on CPython 3.11 (calls per wire packet, PR 22 -> PR 23: the clock an
 attribute, admission a C call, a datagram that knows its sizes, one frame per
 send syscall; PR 20 read 253 / 212 / 256 / 124):
 
-=================  ======  =====  =====
-config             before  after  bound
-=================  ======  =====  =====
-quiche:cubic:fq     191.2  133.0    140
-picoquic:bbr        156.4  110.1    115
-ngtcp2:cubic        191.3  135.3    140
-tcp:cubic           106.9   72.8     75
-=================  ======  =====  =====
+=================  ======  =====  =====  =====  =====
+config             before  after  then   now    bound
+=================  ======  =====  =====  =====  =====
+quiche:cubic:fq     191.2  133.0  131.0  125.6    126
+picoquic:bbr        156.4  110.1  108.1  102.4    103
+ngtcp2:cubic        191.3  135.3  133.3  127.6    128
+tcp:cubic           106.9   72.8   70.8   62.0     63
+=================  ======  =====  =====  =====  =====
+
+``then`` -> ``now``: the same-instant hand-off (``Simulator.call_soon``), the
+flattened qdisc -> GSO -> NIC -> link chain, and a TCP segment that carries
+its wire size.
 
 ROADMAP item 4's round target is ``<= 160 / 130 / 160`` in this unit. A
 change that pushes a count over its bound added per-packet calls to the
@@ -56,10 +60,10 @@ def _calls_per_wire_packet(config: ExperimentConfig) -> float:
 @pytest.mark.parametrize(
     "stack, cca, qdisc, bound",
     [
-        ("quiche", "cubic", "fq", 140),
-        ("picoquic", "bbr", "none", 115),
-        ("ngtcp2", "cubic", "none", 140),
-        ("tcp", "cubic", "none", 75),
+        ("quiche", "cubic", "fq", 126),
+        ("picoquic", "bbr", "none", 103),
+        ("ngtcp2", "cubic", "none", 128),
+        ("tcp", "cubic", "none", 63),
     ],
     # The bound stays out of the test id, so lowering it renames nothing.
     ids=["quiche-cubic-fq", "picoquic-bbr-none", "ngtcp2-cubic-none", "tcp-cubic-none"],

@@ -1,17 +1,17 @@
-"""pfifo_fast, TBF, netem, FQ_CoDel, and the qdisc factory."""
+"""pfifo_fast, netem, FQ_CoDel, and the qdisc factory."""
 
 import random
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.framework.config import QDISCS
 from repro.kernel.qdisc import (
     EtfQdisc,
     FqCodel,
     FqQdisc,
     NetemQdisc,
     PfifoFast,
-    TbfQdisc,
     make_qdisc,
 )
 from repro.units import mbit, ms, tx_time_ns, us
@@ -37,41 +37,6 @@ class TestPfifoFast:
     def test_limit_drops(self, sim, collector):
         q = PfifoFast(sim, sink=collector, limit_packets=0)
         q.enqueue(make_dgram(100))
-        assert q.stats.dropped == 1
-
-
-class TestTbf:
-    def test_shapes_to_rate(self, sim, collector):
-        q = TbfQdisc(sim, sink=collector, rate_bps=mbit(40), burst_bytes=2000, limit_bytes=10**7)
-        for _ in range(50):
-            q.enqueue(make_dgram(1252))
-        sim.run()
-        duration = collector.times[-1] - collector.times[0]
-        rate = 48 * make_dgram(1252).wire_size * 8 * 1e9 / duration
-        assert mbit(35) < rate < mbit(45)
-
-    def test_limit_drops(self, sim, collector):
-        wire = make_dgram(1252).wire_size
-        q = TbfQdisc(sim, sink=collector, limit_bytes=2 * wire, burst_bytes=1500)
-        for _ in range(10):
-            q.enqueue(make_dgram(1252))
-        # One passes straight through on the initial bucket; two queue; the
-        # rest overflow the byte limit.
-        assert q.stats.dropped >= 7
-        sim.run()
-        assert q.stats.dequeued + q.stats.dropped == 10
-
-    def test_backlog_reported(self, sim, collector):
-        q = TbfQdisc(sim, sink=collector, rate_bps=mbit(1), burst_bytes=1500, limit_bytes=10**6)
-        q.enqueue(make_dgram(1252))
-        q.enqueue(make_dgram(1252))
-        assert q.backlog_bytes > 0
-        sim.run()
-        assert q.backlog_bytes == 0
-
-    def test_oversize_packet_dropped(self, sim, collector):
-        q = TbfQdisc(sim, sink=collector, burst_bytes=500)
-        q.enqueue(make_dgram(1252))
         assert q.stats.dropped == 1
 
 
@@ -173,17 +138,19 @@ class TestFqCodel:
 class TestFactory:
     def test_known_names(self, sim, collector):
         assert isinstance(make_qdisc("none", sim, collector), PfifoFast)
-        assert isinstance(make_qdisc("pfifo_fast", sim, collector), PfifoFast)
         assert isinstance(make_qdisc("fq", sim, collector), FqQdisc)
         assert isinstance(make_qdisc("fq_codel", sim, collector), FqCodel)
         assert isinstance(make_qdisc("etf", sim, collector), EtfQdisc)
         assert isinstance(make_qdisc("etf-offload", sim, collector), EtfQdisc)
-        assert isinstance(make_qdisc("tbf", sim, collector), TbfQdisc)
-        assert isinstance(make_qdisc("netem", sim, collector), NetemQdisc)
+        # Exactly the names a config accepts.
+        for name in QDISCS:
+            make_qdisc(name, sim, collector)
 
     def test_unknown_name_raises(self, sim, collector):
-        with pytest.raises(ConfigError):
-            make_qdisc("htb", sim, collector)
+        # The qdiscs a config cannot name are not reachable by name either.
+        for name in ("htb", "pfifo_fast", "tbf", "netem"):
+            with pytest.raises(ConfigError):
+                make_qdisc(name, sim, collector)
 
     def test_params_forwarded(self, sim, collector):
         etf = make_qdisc("etf", sim, collector, delta_ns=us(500))

@@ -95,3 +95,20 @@ def test_queue_trace_records_when_enabled(sim, collector):
     b.receive(make_dgram(100))
     sim.run()
     assert len(b.queue_trace) >= 2  # enqueue and dequeue samples
+
+
+def test_frame_larger_than_the_bucket_is_dropped(sim, collector):
+    """A frame larger than the bucket could never earn its tokens."""
+    b = _bneck(sim, collector, burst=500)
+    b.receive(make_dgram(1252))
+    sim.run()
+    assert (b.dropped, b.forwarded, len(collector)) == (1, 0, 0)
+
+
+def test_backlog_reported(sim, collector):
+    b = _bneck(sim, collector, rate=mbit(1), burst=1500)
+    b.receive(make_dgram(1252))
+    b.receive(make_dgram(1252))
+    assert b.queued == 2 and b.queue_bytes == 2 * make_dgram(1252).wire_size
+    sim.run()
+    assert (b.queued, b.queue_bytes, b.forwarded) == (0, 0, 2)

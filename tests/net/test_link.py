@@ -1,5 +1,8 @@
 """Link serialization and propagation."""
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.net.link import Link
 from repro.units import gbit, mbit, tx_time_ns, us
 from tests.conftest import make_dgram
@@ -67,3 +70,11 @@ def test_larger_frames_take_longer(sim):
         s.run()
         times.append(col.times[0])
     assert times[1] > times[0]
+
+
+@pytest.mark.parametrize("rate_bps", [0, -1])
+def test_non_positive_rate_rejected_at_construction(sim, collector, rate_bps):
+    """A link that could never finish a frame fails where it is built, not
+    at its first frame halfway through a run."""
+    with pytest.raises(ConfigError, match="'l': rate_bps must be positive"):
+        Link(sim, "l", rate_bps=rate_bps, sink=collector)

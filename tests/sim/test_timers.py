@@ -1,10 +1,11 @@
 """Soft-cancel timers on the lazy-cancel heap.
 
 The property test drives a seeded random mix of plain events, one-shot
-timers that may be cancelled, and re-armed timers with deadlines from
-microseconds to tens of seconds through the engine and through an
-independent reference calendar (below), and requires the exact same fire
-sequence and final clock.
+timers that may be cancelled, re-armed timers with deadlines from
+microseconds to tens of seconds, and same-instant hand-offs
+(``Simulator.call_soon``, which the reference queues like any event at
+``now``) through the engine and through an independent reference calendar
+(below), and requires the exact same fire sequence and final clock.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class ReferenceCalendar:
     def schedule(self, delay, fn, *args):
         _RefTimer(self, fn, args).schedule(delay)
 
+    def call_soon(self, fn, *args):
+        self.schedule(0, fn, *args)
+
     def run(self):
         while self.entries:
             entry = min(self.entries)  # seq is unique: owners never compare
@@ -80,7 +84,7 @@ def _random_workload(sim, rng, fired):
         if depth == 0:
             return
         for _ in range(rng.randrange(1, 5)):
-            choice = rng.randrange(6)
+            choice = rng.randrange(8)
             delay = rng.choice(
                 [rng.randrange(0, 2_000_000),
                  rng.randrange(0, 300_000_000),
@@ -98,9 +102,17 @@ def _random_workload(sim, rng, fired):
                 timers[rng.randrange(len(timers))].schedule(delay)
             elif choice == 4:
                 timers[rng.randrange(len(timers))].cancel()
-            else:
+            elif choice in (2, 5):
                 # Re-schedule from inside a callback: the recursive case.
                 sim.schedule(delay, spray, depth - 1)
+            elif choice == 6:
+                sim.call_soon(noteworthy, f"now-{depth}")
+            else:
+                # A hand-off that schedules in turn (and may hand off again).
+                sim.call_soon(spray, depth - 1)
+        if rng.randrange(2):
+            # The event's last calendar action is a hand-off: tail position.
+            sim.call_soon(noteworthy, f"tail-{depth}")
 
     spray(4)
     return timers
