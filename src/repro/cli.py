@@ -682,15 +682,11 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    if not args.from_cache and not args.from_json:
-        raise ConfigError("nothing to migrate: give --from-cache and/or --from-json")
+    if not args.from_cache:
+        raise ConfigError("nothing to migrate: give --from-cache")
     with ResultStore(args.store_path, stream=sys.stderr) as store:
-        if args.from_cache:
-            count = store.migrate_cache(args.from_cache)
-            print(f"migrated {count} repetition(s) from cache {args.from_cache}")
-        for path in args.from_json or ():
-            count = store.ingest_summary_json(path)
-            print(f"migrated {count} repetition(s) from artifact {path}")
+        count = store.migrate_cache(args.from_cache)
+        print(f"migrated {count} repetition(s) from cache {args.from_cache}")
         print(f"store now holds {store.rep_count()} repetition(s), {store.failure_count()} failure(s)")
     return 0
 
@@ -884,16 +880,12 @@ def build_parser() -> argparse.ArgumentParser:
     info_p.add_argument("store_path", metavar="STORE")
     info_p.set_defaults(func=_cmd_store_info)
     migrate_p = store_sub.add_parser(
-        "migrate", help="ingest existing artifacts (result cache, JSON summaries)"
+        "migrate", help="record every readable entry of a result-cache directory"
     )
     migrate_p.add_argument("store_path", metavar="STORE", help="store to create or extend")
     migrate_p.add_argument(
         "--from-cache", metavar="DIR", default=None,
         help="migrate every readable repetition from this result-cache directory",
-    )
-    migrate_p.add_argument(
-        "--from-json", metavar="PATH", action="append", default=None,
-        help="migrate a legacy JSON artifact (repeatable)",
     )
     migrate_p.set_defaults(func=_cmd_store_migrate)
     merge_p = store_sub.add_parser(
@@ -903,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     merge_p.add_argument("parts", metavar="PART", nargs="+", help="part store to merge in")
     merge_p.set_defaults(func=_cmd_store_merge)
     export_p = store_sub.add_parser(
-        "export", help="write one grid entry back out as a legacy JSON artifact"
+        "export", help="write one grid entry out as the JSON artifact `run --json` writes"
     )
     export_p.add_argument("store_path", metavar="STORE")
     export_p.add_argument("name", help="grid name to export (see `store info`)")

@@ -107,9 +107,9 @@ def rep_to_dict(
 ) -> Dict[str, Any]:
     """Serialize one repetition of either kind (experiment or population).
 
-    This is the *single* canonical JSON form of a repetition: the result
-    store persists exactly this payload per row, so a store export and a
-    JSON artifact of the same run are equal by construction.
+    This is the *single* canonical JSON form of a repetition: a result
+    store renders its export with it from each row's result, so a store
+    export and a JSON artifact of the same run are equal by construction.
     """
     if isinstance(result, PopulationResult):
         return population_result_to_dict(result, fingerprint)
@@ -133,7 +133,3 @@ def save_summary(summary: RunSummary, path: str | Path, include_capture: bool = 
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(summary_to_dict(summary, include_capture), indent=2))
     return path
-
-
-def load_summary_dict(path: str | Path) -> Dict[str, Any]:
-    return json.loads(Path(path).read_text())

@@ -33,8 +33,8 @@ explicit root). Each file is one header line followed by the pickled result::
 where ``<digest>`` is the sha256 of every byte after it, so it binds the
 stored fingerprint to the bytes it is served with. A
 :class:`~repro.framework.store.ResultStore` row keeps its result in the same
-format (pickled without its config) and reads it with the same
-:func:`_unpack`. An entry of another
+format (pickled without its config, then the config's pickle) and reads it
+with the same :func:`_unpack`. An entry of another
 format or version, with a digest mismatch, that fails to unpickle, or that
 :meth:`ResultCache.get`'s ``validate`` rejects is *evicted* and treated as a
 miss, so format changes and torn or flipped bytes degrade to recomputation,
@@ -49,6 +49,7 @@ Hit/miss/store/eviction counters are kept on :attr:`stats`.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import tempfile
@@ -94,17 +95,25 @@ def _stamp(payload: bytes, version: int) -> Tuple[bytes, str, str]:
     return fields[2], fields[3].decode(), fields[4].decode()
 
 
-def _unpack(payload: bytes, version: int) -> Tuple[Any, str, str]:
+def _unpack(payload: bytes, version: int, bind: bool = False) -> Tuple[Any, str, str]:
     """``(result, encoding, fingerprint)`` of one entry file; raises
     ``ValueError`` on a file of another format or version or a digest
-    mismatch, before anything is unpickled."""
+    mismatch, before anything is unpickled. ``pickle.loads`` stops at the
+    result's end, so bytes after it (a store row's config pickle) are read
+    only with ``bind``, which binds them to the result as its config."""
     digest, encoding, fingerprint = _stamp(payload, version)
     view = memoryview(payload)
     # The digest covers everything after "<magic> <version> <digest> ".
     signed = len(_MAGIC) + len(b"%d" % version) + len(digest) + 3
     if hashlib.sha256(view[signed:]).hexdigest().encode() != digest:
         raise ValueError("corrupt cache entry (digest mismatch)")
-    result = pickle.loads(view[payload.index(b"\n") + 1 :])
+    body = view[payload.index(b"\n") + 1 :]
+    if bind:
+        stream = io.BytesIO(body)
+        result = pickle.load(stream)
+        result.config = pickle.load(stream)
+    else:
+        result = pickle.loads(body)
     if not isinstance(result, _RESULT_TYPES):
         raise ValueError(f"stale cache entry (holds a {type(result).__name__})")
     return result, encoding, fingerprint

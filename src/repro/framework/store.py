@@ -1,76 +1,73 @@
 """Queryable columnar result store: one SQLite row per settled repetition.
 
 Campaign-scale sweeps (stacks × CCAs × qdiscs × pacing × impairments × seeds
-is 10^4-10^6 repetitions) outgrow per-repetition JSON blobs: answering "p99
+is 10^4-10^6 repetitions) outgrow per-repetition JSON files: answering "p99
 goodput of quiche/fq under burst loss" must be one SQL query, not a walk over
 a hundred thousand files. The store is the canonical artifact a sweep streams
-settled repetitions into; JSON artifacts remain available as an *export* of
-the same payload, byte-for-byte equal to what
-:func:`repro.framework.artifacts.save_summary` writes.
+settled repetitions into; a JSON artifact is an *export* of its rows,
+byte-for-byte what :func:`repro.framework.artifacts.save_summary` writes for
+the same run.
 
 Layout. One ``reps`` row per repetition: the per-repetition config key (the
 same normalization the :class:`~repro.framework.cache.ResultCache` uses),
-seed, result ``fingerprint()``, and the queryable scalars (goodput, drops,
-gap/train/precision metrics) as real columns — plus the full canonical
-repetition payload (:func:`~repro.framework.artifacts.rep_to_dict`) as a
-zlib-compressed JSON blob, so nothing is lost relative to the JSON artifact
-and distribution-shaped metrics (the train-length histogram, per-profile
-population breakdowns) stay available without schema churn. Failed
-repetitions land in a ``failures`` table mirroring
-:class:`~repro.framework.supervision.RepFailure`, and a ``campaigns`` row
-records each ``(grid_key, shard)`` a sweep ran into the store.
+seed, result ``fingerprint()``, the queryable scalars (goodput, drops,
+gap/train/precision metrics) as real columns, and one ``result`` blob that
+holds the repetition whole. ``precision_ns`` is NULL exactly when the result
+does not measure it (no expected-send log). Failed repetitions land in a
+``failures`` table mirroring :class:`~repro.framework.supervision.RepFailure`,
+and a ``campaigns`` row records each ``(grid_key, shard)`` a sweep ran into
+the store.
 
-The row is also the repetition's cache entry. Its ``result`` blob is the
-result pickled without its config, behind the
+The blob is the repetition's cache entry: the
 :class:`~repro.framework.cache.ResultCache` entry header (fingerprint, config
-encoding, sha256 over both and the pickle); a migrated JSON artifact leaves it
-NULL. :meth:`ResultStore.served` reads one grid entry's rows in one ``SELECT``
-and serves those that are the request's repetition, checked as a cache hit is
-(digest, unpickle, validation), so a sweep over its own store opens no cache
-file and writes nothing; the same ``SELECT`` returns the failures recorded
-for the request's repetitions, which a resumed sweep carries forward. A blob
-that fails those checks is cleared, counted on
-:attr:`ResultStore.evictions` and reported on ``stream``. The blob never
-enters the content fingerprint, ``query`` or an export.
+encoding, sha256 over both and the rest), the result pickled without its
+config, then the config's pickle. :meth:`ResultStore.served` reads one grid
+entry's rows in one ``SELECT`` and serves those that are the request's
+repetition, checked as a cache hit is (digest, unpickle, validation); it
+unpickles the result alone and binds the requesting config, so a sweep over
+its own store opens no cache file and writes nothing. The same ``SELECT``
+returns the failures recorded for the request's repetitions, which a resumed
+sweep carries forward. A row whose blob fails those checks is deleted,
+counted on :attr:`ResultStore.evictions` and reported on ``stream``. An
+export (:meth:`ResultStore.payloads`) unpickles the config too and renders
+:func:`~repro.framework.artifacts.rep_to_dict` of the result.
 
 Identity and idempotence. Rows are keyed ``(config_key, seed)``, and every
-column and the canonical (sorted-keys) payload blob are functions of the
-result's fingerprint plus ``(name, label, rep)``. Recording first looks the
-key up: a row with the same name, label, rep and fingerprint, no failure
-beside it, no ``precision_ns`` left to fill and a blob of this result is
-already the row the record would write, and is kept without building a
-payload or writing. Anything else is written with ``INSERT OR REPLACE``; a
-row whose blob names the same config encoding but another fingerprint is
-replaced with a warning on ``stream`` (a determinism regression). So
-re-recording a repetition — a cache hit confirming its row, a migration — is a
-no-op rather than a duplicate, and an interrupted-then-resumed campaign
-converges to a store *bit-identical* in content to an uninterrupted one
-(:meth:`ResultStore.content_fingerprint`; the chaos suite pins this). A
-cache hit is recorded as the requesting sweep's repetition, so a sweep grown
-from 2 to 3 repetitions rewrites the rows a fresh 3-repetition sweep writes
-(their fingerprint covers ``repetitions``). A success supersedes a failure
-for the same key, whichever is recorded first.
+column is a function of the result's fingerprint plus ``(name, label, rep)``.
+:meth:`ResultStore.record_result` is the only writer of rows. It first looks
+the key up: a row with the same name, label, rep and fingerprint, no failure
+beside it and a blob of this result is already the row the record would
+write, and is kept without a write. Anything else is written with ``INSERT OR
+REPLACE``; a row whose blob names the same config encoding but another
+fingerprint is replaced with a warning on ``stream`` (a determinism
+regression). So re-recording a repetition — a cache hit confirming its row, a
+migration — is a no-op rather than a duplicate, and an interrupted-then-
+resumed campaign converges to a store *bit-identical* in content to an
+uninterrupted one (:meth:`ResultStore.content_fingerprint`; the chaos suite
+pins this). A cache hit is recorded as the requesting sweep's repetition, so a
+sweep grown from 2 to 3 repetitions rewrites the rows a fresh 3-repetition
+sweep writes (their fingerprint covers ``repetitions``). A success supersedes
+a failure for the same key, whichever is recorded first.
 
 Commits. Each write is its own transaction, committed (and fsynced) before
 the call returns, unless it runs inside :meth:`ResultStore.batch`: then the
 block's writes share one commit at its end, and a block that wrote nothing
 commits nothing. A sweep batches one grid entry's cache hits, so a grid
-entry whose rows are all present commits nothing; migration batches each
-source. A sweep's new campaign row rides its first write. A crash inside a
-batch loses at most that batch's rows, which a resume records again.
+entry whose rows are all present commits nothing; cache migration batches
+its source. A sweep's new campaign row rides its first write. A crash inside
+a batch loses at most that batch's rows, which a resume records again.
 
-Versioning and migration. The schema version lives in SQLite's
-``user_version`` pragma; opening a newer-versioned store raises instead of
-misreading it, and opening a version 1 or 2 store upgrades it in place.
-Existing artifacts migrate in: :meth:`migrate_cache` walks a
-:class:`~repro.framework.cache.ResultCache` directory and ingests every
-pickled repetition, and :meth:`ingest_summary_json` ingests the legacy
-per-run JSON layout. Deliberately *not* stored in a column or payload:
-wall-clock times, host names, or any other nondeterministic execution detail
-— equal campaigns must produce equal stores regardless of backend, worker
-count, or interruption history. (The ``result`` blob, like a cache entry,
-keeps the result whole, its wall time included; it is outside the content
-fingerprint.)
+Versioning. The schema version lives in SQLite's ``user_version`` pragma. A
+store of any other version is refused on open, and left as it is: a store is
+never upgraded, because its rows are pure functions of ``(config, seed)``
+that a sweep into a new store recomputes. :meth:`ResultStore.migrate_cache`
+records every readable entry of a
+:class:`~repro.framework.cache.ResultCache` directory. Deliberately *not*
+stored in a column: wall-clock times, host names, or any other
+nondeterministic execution detail — equal campaigns must produce equal stores
+regardless of backend, worker count, or interruption history. (The blob, like
+a cache entry, keeps the result whole, its wall time included; it is outside
+the content fingerprint.)
 """
 
 from __future__ import annotations
@@ -82,7 +79,6 @@ import itertools
 import json
 import pickle
 import time
-import zlib
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union,
@@ -100,13 +96,13 @@ from repro.metrics.stats import summarize
 from repro.net.impairments import ImpairmentSpec
 from repro.sim.random import derive_seed
 
-__all__ = ["STORE_VERSION", "ResultStore", "grid_key", "per_rep_key", "per_rep_key_from_dict"]
+__all__ = ["STORE_VERSION", "ResultStore", "grid_key", "per_rep_key"]
 
-#: Bump on any incompatible change to the schema or the canonical payload
-#: encoding; an older store is migrated (or rejected) on open, never misread.
-#: v2: ``reps`` gained the ``result`` blob (NULL in an upgraded v1 row).
-#: v3: the ``campaigns`` table (empty in an upgraded store).
-STORE_VERSION = 3
+#: Bump on any incompatible change to the schema or the blob; a store of
+#: another version is refused on open, never misread or upgraded.
+#: v4: one ``result`` blob per row (the JSON payload column went) that also
+#: holds the config, so every row can render its export.
+STORE_VERSION = 4
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the
@@ -161,8 +157,7 @@ CREATE TABLE IF NOT EXISTS reps (
     precision_ns        REAL,
     flows               INTEGER,
     completed_flows     INTEGER,
-    payload             BLOB    NOT NULL,
-    result              BLOB,
+    result              BLOB    NOT NULL,
     PRIMARY KEY (config_key, seed)
 );
 CREATE INDEX IF NOT EXISTS reps_by_name  ON reps (name, rep);
@@ -181,10 +176,7 @@ CREATE TABLE IF NOT EXISTS failures (
     quarantined INTEGER NOT NULL,
     PRIMARY KEY (config_key, seed)
 );
-"""
-
-#: One row per ``(grid_key, shard)`` a sweep ran into the store (v3).
-_CAMPAIGNS = """
+-- One row per ``(grid_key, shard)`` a sweep ran into the store.
 CREATE TABLE IF NOT EXISTS campaigns (
     grid_key    TEXT    NOT NULL,
     shard_index INTEGER NOT NULL,
@@ -192,7 +184,15 @@ CREATE TABLE IF NOT EXISTS campaigns (
     PRIMARY KEY (grid_key, shard_index, shard_count)
 );
 """
-_SCHEMA += _CAMPAIGNS
+
+#: The ``reps`` columns :meth:`ResultStore.content_fingerprint` digests:
+#: every one but the blob.
+_SCALARS = (
+    "config_key, seed, name, label, kind, rep, fingerprint, completed, duration_ns, stack, cca,"
+    " qdisc, gso, impairments, goodput_mbps, dropped, injected_drops, packets_on_wire,"
+    " gap_count, b2b_count, b2b_share, train_packets, trains_leq5_packets, trains_leq5_share,"
+    " precision_ns, flows, completed_flows"
+)
 
 
 def grid_key(grid: Mapping[str, Any]) -> str:
@@ -215,16 +215,6 @@ def per_rep_key(config) -> str:
     a sweep from 5 to 20 repetitions keeps the first 5 rows' keys.
     """
     return hashlib.sha256(config.per_rep.canonical_json.encode()).hexdigest()
-
-
-def per_rep_key_from_dict(config_dict: Dict[str, Any]) -> str:
-    """Same key, computed from a config's JSON form (artifact migration).
-
-    ``dataclasses.asdict`` tuples and their JSON round-trip lists serialize
-    identically, so this equals :func:`per_rep_key` of the live config.
-    """
-    normalized = dict(config_dict, repetitions=1)
-    return hashlib.sha256(json.dumps(normalized, sort_keys=True).encode()).hexdigest()
 
 
 def _impairments_slug(network: Dict[str, Any]) -> str:
@@ -259,29 +249,32 @@ def _failure_from_row(row: sqlite3.Row) -> RepFailure:
     return RepFailure(**fields)
 
 
-def _encode_payload(payload: Dict[str, Any]) -> bytes:
-    """Canonical compressed encoding: equal payload dicts → equal bytes."""
-    return zlib.compress(json.dumps(payload, sort_keys=True).encode(), 6)
-
-
-def _decode_payload(blob: bytes) -> Dict[str, Any]:
-    return json.loads(zlib.decompress(blob).decode())
+def _refusal(path, version: int) -> ConfigError:
+    """The error for a store of another schema version than this build's."""
+    if version > STORE_VERSION:
+        why = f"newer than this build's {STORE_VERSION}; refusing to misread it"
+    else:
+        why = (
+            f"not this build's {STORE_VERSION}; a store is never upgraded: "
+            "sweep its grid into a new store"
+        )
+    return ConfigError(f"store {path} has schema version {version}, {why}")
 
 
 def _pack_result(result, encoding: str, fingerprint: str) -> bytes:
     """A row's ``result`` blob: the cache entry format, with the result
-    pickled without its config (the row's reader binds the requesting one)."""
+    pickled without its config (a sweep's reader binds the requesting one),
+    then the config's own pickle (an export binds it)."""
     bare = copy.copy(result)
     bare.config = None
     body = pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
+    body += pickle.dumps(result.config, protocol=pickle.HIGHEST_PROTOCOL)
     return _pack(CACHE_VERSION, encoding, fingerprint, body)
 
 
-def _blob_stamp(blob: Optional[bytes]) -> Optional[Tuple[str, str]]:
-    """``(encoding, fingerprint)`` a row's blob names; None when there is no
-    blob of this cache version."""
-    if blob is None:
-        return None
+def _blob_stamp(blob: bytes) -> Optional[Tuple[str, str]]:
+    """``(encoding, fingerprint)`` a row's blob names; None when its header
+    is not one of this cache version."""
     try:
         return _stamp(blob, CACHE_VERSION)[1:]
     except ValueError:
@@ -311,13 +304,17 @@ class ResultStore:
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
+        # Read before anything is set, so a refused store is left as it is.
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version not in (0, STORE_VERSION):
+            self._conn.close()
+            raise _refusal(self.path, version)
         try:
             # WAL lets `query`/`report` read a store while a campaign is
             # still streaming into it (readers never block the writer).
             self._conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.OperationalError:  # pragma: no cover - e.g. NFS
             pass
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version == 0:
             def _create() -> None:
                 with self._conn:
@@ -325,28 +322,6 @@ class ResultStore:
                     self._conn.execute(f"PRAGMA user_version = {STORE_VERSION}")
 
             self._retry_locked_write(_create)
-        elif version > STORE_VERSION:
-            self._conn.close()
-            raise ConfigError(
-                f"store {self.path} has schema version {version}, newer than "
-                f"this build's {STORE_VERSION}; refusing to misread it"
-            )
-        elif version < STORE_VERSION:
-            self._retry_locked_write(self._upgrade)
-
-    def _upgrade(self) -> None:
-        """v1 or v2 → v3 in one transaction: v1 rows gain an empty ``result``
-        column, which sweeps fill as they serve the rows, and the empty
-        ``campaigns`` table is added. The version is read again under the
-        write lock, so two openers upgrade once."""
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-            if version == 1:
-                self._conn.execute("ALTER TABLE reps ADD COLUMN result BLOB")
-            if version < STORE_VERSION:
-                self._conn.execute(_CAMPAIGNS)
-                self._conn.execute(f"PRAGMA user_version = {STORE_VERSION}")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -439,42 +414,111 @@ class ResultStore:
     def record_result(self, name: str, rep: int, result, fingerprint: Optional[str] = None) -> None:
         """Record one successful repetition, or confirm the row already held.
 
-        ``fingerprint`` is ``result.fingerprint()`` when the caller already
-        computed it for this repetition; ``None`` computes it here. When the
-        store already holds this repetition's row (:meth:`_holds`) with a
-        blob of this result, no payload is built and nothing is written.
+        The one writer of ``reps`` rows. ``fingerprint`` is
+        ``result.fingerprint()`` when the caller already computed it for this
+        repetition; ``None`` computes it here. A row with this name, label,
+        rep and fingerprint, no failure beside it and a blob of this result
+        is already the row this record would write: every column is a
+        function of the fingerprinted result plus ``(name, label, rep)``. It
+        costs one ``SELECT`` and nothing is written.
         """
         if fingerprint is None:
             fingerprint = result.fingerprint()
         label = result.config.label
         encoding = result.config.cache_key()
-        measures_precision = _measures_precision(result)
         key, seed = per_rep_key(result.config), result.seed
-        stored = self._stored(key, seed)
-        stamp = _blob_stamp(stored["result"]) if stored is not None else None
-        if stamp == (encoding, fingerprint) and self._holds(
-            stored, name, label, rep, fingerprint, measures_precision
-        ):
-            return
-        if stamp is not None and stamp[0] == encoding and stored["fingerprint"] != fingerprint:
-            self._warn(
-                f"{name} rep {rep} recomputed with a different fingerprint than "
-                f"the stored row (determinism regression?)"
-            )
-        self._write_row(
-            key,
-            seed,
-            name,
-            label,
-            rep,
-            rep_to_dict(result, fingerprint=fingerprint),
-            (
+        stored = self._conn.execute(
+            "SELECT name, label, rep, fingerprint, result, EXISTS (SELECT 1 FROM failures"
+            " WHERE config_key = ?1 AND seed = ?2) AS failed"
+            " FROM reps WHERE config_key = ?1 AND seed = ?2",
+            (key, _db_seed(seed)),
+        ).fetchone()
+        if stored is not None:
+            stamp = _blob_stamp(stored["result"])
+            if (
+                stamp == (encoding, fingerprint)
+                and not stored["failed"]
+                and (stored["name"], stored["label"], stored["rep"], stored["fingerprint"])
+                == (name, label, rep, fingerprint)
+            ):
+                return
+            if stamp is not None and stamp[0] == encoding and stored["fingerprint"] != fingerprint:
+                self._warn(
+                    f"{name} rep {rep} recomputed with a different fingerprint than "
+                    f"the stored row (determinism regression?)"
+                )
+        # The scalar columns are read off the export's view of the result.
+        view = rep_to_dict(result, fingerprint=fingerprint)
+        config = view["config"]
+        population = "aggregate_goodput_mbps" in view
+        row: Dict[str, Any] = {
+            "config_key": key,
+            "seed": _db_seed(seed),
+            "name": name,
+            "label": label,
+            "kind": "population" if population else "experiment",
+            "rep": rep,
+            "fingerprint": fingerprint,
+            "completed": int(bool(view["completed"])),
+            "duration_ns": int(view["duration_ns"]),
+            "stack": None if population else config.get("stack"),
+            "cca": None if population else config.get("cca"),
+            "qdisc": None if population else config.get("qdisc"),
+            "gso": None if population else config.get("gso"),
+            "impairments": _impairments_slug(config.get("network", {}) or {}),
+            "dropped": int(view["dropped"]),
+            "injected_drops": int(view["injected_drops"]),
+            "precision_ns": (
                 pacing_precision_ns(result.expected_send_log, result.server_records)
-                if measures_precision
+                if _measures_precision(result)
                 else None
             ),
-            stored,
-            _pack_result(result, encoding, fingerprint),
+            "result": _pack_result(result, encoding, fingerprint),
+        }
+        if population:
+            row.update(
+                goodput_mbps=float(view["aggregate_goodput_mbps"]),
+                packets_on_wire=None,
+                gap_count=None,
+                b2b_count=None,
+                b2b_share=None,
+                train_packets=None,
+                trains_leq5_packets=None,
+                trains_leq5_share=None,
+                flows=int(view["flows"]),
+                completed_flows=int(view["completed_flows"]),
+            )
+        else:
+            metrics = view["metrics"]
+            trains = metrics["packets_by_train_length"]
+            gap_count = max(int(view["packets_on_wire"]) - 1, 0)
+            b2b_share = float(metrics["back_to_back_share"])
+            row.update(
+                goodput_mbps=float(view["goodput_mbps"]),
+                packets_on_wire=int(view["packets_on_wire"]),
+                gap_count=gap_count,
+                # The share is a ratio of integer counts; recover the count
+                # exactly so pooled (cross-repetition) shares can be computed
+                # from integer sums, as the sweep CLI does.
+                b2b_count=round(b2b_share * gap_count),
+                b2b_share=b2b_share,
+                train_packets=sum(trains.values()),
+                trains_leq5_packets=sum(
+                    count for length, count in trains.items() if int(length) <= 5
+                ),
+                trains_leq5_share=float(metrics["trains_leq5_share"]),
+                flows=None,
+                completed_flows=None,
+            )
+        self._write(
+            (
+                f"INSERT OR REPLACE INTO reps ({', '.join(row)})"
+                f" VALUES ({', '.join('?' * len(row))})",
+                tuple(row.values()),
+            ),
+            # A success supersedes any stale failure for the same repetition
+            # (e.g. re-run after --no-resume healed a crash-looping config).
+            ("DELETE FROM failures WHERE config_key = ? AND seed = ?", (key, _db_seed(seed))),
         )
 
     def served(
@@ -489,13 +533,13 @@ class ResultStore:
         :class:`RepFailure` recorded for it.
 
         A row serves its repetition when it has the request's name, label,
-        rep and config encoding, its fingerprint is its blob's, no failure
-        sits beside it and ``precision_ns`` is filled where the result
-        measures it. The blob's digest is checked, the result unpickled and
-        bound to ``config`` (as a cache hit is), then ``validate`` runs. A
-        blob that fails those checks is cleared and counted; any other row
-        is left for the caller to rewrite. A failure with the request's
-        name, label and rep, and no row beside it, is returned as recorded.
+        rep and config encoding, its fingerprint is its blob's and no failure
+        sits beside it. The blob's digest is checked, the result (not the
+        config after it) unpickled and bound to ``config`` (as a cache hit
+        is), then ``validate`` runs. A row whose blob fails those checks is
+        deleted and counted; any other row is left for the caller to
+        rewrite. A failure with the request's name, label and rep, and no
+        row beside it, is returned as recorded.
         """
         seeds = {_db_seed(derive_seed(config.seed, rep)): rep for rep in reps}
         if not seeds:
@@ -505,10 +549,10 @@ class ResultStore:
             ", ".join(f"?{number}" for number in range(2, len(seeds) + 2))
         )
         rows = self._conn.execute(
-            "SELECT seed, name, label, rep, fingerprint, precision_ns, result, NULL AS error_type,"
+            "SELECT seed, name, label, rep, fingerprint, result, NULL AS error_type,"
             " NULL AS message, NULL AS traceback, NULL AS attempts, NULL AS wall_time_s,"
             f" NULL AS quarantined FROM reps WHERE {among} UNION ALL SELECT seed, name, label,"
-            " rep, NULL, NULL, NULL, error_type, message, traceback, attempts, wall_time_s,"
+            " rep, NULL, NULL, error_type, message, traceback, attempts, wall_time_s,"
             f" quarantined FROM failures WHERE {among}",
             (key, *seeds),
         ).fetchall()
@@ -524,14 +568,12 @@ class ResultStore:
                 if same and row["seed"] not in stored:
                     out[rep] = _failure_from_row(row)
                 continue
-            if not same or row["seed"] in failed or blob is None:
+            if not same or row["seed"] in failed:
                 continue
             try:
                 result, its_encoding, its_fingerprint = _unpack(blob, CACHE_VERSION)
                 if (its_encoding, its_fingerprint) != (encoding, row["fingerprint"]):
                     continue  # another sweep length's row, or a rewritten one
-                if row["precision_ns"] is None and _measures_precision(result):
-                    continue
                 result.config = config
                 if validate is not None:
                     validate(result)
@@ -540,11 +582,9 @@ class ResultStore:
                 continue
             out[rep] = result
         for seed, reason in bad:
-            # Cleared as the cache quarantines a bad entry: counted, reported
-            # and never read again; the caller's rewrite fills it anew.
-            self._write(
-                ("UPDATE reps SET result = NULL WHERE config_key = ? AND seed = ?", (key, seed))
-            )
+            # Deleted as the cache quarantines a bad entry: counted, reported
+            # and never read again; the caller's rewrite records it anew.
+            self._write(("DELETE FROM reps WHERE config_key = ? AND seed = ?", (key, seed)))
             self.evictions += 1
             self._warn(f"cleared the result blob of {reason}")
         return out
@@ -554,17 +594,13 @@ class ResultStore:
             print(f"[store] warning: {text}", file=self.stream, flush=True)
 
     def record_failure(self, failure: RepFailure, config) -> None:
-        """Insert (or idempotently re-insert) one finally-failed repetition."""
-        self._write_failure(per_rep_key(config), failure)
-
-    def _write_failure(self, key: str, failure: RepFailure) -> None:
-        """The one writer of ``failures`` rows (live runs and migration).
+        """Insert (or idempotently re-insert) one finally-failed repetition.
 
         A key that already holds a success is left alone: a success
         supersedes a failure whichever is recorded first, as in
         :meth:`merge_from`.
         """
-        seed = _db_seed(failure.seed)
+        key, seed = per_rep_key(config), _db_seed(failure.seed)
         self._write(
             (
                 "INSERT OR REPLACE INTO failures (config_key, seed, name, label,"
@@ -588,179 +624,6 @@ class ResultStore:
                 ),
             )
         )
-
-    def _stored(self, key: str, seed: int) -> Optional[sqlite3.Row]:
-        """The ``reps`` row held for ``(key, seed)``, if any, with ``failed``:
-        whether a ``failures`` row sits beside it."""
-        rows = self._conn.execute(
-            "SELECT name, label, rep, fingerprint, precision_ns, result, EXISTS (SELECT 1"
-            " FROM failures WHERE config_key = ?1 AND seed = ?2) AS failed"
-            " FROM reps WHERE config_key = ?1 AND seed = ?2",
-            (key, _db_seed(seed)),
-        ).fetchall()
-        return rows[0] if rows else None
-
-    @staticmethod
-    def _holds(
-        stored: Optional[sqlite3.Row],
-        name: str,
-        label: str,
-        rep: int,
-        fingerprint: str,
-        measures_precision: bool,
-    ) -> bool:
-        """Whether ``stored`` already is the row this record would write.
-
-        Every column and the payload are functions of the fingerprinted
-        result (config with ``repetitions``, seed, counters, traces, capture,
-        expected-send log) plus ``(name, label, rep)``, so equal values mean
-        a rewrite would be byte-identical. Not held: a row beside a failure
-        (the write deletes the failure), or a NULL ``precision_ns`` this
-        record would fill.
-        """
-        return (
-            stored is not None
-            and not stored["failed"]
-            and (stored["name"], stored["label"], stored["rep"], stored["fingerprint"])
-            == (name, label, rep, fingerprint)
-            and (stored["precision_ns"] is not None or not measures_precision)
-        )
-
-    def _ingest_payload(self, name: str, label: str, rep: int, payload: Dict[str, Any]) -> None:
-        """Record one repetition from its canonical payload (JSON migration),
-        or confirm the row already held, by the rule of :meth:`record_result`.
-
-        The payload carries no expected-send log, so it never fills
-        ``precision_ns``; a row it rewrites keeps a stored value.
-        """
-        key = per_rep_key_from_dict(payload["config"])
-        seed = int(payload["seed"])
-        stored = self._stored(key, seed)
-        if self._holds(stored, name, label, rep, payload["fingerprint"], False):
-            return
-        self._write_row(key, seed, name, label, rep, payload, None, stored)
-
-    def _write_row(
-        self,
-        key: str,
-        seed: int,
-        name: str,
-        label: str,
-        rep: int,
-        payload: Dict[str, Any],
-        precision_ns: Optional[float],
-        stored: Optional[sqlite3.Row],
-        result: Optional[bytes] = None,
-    ) -> None:
-        """Shared row builder for live results and migrated artifacts.
-
-        Every scalar column is derived from the canonical payload, so a
-        migrated JSON artifact and a live recording of the same repetition
-        produce identical rows (``precision_ns`` and the ``result`` blob
-        excepted: the JSON artifact carries neither the expected-send log nor
-        the result).
-        """
-        if precision_ns is None and stored is not None:
-            if stored["fingerprint"] == payload["fingerprint"]:
-                # Same fingerprint, same capture and expected-send log: a
-                # stored precision is this record's too; None never replaces it.
-                precision_ns = stored["precision_ns"]
-        config = payload["config"]
-        population = "aggregate_goodput_mbps" in payload
-        impairments = _impairments_slug(config.get("network", {}) or {})
-        row: Dict[str, Any] = {
-            "config_key": key,
-            "seed": _db_seed(seed),
-            "name": name,
-            "label": label,
-            "kind": "population" if population else "experiment",
-            "rep": rep,
-            "fingerprint": payload["fingerprint"],
-            "completed": int(bool(payload["completed"])),
-            "duration_ns": int(payload["duration_ns"]),
-            "stack": None if population else config.get("stack"),
-            "cca": None if population else config.get("cca"),
-            "qdisc": None if population else config.get("qdisc"),
-            "gso": None if population else config.get("gso"),
-            "impairments": impairments,
-            "dropped": int(payload["dropped"]),
-            "injected_drops": int(payload["injected_drops"]),
-            "precision_ns": precision_ns,
-            "payload": _encode_payload(payload),
-            "result": result,
-        }
-        if population:
-            row.update(
-                goodput_mbps=float(payload["aggregate_goodput_mbps"]),
-                packets_on_wire=None,
-                gap_count=None,
-                b2b_count=None,
-                b2b_share=None,
-                train_packets=None,
-                trains_leq5_packets=None,
-                trains_leq5_share=None,
-                flows=int(payload["flows"]),
-                completed_flows=int(payload["completed_flows"]),
-            )
-        else:
-            metrics = payload["metrics"]
-            trains = metrics["packets_by_train_length"]
-            train_packets = sum(trains.values())
-            leq5 = sum(count for length, count in trains.items() if int(length) <= 5)
-            gap_count = max(int(payload["packets_on_wire"]) - 1, 0)
-            b2b_share = float(metrics["back_to_back_share"])
-            row.update(
-                goodput_mbps=float(payload["goodput_mbps"]),
-                packets_on_wire=int(payload["packets_on_wire"]),
-                gap_count=gap_count,
-                # The share is a ratio of integer counts; recover the count
-                # exactly so pooled (cross-repetition) shares can be computed
-                # from integer sums, as the sweep CLI does.
-                b2b_count=round(b2b_share * gap_count),
-                b2b_share=b2b_share,
-                train_packets=train_packets,
-                trains_leq5_packets=leq5,
-                trains_leq5_share=float(metrics["trains_leq5_share"]),
-                flows=None,
-                completed_flows=None,
-            )
-        columns = ", ".join(row)
-        placeholders = ", ".join("?" * len(row))
-        self._write(
-            (
-                f"INSERT OR REPLACE INTO reps ({columns}) VALUES ({placeholders})",
-                tuple(row.values()),
-            ),
-            # A success supersedes any stale failure for the same repetition
-            # (e.g. re-run after --no-resume healed a crash-looping config).
-            (
-                "DELETE FROM failures WHERE config_key = ? AND seed = ?",
-                (key, _db_seed(seed)),
-            ),
-        )
-
-    # -- migration ---------------------------------------------------------
-
-    def ingest_summary_json(self, path: Union[str, Path]) -> int:
-        """Migrate one legacy JSON artifact (``save_summary`` layout).
-
-        Returns the number of repetitions ingested, committed together. The
-        artifact's label doubles as the grid name (per-run artifacts predate
-        grids).
-        """
-        data = json.loads(Path(path).read_text())
-        label = data["label"]
-        reps = data.get("repetitions", [])
-        with self.batch():
-            for rep, payload in enumerate(reps):
-                self._ingest_payload(name=label, label=label, rep=rep, payload=payload)
-            if reps:
-                # Legacy artifacts carry no config per failure; key on the
-                # summary's config via a surviving repetition.
-                key = per_rep_key_from_dict(reps[0]["config"])
-                for failure in data.get("failures", []):
-                    self._write_failure(key, RepFailure.from_dict(failure))
-        return len(reps)
 
     def migrate_cache(self, cache_root: Union[str, Path]) -> int:
         """Migrate every readable repetition out of a result-cache directory.
@@ -824,11 +687,7 @@ class ResultStore:
         try:
             version = self._conn.execute("PRAGMA part.user_version").fetchone()[0]
             if version != STORE_VERSION:
-                hint = "; opening it once upgrades it" if 0 < version < STORE_VERSION else ""
-                raise ConfigError(
-                    f"store {part} has schema version {version}, not this "
-                    f"build's {STORE_VERSION}; refusing to misread it{hint}"
-                )
+                raise _refusal(part, version)
             sharded = "SELECT DISTINCT grid_key FROM {}.campaigns WHERE shard_count > 1"
             ours = {row[0] for row in self._conn.execute(sharded.format("main"))}
             foreign = sorted({row[0] for row in self._conn.execute(sharded.format("part"))} - ours)
@@ -843,8 +702,8 @@ class ResultStore:
             )
 
             def _write() -> None:
-                # By name, not position: an upgrade appends its column, so
-                # column order records a store's history, not its schema.
+                # By name, not position: the schema version fixes a part's
+                # columns, not the order they were declared in.
                 with self._conn:
                     for table in ("reps", "failures", "campaigns"):
                         columns = ", ".join(
@@ -935,17 +794,10 @@ class ResultStore:
         return out
 
     def names(self) -> List[str]:
-        """Grid names in first-insertion (grid) order."""
-        cursor = self._conn.execute(
-            "SELECT name FROM reps GROUP BY name ORDER BY MIN(rowid)"
-        )
-        names = [row[0] for row in cursor.fetchall()]
-        for row in self._conn.execute(
-            "SELECT name FROM failures GROUP BY name ORDER BY MIN(rowid)"
-        ):
-            if row[0] not in names:
-                names.append(row[0])
-        return names
+        """Grid names, sorted: how the rows were written (merge order, pooled
+        completion order) must not show."""
+        cursor = self._conn.execute("SELECT name FROM reps UNION SELECT name FROM failures")
+        return sorted(row[0] for row in cursor)
 
     def failures(self, name: Optional[str] = None) -> List[RepFailure]:
         """Failure records (ordered by name then repetition)."""
@@ -968,13 +820,12 @@ class ResultStore:
         """
         where, params = self._where(filters)
         # One pass, one filter: a name's lists and pooled counts come from the
-        # same matching rows. Names arrive in first-insertion order, their
-        # rows in repetition order, one name in memory at a time.
+        # same matching rows. Names arrive sorted (as :meth:`names` lists
+        # them), their rows in repetition order, one name in memory at a time.
         cursor = self._conn.execute(
             "SELECT name, label, kind, goodput_mbps, dropped, injected_drops,"
-            " gap_count, b2b_count, train_packets, trains_leq5_packets,"
-            " MIN(rowid) OVER (PARTITION BY name) AS first"
-            f" FROM reps{where} ORDER BY first, rep",
+            " gap_count, b2b_count, train_packets, trains_leq5_packets"
+            f" FROM reps{where} ORDER BY name, rep, seed",
             params,
         )
         out: Dict[str, Dict[str, Any]] = {}
@@ -1013,16 +864,22 @@ class ResultStore:
                     "failed": 0,
                 }
             out[failure.name]["failed"] += 1
-        return out
+        return dict(sorted(out.items()))
 
     # -- export ------------------------------------------------------------
 
     def payloads(self, name: str) -> List[Dict[str, Any]]:
-        """Full canonical payload dicts for one grid name, in rep order."""
+        """The JSON form of each repetition of one grid name, in rep order:
+        :func:`~repro.framework.artifacts.rep_to_dict` of the result its
+        blob holds, bound to the config stored with it. Raises
+        ``ValueError`` on a blob that fails its digest."""
         cursor = self._conn.execute(
-            "SELECT payload FROM reps WHERE name = ? ORDER BY rep, seed", (name,)
+            "SELECT fingerprint, result FROM reps WHERE name = ? ORDER BY rep, seed", (name,)
         )
-        return [_decode_payload(row[0]) for row in cursor.fetchall()]
+        return [
+            rep_to_dict(_unpack(blob, CACHE_VERSION, bind=True)[0], fingerprint=fingerprint)
+            for fingerprint, blob in cursor.fetchall()
+        ]
 
     def export_summary_dict(self, name: str) -> Dict[str, Any]:
         """The JSON-artifact form of one grid entry, from store rows alone.
@@ -1101,17 +958,14 @@ class ResultStore:
         Two stores of the same campaign — uninterrupted, or killed and
         resumed, sharded and merged, on any backend — must digest equal.
         Row iteration is ordered by key columns, never rowid, so replay
-        order cannot leak in; ``campaigns`` rows (how the work was split)
+        order cannot leak in. Every column but the blob is digested: the
+        ``fingerprint`` column covers the result's content, while the blob
+        keeps its wall time. ``campaigns`` rows (how the work was split)
         stay out.
         """
         digest = hashlib.sha256()
-        for row in self._conn.execute(
-            "SELECT config_key, seed, name, label, kind, rep, fingerprint,"
-            " completed, duration_ns, goodput_mbps, dropped, injected_drops,"
-            " payload FROM reps ORDER BY config_key, seed"
-        ):
-            digest.update(repr(tuple(row)[:-1]).encode())
-            digest.update(row["payload"])
+        for row in self._conn.execute(f"SELECT {_SCALARS} FROM reps ORDER BY config_key, seed"):
+            digest.update(repr(tuple(row)).encode())
         for row in self._conn.execute(
             "SELECT config_key, seed, name, label, rep, error_type, attempts,"
             " quarantined FROM failures ORDER BY config_key, seed"

@@ -2,12 +2,7 @@
 
 import json
 
-from repro.framework.artifacts import (
-    load_summary_dict,
-    result_to_dict,
-    save_summary,
-    summary_to_dict,
-)
+from repro.framework.artifacts import result_to_dict, save_summary, summary_to_dict
 from repro.framework.config import ExperimentConfig
 from repro.framework.runner import run_repetitions
 from repro.units import kib
@@ -41,7 +36,7 @@ def test_summary_roundtrips_through_json(tmp_path):
     summary = _summary()
     path = save_summary(summary, tmp_path / "out" / "run.json")
     assert path.exists()
-    loaded = load_summary_dict(path)
+    loaded = json.loads(path.read_text())
     assert loaded == summary_to_dict(summary)
     assert loaded["label"] == "quiche/cubic"
     assert len(loaded["repetitions"]) == 2

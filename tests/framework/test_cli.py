@@ -252,10 +252,12 @@ def test_sweep_failed_column_reflects_store_failures(capsys, tmp_path):
 
 @pytest.fixture
 def cli_store(tmp_path):
+    """A run's store; its ``run --json`` artifact is ``st.json`` beside it."""
     path = tmp_path / "st.sqlite"
     rc = main(
         ["run", "quiche", "--size-mib", "0.25", "--reps", "2", "--seed", "5",
-         "--no-cache", "--workers", "1", "--store", str(path)]
+         "--no-cache", "--workers", "1", "--store", str(path),
+         "--json", str(path.with_suffix(".json"))]
     )
     assert rc == 0
     return path
@@ -291,30 +293,37 @@ def test_report_renders_ascii_and_markdown(capsys, cli_store):
     assert "| quiche/cubic |" in md
 
 
-def test_store_info_export_and_json_migration_round_trip(capsys, cli_store, tmp_path):
+def test_store_info_and_an_export_byte_equal_to_run_json(capsys, cli_store, tmp_path):
     capsys.readouterr()
     assert main(["store", "info", str(cli_store)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["reps"] == 2 and info["failures"] == 0
-    assert info["names"] == ["quiche/cubic"]
+    assert info["names"] == ["quiche/cubic"] and info["version"] == 4
 
     exported = tmp_path / "out.json"
     assert main(["store", "export", str(cli_store), "quiche/cubic", str(exported)]) == 0
-    capsys.readouterr()
-
-    # Migrating the export into a fresh store reproduces the original content.
-    migrated = tmp_path / "m.sqlite"
-    assert main(["store", "migrate", str(migrated), "--from-json", str(exported)]) == 0
-    assert "migrated 2 repetition(s)" in capsys.readouterr().out
-    assert main(["store", "info", str(migrated)]) == 0
-    migrated_info = json.loads(capsys.readouterr().out)
-    assert migrated_info["fingerprint"] == info["fingerprint"]
+    assert exported.read_bytes() == cli_store.with_suffix(".json").read_bytes()
 
 
 def test_store_migrate_without_sources_exits_2(capsys, tmp_path):
     rc = main(["store", "migrate", str(tmp_path / "m.sqlite")])
     assert rc == 2
     assert "nothing to migrate" in capsys.readouterr().err
+
+
+def test_analyze_reads_a_run_capture(capsys, tmp_path):
+    capture = tmp_path / "cap.csv"
+    assert main(["run", "quiche", "--size-mib", "0.25", "--no-cache",
+                 "--capture", str(capture)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(capture)]) == 0
+    report = capsys.readouterr().out
+    assert "inter-packet gap CDF" in report and "back-to-back share" in report
+    # Every captured frame is the server's, so filtering on it keeps them all.
+    assert main(["analyze", str(capture), "--src", "10.0.0.1"]) == 0
+    assert capsys.readouterr().out == report
+    assert main(["analyze", str(capture), "--src", "10.9.9.9"]) == 1
+    assert capsys.readouterr().out == "no records after filtering\n"
 
 
 def test_store_cache_migration_from_cli_cache(capsys, tmp_path):

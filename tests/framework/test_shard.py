@@ -77,12 +77,18 @@ def _run_shard(index, count, store_path, cache_dir, **kwargs):
 
 
 def _merged(dest, parts):
-    """The merged store's content fingerprint and campaign rows."""
+    """The merged store's content fingerprint, campaign rows, and names and
+    group summaries in the order they are listed."""
     with ResultStore(dest) as store:
         for part in parts:
             store.merge_from(part)
         assert store.failure_count() == 0
-        return store.content_fingerprint(), store.info()["campaigns"]
+        return (
+            store.content_fingerprint(),
+            store.info()["campaigns"],
+            store.names(),
+            list(store.group_summaries().items()),
+        )
 
 
 def _check_split(campaign, count):
@@ -109,6 +115,8 @@ def _check_split(campaign, count):
         expected = (
             whole.content_fingerprint(),
             [{"grid_key": grid_key(GRID), "shard": f"{i}/{count}"} for i in range(count)],
+            whole.names(),
+            list(whole.group_summaries().items()),
         )
         assert _merged(tmp / "forward.sqlite", parts) == expected
         assert _merged(tmp / "backward.sqlite", parts[::-1] + parts) == expected

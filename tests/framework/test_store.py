@@ -2,11 +2,12 @@
 
 The differential suite (``test_store_differential.py``) pins store-vs-JSON
 equality across backends; this file covers the store's own contract —
-idempotent keys, filters, pooled aggregation, schema versioning, and
-migration from the two legacy artifact forms (result cache, summary JSON).
+idempotent keys, filters, pooled aggregation, schema versioning (another
+version is refused, never upgraded), and migration from a result cache.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import pickle
@@ -20,12 +21,7 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import run_experiment
 from repro.framework.runner import run_repetitions
-from repro.framework.store import (
-    ResultStore,
-    STORE_VERSION,
-    per_rep_key,
-    per_rep_key_from_dict,
-)
+from repro.framework.store import ResultStore, STORE_VERSION, per_rep_key
 from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.trains import pooled_fraction_of_packets_in_trains_leq
@@ -135,14 +131,27 @@ def _blobs(store):
     return [row[0] for row in store._conn.execute("SELECT result FROM reps ORDER BY rep")]
 
 
-#: The schema before the ``campaigns`` table.
-V2_SCHEMA = store_module._SCHEMA.replace(store_module._CAMPAIGNS, "")
-#: The schema before ``reps`` gained its ``result`` blob.
-V1_SCHEMA = V2_SCHEMA.replace("    result              BLOB,\n", "")
+#: The v3 schema: a zlib JSON ``payload`` beside a ``result`` blob that may
+#: be NULL and holds no config.
+V3_SCHEMA = store_module._SCHEMA.replace(
+    "    result              BLOB    NOT NULL,\n",
+    "    payload             BLOB    NOT NULL,\n    result              BLOB,\n",
+)
 
 
-def _copy(source, dest, schema=V1_SCHEMA, version=1):
-    """``source``'s rows in a store built from ``schema`` (v1 by default)."""
+def _old_store(path, version):
+    """An empty store of the v3 schema, in WAL mode, tagged ``version``."""
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(V3_SCHEMA)
+    conn.execute(f"PRAGMA user_version = {version}")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def _copy(source, dest, schema, version):
+    """``source``'s rows in a store built from ``schema``."""
     conn = sqlite3.connect(dest)
     conn.executescript(schema)
     conn.execute("ATTACH DATABASE ? AS source", (str(source),))
@@ -186,19 +195,17 @@ class TestConfirm:
             assert (row["name"], row["rep"]) == (name, rep)
         assert _precision(store) == precision
 
-    def test_a_null_precision_is_filled_and_never_erased(self, store, results):
-        from repro.framework.artifacts import rep_to_dict
-
-        payload = rep_to_dict(results[0])
-        store._ingest_payload(name="quiche", label=CONFIG.label, rep=0, payload=payload)
-        assert _precision(store) == [None]
-        store.record_result("quiche", 0, results[0])  # measures it: rewritten
-        (precision,) = _precision(store)
-        assert precision is not None
-        # Neither a confirming nor a rewriting payload without it erases it.
+    def test_precision_is_null_exactly_when_unmeasured(self, store, results):
+        unmeasured = dataclasses.replace(results[1], expected_send_log=[])
+        store.record_result("quiche", 0, results[0])
+        store.record_result("quiche", 1, unmeasured)
+        measured, missing = _precision(store)
+        assert measured is not None and missing is None
+        # A confirmed row and a rewritten one keep what their result measures.
         for name in ("quiche", "renamed"):
-            store._ingest_payload(name=name, label=CONFIG.label, rep=0, payload=payload)
-            assert _precision(store) == [precision]
+            store.record_result(name, 0, results[0])
+            store.record_result(name, 1, unmeasured)
+            assert _precision(store) == [measured, None]
 
     def test_a_moved_fingerprint_is_reported_and_its_row_rewritten(self, tmp_path):
         """A repetition recomputed to another fingerprint than its row's, over
@@ -217,6 +224,17 @@ class TestConfirm:
             f"[store] warning: {CONFIG.label} rep 0 recomputed with a different "
             "fingerprint than the stored row (determinism regression?)"
         ]
+
+
+    def test_a_blob_that_fails_its_checks_deletes_its_row(self, tmp_path):
+        stream = io.StringIO()
+        with ResultStore(tmp_path / "bad.sqlite", stream=stream) as store:
+            run_repetitions(CONFIG, workers=1, store=store)
+            store._conn.execute("UPDATE reps SET result = x'00' WHERE rep = 0")
+            store._conn.commit()
+            assert list(store.served(CONFIG.label, CONFIG, [0, 1])) == [1]
+            assert (store.rep_count(), store.evictions) == (1, 1)
+        assert stream.getvalue().startswith("[store] warning: cleared the result blob of")
 
 
 class TestBatch:
@@ -253,19 +271,19 @@ class TestSeeds:
             assert read.seed == seed
 
     def test_large_seed_results_query_back_exactly(self, store, results):
-        from repro.framework.artifacts import rep_to_dict
-
-        raw = dict(rep_to_dict(results[0]), seed=(1 << 64) - 3)
-        store._ingest_payload(name="big", label="big", rep=0, payload=raw)
+        store.record_result("big", 0, dataclasses.replace(results[0], seed=(1 << 64) - 3))
         (row,) = store.query(name="big")
         assert row["seed"] == (1 << 64) - 3
         assert store.payloads("big")[0]["seed"] == (1 << 64) - 3
 
 
 class TestKeys:
-    def test_live_and_json_config_keys_agree(self, results):
-        payload_config = json.loads(json.dumps(dataclasses.asdict(results[0].config)))
-        assert per_rep_key(results[0].config) == per_rep_key_from_dict(payload_config)
+    def test_live_and_json_config_keys_agree(self, store, results):
+        """An export's config, in JSON, hashes to its row's key."""
+        store.record_result("quiche", 0, results[0])
+        (exported,) = store.payloads("quiche")
+        normalized = json.dumps(dict(exported["config"], repetitions=1), sort_keys=True)
+        assert per_rep_key(results[0].config) == hashlib.sha256(normalized.encode()).hexdigest()
 
     def test_key_ignores_repetition_count(self):
         grown = dataclasses.replace(CONFIG, repetitions=20)
@@ -314,10 +332,13 @@ class TestQuerying:
         agg = populated.aggregate("goodput_mbps", stack="msquic")
         assert agg == {"metric": "goodput_mbps", "n": 0}
 
-    def test_names_keep_first_insertion_order(self, populated):
-        assert populated.names() == ["quiche", "lossy"]
+    def test_names_are_sorted(self, populated):
+        """Not in insertion order: a merged store is written in merge order,
+        and a pooled sweep in completion order."""
+        assert populated.names() == ["lossy", "quiche"]
         populated.record_failure(_failure(name="poison"), CONFIG)
-        assert populated.names() == ["quiche", "lossy", "poison"]
+        assert populated.names() == ["lossy", "poison", "quiche"]
+        assert list(populated.group_summaries()) == ["lossy", "poison", "quiche"]
 
     def test_group_summaries_pool_shares_exactly_like_the_sweep_cli(
         self, populated, results
@@ -458,70 +479,25 @@ class TestVersioning:
             assert store.rep_count() == 1
             assert store.content_fingerprint() == fingerprint
 
-    def test_a_v1_store_is_upgraded_in_place(self, tmp_path):
-        """Opening a v1 store adds the empty ``result`` column; a warm sweep
-        fills the blobs from the cache, and the content fingerprint never
-        sees them."""
-        cache = ResultCache(tmp_path / "cache")
-        with ResultStore(tmp_path / "fresh.sqlite") as fresh:
-            run_repetitions(CONFIG, workers=1, cache=cache, store=fresh)
-            expected = fresh.content_fingerprint()
-        old = _copy(tmp_path / "fresh.sqlite", tmp_path / "v1.sqlite")
-        conn = sqlite3.connect(old)
-        assert "result" not in [row[1] for row in conn.execute("PRAGMA table_info(reps)")]
-        conn.close()
-        with ResultStore(old) as store:
-            assert store._conn.execute("PRAGMA user_version").fetchone()[0] == STORE_VERSION
-            assert _blobs(store) == [None, None]
-            assert store.content_fingerprint() == expected
-            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
-            assert cache.stats.hits == 2
-            assert None not in _blobs(store)
-            assert store.content_fingerprint() == expected
-        with ResultStore(old) as store:  # already upgraded: opened as is
-            statements = statement_log(store)
-            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
-            assert cache.stats.hits == 2 and statements.count("COMMIT") == 0
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_an_older_store_is_refused_and_left_as_it_is(self, tmp_path, version):
+        path = _old_store(tmp_path / "old.sqlite", version)
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match=f"schema version {version}, not this build's 4"):
+            ResultStore(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.sqlite"]
 
-    def test_a_v2_store_is_upgraded_in_place_and_refused_as_a_part_until_then(self, tmp_path):
-        """A v2 store gains an empty ``campaigns`` table on open, keeping its
-        content fingerprint; until opened once, ``merge_from`` refuses it and
-        says so. Upgraded, it merges as today: it holds no campaign row."""
-        with ResultStore(tmp_path / "fresh.sqlite") as fresh:
-            run_repetitions(CONFIG, workers=1, store=fresh)
-            expected, blobs = fresh.content_fingerprint(), _blobs(fresh)
-        old = _copy(tmp_path / "fresh.sqlite", tmp_path / "v2.sqlite", V2_SCHEMA, 2)
+    def test_merge_refuses_an_older_part_untouched(self, tmp_path):
+        part = _old_store(tmp_path / "v3.sqlite", 3)
+        before = part.read_bytes()
         with ResultStore(tmp_path / "dest.sqlite") as dest:
-            with pytest.raises(ConfigError, match="schema version 2.*opening it once upgrades it"):
-                dest.merge_from(old)
-            assert dest.rep_count() == 0
-        with ResultStore(old) as store:
-            assert store._conn.execute("PRAGMA user_version").fetchone()[0] == STORE_VERSION
-            assert store.content_fingerprint() == expected and _blobs(store) == blobs
-            assert store.info()["campaigns"] == []
-        with ResultStore(tmp_path / "dest.sqlite") as dest:
-            with dest.campaign("f" * 64, (0, 2)):  # shards of some grid already merged
-                pass
-            dest.merge_from(old)
+            run_repetitions(CONFIG, workers=1, store=dest)
+            expected = dest.content_fingerprint()
+            with pytest.raises(ConfigError, match="schema version 3, not this build's 4"):
+                dest.merge_from(part)
             assert dest.content_fingerprint() == expected
-
-    def test_an_upgraded_and_a_fresh_store_merge_either_way(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        fresh = tmp_path / "fresh.sqlite"
-        with ResultStore(fresh) as store:
-            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
-            expected = store.content_fingerprint()
-        upgraded = _copy(fresh, tmp_path / "v1.sqlite")
-        with ResultStore(upgraded) as store:
-            run_repetitions(CONFIG, workers=1, cache=cache, store=store)
-        for order, parts in (("forward", [upgraded, fresh]), ("backward", [fresh, upgraded])):
-            with ResultStore(tmp_path / f"{order}.sqlite") as merged:
-                for part in parts:
-                    merged.merge_from(part)
-                assert merged.content_fingerprint() == expected
-                with ResultStore(parts[-1]) as last:
-                    assert _blobs(merged) == _blobs(last)
-                assert None not in _blobs(merged)
+        assert part.read_bytes() == before
 
     def test_merge_copies_columns_by_name(self, tmp_path):
         """A part whose columns sit in another order merges to the same rows."""
@@ -602,66 +578,11 @@ class TestMigration:
         assert len(warnings) == 1
         assert warnings[0].startswith("[store] warning: skipped") and "digest" in warnings[0]
 
-    def test_json_artifact_migration_matches_live_recording(
-        self, tmp_path, results
-    ):
-        from repro.framework.artifacts import save_summary
-        from repro.framework.runner import summarize_results
-
-        # A third repetition failed: its record goes through the same writer
-        # a live campaign's failures do.
-        failure = _failure(name=CONFIG.label, seed=13, rep=2)
-        summary = summarize_results(CONFIG, results, [failure])
-        artifact = save_summary(summary, tmp_path / "a.json")
-
-        live = ResultStore(tmp_path / "live.sqlite")
-        for rep, result in enumerate(results):
-            live.record_result(CONFIG.label, rep, result)
-        live.record_failure(failure, CONFIG)
-
-        migrated = ResultStore(tmp_path / "migrated.sqlite")
-        statements = statement_log(migrated)
-        assert migrated.ingest_summary_json(artifact) == 2
-        assert statements.count("COMMIT") == 1
-        assert migrated.failures() == [failure]
-        # precision_ns, the one live-only column (it needs the expected-send
-        # log), is outside the content fingerprint.
-        assert migrated.content_fingerprint() == live.content_fingerprint()
-
-    def test_cache_migration_fills_blobs_and_json_leaves_them_empty(self, tmp_path):
-        from repro.framework.artifacts import save_summary
-
+    def test_cache_migrated_rows_serve_a_sweep_with_no_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        artifact = save_summary(
-            run_repetitions(CONFIG, workers=1, cache=cache), tmp_path / "a.json"
-        )
-        with ResultStore(tmp_path / "json.sqlite") as from_json:
-            from_json.ingest_summary_json(artifact)
-            assert _blobs(from_json) == [None, None]
+        run_repetitions(CONFIG, workers=1, cache=cache)
         with ResultStore(tmp_path / "cache.sqlite") as from_cache:
             from_cache.migrate_cache(cache.root)
-            assert None not in _blobs(from_cache)
-            # The migrated rows serve a sweep with no cache: nothing runs.
             stream = io.StringIO()
             run_repetitions(CONFIG, workers=1, store=from_cache, stream=stream)
             assert stream.getvalue().count("[cached]") == 2
-
-    @pytest.mark.parametrize("cache_first", [True, False], ids=["cache-json", "json-cache"])
-    def test_either_migration_order_keeps_precision(self, tmp_path, cache_first):
-        from repro.framework.artifacts import save_summary
-
-        cache = ResultCache(tmp_path / "cache")
-        with ResultStore(tmp_path / "live.sqlite") as live:
-            summary = run_repetitions(CONFIG, workers=1, cache=cache, store=live)
-            precision, digest = _precision(live), live.content_fingerprint()
-        assert None not in precision
-        artifact = save_summary(summary, tmp_path / "a.json")
-        with ResultStore(tmp_path / "migrated.sqlite") as migrated:
-            sources = [
-                lambda: migrated.migrate_cache(cache.root),
-                lambda: migrated.ingest_summary_json(artifact),
-            ]
-            for migrate in sources if cache_first else sources[::-1]:
-                assert migrate() == 2
-            assert _precision(migrated) == precision
-            assert migrated.content_fingerprint() == digest

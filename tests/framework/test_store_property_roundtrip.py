@@ -2,25 +2,32 @@
 
 In the style of ``tests/quic/test_property_roundtrip.py``: corpora come from
 a seeded ``random.Random`` so failures reproduce exactly. The store's
-serialization seam is the canonical repetition payload
-(:func:`repro.framework.artifacts.rep_to_dict` output) plus
-:class:`~repro.framework.supervision.RepFailure`; every generated value must
-survive write → read → export-to-JSON unchanged, the derived scalar columns
-must stay consistent with the payload they were derived from, and the
-content fingerprint must be a pure function of content (insertion order,
-re-ingestion, and process restarts are invisible).
+serialization seam is the result (each row's blob) plus
+:class:`~repro.framework.supervision.RepFailure`; every generated result must
+read back as its own canonical JSON form
+(:func:`repro.framework.artifacts.rep_to_dict`) through write → read →
+export-to-JSON, the derived scalar columns must stay consistent with that
+form, and the content fingerprint must be a pure function of content
+(insertion order, re-recording, and process restarts are invisible).
 """
 
 import dataclasses
+import hashlib
 import json
 import random
+from array import array
 
 import pytest
 
+from repro.framework.artifacts import rep_to_dict
 from repro.framework.config import ExperimentConfig, NetworkConfig
+from repro.framework.experiment import ExperimentResult
+from repro.framework.population import PopulationConfig, run_population
 from repro.framework.store import ResultStore, per_rep_key
 from repro.framework.supervision import RepFailure
 from repro.net.impairments import iid_loss, reordering
+from repro.net.tap import CaptureColumns
+from repro.units import kib, seconds, us
 
 RNG_SEED = 20250807
 
@@ -28,6 +35,7 @@ STACKS = ("quiche", "picoquic", "ngtcp2", "tcp")
 CCAS = ("cubic", "newreno", "bbr", "bbr2")
 QDISCS = ("none", "fq", "etf", "etf-offload")
 GSO = ("off", "on", "paced")
+FLOW = ("10.0.0.1", 443, "10.0.0.2", 40000)
 
 
 def _random_config(rng) -> ExperimentConfig:
@@ -50,76 +58,56 @@ def _config_dict(config) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(config)))
 
 
-def _random_histogram(rng) -> dict:
-    lengths = rng.sample(range(1, 40), rng.randrange(1, 8))
-    return {str(length): rng.randrange(1, 500) for length in sorted(lengths)}
+def _random_capture(rng, packets: int) -> CaptureColumns:
+    """One flow's capture whose gaps are back-to-back (<= 15 us) or not."""
+    cols = CaptureColumns()
+    time = rng.randrange(0, 1 << 30)
+    for pn in range(packets):
+        cols.time_ns.append(time)
+        back_to_back = rng.random() < 0.5
+        time += rng.randrange(0, us(15) + 1) if back_to_back else rng.randrange(us(16), us(2000))
+    cols.wire_size.extend(array("q", [1294] * packets))
+    cols.payload_size.extend(array("q", [1252] * packets))
+    cols.packet_number.extend(array("q", range(packets)))
+    cols.dgram_id.extend(array("q", range(packets)))
+    cols.gso_id.extend(array("q", [-1] * packets))
+    cols.flow_index.extend(array("q", [0] * packets))
+    cols.flows.append(FLOW)
+    return cols
 
 
-def _random_experiment_payload(rng, config, seed: int) -> dict:
-    packets = rng.randrange(2, 5000)
-    gap_count = packets - 1
-    b2b_count = rng.randrange(0, gap_count + 1)
-    trains = _random_histogram(rng)
-    total = sum(trains.values())
-    leq5 = sum(v for k, v in trains.items() if int(k) <= 5)
-    return {
-        "config": _config_dict(config),
-        "seed": seed,
-        "fingerprint": "%064x" % rng.getrandbits(256),
-        "completed": rng.random() < 0.9,
-        "duration_ns": rng.randrange(1, 1 << 40),
-        "goodput_mbps": rng.uniform(0.01, 9500.0),
-        "dropped": rng.randrange(0, 100),
-        "injected_drops": rng.randrange(0, 50),
-        "impairment_stats": {"injected": rng.randrange(0, 50)},
-        "packets_on_wire": packets,
-        "qdisc_stats": {"enqueued": rng.randrange(0, 10_000)},
-        "server_stats": {"received": packets},
-        "metrics": {
-            "back_to_back_share": b2b_count / gap_count if gap_count else 0.0,
-            "trains_leq5_share": leq5 / total,
-            "packets_by_train_length": trains,
-        },
-    }
+def _random_experiment(rng, config, seed: int, max_packets: int = 600) -> ExperimentResult:
+    return ExperimentResult(
+        config=config,
+        seed=seed,
+        completed=rng.random() < 0.9,
+        duration_ns=rng.randrange(1, 1 << 40),
+        goodput_mbps=rng.uniform(0.01, 9500.0),
+        dropped=rng.randrange(0, 100),
+        server_records=_random_capture(rng, rng.randrange(2, max_packets)),
+        expected_send_log=[],
+        qdisc_stats={"enqueued": rng.randrange(0, 10_000)},
+        server_stats={"received": rng.randrange(0, 10_000)},
+        injected_drops=rng.randrange(0, 50),
+        impairment_stats={"injected": rng.randrange(0, 50)},
+    )
 
 
-def _random_distribution(rng) -> dict:
-    return {
-        "mean": rng.uniform(0, 100),
-        "p50": rng.uniform(0, 100),
-        "p90": rng.uniform(0, 100),
-        "p99": rng.uniform(0, 100),
-    }
+@pytest.fixture(scope="module")
+def population():
+    """One small population run; the corpus varies its config and seed."""
+    config = PopulationConfig(
+        flows=4, arrival_rate_per_s=200.0, file_size=kib(16),
+        profiles=("quiche:cubic", "tcp"), max_sim_time_ns=seconds(60),
+    )
+    return run_population(config, seed=1)
 
 
-def _random_population_payload(rng, config, seed: int) -> dict:
-    flows = rng.randrange(1, 400)
-    return {
-        "config": _config_dict(config),
-        "seed": seed,
-        "fingerprint": "%064x" % rng.getrandbits(256),
-        "completed": rng.random() < 0.9,
-        "flows": flows,
-        "completed_flows": rng.randrange(0, flows + 1),
-        "duration_ns": rng.randrange(1, 1 << 40),
-        "aggregate_goodput_mbps": rng.uniform(0.01, 9500.0),
-        "dropped": rng.randrange(0, 5000),
-        "injected_drops": rng.randrange(0, 500),
-        "ack_drops": rng.randrange(0, 500),
-        "unrouted": 0,
-        "fairness": rng.random(),
-        "metrics": {
-            "goodput_mbps": _random_distribution(rng),
-            "fct_ms": _random_distribution(rng),
-            "loss": _random_distribution(rng),
-        },
-        "per_profile": {
-            "quiche/cubic": {"flows": flows, "goodput_mbps_mean": rng.uniform(0, 10)}
-        },
-        "ratio_matrix": [[rng.random() for _ in range(2)] for _ in range(2)],
-        "beats": [["quiche/cubic", "tcp/cubic"]] if rng.random() < 0.5 else [],
-        "transitivity_violations": [],
-    }
+def _random_population(rng, base, seed: int):
+    config = dataclasses.replace(
+        base.config, seed=rng.randrange(1, 1 << 48), repetitions=rng.randrange(1, 6)
+    )
+    return dataclasses.replace(base, config=config, seed=seed)
 
 
 def _random_failure(rng, name: str, seed: int) -> RepFailure:
@@ -138,59 +126,59 @@ def _random_failure(rng, name: str, seed: int) -> RepFailure:
     )
 
 
-def _corpus(seed_offset: int, groups: int = 12):
-    """[(name, [payload...])]: unique (config, seed) keys by construction."""
+def _corpus(population, seed_offset: int, groups: int = 12):
+    """[(name, config, [result...])]: unique (config, seed) keys by construction."""
     rng = random.Random(RNG_SEED + seed_offset)
     corpus = []
     for index in range(groups):
-        config = _random_config(rng)
-        generator = (
-            _random_population_payload if index % 3 == 2 else _random_experiment_payload
-        )
         seeds = rng.sample(range(1, 1 << 32), rng.randrange(1, 4))
-        payloads = [generator(rng, config, seed) for seed in seeds]
-        corpus.append((f"grp-{index}", config, payloads))
+        if index % 3 == 2:
+            results = [_random_population(rng, population, seed) for seed in seeds]
+            config = results[0].config
+        else:
+            config = _random_config(rng)
+            results = [_random_experiment(rng, config, seed) for seed in seeds]
+        corpus.append((f"grp-{index}", config, results))
     return corpus
 
 
-def _ingest(store, corpus):
-    for name, config, payloads in corpus:
-        for rep, payload in enumerate(payloads):
-            store._ingest_payload(name=name, label=config.label, rep=rep, payload=payload)
+def _record(store, corpus):
+    for name, _, results in corpus:
+        for rep, result in enumerate(results):
+            store.record_result(name, rep, result)
 
 
 class TestPayloadRoundTrip:
-    def test_write_read_is_the_identity(self, tmp_path):
-        corpus = _corpus(0)
+    def test_write_read_is_the_identity(self, tmp_path, population):
+        corpus = _corpus(population, 0)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            _ingest(store, corpus)
-            for name, _, payloads in corpus:
-                assert store.payloads(name) == payloads
+            _record(store, corpus)
+            for name, _, results in corpus:
+                assert store.payloads(name) == [rep_to_dict(r) for r in results]
 
-    def test_export_to_json_file_round_trips(self, tmp_path):
-        corpus = _corpus(1, groups=6)
+    def test_export_to_json_file_round_trips(self, tmp_path, population):
+        corpus = _corpus(population, 1, groups=6)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            _ingest(store, corpus)
-            for name, _, payloads in corpus:
+            _record(store, corpus)
+            for name, _, results in corpus:
                 path = store.export_summary_json(name, tmp_path / f"{name}.json")
                 data = json.loads(path.read_text())
+                payloads = json.loads(json.dumps([rep_to_dict(r) for r in results]))
                 assert data["repetitions"] == payloads
-                goodputs = [
-                    p.get("aggregate_goodput_mbps", p.get("goodput_mbps"))
-                    for p in payloads
-                ]
+                goodputs = [r.goodput_mbps for r in results]
                 assert data["goodput_mbps"]["mean"] == pytest.approx(
                     sum(goodputs) / len(goodputs)
                 )
 
-    def test_scalar_columns_stay_consistent_with_the_payload(self, tmp_path):
-        corpus = _corpus(2)
+    def test_scalar_columns_stay_consistent_with_the_payload(self, tmp_path, population):
+        corpus = _corpus(population, 2)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            _ingest(store, corpus)
-            for name, config, payloads in corpus:
+            _record(store, corpus)
+            for name, config, results in corpus:
                 rows = store.query(name=name)
-                assert len(rows) == len(payloads)
-                for row, payload in zip(rows, payloads):
+                assert len(rows) == len(results)
+                for row, result in zip(rows, results):
+                    payload = rep_to_dict(result)
                     assert row["seed"] == payload["seed"]
                     assert row["fingerprint"] == payload["fingerprint"]
                     assert row["completed"] == int(payload["completed"])
@@ -209,20 +197,20 @@ class TestPayloadRoundTrip:
 
     def test_b2b_count_recovery_is_exact(self, tmp_path):
         # The share is stored as a float but derived from integer counts;
-        # round(share * gap_count) must recover the generator's exact count.
+        # round(share * gap_count) must recover the capture's exact count.
         rng = random.Random(RNG_SEED + 100)
         with ResultStore(tmp_path / "s.sqlite") as store:
             config = _random_config(rng)
             for rep, seed in enumerate(rng.sample(range(1, 1 << 31), 200)):
-                payload = _random_experiment_payload(rng, config, seed)
-                store._ingest_payload(name="x", label="x", rep=rep, payload=payload)
-                share = payload["metrics"]["back_to_back_share"]
-                gaps = payload["packets_on_wire"] - 1
+                result = _random_experiment(rng, config, seed, max_packets=5000)
+                store.record_result("x", rep, result)
+                times = result.server_records.time_ns
+                gaps = [b - a for a, b in zip(times, times[1:])]
                 row = store._conn.execute(
                     "SELECT gap_count, b2b_count FROM reps WHERE seed = ?", (seed,)
                 ).fetchone()
-                assert row["gap_count"] == gaps
-                assert row["b2b_count"] == round(share * gaps)
+                assert row["gap_count"] == len(gaps)
+                assert row["b2b_count"] == sum(gap <= us(15) for gap in gaps)
 
 
 class TestFailureRoundTrip:
@@ -242,8 +230,7 @@ class TestFailureRoundTrip:
         rng = random.Random(RNG_SEED + 201)
         with ResultStore(tmp_path / "s.sqlite") as store:
             config = _random_config(rng)
-            payload = _random_experiment_payload(rng, config, config.seed)
-            store._ingest_payload(name="n", label=config.label, rep=0, payload=payload)
+            store.record_result("n", 0, _random_experiment(rng, config, config.seed))
             failure = _random_failure(rng, "n", config.seed + 1)
             store.record_failure(failure, config)
             exported = store.export_summary_dict("n")
@@ -252,48 +239,46 @@ class TestFailureRoundTrip:
 
 
 class TestContentIdentity:
-    def test_fingerprint_ignores_insertion_order(self, tmp_path):
-        corpus = _corpus(3)
+    def test_fingerprint_ignores_insertion_order(self, tmp_path, population):
+        corpus = _corpus(population, 3)
         ordered = ResultStore(tmp_path / "a.sqlite")
-        _ingest(ordered, corpus)
+        _record(ordered, corpus)
         shuffled = ResultStore(tmp_path / "b.sqlite")
         flat = [
-            (name, config, rep, payload)
-            for name, config, payloads in corpus
-            for rep, payload in enumerate(payloads)
+            (name, rep, result)
+            for name, _, results in corpus
+            for rep, result in enumerate(results)
         ]
         random.Random(RNG_SEED + 300).shuffle(flat)
-        for name, config, rep, payload in flat:
-            shuffled._ingest_payload(
-                name=name, label=config.label, rep=rep, payload=payload
-            )
+        for name, rep, result in flat:
+            shuffled.record_result(name, rep, result)
         assert shuffled.content_fingerprint() == ordered.content_fingerprint()
         assert shuffled.rep_count() == ordered.rep_count()
 
-    def test_fingerprint_stable_under_re_ingestion(self, tmp_path):
-        corpus = _corpus(4, groups=6)
+    def test_fingerprint_stable_under_re_ingestion(self, tmp_path, population):
+        corpus = _corpus(population, 4, groups=6)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            _ingest(store, corpus)
+            _record(store, corpus)
             digest = store.content_fingerprint()
             count = store.rep_count()
-            _ingest(store, corpus)  # a resumed campaign recording again
+            _record(store, corpus)  # a resumed campaign recording again
             assert store.content_fingerprint() == digest
             assert store.rep_count() == count
 
-    def test_fingerprint_survives_reopen(self, tmp_path):
-        corpus = _corpus(5, groups=4)
+    def test_fingerprint_survives_reopen(self, tmp_path, population):
+        corpus = _corpus(population, 5, groups=4)
         path = tmp_path / "s.sqlite"
         with ResultStore(path) as store:
-            _ingest(store, corpus)
+            _record(store, corpus)
             digest = store.content_fingerprint()
         with ResultStore(path) as store:
             assert store.content_fingerprint() == digest
 
     def test_per_rep_key_matches_payload_derived_key(self):
+        """The key of a config is the hash of its JSON form's (an export's)
+        canonical encoding, with ``repetitions`` normalized."""
         rng = random.Random(RNG_SEED + 400)
         for _ in range(50):
             config = _random_config(rng)
-            payload_key = per_rep_key(config)
-            from repro.framework.store import per_rep_key_from_dict
-
-            assert per_rep_key_from_dict(_config_dict(config)) == payload_key
+            normalized = json.dumps(dict(_config_dict(config), repetitions=1), sort_keys=True)
+            assert hashlib.sha256(normalized.encode()).hexdigest() == per_rep_key(config)
