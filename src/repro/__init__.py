@@ -18,10 +18,9 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment, ExperimentResult, run_experiment
 from repro.framework.runner import RunSummary, derive_seed, run_repetitions
-from repro.framework.sweep import SweepRunner, run_sweep
+from repro.framework.sweep import SweepRunner
 from repro.framework import scenarios
 from repro.metrics import (
-    cdf,
     fraction_leq,
     fraction_of_packets_in_trains_leq,
     goodput_mbps,
@@ -58,9 +57,7 @@ __all__ = [
     "SweepRunner",
     "derive_seed",
     "run_repetitions",
-    "run_sweep",
     "scenarios",
-    "cdf",
     "fraction_leq",
     "fraction_of_packets_in_trains_leq",
     "goodput_mbps",

@@ -129,6 +129,3 @@ class CongestionController:
     def _should_trigger_congestion_event(self, largest_lost_sent_time: int) -> bool:
         """One cwnd reduction per congestion epoch (RFC 9002 §7.3.1)."""
         return largest_lost_sent_time > self.recovery_start_time
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} cwnd={self.cwnd} ssthresh={self.ssthresh}>"

@@ -17,7 +17,7 @@ from repro.framework.experiment import Experiment, ExperimentResult
 from repro.framework.runner import RunSummary, derive_seed, run_repetitions
 from repro.framework.store import STORE_VERSION, ResultStore, grid_key
 from repro.framework.supervision import RepFailure, SupervisionPolicy, Supervisor
-from repro.framework.sweep import SweepRunner, run_sweep
+from repro.framework.sweep import SweepRunner
 from repro.framework.validate import validate_result
 
 __all__ = [
@@ -44,6 +44,5 @@ __all__ = [
     "grid_key",
     "make_executor",
     "run_repetitions",
-    "run_sweep",
     "validate_result",
 ]

@@ -148,15 +148,6 @@ class CacheStats:
     #: inspection (every eviction is also a quarantine unless the move fails).
     quarantined: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-        }
-
     def __str__(self) -> str:
         return (
             f"{self.hits} hits, {self.misses} misses, "
@@ -282,6 +273,3 @@ class ResultCache:
             except OSError:
                 pass
         self.stats.evictions += 1
-
-    def __repr__(self) -> str:
-        return f"ResultCache(root={str(self.root)!r}, version={self.version}, {self.stats})"

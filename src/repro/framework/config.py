@@ -234,10 +234,3 @@ class ExperimentConfig(CanonicalForm):
         parts.extend(spec.slug for spec in self.network.forward_impairments)
         parts.extend(f"r-{spec.slug}" for spec in self.network.reverse_impairments)
         return "/".join(parts)
-
-    def scaled(self, file_size: int, repetitions: Optional[int] = None) -> "ExperimentConfig":
-        return replace(
-            self,
-            file_size=file_size,
-            repetitions=repetitions if repetitions is not None else self.repetitions,
-        )

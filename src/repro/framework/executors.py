@@ -85,9 +85,6 @@ class Executor:
     def make_pool(self, workers: int) -> ProcessPoolExecutor:
         raise NotImplementedError(f"{self.name!r} backend does not pool")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class InProcessExecutor(Executor):
     """Serial, in the calling process (tests, debugging, profiling)."""

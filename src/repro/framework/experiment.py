@@ -153,18 +153,6 @@ class ExperimentResult:
             digest.update(chunk)
         return digest.hexdigest()
 
-    def validate(self) -> None:
-        """Check this result against the framework's conservation invariants.
-
-        Raises :class:`~repro.errors.ValidationError` naming the violated
-        invariant. The sweep layer calls this on every repetition before it
-        is cached or summarized; it is exposed here so artifact consumers can
-        re-check deserialized results.
-        """
-        from repro.framework.validate import validate_result
-
-        validate_result(self)
-
 
 class Experiment:
     """Builds and runs one repetition of a configured measurement."""

@@ -174,10 +174,6 @@ class MultiFlowResult:
     def completed_count(self) -> int:
         return sum(1 for f in self.flows if f.completed)
 
-    @property
-    def bytes_received(self) -> int:
-        return sum(f.bytes_received for f in self.flows)
-
     def canonical_bytes(self) -> bytes:
         """The bytes :meth:`fingerprint` hashes."""
         payload = {

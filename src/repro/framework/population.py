@@ -295,10 +295,6 @@ class PopulationResult:
     def wall_time_s(self) -> float:
         return self.multi.wall_time_s
 
-    @property
-    def impairment_stats(self) -> dict:
-        return self.multi.impairment_stats
-
     def fingerprint(self) -> str:
         """Stable digest: the config identity plus the multi-flow result's
         own fingerprint. The aggregates are pure functions of those two, so

@@ -406,9 +406,6 @@ class ResultStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        return f"ResultStore(path={str(self.path)!r}, reps={self.rep_count()})"
-
     # -- recording ---------------------------------------------------------
 
     def record_result(self, name: str, rep: int, result, fingerprint: Optional[str] = None) -> None:

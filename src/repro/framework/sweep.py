@@ -294,26 +294,3 @@ class SweepRunner:
             line += " [cached]"
         print(line, file=self.stream, flush=True)
 
-
-def run_sweep(
-    grid: Mapping[str, ExperimentConfig],
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    stream: Optional[TextIO] = None,
-    policy: Optional[SupervisionPolicy] = None,
-    journal_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
-    backend: Union[str, Executor, None] = None,
-    store: Optional[ResultStore] = None,
-) -> Dict[str, RunSummary]:
-    """Convenience wrapper: build a :class:`SweepRunner` and run ``grid``."""
-    return SweepRunner(
-        workers=workers,
-        cache=cache,
-        stream=stream,
-        policy=policy,
-        journal_dir=journal_dir,
-        resume=resume,
-        backend=backend,
-        store=store,
-    ).run(grid)

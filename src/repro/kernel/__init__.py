@@ -1,5 +1,5 @@
 """Linux kernel model: UDP sockets with SO_TXTIME and GSO, syscall costs, and
-queueing disciplines (pfifo_fast, FQ, FQ_CoDel, ETF, TBF, netem)."""
+queueing disciplines (pfifo_fast, FQ, ETF, netem)."""
 
 from repro.kernel.syscall import SyscallModel
 from repro.kernel.socket import UdpSocket

@@ -11,7 +11,6 @@ itself (:class:`repro.net.bottleneck.Bottleneck`).
 from repro.kernel.qdisc.base import Qdisc, QdiscStats
 from repro.kernel.qdisc.pfifo_fast import PfifoFast
 from repro.kernel.qdisc.fq import FqQdisc
-from repro.kernel.qdisc.fq_codel import FqCodel
 from repro.kernel.qdisc.etf import EtfQdisc
 from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.qdisc.factory import make_qdisc
@@ -21,7 +20,6 @@ __all__ = [
     "QdiscStats",
     "PfifoFast",
     "FqQdisc",
-    "FqCodel",
     "EtfQdisc",
     "NetemQdisc",
     "make_qdisc",

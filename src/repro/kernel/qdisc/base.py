@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.packet import Datagram, PacketSink
@@ -64,6 +64,3 @@ class Qdisc:
         self.stats.bytes_sent += dgram.wire_size
         if self.sink is not None:
             self.sink.receive(dgram)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r} {self.stats.as_dict()}>"

@@ -9,13 +9,12 @@ from repro.errors import ConfigError
 from repro.kernel.qdisc.base import Qdisc
 from repro.kernel.qdisc.etf import EtfQdisc
 from repro.kernel.qdisc.fq import FqQdisc
-from repro.kernel.qdisc.fq_codel import FqCodel
 from repro.kernel.qdisc.pfifo_fast import PfifoFast
 from repro.net.packet import PacketSink
 from repro.sim.engine import Simulator
 
 #: The qdisc names an experiment config accepts (``ExperimentConfig.qdisc``).
-QDISCS = ("none", "fq", "fq_codel", "etf", "etf-offload")
+QDISCS = ("none", "fq", "etf", "etf-offload")
 
 
 def make_qdisc(
@@ -31,8 +30,6 @@ def make_qdisc(
     rng = rng or random.Random(0)
     if kind == "none":
         return PfifoFast(sim, sink=sink, **params)
-    if kind == "fq_codel":
-        return FqCodel(sim, sink=sink, **params)
     if kind == "fq":
         return FqQdisc(sim, sink=sink, rng=rng, **params)
     if kind in ("etf", "etf-offload"):

@@ -1,7 +1,7 @@
 """Evaluation metrics: inter-packet gaps, packet trains, goodput, drops,
 pacing precision, and aggregation/reporting helpers."""
 
-from repro.metrics.gaps import Distribution, inter_packet_gaps, cdf, fraction_leq
+from repro.metrics.gaps import Distribution, inter_packet_gaps, fraction_leq
 from repro.metrics.trains import (
     packet_trains,
     packets_by_train_length,
@@ -16,7 +16,6 @@ from repro.metrics.report import render_table, render_cdf, render_histogram
 __all__ = [
     "Distribution",
     "inter_packet_gaps",
-    "cdf",
     "fraction_leq",
     "packet_trains",
     "packets_by_train_length",

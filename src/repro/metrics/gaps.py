@@ -82,18 +82,8 @@ class Distribution:
         return bisect_right(ordered, threshold) / len(ordered)
 
 
-def cdf(values: Sequence[float], points: int = 200) -> Tuple[List[float], List[float]]:
-    """Empirical CDF sampled at ``points`` quantiles: returns (xs, ps)."""
-    return Distribution(values).cdf(points)
-
-
 def fraction_leq(values: Sequence[float], threshold: float) -> float:
     """Fraction of values <= threshold (e.g. back-to-back share of gaps)."""
     if not values:
         return 0.0
     return sum(1 for v in values if v <= threshold) / len(values)
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """p-quantile (0..1) with nearest-rank semantics."""
-    return Distribution(values).percentile(p)

@@ -24,10 +24,6 @@ class Burst:
     end_ns: int
     packets: int
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 def bursts(
     records: CaptureColumns,

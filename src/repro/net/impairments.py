@@ -219,9 +219,6 @@ class ImpairmentStage:
                 },
             )
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r} {self.stats.as_dict()}>"
-
 
 class IidLossStage(ImpairmentStage):
     def receive(self, dgram: Datagram) -> None:

@@ -46,14 +46,6 @@ class CaptureRecord:
     dgram_id: int
     gso_id: Optional[int]
 
-    @property
-    def src(self) -> str:
-        return self.flow[0]
-
-    @property
-    def dst(self) -> str:
-        return self.flow[2]
-
 
 class CaptureColumns:
     """A capture: parallel columns, one row per frame, in arrival order.

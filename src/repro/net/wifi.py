@@ -71,10 +71,6 @@ class WifiBottleneck:
         self.trace_queue = False
 
     @property
-    def queue_bytes(self) -> int:
-        return self._queue_bytes
-
-    @property
     def mean_aggregate(self) -> float:
         return self.aggregated_frames / self.accesses if self.accesses else 0.0
 

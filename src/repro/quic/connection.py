@@ -15,19 +15,18 @@ details only need to be plausible, not cryptographic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cc.base import CongestionController
 from repro.cc.newreno import NewReno
-from repro.errors import EncodingError, ProtocolError
+from repro.errors import ProtocolError
 from repro.quic.ack import AckManager
 from repro.quic.flowcontrol import RecvLimit, SendLimit
 from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DataBlockedFrame,
     Frame,
     HandshakeDoneFrame,
     MaxDataFrame,
@@ -46,7 +45,6 @@ from repro.quic.packet import (
 from repro.quic.recovery import LossRecovery, SentPacket
 from repro.quic.rtt import RttEstimator
 from repro.quic.stream import DataSource, RecvStream, SendStream
-from repro.quic.varint import varint_len
 from repro.units import mib, ms
 
 
@@ -76,14 +74,13 @@ class ConnectionConfig:
 class BuiltPacket:
     """A packet ready to send, plus what its sender must re-send if it is lost.
 
-    Serialization is lazy: inside the simulator the packet object itself
-    travels through the network (the ``Datagram`` payload is opaque), so the
-    wire bytes are only produced when something actually asks for them —
-    ``size`` and ``ack_eliciting`` are the packet's own ``encoded_len`` and
+    Inside the simulator the packet object itself travels through the network
+    (the ``Datagram`` payload is opaque) and is never serialized: ``size`` and
+    ``ack_eliciting`` are the packet's own ``encoded_len`` and
     ``ack_eliciting``, which the connection tallied while assembling it.
     """
 
-    __slots__ = ("packet", "pn", "size", "ack_eliciting", "retx", "_encoded")
+    __slots__ = ("packet", "pn", "size", "ack_eliciting", "retx")
 
     def __init__(self, packet: QuicPacket, retx: List[Tuple[Any, ...]]):
         self.packet = packet
@@ -91,13 +88,6 @@ class BuiltPacket:
         self.size = packet.encoded_len
         self.ack_eliciting = packet.ack_eliciting
         self.retx = retx
-        self._encoded: Optional[bytes] = None
-
-    @property
-    def encoded(self) -> bytes:
-        if self._encoded is None:
-            self._encoded = self.packet.encode()
-        return self._encoded
 
 
 class Connection:
@@ -170,7 +160,6 @@ class Connection:
         # Statistics.
         self.packets_sent = 0
         self.packets_received = 0
-        self.decode_errors = 0
         self.bytes_sent = 0
         self.stream_bytes_sent = 0
         self.stream_bytes_retx = 0
@@ -259,25 +248,14 @@ class Connection:
 
     # ------------------------------------------------------------ receiving
 
-    def on_datagram(self, data: "bytes | QuicPacket", now: int, ecn: int = 0) -> None:
+    def on_datagram(self, packet: QuicPacket, now: int, ecn: int = 0) -> None:
         """Process one received UDP datagram (one QUIC packet).
 
-        ``data`` is either wire bytes or the :class:`QuicPacket` object
-        itself — inside the simulator packets travel as objects (datagram
-        payloads are opaque), skipping the serialize/parse round trip.
-
-        ``ecn`` is the IP ECN codepoint (0 Not-ECT, 1 ECT(1), 2 ECT(0),
-        3 CE). Undecodable datagrams are counted and dropped, like a real
-        endpoint discarding packets that fail authentication or parsing.
+        Inside the simulator packets travel as objects (datagram payloads are
+        opaque), so the receive path takes the :class:`QuicPacket` itself and
+        never decodes bytes. ``ecn`` is the IP ECN codepoint (0 Not-ECT,
+        1 ECT(1), 2 ECT(0), 3 CE).
         """
-        if data.__class__ is QuicPacket:
-            packet = data
-        else:
-            try:
-                packet = QuicPacket.decode(data)
-            except EncodingError:
-                self.decode_errors += 1
-                return
         if ecn == 2:
             self.ecn_received[0] += 1
         elif ecn == 1:
@@ -307,7 +285,7 @@ class Connection:
             self.established = True
         elif isinstance(frame, ConnectionCloseFrame):
             self.closed = True
-        # PADDING / PING / BLOCKED frames need no action.
+        # PADDING / PING frames need no action.
 
     def _process_ack(self, ack: AckFrame, now: int) -> None:
         result = self.recovery.on_ack_frame(ack, now)
@@ -393,8 +371,10 @@ class Connection:
             )
         offset = frame.offset
         length = frame.length
-        # Flow control (RecvLimit.check / on_consumed) is done on the limits'
-        # fields here; a violation goes through ``check``, which raises.
+        # Flow control is done on the limits' fields here: the application
+        # consumes what is delivered, and a limit asks for an update once less
+        # than half its window is left. A violation goes through ``check``,
+        # which raises.
         slimit = self.stream_recv_limits[stream_id]
         if offset + length > slimit.advertised:
             slimit.check(offset + length)
@@ -719,9 +699,3 @@ class Connection:
     def transfer_complete(self, stream_id: int = 0) -> bool:
         stream = self.recv_streams.get(stream_id)
         return stream is not None and stream.complete
-
-    def __repr__(self) -> str:
-        return (
-            f"<Connection {self.role} pn={self.next_pn} "
-            f"inflight={self.recovery.bytes_in_flight} cwnd={self.cc.cwnd}>"
-        )

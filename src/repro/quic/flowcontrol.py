@@ -4,8 +4,10 @@ Two halves:
 
 * :class:`SendLimit` — the sender's view of a peer-imposed limit (advanced by
   MAX_DATA / MAX_STREAM_DATA frames);
-* :class:`RecvLimit` — the receiver's advertised window; decides when to send
-  window updates (at half-window consumption, like most stacks).
+* :class:`RecvLimit` — the receiver's advertised window and the next limit to
+  advertise. The connection advances ``consumed`` and asks for an update at
+  half-window consumption, like most stacks
+  (``Connection._process_stream``).
 
 The ngtcp2 profile disables window growth beyond its fixed default, which is
 what caps its baseline goodput in the paper (Table 1); see
@@ -24,15 +26,11 @@ class SendLimit:
         self.limit = initial_limit
         self.used = 0
 
-    @property
-    def available(self) -> int:
-        credit = self.limit - self.used
-        return credit if credit > 0 else 0
-
     def consume(self, nbytes: int) -> None:
-        if nbytes > self.limit - self.used:
+        credit = self.limit - self.used
+        if nbytes > credit:
             raise FlowControlError(
-                f"attempt to consume {nbytes}B with only {self.available}B of credit"
+                f"attempt to consume {nbytes}B with only {max(credit, 0)}B of credit"
             )
         self.used += nbytes
 
@@ -67,16 +65,6 @@ class RecvLimit:
             raise FlowControlError(
                 f"peer wrote to offset {end_offset} beyond advertised {self.advertised}"
             )
-
-    def on_consumed(self, new_consumed: int) -> bool:
-        """The application read up to ``new_consumed``; returns
-        :meth:`wants_update`."""
-        if new_consumed > self.consumed:
-            self.consumed = new_consumed
-        return self.advertised - self.consumed < self.window // 2
-
-    def wants_update(self) -> bool:
-        return self.advertised - self.consumed < self.window // 2
 
     def next_limit(self, now_ns: int, rtt_ns: int) -> int:
         """Produce the new limit for a MAX_DATA/MAX_STREAM_DATA frame."""

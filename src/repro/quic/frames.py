@@ -1,14 +1,19 @@
 """QUIC frames (RFC 9000 §19) — the subset the workload needs.
 
-Each frame knows its wire encoding; ``parse_frames`` walks a packet payload.
-ACK delay is encoded in units of ``2**ACK_DELAY_EXPONENT`` microseconds, as
-on the wire.
+Each frame knows its wire encoding and its ``encoded_len``, which the sender
+debits from a packet's budget; ``parse_frames`` walks a packet payload. ACK
+delay is encoded in units of ``2**ACK_DELAY_EXPONENT`` microseconds, as on
+the wire.
+
+The simulator never decodes: frames travel inside packet objects.
+``encode`` and ``parse_frames`` stay as the oracle that pins every frame's
+``encoded_len`` to its bytes (see ``repro.quic.packet``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Final, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Final, List, Optional, Tuple
 
 from repro.errors import EncodingError
 from repro.quic.varint import decode_varint, encode_varint, varint_len
@@ -23,8 +28,6 @@ TYPE_CRYPTO: Final[int] = 0x06
 TYPE_STREAM_BASE: Final[int] = 0x08  # 0x08..0x0f with OFF/LEN/FIN bits
 TYPE_MAX_DATA: Final[int] = 0x10
 TYPE_MAX_STREAM_DATA: Final[int] = 0x11
-TYPE_DATA_BLOCKED: Final[int] = 0x14
-TYPE_STREAM_DATA_BLOCKED: Final[int] = 0x15
 TYPE_CONNECTION_CLOSE: Final[int] = 0x1C
 TYPE_HANDSHAKE_DONE: Final[int] = 0x1E
 
@@ -39,10 +42,6 @@ class Frame:
 
     def encode(self) -> bytes:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def encoded_len(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,6 @@ class StreamFrame(Frame):
             and self.payload() == other.payload()
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"StreamFrame(stream_id={self.stream_id}, offset={self.offset}, "
-            f"length={self.length}, fin={self.fin})"
-        )
-
     @staticmethod
     def header_overhead(stream_id: int, offset: int, data_len: int) -> int:
         """Bytes of framing for a STREAM frame with the given fields: the
@@ -257,35 +250,6 @@ class MaxStreamDataFrame(Frame):
     @property
     def encoded_len(self) -> int:
         return 1 + varint_len(self.stream_id) + varint_len(self.max_data)
-
-
-@dataclass(frozen=True)
-class DataBlockedFrame(Frame):
-    limit: int
-
-    def encode(self) -> bytes:
-        return bytes([TYPE_DATA_BLOCKED]) + encode_varint(self.limit)
-
-    @property
-    def encoded_len(self) -> int:
-        return 1 + varint_len(self.limit)
-
-
-@dataclass(frozen=True)
-class StreamDataBlockedFrame(Frame):
-    stream_id: int
-    limit: int
-
-    def encode(self) -> bytes:
-        return (
-            bytes([TYPE_STREAM_DATA_BLOCKED])
-            + encode_varint(self.stream_id)
-            + encode_varint(self.limit)
-        )
-
-    @property
-    def encoded_len(self) -> int:
-        return 1 + varint_len(self.stream_id) + varint_len(self.limit)
 
 
 @dataclass(frozen=True)
@@ -374,13 +338,6 @@ def parse_frames(data: bytes | memoryview) -> List[Frame]:
             sid, i = decode_varint(view, i + 1)
             value, i = decode_varint(view, i)
             frames.append(MaxStreamDataFrame(sid, value))
-        elif ftype == TYPE_DATA_BLOCKED:
-            value, i = decode_varint(view, i + 1)
-            frames.append(DataBlockedFrame(value))
-        elif ftype == TYPE_STREAM_DATA_BLOCKED:
-            sid, i = decode_varint(view, i + 1)
-            value, i = decode_varint(view, i)
-            frames.append(StreamDataBlockedFrame(sid, value))
         elif ftype == TYPE_CONNECTION_CLOSE:
             code, i = decode_varint(view, i + 1)
             _frame_type, i = decode_varint(view, i)

@@ -8,9 +8,14 @@ Wire layout (simplified but size-accurate):
 * short header (1-RTT): flags(1) + dcid(8) + packet number(4) + payload +
   AEAD tag(16).
 
-Encryption is modelled by the size-preserving AEAD tag: payload bytes travel
-in the clear inside the simulator, but every packet pays the real 16-byte
-expansion, so goodput arithmetic matches a real stack.
+Encryption is modelled by the size-preserving AEAD tag: every packet pays the
+real 16-byte expansion, so goodput arithmetic matches a real stack.
+
+The simulator never serializes or decodes a packet: the ``QuicPacket`` object
+is the datagram payload, and ``Connection.on_datagram`` takes it as is.
+:meth:`QuicPacket.encode` and :meth:`QuicPacket.decode` stay as the oracle
+that pins ``encoded_len``: the tests hold every packet of whole runs to
+``len(encode()) == encoded_len`` and ``decode(encode()) == packet``.
 """
 
 from __future__ import annotations

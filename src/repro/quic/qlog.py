@@ -170,8 +170,6 @@ def attach_qlog(conn, trace: QlogTrace) -> None:
     * ``recovery:spurious_loss`` — pns of late-acked packets;
     * ``recovery:congestion_event`` — new cwnd after a reduction.
     """
-    from repro.quic.packet import QuicPacket
-
     if trace.enabled("transport"):
         orig_on_packet_sent = conn.on_packet_sent
 
@@ -193,12 +191,9 @@ def attach_qlog(conn, trace: QlogTrace) -> None:
 
         orig_on_datagram = conn.on_datagram
 
-        def on_datagram(data, now, ecn=0):
-            before = conn.packets_received
-            orig_on_datagram(data, now, ecn=ecn)
-            if conn.packets_received > before:
-                size = data.encoded_len if isinstance(data, QuicPacket) else len(data)
-                trace.log(now, "transport:packet_received", size=size, ecn=ecn)
+        def on_datagram(packet, now, ecn=0):
+            orig_on_datagram(packet, now, ecn=ecn)
+            trace.log(now, "transport:packet_received", size=packet.encoded_len, ecn=ecn)
 
         conn.on_packet_sent = on_packet_sent
         conn.on_datagram = on_datagram

@@ -118,9 +118,6 @@ class RangeSet:
     def __len__(self) -> int:
         return len(self._ranges)
 
-    def __repr__(self) -> str:
-        return f"RangeSet({[tuple(r) for r in self._ranges]})"
-
 
 def _overlap(a0: int, a1: int, b0: int, b1: int) -> int:
     return max(0, min(a1, b1) - max(a0, b0))

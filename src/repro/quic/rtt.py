@@ -47,9 +47,3 @@ class RttEstimator:
     def pto_interval(self, granularity_ns: int = ms(1)) -> int:
         """Probe timeout interval: srtt + max(4*rttvar, granularity) + max_ack_delay."""
         return self.smoothed_rtt + max(4 * self.rttvar, granularity_ns) + self.max_ack_delay_ns
-
-    def __repr__(self) -> str:
-        return (
-            f"<RttEstimator srtt={self.smoothed_rtt} min={self.min_rtt} "
-            f"var={self.rttvar} latest={self.latest_rtt}>"
-        )

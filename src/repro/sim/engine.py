@@ -121,10 +121,6 @@ class Timer:
     def armed(self) -> bool:
         return self._live_seq >= 0
 
-    def __repr__(self) -> str:
-        state = f"armed t={self.time}" if self._live_seq >= 0 else "idle"
-        return f"<Timer {state}>"
-
 
 class Simulator:
     """The event calendar and simulated clock.

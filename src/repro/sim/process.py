@@ -136,6 +136,3 @@ class SimProcess:
 
     def on_wakeup(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"

@@ -53,6 +53,3 @@ class RngRegistry:
         """Derive a registry for a repetition index or sub-experiment."""
         digest = hashlib.sha256(f"{self.seed}:fork:{subseed}".encode()).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
-
-    def __repr__(self) -> str:
-        return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

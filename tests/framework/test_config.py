@@ -1,5 +1,7 @@
 """Experiment configuration validation and derived values."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -90,12 +92,15 @@ class TestExperimentConfig:
         assert cfg.label == "quiche/cubic/fq/gso-paced/sf"
         assert ExperimentConfig(stack="tcp").label == "tcp/cubic"
 
-    def test_scaled_returns_new_config(self):
+    def test_replaced_config_encodes_its_own_fields(self):
         cfg = ExperimentConfig(file_size=mib(8), repetitions=5)
-        scaled = cfg.scaled(kib(100), repetitions=2)
-        assert scaled.file_size == kib(100)
-        assert scaled.repetitions == 2
+        key = cfg.cache_key()  # memoizes the original's encoding
+        smaller = dataclasses.replace(cfg, file_size=kib(100), repetitions=2)
+        assert smaller.file_size == kib(100)
+        assert smaller.repetitions == 2
         assert cfg.file_size == mib(8)  # original untouched
+        fresh = ExperimentConfig(file_size=kib(100), repetitions=2)
+        assert smaller.cache_key() == fresh.cache_key() != key
 
     def test_cache_key_is_stable_and_complete(self):
         import dataclasses

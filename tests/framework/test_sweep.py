@@ -11,7 +11,7 @@ from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationConfig, PopulationResult
 from repro.framework.store import ResultStore, grid_key
-from repro.framework.sweep import SweepRunner, resolve_workers, run_sweep
+from repro.framework.sweep import SweepRunner, resolve_workers
 from repro.units import kib, seconds
 from tests.conftest import statement_log
 
@@ -50,7 +50,7 @@ def test_cached_matches_uncached(tmp_path):
 def test_progress_lines(tmp_path):
     cache = ResultCache(tmp_path)
     stream = io.StringIO()
-    run_sweep(GRID, workers=1, cache=cache, stream=stream)
+    SweepRunner(workers=1, cache=cache, stream=stream).run(GRID)
     lines = stream.getvalue().splitlines()
     assert len(lines) == 4  # one per (config, rep)
     assert all(line.startswith("[sweep] ") for line in lines)
@@ -59,14 +59,14 @@ def test_progress_lines(tmp_path):
     assert "[cached]" not in stream.getvalue()
 
     warm = io.StringIO()
-    run_sweep(GRID, workers=1, cache=cache, stream=warm)
+    SweepRunner(workers=1, cache=cache, stream=warm).run(GRID)
     assert sum(1 for line in warm.getvalue().splitlines() if "[cached]" in line) == 4
 
 
 def test_pooled_sweep_ends_with_the_busy_share(tmp_path):
     cache = ResultCache(tmp_path)
     stream = io.StringIO()
-    run_sweep(GRID, workers=2, cache=cache, stream=stream)
+    SweepRunner(workers=2, cache=cache, stream=stream).run(GRID)
     *reps, last = stream.getvalue().splitlines()
     assert len(reps) == 4
     match = re.fullmatch(r"\[sweep\] 4 repetitions in \d+\.\d\d s on 2 workers, busy (\d+) %", last)
@@ -74,7 +74,7 @@ def test_pooled_sweep_ends_with_the_busy_share(tmp_path):
     assert 0 < int(match.group(1)) <= 100  # simulated seconds over wall x workers
     # Cache-only (no pool ran): per-repetition lines and nothing else.
     warm = io.StringIO()
-    run_sweep(GRID, workers=2, cache=cache, stream=warm)
+    SweepRunner(workers=2, cache=cache, stream=warm).run(GRID)
     assert len(warm.getvalue().splitlines()) == 4 and "busy" not in warm.getvalue()
 
 
@@ -87,7 +87,7 @@ def test_resolve_workers():
 
 def test_rep_results_slot_into_rep_order():
     cfg = ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=3)
-    summary = run_sweep({"x": cfg}, workers=3)["x"]
+    summary = SweepRunner(workers=3).run({"x": cfg})["x"]
     from repro.framework.runner import derive_seed
 
     assert [r.seed for r in summary.results] == [

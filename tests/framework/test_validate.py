@@ -28,7 +28,6 @@ def _expect(invariant, broken):
 
 def test_real_results_pass(result):
     validate_result(result)
-    result.validate()  # the ExperimentResult convenience delegates here
 
 
 def test_real_impaired_result_passes():

@@ -1,4 +1,4 @@
-"""pfifo_fast, netem, FQ_CoDel, and the qdisc factory."""
+"""pfifo_fast, netem, and the qdisc factory."""
 
 import random
 
@@ -8,13 +8,12 @@ from repro.errors import ConfigError
 from repro.framework.config import QDISCS
 from repro.kernel.qdisc import (
     EtfQdisc,
-    FqCodel,
     FqQdisc,
     NetemQdisc,
     PfifoFast,
     make_qdisc,
 )
-from repro.units import mbit, ms, tx_time_ns, us
+from repro.units import ms, us
 from tests.conftest import Collector, make_dgram
 
 
@@ -102,53 +101,30 @@ class TestNetem:
         assert drops(3, "netem-fwd") != drops(3, "netem-rev")
 
 
-class TestFqCodel:
-    def test_pass_through_without_drain_rate(self, sim, collector):
-        q = FqCodel(sim, sink=collector)
-        for i in range(5):
-            q.enqueue(make_dgram(100, pn=i))
-        sim.run()
-        assert len(collector) == 5
-
-    def test_ignores_txtime(self, sim, collector):
-        q = FqCodel(sim, sink=collector)
-        q.enqueue(make_dgram(100, txtime=us(10_000)))
-        sim.run()
-        assert collector.times[0] < us(10_000)
-
-    def test_codel_drops_under_sustained_overload(self, sim, collector):
-        q = FqCodel(sim, sink=collector, drain_rate_bps=mbit(10), target_ns=ms(5), interval_ns=ms(100))
-        # Offer 4x the drain rate for a while: sojourn exceeds target.
-        gap = tx_time_ns(make_dgram(1252).serialized_size, mbit(40))
-        for i in range(800):
-            sim.schedule(i * gap, q.enqueue, make_dgram(1252))
-        sim.run()
-        assert q.stats.dropped > 0
-        assert q.stats.dequeued + q.stats.dropped <= 800
-
-    def test_no_codel_drops_when_underloaded(self, sim, collector):
-        q = FqCodel(sim, sink=collector, drain_rate_bps=mbit(100))
-        gap = tx_time_ns(make_dgram(1252).serialized_size, mbit(40))
-        for i in range(100):
-            sim.schedule(i * gap, q.enqueue, make_dgram(1252))
-        sim.run()
-        assert q.stats.dropped == 0
-
-
 class TestFactory:
     def test_known_names(self, sim, collector):
         assert isinstance(make_qdisc("none", sim, collector), PfifoFast)
         assert isinstance(make_qdisc("fq", sim, collector), FqQdisc)
-        assert isinstance(make_qdisc("fq_codel", sim, collector), FqCodel)
         assert isinstance(make_qdisc("etf", sim, collector), EtfQdisc)
         assert isinstance(make_qdisc("etf-offload", sim, collector), EtfQdisc)
         # Exactly the names a config accepts.
         for name in QDISCS:
             make_qdisc(name, sim, collector)
 
+    def test_cli_offers_exactly_the_config_names(self):
+        from repro.cli import build_parser
+
+        (run,) = (
+            action.choices["run"]
+            for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        (qdisc,) = (action for action in run._actions if action.dest == "qdisc")
+        assert tuple(qdisc.choices) == QDISCS
+
     def test_unknown_name_raises(self, sim, collector):
         # The qdiscs a config cannot name are not reachable by name either.
-        for name in ("htb", "pfifo_fast", "tbf", "netem"):
+        for name in ("htb", "pfifo_fast", "tbf", "netem", "fq_codel"):
             with pytest.raises(ConfigError):
                 make_qdisc(name, sim, collector)
 

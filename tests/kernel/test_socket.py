@@ -55,6 +55,28 @@ def test_sendmsg_charges_exactly_the_models_cost(sizes):
         assert sock.cpu_free_at == done
 
 
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=65507), max_size=8), min_size=1, max_size=4))
+def test_sendmmsg_charges_exactly_the_models_cost(batches):
+    """A batch advances the CPU timeline by exactly
+    ``SyscallModel.sendmmsg_cost``; each datagram reaches the egress when the
+    kernel has paid for it and every datagram before it in the batch."""
+    sim = Simulator()
+    model = SyscallModel()
+    collector = Collector(sim)
+    sock = UdpSocket(sim, "10.0.0.1", 443, egress=collector, syscalls=model)
+    sock.connect("10.0.0.2", 40000)
+    expected_times = []
+    for sizes in batches + batches:
+        before = sock.cpu_free_at
+        done = sock.sendmmsg([SendSpec(payload=None, payload_size=size) for size in sizes])
+        if sizes:
+            assert done - before == model.sendmmsg_cost(sizes)
+            assert sock.cpu_free_at == done
+        expected_times += [before + model.sendmmsg_cost(sizes[: i + 1]) for i in range(len(sizes))]
+    sim.run()
+    assert collector.times == expected_times
+
+
 def test_consecutive_sends_stagger(sim, collector):
     sock = _sock(sim, collector)
     for _ in range(3):

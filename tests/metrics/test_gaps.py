@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.gaps import cdf, fraction_leq, inter_packet_gaps, percentile
+from repro.metrics.gaps import Distribution, fraction_leq, inter_packet_gaps
 from repro.net.tap import CaptureColumns, CaptureRecord
 
 
@@ -32,31 +32,31 @@ def test_fraction_leq():
 
 
 def test_cdf_monotone_and_bounded():
-    xs, ps = cdf([5, 1, 3, 2, 4], points=10)
+    xs, ps = Distribution([5, 1, 3, 2, 4]).cdf(points=10)
     assert ps[0] == 0.0 and ps[-1] == 1.0
     assert xs == sorted(xs)
     assert xs[0] == 1 and xs[-1] == 5
 
 
 def test_cdf_empty():
-    assert cdf([]) == ([], [])
+    assert Distribution([]).cdf() == ([], [])
 
 
 def test_percentile():
     values = list(range(1, 101))
-    assert percentile(values, 0.0) == 1
-    assert percentile(values, 1.0) == 100
-    assert abs(percentile(values, 0.5) - 50) <= 1
+    assert Distribution(values).percentile(0.0) == 1
+    assert Distribution(values).percentile(1.0) == 100
+    assert abs(Distribution(values).percentile(0.5) - 50) <= 1
 
 
 def test_percentile_empty_raises():
     with pytest.raises(ValueError):
-        percentile([], 0.5)
+        Distribution([]).percentile(0.5)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=100))
 def test_cdf_covers_all_quantiles(values):
-    xs, ps = cdf(values, points=50)
+    xs, ps = Distribution(values).cdf(points=50)
     assert len(xs) == len(ps) == 51
     assert min(xs) == min(values)
     assert max(xs) == max(values)

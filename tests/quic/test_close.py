@@ -3,7 +3,7 @@
 from repro.quic.frames import ConnectionCloseFrame
 from repro.quic.stream import DataSource
 from repro.units import kib, ms
-from tests.quic.test_connection import complete_handshake, make_pair, pump
+from tests.quic.test_connection import complete_handshake, make_pair, over_the_wire
 
 
 def test_close_sends_one_close_frame_then_stops():
@@ -37,7 +37,7 @@ def test_peer_stops_on_close():
     client.close(0, b"enough")
     built = client.build_packet(ms(1))
     client.on_packet_sent(built, ms(1))
-    server.on_datagram(built.encoded, ms(2))
+    server.on_datagram(over_the_wire(built), ms(2))
     assert server.closed
     assert not server.wants_to_send(ms(2))
 

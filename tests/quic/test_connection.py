@@ -23,6 +23,17 @@ def make_pair(**overrides):
     return server, client
 
 
+def over_the_wire(built):
+    """The packet as a receiver of its wire bytes sees it: encoded, then decoded."""
+    return QuicPacket.decode(built.packet.encode())
+
+
+def deliver_stream(conn, offset, length, now=ms(1)):
+    """Stream 0 bytes ``[offset, offset + length)`` arrive in one packet."""
+    frame = StreamFrame(0, offset, length)
+    conn.on_datagram(QuicPacket(PacketType.ONE_RTT, conn.packets_received, [frame]), now)
+
+
 def pump(a, b, now, limit=100):
     """Exchange all pending packets between two connections at time `now`."""
     moved = 0
@@ -35,7 +46,7 @@ def pump(a, b, now, limit=100):
                 if built is None:
                     break
                 src.on_packet_sent(built, now)
-                dst.on_datagram(built.encoded, now)
+                dst.on_datagram(over_the_wire(built), now)
                 moved += 1
                 progress = True
     return moved
@@ -122,7 +133,7 @@ def test_acks_free_window():
         if built is None:
             break
         server.on_packet_sent(built, now)
-        client.on_datagram(built.encoded, now)
+        client.on_datagram(over_the_wire(built), now)
     # Deliver only the client's ACKs back to the server.
     later = now + ms(40)
     while client.wants_to_send(later):
@@ -130,7 +141,7 @@ def test_acks_free_window():
         if built is None:
             break
         client.on_packet_sent(built, later)
-        server.on_datagram(built.encoded, later)
+        server.on_datagram(over_the_wire(built), later)
     assert server.wants_to_send(later)
 
 
@@ -144,7 +155,7 @@ def test_ack_only_packet_not_ack_eliciting():
         if built is None:
             break
         server.on_packet_sent(built, now)
-        client.on_datagram(built.encoded, now)
+        client.on_datagram(over_the_wire(built), now)
     ack_packet = client.build_packet(now)
     assert ack_packet is not None
     assert not ack_packet.ack_eliciting
@@ -179,7 +190,7 @@ def test_lost_stream_data_is_retransmitted():
         server.on_packet_sent(built, now)
         packets.append(built)
     for built in packets[1:]:
-        client.on_datagram(built.encoded, now + ms(20))
+        client.on_datagram(over_the_wire(built), now + ms(20))
     # Client acks; server detects the hole.
     pump(client, server, now + ms(40))
     stream = server.send_streams[0]
@@ -208,10 +219,9 @@ def test_connection_close_stops_sending():
     server, client = make_pair()
     complete_handshake(server, client)
     from repro.quic.frames import ConnectionCloseFrame
-    from repro.quic.packet import QuicPacket
 
     close = QuicPacket(PacketType.ONE_RTT, 99, [ConnectionCloseFrame(0, b"done")])
-    server.on_datagram(close.encode(), ms(5))
+    server.on_datagram(close, ms(5))
     assert server.closed
     assert not server.wants_to_send(ms(5))
     assert server.build_packet(ms(5)) is None
@@ -239,12 +249,12 @@ def test_spurious_loss_reported_to_cc():
         packets.append(built)
     # Deliver all but the first two; acks make the server declare them lost.
     for built in packets[2:]:
-        client.on_datagram(built.encoded, now + ms(20))
+        client.on_datagram(over_the_wire(built), now + ms(20))
     pump(client, server, now + ms(40))
     assert server.recovery.lost_packets_total >= 1
     # The "lost" packets arrive very late after all; their ACK is spurious.
     for built in packets[:2]:
-        client.on_datagram(built.encoded, now + ms(45))
+        client.on_datagram(over_the_wire(built), now + ms(45))
     pump(client, server, now + ms(50))
     assert calls, "late ACK should surface a spurious-loss event"
 

@@ -1,18 +1,16 @@
-"""Connection edge cases: garbage input, probe behaviour, control-frame loss."""
+"""Connection edge cases: probe behaviour, control-frame loss."""
 
 from repro.quic.connection import Connection, ConnectionConfig
 from repro.quic.frames import MaxDataFrame
 from repro.quic.stream import DataSource
 from repro.units import kib, ms
-from tests.quic.test_connection import complete_handshake, make_pair, pump
-
-
-def test_garbage_datagram_dropped_and_counted():
-    server, _ = make_pair()
-    server.on_datagram(b"\x00\x01garbage", 0)
-    server.on_datagram(b"", 0)
-    assert server.decode_errors == 2
-    assert server.packets_received == 0
+from tests.quic.test_connection import (
+    complete_handshake,
+    deliver_stream,
+    make_pair,
+    over_the_wire,
+    pump,
+)
 
 
 def test_pto_backoff_doubles():
@@ -61,11 +59,12 @@ def test_max_data_frame_loss_is_reissued():
 
 def test_max_data_reissue_uses_fresh_limit():
     client = Connection("client", config=ConnectionConfig(recv_conn_window=kib(8)))
-    # Simulate a lost MAX_DATA: queue one, advance consumption, re-queue.
-    client.conn_recv_limit.on_consumed(kib(4))
+    # Simulate a lost MAX_DATA: queue one, receive more, re-queue.
+    deliver_stream(client, 0, kib(4))  # half the window: no update yet
+    assert client._control_frames == []
     client._queue_max_data(ms(1))
     first = [f for f in client._control_frames if isinstance(f, MaxDataFrame)][0]
-    client.conn_recv_limit.on_consumed(kib(6))
+    deliver_stream(client, kib(4), kib(2))
     client._queue_max_data(ms(2))
     frames = [f for f in client._control_frames if isinstance(f, MaxDataFrame)]
     assert len(frames) == 1  # deduplicated
@@ -83,7 +82,7 @@ def test_handshake_crypto_retransmission():
     retry = client.build_packet(deadline)
     assert retry is not None
     client.on_packet_sent(retry, deadline)
-    server.on_datagram(retry.encoded, deadline + ms(20))
+    server.on_datagram(over_the_wire(retry), deadline + ms(20))
     pump(server, client, deadline + ms(40))
     assert server.established and client.established
 
@@ -99,7 +98,7 @@ def test_client_ack_threshold_respected():
         if built is None:
             break
         server.on_packet_sent(built, now)
-        client.on_datagram(built.encoded, now)
+        client.on_datagram(over_the_wire(built), now)
         sent += 1
     # Only 5 ack-eliciting packets: below the threshold, no immediate ack;
     # only the (already-armed) delayed-ACK deadline remains.
@@ -141,7 +140,7 @@ def test_wants_to_send_is_a_pure_query_when_flow_control_blocks():
     # The window has room, data is queued, and only the peer's limit blocks.
     assert server.cc.can_send(server.recovery.bytes_in_flight) >= server.config.mtu_payload
     assert server.send_streams[0].has_data
-    assert server.conn_send_limit.available == 0
+    assert server.conn_send_limit.used == server.conn_send_limit.limit
 
     def limits():
         return [dict(vars(server.conn_send_limit))] + [

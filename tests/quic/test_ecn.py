@@ -10,7 +10,7 @@ from repro.quic.frames import AckFrame, parse_frames
 from repro.quic.stream import DataSource
 from repro.units import kib, mib, ms
 from tests.cc.helpers import drive_acks
-from tests.quic.test_connection import complete_handshake, make_pair, pump
+from tests.quic.test_connection import complete_handshake, make_pair, over_the_wire
 
 
 class TestAckEcnFrame:
@@ -43,10 +43,10 @@ class TestConnectionEcn:
         server.open_send_stream(0, DataSource(kib(10)))
         built = server.build_packet(ms(1))
         server.on_packet_sent(built, ms(1))
-        client.on_datagram(built.encoded, ms(2), ecn=2)
+        client.on_datagram(over_the_wire(built), ms(2), ecn=2)
         built2 = server.build_packet(ms(1))
         server.on_packet_sent(built2, ms(1))
-        client.on_datagram(built2.encoded, ms(2), ecn=3)
+        client.on_datagram(over_the_wire(built2), ms(2), ecn=3)
         assert client.ecn_received[0] >= 1
         assert client.ecn_received[2] == 1
 
@@ -64,14 +64,14 @@ class TestConnectionEcn:
             built.append(b)
         cwnd_before = server.cc.cwnd
         for b in built:
-            client.on_datagram(b.encoded, now + ms(20), ecn=3)  # all CE-marked
+            client.on_datagram(over_the_wire(b), now + ms(20), ecn=3)  # all CE-marked
         # Client acks carry the CE count; the server reduces its window.
         while client.wants_to_send(now + ms(40)):
             ack = client.build_packet(now + ms(40))
             if ack is None:
                 break
             client.on_packet_sent(ack, now + ms(40))
-            server.on_datagram(ack.encoded, now + ms(40))
+            server.on_datagram(over_the_wire(ack), now + ms(40))
         assert server.ecn_ce_events >= 1
         assert server.cc.cwnd < cwnd_before
 
@@ -81,7 +81,7 @@ class TestConnectionEcn:
         server.open_send_stream(0, DataSource(kib(5)))
         b = server.build_packet(ms(1))
         server.on_packet_sent(b, ms(1))
-        client.on_datagram(b.encoded, ms(2), ecn=3)
+        client.on_datagram(over_the_wire(b), ms(2), ecn=3)
         ack = client.build_packet(ms(30))
         assert ack is not None
         ack_frames = [f for f in ack.packet.frames if isinstance(f, AckFrame)]

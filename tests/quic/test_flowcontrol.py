@@ -1,18 +1,36 @@
-"""Flow-control credit, violations, window updates, autotuning."""
+"""Flow-control credit, violations, window updates, autotuning.
+
+When to ask for a window update is decided inline by the receiving
+connection, so those tests drive a :class:`Connection` with STREAM frames.
+"""
 
 import pytest
 
 from repro.errors import FlowControlError
+from repro.quic.connection import Connection, ConnectionConfig
 from repro.quic.flowcontrol import RecvLimit, SendLimit
 from repro.units import ms
+from tests.quic.test_connection import deliver_stream
+
+
+def _receiver(window):
+    """A client whose stream and connection windows are both ``window``."""
+    config = ConnectionConfig(
+        recv_conn_window=window, recv_stream_window=window, fc_autotune=False
+    )
+    return Connection("client", config=config)
+
+
+def _updates(conn):
+    return [(type(f).__name__, f.max_data) for f in conn._control_frames]
 
 
 class TestSendLimit:
     def test_consume_tracks_credit(self):
         sl = SendLimit(1000)
-        assert sl.available == 1000
         sl.consume(400)
-        assert sl.available == 600
+        assert sl.used == 400
+        assert sl.limit - sl.used == 600
 
     def test_over_consume_raises(self):
         sl = SendLimit(100)
@@ -34,29 +52,31 @@ class TestRecvLimit:
             rl.check(1001)
 
     def test_wants_update_at_half_window(self):
-        rl = RecvLimit(window=1000)
-        rl.on_consumed(499)
-        assert not rl.wants_update()
-        rl.on_consumed(501)
-        assert rl.wants_update()
+        conn = _receiver(1000)
+        deliver_stream(conn, 0, 499)
+        assert _updates(conn) == []
+        deliver_stream(conn, 499, 2)
+        assert _updates(conn) == [("MaxStreamDataFrame", 1501), ("MaxDataFrame", 1501)]
 
     def test_next_limit_extends_from_consumed(self):
-        rl = RecvLimit(window=1000)
-        rl.on_consumed(600)
-        assert rl.next_limit(0, ms(40)) == 1600
-        assert rl.advertised == 1600
+        conn = _receiver(1000)
+        deliver_stream(conn, 0, 600)
+        assert _updates(conn) == [("MaxStreamDataFrame", 1600), ("MaxDataFrame", 1600)]
+        assert conn.stream_recv_limits[0].advertised == 1600
+        assert conn.conn_recv_limit.advertised == 1600
 
     def test_consumed_is_monotonic(self):
-        rl = RecvLimit(window=100)
-        rl.on_consumed(50)
-        rl.on_consumed(20)
-        assert rl.consumed == 50
+        conn = _receiver(100)
+        deliver_stream(conn, 0, 50)
+        deliver_stream(conn, 0, 20)  # a retransmission of delivered bytes
+        assert conn.stream_recv_limits[0].consumed == 50
+        assert conn.conn_recv_limit.consumed == 50
 
     def test_autotune_doubles_on_frequent_updates(self):
         rl = RecvLimit(window=1000, autotune=True)
-        rl.on_consumed(600)
+        rl.consumed = 600
         rl.next_limit(0, ms(40))
-        rl.on_consumed(1300)
+        rl.consumed = 1300
         rl.next_limit(ms(40), ms(40))  # within 2 RTTs of previous update
         assert rl.window == 2000
 

@@ -8,14 +8,12 @@ from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DataBlockedFrame,
     HandshakeDoneFrame,
     MaxDataFrame,
     MaxStreamDataFrame,
     PaddingFrame,
     PingFrame,
     StreamFrame,
-    StreamDataBlockedFrame,
     parse_frames,
 )
 from repro.quic.varint import varint_len
@@ -90,8 +88,6 @@ def test_control_frames_roundtrip():
     for frame in [
         MaxDataFrame(123456),
         MaxStreamDataFrame(4, 99999),
-        DataBlockedFrame(5000),
-        StreamDataBlockedFrame(8, 777),
         HandshakeDoneFrame(),
         ConnectionCloseFrame(error_code=3, reason=b"bye"),
     ]:

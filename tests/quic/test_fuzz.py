@@ -1,15 +1,17 @@
-"""Robustness: parsers must fail cleanly (EncodingError), never crash.
+"""Robustness: the codec fails cleanly (EncodingError), and a connection
+survives whatever a datagram decodes into.
 
-A user-space QUIC endpoint is exposed to arbitrary datagrams; every byte
-sequence must either parse or raise the library's encoding error — any other
-exception is a bug. Hypothesis drives the parsers with random and with
-mutated-valid inputs.
+Inside the simulator packets travel as objects, so the codec is the oracle
+that keeps ``encoded_len`` honest, not a receive path. On arbitrary bytes it
+must either parse or raise the library's encoding error; any other exception
+is a bug. A packet that does decode, however nonsensical, must be processed
+by ``Connection.on_datagram`` or refused with a protocol error. Hypothesis
+drives both with random and with mutated-valid inputs.
 """
 
-import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ProtocolError
 from repro.quic.connection import Connection
 from repro.quic.frames import StreamFrame, parse_frames
 from repro.quic.packet import PacketType, QuicPacket
@@ -58,17 +60,37 @@ def mutated_packet(draw):
     return bytes(encoded)
 
 
+def _decoded(data):
+    try:
+        return QuicPacket.decode(data)
+    except EncodingError:
+        return None
+
+
 @given(mutated_packet())
 def test_connection_survives_mutated_packets(data):
+    """A mutated packet that still decodes is processed, or refused with a
+    protocol error (a STREAM frame past the flow-control limit, data past a
+    final size); it never crashes the connection."""
+    packet = _decoded(data)
+    assume(packet is not None)
     conn = Connection("server")
-    conn.on_datagram(data, 0)  # must never raise
-    # Either it parsed (possibly into nonsense frames) or was counted as bad.
-    assert conn.packets_received + conn.decode_errors >= 0
+    try:
+        conn.on_datagram(packet, 0)
+    except ProtocolError:
+        return
+    assert conn.packets_received == 1
 
 
 @given(st.lists(st.binary(min_size=0, max_size=120), min_size=1, max_size=10))
 def test_connection_survives_random_garbage(blobs):
+    """Whatever random bytes decode into, the connection processes it or
+    refuses it with a protocol error."""
+    packets = [p for p in map(_decoded, blobs) if p is not None]
     conn = Connection("server")
-    for blob in blobs:
-        conn.on_datagram(blob, 0)
-    assert conn.decode_errors <= len(blobs)
+    for received, packet in enumerate(packets, 1):
+        try:
+            conn.on_datagram(packet, 0)
+        except ProtocolError:
+            return
+        assert conn.packets_received == received

@@ -5,8 +5,8 @@ size, ack-elicitation and STREAM payload *lengths* while assembling them
 instead of deriving them from encoded bytes. These tests pin that bookkeeping
 to the real encoding: over whole runs every built packet must serialize to
 exactly the size it claims and parse back to itself, and an exchange fed
-with ``built.encoded`` bytes must end where the same exchange fed with the
-packet objects ends.
+with packets decoded from their encoded bytes must end where the same
+exchange fed with the packet objects ends.
 """
 
 import pytest
@@ -51,7 +51,7 @@ def test_every_built_packet_encodes_to_what_it_claims(config, monkeypatch):
     # Both endpoints' packets: data, ACKs, handshake, retransmissions.
     assert len(built_packets) > 400
     for built in built_packets:
-        wire = built.encoded
+        wire = built.packet.encode()
         assert len(wire) == built.size == built.packet.encoded_len
         decoded = QuicPacket.decode(wire)
         assert decoded == built.packet
@@ -91,7 +91,8 @@ def _exchange(as_bytes: bool):
                     sent_by_server += 1
                     if sent_by_server % 9 == 0:
                         continue  # lost on the way
-                dst.on_datagram(built.encoded if as_bytes else built.packet, now + ms(1))
+                packet = QuicPacket.decode(built.packet.encode()) if as_bytes else built.packet
+                dst.on_datagram(packet, now + ms(1))
         if server.established and not server.send_streams:
             server.open_send_stream(0, DataSource(kib(128)))
         if client.transfer_complete(0) and not server.recovery.sent:

@@ -2,9 +2,14 @@
 
 import random
 
-from repro.sim.clock import JitterModel, TimerModel
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.sim.clock import COARSE_MS_TIMER, HIGHRES_TIMER, PERFECT_TIMER, JitterModel, TimerModel
+from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
-from repro.units import us
+from repro.stacks.profiles import STACK_NAMES, profile_for
+from repro.units import ms, seconds, us
 
 
 class Recorder(SimProcess):
@@ -94,3 +99,41 @@ def test_process_can_rearm_from_handler(sim):
     sim.run()
     assert proc.count == 5
     assert sim.now == 500
+
+
+#: The shipped timer models and every stack profile's.
+TIMERS = {
+    "perfect": PERFECT_TIMER,
+    "highres": HIGHRES_TIMER,
+    "coarse-ms": COARSE_MS_TIMER,
+    **{name: profile_for(name).timer_model for name in STACK_NAMES},
+}
+
+
+@pytest.mark.parametrize("model", TIMERS.values(), ids=TIMERS.keys())
+@given(
+    now=st.integers(min_value=0, max_value=seconds(1)),
+    offsets=st.lists(st.integers(min_value=-ms(5), max_value=ms(50)), min_size=1, max_size=20),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_arm_timer_lands_where_fire_time_says(model, now, offsets, seed):
+    """``arm_timer`` inlines ``TimerModel.fire_time``, the oracle: from the
+    same RNG state it schedules every wake-up at the oracle's time, drawing
+    the same sequence."""
+    sim = Simulator()
+    proc = Recorder(sim, model)
+    proc.rng.seed(seed)
+    oracle = random.Random(seed)
+    landed, expected = [], []
+
+    def arm_all():
+        for offset in offsets:
+            proc.cancel_timer()
+            proc.arm_timer(now + offset)
+            landed.append(proc._timer.time)
+            expected.append(model.fire_time(now + offset, now, oracle))
+
+    sim.schedule_at(now, arm_all)
+    sim.run(until=now)
+    assert len(landed) == len(offsets)
+    assert landed == expected
