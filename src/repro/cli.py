@@ -5,7 +5,7 @@ Commands:
 * ``run``      — run one configuration and print the paper metrics;
 * ``sweep``    — run a whole scenario grid in parallel with result caching
   (including ``population`` and head-to-head ``duels`` grids, and the
-  ``paper`` grid, which ends with the paper's claims table);
+  ``paper`` and ``extensions`` grids, which end with their claims table);
 * ``population`` — run a generated flow population (hundreds of concurrent
   flows over one bottleneck) and report per-flow distributions + fairness;
 * ``compete``  — run several flows against each other over one bottleneck;
@@ -16,7 +16,8 @@ Commands:
 * ``report``   — render EXPERIMENTS.md-style summary tables from a store;
 * ``store``    — inspect, migrate into, merge shard parts into, and export from
   a result store;
-* ``scenarios``— list the paper grid: the configurations the claims name.
+* ``scenarios``— list the paper and extension grids: the configurations the
+  claims name.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def _sweep_grid(args: argparse.Namespace) -> dict:
         return scenarios.population_sweep(flows=args.flows, **scale)
     if args.grid == "duels":
         return scenarios.fairness_duels(**scale)
-    return scenarios.network_sweep(**scale)
+    return claims.extension_grid(**scale)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -382,10 +383,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"  {a} beats {b}, {b} beats {c}, but {a} does not beat {c}")
         else:
             print("transitivity holds: competition outcomes form a consistent order")
-    if args.grid == "paper":
-        from repro.framework.claims import render
+    if args.grid in ("paper", "extensions"):
+        from repro.framework.claims import CLAIMS, EXTENSIONS, render
 
-        print(render(summaries))
+        print(render(summaries, CLAIMS if args.grid == "paper" else EXTENSIONS))
     if cache is not None:
         print(f"cache: {cache.stats}", file=sys.stderr)
     return _report_failures(summaries)
@@ -733,15 +734,19 @@ def _cmd_compete(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    from repro.framework.claims import REPETITIONS, SEED, grid_rows, paper_grid
+    from repro.framework import claims
 
-    print(
-        render_table(
-            ["name", "configuration", "size", "claims from"],
-            grid_rows(paper_grid()),
-            title=f"paper grid (`sweep paper`, {REPETITIONS} reps, seed {SEED})",
+    for name, grid, table, reps in (
+        ("paper", claims.paper_grid(), claims.CLAIMS, claims.REPETITIONS),
+        ("extensions", claims.extension_grid(), claims.EXTENSIONS, claims.EXTENSION_REPETITIONS),
+    ):
+        print(
+            render_table(
+                ["name", "configuration", "size", "claims from"],
+                claims.grid_rows(grid, table),
+                title=f"{name} grid (`sweep {name}`, {reps} reps, seed {claims.SEED})",
+            )
         )
-    )
     return 0
 
 
@@ -770,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "grid",
-        choices=("paper", "baselines", "network", "impairments", "population", "duels"),
+        choices=("paper", "extensions", "baselines", "impairments", "population", "duels"),
     )
     sweep_p.add_argument("--size-mib", type=float, default=4.0, help="file size in MiB")
     sweep_p.add_argument(

@@ -1,17 +1,22 @@
-"""The paper's claims as one table: every paper number the reproduction is
-held to lives here, and nowhere else.
+"""The paper's claims as two tables: every number the reproduction states
+lives here, and nowhere else.
 
 A row is one claim: where the paper makes it, the paper's value, the band a
 measured value must fall in, the metric, the grid entries it is measured on,
 and its declared status: it *holds*, or it *deviates* for a stated reason.
-:func:`evaluate` measures every row on the summaries of a :func:`paper_grid`
-sweep and says whether each verdict is its declared status, and
-:func:`render` writes the markdown block EXPERIMENTS.md carries.
-``repro sweep paper`` prints that block after its sweep table.
+:data:`CLAIMS` holds the paper's own tables and figures, measured on
+:func:`paper_grid`; :data:`EXTENSIONS` holds the ablations of its design
+choices and the extensions past its fixed operating point, measured on
+:func:`extension_grid`. :func:`evaluate` measures every row of a table on the
+summaries of its grid's sweep and says whether each verdict is its declared
+status, and :func:`render` writes the markdown block EXPERIMENTS.md carries.
+``repro sweep paper`` and ``repro sweep extensions`` print their table's
+block after the sweep table.
 
-The grid's base size is 4 MiB x 3 repetitions, seed 1 (the paper ran 100 MiB
-x 20). Rows that need congestion avoidance to repeat run on the x2 (8 MiB)
-and x4 (16 MiB) entries; each row states its scale.
+The paper grid's base size is 4 MiB x 3 repetitions, seed 1 (the paper ran
+100 MiB x 20). Rows that need congestion avoidance to repeat run on the x2
+(8 MiB) and x4 (16 MiB) entries; each row states its scale. The extension
+grid runs 4 MiB x 1 repetition, seed 1.
 """
 
 from __future__ import annotations
@@ -24,17 +29,22 @@ from statistics import mean
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.framework import scenarios
-from repro.framework.config import ExperimentConfig
+from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.runner import RunSummary
 from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.precision import pacing_precision_ns
 from repro.metrics.report import render_markdown_table
 from repro.metrics.timeline import analyze_cycle
-from repro.metrics.trains import pooled_packets_by_train_length
-from repro.units import mib, ms, us
+from repro.metrics.trains import (
+    pooled_fraction_of_packets_in_trains_leq,
+    pooled_packets_by_train_length,
+)
+from repro.stacks.profiles import profile_for
+from repro.units import SEC, mbit, mib, ms, us
 
 BASE_FILE_SIZE = mib(4)
 REPETITIONS = 3
+EXTENSION_REPETITIONS = 1
 SEED = 1
 
 
@@ -61,6 +71,73 @@ def paper_grid(
         grid[f"{qdisc}-sf"] = scenarios.precision_config(qdisc, **x1)
     for mode in ("on", "paced"):
         grid[f"gso-{mode}"] = scenarios.quiche_gso(mode, **x1)
+    return grid
+
+
+#: (bottleneck rate [Mbit/s], min RTT [ms]) points of the network sweep;
+#: (40, 40) is the paper's fixed setting.
+NETWORK_POINTS = ((10, 10), (10, 80), (40, 40), (100, 20))
+ACK_DELAYS_MS = (1, 5, 10, 25)
+GSO_SEGMENTS = (2, 4, 10)
+#: picoquic's bucket depths and their entries; its own depth, 16, is the
+#: stock ``picoquic`` entry.
+BUCKETS = {8: "picoquic-bucket8", 16: "picoquic", 24: "picoquic-bucket24"}
+ETF_DELTAS_US = (100, 200, 400, 800)
+#: The two-flow contests: two identical flows, and a paced flow against a
+#: bursty one. The profile grammar has no SF patch, so the pair runs stock
+#: quiche.
+PAIRS = (("quiche:cubic:fq",) * 2, ("picoquic:bbr", "picoquic:cubic"))
+
+
+def extension_grid(
+    file_size: int = BASE_FILE_SIZE, repetitions: int = EXTENSION_REPETITIONS, seed: int = SEED
+) -> Dict[str, object]:
+    """Every configuration an extension row names, one entry per cache key:
+    the network sweep's 40 Mbit/s / 40 ms FQ point is also GSO off and ECN
+    off, and stock picoquic is also the wired side of the WiFi rows. The
+    slowest runs come first, so a pool starts them first."""
+    x1 = dict(file_size=file_size, repetitions=repetitions, seed=seed)
+    sf = dict(x1, stack="quiche", spurious_rollback=False)
+    grid: Dict[str, object] = {}
+    for pair in PAIRS:
+        grid.update(scenarios.fairness_duels(pair, **x1))
+    for delta in ETF_DELTAS_US:
+        grid[f"etf-{delta}us"] = scenarios.precision_config("etf", etf_delta_ns=us(delta), **x1)
+    for rate_mbit, rtt_ms in NETWORK_POINTS:
+        network = NetworkConfig(
+            bottleneck_rate_bps=mbit(rate_mbit), one_way_delay_ns=ms(rtt_ms) // 2
+        )
+        for qdisc in ("none", "fq"):
+            grid[f"{rate_mbit}mbit-{rtt_ms}ms-{qdisc}"] = ExperimentConfig(
+                qdisc=qdisc, network=network, **sf
+            )
+    for delay in ACK_DELAYS_MS:
+        for qdisc in ("none", "fq"):
+            # The client ACKs on its delay timer alone.
+            grid[f"ack-{delay}ms-{qdisc}"] = ExperimentConfig(
+                qdisc=qdisc, client_ack_threshold=1_000_000,
+                client_max_ack_delay_ns=ms(delay), **sf
+            )
+    for segments in GSO_SEGMENTS:
+        grid[f"gso-x{segments}"] = scenarios.quiche_gso("on", gso_segments=segments, **x1)
+    grid["gso-paced"] = scenarios.quiche_gso("paced", **x1)
+    grid["ecn"] = scenarios.quiche_fq(False, ecn=True, **x1)
+    for stack in ("picoquic", "ngtcp2"):
+        grid[stack] = scenarios.baseline(stack, **x1)
+        grid[f"{stack}-unpaced"] = scenarios.baseline(stack, pacing_override="none", **x1)
+    wifi = NetworkConfig(bottleneck="wifi")
+    grid["wifi"] = scenarios.baseline("picoquic", network=wifi, **x1)
+    grid["wifi-unpaced"] = scenarios.baseline(
+        "picoquic", pacing_override="none", network=wifi, **x1
+    )
+    for bucket in (8, 24):
+        grid[BUCKETS[bucket]] = scenarios.baseline("picoquic", bucket_packets=bucket, **x1)
+    for multiplier in (0.5, 2.0):
+        network = NetworkConfig(buffer_bdp_multiplier=multiplier)
+        for cca in ("bbr", "bbr2"):
+            grid[f"{cca}-{multiplier:g}bdp"] = scenarios.baseline(
+                "picoquic", cca=cca, network=network, **x1
+            )
     return grid
 
 
@@ -119,21 +196,40 @@ def _cycle_ms(result) -> float:
 
 def _snap_backs(result) -> int:
     """Fig. 7's oscillation: cwnd reductions by > 15 % that snap back above
-    1.2x the reduced window within 200 ms (a rollback restore)."""
+    1.2x the reduced window within 200 ms (a rollback restore). The scan
+    goes on after the snap-back, or after the reduction if none came."""
     trace = result.cwnd_trace
     count, i = 0, 1
     while i < len(trace):
         at, cwnd = trace[i]
-        if cwnd < trace[i - 1][1] * 0.85:
-            j = i + 1
-            while j < len(trace) and trace[j][0] <= at + ms(200):
-                if trace[j][1] > cwnd * 1.2:
-                    count += 1
-                    break
-                j += 1
-            i = j
         i += 1
+        if cwnd < trace[i - 2][1] * 0.85:
+            for j in range(i, len(trace)):
+                if trace[j][0] > at + ms(200):
+                    break
+                if trace[j][1] > cwnd * 1.2:
+                    count, i = count + 1, j + 1
+                    break
     return count
+
+
+def _rate_scaled_trains(summary: RunSummary) -> float:
+    """Share in trains ≤ 5 with the train gap scaled to the bottleneck: the
+    paper's 0.1 ms is 2/5 of a packet's time at 40 Mbit/s, so "train" keeps
+    meaning "closer than pacing would place packets" at other rates."""
+    packet_time = 1252 * 8 * SEC // summary.config.network.bottleneck_rate_bps
+    threshold = max(packet_time * 2 // 5, us(20))
+    return pooled_fraction_of_packets_in_trains_leq(summary.pooled_records, 5, threshold)
+
+
+def _bucket_window(summary: RunSummary) -> float:
+    """Share of packets in trains of the bucket depth −2 … +4: the
+    config's, or else the stack profile's."""
+    config = summary.config
+    bucket = config.bucket_packets or profile_for(config.stack, config.cca).bucket_packets
+    dist = pooled_packets_by_train_length(summary.pooled_records)
+    near = sum(n for length, n in dist.items() if bucket - 2 <= length <= bucket + 4)
+    return near / sum(dist.values())
 
 
 GOODPUT = Metric("goodput [Mbit/s]", lambda s: s.goodput.mean)
@@ -161,6 +257,22 @@ LATE_DROPS = _per_rep("late drops / rep", lambda r: r.qdisc_stats["dropped_late"
 PRECISION = _per_rep(
     "pacing precision σ [ms]",
     lambda r: pacing_precision_ns(r.expected_send_log, r.server_records) / 1e6,
+)
+RATE_TRAINS = Metric("share in trains ≤ 5, rate-scaled gap", _rate_scaled_trains)
+NEAR_BUCKET = Metric("share in trains of the bucket −2 … +4", _bucket_window)
+AT_16 = _train_share("share in trains of 14–18", lambda n: 14 <= n <= 18)
+CROSSINGS = _per_rep(
+    "kernel crossings / rep",
+    lambda r: r.server_stats["gso_buffers"] or r.server_stats["packets_sent"],
+)
+RETX = _per_rep("retransmitted bytes / rep", lambda r: r.server_stats["stream_bytes_retx"])
+FAIRNESS = _per_rep("Jain fairness", lambda r: r.fairness)
+SLOWEST_FLOW = _per_rep(
+    "slowest flow's goodput [Mbit/s]", lambda r: min(f.goodput_mbps for f in r.multi.flows)
+)
+PACED_DROPS = _per_rep(
+    "drops, picoquic/bbr − picoquic/cubic",
+    lambda r: r.per_profile["picoquic/bbr"]["dropped"] - r.per_profile["picoquic/cubic"]["dropped"],
 )
 
 
@@ -193,6 +305,8 @@ COMBINE: Dict[str, Tuple[Callable[[Sequence[float]], float], str]] = {
     "spread": (lambda v: max(v) - min(v), "max − min of {all}"),
     "min": (lambda v: min(v), "min({all})"),
     "max": (lambda v: max(v), "max({all})"),
+    "diffs": (lambda v: (v[0] - v[1]) - (v[2] - v[3]), "({0} − {1}) − ({2} − {3})"),
+    "ratios": (lambda v: v[0] / v[1] - v[2] / v[3], "{0} / {1} − {2} / {3}"),
 }
 
 
@@ -328,6 +442,98 @@ CLAIMS: Tuple[Claim, ...] = (
 )
 
 
+def _point(rate_mbit: int, rtt_ms: int) -> str:
+    return f"{rate_mbit}mbit-{rtt_ms}ms"
+
+
+#: The ablations and extensions, measured on :func:`extension_grid`. "paper"
+#: is what the paper says of the question, where it says anything.
+EXTENSIONS: Tuple[Claim, ...] = (
+    # §3.4 leaves other rates and RTTs to future work: is FQ's smoothing an
+    # artifact of the 40 Mbit/s / 40 ms point?
+    Claim("network_sweep.fq_short_trains", "§3.4", "—", "> 0.75", RATE_TRAINS,
+          tuple(f"{_point(*p)}-fq" for p in NETWORK_POINTS), "min"),
+    *(Claim(f"network_sweep.fq_no_burstier_{_point(*p)}", "§3.4", "—", "≥ -0.03", RATE_TRAINS,
+            (f"{_point(*p)}-fq", f"{_point(*p)}-none"), "diff") for p in NETWORK_POINTS),
+    *(Claim(f"network_sweep.fq_goodput_{_point(*p)}", "§3.4", "—", "> 0.6", GOODPUT,
+            (f"{_point(*p)}-fq", f"{_point(*p)}-none"), "ratio") for p in NETWORK_POINTS),
+    # §2: sparser ACKs weaken the ACK clock, and bursts follow without pacing.
+    Claim("ack_frequency.sparse_acks_burstier", "§2", "bursts without pacing", "< -0.1",
+          TRAINS_LEQ5, ("ack-25ms-none", "ack-1ms-none"), "diff"),
+    Claim("ack_frequency.fq_smooth", "§2", "—", "> 0.8", TRAINS_LEQ5,
+          tuple(f"ack-{d}ms-fq" for d in ACK_DELAYS_MS), "min"),
+    *(Claim(f"ack_frequency.fq_smoother_{d}ms", "§2", "—", "> 0.15", TRAINS_LEQ5,
+            (f"ack-{d}ms-fq", f"ack-{d}ms-none"), "diff") for d in ACK_DELAYS_MS),
+    Claim("ack_frequency.fq_degrades_less", "§2", "—", "< 0", TRAINS_LEQ5,
+          ("ack-1ms-fq", "ack-25ms-fq", "ack-1ms-none", "ack-25ms-none"), "diffs"),
+    # The model's account of Fig. 3's 16–17-packet trains: picoquic's leaky
+    # bucket empties after an idle period, so the trains follow its depth.
+    *(Claim(f"bucket_size.trains_follow_bucket{b}", "Fig. 3", "—", "> 0.08", NEAR_BUCKET,
+            (name,),
+            deviates="the 8-packet bucket puts 0.0797 of its packets in trains of 6–12 at "
+            "this seed; trains of 8 are still its commonest burst" if b == 8 else "")
+      for b, name in BUCKETS.items()),
+    Claim("bucket_size.mass_at_16_needs_bucket_16", "Fig. 3", "—", "> 0", AT_16,
+          (BUCKETS[16], BUCKETS[8]), "diff"),
+    # §4.4 calls its 200 µs ETF delta "a bit more conservative" than needed.
+    Claim("etf_delta.conservative_no_late_drops", "§4.4", "200 µs: no drops", "= 0", LATE_DROPS,
+          ("etf-200us", "etf-400us", "etf-800us"), "max"),
+    Claim("etf_delta.aggressive_drops_late", "§4.4", "—", "> 0", LATE_DROPS, ("etf-100us",)),
+    Claim("etf_delta.no_goodput_past_200us", "§4.4", "—", "< 2", GOODPUT,
+          ("etf-800us", "etf-200us"), "spread"),
+    # §4.3: smaller GSO buffers trade kernel crossings against bursts; paced
+    # GSO has both.
+    Claim("gso_buffer.crossings_x2_over_x4", "§4.3", "—", "> 0", CROSSINGS,
+          ("gso-x2", "gso-x4"), "diff"),
+    Claim("gso_buffer.crossings_x4_over_x10", "§4.3", "—", "> 0", CROSSINGS,
+          ("gso-x4", "gso-x10"), "diff"),
+    Claim("gso_buffer.crossings_off_over_x2", "§4.3", "—", "> 0", CROSSINGS,
+          ("40mbit-40ms-fq", "gso-x2"), "diff"),
+    Claim("gso_buffer.x2_smoother_than_x10", "§4.3", "a trade-off", "> 0", TRAINS_LEQ5,
+          ("gso-x2", "gso-x10"), "diff"),
+    Claim("gso_buffer.paced_smooth", "§4.3", "—", "> 0.9", TRAINS_LEQ5, ("gso-paced",)),
+    Claim("gso_buffer.paced_batches", "§4.3", "—", "< 0.5", CROSSINGS,
+          ("gso-paced", "40mbit-40ms-fq"), "ratio"),
+    # §5, Manzoor et al. turn pacing off for WiFi without looking at the wire.
+    Claim("no_pacing.picoquic_burstier", "§5", "—", "< 0", TRAINS_LEQ5,
+          ("picoquic-unpaced", "picoquic"), "diff"),
+    Claim("no_pacing.ngtcp2_burstier", "§5", "—", "< 0", TRAINS_LEQ5,
+          ("ngtcp2-unpaced", "ngtcp2"), "diff"),
+    Claim("wifi_aggregation.unpaced_faster", "§5", "unpaced wins on WiFi", "> 0", GOODPUT,
+          ("wifi-unpaced", "wifi"), "diff"),
+    Claim("wifi_aggregation.unpaced_gain", "§5", "—", "> 1.04", GOODPUT,
+          ("wifi-unpaced", "wifi"), "ratio"),
+    Claim("wifi_aggregation.gain_is_the_link", "§5", "—", "< 0", GOODPUT,
+          ("picoquic-unpaced", "picoquic", "wifi-unpaced", "wifi"), "ratios"),
+    Claim("wifi_aggregation.wired_unpaced_drops", "§5", "—", "> 0", DROPS,
+          ("picoquic-unpaced", "picoquic"), "diff"),
+    # §5, Song et al.: BBRv2 trades throughput for fewer retransmissions.
+    Claim("bbr2.shallow_fewer_drops", "§5", "fewer retransmissions", "< 0.5", DROPS,
+          ("bbr2-0.5bdp", "bbr-0.5bdp"), "ratio"),
+    Claim("bbr2.shallow_lower_goodput", "§5", "lower throughput", "< 0", GOODPUT,
+          ("bbr2-0.5bdp", "bbr-0.5bdp"), "diff"),
+    Claim("bbr2.shallow_not_starved", "§5", "—", "> 8", GOODPUT, ("bbr2-0.5bdp",)),
+    Claim("bbr2.deep_loss_free", "§5", "—", "= 0", DROPS, ("bbr-2bdp", "bbr2-2bdp"), "max"),
+    Claim("bbr2.deep_comparable", "§5", "—", "> 0.85", GOODPUT,
+          ("bbr2-2bdp", "bbr-2bdp"), "ratio"),
+    # Beyond the paper: how much of its loss one bit of ECN avoids.
+    Claim("ecn.fewer_drops", "Tables 1–2", "—", "< 0.25", DROPS,
+          ("ecn", "40mbit-40ms-fq"), "ratio"),
+    Claim("ecn.goodput_kept", "Tables 1–2", "—", "> 0.9", GOODPUT,
+          ("ecn", "40mbit-40ms-fq"), "ratio"),
+    Claim("ecn.no_more_retx", "Tables 1–2", "—", "≤ 0", RETX, ("ecn", "40mbit-40ms-fq"), "diff"),
+    # §3.4 leaves competing connections to future work.
+    Claim("competing_flows.pair_fair", "§3.4", "0.991 archived (SF patch)", "> 0.9", FAIRNESS,
+          ("quiche-cubic-fq__vs__quiche-cubic-fq",)),
+    Claim("competing_flows.pair_fills_link", "§3.4", "36.4 archived (SF patch)", "> 24",
+          GOODPUT, ("quiche-cubic-fq__vs__quiche-cubic-fq",)),
+    Claim("competing_flows.paced_drops_less", "§3.4", "—", "≤ 0", PACED_DROPS,
+          ("picoquic-bbr__vs__picoquic-cubic",)),
+    Claim("competing_flows.none_starved", "§3.4", "—", "> 3", SLOWEST_FLOW,
+          ("picoquic-bbr__vs__picoquic-cubic",)),
+)
+
+
 # -- evaluation and rendering ----------------------------------------------
 
 
@@ -374,22 +580,22 @@ def _mib(size: int) -> str:
     return f"{size / mib(1):g} MiB"
 
 
-def grid_rows(grid: Mapping[str, ExperimentConfig]) -> List[List[str]]:
+def grid_rows(grid: Mapping[str, ExperimentConfig], claims: Sequence[Claim]) -> List[List[str]]:
     """``[name, label, size, sources]`` per grid entry: what the rows name."""
     return [
         [
             name,
             config.label,
             _mib(config.file_size),
-            ", ".join(dict.fromkeys(c.source for c in CLAIMS if name in c.configs)),
+            ", ".join(dict.fromkeys(c.source for c in claims if name in c.configs)),
         ]
         for name, config in grid.items()
     ]
 
 
 def render(summaries: Mapping[str, RunSummary], claims: Sequence[Claim] = CLAIMS) -> str:
-    """The claims block of EXPERIMENTS.md: the verdicts, each at its scale
-    (``repro scenarios`` lists the grid they read)."""
+    """A claims block of EXPERIMENTS.md: the verdicts, each at its scale
+    (``repro scenarios`` lists the grids they read)."""
     verdicts = evaluate(summaries, claims)
     configs = {name: s.config for name, s in summaries.items()}
     base = min(config.file_size for config in configs.values())

@@ -65,31 +65,6 @@ def all_baselines(**kwargs) -> Dict[str, ExperimentConfig]:
     return {stack: baseline(stack, **kwargs) for stack in ("quiche", "picoquic", "ngtcp2", "tcp")}
 
 
-#: (bottleneck rate [Mbit/s], min RTT [ms]) grid for the network sweep; the
-#: (40, 40) point is the paper's fixed setting.
-NETWORK_SWEEP_GRID = ((10, 10), (10, 80), (40, 40), (100, 20))
-
-
-def network_sweep(**kwargs) -> Dict[str, ExperimentConfig]:
-    """Extension (Section 3.4 future work): quiche fq-vs-none across a grid
-    of bottleneck rates and RTTs, checking the pacing benefit is not an
-    artifact of the paper's single 40 Mbit/s / 40 ms operating point."""
-    grid: Dict[str, ExperimentConfig] = {}
-    for rate_mbit, rtt_ms in NETWORK_SWEEP_GRID:
-        net = NetworkConfig(
-            bottleneck_rate_bps=mbit(rate_mbit), one_way_delay_ns=ms(rtt_ms) // 2
-        )
-        for qdisc in ("none", "fq"):
-            grid[f"{rate_mbit}mbit-{rtt_ms}ms-{qdisc}"] = _base(
-                stack="quiche",
-                qdisc=qdisc,
-                spurious_rollback=False,
-                network=net,
-                **kwargs,
-            )
-    return grid
-
-
 #: Named impairment settings for the fault-injection sweep. ``burst`` uses
 #: the dribbled Gilbert–Elliott defaults that arm quiche's small-loss
 #: rollback heuristic (Section 4.2's pathology, now reachable on demand).

@@ -70,10 +70,6 @@ class WifiBottleneck:
         self.queue_trace: list[tuple[int, int]] = []
         self.trace_queue = False
 
-    @property
-    def mean_aggregate(self) -> float:
-        return self.aggregated_frames / self.accesses if self.accesses else 0.0
-
     def receive(self, dgram: Datagram) -> None:
         if self._queue_bytes + dgram.wire_size > self.queue_limit_bytes:
             self.dropped += 1

@@ -27,6 +27,16 @@ def paper_summaries():
 
 
 @pytest.fixture(scope="session")
+def extension_summaries():
+    """The extension grid at its defaults (4 MiB x 1 repetition, seed 1),
+    run once per session."""
+    from repro.framework.claims import extension_grid
+    from repro.framework.sweep import SweepRunner
+
+    return SweepRunner().run(extension_grid())
+
+
+@pytest.fixture(scope="session")
 def paper_verdicts(paper_summaries):
     """Every claim's verdict on :func:`paper_summaries`, by claim id."""
     from repro.framework.claims import evaluate

@@ -2,10 +2,24 @@
 
 from types import SimpleNamespace
 
-from repro.framework.claims import CLAIMS, DROPS, GOODPUT, Claim, evaluate, in_band, paper_grid
+import pytest
+
+from repro.framework.claims import (
+    CLAIMS,
+    DROPS,
+    EXTENSIONS,
+    GOODPUT,
+    SNAP_BACKS,
+    Claim,
+    evaluate,
+    extension_grid,
+    in_band,
+    paper_grid,
+)
 from repro.framework.config import ExperimentConfig
 from repro.framework.runner import RunSummary
 from repro.metrics.stats import Summary
+from repro.units import ms
 
 
 def summary(goodput, dropped=0.0, completed=True, repetitions=1):
@@ -67,9 +81,22 @@ def test_a_band_reads_as_it_prints():
     assert not in_band(float("nan"), "≥ -1")
 
 
-def test_every_row_names_paper_grid_entries_and_every_entry_is_named():
-    named = {name for claim in CLAIMS for name in claim.configs}
-    assert named == set(paper_grid())
-    assert len({claim.id for claim in CLAIMS}) == len(CLAIMS)
-    for claim in CLAIMS:
+def test_a_reduction_right_after_an_unanswered_window_is_counted():
+    # 100 -> 80 gets no snap-back within 200 ms; 80 -> 60 does (60 -> 100).
+    trace = [(0, 100), (ms(10), 80), (ms(300), 60), (ms(350), 100)]
+    fq = SimpleNamespace(cwnd_trace=trace)
+    assert SNAP_BACKS.of(SimpleNamespace(results=[fq])) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, claims", [(paper_grid, CLAIMS), (extension_grid, EXTENSIONS)], ids=["paper", "extensions"]
+)
+def test_every_row_names_paper_grid_entries_and_every_entry_is_named(grid, claims):
+    entries = grid()
+    named = {name for claim in claims for name in claim.configs}
+    assert named == set(entries)
+    assert len({config.cache_key() for config in entries.values()}) == len(entries)
+    ids = [claim.id for claim in CLAIMS + EXTENSIONS]
+    assert len(set(ids)) == len(ids)
+    for claim in claims:
         in_band(0.0, claim.band)

@@ -153,6 +153,7 @@ def test_scenarios_command(capsys):
     out = capsys.readouterr().out
     assert "fq-sf-x4 " in out and "quiche/cubic/fq/sf" in out and "16 MiB" in out
     assert "§4.4" in out
+    assert "extensions grid (`sweep extensions`, 1 reps" in out and "etf-100us " in out
 
 
 def test_sweep_paper_prints_one_line_per_claim(capsys):

@@ -1,29 +1,45 @@
-"""The paper's claims table measured on the paper grid at 4 MiB x 3
-repetitions, seed 1 (``repro.framework.claims``; the grid runs once per
-session): every row has its declared status, and EXPERIMENTS.md carries the
-rendered table byte for byte.
+"""The claims tables measured on their grids (``repro.framework.claims``;
+each grid runs once per session): the paper's table on the paper grid at
+4 MiB x 3 repetitions, the extensions on the extension grid at 4 MiB x 1,
+both at seed 1. Every row has its declared status, and EXPERIMENTS.md
+carries both rendered tables byte for byte.
 
-The classes keep the names of the checks the table replaced; each asserts
-the rows that now hold that check's numbers.
+The classes keep the names of the checks the paper table replaced; each
+asserts the rows that now hold that check's numbers.
 """
 
 from pathlib import Path
 
-from repro.framework.claims import BASELINES, render
+import pytest
+
+from repro.framework.claims import BASELINES, CLAIMS, EXTENSIONS, evaluate, render
 from tests.conftest import assert_claims
 
 EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
-BEGIN, END = "<!-- claims:begin -->\n", "<!-- claims:end -->"
+#: Each table: its rows, the fixture holding its grid's summaries, and the
+#: name of its EXPERIMENTS.md block.
+TABLES = {
+    "paper": (CLAIMS, "paper_summaries", "claims"),
+    "extensions": (EXTENSIONS, "extension_summaries", "extensions"),
+}
 
 
 def test_every_claim_has_its_declared_status(paper_verdicts):
     assert_claims(paper_verdicts, *paper_verdicts)
 
 
-def test_experiments_md_carries_the_rendered_claims_table(paper_summaries):
+def test_every_extension_has_its_declared_status(extension_summaries):
+    verdicts = {v.claim.id: v for v in evaluate(extension_summaries, EXTENSIONS)}
+    assert_claims(verdicts, *verdicts)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_experiments_md_carries_the_rendered_claims_table(table, request):
+    claims, fixture, block = TABLES[table]
+    begin, end = f"<!-- {block}:begin -->\n", f"<!-- {block}:end -->"
     text = EXPERIMENTS.read_text()
-    block = text[text.index(BEGIN) + len(BEGIN):text.index(END)]
-    assert block == render(paper_summaries) + "\n"
+    rendered = text[text.index(begin) + len(begin):text.index(end)]
+    assert rendered == render(request.getfixturevalue(fixture), claims) + "\n"
 
 
 class TestBaseline:

@@ -21,9 +21,7 @@ temporary directory and puts first on ``PYTHONPATH``. Every interpreter a
 path starts imports it, forkserver workers and subprocesses included. It
 sets ``sys.settrace`` and records the code object of every Python call.
 It flushes what it saw at exit, and also in a wrapped ``os._exit``, because
-pool workers leave that way and skip ``atexit``. pytest runs with
-``--benchmark-disable``: pytest-benchmark clears ``sys.settrace`` around a
-timed call, so a timed benchmark would record only its imports.
+pool workers leave that way and skip ``atexit``.
 
 A function that is not ``run`` must have an entry in :data:`KEEP` that
 says why it stays. The tool prints one line per function, then the
@@ -61,8 +59,10 @@ INLINED = "oracle: the named formula a hot path inlines; a differential test hol
 SEAM = ("test seam: lets a test step the engine or read state that the run path "
         "keeps in plain attributes")
 ECN = ("ECN on a CCA other than CUBIC: ECN is a config field without a CLI flag, "
-       "and the ECN benchmark runs CUBIC")
+       "and the extension grid's ECN entry runs CUBIC")
 LONG = "reached only in runs past BBR's 10 s PROBE_RTT interval (paper scale, ~50 MiB)"
+CE = ("reached by the extension grid's ecn entry at its own 4 MiB, where the queue passes "
+      "the CE threshold; this tool sweeps every grid at 0.25 MiB")
 QLOG = "seed of the one-trace work: the qlog writer a run report will build on"
 PUBLIC = ("public API: the README quickstart's entry point; the CLI runs the "
           "same SweepRunner underneath")
@@ -76,6 +76,7 @@ KEEP: Dict[str, str] = {
     "repro.cc.base:CongestionController.on_spurious_loss": INTERFACE,
     "repro.cc.base:CongestionController.on_ecn_ce": ECN,
     "repro.cc.bbr2:Bbr2._enter_probe_bw": LONG,
+    "repro.cc.cubic:Cubic.on_ecn_ce": CE,
     "repro.cc.bbr2:Bbr2.on_ecn_ce": ECN,
     "repro.cc.newreno:NewReno.on_ecn_ce": ECN,
     "repro.framework.cache:ResultCache._evict": FAILURE,
@@ -184,6 +185,7 @@ KEEP: Dict[str, str] = {
     "repro.quic.stream:SendStream.retx_pending_bytes": SEAM,
     "repro.quic.varint:decode_varint": CODEC,
     "repro.sim.clock:TimerModel.fire_time": INLINED,
+    "repro.sim.engine:Simulator.peek_time": FAILURE,
     "repro.sim.engine:Simulator.pending": SEAM,
     "repro.sim.engine:Simulator.pending_live": SEAM,
     "repro.sim.engine:Simulator.step": SEAM,
@@ -260,7 +262,7 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
         ("run --cca bbr2", cli + ["run", "picoquic", "--cca", "bbr2", "--size-mib", "0.5",
                                   "--loss", "0.02", "--backend", "inprocess", "--no-cache"]),
     ]
-    for grid in ("paper", "baselines", "network", "impairments", "population", "duels"):
+    for grid in ("paper", "extensions", "baselines", "impairments", "population", "duels"):
         paths.append((f"sweep {grid}", cli + ["sweep", grid, "--backend", "inprocess"] + small
                       + cache + ["--store", str(work / "sweep.sqlite")]))
     paths += [
@@ -305,12 +307,11 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
     paths.append(("benchmarks/bench run", bench))
     benchmarks = sorted(str(p) for p in (ROOT / "benchmarks").glob("test_*.py"))
     paths.append(("benchmarks/test_*.py", [sys.executable, "-m", "pytest", "-q",
-                                           "--benchmark-disable", "-p", "no:cacheprovider"]
-                  + benchmarks))
+                                           "-p", "no:cacheprovider"] + benchmarks))
     return paths
 
 
-TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "--benchmark-disable", "-p", "no:cacheprovider"]
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 
 
 class Function(NamedTuple):
