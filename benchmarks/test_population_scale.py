@@ -7,7 +7,12 @@ The mixed population of ``scenarios.population_sweep`` (Poisson 100/s,
 per run, so it sits outside tier-1, which pins the same population at 60 and
 200 flows. Fixed size and seed: the
 fingerprints are machine-invariant and were carried over unedited from
-BENCH_13.json.
+BENCH_13.json, as the config-inclusive digests now in the second column.
+Each case asserts both from one run: the behaviour digest ``fingerprint()``
+takes (seed and outputs), and the old value through the oracle
+(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`), which
+proves the re-record moved no behaviour. The old column is deleted by the
+first change to a config field.
 """
 
 import pytest
@@ -15,9 +20,17 @@ import pytest
 from repro.framework.population import run_population
 from repro.framework.scenarios import population_sweep
 from repro.units import kib, seconds
+from tests.framework.test_fingerprint_encoding import old_fingerprint
 
-GOLDEN_PLAIN = "f84743826c006f92fe3b4a7a209b9c3e916398caa419a704875f970d32377a26"
-GOLDEN_CHURN = "9c1ba00824a519f8232eade59d52bea718830b7c25e96e3c229375139b886192"
+#: (behaviour digest, config-inclusive digest recorded before it)
+GOLDEN_PLAIN = (
+    "7a30261d82d72489a9876a607ce84cdf0706738ebb53f5ca413199d48b1f1e20",
+    "f84743826c006f92fe3b4a7a209b9c3e916398caa419a704875f970d32377a26",
+)
+GOLDEN_CHURN = (
+    "aa084e27bb42d9daf0e9d1a0ab2cdf5d1ba2d744ce2142c4ef17f679ff98ab46",
+    "9c1ba00824a519f8232eade59d52bea718830b7c25e96e3c229375139b886192",
+)
 
 
 @pytest.mark.parametrize(
@@ -28,7 +41,8 @@ GOLDEN_CHURN = "9c1ba00824a519f8232eade59d52bea718830b7c25e96e3c229375139b886192
 def test_two_thousand_flow_population_golden(churn, golden, events, drained):
     grid = population_sweep(2000, file_size=kib(64), max_sim_time_ns=seconds(300), churn=churn)
     result = run_population(grid["mixed"], seed=1)
-    assert result.fingerprint() == golden
+    assert result.fingerprint() == golden[0]
+    assert old_fingerprint(result) == golden[1]
     assert result.completed_count == 2000
     assert result.events_processed == events
     assert result.multi.drained == drained

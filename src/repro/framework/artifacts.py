@@ -39,9 +39,10 @@ def result_to_dict(
         else 0.0
     )
     out = {
-        # In the JSON data model (impairment specs as lists, not tuples), so
-        # an in-memory dict equals its save/load round trip.
-        "config": result.config.canonical_dict(),
+        # The repetition's own config (``repetitions`` normalized to 1: one
+        # repetition, one form, whichever sweep length ran it), in the JSON
+        # data model, so an in-memory dict equals its save/load round trip.
+        "config": result.config.per_rep.canonical_dict(),
         "seed": result.seed,
         "fingerprint": fingerprint if fingerprint is not None else result.fingerprint(),
         "completed": result.completed,
@@ -77,7 +78,7 @@ def population_result_to_dict(
     (distributions, fairness, competition matrix), never the per-flow
     capture — populations keep the capture columnar and in-memory only."""
     return {
-        "config": result.config.canonical_dict(),
+        "config": result.config.per_rep.canonical_dict(),
         "seed": result.seed,
         "fingerprint": fingerprint if fingerprint is not None else result.fingerprint(),
         "completed": result.completed,

@@ -12,29 +12,27 @@ repetition's derived seed. Normalizing ``repetitions`` means growing a sweep
 from 5 to 20 repetitions reuses the first 5 instead of recomputing them — the
 per-rep seed already encodes everything rep-specific. A hit is served as the
 requesting grid's repetition: the result comes back carrying the config
-object it was asked for (``repetitions`` included), so it fingerprints and
-stores exactly as a fresh run of that grid would. An entry whose config
+object it was asked for (``repetitions`` included). An entry whose config
 differs from the request in anything but ``repetitions`` is a stale entry:
 quarantined, counted and treated as a miss.
 
 Fingerprints. A result is digested once, when it is computed: the entry
-stores its ``fingerprint()`` beside it, with the config encoding that
-fingerprint was taken over (``result.config.cache_key()``). A hit whose
-encoding is the request's serves the stored fingerprint, so a warm sweep
-never re-digests a result. A hit served to a sweep of another length comes
-back without one, because its fingerprint covers ``repetitions``.
+stores its ``fingerprint()`` beside it, and every hit serves that stored
+digest, whichever sweep length asks. The fingerprint is behaviour (the seed
+and the outputs, never the config), so a hit of a shorter sweep is the
+longer sweep's repetition as it stands: a warm or grown sweep digests no hit.
 
 Layout and robustness. Entries live under ``<root>/<key[:2]>/<key>.pkl``
 (``~/.cache/repro`` by default, overridable with ``$REPRO_CACHE_DIR`` or an
 explicit root). Each file is one header line followed by the pickled result::
 
-    repro-cache <CACHE_VERSION> <digest> <encoding> <fingerprint>\\n<pickle>
+    repro-cache <CACHE_VERSION> <digest> <fingerprint>\\n<pickle>
 
 where ``<digest>`` is the sha256 of every byte after it, so it binds the
 stored fingerprint to the bytes it is served with. A
 :class:`~repro.framework.store.ResultStore` row keeps its result in the same
-format (pickled without its config, then the config's pickle) and reads it
-with the same :func:`_unpack`. An entry of another
+format (pickled without its config, then the per-repetition config's pickle)
+and reads it with the same :func:`_unpack`. An entry of another
 format or version, with a digest mismatch, that fails to unpickle, or that
 :meth:`ResultCache.get`'s ``validate`` rejects is *evicted* and treated as a
 miss, so format changes and torn or flipped bytes degrade to recomputation,
@@ -68,7 +66,9 @@ from repro.framework.population import PopulationResult
 #: v3: captures are CaptureColumns, not lists of CaptureRecord.
 #: v4: a header line with the result's fingerprint, its config encoding and a
 #: sha256 over both and the pickle, instead of a pickled ``(version, result)``.
-CACHE_VERSION = 4
+#: v5: the fingerprint no longer covers the config, and the header no longer
+#: names the config encoding.
+CACHE_VERSION = 5
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.
@@ -77,35 +77,27 @@ _RESULT_TYPES = (ExperimentResult, PopulationResult)
 _MAGIC = b"repro-cache"
 
 
-def _pack(version: int, encoding: str, fingerprint: str, body: bytes) -> bytes:
+def _pack(version: int, fingerprint: str, body: bytes) -> bytes:
     """One entry file: the header line, then ``body`` (the pickled result)."""
-    rest = f"{encoding} {fingerprint}\n".encode() + body
+    rest = f"{fingerprint}\n".encode() + body
     return b"%s %d %s %s" % (_MAGIC, version, hashlib.sha256(rest).hexdigest().encode(), rest)
 
 
-def _stamp(payload: bytes, version: int) -> Tuple[bytes, str, str]:
-    """``(digest, encoding, fingerprint)`` as the header line of an entry
-    names them, nothing checked against them yet; raises ``ValueError`` on a
-    file of another format or version."""
+def _unpack(payload: bytes, version: int, bind: bool = False) -> Tuple[Any, str]:
+    """``(result, fingerprint)`` of one entry file; raises ``ValueError`` on a
+    file of another format or version or a digest mismatch, before anything
+    is unpickled. ``pickle.loads`` stops at the result's end, so bytes after
+    it (a store row's config pickle) are read only with ``bind``, which binds
+    them to the result as its config."""
     fields = payload[: payload.find(b"\n")].split(b" ")
-    if len(fields) != 5 or fields[0] != _MAGIC:
+    if fields[0] != _MAGIC or len(fields) < 2:
         raise ValueError("stale cache entry (no repro-cache header)")
-    if fields[1] != b"%d" % version:
+    if fields[1] != b"%d" % version or len(fields) != 4:
         raise ValueError(f"stale cache entry (version {fields[1].decode(errors='replace')})")
-    return fields[2], fields[3].decode(), fields[4].decode()
-
-
-def _unpack(payload: bytes, version: int, bind: bool = False) -> Tuple[Any, str, str]:
-    """``(result, encoding, fingerprint)`` of one entry file; raises
-    ``ValueError`` on a file of another format or version or a digest
-    mismatch, before anything is unpickled. ``pickle.loads`` stops at the
-    result's end, so bytes after it (a store row's config pickle) are read
-    only with ``bind``, which binds them to the result as its config."""
-    digest, encoding, fingerprint = _stamp(payload, version)
     view = memoryview(payload)
     # The digest covers everything after "<magic> <version> <digest> ".
-    signed = len(_MAGIC) + len(b"%d" % version) + len(digest) + 3
-    if hashlib.sha256(view[signed:]).hexdigest().encode() != digest:
+    signed = len(_MAGIC) + len(fields[1]) + len(fields[2]) + 3
+    if hashlib.sha256(view[signed:]).hexdigest().encode() != fields[2]:
         raise ValueError("corrupt cache entry (digest mismatch)")
     body = view[payload.index(b"\n") + 1 :]
     if bind:
@@ -116,16 +108,15 @@ def _unpack(payload: bytes, version: int, bind: bool = False) -> Tuple[Any, str,
         result = pickle.loads(body)
     if not isinstance(result, _RESULT_TYPES):
         raise ValueError(f"stale cache entry (holds a {type(result).__name__})")
-    return result, encoding, fingerprint
+    return result, fields[3].decode()
 
 
 class CacheHit(NamedTuple):
-    """A result read from the cache, with its fingerprint when one applies."""
+    """A result read from the cache, with its fingerprint."""
 
     result: Union[ExperimentResult, PopulationResult]
-    #: ``result.fingerprint()`` as stored with the entry; ``None`` when the
-    #: hit is served to a sweep of another length and must be digested anew.
-    fingerprint: Optional[str]
+    #: ``result.fingerprint()`` as stored with the entry.
+    fingerprint: str
 
 
 def default_cache_dir() -> Path:
@@ -192,8 +183,7 @@ class ResultCache:
 
         A hit's ``config`` is ``config`` itself, whichever sweep length first
         computed it; its memoized encodings then serve every hit. The stored
-        fingerprint comes with it when it was taken over ``config``'s
-        encoding. ``validate`` (e.g.
+        fingerprint comes with it. ``validate`` (e.g.
         :func:`~repro.framework.validate.validate_result`) runs on the result
         before it is served: an entry it rejects is quarantined and counted
         as a miss, like a torn one.
@@ -205,11 +195,9 @@ class ResultCache:
             self.stats.misses += 1
             return None
         try:
-            result, encoding, fingerprint = _unpack(payload, self.version)
-            if encoding != config.cache_key():
-                if result.config.per_rep != config.per_rep:
-                    raise ValueError("stale cache entry (computed for another config)")
-                fingerprint = None  # taken over another ``repetitions``
+            result, fingerprint = _unpack(payload, self.version)
+            if result.config.per_rep != config.per_rep:
+                raise ValueError("stale cache entry (computed for another config)")
             result.config = config
             if validate is not None:
                 validate(result)
@@ -225,8 +213,7 @@ class ResultCache:
         computed for, and that result's fingerprint. Raises on an entry
         :meth:`get` would quarantine for its format, version, digest or
         contents; nothing is moved or counted."""
-        result, _, fingerprint = _unpack(Path(path).read_bytes(), self.version)
-        return CacheHit(result, fingerprint)
+        return CacheHit(*_unpack(Path(path).read_bytes(), self.version))
 
     def put(
         self, config: ExperimentConfig, seed: int, result: ExperimentResult, fingerprint: str
@@ -235,7 +222,7 @@ class ResultCache:
         atomically; returns the entry path."""
         path = self._path(self.entry_key(config, seed))
         body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        entry = _pack(self.version, result.config.cache_key(), fingerprint, body)
+        entry = _pack(self.version, fingerprint, body)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:

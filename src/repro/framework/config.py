@@ -96,9 +96,8 @@ class CanonicalForm:
     *object*.
 
     A sweep needs a config's sorted-JSON form and the hashes over it several
-    times per repetition (result fingerprint, cache entry key, store row key,
-    artifact payload); ``dataclasses.asdict`` deep-copies every nested field
-    each time. The config and everything nested in it is frozen, so the
+    times per repetition (cache entry key, store row key, artifact payload);
+    ``dataclasses.asdict`` deep-copies every nested field each time. The config and everything nested in it is frozen, so the
     encodings cannot go stale. They are memoized on the instance, never by
     value: ``2`` and ``2.0`` compare and hash equal but encode differently,
     so equal configs may not share an encoding. ``dataclasses.replace``
@@ -113,7 +112,7 @@ class CanonicalForm:
     @cached_property
     def canonical_json(self) -> str:
         """``json.dumps(asdict(self), sort_keys=True)``: the form every
-        content hash and the result fingerprint are taken over."""
+        content hash is taken over."""
         return json.dumps(json.loads(self._declared_json), sort_keys=True)
 
     def canonical_dict(self) -> Dict[str, Any]:

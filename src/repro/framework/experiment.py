@@ -93,12 +93,11 @@ class ExperimentResult:
     def canonical_encoding(self) -> Iterator[bytes]:
         """The bytes :meth:`fingerprint` hashes, in order.
 
-        Exactly ``json.dumps(payload, sort_keys=True)`` of the deterministic
-        fields (config as ``asdict``, capture as one dict per record), but
-        written without building that tree: the config contributes its
-        memoized sorted JSON, and each capture row is one ``%``-format
-        (:func:`_encode_capture`). Every other field goes through
-        ``json.dumps`` itself.
+        Exactly ``json.dumps(payload, sort_keys=True)`` of the seed and the
+        outputs (capture as one dict per record), but written without
+        building that tree: each capture row is one ``%``-format
+        (:func:`_encode_capture`), every other field goes through
+        ``json.dumps`` itself. The config is not part of it.
         """
         encoded = {
             key: json.dumps(value, sort_keys=True)
@@ -118,7 +117,6 @@ class ExperimentResult:
                 ("impairment_stats", self.impairment_stats),
             )
         }
-        encoded["config"] = self.config.canonical_json
         opener = "{"
         for key in sorted([*encoded, "server_records"]):
             if key == "server_records":
@@ -131,22 +129,25 @@ class ExperimentResult:
         yield b"}"
 
     def fingerprint(self) -> str:
-        """Stable digest of every *deterministic* field of this result.
+        """The behaviour digest: the seed and every deterministic output.
 
-        Covers config, seed, timings, traces, captures, and all counters;
-        excludes execution observability (``wall_time_s``,
-        ``events_processed``), which legitimately varies between hosts,
-        worker counts, and cache hits. Two runs of the same (config, seed)
-        must produce equal fingerprints regardless of serial/parallel/cached
-        execution — the determinism test suite pins exactly that.
+        Covers timings, traces, captures and all counters; excludes the
+        config, which is the repetition's identity (its store row and cache
+        entry key), not its behaviour, and execution observability
+        (``wall_time_s``, ``events_processed``), which varies between hosts,
+        worker counts and cache hits. So two spellings of one behaviour
+        (a field at its default or spelled out, qlog on or off, any
+        ``repetitions``) digest equal, and adding a config field moves no
+        digest. Two runs of the same (config, seed) must produce equal
+        fingerprints regardless of serial/parallel/cached execution — the
+        determinism test suite pins exactly that.
 
         Computed from the fields on every call (results are mutable and
         ``dataclasses.replace`` copies must digest fresh). It is O(packets),
         so it is taken once, when a repetition is computed: callers pass it
-        along, and the :class:`~repro.framework.cache.ResultCache` stores it
-        with the entry, so a cache hit serves it without digesting again. A
-        change to the bytes :meth:`canonical_encoding` yields therefore needs
-        a ``CACHE_VERSION`` bump.
+        along, and the cache entry and store row keep it, so a hit is never
+        digested again. A change to the bytes :meth:`canonical_encoding`
+        yields therefore needs a ``CACHE_VERSION`` and ``STORE_VERSION`` bump.
         """
         digest = hashlib.sha256()
         for chunk in self.canonical_encoding():

@@ -35,7 +35,7 @@ import hashlib
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.framework.config import ExperimentConfig, NetworkConfig
@@ -99,9 +99,6 @@ class FlowSpec:
         if self.gso != "off":
             parts.append(f"gso-{self.gso}")
         return "/".join(parts)
-
-
-_SPEC_FIELDS = tuple(f.name for f in fields(FlowSpec))
 
 
 @dataclass
@@ -175,9 +172,12 @@ class MultiFlowResult:
         return sum(1 for f in self.flows if f.completed)
 
     def canonical_bytes(self) -> bytes:
-        """The bytes :meth:`fingerprint` hashes."""
+        """The bytes :meth:`fingerprint` hashes: the seed and the outputs,
+        each flow's in index order (its :class:`FlowSpec` is identity, not
+        behaviour)."""
         payload = {
             "seed": self.seed,
+            "drained": self.drained,
             "sim_time_ns": self.sim_time_ns,
             "total_dropped": self.total_dropped,
             "injected_drops": self.injected_drops,
@@ -186,8 +186,6 @@ class MultiFlowResult:
             "impairment_stats": self.impairment_stats,
             "flows": [
                 {
-                    # FlowSpec is flat, so a shallow field dict equals asdict.
-                    "spec": {name: getattr(f.spec, name) for name in _SPEC_FIELDS},
                     "completed": f.completed,
                     "duration_ns": f.duration_ns,
                     "goodput_mbps": f.goodput_mbps,
@@ -201,17 +199,14 @@ class MultiFlowResult:
                 for f in self.flows
             ],
         }
-        # Churn teardown accounting; omitted when zero so every pre-churn
-        # golden fingerprint stays valid byte-for-byte.
-        if self.drained:
-            payload["drained"] = self.drained
         return json.dumps(payload, sort_keys=True).encode()
 
     def fingerprint(self) -> str:
-        """Stable digest of every deterministic field.
+        """The behaviour digest: the seed and every deterministic output.
 
-        Excludes execution observability (``wall_time_s``,
-        ``events_processed``) and the optional per-flow captures (which
+        Excludes the flow specs (identity), execution observability
+        (``wall_time_s``, ``events_processed``) and the optional per-flow
+        captures (which
         are an observability toggle, not a result: a run with
         ``capture_records=False`` must fingerprint identically to the same
         run with capture on).

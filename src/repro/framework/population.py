@@ -296,11 +296,9 @@ class PopulationResult:
         return self.multi.wall_time_s
 
     def fingerprint(self) -> str:
-        """Stable digest: the config identity plus the multi-flow result's
-        own fingerprint. The aggregates are pure functions of those two, so
-        hashing them again would only add float-formatting fragility."""
-        payload = {"config": self.config.cache_key(), "multi": self.multi.fingerprint()}
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        """The multi-flow result's behaviour digest. The aggregates are pure
+        functions of it and the config, which is identity, not behaviour."""
+        return self.multi.fingerprint()
 
 
 #: Relative goodput margin for the "beats" relation (wins inside this band

@@ -8,9 +8,10 @@ settled repetitions into; a JSON artifact is an *export* of its rows,
 byte-for-byte what :func:`repro.framework.artifacts.save_summary` writes for
 the same run.
 
-Layout. One ``reps`` row per repetition: the per-repetition config key (the
-same normalization the :class:`~repro.framework.cache.ResultCache` uses),
-seed, result ``fingerprint()``, the queryable scalars (goodput, drops,
+Layout. One ``reps`` row per repetition: the per-repetition config key
+(``config.per_rep.cache_key()``, the normalization the
+:class:`~repro.framework.cache.ResultCache` uses), seed, the result's
+behaviour digest ``fingerprint()``, the queryable scalars (goodput, drops,
 gap/train/precision metrics) as real columns, and one ``result`` blob that
 holds the repetition whole. ``precision_ns`` is NULL exactly when the result
 does not measure it (no expected-send log). Failed repetitions land in a
@@ -19,35 +20,37 @@ and a ``campaigns`` row records each ``(grid_key, shard)`` a sweep ran into
 the store.
 
 The blob is the repetition's cache entry: the
-:class:`~repro.framework.cache.ResultCache` entry header (fingerprint, config
-encoding, sha256 over both and the rest), the result pickled without its
-config, then the config's pickle. :meth:`ResultStore.served` reads one grid
-entry's rows in one ``SELECT`` and serves those that are the request's
-repetition, checked as a cache hit is (digest, unpickle, validation); it
-unpickles the result alone and binds the requesting config, so a sweep over
-its own store opens no cache file and writes nothing. The same ``SELECT``
+:class:`~repro.framework.cache.ResultCache` entry header (fingerprint, and a
+sha256 over it and the rest), the result pickled without its config, then the
+per-repetition config's pickle (``repetitions`` normalized to 1, so one
+repetition has one blob whichever sweep length computed it).
+:meth:`ResultStore.served` reads one grid entry's rows in one ``SELECT`` and
+serves those that are the request's repetition, checked as a cache hit is
+(digest, unpickle, validation); it unpickles the result alone and binds the
+requesting config, so a sweep over its own store opens no cache file and
+writes nothing, and a sweep grown from 3 to 20 repetitions simulates only the
+17 it lacks. The same ``SELECT``
 returns the failures recorded for the request's repetitions, which a resumed
 sweep carries forward. A row whose blob fails those checks is deleted,
 counted on :attr:`ResultStore.evictions` and reported on ``stream``. An
 export (:meth:`ResultStore.payloads`) unpickles the config too and renders
 :func:`~repro.framework.artifacts.rep_to_dict` of the result.
 
-Identity and idempotence. Rows are keyed ``(config_key, seed)``, and every
-column is a function of the result's fingerprint plus ``(name, label, rep)``.
+Identity and idempotence. Identity is the key: rows are keyed
+``(config_key, seed)``, and every column is a function of the result's
+behaviour digest plus ``(name, label, rep)``. No column depends on the sweep
+length, so a grown store holds the rows and exports the JSON of a fresh one.
 :meth:`ResultStore.record_result` is the only writer of rows. It first looks
-the key up: a row with the same name, label, rep and fingerprint, no failure
-beside it and a blob of this result is already the row the record would
-write, and is kept without a write. Anything else is written with ``INSERT OR
-REPLACE``; a row whose blob names the same config encoding but another
-fingerprint is replaced with a warning on ``stream`` (a determinism
-regression). So re-recording a repetition — a cache hit confirming its row, a
-migration — is a no-op rather than a duplicate, and an interrupted-then-
-resumed campaign converges to a store *bit-identical* in content to an
-uninterrupted one (:meth:`ResultStore.content_fingerprint`; the chaos suite
-pins this). A cache hit is recorded as the requesting sweep's repetition, so a
-sweep grown from 2 to 3 repetitions rewrites the rows a fresh 3-repetition
-sweep writes (their fingerprint covers ``repetitions``). A success supersedes
-a failure for the same key, whichever is recorded first.
+the key up: a row with the same name, label, rep and fingerprint and no
+failure beside it is already the row the record would write, and is kept
+without a write. Anything else is written with ``INSERT OR REPLACE``; a row
+of another fingerprint is replaced with a warning on ``stream`` (a
+determinism regression). So re-recording a repetition — a cache hit
+confirming its row, a migration — is a no-op rather than a duplicate, and an
+interrupted-then-resumed campaign converges to a store *bit-identical* in
+content to an uninterrupted one (:meth:`ResultStore.content_fingerprint`; the
+chaos suite pins this). A success supersedes a failure for the same key,
+whichever is recorded first.
 
 Commits. Each write is its own transaction, committed (and fsynced) before
 the call returns, unless it runs inside :meth:`ResultStore.batch`: then the
@@ -88,7 +91,7 @@ import sqlite3
 
 from repro.errors import ConfigError
 from repro.framework.artifacts import rep_to_dict
-from repro.framework.cache import CACHE_VERSION, ResultCache, _pack, _stamp, _unpack
+from repro.framework.cache import CACHE_VERSION, ResultCache, _pack, _unpack
 from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import Distribution
 from repro.metrics.precision import pacing_precision_ns
@@ -96,13 +99,15 @@ from repro.metrics.stats import summarize
 from repro.net.impairments import ImpairmentSpec
 from repro.sim.random import derive_seed
 
-__all__ = ["STORE_VERSION", "ResultStore", "grid_key", "per_rep_key"]
+__all__ = ["STORE_VERSION", "ResultStore", "grid_key"]
 
 #: Bump on any incompatible change to the schema or the blob; a store of
 #: another version is refused on open, never misread or upgraded.
 #: v4: one ``result`` blob per row (the JSON payload column went) that also
 #: holds the config, so every row can render its export.
-STORE_VERSION = 4
+#: v5: the fingerprint is the behaviour digest (no config), and the blob holds
+#: the per-repetition config.
+STORE_VERSION = 5
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the
@@ -207,16 +212,6 @@ def grid_key(grid: Mapping[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def per_rep_key(config) -> str:
-    """Per-repetition config key: full config with ``repetitions`` normalized.
-
-    Matches the normalization of
-    :meth:`repro.framework.cache.ResultCache.entry_key` (sans seed): growing
-    a sweep from 5 to 20 repetitions keeps the first 5 rows' keys.
-    """
-    return hashlib.sha256(config.per_rep.canonical_json.encode()).hexdigest()
-
-
 def _impairments_slug(network: Dict[str, Any]) -> str:
     """Comma-joined impairment slugs (reverse-path prefixed ``r-``)."""
     slugs = []
@@ -261,24 +256,15 @@ def _refusal(path, version: int) -> ConfigError:
     return ConfigError(f"store {path} has schema version {version}, {why}")
 
 
-def _pack_result(result, encoding: str, fingerprint: str) -> bytes:
+def _pack_result(result, fingerprint: str) -> bytes:
     """A row's ``result`` blob: the cache entry format, with the result
     pickled without its config (a sweep's reader binds the requesting one),
-    then the config's own pickle (an export binds it)."""
+    then the per-repetition config's pickle (an export binds it)."""
     bare = copy.copy(result)
     bare.config = None
     body = pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
-    body += pickle.dumps(result.config, protocol=pickle.HIGHEST_PROTOCOL)
-    return _pack(CACHE_VERSION, encoding, fingerprint, body)
-
-
-def _blob_stamp(blob: bytes) -> Optional[Tuple[str, str]]:
-    """``(encoding, fingerprint)`` a row's blob names; None when its header
-    is not one of this cache version."""
-    try:
-        return _stamp(blob, CACHE_VERSION)[1:]
-    except ValueError:
-        return None
+    body += pickle.dumps(result.config.per_rep, protocol=pickle.HIGHEST_PROTOCOL)
+    return _pack(CACHE_VERSION, fingerprint, body)
 
 
 def _measures_precision(result) -> bool:
@@ -414,32 +400,26 @@ class ResultStore:
         The one writer of ``reps`` rows. ``fingerprint`` is
         ``result.fingerprint()`` when the caller already computed it for this
         repetition; ``None`` computes it here. A row with this name, label,
-        rep and fingerprint, no failure beside it and a blob of this result
-        is already the row this record would write: every column is a
-        function of the fingerprinted result plus ``(name, label, rep)``. It
-        costs one ``SELECT`` and nothing is written.
+        rep and fingerprint and no failure beside it is already the row this
+        record would write: every column is a function of the fingerprinted
+        result plus ``(name, label, rep)``. It costs one ``SELECT`` and
+        nothing is written. A row of another fingerprint is a determinism
+        regression, whichever sweep wrote it: it is rewritten with a warning.
         """
         if fingerprint is None:
             fingerprint = result.fingerprint()
         label = result.config.label
-        encoding = result.config.cache_key()
-        key, seed = per_rep_key(result.config), result.seed
+        key, seed = result.config.per_rep.cache_key(), result.seed
         stored = self._conn.execute(
-            "SELECT name, label, rep, fingerprint, result, EXISTS (SELECT 1 FROM failures"
+            "SELECT name, label, rep, fingerprint, EXISTS (SELECT 1 FROM failures"
             " WHERE config_key = ?1 AND seed = ?2) AS failed"
             " FROM reps WHERE config_key = ?1 AND seed = ?2",
             (key, _db_seed(seed)),
         ).fetchone()
         if stored is not None:
-            stamp = _blob_stamp(stored["result"])
-            if (
-                stamp == (encoding, fingerprint)
-                and not stored["failed"]
-                and (stored["name"], stored["label"], stored["rep"], stored["fingerprint"])
-                == (name, label, rep, fingerprint)
-            ):
+            if not stored["failed"] and tuple(stored)[:4] == (name, label, rep, fingerprint):
                 return
-            if stamp is not None and stamp[0] == encoding and stored["fingerprint"] != fingerprint:
+            if stored["fingerprint"] != fingerprint:
                 self._warn(
                     f"{name} rep {rep} recomputed with a different fingerprint than "
                     f"the stored row (determinism regression?)"
@@ -470,7 +450,7 @@ class ResultStore:
                 if _measures_precision(result)
                 else None
             ),
-            "result": _pack_result(result, encoding, fingerprint),
+            "result": _pack_result(result, fingerprint),
         }
         if population:
             row.update(
@@ -529,11 +509,11 @@ class ResultStore:
         holds, by repetition, from one ``SELECT``: a result, or the
         :class:`RepFailure` recorded for it.
 
-        A row serves its repetition when it has the request's name, label,
-        rep and config encoding, its fingerprint is its blob's and no failure
-        sits beside it. The blob's digest is checked, the result (not the
-        config after it) unpickled and bound to ``config`` (as a cache hit
-        is), then ``validate`` runs. A row whose blob fails those checks is
+        A row serves its repetition when it has the request's name, label
+        and rep, its fingerprint is its blob's and no failure sits beside it,
+        whichever sweep length wrote it. The blob's digest is checked, the
+        result (not the config after it) unpickled and bound to ``config``
+        (as a cache hit is), then ``validate`` runs. A row whose blob fails those checks is
         deleted and counted; any other row is left for the caller to
         rewrite. A failure with the request's name, label and rep, and no
         row beside it, is returned as recorded.
@@ -541,7 +521,7 @@ class ResultStore:
         seeds = {_db_seed(derive_seed(config.seed, rep)): rep for rep in reps}
         if not seeds:
             return {}
-        key = per_rep_key(config)
+        key = config.per_rep.cache_key()
         among = "config_key = ?1 AND seed IN ({})".format(
             ", ".join(f"?{number}" for number in range(2, len(seeds) + 2))
         )
@@ -555,7 +535,7 @@ class ResultStore:
         ).fetchall()
         failed = {row["seed"] for row in rows if row["error_type"] is not None}
         stored = {row["seed"] for row in rows if row["error_type"] is None}
-        encoding, label = config.cache_key(), config.label
+        label = config.label
         out: Dict[int, Any] = {}
         bad: List[Tuple[int, str]] = []
         for row in rows:
@@ -568,9 +548,9 @@ class ResultStore:
             if not same or row["seed"] in failed:
                 continue
             try:
-                result, its_encoding, its_fingerprint = _unpack(blob, CACHE_VERSION)
-                if (its_encoding, its_fingerprint) != (encoding, row["fingerprint"]):
-                    continue  # another sweep length's row, or a rewritten one
+                result, its_fingerprint = _unpack(blob, CACHE_VERSION)
+                if its_fingerprint != row["fingerprint"]:
+                    continue  # a rewritten row: recorded again, with a warning
                 result.config = config
                 if validate is not None:
                     validate(result)
@@ -597,7 +577,7 @@ class ResultStore:
         supersedes a failure whichever is recorded first, as in
         :meth:`merge_from`.
         """
-        key, seed = per_rep_key(config), _db_seed(failure.seed)
+        key, seed = config.per_rep.cache_key(), _db_seed(failure.seed)
         self._write(
             (
                 "INSERT OR REPLACE INTO failures (config_key, seed, name, label,"

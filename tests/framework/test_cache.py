@@ -103,7 +103,7 @@ def test_wrong_payload_type_rejected(tmp_path, result):
     cache = ResultCache(tmp_path)
     path = _put(cache, result)
     body = pickle.dumps("not a result")
-    path.write_bytes(_pack(CACHE_VERSION, CFG.cache_key(), result.fingerprint(), body))
+    path.write_bytes(_pack(CACHE_VERSION, result.fingerprint(), body))
     assert cache.get(CFG, result.seed) is None
     assert cache.stats.evictions == 1
 
@@ -181,16 +181,14 @@ def test_entry_of_another_config_is_quarantined_and_recomputed(tmp_path, result)
 
 def test_hit_is_served_as_the_requesting_config(tmp_path, result):
     """Repetitions are normalized out of the key, not out of the result: a
-    hit reports (and fingerprints with) the config it was asked for. The
-    stored fingerprint covers the computing config's ``repetitions``, so a
-    hit served to another length comes without one."""
+    hit reports the config it was asked for. The stored fingerprint is
+    behaviour, so every hit serves it, whichever sweep length asks."""
     cache = ResultCache(tmp_path)
     _put(cache, result)
     grown = dataclasses.replace(CFG, repetitions=3)
     loaded, fingerprint = cache.get(grown, result.seed)
     assert loaded.config is grown
-    assert fingerprint is None
-    assert loaded.fingerprint() == dataclasses.replace(result, config=grown).fingerprint()
+    assert fingerprint == loaded.fingerprint() == result.fingerprint()
     same = dataclasses.replace(CFG)  # an equal config object: same encoding
     loaded, fingerprint = cache.get(same, result.seed)
     assert loaded.config is same and fingerprint == result.fingerprint()

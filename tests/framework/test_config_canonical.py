@@ -17,13 +17,12 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import run_experiment
 from repro.framework.population import PopulationConfig
-from repro.framework.store import per_rep_key
 from repro.net.impairments import burst_loss, iid_loss, rate_flap, reordering
 from repro.units import kib
 
 from .test_golden_fingerprints import GOLDEN
 
-CONFIGS = {name: config for name, (config, _seed, _digest) in GOLDEN.items()}
+CONFIGS = {name: config for name, (config, _seed, *_digests) in GOLDEN.items()}
 CONFIGS["impaired-both-ways"] = ExperimentConfig(
     stack="quiche",
     qdisc="fq",
@@ -45,12 +44,15 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def reference_cache_key(config) -> str:
-    """``cache_key()`` as it was computed before the memo."""
-    fields = asdict(config)
-    if isinstance(config, PopulationConfig) and not fields["churn"]:
-        del fields["churn"]
+def reference_key(fields) -> str:
+    """``cache_key()`` as it was computed before the memo, from the fields."""
+    if fields.get("churn") is False:  # a population without churn
+        fields = {name: value for name, value in fields.items() if name != "churn"}
     return _sha(_sorted_json(fields))
+
+
+def reference_cache_key(config) -> str:
+    return reference_key(asdict(config))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -60,14 +62,14 @@ def test_keys_are_unchanged(name):
     assert config.canonical_json == _sorted_json(asdict(config))
     assert config.cache_key() == reference_cache_key(config)
     assert ResultCache.entry_key(config, 99) == _sha(f"{reference_cache_key(per_rep)}/99")
-    assert per_rep_key(config) == _sha(_sorted_json(asdict(per_rep)))
+    assert config.per_rep.cache_key() == reference_key(asdict(per_rep))
     round_tripped = json.loads(json.dumps(asdict(config)))
     assert config.canonical_dict() == round_tripped
     assert list(config.canonical_dict()) == list(round_tripped)  # field order kept
-    assert per_rep_key(config) == _sha(_sorted_json(dict(round_tripped, repetitions=1)))
+    assert config.per_rep.cache_key() == reference_key(dict(round_tripped, repetitions=1))
     # Asking twice (the memo) answers the same.
     assert config.cache_key() == reference_cache_key(config)
-    assert per_rep_key(config) == _sha(_sorted_json(dict(config.canonical_dict(), repetitions=1)))
+    assert config.per_rep.cache_key() == reference_key(dict(config.canonical_dict(), repetitions=1))
 
 
 def test_equal_but_distinct_configs_agree():
@@ -76,7 +78,7 @@ def test_equal_but_distinct_configs_agree():
     assert a == b and a is not b
     assert a.cache_key() == b.cache_key()
     assert ResultCache.entry_key(a, 5) == ResultCache.entry_key(b, 5)
-    assert per_rep_key(a) == per_rep_key(b)
+    assert a.per_rep.cache_key() == b.per_rep.cache_key()
 
 
 def test_equal_values_of_different_type_keep_their_own_encoding():
@@ -101,7 +103,7 @@ def test_replace_gets_its_own_key():
         assert grown.per_rep.repetitions == 1
         # The per-repetition identity is what sweeps of any length share.
         assert ResultCache.entry_key(grown, 3) == ResultCache.entry_key(config, 3)
-        assert per_rep_key(grown) == per_rep_key(config)
+        assert grown.per_rep.cache_key() == config.per_rep.cache_key()
     assert config.repetitions == 7 and config.cache_key() == reference_cache_key(config)
 
 
@@ -127,7 +129,7 @@ def test_memo_is_not_pickled(name):
 
 
 def _keys_in_worker(config):
-    return config.cache_key(), ResultCache.entry_key(config, 4), per_rep_key(config)
+    return config.cache_key(), ResultCache.entry_key(config, 4), config.per_rep.cache_key()
 
 
 def test_forkserver_worker_computes_the_same_keys():
@@ -144,5 +146,6 @@ def test_artifact_config_matches_the_json_round_trip():
         network=NetworkConfig(forward_impairments=(iid_loss(0.01),)),
     )
     payload = result_to_dict(run_experiment(config, seed=1))
-    assert payload["config"] == json.loads(json.dumps(asdict(config)))
+    # The repetition's own config: one form whichever sweep length ran it.
+    assert payload["config"] == json.loads(json.dumps(asdict(replace(config, repetitions=1))))
     assert json.loads(json.dumps(payload)) == payload  # already in the JSON data model

@@ -3,9 +3,16 @@
 ``ExperimentResult.fingerprint()`` used to build a dict tree
 (``dataclasses.asdict`` of the config and of every capture record) and feed it
 to ``json.dumps(..., sort_keys=True)``. The encoder now writes the same bytes
-without the tree. The old expression lives on here, and only here, as the
-reference: every test asserts *byte* equality of the encoded payload, so a
-mismatch points at the differing field instead of at two unequal hashes.
+without the tree, and without the config: the fingerprint is the behaviour
+digest (the seed and the outputs), and the config is identity. The old
+expressions live on here, and only here, as references: every test asserts
+*byte* equality of the encoded payload, so a mismatch points at the differing
+field instead of at two unequal hashes.
+
+:func:`old_fingerprint` is the config-inclusive digest every golden was
+recorded with before the behaviour digest; each golden case asserts its old
+value through it beside its new one, from the same run. Both go with the
+old column of the goldens, when a config field first changes.
 """
 
 from __future__ import annotations
@@ -29,15 +36,14 @@ from repro.framework.multiflow import (
     MultiFlowExperiment,
     MultiFlowResult,
 )
+from repro.framework.population import PopulationResult
 from repro.net.impairments import burst_loss, duplication, iid_loss, reordering
 from repro.net.tap import CaptureColumns, CaptureRecord
-from repro.units import kib
+from repro.units import kib, ms
 
 
-def reference_encoding(result: ExperimentResult) -> bytes:
-    """The pre-streaming ``fingerprint()`` payload, verbatim."""
-    payload = {
-        "config": asdict(result.config),
+def _payload(result: ExperimentResult) -> dict:
+    return {
         "seed": result.seed,
         "completed": result.completed,
         "duration_ns": result.duration_ns,
@@ -53,12 +59,22 @@ def reference_encoding(result: ExperimentResult) -> bytes:
         "object_completion_ns": result.object_completion_ns,
         "impairment_stats": result.impairment_stats,
     }
+
+
+def behaviour_encoding(result: ExperimentResult) -> bytes:
+    """The ``fingerprint()`` payload as one ``json.dumps``: seed and outputs."""
+    return json.dumps(_payload(result), sort_keys=True).encode()
+
+
+def reference_encoding(result: ExperimentResult) -> bytes:
+    """The config-inclusive ``fingerprint()`` payload the goldens' old column
+    was recorded with, verbatim."""
+    payload = {**_payload(result), "config": asdict(result.config)}
     return json.dumps(payload, sort_keys=True).encode()
 
 
-def reference_multiflow_encoding(result: MultiFlowResult) -> bytes:
-    """The pre-change ``MultiFlowResult.fingerprint()`` payload, verbatim."""
-    payload = {
+def _multiflow_payload(result: MultiFlowResult, specs: bool) -> dict:
+    return {
         "seed": result.seed,
         "sim_time_ns": result.sim_time_ns,
         "total_dropped": result.total_dropped,
@@ -68,7 +84,7 @@ def reference_multiflow_encoding(result: MultiFlowResult) -> bytes:
         "impairment_stats": result.impairment_stats,
         "flows": [
             {
-                "spec": asdict(f.spec),
+                **({"spec": asdict(f.spec)} if specs else {}),
                 "completed": f.completed,
                 "duration_ns": f.duration_ns,
                 "goodput_mbps": f.goodput_mbps,
@@ -82,9 +98,37 @@ def reference_multiflow_encoding(result: MultiFlowResult) -> bytes:
             for f in result.flows
         ],
     }
+
+
+def behaviour_multiflow_encoding(result: MultiFlowResult) -> bytes:
+    """The ``MultiFlowResult.fingerprint()`` payload: no flow specs, and
+    ``drained`` always."""
+    payload = _multiflow_payload(result, specs=False)
+    payload["drained"] = result.drained
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def reference_multiflow_encoding(result: MultiFlowResult) -> bytes:
+    """The spec-inclusive ``MultiFlowResult.fingerprint()`` payload the
+    goldens' old column was recorded with, verbatim."""
+    payload = _multiflow_payload(result, specs=True)
     if result.drained:
         payload["drained"] = result.drained
     return json.dumps(payload, sort_keys=True).encode()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def old_fingerprint(result) -> str:
+    """The config-inclusive digest of an experiment or population result, as
+    ``fingerprint()`` computed it before it became the behaviour digest."""
+    if isinstance(result, PopulationResult):
+        multi = _sha(reference_multiflow_encoding(result.multi))
+        payload = {"config": result.config.cache_key(), "multi": multi}
+        return _sha(json.dumps(payload, sort_keys=True).encode())
+    return _sha(reference_encoding(result))
 
 
 def assert_same_bytes(result, reference) -> None:
@@ -99,7 +143,7 @@ def assert_same_bytes(result, reference) -> None:
             f"encodings differ at byte {at}: "
             f"{encoded[max(at - 60, 0):at + 60]!r} vs {expected[max(at - 60, 0):at + 60]!r}"
         )
-    assert result.fingerprint() == hashlib.sha256(expected).hexdigest()
+    assert result.fingerprint() == _sha(expected)
 
 
 LOSSY = NetworkConfig(
@@ -141,7 +185,7 @@ def test_real_results_encode_byte_identically(name):
         assert result.impairment_stats
     if name == "picoquic-traced":
         assert result.cwnd_trace and result.queue_trace and len(result.object_completion_ns) == 3
-    assert_same_bytes(result, reference_encoding)
+    assert_same_bytes(result, behaviour_encoding)
 
 
 def _synthetic(records, **overrides) -> ExperimentResult:
@@ -197,7 +241,7 @@ FLOW_ODD = ('hôte-"中"', 1, "back\\slash\n", 65535)
 )
 def test_synthetic_captures_encode_byte_identically(count, flows):
     rng = random.Random(count * 31 + len(flows))
-    assert_same_bytes(_synthetic(_records(rng, count, flows)), reference_encoding)
+    assert_same_bytes(_synthetic(_records(rng, count, flows)), behaviour_encoding)
 
 
 @pytest.mark.parametrize(
@@ -206,13 +250,13 @@ def test_synthetic_captures_encode_byte_identically(count, flows):
 def test_float_repr_is_preserved(goodput):
     rng = random.Random(1)
     result = _synthetic(_records(rng, 3, [FLOW_A]), goodput_mbps=goodput)
-    assert_same_bytes(result, reference_encoding)
+    assert_same_bytes(result, behaviour_encoding)
 
 
 def test_every_non_capture_field_reaches_the_encoding():
     """Each fingerprinted field, changed alone, changes the bytes — and the
     changed result still matches the reference (no field is dropped, cached
-    or reordered)."""
+    or reordered). The config is identity, not behaviour: it stays out."""
     rng = random.Random(2)
     base = _synthetic(
         _records(rng, 5, [FLOW_A]),
@@ -223,7 +267,6 @@ def test_every_non_capture_field_reaches_the_encoding():
     )
     base_bytes = b"".join(base.canonical_encoding())
     changes = dict(
-        config=replace(base.config, cca="bbr"),
         seed=4,
         completed=False,
         duration_ns=1,
@@ -242,9 +285,10 @@ def test_every_non_capture_field_reaches_the_encoding():
     for field_name, value in changes.items():
         changed = replace(base, **{field_name: value})
         assert b"".join(changed.canonical_encoding()) != base_bytes, field_name
-        assert_same_bytes(changed, reference_encoding)
-    # Execution observability stays out of it.
+        assert_same_bytes(changed, behaviour_encoding)
+    # Execution observability and the config stay out of it.
     assert replace(base, wall_time_s=9.0, events_processed=7).fingerprint() == base.fingerprint()
+    assert replace(base, config=replace(base.config, cca="bbr")).fingerprint() == base.fingerprint()
 
 
 def _flow_result(spec: FlowSpec, **overrides) -> FlowResult:
@@ -283,13 +327,50 @@ def test_multiflow_encodes_byte_identically(drained):
         impairment_stats={"rev/0/iid_loss": {"seen": 9, "injected_drops": 2}},
     )
     encoded = result.canonical_bytes()
-    # Churn accounting is omitted when zero (pre-churn goldens stay valid).
-    assert (b'"drained"' in encoded) == bool(drained)
-    assert_same_bytes(result, reference_multiflow_encoding)
+    assert b'"drained"' in encoded and b'"spec"' not in encoded
+    assert_same_bytes(result, behaviour_multiflow_encoding)
 
 
 def test_real_multiflow_result_encodes_byte_identically():
     result = MultiFlowExperiment(
         [FlowSpec(file_size=kib(64)), FlowSpec(stack="tcp", file_size=kib(64))], seed=2
     ).run()
-    assert_same_bytes(result, reference_multiflow_encoding)
+    assert_same_bytes(result, behaviour_multiflow_encoding)
+
+
+#: Pairs of configs that spell one behaviour two ways: an override at the
+#: stack's own value, an observability switch, the sweep length.
+SPELLINGS = {
+    "quiche-rollback": (
+        ExperimentConfig(stack="quiche", file_size=kib(256)),
+        ExperimentConfig(stack="quiche", file_size=kib(256), spurious_rollback=True),
+    ),
+    "picoquic-bucket": (
+        ExperimentConfig(stack="picoquic", file_size=kib(256)),
+        ExperimentConfig(stack="picoquic", file_size=kib(256), bucket_packets=16),
+    ),
+    "picoquic-acks": (
+        ExperimentConfig(stack="picoquic", file_size=kib(256)),
+        ExperimentConfig(
+            stack="picoquic",
+            file_size=kib(256),
+            client_ack_threshold=1_000_000,
+            client_max_ack_delay_ns=ms(10),
+        ),
+    ),
+    "qlog": (
+        ExperimentConfig(stack="quiche", file_size=kib(256)),
+        ExperimentConfig(stack="quiche", file_size=kib(256), qlog=True),
+    ),
+    "repetitions": (
+        ExperimentConfig(stack="quiche", file_size=kib(256), repetitions=5),
+        ExperimentConfig(stack="quiche", file_size=kib(256), repetitions=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_spellings_of_one_behaviour_share_one_digest(name):
+    first, second = (run_experiment(config, seed=3) for config in SPELLINGS[name])
+    assert first.config.cache_key() != second.config.cache_key()
+    assert first.fingerprint() == second.fingerprint()

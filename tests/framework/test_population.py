@@ -17,6 +17,7 @@ from repro.framework.population import (
 )
 from repro.sim.random import derive_seed
 from repro.units import kib, mib, ms, seconds
+from tests.framework.test_fingerprint_encoding import old_fingerprint
 
 
 def small_config(**kwargs):
@@ -257,12 +258,18 @@ def test_gso_duel_is_a_competition():
 
 #: The 200-flow mixed population (`population` of benchmarks/bench at its
 #: default scale), seed 1: recorded on the lazy-cancel heap (PR 13 engine).
-GOLDEN_200 = "316e0b5ab22ce1be10ed79de9378d090e147c897bff11bb66e953bdeb1e50e7b"
+GOLDEN_200 = "e4034898d257b1fd400f6325b1598194986afa02b79da53884d392f6efca240f"
+GOLDEN_200_OLD = "316e0b5ab22ce1be10ed79de9378d090e147c897bff11bb66e953bdeb1e50e7b"
 #: The same population with churn, carried over unedited from BENCH_13.json's
-#: census record. A population fingerprint covers the config's cache key, so
+#: census record. The old digest covers the config's cache key, so
 #: reproducing it also proves the config below is field for field the one
 #: that record was taken with.
-GOLDEN_200_CHURN = "4cb2356a0035239d9b89731e09751f820e7e4742e0cac68b95183316736f652c"
+GOLDEN_200_CHURN = "faf44f8e506c08fab36648a1bbfbd42317e3bd5ca93231352256dc8a0efe3a42"
+GOLDEN_200_CHURN_OLD = "4cb2356a0035239d9b89731e09751f820e7e4742e0cac68b95183316736f652c"
+#: ``GOLDEN_*`` is the behaviour digest ``fingerprint()`` takes; ``*_OLD`` is
+#: the config-inclusive value recorded before it, reproduced from the same run
+#: by ``old_fingerprint`` to prove the re-record moved no behaviour. The
+#: ``_OLD`` values are deleted by the first change to a config field.
 
 
 def two_hundred_flows(**overrides):
@@ -281,6 +288,7 @@ def test_two_hundred_flow_poisson_population_is_deterministic():
     # fingerprint, delivered-byte goodput, clean conservation counters.
     result = run_population(two_hundred_flows(), seed=1)
     assert result.fingerprint() == GOLDEN_200
+    assert old_fingerprint(result) == GOLDEN_200_OLD
     assert len(result.multi.flows) == 200
     assert result.completed
     assert result.multi.unrouted == 0
@@ -293,5 +301,6 @@ def test_two_hundred_flow_poisson_population_is_deterministic():
 def test_two_hundred_flow_churn_population_matches_bench_13():
     result = run_population(two_hundred_flows(churn=True), seed=1)
     assert result.fingerprint() == GOLDEN_200_CHURN
+    assert old_fingerprint(result) == GOLDEN_200_CHURN_OLD
     assert result.completed_count == 200
     assert result.multi.unrouted == 0

@@ -7,6 +7,14 @@ it must be a pure function of (config, seed), identical across execution
 modes (serial, swept, cache-resumed). The census must be behaviour-neutral
 and must certify the teardown invariant: a departed flow schedules zero
 further events.
+
+Each golden has two digests: ``GOLDEN_*`` is the behaviour digest
+``fingerprint()`` takes (seed and outputs), and ``GOLDEN_*_OLD`` the value
+recorded before the fingerprint stopped covering the config and the flow
+specs, reproduced from the same run by the config-inclusive oracle
+(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`). The pair
+proves the re-record moved no behaviour; the ``_OLD`` values are deleted by
+the first change to a config field.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from repro.framework.population import PopulationConfig, run_population
 from repro.framework.scenarios import population_sweep
 from repro.framework.sweep import SweepRunner
 from repro.units import kib, ms, seconds
+from tests.framework.test_fingerprint_encoding import old_fingerprint
 
 #: Small, fast population crossing all stack families (two QUIC + TCP).
 _BASE = dict(
@@ -33,12 +42,15 @@ _BASE = dict(
 
 #: Recorded on the plain lazy-cancel heap; every engine change must keep
 #: reproducing it bit-for-bit (the population-scale golden).
-GOLDEN_PLAIN = "8484eddb03c4e44b94bd3d6017f9a3c7000a7e6d681a2ecbd4cfe8aa62b5929d"
+GOLDEN_PLAIN = "2753c4e10d0c199afd4961793fa2be9db79ea4014dcdd1e8862053d444640514"
+GOLDEN_PLAIN_OLD = "8484eddb03c4e44b94bd3d6017f9a3c7000a7e6d681a2ecbd4cfe8aa62b5929d"
 #: Recorded when churn shipped; pins churn determinism thereafter.
-GOLDEN_CHURN = "985b24de449ee96280c1036a9dc72d73bb908e00c701a342fb4bcc6d5e916320"
+GOLDEN_CHURN = "1d6153b8e0037d04227b2bfb605fee6248bbf3341bbc672384bf712f2e209005"
+GOLDEN_CHURN_OLD = "985b24de449ee96280c1036a9dc72d73bb908e00c701a342fb4bcc6d5e916320"
 #: 60 flows of the 200/2000-flow mixed population with churn, carried over
 #: unedited from the deleted perf gate's baseline (the CI smoke scale).
-GOLDEN_CHURN_60 = "a306215035e64ef4411accced51bc0431a7d702bc76abcb9a41a0f32f60de608"
+GOLDEN_CHURN_60 = "841eec79e897ae8e81f56f820ed39fc578b5c8f374df13538eb625f9d4ef013c"
+GOLDEN_CHURN_60_OLD = "a306215035e64ef4411accced51bc0431a7d702bc76abcb9a41a0f32f60de608"
 
 
 def _config(**overrides) -> PopulationConfig:
@@ -46,12 +58,15 @@ def _config(**overrides) -> PopulationConfig:
 
 
 def test_population_golden_fingerprint():
-    assert run_population(_config()).fingerprint() == GOLDEN_PLAIN
+    result = run_population(_config())
+    assert result.fingerprint() == GOLDEN_PLAIN
+    assert old_fingerprint(result) == GOLDEN_PLAIN_OLD
 
 
 def test_churn_golden_fingerprint():
     result = run_population(_config(churn=True))
     assert result.fingerprint() == GOLDEN_CHURN
+    assert old_fingerprint(result) == GOLDEN_CHURN_OLD
     assert result.completed_count == 30
     # Teardown absorbed stragglers rather than mis-routing them.
     assert result.multi.drained > 0
@@ -62,6 +77,7 @@ def test_sixty_flow_churn_golden_fingerprint():
     grid = population_sweep(60, file_size=kib(64), max_sim_time_ns=seconds(300), churn=True)
     result = run_population(grid["mixed"], seed=1)
     assert result.fingerprint() == GOLDEN_CHURN_60
+    assert old_fingerprint(result) == GOLDEN_CHURN_60_OLD
     assert result.completed_count == 60
 
 

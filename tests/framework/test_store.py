@@ -21,7 +21,7 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import run_experiment
 from repro.framework.runner import run_repetitions
-from repro.framework.store import ResultStore, STORE_VERSION, per_rep_key
+from repro.framework.store import ResultStore, STORE_VERSION
 from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.trains import pooled_fraction_of_packets_in_trains_leq
@@ -123,6 +123,13 @@ class TestRecording:
             assert row["precision_ns"] is None
 
 
+#: The determinism alarm's line for repetition 0 of ``CONFIG``.
+MOVED = (
+    f"[store] warning: {CONFIG.label} rep 0 recomputed with a different "
+    "fingerprint than the stored row (determinism regression?)"
+)
+
+
 def _precision(store):
     return [row["precision_ns"] for row in store.query()]
 
@@ -208,9 +215,8 @@ class TestConfirm:
             assert _precision(store) == [measured, None]
 
     def test_a_moved_fingerprint_is_reported_and_its_row_rewritten(self, tmp_path):
-        """A repetition recomputed to another fingerprint than its row's, over
-        a blob of the same config encoding, is a determinism regression: the
-        store says so, and rewrites the row."""
+        """A repetition recomputed to another fingerprint than its row's is a
+        determinism regression: the store says so, and rewrites the row."""
         stream = io.StringIO()
         with ResultStore(tmp_path / "moved.sqlite", stream=stream) as store:
             run_repetitions(CONFIG, workers=1, store=store)
@@ -220,11 +226,20 @@ class TestConfirm:
             run_repetitions(CONFIG, workers=1, store=store)
             assert "moved" not in [row["fingerprint"] for row in store.query()]
             assert store.content_fingerprint() == expected
-        assert stream.getvalue().splitlines() == [
-            f"[store] warning: {CONFIG.label} rep 0 recomputed with a different "
-            "fingerprint than the stored row (determinism regression?)"
-        ]
+        assert stream.getvalue().splitlines() == [MOVED]
 
+    def test_a_sweep_of_another_length_reports_a_moved_fingerprint(self, tmp_path):
+        """The alarm is the key's, not the sweep length's: a grown sweep that
+        records a repetition whose row holds another fingerprint warns too."""
+        stream = io.StringIO()
+        with ResultStore(tmp_path / "moved.sqlite", stream=stream) as store:
+            run_repetitions(CONFIG, workers=1, store=store)
+            store._conn.execute("UPDATE reps SET fingerprint = 'moved' WHERE rep = 0")
+            store._conn.commit()
+            run_repetitions(dataclasses.replace(CONFIG, repetitions=3), workers=1, store=store)
+            assert "moved" not in [row["fingerprint"] for row in store.query()]
+            assert store.rep_count() == 3
+        assert stream.getvalue().splitlines() == [MOVED]
 
     def test_a_blob_that_fails_its_checks_deletes_its_row(self, tmp_path):
         stream = io.StringIO()
@@ -283,14 +298,15 @@ class TestKeys:
         store.record_result("quiche", 0, results[0])
         (exported,) = store.payloads("quiche")
         normalized = json.dumps(dict(exported["config"], repetitions=1), sort_keys=True)
-        assert per_rep_key(results[0].config) == hashlib.sha256(normalized.encode()).hexdigest()
+        key = results[0].config.per_rep.cache_key()
+        assert key == hashlib.sha256(normalized.encode()).hexdigest()
 
     def test_key_ignores_repetition_count(self):
         grown = dataclasses.replace(CONFIG, repetitions=20)
-        assert per_rep_key(CONFIG) == per_rep_key(grown)
+        assert CONFIG.per_rep.cache_key() == grown.per_rep.cache_key()
 
     def test_key_distinguishes_configs(self):
-        assert per_rep_key(CONFIG) != per_rep_key(LOSSY)
+        assert CONFIG.per_rep.cache_key() != LOSSY.per_rep.cache_key()
 
 
 class TestQuerying:
@@ -479,11 +495,13 @@ class TestVersioning:
             assert store.rep_count() == 1
             assert store.content_fingerprint() == fingerprint
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_an_older_store_is_refused_and_left_as_it_is(self, tmp_path, version):
         path = _old_store(tmp_path / "old.sqlite", version)
         before = path.read_bytes()
-        with pytest.raises(ConfigError, match=f"schema version {version}, not this build's 4"):
+        with pytest.raises(
+            ConfigError, match=f"schema version {version}, not this build's {STORE_VERSION}"
+        ):
             ResultStore(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.sqlite"]
@@ -494,7 +512,9 @@ class TestVersioning:
         with ResultStore(tmp_path / "dest.sqlite") as dest:
             run_repetitions(CONFIG, workers=1, store=dest)
             expected = dest.content_fingerprint()
-            with pytest.raises(ConfigError, match="schema version 3, not this build's 4"):
+            with pytest.raises(
+                ConfigError, match=f"schema version 3, not this build's {STORE_VERSION}"
+            ):
                 dest.merge_from(part)
             assert dest.content_fingerprint() == expected
         assert part.read_bytes() == before

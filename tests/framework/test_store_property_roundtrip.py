@@ -23,7 +23,7 @@ from repro.framework.artifacts import rep_to_dict
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationConfig, run_population
-from repro.framework.store import ResultStore, per_rep_key
+from repro.framework.store import ResultStore
 from repro.framework.supervision import RepFailure
 from repro.net.impairments import iid_loss, reordering
 from repro.net.tap import CaptureColumns
@@ -281,4 +281,4 @@ class TestContentIdentity:
         for _ in range(50):
             config = _random_config(rng)
             normalized = json.dumps(dict(_config_dict(config), repetitions=1), sort_keys=True)
-            assert hashlib.sha256(normalized.encode()).hexdigest() == per_rep_key(config)
+            assert hashlib.sha256(normalized.encode()).hexdigest() == config.per_rep.cache_key()

@@ -160,34 +160,52 @@ def test_one_fingerprint_per_repetition(tmp_path, monkeypatch):
     ids=["experiment", "population"],
 )
 def test_grown_sweep_stores_what_a_fresh_sweep_stores(tmp_path, monkeypatch, two_reps):
-    """Growing a sweep from 2 to 3 repetitions over one cache serves reps 0-1
-    as this grid's repetitions: rows and per-rep fingerprints equal those of
-    a fresh 3-repetition sweep. The entries' fingerprints cover the 2-rep
-    config, so exactly the two hits are digested anew, plus the computed
-    third repetition."""
+    """Growing a sweep from 2 to 3 repetitions re-simulates and re-digests
+    nothing it already holds. Over a cache, reps 0-1 are hits served with
+    their stored fingerprints; over its own store alone, they are its rows,
+    and rep 2's is the one row written. Either way the store's content and
+    its export equal a fresh 3-repetition sweep's."""
     three_reps = dataclasses.replace(two_reps, repetitions=3)
-    cache = ResultCache(tmp_path / "cache")
     result_type = PopulationResult if isinstance(two_reps, PopulationConfig) else ExperimentResult
-    calls = []
     original = result_type.fingerprint
+    with ResultStore(tmp_path / "fresh.sqlite") as fresh:
+        SweepRunner(workers=1, store=fresh).run({"x": three_reps})
+        expected = fresh.content_fingerprint(), fresh.export_summary_dict("x")
 
-    def counting(self):
-        calls.append(self.seed)
-        return original(self)
+    def grow(cache, store):
+        """The 3-rep sweep over what the 2-rep one left: the seeds it
+        digested and ran, and rep 2's seed."""
+        digested, ran, stream = [], [], io.StringIO()
 
-    with ResultStore(tmp_path / "grown.sqlite") as grown:
-        SweepRunner(workers=1, cache=cache, store=grown).run({"x": two_reps})
+        def counting(self):
+            digested.append(self.seed)
+            return original(self)
+
         monkeypatch.setattr(result_type, "fingerprint", counting)
-        summary = SweepRunner(workers=1, cache=cache, store=grown).run({"x": three_reps})["x"]
+        summary = SweepRunner(
+            workers=1, cache=cache, store=store, stream=stream, run_fn=_counting_run(ran)
+        ).run({"x": three_reps})["x"]
         monkeypatch.undo()
-        assert cache.stats.hits == 2
-        assert calls == [r.seed for r in summary.results]
-        grown_digest = grown.content_fingerprint()
-    with ResultStore(tmp_path / "fresh.sqlite") as fresh_store:
-        fresh = SweepRunner(workers=1, cache=None, store=fresh_store).run({"x": three_reps})["x"]
-        fresh_digest = fresh_store.content_fingerprint()
-    assert [r.fingerprint() for r in summary.results] == [r.fingerprint() for r in fresh.results]
-    assert grown_digest == fresh_digest
+        assert stream.getvalue().count("[cached]") == 2 and "warning" not in stream.getvalue()
+        assert (store.content_fingerprint(), store.export_summary_dict("x")) == expected
+        assert [original(r) for r in summary.results] == [
+            row["fingerprint"] for row in store.query()
+        ]
+        return digested, ran, summary.results[2].seed
+
+    cache = ResultCache(tmp_path / "cache")
+    SweepRunner(workers=1, cache=cache).run({"x": two_reps})
+    with ResultStore(tmp_path / "cached.sqlite") as store:
+        digested, ran, third = grow(cache, store)
+    assert cache.stats.hits == 2
+    assert digested == ran == [third]
+
+    with ResultStore(tmp_path / "alone.sqlite") as store:
+        SweepRunner(workers=1, store=store).run({"x": two_reps})
+        statements = statement_log(store)
+        digested, ran, third = grow(None, store)
+    assert digested == ran == [third]
+    assert sum(s.startswith("INSERT OR REPLACE INTO reps") for s in statements) == 1
 
 
 def test_warm_sweep_confirms_the_rows_it_wrote(tmp_path):
@@ -408,27 +426,6 @@ def test_a_resumed_sweep_carries_recorded_failures_without_writing(tmp_path):
         ).run(GRID)
         assert len(ran) == 2 and not healed["tcp"].failures
         assert store.failure_count() == 0
-
-
-def test_a_grown_sweep_is_not_served_by_the_shorter_sweeps_rows(tmp_path):
-    """A row's fingerprint covers ``repetitions``: growing 1 → 2 reps over a
-    store alone recomputes rep 0 (silently: its encoding is another) and
-    stores what a fresh 2-rep sweep stores."""
-    one = ExperimentConfig(stack="quiche", file_size=kib(150), repetitions=1)
-    two = dataclasses.replace(one, repetitions=2)
-    ran = []
-    stream = io.StringIO()
-    with ResultStore(tmp_path / "grown.sqlite") as grown:
-        SweepRunner(workers=1, store=grown).run({"x": one})
-        SweepRunner(workers=1, store=grown, stream=stream, run_fn=_counting_run(ran)).run(
-            {"x": two}
-        )
-        grown_digest = grown.content_fingerprint()
-    assert len(ran) == 2
-    assert "[cached]" not in stream.getvalue() and "warning" not in stream.getvalue()
-    with ResultStore(tmp_path / "fresh.sqlite") as fresh:
-        SweepRunner(workers=1, store=fresh).run({"x": two})
-        assert fresh.content_fingerprint() == grown_digest
 
 
 def test_a_flipped_byte_in_a_row_blob_is_cleared_and_recomputed(tmp_path):
