@@ -1,14 +1,17 @@
 """Point-to-point link: serialization + propagation.
 
 The link serializes one frame at a time at its configured rate and delivers it
-``propagation_ns`` after the last bit leaves. Senders may push while the link
-is busy; frames queue FIFO (the queue models the device's tx ring, which in
-this simulation is bounded by the NIC, not the link).
+``propagation_ns`` after the last bit leaves. Its state is one timestamp, the
+instant the line falls idle: a frame starts serializing at that instant or on
+arrival, whichever is later, and its delivery is scheduled when the link
+accepts it — one calendar entry per frame, as ns-3's point-to-point device
+does. Senders may push while the line is busy; frames go out FIFO (the
+backlog models the device's tx ring, which in this simulation is bounded by
+the NIC, not the link).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -30,42 +33,26 @@ class Link:
     ):
         if rate_bps <= 0:
             raise ConfigError(f"link {name!r}: rate_bps must be positive, got {rate_bps}")
+        if propagation_ns < 0:
+            raise ConfigError(
+                f"link {name!r}: propagation_ns must not be negative, got {propagation_ns}"
+            )
         self.sim: Simulator = sim
         self.name: str = name
         self.rate_bps: int = rate_bps
         self.propagation_ns: int = propagation_ns
         self.sink: Optional[PacketSink] = sink
-        self._queue: deque[Datagram] = deque()
-        self._busy: bool = False
+        self._free_at: int = 0
         self.frames_sent: int = 0
         self.bytes_sent: int = 0
 
     def receive(self, dgram: Datagram) -> None:
-        """Accept a frame for transmission (queues if the link is busy)."""
-        if self._busy:
-            self._queue.append(dgram)
-        else:
-            self._busy = True
-            self.sim.schedule(tx_time_ns(dgram.serialized_size, self.rate_bps), self._finish, dgram)
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    def _finish(self, dgram: Datagram) -> None:
+        """Accept a frame: it serializes once the line is free, and its
+        arrival at the sink is scheduled now."""
+        sim = self.sim
+        start = self._free_at if self._free_at > sim.now else sim.now
+        self._free_at = end = start + tx_time_ns(dgram.serialized_size, self.rate_bps)
         self.frames_sent += 1
         self.bytes_sent += dgram.wire_size
         if self.sink is not None:
-            if self.propagation_ns > 0:
-                self.sim.schedule(self.propagation_ns, self.sink.receive, dgram)
-            else:
-                self.sink.receive(dgram)
-        if self._queue:
-            nxt = self._queue.popleft()
-            self.sim.schedule(tx_time_ns(nxt.serialized_size, self.rate_bps), self._finish, nxt)
-        else:
-            self._busy = False
+            sim.schedule_at(end + self.propagation_ns, self.sink.receive, dgram)

@@ -113,8 +113,6 @@ KEEP: Dict[str, str] = {
     "repro.net.bottleneck:Bottleneck.queue_bytes": SEAM,
     "repro.net.bottleneck:Bottleneck.queued": SEAM,
     "repro.net.impairments:ImpairmentStage.receive": INTERFACE,
-    "repro.net.link:Link.busy": SEAM,
-    "repro.net.link:Link.queued": SEAM,
     "repro.net.packet:Datagram.reply_flow": SEAM,
     "repro.net.packet:Datagram.__repr__": SEAM,
     "repro.net.packet:PacketSink.receive": INTERFACE,
