@@ -14,6 +14,7 @@ Run:  python examples/fair_sharing.py
 """
 
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
+from repro.framework.scenarios import SF_PATCH
 from repro.metrics.report import render_table
 from repro.units import fmt_time, mib
 
@@ -23,28 +24,28 @@ CONTESTS = [
     (
         "two quiche flows, both kernel-paced (FQ)",
         [
-            FlowSpec(stack="quiche", qdisc="fq", spurious_rollback=False, file_size=SIZE),
-            FlowSpec(stack="quiche", qdisc="fq", spurious_rollback=False, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="fq", params=SF_PATCH, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="fq", params=SF_PATCH, file_size=SIZE),
         ],
     ),
     (
         "two quiche flows, neither paced",
         [
-            FlowSpec(stack="quiche", qdisc="none", spurious_rollback=False, file_size=SIZE),
-            FlowSpec(stack="quiche", qdisc="none", spurious_rollback=False, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="none", params=SF_PATCH, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="none", params=SF_PATCH, file_size=SIZE),
         ],
     ),
     (
         "quiche+FQ vs TCP/TLS",
         [
-            FlowSpec(stack="quiche", qdisc="fq", spurious_rollback=False, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="fq", params=SF_PATCH, file_size=SIZE),
             FlowSpec(stack="tcp", file_size=SIZE),
         ],
     ),
     (
         "quiche+FQ vs picoquic BBR vs TCP/TLS",
         [
-            FlowSpec(stack="quiche", qdisc="fq", spurious_rollback=False, file_size=SIZE),
+            FlowSpec(stack="quiche", qdisc="fq", params=SF_PATCH, file_size=SIZE),
             FlowSpec(stack="picoquic", cca="bbr", file_size=SIZE),
             FlowSpec(stack="tcp", file_size=SIZE),
         ],

@@ -11,6 +11,7 @@ Run:  python examples/gso_tradeoff.py
 """
 
 from repro import Experiment, ExperimentConfig
+from repro.framework.scenarios import SF_PATCH
 from repro.metrics import fraction_of_packets_in_trains_leq
 from repro.metrics.report import render_table
 from repro.units import mib
@@ -22,7 +23,7 @@ def run(gso: str, segments: int = 10):
         qdisc="fq",
         gso=gso,
         gso_segments=segments,
-        spurious_rollback=False,
+        params=SF_PATCH,
         file_size=mib(4),
         repetitions=1,
     )

@@ -10,6 +10,7 @@ Run:  python examples/qdisc_shootout.py
 """
 
 from repro import Experiment, ExperimentConfig, pacing_precision_ns
+from repro.framework.scenarios import SF_PATCH
 from repro.metrics import fraction_of_packets_in_trains_leq
 from repro.metrics.report import render_table
 from repro.units import mib
@@ -23,7 +24,7 @@ def main() -> None:
         config = ExperimentConfig(
             stack="quiche",
             qdisc=qdisc,
-            spurious_rollback=False,  # the paper's SF patch
+            params=SF_PATCH,  # the paper's SF patch
             file_size=mib(4),
             repetitions=1,
         )

@@ -20,6 +20,7 @@ Run:  python examples/video_streaming.py
 """
 
 from repro import Experiment, ExperimentConfig
+from repro.framework.scenarios import SF_PATCH
 from repro.metrics.report import render_table
 from repro.units import SEC, fmt_time, mib
 
@@ -28,8 +29,8 @@ SEGMENT_BYTES = 6 * 1024 * 1024  # a ~6 s segment of 8 Mbit/s (HD) video
 SCENARIOS = [
     ("picoquic / BBR", dict(stack="picoquic", cca="bbr")),
     ("picoquic / CUBIC", dict(stack="picoquic", cca="cubic")),
-    ("quiche + FQ", dict(stack="quiche", qdisc="fq", spurious_rollback=False)),
-    ("quiche, no qdisc", dict(stack="quiche", qdisc="none", spurious_rollback=False)),
+    ("quiche + FQ", dict(stack="quiche", qdisc="fq", params=SF_PATCH)),
+    ("quiche, no qdisc", dict(stack="quiche", qdisc="none", params=SF_PATCH)),
 ]
 
 

@@ -11,6 +11,7 @@ Run:  python examples/web_page_load.py
 """
 
 from repro import Experiment, ExperimentConfig
+from repro.framework.scenarios import SF_PATCH
 from repro.metrics.report import render_table
 from repro.units import fmt_time, mib
 
@@ -18,8 +19,8 @@ OBJECTS = 12
 PAGE_BYTES = mib(4)
 
 SCENARIOS = [
-    ("quiche + FQ", dict(stack="quiche", qdisc="fq", spurious_rollback=False)),
-    ("quiche, no qdisc", dict(stack="quiche", spurious_rollback=False)),
+    ("quiche + FQ", dict(stack="quiche", qdisc="fq", params=SF_PATCH)),
+    ("quiche, no qdisc", dict(stack="quiche", params=SF_PATCH)),
     ("picoquic / BBR", dict(stack="picoquic", cca="bbr")),
     ("picoquic / CUBIC", dict(stack="picoquic", cca="cubic")),
     ("ngtcp2", dict(stack="ngtcp2")),

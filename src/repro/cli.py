@@ -37,6 +37,7 @@ from repro.framework.executors import BACKENDS
 from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore, grid_key
 from repro.framework.multiflow import MultiFlowExperiment
 from repro.framework.runner import RunSummary
+from repro.framework.scenarios import SF_PATCH
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.metrics.gaps import Distribution, fraction_leq, inter_packet_gaps, pooled_gaps
@@ -253,7 +254,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cca=args.cca,
         qdisc=args.qdisc,
         gso=args.gso,
-        spurious_rollback=args.sf if args.stack == "quiche" else None,
+        params=args.params,
         file_size=int(args.size_mib * 1024 * 1024),
         repetitions=args.reps,
         seed=args.seed,
@@ -761,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     run_p.add_argument("--reps", type=int, default=1)
     run_p.add_argument(
-        "--sf", action="store_true", default=None,
+        "--sf", dest="params", action="store_const", const=SF_PATCH, default=(),
         help="apply the paper's SF patch (disable quiche's rollback)",
     )
     run_p.add_argument("--json", metavar="PATH", help="save results as JSON")
@@ -935,12 +936,6 @@ def _cmd_build_info(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # `--sf` flips rollback off; stock behaviour is rollback on (None keeps
-    # the stack default, which for quiche is rollback enabled).
-    if getattr(args, "sf", None):
-        args.sf = False
-    elif hasattr(args, "sf"):
-        args.sf = None
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -68,7 +68,8 @@ from repro.framework.population import PopulationResult
 #: sha256 over both and the pickle, instead of a pickled ``(version, result)``.
 #: v5: the fingerprint no longer covers the config, and the header no longer
 #: names the config encoding.
-CACHE_VERSION = 5
+#: v6: a pickled config carries its ``params`` instead of five override fields.
+CACHE_VERSION = 6
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.

@@ -58,8 +58,8 @@ def paper_grid(
     x4 = dict(x1, file_size=4 * file_size)
     grid = {
         "quiche-x4": scenarios.baseline("quiche", **x4),
-        "fq-x4": scenarios.quiche_fq(True, trace_cwnd=True, **x4),
-        "fq-sf-x4": scenarios.quiche_fq(False, **x4),
+        "fq-x4": scenarios.quiche_fq(trace_cwnd=True, **x4),
+        "fq-sf-x4": scenarios.quiche_fq(params=scenarios.SF_PATCH, **x4),
         "ngtcp2-x2": scenarios.baseline("ngtcp2", **x2),
         "ngtcp2-bbr-x2": scenarios.baseline("ngtcp2", cca="bbr", **x2),
         **scenarios.all_baselines(**x1),
@@ -83,10 +83,12 @@ GSO_SEGMENTS = (2, 4, 10)
 #: stock ``picoquic`` entry.
 BUCKETS = {8: "picoquic-bucket8", 16: "picoquic", 24: "picoquic-bucket24"}
 ETF_DELTAS_US = (100, 200, 400, 800)
-#: The two-flow contests: two identical flows, and a paced flow against a
-#: bursty one. The profile grammar has no SF patch, so the pair runs stock
-#: quiche.
-PAIRS = (("quiche:cubic:fq",) * 2, ("picoquic:bbr", "picoquic:cubic"))
+#: The two-flow contests: two identical flows (SF-patched quiche over FQ),
+#: and a paced flow against a bursty one.
+SF_FLOW = "quiche:cubic:fq+spurious_rollback=false"
+PAIRS = ((SF_FLOW, SF_FLOW), ("picoquic:bbr", "picoquic:cubic"))
+#: The identical pair's grid entry.
+SF_DUEL = "__vs__".join([SF_FLOW.replace(":", "-")] * 2)
 
 
 def extension_grid(
@@ -97,7 +99,7 @@ def extension_grid(
     off, and stock picoquic is also the wired side of the WiFi rows. The
     slowest runs come first, so a pool starts them first."""
     x1 = dict(file_size=file_size, repetitions=repetitions, seed=seed)
-    sf = dict(x1, stack="quiche", spurious_rollback=False)
+    sf = dict(x1, stack="quiche", params=scenarios.SF_PATCH)
     grid: Dict[str, object] = {}
     for pair in PAIRS:
         grid.update(scenarios.fairness_duels(pair, **x1))
@@ -111,27 +113,33 @@ def extension_grid(
             grid[f"{rate_mbit}mbit-{rtt_ms}ms-{qdisc}"] = ExperimentConfig(
                 qdisc=qdisc, network=network, **sf
             )
+    stock_delay = profile_for("quiche").client_max_ack_delay_ns
     for delay in ACK_DELAYS_MS:
+        # The client ACKs on its delay timer alone; quiche's own delay is
+        # no param.
+        params = scenarios.SF_PATCH + (("client_ack_threshold", 1_000_000),)
+        if ms(delay) != stock_delay:
+            params += (("client_max_ack_delay_ns", ms(delay)),)
         for qdisc in ("none", "fq"):
-            # The client ACKs on its delay timer alone.
             grid[f"ack-{delay}ms-{qdisc}"] = ExperimentConfig(
-                qdisc=qdisc, client_ack_threshold=1_000_000,
-                client_max_ack_delay_ns=ms(delay), **sf
+                stack="quiche", qdisc=qdisc, params=params, **x1
             )
     for segments in GSO_SEGMENTS:
         grid[f"gso-x{segments}"] = scenarios.quiche_gso("on", gso_segments=segments, **x1)
     grid["gso-paced"] = scenarios.quiche_gso("paced", **x1)
-    grid["ecn"] = scenarios.quiche_fq(False, ecn=True, **x1)
+    grid["ecn"] = scenarios.quiche_fq(params=scenarios.SF_PATCH, ecn=True, **x1)
     for stack in ("picoquic", "ngtcp2"):
         grid[stack] = scenarios.baseline(stack, **x1)
-        grid[f"{stack}-unpaced"] = scenarios.baseline(stack, pacing_override="none", **x1)
+        grid[f"{stack}-unpaced"] = scenarios.baseline(stack, params=scenarios.UNPACED, **x1)
     wifi = NetworkConfig(bottleneck="wifi")
     grid["wifi"] = scenarios.baseline("picoquic", network=wifi, **x1)
     grid["wifi-unpaced"] = scenarios.baseline(
-        "picoquic", pacing_override="none", network=wifi, **x1
+        "picoquic", params=scenarios.UNPACED, network=wifi, **x1
     )
     for bucket in (8, 24):
-        grid[BUCKETS[bucket]] = scenarios.baseline("picoquic", bucket_packets=bucket, **x1)
+        grid[BUCKETS[bucket]] = scenarios.baseline(
+            "picoquic", params=(("bucket_packets", bucket),), **x1
+        )
     for multiplier in (0.5, 2.0):
         network = NetworkConfig(buffer_bdp_multiplier=multiplier)
         for cca in ("bbr", "bbr2"):
@@ -223,10 +231,10 @@ def _rate_scaled_trains(summary: RunSummary) -> float:
 
 
 def _bucket_window(summary: RunSummary) -> float:
-    """Share of packets in trains of the bucket depth −2 … +4: the
-    config's, or else the stack profile's."""
+    """Share of packets in trains of the bucket depth −2 … +4: the stack
+    profile's, with the config's params applied."""
     config = summary.config
-    bucket = config.bucket_packets or profile_for(config.stack, config.cca).bucket_packets
+    bucket = profile_for(config.stack, config.cca, config.params).bucket_packets
     dist = pooled_packets_by_train_length(summary.pooled_records)
     near = sum(n for length, n in dist.items() if bucket - 2 <= length <= bucket + 4)
     return near / sum(dist.values())
@@ -524,9 +532,9 @@ EXTENSIONS: Tuple[Claim, ...] = (
     Claim("ecn.no_more_retx", "Tables 1–2", "—", "≤ 0", RETX, ("ecn", "40mbit-40ms-fq"), "diff"),
     # §3.4 leaves competing connections to future work.
     Claim("competing_flows.pair_fair", "§3.4", "0.991 archived (SF patch)", "> 0.9", FAIRNESS,
-          ("quiche-cubic-fq__vs__quiche-cubic-fq",)),
+          (SF_DUEL,)),
     Claim("competing_flows.pair_fills_link", "§3.4", "36.4 archived (SF patch)", "> 24",
-          GOODPUT, ("quiche-cubic-fq__vs__quiche-cubic-fq",)),
+          GOODPUT, (SF_DUEL,)),
     Claim("competing_flows.paced_drops_less", "§3.4", "—", "≤ 0", PACED_DROPS,
           ("picoquic-bbr__vs__picoquic-cubic",)),
     Claim("competing_flows.none_starved", "§3.4", "—", "> 3", SLOWEST_FLOW,

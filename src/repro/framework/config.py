@@ -12,12 +12,14 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Tuple
 
 from repro.cc.factory import CCA_NAMES
 from repro.errors import ConfigError
 from repro.kernel.qdisc.factory import QDISCS
 from repro.net.impairments import ImpairmentSpec
+from repro.stacks.profiles import check_params, param_text
 from repro.units import SEC, gbit, mbit, mib, ms, seconds, us
 
 STACKS = ("quiche", "picoquic", "ngtcp2", "tcp")
@@ -147,6 +149,18 @@ class CanonicalForm:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def variant_parts(config) -> List[str]:
+    """``stack, cca[, qdisc][, gso-MODE][, name=value…]``: the label parts of
+    a sender, an :class:`ExperimentConfig` or a flow of a population alike."""
+    parts = [config.stack, config.cca]
+    if config.qdisc != "none":
+        parts.append(config.qdisc)
+    if config.gso != "off":
+        parts.append(f"gso-{config.gso}")
+    parts.extend(f"{name}={param_text(value)}" for name, value in config.params)
+    return parts
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(CanonicalForm):
     stack: str = "quiche"
@@ -156,19 +170,12 @@ class ExperimentConfig(CanonicalForm):
     #: Segments per GSO buffer (the paper discusses the buffer-size trade-off
     #: between syscall savings and burstiness).
     gso_segments: int = 10
-    #: Force a pacing mode instead of the stack's own ("none" reproduces the
-    #: pacing-disabled ablation of Manzoor et al. discussed in related work).
-    pacing_override: Optional[str] = None
-    #: Override the client's ACK policy (the ACK-frequency discussion of
-    #: Section 2: fewer ACKs weaken ACK-clocking and cause bursts without
-    #: pacing). None keeps the stack's own client behaviour.
-    client_ack_threshold: Optional[int] = None
-    client_max_ack_delay_ns: Optional[int] = None
-    #: Override the leaky-bucket depth in packets (picoquic's burst size).
-    bucket_packets: Optional[int] = None
-    #: None = the stack's stock behaviour (quiche: rollback enabled).
-    #: False models the paper's "SF" patch.
-    spurious_rollback: Optional[bool] = None
+    #: ``(name, value)`` pairs that override the stack's profile fields named
+    #: in :data:`repro.stacks.profiles.PARAMS`, stored sorted: e.g.
+    #: ``(("spurious_rollback", False),)`` is the paper's "SF" patch, and
+    #: ``(("pacing", "none"),)`` the pacing-disabled ablation of Manzoor et
+    #: al. Only values other than the stack's own are valid.
+    params: Tuple[Tuple[str, Any], ...] = ()
     file_size: int = mib(8)
     #: Parallel objects (HTTP/3 streams) the download is split across; the
     #: paper uses a single object, web workloads use many.
@@ -185,6 +192,10 @@ class ExperimentConfig(CanonicalForm):
     #: Negotiate ECN end-to-end and enable CE marking at the bottleneck
     #: (extension: congestion signals without loss).
     ecn: bool = False
+
+    def __post_init__(self) -> None:
+        params = tuple(sorted(map(tuple, self.params), key=itemgetter(0)))
+        object.__setattr__(self, "params", params)
 
     def validate(self) -> None:
         if self.stack not in STACKS:
@@ -209,12 +220,7 @@ class ExperimentConfig(CanonicalForm):
             raise ConfigError(f"etf_delta_ns must be non-negative, got {self.etf_delta_ns}")
         if self.max_sim_time_ns <= 0:
             raise ConfigError(f"max_sim_time_ns must be positive, got {self.max_sim_time_ns}")
-        if self.client_ack_threshold is not None and self.client_ack_threshold < 1:
-            raise ConfigError(
-                f"client_ack_threshold must be >= 1, got {self.client_ack_threshold}"
-            )
-        if self.bucket_packets is not None and self.bucket_packets < 1:
-            raise ConfigError(f"bucket_packets must be >= 1, got {self.bucket_packets}")
+        check_params(self.stack, self.cca, self.params)
         if self.objects > 1 and self.stack == "tcp":
             raise ConfigError("multi-object downloads are QUIC-only here")
         if self.stack == "tcp" and self.gso != "off":
@@ -223,13 +229,7 @@ class ExperimentConfig(CanonicalForm):
 
     @property
     def label(self) -> str:
-        parts = [self.stack, self.cca]
-        if self.qdisc != "none":
-            parts.append(self.qdisc)
-        if self.gso != "off":
-            parts.append(f"gso-{self.gso}")
-        if self.spurious_rollback is False:
-            parts.append("sf")
+        parts = variant_parts(self)
         parts.extend(spec.slug for spec in self.network.forward_impairments)
         parts.extend(f"r-{spec.slug}" for spec in self.network.reverse_impairments)
         return "/".join(parts)

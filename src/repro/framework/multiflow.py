@@ -36,9 +36,9 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.framework.config import ExperimentConfig, NetworkConfig
+from repro.framework.config import ExperimentConfig, NetworkConfig, variant_parts
 from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
 from repro.kernel.qdisc.netem import NetemQdisc
 from repro.metrics.fairness import jain_index
@@ -83,7 +83,8 @@ class FlowSpec:
     cca: str = "cubic"
     qdisc: str = "none"
     gso: str = "off"
-    spurious_rollback: Optional[bool] = None
+    #: Profile overrides, as :attr:`ExperimentConfig.params`.
+    params: Tuple[Tuple[str, Any], ...] = ()
     file_size: int = mib(4)
     start_ns: int = 0
     #: Extra round-trip time for this flow, applied as additional one-way
@@ -93,12 +94,7 @@ class FlowSpec:
 
     @property
     def label(self) -> str:
-        parts = [self.stack, self.cca]
-        if self.qdisc != "none":
-            parts.append(self.qdisc)
-        if self.gso != "off":
-            parts.append(f"gso-{self.gso}")
-        return "/".join(parts)
+        return "/".join(variant_parts(self))
 
 
 @dataclass
@@ -223,14 +219,14 @@ class MultiFlowResult:
 
 def flow_config(spec: FlowSpec, network: NetworkConfig) -> ExperimentConfig:
     """``spec`` as the single-flow configuration of the same sender: what a
-    FlowSpec cannot say (ETF delta, GSO buffer size, ACK policy, bucket
-    depth, ECN) takes the :class:`ExperimentConfig` default."""
+    FlowSpec cannot say (ETF delta, GSO buffer size, ECN) takes the
+    :class:`ExperimentConfig` default."""
     return ExperimentConfig(
         stack=spec.stack,
         cca=spec.cca,
         qdisc=spec.qdisc,
         gso=spec.gso,
-        spurious_rollback=spec.spurious_rollback,
+        params=spec.params,
         file_size=spec.file_size,
         network=network,
     )

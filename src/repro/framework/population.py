@@ -27,10 +27,7 @@ once instead of a second, per-flow copy of them.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -48,6 +45,7 @@ from repro.metrics.fairness import (
     transitivity_violations,
 )
 from repro.sim.random import RngRegistry
+from repro.stacks.profiles import parse_param
 from repro.units import SEC, kib, seconds
 
 ARRIVALS = ("poisson", "uniform", "trace")
@@ -58,14 +56,27 @@ PERCENTILES = (50, 90, 99)
 
 
 def parse_profile(text: str) -> FlowSpec:
-    """Parse ``"stack[:cca[:qdisc[:gso]]]"`` (the compete-CLI syntax) into the
-    sender it names. Size, start and extra RTT keep the :class:`FlowSpec`
-    defaults; callers fill them with ``dataclasses.replace``. A profile is
-    valid iff the single-flow configuration it names is."""
-    parts = text.split(":")
+    """Parse ``"stack[:cca[:qdisc[:gso]]][+name=value]…"`` (the compete-CLI
+    syntax) into the sender it names; each ``+name=value`` is one of its
+    params (e.g. ``quiche:cubic:fq+spurious_rollback=false``, the SF patch).
+    Size, start and extra RTT keep the :class:`FlowSpec` defaults; callers
+    fill them with ``dataclasses.replace``. A profile is valid iff the
+    single-flow configuration it names is."""
+    head, *assignments = text.split("+")
+    parts = head.split(":")
     if not 1 <= len(parts) <= 4 or not parts[0]:
-        raise ConfigError(f"malformed profile {text!r}; expected stack[:cca[:qdisc[:gso]]]")
-    spec = FlowSpec(*parts)
+        raise ConfigError(
+            f"malformed profile {text!r}; expected stack[:cca[:qdisc[:gso]]][+name=value]..."
+        )
+    params = []
+    for assignment in assignments:
+        name, equals, value = assignment.partition("=")
+        if not name or not equals:
+            raise ConfigError(
+                f"malformed param {assignment!r} in profile {text!r}; expected +name=value"
+            )
+        params.append((name, parse_param(name, value)))
+    spec = FlowSpec(*parts, params=tuple(sorted(params)))
     flow_config(spec, NetworkConfig()).validate()
     return spec
 
@@ -152,18 +163,6 @@ class PopulationConfig(CanonicalForm):
         parts = [f"pop{self.flows}", self.arrival]
         parts.extend(p.replace(":", "-") for p in self.profiles)
         return "/".join(parts)
-
-    @cached_property
-    def _cache_key(self) -> str:
-        # Same scheme as ExperimentConfig (sha256 of the sorted-JSON form),
-        # except that fields added after a cache generation shipped are
-        # stripped at their default value, so every pre-existing key (and the
-        # sweep caches built on them) stays valid.
-        fields = self.canonical_dict()
-        if not fields["churn"]:
-            del fields["churn"]
-        payload = json.dumps(fields, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class FlowPopulation:

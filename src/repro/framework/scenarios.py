@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import combinations
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.population import PopulationConfig
@@ -24,6 +24,10 @@ from repro.units import kib, mbit, mib, ms, seconds
 
 DEFAULT_FILE_SIZE = mib(8)
 DEFAULT_REPETITIONS = 5
+#: The paper's "SF" patch: quiche without its spurious-loss cwnd rollback.
+SF_PATCH = (("spurious_rollback", False),)
+#: The pacing-disabled ablation of Manzoor et al. (related work).
+UNPACED = (("pacing", "none"),)
 
 
 def _base(**kwargs) -> ExperimentConfig:
@@ -37,9 +41,9 @@ def baseline(stack: str, cca: str = "cubic", **kwargs) -> ExperimentConfig:
     return _base(stack=stack, cca=cca, **kwargs)
 
 
-def quiche_fq(spurious_rollback: Optional[bool] = True, **kwargs) -> ExperimentConfig:
-    """Section 4.2: quiche + FQ qdisc; rollback False = the "SF" patch."""
-    return _base(stack="quiche", qdisc="fq", spurious_rollback=spurious_rollback, **kwargs)
+def quiche_fq(**kwargs) -> ExperimentConfig:
+    """Section 4.2: quiche + FQ qdisc; ``params=SF_PATCH`` is the "SF" patch."""
+    return _base(stack="quiche", qdisc="fq", **kwargs)
 
 
 def quiche_gso(mode: str, **kwargs) -> ExperimentConfig:
@@ -48,16 +52,12 @@ def quiche_gso(mode: str, **kwargs) -> ExperimentConfig:
     The SF patch is applied (the paper disables rollback for all post-4.2
     measurements).
     """
-    return _base(
-        stack="quiche", qdisc="fq", gso=mode, spurious_rollback=False, **kwargs
-    )
+    return _base(stack="quiche", qdisc="fq", gso=mode, params=SF_PATCH, **kwargs)
 
 
 def precision_config(qdisc: str, **kwargs) -> ExperimentConfig:
     """Section 4.4: quiche without GSO under none / fq / etf / etf-offload."""
-    return _base(
-        stack="quiche", qdisc=qdisc, gso="off", spurious_rollback=False, **kwargs
-    )
+    return _base(stack="quiche", qdisc=qdisc, gso="off", params=SF_PATCH, **kwargs)
 
 
 def all_baselines(**kwargs) -> Dict[str, ExperimentConfig]:
@@ -83,7 +83,6 @@ def impairment_config(
     specs: tuple,
     stack: str = "quiche",
     qdisc: str = "fq",
-    spurious_rollback: Optional[bool] = True,
     **kwargs,
 ) -> ExperimentConfig:
     """One fault-injected configuration: ``specs`` on the forward path.
@@ -95,13 +94,7 @@ def impairment_config(
     """
     network = kwargs.pop("network", NetworkConfig())
     network = replace(network, forward_impairments=tuple(specs))
-    return _base(
-        stack=stack,
-        qdisc=qdisc,
-        spurious_rollback=spurious_rollback if stack == "quiche" else None,
-        network=network,
-        **kwargs,
-    )
+    return _base(stack=stack, qdisc=qdisc, network=network, **kwargs)
 
 
 #: Stack profiles competing in the default population / duel grids.

@@ -107,7 +107,8 @@ __all__ = ["STORE_VERSION", "ResultStore", "grid_key"]
 #: holds the config, so every row can render its export.
 #: v5: the fingerprint is the behaviour digest (no config), and the blob holds
 #: the per-repetition config.
-STORE_VERSION = 5
+#: v6: a blob's config carries its ``params`` instead of five override fields.
+STORE_VERSION = 6
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the

@@ -22,6 +22,7 @@ between them (ports, RNG stream names) is an argument.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Callable
 
 from repro.cc.factory import make_cc
@@ -213,9 +214,7 @@ class WiredFlow:
         self.server_cc = make_cc(
             profile.cca,
             mtu=MTU_PAYLOAD,
-            hystart=profile.hystart,
             spurious_rollback=profile.spurious_rollback,
-            rollback_loss_threshold=profile.rollback_loss_threshold,
             bbr_params=profile.bbr_params,
         )
         self.server_cc.pacing_gain_factor = profile.pacing_gain
@@ -262,26 +261,16 @@ class WiredFlow:
 
 
 def _quic_profile(cfg: ExperimentConfig) -> StackProfile:
-    """The stack's profile with the config's overrides applied."""
-    overrides = {}
-    if cfg.stack == "quiche":
-        overrides["gso"] = GsoPolicy(
-            enabled=(cfg.gso != "off"),
-            max_segments=cfg.gso_segments,
-            paced=(cfg.gso == "paced"),
-        )
-        if cfg.spurious_rollback is not None:
-            overrides["spurious_rollback"] = cfg.spurious_rollback
-        if cfg.qdisc in _ETF_QDISCS:
-            # ETF drops packets whose timestamp is in the past; senders
-            # must stamp at least delta (plus slack) into the future.
-            overrides["txtime_min_offset_ns"] = cfg.etf_delta_ns + us(100)
-    if cfg.pacing_override is not None:
-        overrides["pacing"] = cfg.pacing_override
-    if cfg.client_ack_threshold is not None:
-        overrides["client_ack_threshold"] = cfg.client_ack_threshold
-    if cfg.client_max_ack_delay_ns is not None:
-        overrides["client_max_ack_delay_ns"] = cfg.client_max_ack_delay_ns
-    if cfg.bucket_packets is not None:
-        overrides["bucket_packets"] = cfg.bucket_packets
-    return profile_for(cfg.stack, cfg.cca, **overrides)
+    """The stack's profile with the config's params, plus what quiche's
+    send path takes from the host: the GSO policy and, under ETF, the
+    timestamp headroom."""
+    profile = profile_for(cfg.stack, cfg.cca, cfg.params)
+    if cfg.stack != "quiche":
+        return profile
+    gso = GsoPolicy(
+        enabled=(cfg.gso != "off"), max_segments=cfg.gso_segments, paced=(cfg.gso == "paced")
+    )
+    # ETF drops packets whose timestamp is in the past; senders must stamp
+    # at least delta (plus slack) into the future.
+    offset = cfg.etf_delta_ns + us(100) if cfg.qdisc in _ETF_QDISCS else 0
+    return replace(profile, gso=gso, txtime_min_offset_ns=offset)

@@ -7,22 +7,13 @@ paper's stacks (quiche, picoquic, ngtcp2) or the TCP/TLS comparator.
 
 from repro.stacks.base import StackProfile, ServerDriver, PACING_MODES
 from repro.stacks.client import ClientDriver
-from repro.stacks.profiles import (
-    quiche_profile,
-    picoquic_profile,
-    ngtcp2_profile,
-    profile_for,
-    STACK_NAMES,
-)
+from repro.stacks.profiles import STACK_NAMES, profile_for
 
 __all__ = [
     "StackProfile",
     "ServerDriver",
     "ClientDriver",
     "PACING_MODES",
-    "quiche_profile",
-    "picoquic_profile",
-    "ngtcp2_profile",
     "profile_for",
     "STACK_NAMES",
 ]

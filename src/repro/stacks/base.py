@@ -18,7 +18,7 @@ profile's ``pacing`` mode — is where the paper's three approaches live:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cc.bbr import BbrParams
@@ -31,7 +31,7 @@ from repro.quic.stream import DataSource
 from repro.sim.clock import TimerModel, HIGHRES_TIMER
 from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
-from repro.units import mib, ms, us
+from repro.units import mib, ms
 
 PACING_MODES = ("txtime", "app_interval", "leaky_bucket", "none")
 
@@ -50,24 +50,16 @@ class StackProfile:
     #: Max datagrams per sendmmsg batch when GSO is off.
     send_batch: int = 16
     gso: GsoPolicy = GsoPolicy(enabled=False)
-    so_txtime: bool = False
     #: Receiver flow-control configuration (used by the peer *client* too).
     recv_conn_window: int = mib(15)
     recv_stream_window: int = mib(6)
     fc_autotune: bool = True
-    #: CUBIC quirks.
-    hystart: bool = True
+    #: CUBIC's cwnd rollback after a spurious loss (stock quiche).
     spurious_rollback: bool = False
-    rollback_loss_threshold: int = 5
     #: BBR variant.
     bbr_params: Optional[BbrParams] = None
     #: Leaky-bucket depth (packets).
     bucket_packets: int = 17
-    #: Interval-pacer initial burst budget (bytes).
-    pacer_burst_bytes: int = 0
-    #: picoquic loss-based quirk: on ACK wake-ups, defer sending to the send
-    #: timer unless at least this many packets of credit are banked.
-    ack_send_threshold_packets: int = 0
     #: Multiplier on cwnd/srtt for the pacing rate (RFC 9002 suggests a
     #: surplus; picoquic's loss-based bucket refills at ~1x).
     pacing_gain: float = 1.25
@@ -124,14 +116,13 @@ class ServerDriver(SimProcess):
         now = self.sim.now
         conn = self.conn
         socket = self.socket
-        woke_by_ack = bool(socket.rx)
-        if woke_by_ack:
+        if socket.rx:
             for dgram in socket.recv_all():
                 conn.on_datagram(dgram.payload, now, dgram.ecn)
         conn.on_timeout(now)
         if len(self._responded) < len(conn.recv_streams):  # a request is unanswered
             self._maybe_start_response()
-        self._do_send(now, on_ack_wake=woke_by_ack)
+        self._do_send(now)
         self._rearm(now)
 
     def _maybe_start_response(self) -> None:
@@ -151,14 +142,14 @@ class ServerDriver(SimProcess):
 
     # -- send strategies ---------------------------------------------------------
 
-    def _do_send(self, now: int, on_ack_wake: bool) -> None:
+    def _do_send(self, now: int) -> None:
         self._pacer_deadline = None
         self.pacer.update_rate(self.conn.pacing_rate_bps(), now)
         mode = self.profile.pacing
         if mode == "txtime":
             self._send_txtime(now)
         elif mode in ("app_interval", "leaky_bucket"):
-            self._send_app_paced(now, on_ack_wake)
+            self._send_app_paced(now)
         else:
             self._send_unpaced(now)
 
@@ -280,25 +271,11 @@ class ServerDriver(SimProcess):
             for i in range(0, len(specs), batch):
                 self.socket.sendmmsg(specs[i : i + batch])
 
-    def _send_app_paced(self, now: int, on_ack_wake: bool) -> None:
+    def _send_app_paced(self, now: int) -> None:
         """ngtcp2 / picoquic style: the application enforces timestamps."""
-        profile = self.profile
-        mtu = self.conn.config.mtu_payload
-        threshold = profile.ack_send_threshold_packets * mtu
-        if (
-            on_ack_wake
-            and threshold
-            and isinstance(self.pacer, LeakyBucketPacer)
-            and self.pacer.release_time(now, threshold) > now
-            and self.conn.ack_mgr.received_count() > 0
-        ):
-            # picoquic loss-based quirk: not enough banked credit — wait for
-            # the (coarse) send timer instead of dribbling packets per ACK.
-            if self.conn.wants_to_send(now):
-                self._pacer_deadline = self.pacer.release_time(now, threshold)
-            return
         conn = self.conn
         pacer = self.pacer
+        mtu = conn.config.mtu_payload
         ecn = 2 if conn.config.ecn else 0
         sent = 0
         while sent < MAX_PACKETS_PER_WAKEUP and conn.wants_to_send(now):
@@ -325,4 +302,4 @@ def make_pacer(profile: StackProfile, mtu: int) -> Pacer:
         return NullPacer()
     if profile.pacing == "leaky_bucket":
         return LeakyBucketPacer(bucket_max_bytes=profile.bucket_packets * mtu)
-    return IntervalPacer(burst_budget_bytes=profile.pacer_burst_bytes)
+    return IntervalPacer()

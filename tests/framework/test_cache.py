@@ -45,7 +45,7 @@ def test_hit_returns_identical_result(tmp_path, result):
     ("seed", 2),
     ("cca", "bbr"),
     ("gso_segments", 11),
-    ("client_ack_threshold", 4),
+    pytest.param("params", (("client_ack_threshold", 4),), id="client_ack_threshold-4"),
     ("trace_cwnd", True),
     ("ecn", True),
 ])
@@ -133,6 +133,22 @@ def test_version_3_entry_is_quarantined_and_recomputed(tmp_path, result):
     path.parent.mkdir(parents=True)
     path.write_bytes(pickle.dumps((3, result)))
     _recomputes(tmp_path, cache, result, path)
+
+
+def test_version_5_entry_is_refused_and_quarantined_as_it_is(tmp_path, result):
+    """An entry of the previous version (``CACHE_VERSION`` 5, whose pickled
+    config had the five override fields) is never read: ``read`` refuses it
+    and leaves the file, and a sweep quarantines its bytes unchanged."""
+    cache = ResultCache(tmp_path)
+    path = _entry_path(cache, CFG, result.seed)
+    path.parent.mkdir(parents=True)
+    entry = _pack(5, result.fingerprint(), pickle.dumps(result))
+    path.write_bytes(entry)
+    with pytest.raises(ValueError, match="version 5"):
+        cache.read(path)
+    assert path.read_bytes() == entry
+    _recomputes(tmp_path, cache, result, path)
+    assert (tmp_path / "quarantine" / path.name).read_bytes() == entry
 
 
 def test_flipped_body_byte_is_quarantined_and_recomputed(tmp_path, result):

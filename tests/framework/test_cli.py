@@ -58,7 +58,22 @@ def test_run_cache_roundtrip(capsys, tmp_path):
 def test_run_with_sf_flag(capsys):
     rc = main(["run", "quiche", "--size-mib", "0.25", "--sf", "--no-cache"])
     assert rc == 0
-    assert "quiche/cubic/sf" in capsys.readouterr().out
+    assert "quiche/cubic/spurious_rollback=false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stack,why", [
+    ("picoquic", "picoquic's own value"),
+    ("ngtcp2", "ngtcp2's own value"),
+    ("tcp", "only QUIC stacks"),
+])
+def test_sf_flag_off_quiche_exits_2(stack, why, capsys):
+    """Only quiche rolls back: ``--sf`` elsewhere states the stack's own
+    behaviour (or, on tcp, a profile it has not), and is refused."""
+    assert main(["run", stack, "--size-mib", "0.25", "--sf", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: param spurious_rollback=False")
+    assert why in captured.err
+    assert "running" not in captured.out
 
 
 def test_sweep_command(capsys, tmp_path):
@@ -151,7 +166,8 @@ def test_scenarios_command(capsys):
     rc = main(["scenarios"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "fq-sf-x4 " in out and "quiche/cubic/fq/sf" in out and "16 MiB" in out
+    assert "fq-sf-x4 " in out and "quiche/cubic/fq/spurious_rollback=false" in out
+    assert "16 MiB" in out
     assert "§4.4" in out
     assert "extensions grid (`sweep extensions`, 1 reps" in out and "etf-100us " in out
 
@@ -299,7 +315,7 @@ def test_store_info_and_an_export_byte_equal_to_run_json(capsys, cli_store, tmp_
     assert main(["store", "info", str(cli_store)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["reps"] == 2 and info["failures"] == 0
-    assert info["names"] == ["quiche/cubic"] and info["version"] == 5
+    assert info["names"] == ["quiche/cubic"] and info["version"] == 6
 
     exported = tmp_path / "out.json"
     assert main(["store", "export", str(cli_store), "quiche/cubic", str(exported)]) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.framework.config import ExperimentConfig, NetworkConfig
+from repro.framework.scenarios import SF_PATCH
 from repro.net.impairments import ImpairmentSpec, burst_loss, iid_loss, rate_flap
 from repro.units import kib, mbit, mib, ms
 
@@ -62,14 +63,37 @@ class TestExperimentConfig:
         ("gso_segments", 0),
         ("etf_delta_ns", -1),
         ("max_sim_time_ns", 0),
-        ("client_ack_threshold", 0),
-        ("bucket_packets", 0),
     ])
     def test_errors_name_the_offending_field_and_value(self, field, value):
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig(**{field: value}).validate()
         assert field in str(excinfo.value)
         assert str(value) in str(excinfo.value)
+
+    @pytest.mark.parametrize("stack,params,why", [
+        ("quiche", (("client_ack_threshold", 0),), "out of range"),
+        ("picoquic", (("bucket_packets", 0),), "out of range"),
+        ("quiche", (("bucket_packets", True),), "out of range"),
+        ("quiche", (("pacing", "warp"),), "out of range"),
+        ("quiche", (("hystart", False),), "unknown"),
+        ("picoquic", (("bucket_packets", 8), ("bucket_packets", 8)), "twice"),
+        ("quiche", (("spurious_rollback", True),), "own value"),
+        ("picoquic", (("client_max_ack_delay_ns", ms(10)),), "own value"),
+        ("tcp", (("pacing", "none"),), "only QUIC stacks"),
+    ], ids=[
+        "client_ack_threshold-0", "bucket_packets-0", "bucket_packets-True", "pacing-warp",
+        "unknown", "duplicate", "quiche-stock", "picoquic-stock", "tcp",
+    ])
+    def test_param_errors_name_the_param_and_value(self, stack, params, why):
+        name, value = params[-1]
+        with pytest.raises(ConfigError, match=why) as excinfo:
+            ExperimentConfig(stack=stack, params=params).validate()
+        assert f"{name}={value!r}" in str(excinfo.value)
+
+    def test_params_are_stored_sorted(self):
+        acks = (("client_max_ack_delay_ns", ms(5)), ("client_ack_threshold", 8))
+        assert ExperimentConfig(params=acks) == ExperimentConfig(params=acks[::-1])
+        assert ExperimentConfig(params=acks).params == acks[::-1]
 
     @pytest.mark.parametrize("field,value", [
         ("link_rate_bps", 0),
@@ -88,8 +112,8 @@ class TestExperimentConfig:
         assert str(value) in str(excinfo.value)
 
     def test_label_encodes_variant(self):
-        cfg = ExperimentConfig(stack="quiche", qdisc="fq", gso="paced", spurious_rollback=False)
-        assert cfg.label == "quiche/cubic/fq/gso-paced/sf"
+        cfg = ExperimentConfig(stack="quiche", qdisc="fq", gso="paced", params=SF_PATCH)
+        assert cfg.label == "quiche/cubic/fq/gso-paced/spurious_rollback=false"
         assert ExperimentConfig(stack="tcp").label == "tcp/cubic"
 
     def test_replaced_config_encodes_its_own_fields(self):
@@ -113,8 +137,8 @@ class TestExperimentConfig:
         for field, value in [
             ("qdisc", "fq"),
             ("gso", "on"),
-            ("client_ack_threshold", 4),
-            ("bucket_packets", 16),
+            ("params", (("client_ack_threshold", 4),)),
+            ("params", (("bucket_packets", 16),)),
             ("ecn", True),
             ("network", NetworkConfig(bottleneck_rate_bps=mbit(10))),
         ]:
@@ -163,11 +187,11 @@ def test_scenarios_cover_paper_experiments():
         cfg.validate()
         assert cfg.cca == "cubic"
 
-    fq = scenarios.quiche_fq(spurious_rollback=True)
-    assert fq.qdisc == "fq" and fq.spurious_rollback
+    fq = scenarios.quiche_fq()
+    assert fq.qdisc == "fq" and fq.params == ()
 
     gso = scenarios.quiche_gso("paced")
-    assert gso.gso == "paced" and gso.spurious_rollback is False
+    assert gso.gso == "paced" and gso.params == scenarios.SF_PATCH
 
     paper = claims.paper_grid()
     assert [paper[name].cca for name in ("picoquic", "picoquic-newreno", "picoquic-bbr")] == [

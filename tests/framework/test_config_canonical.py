@@ -46,8 +46,6 @@ def _sha(text: str) -> str:
 
 def reference_key(fields) -> str:
     """``cache_key()`` as it was computed before the memo, from the fields."""
-    if fields.get("churn") is False:  # a population without churn
-        fields = {name: value for name, value in fields.items() if name != "churn"}
     return _sha(_sorted_json(fields))
 
 

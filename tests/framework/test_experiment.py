@@ -5,6 +5,7 @@ import pytest
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment, run_experiment
 from repro.framework.runner import run_repetitions
+from repro.framework.scenarios import SF_PATCH
 from repro.units import kib, mbit, ms
 
 SMALL = kib(300)
@@ -55,12 +56,12 @@ class TestQuicExperiment:
         assert len(r.cwnd_trace) > 2
 
     def test_gso_produces_buffers(self):
-        r = run("quiche", qdisc="fq", gso="on", spurious_rollback=False)
+        r = run("quiche", qdisc="fq", gso="on", params=SF_PATCH)
         assert r.completed
         assert r.server_stats["gso_buffers"] > 0
 
     def test_etf_qdisc_with_headroom_completes(self):
-        r = run("quiche", qdisc="etf", spurious_rollback=False)
+        r = run("quiche", qdisc="etf", params=SF_PATCH)
         assert r.completed
         assert r.qdisc_stats["dropped_late"] == 0
 

@@ -11,8 +11,9 @@ field instead of at two unequal hashes.
 
 :func:`old_fingerprint` is the config-inclusive digest every golden was
 recorded with before the behaviour digest; each golden case asserts its old
-value through it beside its new one, from the same run. Both go with the
-old column of the goldens, when a config field first changes.
+value through it beside its new one, from the same run. It encodes each
+config as it was then (:func:`_as_recorded`), so the old column outlives the
+changes of config shape since.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import (
     _CAPTURE_CHUNK_ROWS,
@@ -37,9 +39,10 @@ from repro.framework.multiflow import (
     MultiFlowResult,
 )
 from repro.framework.population import PopulationResult
+from repro.framework.scenarios import SF_PATCH
 from repro.net.impairments import burst_loss, duplication, iid_loss, reordering
 from repro.net.tap import CaptureColumns, CaptureRecord
-from repro.units import kib, ms
+from repro.units import kib, ms, us
 
 
 def _payload(result: ExperimentResult) -> dict:
@@ -66,10 +69,31 @@ def behaviour_encoding(result: ExperimentResult) -> bytes:
     return json.dumps(_payload(result), sort_keys=True).encode()
 
 
+#: The override fields a config or a flow had before ``params`` replaced them.
+_OVERRIDES = {
+    ExperimentConfig: (
+        "pacing_override",
+        "client_ack_threshold",
+        "client_max_ack_delay_ns",
+        "bucket_packets",
+        "spurious_rollback",
+    ),
+    FlowSpec: ("spurious_rollback",),
+}
+
+
+def _as_recorded(config) -> dict:
+    """``asdict(config)`` of the shape the old column was recorded with: no
+    golden has params, so each override field it replaced was None."""
+    fields = asdict(config)
+    assert fields.pop("params") == ()
+    return {**fields, **dict.fromkeys(_OVERRIDES[type(config)])}
+
+
 def reference_encoding(result: ExperimentResult) -> bytes:
     """The config-inclusive ``fingerprint()`` payload the goldens' old column
     was recorded with, verbatim."""
-    payload = {**_payload(result), "config": asdict(result.config)}
+    payload = {**_payload(result), "config": _as_recorded(result.config)}
     return json.dumps(payload, sort_keys=True).encode()
 
 
@@ -84,7 +108,7 @@ def _multiflow_payload(result: MultiFlowResult, specs: bool) -> dict:
         "impairment_stats": result.impairment_stats,
         "flows": [
             {
-                **({"spec": asdict(f.spec)} if specs else {}),
+                **({"spec": _as_recorded(f.spec)} if specs else {}),
                 "completed": f.completed,
                 "duration_ns": f.duration_ns,
                 "goodput_mbps": f.goodput_mbps,
@@ -126,7 +150,12 @@ def old_fingerprint(result) -> str:
     ``fingerprint()`` computed it before it became the behaviour digest."""
     if isinstance(result, PopulationResult):
         multi = _sha(reference_multiflow_encoding(result.multi))
-        payload = {"config": result.config.cache_key(), "multi": multi}
+        # The population's key as it was: ``churn`` stripped at its default.
+        fields = result.config.canonical_dict()
+        if not fields["churn"]:
+            del fields["churn"]
+        key = _sha(json.dumps(fields, sort_keys=True).encode())
+        payload = {"config": key, "multi": multi}
         return _sha(json.dumps(payload, sort_keys=True).encode())
     return _sha(reference_encoding(result))
 
@@ -311,7 +340,7 @@ def test_multiflow_encodes_byte_identically(drained):
     flows = [
         _flow_result(FlowSpec()),
         _flow_result(
-            FlowSpec(stack="tcp", qdisc="fq", spurious_rollback=False, start_ns=7, extra_rtt_ns=9),
+            FlowSpec(stack="tcp", qdisc="fq", params=SF_PATCH, start_ns=7, extra_rtt_ns=9),
             completed=False,
             goodput_mbps=1e-07,
             ack_drops=2,
@@ -338,25 +367,17 @@ def test_real_multiflow_result_encodes_byte_identically():
     assert_same_bytes(result, behaviour_multiflow_encoding)
 
 
-#: Pairs of configs that spell one behaviour two ways: an override at the
-#: stack's own value, an observability switch, the sweep length.
+#: Pairs of configs that spell one behaviour two ways: a field the run never
+#: reads (an ETF delta without the ETF qdisc, a rollback switch on a path
+#: with no spurious loss), an observability switch, the sweep length.
 SPELLINGS = {
+    "picoquic-etf-delta": (
+        ExperimentConfig(stack="picoquic", file_size=kib(256)),
+        ExperimentConfig(stack="picoquic", file_size=kib(256), etf_delta_ns=us(500)),
+    ),
     "quiche-rollback": (
         ExperimentConfig(stack="quiche", file_size=kib(256)),
-        ExperimentConfig(stack="quiche", file_size=kib(256), spurious_rollback=True),
-    ),
-    "picoquic-bucket": (
-        ExperimentConfig(stack="picoquic", file_size=kib(256)),
-        ExperimentConfig(stack="picoquic", file_size=kib(256), bucket_packets=16),
-    ),
-    "picoquic-acks": (
-        ExperimentConfig(stack="picoquic", file_size=kib(256)),
-        ExperimentConfig(
-            stack="picoquic",
-            file_size=kib(256),
-            client_ack_threshold=1_000_000,
-            client_max_ack_delay_ns=ms(10),
-        ),
+        ExperimentConfig(stack="quiche", file_size=kib(256), params=SF_PATCH),
     ),
     "qlog": (
         ExperimentConfig(stack="quiche", file_size=kib(256)),
@@ -374,3 +395,15 @@ def test_spellings_of_one_behaviour_share_one_digest(name):
     first, second = (run_experiment(config, seed=3) for config in SPELLINGS[name])
     assert first.config.cache_key() != second.config.cache_key()
     assert first.fingerprint() == second.fingerprint()
+
+
+def test_a_stack_value_is_no_second_spelling():
+    """A param at the stack's own value would be a second key for the stock
+    behaviour (as these three were), so none can be configured."""
+    for stack, params in [
+        ("quiche", (("spurious_rollback", True),)),
+        ("picoquic", (("bucket_packets", 16),)),
+        ("picoquic", (("client_ack_threshold", 1_000_000), ("client_max_ack_delay_ns", ms(10)))),
+    ]:
+        with pytest.raises(ConfigError, match="own value"):
+            ExperimentConfig(stack=stack, params=params).validate()

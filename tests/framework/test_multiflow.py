@@ -3,6 +3,7 @@
 import pytest
 
 from repro.framework.multiflow import BASE_SERVER_PORT, FlowSpec, MultiFlowExperiment
+from repro.framework.scenarios import SF_PATCH
 from repro.framework.testbed import SERVER_ADDR
 from repro.net.tap import CaptureColumns
 from repro.units import kib, mib, ms
@@ -82,14 +83,14 @@ def test_staggered_start():
 def test_mixed_stack_contest_completes():
     result = run(
         [
-            FlowSpec(stack="quiche", qdisc="fq", spurious_rollback=False, file_size=SMALL),
+            FlowSpec(stack="quiche", qdisc="fq", params=SF_PATCH, file_size=SMALL),
             FlowSpec(stack="picoquic", cca="bbr", file_size=SMALL),
             FlowSpec(stack="tcp", file_size=SMALL),
         ]
     )
     assert result.all_completed
     labels = [f.spec.label for f in result.flows]
-    assert labels == ["quiche/cubic/fq", "picoquic/bbr", "tcp/cubic"]
+    assert labels == ["quiche/cubic/fq/spurious_rollback=false", "picoquic/bbr", "tcp/cubic"]
 
 
 def test_deterministic_for_seed():

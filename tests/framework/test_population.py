@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
+from repro.framework.config import NetworkConfig
+from repro.framework.multiflow import flow_config
 from repro.framework.population import (
     FlowPopulation,
     PopulationConfig,
@@ -44,9 +46,21 @@ def test_parse_profile_full():
     assert profile.label == "quiche/bbr/fq/gso-paced"
 
 
+def test_parse_profile_params_round_trip():
+    profile = parse_profile("quiche:cubic:fq+spurious_rollback=false")
+    assert profile.params == (("spurious_rollback", False),)
+    assert profile.label == "quiche/cubic/fq/spurious_rollback=false"
+    assert flow_config(profile, NetworkConfig()).params == profile.params
+    acks = parse_profile("quiche+client_max_ack_delay_ns=5000000+client_ack_threshold=8")
+    assert acks.params == (("client_ack_threshold", 8), ("client_max_ack_delay_ns", 5_000_000))
+    assert acks.label == "quiche/cubic/client_ack_threshold=8/client_max_ack_delay_ns=5000000"
+
+
 @pytest.mark.parametrize(
     "bad",
-    ["", "nosuchstack", "quiche:cubic:fq:paced:extra", "tcp:cubic:none:on", "tcp:nonsense"],
+    ["", "nosuchstack", "quiche:cubic:fq:paced:extra", "tcp:cubic:none:on", "tcp:nonsense",
+     "quiche+", "quiche+x=1", "quiche+bucket_packets=abc", "quiche+spurious_rollback=no",
+     "quiche+spurious_rollback=true", "tcp+pacing=none"],
 )
 def test_parse_profile_rejects(bad):
     with pytest.raises(ConfigError):

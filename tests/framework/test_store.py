@@ -495,7 +495,7 @@ class TestVersioning:
             assert store.rep_count() == 1
             assert store.content_fingerprint() == fingerprint
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_an_older_store_is_refused_and_left_as_it_is(self, tmp_path, version):
         path = _old_store(tmp_path / "old.sqlite", version)
         before = path.read_bytes()

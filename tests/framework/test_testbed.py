@@ -10,6 +10,7 @@ from repro.framework import experiment, multiflow, testbed
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
+from repro.framework.scenarios import SF_PATCH
 from repro.net.wifi import WifiBottleneck
 from repro.units import kib
 
@@ -36,7 +37,7 @@ def wired(monkeypatch):
 @pytest.mark.parametrize("flows", [1, 2])
 @pytest.mark.parametrize("qdisc", ["etf", "etf-offload"])
 def test_multiflow_etf_flows_complete_without_late_drops(wired, qdisc, flows):
-    spec = FlowSpec(qdisc=qdisc, spurious_rollback=False, file_size=SIZE)
+    spec = FlowSpec(qdisc=qdisc, params=SF_PATCH, file_size=SIZE)
     result = MultiFlowExperiment([spec] * flows, seed=3).run()
     assert result.all_completed
     assert len(wired) == flows

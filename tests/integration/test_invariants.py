@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment
+from repro.framework.scenarios import SF_PATCH
 from repro.units import kib
 
 configs = st.fixed_dictionaries(
@@ -49,7 +50,7 @@ def test_every_configuration_completes_with_consistent_accounting(params):
 )
 def test_qdisc_conservation(qdisc, seed):
     cfg = ExperimentConfig(
-        stack="quiche", qdisc=qdisc, spurious_rollback=False,
+        stack="quiche", qdisc=qdisc, params=SF_PATCH,
         file_size=kib(150), repetitions=1,
     )
     experiment = Experiment(cfg, seed=seed)

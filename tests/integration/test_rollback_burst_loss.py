@@ -12,7 +12,7 @@ directly on the cwnd timeline, and that the paper's SF patch removes it.
 from functools import lru_cache
 
 from repro.framework.experiment import run_experiment
-from repro.framework.scenarios import IMPAIRMENT_SWEEP_SPECS, impairment_config
+from repro.framework.scenarios import IMPAIRMENT_SWEEP_SPECS, SF_PATCH, impairment_config
 from repro.units import mib
 
 SEED = 5
@@ -22,7 +22,7 @@ SEED = 5
 def _run(spurious_rollback: bool):
     cfg = impairment_config(
         IMPAIRMENT_SWEEP_SPECS["burst"],
-        spurious_rollback=spurious_rollback,
+        params=() if spurious_rollback else SF_PATCH,
         file_size=mib(2),
         repetitions=1,
         trace_cwnd=True,

@@ -119,9 +119,10 @@ class TestEndToEndEcn:
     def test_ecn_removes_bottleneck_drops(self):
         from repro.framework.config import ExperimentConfig
         from repro.framework.experiment import Experiment
+        from repro.framework.scenarios import SF_PATCH
 
         base = dict(
-            stack="quiche", qdisc="fq", spurious_rollback=False,
+            stack="quiche", qdisc="fq", params=SF_PATCH,
             file_size=mib(4), repetitions=1,
         )
         plain = Experiment(ExperimentConfig(**base), seed=3)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment
+from repro.framework.scenarios import SF_PATCH, UNPACED
 from repro.units import kib, us
 
 SMALL = kib(300)
@@ -22,14 +23,14 @@ def build(**kwargs):
 
 class TestTxTimeDriver:
     def test_txtimes_monotonic_nondecreasing(self):
-        e = build(stack="quiche", qdisc="fq", spurious_rollback=False)
+        e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         e.run()
         log = e.server.expected_send_log
         times = [t for _, t in log]
         assert times == sorted(times)
 
     def test_txtime_lookahead_bounded(self):
-        e = build(stack="quiche", qdisc="fq", spurious_rollback=False)
+        e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         result = e.run()
         lookahead = e.profile.txtime_lookahead_ns
         # Expected send times never run further ahead of the wire than the
@@ -41,7 +42,7 @@ class TestTxTimeDriver:
                 assert expected - actual < lookahead + us(500)
 
     def test_every_logged_packet_reached_the_wire(self):
-        e = build(stack="quiche", qdisc="fq", spurious_rollback=False)
+        e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         result = e.run()
         wire_pns = {r.packet_number for r in result.server_records}
         logged = {pn for pn, _ in e.server.expected_send_log}
@@ -51,7 +52,7 @@ class TestTxTimeDriver:
         assert not missing
 
     def test_etf_timestamps_respect_min_offset(self):
-        e = build(stack="quiche", qdisc="etf", spurious_rollback=False)
+        e = build(stack="quiche", qdisc="etf", params=SF_PATCH)
         e.run()
         assert e.profile.txtime_min_offset_ns > 0
         assert e.qdisc.stats.dropped_late == 0
@@ -60,7 +61,7 @@ class TestTxTimeDriver:
 class TestGsoDriver:
     def test_buffers_respect_segment_cap(self):
         e = build(
-            stack="quiche", qdisc="fq", gso="on", gso_segments=4, spurious_rollback=False
+            stack="quiche", qdisc="fq", gso="on", gso_segments=4, params=SF_PATCH
         )
         e.run()
         assert e.segmenter.buffers_split > 0
@@ -73,7 +74,7 @@ class TestGsoDriver:
         assert max(sizes.values()) <= 4
 
     def test_paced_gso_marks_buffers(self):
-        e = build(stack="quiche", qdisc="fq", gso="paced", spurious_rollback=False)
+        e = build(stack="quiche", qdisc="fq", gso="paced", params=SF_PATCH)
         e.run()
         assert e.segmenter.paced_buffers > 0
         assert e.segmenter.paced_buffers <= e.segmenter.buffers_split
@@ -98,7 +99,7 @@ class TestAppPacedDrivers:
 
 class TestPacingOverride:
     def test_none_override_disables_pacer(self):
-        e = build(stack="picoquic", pacing_override="none")
+        e = build(stack="picoquic", params=UNPACED)
         from repro.pacing import NullPacer
 
         assert isinstance(e.server.pacer, NullPacer)

@@ -2,29 +2,45 @@
 
 import pytest
 
+from repro.cc.bbr import NGTCP2_BBR_PARAMS
 from repro.errors import ConfigError
+from repro.framework.scenarios import SF_PATCH
 from repro.pacing import IntervalPacer, LeakyBucketPacer, NullPacer
 from repro.stacks.base import StackProfile, make_pacer
-from repro.stacks.profiles import ngtcp2_profile, picoquic_profile, profile_for, quiche_profile
+from repro.stacks.profiles import profile_for
+from repro.units import kib, mib, ms
 
 
-def test_quiche_uses_txtime_and_so_txtime():
-    p = quiche_profile()
-    assert p.pacing == "txtime"
-    assert p.so_txtime
-    assert p.spurious_rollback  # stock quiche
+#: (stack, CCA) -> what its profile holds: the stack's own mechanism, and
+#: what the CCA's quirk changes in it.
+TABLE = {
+    ("quiche", "cubic"): dict(pacing="txtime", spurious_rollback=True),  # stock rollback
+    ("quiche", "bbr"): dict(pacing="txtime", spurious_rollback=True),
+    # picoquic's client ACKs on its delay timer alone.
+    ("picoquic", "cubic"): dict(
+        pacing="leaky_bucket",
+        bucket_packets=16,
+        client_ack_threshold=1_000_000,
+        client_max_ack_delay_ns=ms(10),
+    ),
+    ("picoquic", "bbr"): dict(pacing="leaky_bucket", bucket_packets=2),
+    ("picoquic", "bbr2"): dict(pacing="leaky_bucket", bucket_packets=2),
+    ("ngtcp2", "cubic"): dict(
+        pacing="app_interval",
+        fc_autotune=False,
+        recv_conn_window=kib(160),
+        bbr_params=NGTCP2_BBR_PARAMS,
+    ),
+    ("ngtcp2", "bbr"): dict(pacing="app_interval", recv_conn_window=mib(2)),
+}
 
 
-def test_quiche_sf_patch():
-    p = profile_for("quiche", spurious_rollback=False)
-    assert not p.spurious_rollback
-
-
-def test_picoquic_leaky_bucket_and_ack_frequency_client():
-    p = picoquic_profile()
-    assert p.pacing == "leaky_bucket"
-    assert p.client_ack_threshold > 100  # timer-driven acks
-    assert p.client_max_ack_delay_ns > 0
+@pytest.mark.parametrize("stack,cca", sorted(TABLE))
+def test_profile_table(stack, cca):
+    profile = profile_for(stack, cca)
+    assert (profile.name, profile.cca) == (stack, cca)
+    for name, value in TABLE[stack, cca].items():
+        assert getattr(profile, name) == value, name
 
 
 def test_picoquic_bbr_small_bucket():
@@ -33,16 +49,16 @@ def test_picoquic_bbr_small_bucket():
     assert bbr.bucket_packets < cubic.bucket_packets
 
 
-def test_ngtcp2_fixed_windows():
-    p = ngtcp2_profile()
-    assert p.pacing == "app_interval"
-    assert not p.fc_autotune
-    assert p.recv_conn_window < 1 << 20
-    assert p.bbr_params is not None
-
-
 def test_profile_for_sets_cca():
     assert profile_for("quiche", "bbr").cca == "bbr"
+
+
+def test_quiche_sf_patch():
+    assert profile_for("quiche", params=SF_PATCH).spurious_rollback is False
+
+
+def test_params_override_quirks():
+    assert profile_for("picoquic", "bbr", (("bucket_packets", 8),)).bucket_packets == 8
 
 
 def test_unknown_stack_rejected():

@@ -292,7 +292,8 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
                                       "--size-dist", "exp", "--arrival", "uniform", "--churn",
                                       "--profile-events", "--no-cache"]),
         ("compete", cli + ["compete", "quiche:cubic:etf-offload", "tcp:bbr",
-                           "quiche:cubic:fq:paced", "--size-mib", "0.25"]),
+                           "quiche:cubic:fq:paced", "quiche:cubic:fq+spurious_rollback=false",
+                           "--size-mib", "0.25"]),
         ("scenarios", cli + ["scenarios"]),
         ("build-info", cli + ["build-info", "--json"]),
     ]
