@@ -3,12 +3,13 @@
 Commands:
 
 * ``run``      — run one configuration and print the paper metrics;
-* ``sweep``    — run a whole scenario grid in parallel with result caching
-  (including ``population`` and head-to-head ``duels`` grids, and the
-  ``paper`` and ``extensions`` grids, which end with their claims table);
+* ``sweep``    — run one claims table's grid in parallel with result caching
+  and end with the table's verdicts (``paper``, ``extensions``,
+  ``impairments``, ``duels``, ``population``: the keys of
+  :data:`repro.framework.claims.TABLES`);
 * ``population`` — run a generated flow population (hundreds of concurrent
-  flows over one bottleneck) and report per-flow distributions + fairness;
-* ``compete``  — run several flows against each other over one bottleneck;
+  flows, or a few named ``--profiles``, over one bottleneck) and report
+  per-flow distributions + fairness; exits 1 if a flow does not complete;
 * ``analyze``  — run the paper's evaluation pipeline on a capture CSV
   (including captures exported with ``run --capture`` or converted from the
   paper's published pcaps);
@@ -16,8 +17,7 @@ Commands:
 * ``report``   — render EXPERIMENTS.md-style summary tables from a store;
 * ``store``    — inspect, migrate into, merge shard parts into, and export from
   a result store;
-* ``scenarios``— list the paper and extension grids: the configurations the
-  claims name.
+* ``scenarios``— list every table's grid: the configurations its claims name.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from typing import Dict, List, Optional
 from repro.cc.factory import CCA_NAMES
 from repro.errors import ConfigError
 from repro.framework.cache import ResultCache
+from repro.framework.claims import TABLES, grid_rows, render
 from repro.framework.config import ExperimentConfig, GSO_MODES, QDISCS, STACKS
 from repro.framework.executors import BACKENDS
 from repro.framework.store import FILTER_COLUMNS, METRIC_COLUMNS, ResultStore, grid_key
-from repro.framework.multiflow import MultiFlowExperiment
 from repro.framework.runner import RunSummary
-from repro.framework.scenarios import SF_PATCH
+from repro.framework.scenarios import POPULATION_PROFILES, SF_PATCH
 from repro.framework.supervision import SupervisionPolicy
 from repro.framework.sweep import SweepRunner
 from repro.metrics.gaps import Distribution, fraction_leq, inter_packet_gaps, pooled_gaps
@@ -48,7 +48,7 @@ from repro.metrics.trains import (
     pooled_fraction_of_packets_in_trains_leq,
     pooled_packets_by_train_length,
 )
-from repro.units import fmt_time, mib, us
+from repro.units import fmt_time, us
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -311,30 +311,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_grid(args: argparse.Namespace) -> dict:
-    from repro.framework import claims, scenarios
-
-    scale = dict(
-        file_size=int(args.size_mib * 1024 * 1024),
+    """The table's grid at its own scale, but for the flags the user gave."""
+    given = dict(
+        file_size=None if args.size_mib is None else int(args.size_mib * 1024 * 1024),
         repetitions=args.reps,
         seed=args.seed,
     )
-    if args.grid == "paper":
-        return claims.paper_grid(**scale)
-    if args.grid == "baselines":
-        return scenarios.all_baselines(**scale)
-    if args.grid == "impairments":
-        return scenarios.impairment_sweep(**scale)
-    if args.grid == "population":
-        return scenarios.population_sweep(flows=args.flows, **scale)
-    if args.grid == "duels":
-        return scenarios.fairness_duels(**scale)
-    return claims.extension_grid(**scale)
+    grid_of, _rows = TABLES[args.grid]
+    return grid_of(**{key: value for key, value in given.items() if value is not None})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     grid = _sweep_grid(args)
-    print(f"sweeping {len(grid)} configurations x{args.reps} reps ...")
+    reps = next(iter(grid.values())).repetitions
+    print(f"sweeping {len(grid)} configurations x{reps} reps ...")
     summaries = _run_grid(args, cache, grid)
 
     rows = []
@@ -360,34 +351,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         render_table(
             ["name", "config", "goodput [Mbit/s]", "dropped", "injected", "b2b share", "trains<=5", "failed"],
             rows,
-            title=f"sweep: {args.grid} (metrics pooled over {args.reps} reps)",
+            title=f"sweep: {args.grid} (metrics pooled over {reps} reps)",
         )
     )
-    if args.grid == "duels":
-        from repro.framework.population import duel_analysis
-
-        analysis = duel_analysis(
-            {
-                name: summary.results[0]
-                for name, summary in summaries.items()
-                if summary.results
-            }
-        )
-        if analysis["beats"]:
-            print("beats relation (>5% goodput margin, head-to-head):")
-            for winner, loser in analysis["beats"]:
-                print(f"  {winner} beats {loser}")
-        violations = analysis["transitivity_violations"]
-        if violations:
-            print("transitivity VIOLATED — no consistent pecking order:")
-            for a, b, c in violations:
-                print(f"  {a} beats {b}, {b} beats {c}, but {a} does not beat {c}")
-        else:
-            print("transitivity holds: competition outcomes form a consistent order")
-    if args.grid in ("paper", "extensions"):
-        from repro.framework.claims import CLAIMS, EXTENSIONS, render
-
-        print(render(summaries, CLAIMS if args.grid == "paper" else EXTENSIONS))
+    print(render(summaries, TABLES[args.grid][1]))
     if cache is not None:
         print(f"cache: {cache.stats}", file=sys.stderr)
     return _report_failures(summaries)
@@ -497,7 +464,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
             f"Jain fairness (completed flows) {sum(fairness) / len(fairness):.3f} "
             f"over {len(summary.results)} rep(s)"
         )
-        if rep0.beats:
+        if rep0.completed:
             for winner, loser in rep0.beats:
                 print(f"  {winner} beats {loser} (mean goodput, >5% margin)")
     if cache is not None:
@@ -507,7 +474,15 @@ def _cmd_population(args: argparse.Namespace) -> int:
 
         path = save_summary(summary, args.json)
         print(f"saved {path}")
-    return _report_failures(summaries)
+    failed = _report_failures(summaries)
+    stalled = [f.spec.label for r in summary.results for f in r.multi.flows if not f.completed]
+    if stalled:
+        print(
+            f"{len(stalled)} of {config.flows * len(summary.results)} flow(s) did not complete: "
+            + ", ".join(dict.fromkeys(stalled))
+        )
+        return 1
+    return failed
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -714,38 +689,15 @@ def _cmd_store_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compete(args: argparse.Namespace) -> int:
-    from repro.framework.population import parse_profile
-
-    size = int(args.size_mib * 1024 * 1024)
-    specs = [replace(parse_profile(raw), file_size=size) for raw in args.flows]
-    print(f"running {len(specs)} competing flows ...")
-    result = MultiFlowExperiment(specs, seed=args.seed).run()
-    rows = [
-        [f.spec.label, str(f.completed), fmt_time(f.duration_ns), f"{f.goodput_mbps:.2f}", str(f.dropped)]
-        for f in result.flows
-    ]
-    print(render_table(["flow", "done", "duration", "goodput [Mbit/s]", "dropped"], rows))
-    print(f"Jain fairness: {result.fairness:.3f}   aggregate: {result.aggregate_goodput_mbps:.2f} Mbit/s")
-    stalled = [f.spec.label for f in result.flows if not f.completed]
-    if stalled:
-        print(f"{len(stalled)} of {len(specs)} flow(s) did not complete: {', '.join(stalled)}")
-        return 1
-    return 0
-
-
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    from repro.framework import claims
-
-    for name, grid, table, reps in (
-        ("paper", claims.paper_grid(), claims.CLAIMS, claims.REPETITIONS),
-        ("extensions", claims.extension_grid(), claims.EXTENSIONS, claims.EXTENSION_REPETITIONS),
-    ):
+    for name, (grid_of, rows) in TABLES.items():
+        grid = grid_of()
+        first = next(iter(grid.values()))
         print(
             render_table(
                 ["name", "configuration", "size", "claims from"],
-                claims.grid_rows(grid, table),
-                title=f"{name} grid (`sweep {name}`, {reps} reps, seed {claims.SEED})",
+                grid_rows(grid, rows),
+                title=f"{name} grid (`sweep {name}`, {first.repetitions} reps, seed {first.seed})",
             )
         )
     return 0
@@ -772,19 +724,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser(
-        "sweep", help="run a scenario grid in parallel with result caching"
+        "sweep", help="run a claims table's grid in parallel with result caching"
     )
+    sweep_p.add_argument("grid", choices=tuple(TABLES))
     sweep_p.add_argument(
-        "grid",
-        choices=("paper", "extensions", "baselines", "impairments", "population", "duels"),
+        "--size-mib", type=float, default=None,
+        help="file size in MiB (default: the table's; a population's is per flow)",
     )
-    sweep_p.add_argument("--size-mib", type=float, default=4.0, help="file size in MiB")
-    sweep_p.add_argument(
-        "--flows", type=int, default=50,
-        help="flows per population (population grid only; default: 50)",
-    )
-    sweep_p.add_argument("--reps", type=int, default=3)
-    sweep_p.add_argument("--seed", type=int, default=1)
+    sweep_p.add_argument("--reps", type=int, default=None, help="default: the table's")
+    sweep_p.add_argument("--seed", type=int, default=None, help="default: the table's")
     _add_exec(sweep_p)
     sweep_p.set_defaults(func=_cmd_sweep)
 
@@ -815,9 +763,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-flow extra RTT drawn uniformly from [0, this] ms",
     )
     pop_p.add_argument(
-        "--profiles", nargs="+", metavar="STACK[:CCA[:QDISC[:GSO]]]",
-        default=["quiche:cubic:fq", "picoquic:bbr", "ngtcp2:cubic", "tcp"],
-        help="stack profiles assigned round-robin across the population",
+        "--profiles", nargs="+", metavar="STACK[:CCA[:QDISC[:GSO]]][+NAME=VALUE]",
+        default=list(POPULATION_PROFILES),
+        help="stack profiles assigned round-robin across the population, "
+        "e.g. quiche:cubic:fq:paced tcp:bbr quiche:cubic:fq+spurious_rollback=false",
     )
     pop_p.add_argument("--reps", type=int, default=1)
     pop_p.add_argument("--seed", type=int, default=1)
@@ -836,15 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     pop_p.add_argument("--json", metavar="PATH", help="save results as JSON")
     _add_exec(pop_p)
     pop_p.set_defaults(func=_cmd_population)
-
-    compete_p = sub.add_parser("compete", help="run competing flows")
-    compete_p.add_argument(
-        "flows", nargs="+", metavar="STACK[:CCA[:QDISC[:GSO]]]",
-        help="e.g. quiche:cubic:fq:paced picoquic:bbr tcp",
-    )
-    compete_p.add_argument("--size-mib", type=float, default=4.0)
-    compete_p.add_argument("--seed", type=int, default=1)
-    compete_p.set_defaults(func=_cmd_compete)
 
     query_p = sub.add_parser(
         "query", help="filter/aggregate repetitions in a result store"

@@ -1,22 +1,22 @@
-"""The paper's claims as two tables: every number the reproduction states
-lives here, and nowhere else.
+"""The claims as tables: every number the reproduction states lives here,
+and nowhere else.
 
 A row is one claim: where the paper makes it, the paper's value, the band a
 measured value must fall in, the metric, the grid entries it is measured on,
 and its declared status: it *holds*, or it *deviates* for a stated reason.
-:data:`CLAIMS` holds the paper's own tables and figures, measured on
-:func:`paper_grid`; :data:`EXTENSIONS` holds the ablations of its design
-choices and the extensions past its fixed operating point, measured on
-:func:`extension_grid`. :func:`evaluate` measures every row of a table on the
-summaries of its grid's sweep and says whether each verdict is its declared
-status, and :func:`render` writes the markdown block EXPERIMENTS.md carries.
-``repro sweep paper`` and ``repro sweep extensions`` print their table's
-block after the sweep table.
+:data:`TABLES` names each table's grid function and rows: :data:`CLAIMS`,
+the paper's own tables and figures; :data:`EXTENSIONS`, the ablations of
+its design choices and the extensions past its operating point; and what
+fault injection, head-to-head duels and a 200-flow population show.
+:func:`evaluate` measures every row of a table on the summaries of its
+grid's sweep and says whether each verdict is its declared status, and
+:func:`render` writes the markdown block EXPERIMENTS.md carries, which
+``repro sweep <table>`` prints after the sweep table.
 
-The paper grid's base size is 4 MiB x 3 repetitions, seed 1 (the paper ran
-100 MiB x 20). Rows that need congestion avoidance to repeat run on the x2
-(8 MiB) and x4 (16 MiB) entries; each row states its scale. The extension
-grid runs 4 MiB x 1 repetition, seed 1.
+A table's scale is its grid function's defaults. The paper grid's base size
+is 4 MiB x 3 repetitions, seed 1 (the paper ran 100 MiB x 20). Rows that
+need congestion avoidance to repeat run on the x2 (8 MiB) and x4 (16 MiB)
+entries; each row states its scale.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ from repro.metrics.trains import (
 from repro.stacks.profiles import profile_for
 from repro.units import SEC, mbit, mib, ms, us
 
-BASE_FILE_SIZE = mib(4)
-REPETITIONS = 3
-EXTENSION_REPETITIONS = 1
-SEED = 1
+BASELINES = ("quiche", "picoquic", "ngtcp2", "tcp")
 
 
 def paper_grid(
-    file_size: int = BASE_FILE_SIZE, repetitions: int = REPETITIONS, seed: int = SEED
+    file_size: int = mib(4), repetitions: int = 3, seed: int = 1
 ) -> Dict[str, ExperimentConfig]:
     """Every configuration a claim names, each once. The x4 and x2 entries
     come first, so a pool starts the longest runs first."""
@@ -62,7 +59,7 @@ def paper_grid(
         "fq-sf-x4": scenarios.quiche_fq(params=scenarios.SF_PATCH, **x4),
         "ngtcp2-x2": scenarios.baseline("ngtcp2", **x2),
         "ngtcp2-bbr-x2": scenarios.baseline("ngtcp2", cca="bbr", **x2),
-        **scenarios.all_baselines(**x1),
+        **{stack: scenarios.baseline(stack, **x1) for stack in BASELINES},
     }
     for name in ("picoquic-newreno", "picoquic-bbr", "quiche-bbr", "ngtcp2-bbr"):
         stack, cca = name.split("-")
@@ -92,7 +89,7 @@ SF_DUEL = "__vs__".join([SF_FLOW.replace(":", "-")] * 2)
 
 
 def extension_grid(
-    file_size: int = BASE_FILE_SIZE, repetitions: int = EXTENSION_REPETITIONS, seed: int = SEED
+    file_size: int = mib(4), repetitions: int = 1, seed: int = 1
 ) -> Dict[str, object]:
     """Every configuration an extension row names, one entry per cache key:
     the network sweep's 40 Mbit/s / 40 ms FQ point is also GSO off and ECN
@@ -282,6 +279,48 @@ PACED_DROPS = _per_rep(
     "drops, picoquic/bbr − picoquic/cubic",
     lambda r: r.per_profile["picoquic/bbr"]["dropped"] - r.per_profile["picoquic/cubic"]["dropped"],
 )
+ROLLBACK_SHARE = _per_rep(
+    "rollbacks / congestion event, fewest in a rep",
+    lambda r: r.server_stats["rollbacks"] / max(r.server_stats["congestion_events"], 1),
+    over=min,
+)
+COMPLETED_FLOWS = _per_rep("flows completed, fewest in a rep", lambda r: r.completed_count, over=min)
+UNROUTED = _per_rep("unrouted datagrams, most in a rep", lambda r: r.multi.unrouted, over=max)
+#: The pecking order the duels are held to, strongest first.
+DUEL_ORDER = ("tcp/cubic", "quiche/cubic/fq", "picoquic/bbr", "ngtcp2/cubic")
+
+
+def _order_margin(result) -> float:
+    """A duel's goodput ratio: the flow :data:`DUEL_ORDER` ranks higher over
+    the other."""
+    high, low = (
+        result.per_profile[label]["goodput_mbps_mean"]
+        for label in sorted(result.per_profile, key=DUEL_ORDER.index)
+    )
+    return high / low if low else math.inf
+
+
+ORDER_MARGIN = _per_rep("goodput, higher-ranked / lower-ranked", _order_margin)
+
+
+def _profile_margin(name: str, stat: str, label: str, fold: Callable) -> Metric:
+    """In one population: a profile's ``stat`` minus the ``fold`` (``max``
+    or ``min``) of the other profiles'."""
+
+    def margin(result) -> float:
+        stats = result.per_profile
+        return stats[label][stat] - fold(v[stat] for k, v in stats.items() if k != label)
+
+    return _per_rep(name, margin)
+
+
+TCP_GOODPUT_LEAD = _profile_margin(
+    "tcp/cubic goodput − max of the others [Mbit/s]", "goodput_mbps_mean", "tcp/cubic", max
+)
+TCP_DROPS_LEAD = _profile_margin("tcp/cubic drops − max of the others", "dropped", "tcp/cubic", max)
+NGTCP2_GOODPUT_LAG = _profile_margin(
+    "ngtcp2/cubic goodput − min of the others [Mbit/s]", "goodput_mbps_mean", "ngtcp2/cubic", min
+)
 
 
 # -- bands and rows --------------------------------------------------------
@@ -343,8 +382,6 @@ class Claim:
     def status(self) -> str:
         return f"deviates: {self.deviates}" if self.deviates else "holds"
 
-
-BASELINES = ("quiche", "picoquic", "ngtcp2", "tcp")
 
 CLAIMS: Tuple[Claim, ...] = (
     Claim("table1.tcp_goodput_best", "Table 1", "0.28 (37.37 vs 37.09)", "≥ -0.5", GOODPUT,
@@ -540,6 +577,60 @@ EXTENSIONS: Tuple[Claim, ...] = (
     Claim("competing_flows.none_starved", "§3.4", "—", "> 3", SLOWEST_FLOW,
           ("picoquic-bbr__vs__picoquic-cubic",)),
 )
+
+#: Stock quiche over FQ under injected faults (:func:`scenarios.impairment_sweep`):
+#: what each impairment costs, and the §4.2 rollback off the clean path.
+IMPAIRMENTS: Tuple[Claim, ...] = (
+    Claim("impairments.light_loss_costs_nothing", "§3.4", "—", "> 0.95", GOODPUT,
+          ("loss0.1%", "clean"), "ratio"),
+    Claim("impairments.loss_empties_the_queue", "§3.4", "—", "= 0", DROPS, ("loss1%",)),
+    Claim("impairments.loss_costs_goodput", "§3.4", "—", "< 0.8", GOODPUT, ("loss1%", "clean"),
+          "ratio"),
+    Claim("impairments.reorder_costlier_than_loss", "§3.4", "—", "< 0", GOODPUT,
+          ("reorder", "loss1%"), "diff"),
+    Claim("impairments.dup_costs_nothing", "§3.4", "—", "> 0.99", GOODPUT, ("dup", "clean"),
+          "ratio"),
+    Claim("impairments.flap_cuts_goodput", "§3.4", "—", "(0.5, 0.8)", GOODPUT, ("flap", "clean"),
+          "ratio"),
+    Claim("impairments.flap_overflows", "§3.4", "—", "> 2", DROPS, ("flap", "clean"), "per"),
+    Claim("impairments.burst_rolls_back", "§4.2", "several in a row", "≥ 0.5", ROLLBACK_SHARE,
+          ("burst",)),
+    Claim("impairments.burst_sf_no_rollbacks", "§4.2", "0", "= 0", ROLLBACKS, ("burst-sf",)),
+    Claim("impairments.rollback_keeps_goodput", "§4.2", "—", "> 0", GOODPUT,
+          ("burst", "burst-sf"), "diff"),
+)
+
+_DUELS = tuple(scenarios.fairness_duels())
+
+#: Every pair of the default profiles head to head (:func:`scenarios.fairness_duels`).
+#: A complete strict order that wins every duel leaves no transitivity
+#: violation.
+DUELS: Tuple[Claim, ...] = (
+    Claim("duels.stated_order", "§3.4", "—", "> 1.05", ORDER_MARGIN, _DUELS, "min"),
+    Claim("duels.paced_pair_fair", "§3.4", "—", "> 0.99", FAIRNESS, ("quiche-cubic-fq__vs__picoquic-bbr",)),
+    Claim("duels.tcp_least_fair_to_bbr", "§3.4", "—", "< 0", FAIRNESS,
+          ("picoquic-bbr__vs__tcp", "quiche-cubic-fq__vs__tcp", "ngtcp2-cubic__vs__tcp"), "lag"),
+)
+
+#: 200 flows of mixed profiles on one queue (:func:`scenarios.population_sweep`).
+POPULATION: Tuple[Claim, ...] = (
+    Claim("population.all_complete", "§3.4", "—", "= 200", COMPLETED_FLOWS, ("mixed",)),
+    Claim("population.none_unrouted", "§3.4", "—", "= 0", UNROUTED, ("mixed",)),
+    Claim("population.tcp_fastest", "§3.4", "—", "> 0", TCP_GOODPUT_LEAD, ("mixed",)),
+    Claim("population.tcp_most_drops", "§3.4", "—", "> 0", TCP_DROPS_LEAD, ("mixed",)),
+    Claim("population.ngtcp2_slowest", "§3.4", "—", "< 0", NGTCP2_GOODPUT_LAG, ("mixed",)),
+    Claim("population.far_less_fair_than_duels", "§3.4", "—", "< 0.75", FAIRNESS, ("mixed",)),
+)
+
+#: Every table ``repro sweep`` runs, by name: its grid function, whose
+#: defaults are the table's scale, and its rows.
+TABLES: Dict[str, Tuple[Callable[..., Dict[str, object]], Tuple[Claim, ...]]] = {
+    "paper": (paper_grid, CLAIMS),
+    "extensions": (extension_grid, EXTENSIONS),
+    "impairments": (scenarios.impairment_sweep, IMPAIRMENTS),
+    "duels": (scenarios.fairness_duels, DUELS),
+    "population": (scenarios.population_sweep, POPULATION),
+}
 
 
 # -- evaluation and rendering ----------------------------------------------

@@ -56,9 +56,10 @@ PERCENTILES = (50, 90, 99)
 
 
 def parse_profile(text: str) -> FlowSpec:
-    """Parse ``"stack[:cca[:qdisc[:gso]]][+name=value]…"`` (the compete-CLI
-    syntax) into the sender it names; each ``+name=value`` is one of its
-    params (e.g. ``quiche:cubic:fq+spurious_rollback=false``, the SF patch).
+    """Parse ``"stack[:cca[:qdisc[:gso]]][+name=value]…"`` (the syntax of
+    ``population --profiles``) into the sender it names; each ``+name=value``
+    is one of its params (e.g. ``quiche:cubic:fq+spurious_rollback=false``,
+    the SF patch).
     Size, start and extra RTT keep the :class:`FlowSpec` defaults; callers
     fill them with ``dataclasses.replace``. A profile is valid iff the
     single-flow configuration it names is."""
@@ -351,38 +352,6 @@ def aggregate_population(
         beats=sorted(beats),
         transitivity=transitivity_violations(beats),
     )
-
-
-def duel_analysis(
-    results: Dict[str, PopulationResult], margin: float = BEATS_MARGIN
-) -> Dict[str, object]:
-    """Cross-duel competition analysis over a ``fairness_duels`` grid.
-
-    Within one population the "beats" relation comes from a single goodput
-    per profile, so it is transitive by construction; across *head-to-head
-    duels* it need not be — A can beat B and B beat C while C beats A,
-    because each pair competes on its own terms. This folds every two-profile
-    duel result into one head-to-head table and reports the relation, the
-    per-duel goodput ratios, and any transitivity violations.
-    """
-    head_to_head: Dict[Tuple[str, str], Tuple[float, float]] = {}
-    ratios: Dict[str, float] = {}
-    for name, result in sorted(results.items()):
-        labels = sorted(result.per_profile)
-        if len(labels) != 2:
-            continue  # not a duel (homogeneous pair or a population run)
-        a, b = labels
-        ga = result.per_profile[a]["goodput_mbps_mean"]
-        gb = result.per_profile[b]["goodput_mbps_mean"]
-        head_to_head[(a, b)] = (ga, gb)
-        ratios[name] = ga / gb if gb > 0 else float("inf")
-    beats = beats_relation(head_to_head, margin=margin)
-    return {
-        "head_to_head": {f"{a} vs {b}": v for (a, b), v in head_to_head.items()},
-        "ratios": ratios,
-        "beats": sorted(beats),
-        "transitivity_violations": transitivity_violations(beats),
-    }
 
 
 def run_population(

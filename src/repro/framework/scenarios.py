@@ -2,7 +2,8 @@
 
 Names match the experiment index in DESIGN.md. Default workload scale is
 8 MiB x 5 repetitions (the paper uses 100 MiB x 20 on hardware); pass a
-different ``file_size``/``repetitions`` for full-scale runs.
+different ``file_size``/``repetitions`` for full-scale runs. The grid
+functions a claims table runs default to the table's scale instead.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ def precision_config(qdisc: str, **kwargs) -> ExperimentConfig:
     return _base(stack="quiche", qdisc=qdisc, gso="off", params=SF_PATCH, **kwargs)
 
 
-def all_baselines(**kwargs) -> Dict[str, ExperimentConfig]:
-    """Figure 2/3 and Table 1: the four stacks with CUBIC."""
-    return {stack: baseline(stack, **kwargs) for stack in ("quiche", "picoquic", "ngtcp2", "tcp")}
-
-
 #: Named impairment settings for the fault-injection sweep. ``burst`` uses
 #: the dribbled Gilbert–Elliott defaults that arm quiche's small-loss
 #: rollback heuristic (Section 4.2's pathology, now reachable on demand).
@@ -106,24 +102,15 @@ def population_sweep(
     profiles: Sequence[str] = POPULATION_PROFILES,
     **kwargs,
 ) -> Dict[str, PopulationConfig]:
-    """Flow-population grid (ROADMAP item 1's many-flow scale): one mixed
-    population with every profile sharing the bottleneck, plus one
-    homogeneous population per profile as its baseline under self-contention.
-
-    Defaults: ``flows`` Poisson arrivals at 100 flows/s, 256 KiB objects,
-    heterogeneous RTTs up to +40 ms on top of the paper's 40 ms base.
-    """
+    """Flow-population grid: one ``mixed`` population, every profile
+    round-robin on the bottleneck. ``flows`` Poisson arrivals at 100 flows/s,
+    64 KiB objects, per-flow RTTs up to +40 ms on top of the paper's 40 ms
+    base. Its defaults, 200 flows x 1 repetition, are the scale of the
+    ``population`` claims table."""
     kwargs.setdefault("arrival_rate_per_s", 100.0)
-    kwargs.setdefault("file_size", kib(256))
+    kwargs.setdefault("file_size", kib(64))
     kwargs.setdefault("extra_rtt_max_ns", ms(40))
-    kwargs.setdefault("max_sim_time_ns", seconds(600))
-    grid: Dict[str, PopulationConfig] = {
-        "mixed": PopulationConfig(flows=flows, profiles=tuple(profiles), **kwargs)
-    }
-    for profile in profiles:
-        name = profile.replace(":", "-")
-        grid[name] = PopulationConfig(flows=flows, profiles=(profile,), **kwargs)
-    return grid
+    return {"mixed": PopulationConfig(flows=flows, profiles=tuple(profiles), **kwargs)}
 
 
 def fairness_duels(
@@ -132,10 +119,8 @@ def fairness_duels(
     **kwargs,
 ) -> Dict[str, PopulationConfig]:
     """QUICbench-style head-to-head grid: every unordered profile pair as a
-    two-flow population (simultaneous arrival, identical RTTs), feeding the
-    pairwise throughput-ratio matrix and the transitivity check over the
-    "beats" relation (see :func:`repro.framework.population.duel_analysis`).
-    """
+    two-flow population (simultaneous arrival, identical RTTs). Its defaults,
+    2 MiB x 1 repetition, are the scale of the ``duels`` claims table."""
     kwargs.setdefault("max_sim_time_ns", seconds(600))
     grid: Dict[str, PopulationConfig] = {}
     for a, b in combinations(profiles, 2):
@@ -155,9 +140,17 @@ def impairment_sweep(**kwargs) -> Dict[str, ExperimentConfig]:
     """Fault-injection grid: stock quiche + FQ under each impairment in
     :data:`IMPAIRMENT_SWEEP_SPECS` (clean baseline, i.i.d. loss at two
     rates, Gilbert–Elliott burst loss, reordering, duplication, a flapping
-    bottleneck). The burst-loss point reproduces the spurious-loss cwnd
-    rollback signature; see EXPERIMENTS.md."""
-    return {
+    bottleneck), and the SF patch under the same burst loss (``burst-sf``):
+    the burst-loss pair shows the spurious-loss cwnd rollback and its fix.
+    Its defaults, 2 MiB x 2 repetitions, are the scale of the
+    ``impairments`` claims table."""
+    kwargs.setdefault("file_size", mib(2))
+    kwargs.setdefault("repetitions", 2)
+    grid = {
         name: impairment_config(specs, **kwargs)
         for name, specs in IMPAIRMENT_SWEEP_SPECS.items()
     }
+    grid["burst-sf"] = impairment_config(
+        IMPAIRMENT_SWEEP_SPECS["burst"], params=SF_PATCH, **kwargs
+    )
+    return grid

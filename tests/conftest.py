@@ -17,23 +17,27 @@ LOCAL_POOLS = [
 
 
 @pytest.fixture(scope="session")
-def paper_summaries():
-    """The paper grid at its defaults (4 MiB x 3 repetitions, seed 1), run
-    once per session."""
-    from repro.framework.claims import paper_grid
+def table_summaries():
+    """``table_summaries(name)``: the summaries of a claims table's grid at
+    its defaults (its scale), run once per session on first use."""
+    from repro.framework.claims import TABLES
     from repro.framework.sweep import SweepRunner
 
-    return SweepRunner().run(paper_grid())
+    runs = {}
+
+    def summaries(name):
+        if name not in runs:
+            grid_of, _rows = TABLES[name]
+            runs[name] = SweepRunner().run(grid_of())
+        return runs[name]
+
+    return summaries
 
 
 @pytest.fixture(scope="session")
-def extension_summaries():
-    """The extension grid at its defaults (4 MiB x 1 repetition, seed 1),
-    run once per session."""
-    from repro.framework.claims import extension_grid
-    from repro.framework.sweep import SweepRunner
-
-    return SweepRunner().run(extension_grid())
+def paper_summaries(table_summaries):
+    """The paper grid at its defaults (4 MiB x 3 repetitions, seed 1)."""
+    return table_summaries("paper")
 
 
 @pytest.fixture(scope="session")

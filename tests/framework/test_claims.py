@@ -5,16 +5,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.framework.claims import (
-    CLAIMS,
     DROPS,
-    EXTENSIONS,
     GOODPUT,
     SNAP_BACKS,
+    TABLES,
     Claim,
     evaluate,
-    extension_grid,
     in_band,
-    paper_grid,
 )
 from repro.framework.config import ExperimentConfig
 from repro.framework.runner import RunSummary
@@ -88,15 +85,14 @@ def test_a_reduction_right_after_an_unanswered_window_is_counted():
     assert SNAP_BACKS.of(SimpleNamespace(results=[fq])) == 1
 
 
-@pytest.mark.parametrize(
-    "grid, claims", [(paper_grid, CLAIMS), (extension_grid, EXTENSIONS)], ids=["paper", "extensions"]
-)
-def test_every_row_names_paper_grid_entries_and_every_entry_is_named(grid, claims):
+@pytest.mark.parametrize("table", TABLES)
+def test_every_row_names_paper_grid_entries_and_every_entry_is_named(table):
+    grid, claims = TABLES[table]
     entries = grid()
     named = {name for claim in claims for name in claim.configs}
     assert named == set(entries)
     assert len({config.cache_key() for config in entries.values()}) == len(entries)
-    ids = [claim.id for claim in CLAIMS + EXTENSIONS]
+    ids = [claim.id for _grid, rows in TABLES.values() for claim in rows]
     assert len(set(ids)) == len(ids)
     for claim in claims:
         in_band(0.0, claim.band)

@@ -78,7 +78,7 @@ def test_sf_flag_off_quiche_exits_2(stack, why, capsys):
 
 def test_sweep_command(capsys, tmp_path):
     rc = main(
-        ["sweep", "baselines", "--size-mib", "0.25", "--reps", "1",
+        ["sweep", "duels", "--size-mib", "0.25", "--reps", "1",
          "--cache-dir", str(tmp_path / "cache"), "--workers", "2"]
     )
     assert rc == 0
@@ -86,7 +86,28 @@ def test_sweep_command(capsys, tmp_path):
     for name in ("quiche", "picoquic", "ngtcp2", "tcp"):
         assert name in captured.out
     assert "b2b share" in captured.out
-    assert "cache: 0 hits, 4 misses, 4 stores" in captured.err
+    assert "cache: 0 hits, 6 misses, 6 stores" in captured.err
+
+
+def test_sweep_without_flags_runs_its_table_at_the_tables_scale(capsys, monkeypatch, table_summaries):
+    """``sweep extensions`` alone renders the header EXPERIMENTS.md carries:
+    no sweep flag default overrides the table's 4 MiB x 1. The runner
+    serves the session's summaries under the configs the CLI built."""
+    from dataclasses import replace
+    from pathlib import Path
+
+    from repro.framework.sweep import SweepRunner
+
+    summaries = table_summaries("extensions")
+
+    def served(_runner, grid):
+        return {name: replace(summaries[name], config=grid[name]) for name in grid}
+
+    monkeypatch.setattr(SweepRunner, "run", served)
+    assert main(["sweep", "extensions"]) == 0
+    text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+    header = text.split("<!-- extensions:begin -->\n")[1].splitlines()[0]
+    assert header in capsys.readouterr().out.splitlines()
 
 
 def test_invalid_config_exits_2_with_one_line_message(capsys):
@@ -109,21 +130,25 @@ def test_supervision_flags_are_accepted(capsys, tmp_path):
 def test_sweep_resume_serves_journaled_reps_from_cache(capsys, tmp_path):
     """Without --store, the checkpoint store beside the cache serves every
     repetition of the second invocation: none is computed."""
-    argv = ["sweep", "baselines", "--size-mib", "0.25", "--reps", "1",
+    argv = ["sweep", "duels", "--size-mib", "0.25", "--reps", "1",
             "--cache-dir", str(tmp_path / "cache"), "--workers", "1"]
     assert main(argv) == 0
     capsys.readouterr()
     assert main(argv) == 0  # resume: every repetition is in the checkpoint
     warm = capsys.readouterr()
     reps = [line for line in warm.err.splitlines() if line.startswith("[sweep]")]
-    assert len(reps) == 4 and all(line.endswith("[cached]") for line in reps)
+    assert len(reps) == 6 and all(line.endswith("[cached]") for line in reps)
     assert "cache: 0 hits, 0 misses, 0 stores" in warm.err
     assert [path.suffix for path in (tmp_path / "cache" / "journals").iterdir()] == [".sqlite"]
 
 
-def test_compete_command(capsys):
-    rc = main(["compete", "quiche:cubic:fq", "tcp", "--size-mib", "0.25", "--seed", "2"])
-    assert rc == 0
+# Competing flows: a population of a few named ``--profiles``.
+
+
+def test_compete_reports_each_flows_label_and_fairness(capsys):
+    argv = ["population", "--flows", "2", "--profiles", "quiche:cubic:fq", "tcp",
+            "--size-kib", "256", "--seed", "2", "--no-cache"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "Jain fairness" in out
     assert "quiche/cubic/fq" in out
@@ -131,8 +156,9 @@ def test_compete_command(capsys):
 
 
 def test_compete_parses_flow_spec_shorthand(capsys):
-    rc = main(["compete", "picoquic:bbr", "quiche:cubic:fq:paced", "--size-mib", "0.25"])
-    assert rc == 0
+    argv = ["population", "--flows", "2", "--profiles", "picoquic:bbr", "quiche:cubic:fq:paced",
+            "--size-kib", "256", "--no-cache"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "picoquic/bbr" in out
     assert "quiche/cubic/fq/gso-paced" in out
@@ -140,7 +166,7 @@ def test_compete_parses_flow_spec_shorthand(capsys):
 
 @pytest.mark.parametrize("bad", ["msquic", "tcp:nonsense", "quiche:cubic:htb", "quiche:cubic:fq:sometimes"])
 def test_compete_rejects_unknown_profile_fields(bad, capsys):
-    assert main(["compete", bad, "--size-mib", "0.25"]) == 2
+    assert main(["population", "--flows", "2", "--profiles", bad, "--no-cache"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unknown ")
     assert "running" not in captured.out
@@ -148,18 +174,14 @@ def test_compete_rejects_unknown_profile_fields(bad, capsys):
         assert "('quiche', 'picoquic', 'ngtcp2', 'tcp')" in captured.err
 
 
-def test_compete_exits_1_when_a_flow_does_not_complete(capsys, monkeypatch):
-    import functools
-
-    from repro import cli
-    from repro.units import ms
-
-    # The run loop stops at its first 200 ms step, ahead of quiche's 256 KiB.
-    cut_short = functools.partial(cli.MultiFlowExperiment, max_sim_time_ns=ms(100))
-    monkeypatch.setattr(cli, "MultiFlowExperiment", cut_short)
-    assert main(["compete", "quiche:cubic:fq", "tcp", "--size-mib", "0.25"]) == 1
-    last_line = capsys.readouterr().out.splitlines()[-1]
-    assert last_line == "1 of 2 flow(s) did not complete: quiche/cubic/fq"
+def test_compete_exits_1_when_a_flow_does_not_complete(capsys):
+    # The run loop stops at its first 200 ms step, ahead of 256 KiB objects.
+    argv = ["population", "--flows", "2", "--profiles", "quiche:cubic:fq", "tcp",
+            "--size-kib", "256", "--max-sim-s", "0.1", "--no-cache"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "beats" not in out
+    assert out.splitlines()[-1] == "2 of 2 flow(s) did not complete: quiche/cubic/fq, tcp/cubic"
 
 
 def test_scenarios_command(capsys):
@@ -170,6 +192,7 @@ def test_scenarios_command(capsys):
     assert "16 MiB" in out
     assert "§4.4" in out
     assert "extensions grid (`sweep extensions`, 1 reps" in out and "etf-100us " in out
+    assert "duels grid (`sweep duels`, 1 reps" in out and "burst-sf " in out
 
 
 def test_sweep_paper_prints_one_line_per_claim(capsys):
@@ -251,7 +274,7 @@ def test_sweep_failed_column_reflects_store_failures(capsys, tmp_path):
     # with nothing failing both read 0 across the grid.
     store = tmp_path / "st.sqlite"
     rc = main(
-        ["sweep", "baselines", "--size-mib", "0.25", "--reps", "1",
+        ["sweep", "duels", "--size-mib", "0.25", "--reps", "1",
          "--cache-dir", str(tmp_path / "cache"), "--workers", "2",
          "--backend", "forkserver", "--store", str(store)]
     )

@@ -181,11 +181,10 @@ class TestExperimentConfig:
 def test_scenarios_cover_paper_experiments():
     from repro.framework import claims, scenarios
 
-    base = scenarios.all_baselines()
-    assert set(base) == {"quiche", "picoquic", "ngtcp2", "tcp"}
-    for cfg in base.values():
-        cfg.validate()
-        assert cfg.cca == "cubic"
+    paper = claims.paper_grid()
+    for stack in ("quiche", "picoquic", "ngtcp2", "tcp"):
+        paper[stack].validate()
+        assert (paper[stack].stack, paper[stack].cca) == (stack, "cubic")
 
     fq = scenarios.quiche_fq()
     assert fq.qdisc == "fq" and fq.params == ()
@@ -193,7 +192,6 @@ def test_scenarios_cover_paper_experiments():
     gso = scenarios.quiche_gso("paced")
     assert gso.gso == "paced" and gso.params == scenarios.SF_PATCH
 
-    paper = claims.paper_grid()
     assert [paper[name].cca for name in ("picoquic", "picoquic-newreno", "picoquic-bbr")] == [
         "cubic", "newreno", "bbr"
     ]

@@ -13,7 +13,6 @@ from repro.framework.multiflow import flow_config
 from repro.framework.population import (
     FlowPopulation,
     PopulationConfig,
-    duel_analysis,
     parse_profile,
     run_population,
 )
@@ -245,16 +244,6 @@ def test_population_artifact_roundtrip():
     assert encoded["unrouted"] == 0
 
 
-def test_duel_analysis_reports_head_to_head():
-    from repro.framework.scenarios import fairness_duels
-
-    grid = fairness_duels(profiles=("quiche:cubic", "tcp"), file_size=kib(256))
-    results = {name: run_population(cfg) for name, cfg in grid.items()}
-    analysis = duel_analysis(results)
-    assert len(analysis["head_to_head"]) == 1
-    assert analysis["transitivity_violations"] == []
-
-
 def test_gso_duel_is_a_competition():
     # Fig 6 / Table 2 as a duel: two senders that differ only in GSO mode
     # are two profiles, not one.
@@ -267,7 +256,6 @@ def test_gso_duel_is_a_competition():
     (result,) = results.values()
     assert sorted(result.per_profile) == ["quiche/cubic/fq", "quiche/cubic/fq/gso-paced"]
     assert set(result.ratio_matrix) == set(result.per_profile)
-    assert len(duel_analysis(results)["head_to_head"]) == 1
 
 
 #: The 200-flow mixed population (`population` of benchmarks/bench at its

@@ -1,8 +1,7 @@
 """The claims tables measured on their grids (``repro.framework.claims``;
-each grid runs once per session): the paper's table on the paper grid at
-4 MiB x 3 repetitions, the extensions on the extension grid at 4 MiB x 1,
-both at seed 1. Every row has its declared status, and EXPERIMENTS.md
-carries both rendered tables byte for byte.
+each grid runs once per session at its table's scale): every row has its
+declared status, and EXPERIMENTS.md carries every rendered table byte for
+byte, each between ``<!-- name:begin -->`` and ``<!-- name:end -->``.
 
 The classes keep the names of the checks the paper table replaced; each
 asserts the rows that now hold that check's numbers.
@@ -12,34 +11,32 @@ from pathlib import Path
 
 import pytest
 
-from repro.framework.claims import BASELINES, CLAIMS, EXTENSIONS, evaluate, render
+from repro.framework.claims import BASELINES, TABLES, evaluate, render
 from tests.conftest import assert_claims
 
 EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
-#: Each table: its rows, the fixture holding its grid's summaries, and the
-#: name of its EXPERIMENTS.md block.
-TABLES = {
-    "paper": (CLAIMS, "paper_summaries", "claims"),
-    "extensions": (EXTENSIONS, "extension_summaries", "extensions"),
-}
 
 
 def test_every_claim_has_its_declared_status(paper_verdicts):
     assert_claims(paper_verdicts, *paper_verdicts)
 
 
-def test_every_extension_has_its_declared_status(extension_summaries):
-    verdicts = {v.claim.id: v for v in evaluate(extension_summaries, EXTENSIONS)}
+def test_every_extension_has_its_declared_status(table_summaries):
+    """Every row of every table past the paper's own."""
+    verdicts = {
+        v.claim.id: v
+        for table, (_grid, rows) in TABLES.items() if table != "paper"
+        for v in evaluate(table_summaries(table), rows)
+    }
     assert_claims(verdicts, *verdicts)
 
 
 @pytest.mark.parametrize("table", TABLES)
-def test_experiments_md_carries_the_rendered_claims_table(table, request):
-    claims, fixture, block = TABLES[table]
-    begin, end = f"<!-- {block}:begin -->\n", f"<!-- {block}:end -->"
+def test_experiments_md_carries_the_rendered_claims_table(table, table_summaries):
+    begin, end = f"<!-- {table}:begin -->\n", f"<!-- {table}:end -->"
     text = EXPERIMENTS.read_text()
     rendered = text[text.index(begin) + len(begin):text.index(end)]
-    assert rendered == render(request.getfixturevalue(fixture), claims) + "\n"
+    assert rendered == render(table_summaries(table), TABLES[table][1]) + "\n"
 
 
 class TestBaseline:

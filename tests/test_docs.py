@@ -5,6 +5,9 @@ verify skill go through :func:`repro.cli.build_parser`'s ``parse_args``, so a
 renamed or deleted flag cannot survive in the prose. Nothing is run: a
 ``$ `` prompt and ``#`` comments are stripped, ``\\`` continuations joined,
 and a shell variable reads as a placeholder.
+
+EXPERIMENTS.md types no table: each claims table is a block the renderer
+writes, and a markdown table line anywhere else fails.
 """
 
 import re
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.framework.claims import TABLES
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
@@ -75,3 +79,18 @@ def test_a_quoted_command_parses(arguments):
         build_parser().parse_args(arguments)
     except SystemExit:
         pytest.fail(f"`python -m repro {shlex.join(arguments)}` does not parse")
+
+
+def test_experiments_md_has_a_rendered_block_per_table_and_no_other_table():
+    blocks, inside, typed = [], None, []
+    for number, line in enumerate((ROOT / "EXPERIMENTS.md").read_text().splitlines(), 1):
+        marker = re.fullmatch(r"<!-- (\w+):(begin|end) -->", line)
+        if marker:
+            name, edge = marker.groups()
+            if edge == "begin":
+                blocks.append(name)
+            inside = name if edge == "begin" else None
+        elif line.startswith("|") and inside is None:
+            typed.append(number)
+    assert blocks == list(TABLES)
+    assert not typed, f"EXPERIMENTS.md lines {typed} type a table outside a rendered block"

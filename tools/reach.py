@@ -9,10 +9,11 @@ classes:
 * ``tier-1 only``: only the tests call it;
 * ``never``: nothing calls it.
 
-The shipped paths are every CLI subcommand, every ``sweep`` grid at
-0.25 MiB x 1 on ``--backend inprocess``, ``examples/*.py``, the benchmark
-harness's ``run`` of every ``BENCHMARK.json`` workload at scale 0.05, and
-``benchmarks/test_*.py`` at their default scale. Tier-1 runs last. Every
+The shipped paths are every CLI subcommand, every ``sweep`` table
+(``claims.TABLES``) at 0.25 MiB x 1 on ``--backend inprocess``,
+``examples/*.py``, the benchmark harness's ``run`` of every
+``BENCHMARK.json`` workload at scale 0.05, and ``benchmarks/test_*.py`` at
+their default scale. Tier-1 runs last. Every
 path writes under one temporary directory, the default result cache
 (``REPRO_CACHE_DIR``) included, which is removed at the end.
 
@@ -50,6 +51,8 @@ from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+from repro.framework.claims import TABLES  # noqa: E402  (one `sweep` path per table)
 
 FAILURE = "failure path: runs only when a repetition, an input or a file goes wrong"
 INTERFACE = "interface: an abstract method or default hook that every shipped subclass overrides"
@@ -260,16 +263,16 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
         ("run --cca bbr2", cli + ["run", "picoquic", "--cca", "bbr2", "--size-mib", "0.5",
                                   "--loss", "0.02", "--backend", "inprocess", "--no-cache"]),
     ]
-    for grid in ("paper", "extensions", "baselines", "impairments", "population", "duels"):
+    for grid in TABLES:
         paths.append((f"sweep {grid}", cli + ["sweep", grid, "--backend", "inprocess"] + small
                       + cache + ["--store", str(work / "sweep.sqlite")]))
     paths += [
-        ("sweep warm", cli + ["sweep", "baselines", "--backend", "inprocess"] + small + cache),
-        ("sweep pooled", cli + ["sweep", "baselines", "--workers", "2", "--backend", "forkserver",
+        ("sweep warm", cli + ["sweep", "duels", "--backend", "inprocess"] + small + cache),
+        ("sweep pooled", cli + ["sweep", "duels", "--workers", "2", "--backend", "forkserver",
                                 "--no-cache", "--store", str(work / "pooled.sqlite")] + small),
     ]
     for i in range(2):
-        paths.append((f"sweep --shard {i}/2", cli + ["sweep", "baselines", "--backend", "inprocess",
+        paths.append((f"sweep --shard {i}/2", cli + ["sweep", "duels", "--backend", "inprocess",
                                                      "--shard", f"{i}/2", "--store",
                                                      str(work / f"part-{i}.sqlite")] + small + cache))
     paths += [
@@ -291,9 +294,10 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
         ("population --churn", cli + ["population", "--flows", "30", "--size-kib", "48",
                                       "--size-dist", "exp", "--arrival", "uniform", "--churn",
                                       "--profile-events", "--no-cache"]),
-        ("compete", cli + ["compete", "quiche:cubic:etf-offload", "tcp:bbr",
-                           "quiche:cubic:fq:paced", "quiche:cubic:fq+spurious_rollback=false",
-                           "--size-mib", "0.25"]),
+        ("population --profiles", cli + ["population", "--flows", "4", "--profiles",
+                                         "quiche:cubic:etf-offload", "tcp:bbr",
+                                         "quiche:cubic:fq:paced",
+                                         "quiche:cubic:fq+spurious_rollback=false", "--no-cache"]),
         ("scenarios", cli + ["scenarios"]),
         ("build-info", cli + ["build-info", "--json"]),
     ]
