@@ -360,48 +360,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _report_failures(summaries)
 
 
-def _population_census(config) -> int:
-    """``population --profile-events``: one direct (uncached) census run."""
-    from repro.framework.population import run_population
-
-    print(
-        f"census run: {config.flows} flows, {config.arrival} arrivals, "
-        f"churn {'on' if config.churn else 'off'} ..."
-    )
-    result = run_population(config, profile_events=True)
-    census = result.census
-    rows = [
-        [component, str(c["scheduled"]), str(c["fired"]), str(c["stale"])]
-        for component, c in census["components"].items()
-    ]
-    print(
-        render_table(
-            ["component", "scheduled", "fired", "stale"],
-            rows,
-            title=f"event census (seed {result.seed})",
-        )
-    )
-    totals = census["totals"]
-    print(
-        f"totals: {totals['scheduled']} scheduled, {totals['fired']} fired, "
-        f"{totals['stale']} stale (cancelled/re-armed), "
-        f"{totals['departed']} departures"
-    )
-    print(
-        f"completed {result.completed_count}/{config.flows} flows, "
-        f"{result.events_processed} events in {result.wall_time_s:.1f}s wall, "
-        f"fingerprint {result.fingerprint()[:16]}"
-    )
-    if totals["post_departure"]:
-        print("post-departure scheduling VIOLATIONS (departed flows must go quiet):")
-        for key, count in census["post_departure"].items():
-            print(f"  {key}: {count}")
-        return 1
-    if totals["departed"]:
-        print("post-departure check: clean (no departed flow scheduled anything)")
-    return 0
-
-
 def _cmd_population(args: argparse.Namespace) -> int:
     from repro.framework.population import PopulationConfig
     from repro.units import ms, seconds
@@ -420,8 +378,6 @@ def _cmd_population(args: argparse.Namespace) -> int:
         churn=args.churn,
     )
     config.validate()
-    if args.profile_events:
-        return _population_census(config)
     cache = _make_cache(args)
     print(
         f"running population: {config.flows} flows, {config.arrival} arrivals, "
@@ -776,11 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     pop_p.add_argument(
         "--churn", action="store_true",
         help="tear each flow down when it completes (O(active) state)",
-    )
-    pop_p.add_argument(
-        "--profile-events", action="store_true",
-        help="run rep 0 under the event census and print the per-component "
-        "scheduled/fired/stale breakdown (implies a direct, uncached run)",
     )
     pop_p.add_argument("--json", metavar="PATH", help="save results as JSON")
     _add_exec(pop_p)

@@ -168,7 +168,7 @@ class Experiment:
 
         # One flow, wired straight to the shared paths.
         testbed = Testbed(self.sim, self.rngs, cfg.network, self.sniffer, ecn=cfg.ecn)
-        flow = WiredFlow(
+        flow = self.flow = WiredFlow(
             testbed,
             cfg,
             "server",
@@ -204,28 +204,19 @@ class Experiment:
     def run(self) -> ExperimentResult:
         wall_start = time.perf_counter()
         cfg = self.config
-        if cfg.stack == "tcp":
-            self.tcp_sender.start()
-            is_done = lambda: self.tcp_receiver.done
-        else:
-            self.client.start()
-            is_done = lambda: self.client.done
+        flow = self.flow
+        flow.start()
 
         chunk = ms(200)
-        while not is_done() and self.sim.now < cfg.max_sim_time_ns:
+        while not flow.done and self.sim.now < cfg.max_sim_time_ns:
             before = self.sim.events_processed
             self.sim.run(until=self.sim.now + chunk)
             if self.sim.events_processed == before and self.sim.peek_time() is None:
                 break  # stalled: no pending events and not complete
 
-        completed = is_done()
-        if cfg.stack == "tcp":
-            start = self.tcp_sender.started_at or 0
-            end = self.tcp_receiver.completed_at or self.sim.now
-        else:
-            start = self.client.request_sent_at or 0
-            end = self.client.completed_at or self.sim.now
-        duration = max(end - start, 1)
+        completed = flow.done
+        start, end = flow.span(self.sim.now)
+        duration = end - start
 
         records = self.sniffer.from_host(SERVER_ADDR)
         object_times = (

@@ -45,7 +45,6 @@ from repro.metrics.fairness import jain_index
 from repro.metrics.goodput import goodput_mbps
 from repro.net.demux import PortDemux
 from repro.net.tap import CaptureColumns, Sniffer
-from repro.quic import h3
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.units import mib, ms, seconds
@@ -250,11 +249,7 @@ class _Flow:
 
     @property
     def done(self) -> bool:
-        if self._frozen is not None:
-            return True
-        if self.wired.tcp_receiver is not None:
-            return self.wired.tcp_receiver.done
-        return self.wired.client.done
+        return self._frozen is not None or self.wired.done
 
     def freeze(self, now: int) -> None:
         """Snapshot the result-facing state ahead of teardown."""
@@ -264,31 +259,13 @@ class _Flow:
     def timing(self, fallback_now: int) -> tuple[int, int]:
         if self._frozen is not None:
             return self._frozen[0], self._frozen[1]
-        wired = self.wired
-        if wired.tcp_receiver is not None:
-            start = wired.tcp_sender.started_at or self.spec.start_ns
-            end = wired.tcp_receiver.completed_at or fallback_now
-        else:
-            start = wired.client.request_sent_at or self.spec.start_ns
-            end = wired.client.completed_at or fallback_now
-        return start, max(end, start + 1)
+        return self.wired.span(fallback_now, self.spec.start_ns)
 
     def bytes_delivered(self) -> int:
         """Application bytes the receiver actually got (contiguous)."""
         if self._frozen is not None:
             return self._frozen[2]
-        if self.wired.tcp_receiver is not None:
-            # rcv_nxt is the contiguous in-order frontier; the FIN carries no
-            # payload, so it never exceeds the file size.
-            return min(self.wired.tcp_receiver.rcv_nxt, self.spec.file_size)
-        stream = self.wired.client.conn.recv_streams.get(0)
-        if stream is None:
-            return 0
-        # Strip the HTTP/3 response framing (HEADERS + DATA frame header) so
-        # the count is body bytes, directly comparable to spec.file_size.
-        prefix = len(h3.encode_response_prefix(self.spec.file_size))
-        body = stream.delivered - prefix
-        return max(0, min(body, self.spec.file_size))
+        return self.wired.bytes_delivered()
 
 
 class MultiFlowExperiment:
@@ -307,7 +284,6 @@ class MultiFlowExperiment:
         max_sim_time_ns: int = seconds(300),
         capture_records: bool = True,
         churn: bool = False,
-        profile_events: bool = False,
     ):
         if not flows:
             raise ValueError("at least one flow is required")
@@ -322,13 +298,7 @@ class MultiFlowExperiment:
         self.max_sim_time_ns = max_sim_time_ns
         self.capture_records = capture_records
         self.churn = churn
-        self.profile_events = profile_events
-        if self.profile_events:
-            from repro.sim.census import CensusSimulator
-
-            self.sim = CensusSimulator()
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.sniffer = Sniffer()
         self._flows: List[_Flow] = []
@@ -372,22 +342,13 @@ class MultiFlowExperiment:
                 self.server_demux.add_route(flow.server_port, flow.per_flow_delay)
             else:
                 self.server_demux.add_route(flow.server_port, wired.server_sock)
-            if self.profile_events:
-                from repro.sim.census import tag
-
-                for component in (*vars(wired).values(), flow.per_flow_delay):
-                    if component is not None:
-                        tag(component, index)
 
     # -- run -------------------------------------------------------------------
 
     def run(self) -> MultiFlowResult:
         wall_start = time.perf_counter()
         for flow in self._flows:
-            if flow.wired.tcp_sender is not None:
-                self.sim.schedule_at(flow.spec.start_ns, flow.wired.tcp_sender.start)
-            else:
-                self.sim.schedule_at(flow.spec.start_ns, flow.wired.client.start)
+            self.sim.schedule_at(flow.spec.start_ns, flow.wired.start)
 
         # Steady-state traffic allocates and frees at a rate that makes the
         # cyclic GC's periodic full scans pure overhead (the object graph
@@ -430,13 +391,7 @@ class MultiFlowExperiment:
         as ``drained``) instead of a dead socket.
         """
         flow.freeze(self.sim.now)
-        wired = flow.wired
-        if wired.tcp_sender is not None:
-            wired.tcp_sender.detach()
-            wired.tcp_receiver.detach()
-        else:
-            wired.server.detach()
-            wired.client.detach()
+        flow.wired.detach()
         self.client_demux.add_route(flow.client_port, self._drain)
         self.server_demux.add_route(flow.server_port, self._drain)
         # The per-flow extra-RTT stage sits *between* the shared demux and
@@ -446,14 +401,8 @@ class MultiFlowExperiment:
         # burst). Point its sink at the drain too.
         if flow.per_flow_delay is not None:
             flow.per_flow_delay.sink = self._drain
-        if self.profile_events:
-            self.sim.mark_departed(flow.index)
         flow.wired = None
         flow.per_flow_delay = None
-
-    def census_report(self) -> Optional[dict]:
-        """The event census (``profile_events`` runs only)."""
-        return self.sim.report() if self.profile_events else None
 
     def _collect(self, wall_start: float) -> MultiFlowResult:
         # One columnar pass: frames on the wire per server port. The tap sees

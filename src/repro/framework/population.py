@@ -1,12 +1,12 @@
 """Flow populations: hundreds of concurrent flows over one shared bottleneck.
 
-ROADMAP item 1 names many-flow scale as the closest simulation stand-in for
-the "millions of users" production north star. This layer generates a
-*population* of flows — N arrivals (Poisson, uniformly spaced, or
-trace-driven), heterogeneous per-flow RTTs, mixed stack/CCA/qdisc profiles,
-optionally heavy-tailed file sizes, all derived from one seed — and drives
-them through :class:`~repro.framework.multiflow.MultiFlowExperiment` on a
-single shared queue.
+Many-flow scale is the closest simulation stand-in for a production server's
+"millions of users". This layer generates a *population* of flows — N
+arrivals (Poisson, uniformly spaced, or trace-driven), heterogeneous
+per-flow RTTs, mixed stack/CCA/qdisc profiles, optionally heavy-tailed file
+sizes, all derived from one seed — and drives them through
+:class:`~repro.framework.multiflow.MultiFlowExperiment` on a single shared
+queue.
 
 The result reports the QUICbench-style competition view: per-flow
 goodput/loss/FCT distributions, Jain fairness over completed flows, a
@@ -257,9 +257,6 @@ class PopulationResult:
     beats: List[Tuple[str, str]]
     #: Triples (a, b, c): a beats b, b beats c, but not a beats c.
     transitivity: List[Tuple[str, str, str]]
-    #: Per-component event census (``profile_events`` runs only); pure
-    #: observability, never part of the fingerprint.
-    census: Optional[Dict[str, object]] = None
 
     # -- duck-typed result surface (sweep/_emit/summarize/store) -----------
 
@@ -354,17 +351,8 @@ def aggregate_population(
     )
 
 
-def run_population(
-    config: PopulationConfig,
-    seed: Optional[int] = None,
-    profile_events: bool = False,
-) -> PopulationResult:
-    """Generate the population for (config, seed) and run it to completion.
-
-    ``profile_events=True`` runs under the
-    :class:`~repro.sim.census.CensusSimulator` and attaches the per-component
-    event census to the result.
-    """
+def run_population(config: PopulationConfig, seed: Optional[int] = None) -> PopulationResult:
+    """Generate the population for (config, seed) and run it to completion."""
     seed = config.seed if seed is None else seed
     specs = FlowPopulation(config).specs(seed)
     experiment = MultiFlowExperiment(
@@ -374,9 +362,5 @@ def run_population(
         max_sim_time_ns=config.max_sim_time_ns,
         capture_records=config.capture_records,
         churn=config.churn,
-        profile_events=profile_events,
     )
-    multi = experiment.run()
-    result = aggregate_population(config, seed, multi)
-    result.census = experiment.census_report()
-    return result
+    return aggregate_population(config, seed, experiment.run())

@@ -193,12 +193,64 @@ class WiredFlow:
         )
         self.server_sock.connect(CLIENT_ADDR, client_port)
 
+        self.file_size = cfg.file_size
         self.profile = self.server = self.client = None
         self.tcp_sender = self.tcp_receiver = None
         if cfg.stack == "tcp":
             self._wire_tcp(sim, cfg)
         else:
             self._wire_quic(sim, cfg, rng_for)
+
+    # -- the transfer, whichever endpoint pair carries it -------------------
+
+    def start(self) -> None:
+        """Open the transfer: the TCP sender's first flight, or the QUIC
+        client's handshake and request."""
+        if self.tcp_sender is not None:
+            self.tcp_sender.start()
+        else:
+            self.client.start()
+
+    @property
+    def done(self) -> bool:
+        """The receiver holds the whole file."""
+        if self.tcp_receiver is not None:
+            return self.tcp_receiver.done
+        return self.client.done
+
+    def span(self, now: int, start_ns: int = 0) -> tuple[int, int]:
+        """``(start, end)`` of the transfer: from the sender's start (TCP) or
+        the request (QUIC), else ``start_ns``, to completion, else ``now``;
+        at least 1 ns long."""
+        if self.tcp_sender is not None:
+            start, end = self.tcp_sender.started_at, self.tcp_receiver.completed_at
+        else:
+            start, end = self.client.request_sent_at, self.client.completed_at
+        start = start or start_ns
+        return start, max(end or now, start + 1)
+
+    def bytes_delivered(self) -> int:
+        """Application bytes the receiver got in order, at most the file."""
+        if self.tcp_receiver is not None:
+            # rcv_nxt is the contiguous in-order frontier; the FIN carries no
+            # payload, so it never exceeds the file size.
+            return min(self.tcp_receiver.rcv_nxt, self.file_size)
+        stream = self.client.conn.recv_streams.get(0)
+        if stream is None:
+            return 0
+        # Strip the HTTP/3 response framing (HEADERS + DATA frame header) so
+        # the count is body bytes, directly comparable to the file size.
+        body = stream.delivered - len(h3.encode_response_prefix(self.file_size))
+        return max(0, min(body, self.file_size))
+
+    def detach(self) -> None:
+        """Silence both endpoints: cancel every timer they could re-arm."""
+        if self.tcp_sender is not None:
+            self.tcp_sender.detach()
+            self.tcp_receiver.detach()
+        else:
+            self.server.detach()
+            self.client.detach()
 
     def _wire_tcp(self, sim: Simulator, cfg: ExperimentConfig) -> None:
         # Kernel CUBIC (HyStart with ACK trains) is the sender's own default.

@@ -138,7 +138,7 @@ class Simulator:
         self._seq = 0
         self._heap: list[tuple] = []  # never reassigned: ``_admit`` is bound to it
         #: Places one ``(time, seq, fn, args)`` entry: the single admission
-        #: point, a C call (the census rebinds it to its counting wrapper).
+        #: point, a C call (a test may rebind it per instance to count).
         self._admit: Callable[[tuple], None] = partial(_heappush, self._heap)
         self._running = False
         self.events_processed = 0

@@ -263,7 +263,7 @@ def test_gso_duel_is_a_competition():
 GOLDEN_200 = "e4034898d257b1fd400f6325b1598194986afa02b79da53884d392f6efca240f"
 GOLDEN_200_OLD = "316e0b5ab22ce1be10ed79de9378d090e147c897bff11bb66e953bdeb1e50e7b"
 #: The same population with churn, carried over unedited from BENCH_13.json's
-#: census record. The old digest covers the config's cache key, so
+#: 200-flow churn record. The old digest covers the config's cache key, so
 #: reproducing it also proves the config below is field for field the one
 #: that record was taken with.
 GOLDEN_200_CHURN = "faf44f8e506c08fab36648a1bbfbd42317e3bd5ca93231352256dc8a0efe3a42"

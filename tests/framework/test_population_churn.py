@@ -1,12 +1,13 @@
-"""Flow churn and the per-component event census.
+"""Flow churn and its teardown invariant.
 
 Churn (teardown on departure) is a *different deterministic workload*, not
 an engine optimization: cutting post-completion traffic perturbs the shared
 queue, so its fingerprint legitimately differs from the no-churn run — but
 it must be a pure function of (config, seed), identical across execution
-modes (serial, swept, cache-resumed). The census must be behaviour-neutral
-and must certify the teardown invariant: a departed flow schedules zero
-further events.
+modes (serial, swept, cache-resumed). Teardown must also be complete: a
+departed flow admits nothing more to the calendar, which
+:func:`test_departed_flows_admit_nothing` checks by watching the plain
+engine from outside.
 
 Each golden has two digests: ``GOLDEN_*`` is the behaviour digest
 ``fingerprint()`` takes (seed and outputs), and ``GOLDEN_*_OLD`` the value
@@ -19,12 +20,17 @@ the first change to a config field.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.framework.cache import ResultCache
-from repro.framework.population import PopulationConfig, run_population
+from repro.framework.multiflow import MultiFlowExperiment
+from repro.framework.population import (
+    FlowPopulation,
+    PopulationConfig,
+    aggregate_population,
+    run_population,
+)
 from repro.framework.scenarios import population_sweep
 from repro.framework.sweep import SweepRunner
+from repro.sim.engine import Simulator
 from repro.units import kib, ms, seconds
 from tests.framework.test_fingerprint_encoding import old_fingerprint
 
@@ -109,59 +115,73 @@ def test_churn_serial_swept_and_cached_agree(tmp_path):
     assert [r.fingerprint() for r in warm["churn"].results] == direct
 
 
-class TestCensus:
-    def test_census_is_behaviour_neutral(self):
-        """A census-instrumented run fingerprints identically."""
-        result = run_population(_config(churn=True), profile_events=True)
-        assert result.fingerprint() == GOLDEN_CHURN
-        assert result.census is not None
 
-    def test_departed_flows_schedule_nothing(self):
-        """The churn teardown invariant, certified by the census: once a
-        flow departs, no component of it schedules another event."""
-        result = run_population(_config(churn=True), profile_events=True)
-        totals = result.census["totals"]
-        assert totals["departed"] == 30
-        assert totals["post_departure"] == 0
-        assert result.census["post_departure"] == {}
+def test_departed_flows_admit_nothing(monkeypatch):
+    """Once a flow departs, no component of it puts another entry on the
+    calendar.
 
-    def test_census_accounting_consistent(self):
-        result = run_population(_config(churn=True), profile_events=True)
-        census = result.census
-        totals = census["totals"]
-        # Every fired or stale-discarded event was scheduled first; the
-        # remainder is still pending at teardown time.
-        assert totals["scheduled"] >= totals["fired"] + totals["stale"]
-        assert totals["fired"] == result.events_processed
-        # Attribution reached every per-flow component family.
-        components = census["components"]
-        for expected in ("UdpSocket", "ServerDriver", "ClientDriver", "TcpSender"):
-            assert expected in components, sorted(components)
-        for row in components.values():
-            assert row["scheduled"] >= 0 and row["fired"] >= 0
+    Every admission goes through the instance's ``sim._admit``, except a
+    hand-off that ``run()`` parks, which only ``Simulator.call_soon`` sees;
+    so both are wrapped, ``call_soon`` at class level before the experiment
+    is built. An entry is keyed by its ``seq`` (a hand-off that reaches
+    ``_admit`` too counts once) and belongs to the flow that owns its
+    callback's bound ``self``. The components stay referenced here, so no
+    ``id()`` is reused after teardown drops them.
+    """
+    config = _config(churn=True)
+    flow_of = {}  # id(component) -> flow index
+    components = []
+    departed = set()
+    admitted_by = set()  # component classes seen admitting for some flow
+    late = {}  # seq -> (flow index, component class), admitted after departure
 
-    def test_census_off_by_default(self):
-        result = run_population(_config())
-        assert result.census is None
+    def note(seq, fn, args):
+        owner = getattr(fn.fn if args is None else fn, "__self__", None)
+        index = flow_of.get(id(owner))
+        if index is not None:
+            admitted_by.add(type(owner).__name__)
+            if index in departed:
+                late[seq] = (index, type(owner).__name__)
 
+    plain_call_soon = Simulator.call_soon
 
-def test_census_cli_reports_clean_teardown(capsys):
-    """``population --profile-events`` prints the census and exits 0 when no
-    departed flow scheduled anything."""
-    from repro.cli import main
+    def call_soon(sim, fn, *args):
+        note(sim._seq, fn, args)
+        plain_call_soon(sim, fn, *args)
 
-    rc = main(
-        [
-            "population",
-            "--flows", "12",
-            "--size-kib", "32",
-            "--max-sim-s", "60",
-            "--churn",
-            "--profile-events",
-            "--seed", "3",
-        ]
+    monkeypatch.setattr(Simulator, "call_soon", call_soon)
+    experiment = MultiFlowExperiment(
+        FlowPopulation(config).specs(config.seed),
+        network=config.network,
+        seed=config.seed,
+        max_sim_time_ns=config.max_sim_time_ns,
+        capture_records=config.capture_records,
+        churn=config.churn,
     )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "event census" in out
-    assert "post-departure check: clean" in out
+    for flow in experiment._flows:
+        for component in (*vars(flow.wired).values(), flow.per_flow_delay):
+            if component is not None:
+                components.append(component)
+                flow_of[id(component)] = flow.index
+
+    sim = experiment.sim
+    plain_admit = sim._admit
+
+    def admit(entry):
+        note(entry[1], entry[2], entry[3])
+        plain_admit(entry)
+
+    sim._admit = admit
+    plain_retire = experiment._retire
+
+    def retire(flow):
+        plain_retire(flow)
+        departed.add(flow.index)
+
+    experiment._retire = retire
+    result = aggregate_population(config, config.seed, experiment.run())
+
+    assert departed == set(range(30))
+    assert {"UdpSocket", "ServerDriver", "ClientDriver", "TcpSender"} <= admitted_by
+    assert late == {}
+    assert result.fingerprint() == GOLDEN_CHURN  # the hooks only watch

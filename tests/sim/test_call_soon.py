@@ -11,10 +11,7 @@ random mixes against a reference calendar).
 
 import pytest
 
-from repro.framework.multiflow import MultiFlowExperiment
-from repro.framework.population import FlowPopulation, aggregate_population
 from repro.sim.engine import Simulator
-from tests.framework.test_population_churn import GOLDEN_CHURN, _config
 
 
 def test_hand_off_with_nothing_due_bypasses_the_heap():
@@ -113,25 +110,3 @@ def test_hand_off_of_an_event_that_raises_stays_in_the_calendar():
     assert order == ["hop"]
     assert (sim.events_processed, sim._seq) == (2, 2)
 
-
-def test_census_run_equals_the_plain_run():
-    """The census keeps every hand-off on the calendar (its loop parks
-    nothing, so its counts stay exact); the plain engine parks them. Both
-    must reach the same fingerprint, event count and ``seq``."""
-    config = _config(churn=True)
-    runs = []
-    for profile_events in (False, True):
-        experiment = MultiFlowExperiment(
-            FlowPopulation(config).specs(config.seed),
-            network=config.network,
-            seed=config.seed,
-            max_sim_time_ns=config.max_sim_time_ns,
-            capture_records=config.capture_records,
-            churn=config.churn,
-            profile_events=profile_events,
-        )
-        multi = experiment.run()
-        fingerprint = aggregate_population(config, config.seed, multi).fingerprint()
-        runs.append((fingerprint, experiment.sim.events_processed, experiment.sim._seq))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == GOLDEN_CHURN

@@ -293,7 +293,7 @@ def run_paths(work: Path) -> List[Tuple[str, List[str]]]:
                               "--workers", "2", "--json", str(work / "pop.json")] + cache),
         ("population --churn", cli + ["population", "--flows", "30", "--size-kib", "48",
                                       "--size-dist", "exp", "--arrival", "uniform", "--churn",
-                                      "--profile-events", "--no-cache"]),
+                                      "--no-cache"]),
         ("population --profiles", cli + ["population", "--flows", "4", "--profiles",
                                          "quiche:cubic:etf-offload", "tcp:bbr",
                                          "quiche:cubic:fq:paced",
