@@ -43,7 +43,7 @@ from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
 from repro.kernel.qdisc.netem import NetemQdisc
 from repro.metrics.fairness import jain_index
 from repro.metrics.goodput import goodput_mbps
-from repro.net.demux import PortDemux
+from repro.net.demux import DrainSink, PortDemux
 from repro.net.tap import CaptureColumns, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
@@ -55,23 +55,6 @@ BASE_CLIENT_PORT = 50000
 #: Ports are allocated as BASE + index on both sides; beyond this many flows
 #: the server range would collide with the client range.
 MAX_FLOWS = BASE_CLIENT_PORT - BASE_SERVER_PORT
-
-
-class DrainSink:
-    """Terminal sink installed on a departed flow's demux routes.
-
-    A retired flow's ports stay routed — to this counter instead of the
-    torn-down socket — so straggler datagrams (a retransmission in flight at
-    teardown, a late ACK) are absorbed and *counted* rather than inflating
-    the demux ``unrouted`` total, which the conservation validator reserves
-    for genuine wiring bugs.
-    """
-
-    def __init__(self) -> None:
-        self.drained = 0
-
-    def receive(self, dgram) -> None:
-        self.drained += 1
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ needs:
   time, plus one *staged* in the pool's call queue so the worker that lands
   next finds it without a round trip through this process; a pool crash can
   only lose those, and a repetition's wall-clock deadline starts when a
-  landing promotes it out of the staged slot, never while it waits there;
+  landing promotes it out of the staged slot, never while it waits there
+  or while a new pool's workers start up (:meth:`Supervisor._make_pool`);
 * **watchdog timeouts** — a repetition that exceeds ``timeout_s`` is killed
   (the pool's worker processes are terminated and the pool restarted, since a
   hung worker cannot be cancelled individually); innocent repetitions that
@@ -45,7 +46,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import (
@@ -66,6 +67,10 @@ __all__ = [
 
 #: Cap stored tracebacks so a pathological repr cannot bloat a store.
 _TRACEBACK_LIMIT_CHARS = 8_000
+
+
+#: How long a new pool's workers may take to start before clocks start anyway.
+WORKER_START_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -127,18 +132,7 @@ class RepFailure:
     quarantined: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "label": self.label,
-            "rep": self.rep,
-            "seed": self.seed,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-            "wall_time_s": self.wall_time_s,
-            "quarantined": self.quarantined,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepFailure":
@@ -281,7 +275,7 @@ class Supervisor:
     def _run_pool(self, tasks, workers, on_success, on_failure) -> None:
         queue = self._queue = deque(tasks)
         suspects = self._suspects = deque()
-        pool = self.executor.make_pool(workers)
+        pool = self._make_pool(workers)
         flights: Dict[Any, _Flight] = {}
         landed: List[tuple] = []
         try:
@@ -476,7 +470,25 @@ class Supervisor:
 
     def _restart_pool(self, pool, workers) -> ProcessPoolExecutor:
         self._kill_pool(pool)
-        return self.executor.make_pool(workers)
+        return self._make_pool(workers)
+
+    def _make_pool(self, workers) -> ProcessPoolExecutor:
+        """A pool whose workers are up (forked, ``run_fn``'s module imported)
+        before any flight's clock starts. A warm-up that kills the pool
+        leaves a cold one, so the crash is charged to the repetition."""
+        pool = self.executor.make_pool(workers)
+        # A call that does nothing with ``run_fn``: unpickling it imports its module.
+        warm = [pool.submit(id, self.run_fn) for _ in range(workers)]
+        deadline = time.monotonic() + WORKER_START_S
+        try:
+            for future in warm:
+                error = future.exception(max(deadline - time.monotonic(), 0.0))
+                if isinstance(error, BrokenProcessPool):
+                    self._kill_pool(pool)
+                    return self.executor.make_pool(workers)
+        except TimeoutError:
+            pass  # clocks start regardless
+        return pool
 
     @staticmethod
     def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:

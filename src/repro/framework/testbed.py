@@ -6,7 +6,8 @@ Topology (measurement direction, left to right)::
         -> 1 Gbit/s link -> optical tap (sniffer) -> TBF 40 Mbit/s (2xBDP buffer)
         -> netem +20 ms -> client socket -> client stack
 
-    client ACKs -> 1 Gbit/s link -> netem +20 ms -> server socket
+    client ACKs -> 1 Gbit/s link (+20 ms propagation) -> reverse impairments
+        -> server socket
 
 The sniffer sits *before* the bottleneck, so captured timestamps show the
 server's pacing, not the shaper's.
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 from repro.cc.factory import make_cc
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.kernel.gso import GsoSegmenter
 from repro.kernel.qdisc import make_qdisc
-from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.socket import UdpSocket, reset_gso_ids
 from repro.net.bottleneck import Bottleneck
 from repro.net.impairments import build_impairments
@@ -62,7 +63,8 @@ _ETF_QDISCS = ("etf", "etf-offload")
 
 class Testbed:
     """The paths every flow shares: tap -> forward impairments -> bottleneck
-    (+ one-way delay), and reverse link -> reverse impairments -> netem."""
+    (+ one-way delay), and reverse link (+ one-way delay) -> reverse
+    impairments."""
 
     def __init__(
         self,
@@ -115,30 +117,21 @@ class Testbed:
             bottleneck=self.bottleneck if net.bottleneck == "tbf" else None,
         )
         self.tap = FiberTap(sim, sniffer, sink=fwd_head)
-        # ACK path: 1 Gbit/s plus the one-way delay, no rate limit needed;
-        # its fault injection sits between the link and the delay stage.
-        self._reverse_netem = NetemQdisc(
-            sim,
-            "reverse-netem",
-            delay_ns=net.one_way_delay_ns,
-            rng=rngs.stream("reverse-netem"),
-        )
-        rev_head, self.rev_impairments, _ = build_impairments(
-            net.reverse_impairments,
-            sim,
-            sink=self._reverse_netem,
-            rng_for=rngs.stream,
-            direction="rev",
+        # ACK path: 1 Gbit/s, its one-way delay the link's propagation; the
+        # reverse impairments act at its far end (DESIGN 7.4), in front of
+        # whatever ``deliver_to`` names.
+        self._reverse_chain = partial(
+            build_impairments, net.reverse_impairments, sim, rng_for=rngs.stream, direction="rev"
         )
         self.reverse_link = Link(
-            sim, "reverse-link", net.link_rate_bps, propagation_ns=us(1), sink=rev_head
+            sim, "reverse-link", net.link_rate_bps, propagation_ns=us(1) + net.one_way_delay_ns
         )
 
     def deliver_to(self, forward_sink: PacketSink, reverse_sink: PacketSink) -> None:
         """Terminate the two paths: at one flow's client and server sockets,
         or at a port demux per direction."""
         self.bottleneck.sink = forward_sink
-        self._reverse_netem.sink = reverse_sink
+        self.reverse_link.sink, self.rev_impairments, _ = self._reverse_chain(sink=reverse_sink)
 
 
 class WiredFlow:

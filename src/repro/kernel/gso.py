@@ -47,19 +47,18 @@ class GsoBuffer:
 class GsoSegmenter:
     """Kernel stage between the qdisc and the NIC that splits GSO buffers.
 
-    Plain datagrams pass straight through. GSO buffers are split; stock GSO
-    emits segments back-to-back (separated only by the split cost), while
-    paced GSO spaces segment *starts* by ``segment_bytes / pacing_rate``.
+    Plain datagrams pass straight through, in the same call. GSO buffers are
+    split; stock GSO emits segments back-to-back (separated only by the split
+    cost), paced GSO spaces segment *starts* by ``segment_bytes / pacing_rate``.
     """
 
     def __init__(self, sim: Simulator, sink: Optional[PacketSink] = None):
         self.sim = sim
         self.sink = sink
         self.buffers_split = 0
-        self.segments_emitted = 0
         self.paced_buffers = 0
         # Packets of one device queue never reorder: a later arrival must not
-        # overtake the segments of a buffer still being spread out.
+        # overtake a buffer's segments, all scheduled at or before this instant.
         self._busy_until = 0
 
     def receive(self, dgram: Datagram) -> None:
@@ -67,29 +66,22 @@ class GsoSegmenter:
         sim = self.sim
         now = sim.now
         if not isinstance(payload, GsoBuffer):
-            if self._busy_until <= now:
-                # Nothing of ours is still being spread out: a same-instant hop.
-                self._busy_until = now
-                sim.call_soon(self._emit, dgram)
+            if self._busy_until < now:
+                if self.sink is not None:
+                    self.sink.receive(dgram)
             else:
                 sim.schedule_at(self._busy_until, self._emit, dgram)
             return
-        start = max(now, self._busy_until)
         self.buffers_split += 1
         rate = payload.pacing_rate_Bps
-        at = start
         if rate:
             self.paced_buffers += 1
-            for seg in payload.segments:
-                sim.schedule_at(at, self._emit, seg)
-                at += seg.payload_size * SEC // rate
-        else:
-            for seg in payload.segments:
-                sim.schedule_at(at, self._emit, seg)
-                at += SEGMENT_SPLIT_NS
+        at = max(now, self._busy_until)
+        for seg in payload.segments:
+            sim.schedule_at(at, self._emit, seg)
+            at += seg.payload_size * SEC // rate if rate else SEGMENT_SPLIT_NS
         self._busy_until = at
 
     def _emit(self, dgram: Datagram) -> None:
-        self.segments_emitted += 1
         if self.sink is not None:
             self.sink.receive(dgram)

@@ -3,9 +3,9 @@
 Each qdisc accepts datagrams via ``enqueue`` and pushes them to its ``sink``
 (normally the GSO segmenter) when its scheduling logic releases them.
 ``make_qdisc`` builds the qdisc an experiment config names (one of
-``factory.QDISCS``). :class:`NetemQdisc` is built directly: it is the testbed's
-delay stage, not a sender qdisc. The paper's token bucket is the bottleneck
-itself (:class:`repro.net.bottleneck.Bottleneck`).
+``factory.QDISCS``). :class:`NetemQdisc` is built directly: it is only a
+multi-flow run's per-flow RTT stage. The paper's token bucket is the
+bottleneck itself (:class:`repro.net.bottleneck.Bottleneck`).
 """
 
 from repro.kernel.qdisc.base import Qdisc, QdiscStats

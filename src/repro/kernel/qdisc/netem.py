@@ -1,8 +1,8 @@
 """netem — network emulation qdisc (fixed delay, optional jitter and loss).
 
-Used in the paper to add 20 ms in each direction (40 ms minimum RTT). Delay
-is applied per packet while preserving ordering (like netem with a large
-enough limit and no reordering configured).
+A multi-flow run's extra per-flow RTT (the paper's 20 ms each way are the
+bottleneck's and the reverse link's delays). Delay is applied per packet,
+in order (netem with a large enough limit and no reordering configured).
 """
 
 from __future__ import annotations

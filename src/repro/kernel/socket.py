@@ -15,6 +15,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.kernel.gso import GsoBuffer
 from repro.kernel.syscall import SyscallModel, DEFAULT_SYSCALLS
+from repro.net.demux import DrainSink
 from repro.net.packet import Datagram, FlowTuple, PacketSink
 from repro.sim.engine import Simulator
 from repro.units import mib
@@ -63,7 +64,8 @@ class SendSpec:
 class UdpSocket:
     """A connected UDP socket with a kernel cost model.
 
-    :param egress: first hop of the send path (qdisc, segmenter, or NIC).
+    :param egress: first hop of the send path (qdisc, segmenter, or NIC);
+        without one, sends are drained.
     :param so_txtime: whether SCM_TXTIME timestamps are attached to sends
         (without it, per-packet timestamps are silently ignored, like a real
         socket without ``setsockopt(SO_TXTIME)``).
@@ -84,7 +86,7 @@ class UdpSocket:
         self.sim = sim
         self.local_addr = local_addr
         self.local_port = local_port
-        self.egress = egress
+        self.egress = egress if egress is not None else DrainSink()
         self.syscalls = syscalls
         self.so_txtime = so_txtime
         self.rcvbuf_bytes = rcvbuf_bytes
@@ -122,7 +124,7 @@ class UdpSocket:
     #
     # Each send call, in one frame: advance the thread's CPU timeline by the
     # syscall's cost, build the datagram(s) in send order (``dgram_id`` and
-    # ``gso_id`` are drawn here), schedule the hand-off to the egress at the
+    # ``gso_id`` are drawn here), schedule the egress's ``receive`` at the
     # instant the kernel work completes.
 
     @property
@@ -149,7 +151,7 @@ class UdpSocket:
         )
         self.datagrams_sent += 1
         self.bytes_sent += size
-        sim.schedule_at(done, self._to_egress, dgram)
+        sim.schedule_at(done, self.egress.receive, dgram)
         return done
 
     def sendmmsg(self, specs: Sequence[SendSpec]) -> int:
@@ -162,6 +164,7 @@ class UdpSocket:
         flow = self._flow or self.flow  # the property raises if not connected
         syscalls = self.syscalls
         so_txtime = self.so_txtime
+        egress = self.egress.receive
         free = self._cpu_free_at
         t = (now if now > free else free) + syscalls.syscall_ns
         for spec in specs:
@@ -173,7 +176,7 @@ class UdpSocket:
             )
             self.datagrams_sent += 1
             self.bytes_sent += size
-            sim.schedule_at(t, self._to_egress, dgram)
+            sim.schedule_at(t, egress, dgram)
         self._cpu_free_at = t
         return t
 
@@ -214,12 +217,8 @@ class UdpSocket:
         self.datagrams_sent += len(specs)
         self.bytes_sent += total
         self.gso_sends += 1
-        sim.schedule_at(done, self._to_egress, super_dgram)
+        sim.schedule_at(done, self.egress.receive, super_dgram)
         return done
-
-    def _to_egress(self, dgram: Datagram) -> None:
-        if self.egress is not None:
-            self.egress.receive(dgram)
 
     # -- receive path --------------------------------------------------------
 

@@ -36,3 +36,16 @@ class PortDemux:
             self.unrouted_by_port[port] = self.unrouted_by_port.get(port, 0) + 1
             return
         sink.receive(dgram)
+
+
+class DrainSink:
+    """Terminal sink that counts what it absorbs: a departed flow's demux
+    routes, so stragglers in flight at teardown count as ``drained``, not as
+    ``unrouted`` (which the conservation validator reserves for wiring bugs),
+    and the egress of a socket wired to nothing."""
+
+    def __init__(self) -> None:
+        self.drained = 0
+
+    def receive(self, dgram: Datagram) -> None:
+        self.drained += 1

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.net.packet import Datagram, PacketSink
 from repro.sim.engine import Simulator
-from repro.units import tx_time_ns
+from repro.units import BYTE_NS
 
 
 class Link:
@@ -51,7 +51,8 @@ class Link:
         arrival at the sink is scheduled now."""
         sim = self.sim
         start = self._free_at if self._free_at > sim.now else sim.now
-        self._free_at = end = start + tx_time_ns(dgram.serialized_size, self.rate_bps)
+        # units.tx_time_ns inline: the rate was checked positive at build.
+        self._free_at = end = start - (-dgram.serialized_size * BYTE_NS // self.rate_bps)
         self.frames_sent += 1
         self.bytes_sent += dgram.wire_size
         if self.sink is not None:

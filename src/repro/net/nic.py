@@ -50,10 +50,7 @@ class Nic:
             # The LaunchTime queue is FIFO per ring: no overtaking.
             launch = max(dgram.txtime_ns + jitter, self._last_launch_at)
             self._last_launch_at = launch
-            self.sim.schedule_at(launch, self._emit, dgram)
+            self.sim.schedule_at(launch, self.link.receive, dgram)
         else:
             self._last_launch_at = max(self._last_launch_at, self.sim.now)
-            self._emit(dgram)
-
-    def _emit(self, dgram: Datagram) -> None:
-        self.link.receive(dgram)
+            self.link.receive(dgram)

@@ -31,7 +31,7 @@ from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import run_experiment
 from repro.framework.sweep import SweepRunner
-from repro.net.impairments import iid_loss
+from repro.net.impairments import duplication, iid_loss, reordering
 from repro.units import kib
 from tests.framework.test_fingerprint_encoding import old_fingerprint
 
@@ -96,6 +96,31 @@ GOLDEN = {
         1,
         "077ac0978df6740de54e6f1bf97e990d69410222a16918339ddf148471be2f08",
         "e1494ecbee06a01bd3ef64ea534c1fff8f08c7eedb479e7635152ae78074d135",
+    ),
+    # The ACK path's impairments: recorded while the reverse path still had
+    # its own delay stage behind them, so they pin the fold of that delay
+    # into the reverse link's propagation.
+    "quiche-rev-impaired": (
+        ExperimentConfig(
+            stack="quiche",
+            file_size=kib(256),
+            network=NetworkConfig(
+                reverse_impairments=(iid_loss(0.02), reordering(), duplication(0.02))
+            ),
+        ),
+        1,
+        "5c78d0831937602252e2c1e273fdeccda731edfd65dc0bab381ab032d6f48b34",
+        "143bcac0f2b806cb0d87ecdab4468c245eea4d2fb3591a0416972566633658de",
+    ),
+    "tcp-rev-reorder": (
+        ExperimentConfig(
+            stack="tcp",
+            file_size=kib(512),
+            network=NetworkConfig(reverse_impairments=(reordering(),)),
+        ),
+        1,
+        "afce7587e26b0eb1363f3f785121fa356f41355d6d80a56b8c48ad389c991991",
+        "ff4e4e96640f9b90fa042cab426ab9f72e1e5d98602a7cc3a857729ee1fcee8e",
     ),
 }
 

@@ -30,6 +30,7 @@ from repro.framework.population import (
 )
 from repro.framework.scenarios import population_sweep
 from repro.framework.sweep import SweepRunner
+from repro.net.packet import Datagram
 from repro.sim.engine import Simulator
 from repro.units import kib, ms, seconds
 from tests.framework.test_fingerprint_encoding import old_fingerprint
@@ -118,18 +119,21 @@ def test_churn_serial_swept_and_cached_agree(tmp_path):
 
 def test_departed_flows_admit_nothing(monkeypatch):
     """Once a flow departs, no component of it puts another entry on the
-    calendar.
+    calendar, and no other entry carries one of its datagrams.
 
     Every admission goes through the instance's ``sim._admit``, except a
     hand-off that ``run()`` parks, which only ``Simulator.call_soon`` sees;
     so both are wrapped, ``call_soon`` at class level before the experiment
     is built. An entry is keyed by its ``seq`` (a hand-off that reaches
-    ``_admit`` too counts once) and belongs to the flow that owns its
+    ``_admit`` too counts once). An entry whose first argument is a
+    ``Datagram`` belongs to the flow whose 4-tuple ``dgram.flow`` carries: a
+    socket's send is an entry of its first hop, which for a client is the
+    shared reverse link. Any other entry belongs to the flow that owns its
     callback's bound ``self``. The components stay referenced here, so no
     ``id()`` is reused after teardown drops them.
     """
     config = _config(churn=True)
-    flow_of = {}  # id(component) -> flow index
+    flow_of = {}  # id(component) or 4-tuple -> flow index
     components = []
     departed = set()
     admitted_by = set()  # component classes seen admitting for some flow
@@ -137,7 +141,10 @@ def test_departed_flows_admit_nothing(monkeypatch):
 
     def note(seq, fn, args):
         owner = getattr(fn.fn if args is None else fn, "__self__", None)
-        index = flow_of.get(id(owner))
+        if args and isinstance(args[0], Datagram):
+            index = flow_of.get(args[0].flow)
+        else:
+            index = flow_of.get(id(owner))
         if index is not None:
             admitted_by.add(type(owner).__name__)
             if index in departed:
@@ -163,6 +170,8 @@ def test_departed_flows_admit_nothing(monkeypatch):
             if component is not None:
                 components.append(component)
                 flow_of[id(component)] = flow.index
+        for sock in (flow.wired.client_sock, flow.wired.server_sock):
+            flow_of[sock.flow] = flow.index
 
     sim = experiment.sim
     plain_admit = sim._admit
@@ -182,6 +191,8 @@ def test_departed_flows_admit_nothing(monkeypatch):
     result = aggregate_population(config, config.seed, experiment.run())
 
     assert departed == set(range(30))
-    assert {"UdpSocket", "ServerDriver", "ClientDriver", "TcpSender"} <= admitted_by
+    # Link: the client sockets' sends, entries of the shared reverse link;
+    # PortDemux: the shared paths' deliveries.
+    assert {"Link", "PortDemux", "ServerDriver", "ClientDriver", "TcpSender"} <= admitted_by
     assert late == {}
     assert result.fingerprint() == GOLDEN_CHURN  # the hooks only watch

@@ -246,6 +246,23 @@ class TestPooledSupervision:
         assert failure.attempts == 1
         assert failure.wall_time_s >= 0.4
 
+    def test_worker_start_up_is_not_charged_to_a_repetition(self, tmp_path):
+        # Each fresh worker imports run_fn's module before its first call;
+        # that import outlasts the budget, and a repetition that returns at
+        # once must still complete.
+        from tests.framework import slow_import
+
+        cfg = FaultConfig(mode="ok", marker=str(tmp_path))
+        supervisor = Supervisor(
+            SupervisionPolicy(timeout_s=0.4, retries=0, **FAST), run_fn=slow_import.run
+        )
+        assert slow_import.IMPORT_S > supervisor.policy.timeout_s
+        successes, failures = _collect(supervisor, _tasks(cfg, 3), workers=2)
+        assert not failures
+        assert sorted(result for _, result in successes.values()) == [
+            ("ok", 1000), ("ok", 1001), ("ok", 1002)
+        ]
+
     def test_hang_retry_charges_only_expired_task(self, tmp_path):
         # The hung rep is retried (retries=1) and must time out twice; the
         # innocents that shared the pool still complete exactly once each.
@@ -281,9 +298,12 @@ class _HandPool:
     def __init__(self):
         self.calls = []  # (future, config, seed), in submission order
 
-    def submit(self, fn, config, seed):
+    def submit(self, fn, *args):
         future = Future()
-        self.calls.append((future, config, seed))
+        if fn is id:
+            future.set_result(None)  # a new pool's warm-up: its workers are up
+        else:
+            self.calls.append((future, *args))
         return future
 
     def shutdown(self, wait=True, cancel_futures=False):

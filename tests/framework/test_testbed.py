@@ -11,8 +11,13 @@ from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
 from repro.framework.scenarios import SF_PATCH
+from repro.net.impairments import duplication
+from repro.net.packet import Datagram
+from repro.net.tap import Sniffer
 from repro.net.wifi import WifiBottleneck
-from repro.units import kib
+from repro.sim.engine import Simulator
+from repro.sim.random import RngRegistry
+from repro.units import kib, ms, tx_time_ns, us
 
 SIZE = kib(256)
 
@@ -59,6 +64,28 @@ def test_multiflow_wifi_network_builds_wifi_bottleneck():
     )
     assert isinstance(exp.bottleneck, WifiBottleneck)
     assert exp.run().all_completed
+
+
+@pytest.mark.parametrize("reverse", [(), (duplication(1.0),)], ids=["plain", "duplicated"])
+def test_ack_reaches_the_server_one_way_delay_after_the_reverse_link(reverse):
+    """The ACK path's delay is its link's propagation: an ACK reaches the
+    server side serialization + 1 us + the one-way delay after the reverse
+    link accepts it, and a reverse impairment acts at that instant."""
+    sim = Simulator()
+    net = NetworkConfig(reverse_impairments=reverse)
+    bed = testbed.Testbed(sim, RngRegistry(1), net, Sniffer())
+    arrivals = []
+
+    class Server:
+        def receive(self, dgram):
+            arrivals.append((sim.now, dgram.dgram_id))
+
+    bed.deliver_to(forward_sink=None, reverse_sink=Server())
+    ack = Datagram((testbed.CLIENT_ADDR, 1, testbed.SERVER_ADDR, 2), 40)
+    sim.schedule_at(ms(3), bed.reverse_link.receive, ack)
+    sim.run()
+    at = ms(3) + tx_time_ns(ack.serialized_size, net.link_rate_bps) + us(1) + net.one_way_delay_ns
+    assert arrivals == [(at, ack.dgram_id)] * (1 + len(reverse))
 
 
 # -- one flow is the same flow in both experiments ---------------------------
