@@ -6,18 +6,15 @@ The mixed population of ``scenarios.population_sweep`` (Poisson 100/s,
 ``benchmarks/bench`` at ``--scale 2.5`` is the same run, timed. Half a minute
 per run, so it sits outside tier-1, which pins the same population at 60 and
 200 flows. Fixed size and seed: the
-fingerprints are machine-invariant and were carried over unedited from
-BENCH_13.json, as the config-inclusive digests now in the second column.
-Each case asserts both from one run: the behaviour digest ``fingerprint()``
-takes (seed and outputs), and the old value through the oracle
-(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`), which
-proves the re-record moved no behaviour. The old column is deleted by the
-first change to a config field. The event counts were re-recorded when a
-link began scheduling each frame's arrival as it accepts the frame, and again
-when the GSO segmenter began handing a plain datagram on in the same call and
-the ACK path's delay became its link's propagation: each time they fell by
-exactly the frames the run's links carried (316 075 plain, 316 540 churn),
-at unchanged digests.
+fingerprints are machine-invariant. Each case asserts two digests from one
+run: the behaviour digest ``fingerprint()`` takes (seed and outputs), and the
+config-inclusive oracle's
+(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`), deleted
+by the first change to a config field. Digests, event counts and the drained
+count were re-recorded once when a one-flow experiment became the run at
+N = 1 and flow 0 took the single-flow ports and RNG stream names (plain
+1 791 193 -> 1 795 637 events, churn 1 790 113 -> 1 794 620, drained
+620 -> 599); with flow 0's old identity the old values reproduce.
 """
 
 import pytest
@@ -29,18 +26,18 @@ from tests.framework.test_fingerprint_encoding import old_fingerprint
 
 #: (behaviour digest, config-inclusive digest recorded before it)
 GOLDEN_PLAIN = (
-    "7a30261d82d72489a9876a607ce84cdf0706738ebb53f5ca413199d48b1f1e20",
-    "f84743826c006f92fe3b4a7a209b9c3e916398caa419a704875f970d32377a26",
+    "50815b3f2def432fdc5853aea4f7c55d3b19b306a6d1825a6cd9b231a353812b",
+    "fa1182b50fbdc260110d074b20c4047952ca9d8a8a595fbc29c7249bf154964c",
 )
 GOLDEN_CHURN = (
-    "aa084e27bb42d9daf0e9d1a0ab2cdf5d1ba2d744ce2142c4ef17f679ff98ab46",
-    "9c1ba00824a519f8232eade59d52bea718830b7c25e96e3c229375139b886192",
+    "ea80bce3d734b922739903eaf2a94bfc3189e80f7d9d293732b9ce31f690b21a",
+    "01b1869185d2bfe20ba644c503ea9c02769dbfdd76cf15d8a5a9829d60cf9fb0",
 )
 
 
 @pytest.mark.parametrize(
     "churn, golden, events, drained",
-    [(False, GOLDEN_PLAIN, 1_791_193, 0), (True, GOLDEN_CHURN, 1_790_113, 620)],
+    [(False, GOLDEN_PLAIN, 1_795_637, 0), (True, GOLDEN_CHURN, 1_794_620, 599)],
     ids=["plain", "churn"],
 )
 def test_two_thousand_flow_population_golden(churn, golden, events, drained):

@@ -448,10 +448,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     records = load_capture(args.capture)
     if args.src:
-        flows = records.flows
-        records = records.select(
-            [row for row, idx in enumerate(records.flow_index) if flows[idx][0] == args.src]
-        )
+        records = records.from_host(args.src)
     if not records:
         print("no records after filtering")
         return 1

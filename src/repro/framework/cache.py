@@ -69,7 +69,9 @@ from repro.framework.population import PopulationResult
 #: v5: the fingerprint no longer covers the config, and the header no longer
 #: names the config encoding.
 #: v6: a pickled config carries its ``params`` instead of five override fields.
-CACHE_VERSION = 6
+#: v7: a multi-flow run's flow 0 has the single-flow ports and RNG streams (its
+#: digests moved), and a ``FlowResult`` carries the flow's own outputs.
+CACHE_VERSION = 7
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.

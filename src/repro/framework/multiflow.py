@@ -1,31 +1,20 @@
-"""Competing flows over a shared bottleneck (extension).
+"""The run: N flows over the Figure-1 testbed, sharing its bottleneck.
 
-The paper's Section 3.4 explicitly leaves "competing connections" and
-"shared queues" to future work. This module implements that scenario: N
-senders (any mix of stack profiles and CCAs) share the 40 Mbit/s bottleneck,
-each downloading its own file, and we measure per-flow goodput, loss, and
-Jain fairness. It also exercises FQ's multi-flow scheduling, which the
-single-connection experiments never touch.
+Every measurement is one. A paper measurement is the run at N = 1
+(:class:`~repro.framework.experiment.Experiment`); competing connections,
+which the paper's Section 3.4 leaves to future work, are N > 1 senders of
+any stack profile and CCA, each downloading its own file; a population
+(:mod:`repro.framework.population`) is an arrival process that emits one
+:class:`FlowSpec` per flow. Each flow is a
+:class:`~repro.framework.testbed.WiredFlow` built from the
+:class:`ExperimentConfig` it would run alone.
 
-Topology: the testbed of :mod:`repro.framework.testbed`, with one sender
-host per flow and a port demux at the end of each shared path, plus an
-optional per-flow extra delay stage on the ACK path
-(``FlowSpec.extra_rtt_ns``) so flow populations can have heterogeneous RTTs
-over one shared queue.
-
-Accounting. Per-flow goodput is computed from the bytes actually delivered
-to the receiving application (``FlowResult.bytes_received``), never from the
-configured file size — a stalled flow that delivered 1 % of its file reports
-1 % of the rate, not a full-file fantasy number. Drops are attributed
-end-to-end: congestion (bottleneck queue overflow) per flow, injected
-forward-path impairment drops per flow, injected reverse-path (ACK) drops
-per flow, and unrouted demux datagrams (always a wiring bug; the
-conservation validator gates on zero).
-
-Scale. ``capture_records=False`` skips the per-flow split of the capture
-(``FlowResult.records`` stay empty), so a several-hundred-flow population run
-holds the tap's columns once; per-flow wire-packet counts are still derived
-in one pass over them.
+Accounting. Goodput comes from the bytes delivered to the receiving
+application (``FlowResult.bytes_received``), never from the configured file
+size, so a stalled flow reports the rate it achieved. Drops are attributed
+per flow by server port: congestion, injected forward-path drops and
+injected reverse-path (ACK) drops; a datagram a demux cannot route is a
+wiring bug the conservation validator gates on.
 """
 
 from __future__ import annotations
@@ -34,32 +23,31 @@ import gc
 import hashlib
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.framework.config import ExperimentConfig, NetworkConfig, variant_parts
-from repro.framework.testbed import SERVER_ADDR, Testbed, WiredFlow
-from repro.kernel.qdisc.netem import NetemQdisc
+from repro.framework.testbed import MAX_FLOWS, SERVER_ADDR, Testbed, WiredFlow
 from repro.metrics.fairness import jain_index
-from repro.metrics.goodput import goodput_mbps
 from repro.net.demux import DrainSink, PortDemux
 from repro.net.tap import CaptureColumns, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.units import mib, ms, seconds
 
-BASE_SERVER_PORT = 4433
-BASE_CLIENT_PORT = 50000
+#: The run loop's step: completion is checked between steps.
+CHUNK_NS = ms(200)
 
-#: Ports are allocated as BASE + index on both sides; beyond this many flows
-#: the server range would collide with the client range.
-MAX_FLOWS = BASE_CLIENT_PORT - BASE_SERVER_PORT
+#: What a flow contributes to the run's fingerprint.
+_FLOW_DIGEST = (
+    "completed", "duration_ns", "goodput_mbps", "bytes_received", "dropped",
+    "injected_drops", "ack_drops", "wire_packets", "start_ns",
+)
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One competing sender."""
+    """One sender of a run."""
 
     stack: str = "quiche"
     cca: str = "cubic"
@@ -102,6 +90,15 @@ class FlowResult:
     #: This flow's frames at the tap, in arrival order (``capture_records``
     #: runs; empty otherwise).
     records: CaptureColumns = field(default_factory=CaptureColumns)
+    #: ``(packet number, expected send time)`` per QUIC packet the server
+    #: built (``capture_records`` runs; empty otherwise and for TCP).
+    expected_send_log: List[Tuple[int, int]] = field(default_factory=list)
+    #: The server's cwnd over time (configs with ``trace_cwnd``).
+    cwnd_trace: List[Tuple[int, int]] = field(default_factory=list)
+    qdisc_stats: dict = field(default_factory=dict)
+    server_stats: dict = field(default_factory=dict)
+    #: Per-object completion times relative to the request (QUIC).
+    object_completion_ns: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -122,6 +119,8 @@ class MultiFlowResult:
     drained: int = 0
     #: Per-stage impairment counters, keyed ``"{dir}/{index}/{kind}"``.
     impairment_stats: dict = field(default_factory=dict)
+    #: The bottleneck's backlog over time (a flow config with ``trace_queue``).
+    queue_trace: List[Tuple[int, int]] = field(default_factory=list)
     #: Execution observability, excluded from the fingerprint.
     events_processed: int = 0
     wall_time_s: float = 0.0
@@ -162,20 +161,7 @@ class MultiFlowResult:
             "ack_drops": self.ack_drops,
             "unrouted": self.unrouted,
             "impairment_stats": self.impairment_stats,
-            "flows": [
-                {
-                    "completed": f.completed,
-                    "duration_ns": f.duration_ns,
-                    "goodput_mbps": f.goodput_mbps,
-                    "bytes_received": f.bytes_received,
-                    "dropped": f.dropped,
-                    "injected_drops": f.injected_drops,
-                    "ack_drops": f.ack_drops,
-                    "wire_packets": f.wire_packets,
-                    "start_ns": f.start_ns,
-                }
-                for f in self.flows
-            ],
+            "flows": [{key: getattr(f, key) for key in _FLOW_DIGEST} for f in self.flows],
         }
         return json.dumps(payload, sort_keys=True).encode()
 
@@ -183,11 +169,10 @@ class MultiFlowResult:
         """The behaviour digest: the seed and every deterministic output.
 
         Excludes the flow specs (identity), execution observability
-        (``wall_time_s``, ``events_processed``) and the optional per-flow
-        captures (which
-        are an observability toggle, not a result: a run with
-        ``capture_records=False`` must fingerprint identically to the same
-        run with capture on).
+        (``wall_time_s``, ``events_processed``) and the per-flow per-packet
+        outputs and traces (an observability toggle, not a result: a run with
+        ``capture_records=False`` or a qlog-traced flow must fingerprint
+        identically to the plain run).
         """
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
@@ -214,49 +199,15 @@ def flow_config(spec: FlowSpec, network: NetworkConfig) -> ExperimentConfig:
     )
 
 
-class _Flow:
-    """Internal per-flow state."""
-
-    def __init__(self, spec: FlowSpec, index: int):
-        self.spec = spec
-        self.index = index
-        self.server_port = BASE_SERVER_PORT + index
-        self.client_port = BASE_CLIENT_PORT + index
-        #: Sockets, sender host and endpoints; dropped at churn teardown.
-        self.wired: Optional[WiredFlow] = None
-        #: The extra-RTT stage, if any; dropped at churn teardown.
-        self.per_flow_delay: Optional[NetemQdisc] = None
-        #: Frozen (start, end, bytes) snapshot taken at retirement; after
-        #: teardown the live objects are gone and these answer for them.
-        self._frozen: Optional[tuple[int, int, int]] = None
-
-    @property
-    def done(self) -> bool:
-        return self._frozen is not None or self.wired.done
-
-    def freeze(self, now: int) -> None:
-        """Snapshot the result-facing state ahead of teardown."""
-        start, end = self.timing(now)
-        self._frozen = (start, end, self.bytes_delivered())
-
-    def timing(self, fallback_now: int) -> tuple[int, int]:
-        if self._frozen is not None:
-            return self._frozen[0], self._frozen[1]
-        return self.wired.span(fallback_now, self.spec.start_ns)
-
-    def bytes_delivered(self) -> int:
-        """Application bytes the receiver actually got (contiguous)."""
-        if self._frozen is not None:
-            return self._frozen[2]
-        return self.wired.bytes_delivered()
-
-
 class MultiFlowExperiment:
-    """N flows over one shared bottleneck.
+    """N flows over one shared bottleneck: the one run shape.
 
-    ``capture_records=False`` leaves every ``FlowResult.records`` empty
-    (wire-packet counts are still reported), which is what flow-population
-    runs use.
+    Flow ``i`` is ``flows[i]`` wired from ``configs[i]``, by default
+    :func:`flow_config` of it; a config can ask for what a spec cannot say
+    (traces, qlog, ECN, objects). ``capture_records=False`` leaves every
+    flow's per-packet outputs empty (wire-packet counts are still reported),
+    which is what flow-population runs use. With ``churn`` each flow is torn
+    down as it completes.
     """
 
     def __init__(
@@ -267,6 +218,7 @@ class MultiFlowExperiment:
         max_sim_time_ns: int = seconds(300),
         capture_records: bool = True,
         churn: bool = False,
+        configs: Optional[Sequence[ExperimentConfig]] = None,
     ):
         if not flows:
             raise ValueError("at least one flow is required")
@@ -275,8 +227,18 @@ class MultiFlowExperiment:
                 f"{len(flows)} flows exceed the port budget ({MAX_FLOWS}): "
                 f"server ports would collide with client ports"
             )
-        self.specs = list(flows)
-        self.network = network or NetworkConfig()
+        network = network or NetworkConfig()
+        if configs is None:
+            configs = [flow_config(spec, network) for spec in flows]
+        if len(configs) != len(flows):
+            raise ValueError(f"{len(configs)} configs for {len(flows)} flows")
+        # The shared bottleneck marks ECN and traces its queue for any flow
+        # that asks.
+        ecn = trace_queue = False
+        for cfg in configs:
+            cfg.validate()
+            ecn |= cfg.ecn
+            trace_queue |= cfg.trace_queue
         self.seed = seed
         self.max_sim_time_ns = max_sim_time_ns
         self.capture_records = capture_records
@@ -284,54 +246,39 @@ class MultiFlowExperiment:
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.sniffer = Sniffer()
-        self._flows: List[_Flow] = []
         #: Shared terminal sink for every departed flow's ports.
         self._drain = DrainSink()
 
-        # The shared paths end in a port demux per direction; every flow
-        # brings its own sender host, client socket and endpoints.
-        testbed = Testbed(self.sim, self.rngs, self.network, self.sniffer)
-        self.client_demux = PortDemux()
-        self.server_demux = PortDemux()
-        testbed.deliver_to(self.client_demux, self.server_demux)
-        self.bottleneck = testbed.bottleneck
-        self.fwd_impairments = testbed.fwd_impairments
-        self.rev_impairments = testbed.rev_impairments
-        for index, spec in enumerate(self.specs):
-            flow = _Flow(spec, index)
-            self._flows.append(flow)
-            cfg = flow_config(spec, self.network)
-            cfg.validate()
-            wired = flow.wired = WiredFlow(
-                testbed,
-                cfg,
-                f"flow{index}",
-                flow.server_port,
-                flow.client_port,
-                rng_for=lambda role: self.rngs.stream(f"flow{index}-{role}"),
-            )
-            self.client_demux.add_route(flow.client_port, wired.client_sock)
-            # Heterogeneous per-flow RTT: extra one-way delay on this flow's
-            # reverse path only, inserted between the shared demux and the
-            # server socket so the shared forward queue stays untouched.
-            if spec.extra_rtt_ns > 0:
-                flow.per_flow_delay = NetemQdisc(
-                    self.sim,
-                    f"rtt-{index}",
-                    sink=wired.server_sock,
-                    delay_ns=spec.extra_rtt_ns,
-                    rng=self.rngs.stream(f"flow{index}-rtt"),
-                )
-                self.server_demux.add_route(flow.server_port, flow.per_flow_delay)
-            else:
-                self.server_demux.add_route(flow.server_port, wired.server_sock)
+        testbed = self.testbed = Testbed(self.sim, self.rngs, network, self.sniffer, ecn=ecn)
+        testbed.bottleneck.trace_queue = trace_queue
+        self.flows: List[WiredFlow] = []
+        for index, (spec, cfg) in enumerate(zip(flows, configs)):
+            self.flows.append(WiredFlow(testbed, index, spec, cfg))
+        self.client_demux = self.server_demux = None
+        if len(self.flows) == 1:
+            testbed.deliver_to(self.flows[0].client_sock, self.flows[0].ack_sink)
+        else:
+            self.client_demux = PortDemux({f.client_port: f.client_sock for f in self.flows})
+            self.server_demux = PortDemux({f.server_port: f.ack_sink for f in self.flows})
+            testbed.deliver_to(self.client_demux, self.server_demux)
 
     # -- run -------------------------------------------------------------------
 
     def run(self) -> MultiFlowResult:
+        """Run until every flow completes, the calendar empties or
+        ``max_sim_time_ns`` passes.
+
+        Completion is checked every :data:`CHUNK_NS` of simulated time, so a
+        run continues up to 200 ms past its last completion and the shared
+        counters (drops, impairment stages, the queue trace) include that
+        traffic; changing the stop rule moves every digest.
+        """
         wall_start = time.perf_counter()
-        for flow in self._flows:
-            self.sim.schedule_at(flow.spec.start_ns, flow.wired.start)
+        for flow in self.flows:
+            if flow.spec.start_ns:
+                self.sim.schedule_at(flow.spec.start_ns, flow.start)
+            else:
+                flow.start()
 
         # Steady-state traffic allocates and frees at a rate that makes the
         # cyclic GC's periodic full scans pure overhead (the object graph
@@ -341,17 +288,16 @@ class MultiFlowExperiment:
         if gc_paused:
             gc.disable()
         try:
-            chunk = ms(200)
-            active = list(self._flows)
+            active = list(self.flows)
             while active and self.sim.now < self.max_sim_time_ns:
                 before = self.sim.events_processed
-                self.sim.run(until=self.sim.now + chunk)
-                if any(f.done for f in active):
+                self.sim.run(until=self.sim.now + CHUNK_NS)
+                done = [f for f in active if f.done]
+                if done:
                     if self.churn:
-                        for f in active:
-                            if f.done:
-                                self._retire(f)
-                    active = [f for f in active if not f.done]
+                        for f in done:
+                            self._retire(f)
+                    active = [f for f in active if f not in done]
                 if (
                     active
                     and self.sim.events_processed == before
@@ -364,100 +310,100 @@ class MultiFlowExperiment:
 
         return self._collect(wall_start)
 
-    def _retire(self, flow: _Flow) -> None:
-        """Tear down a finished flow: freeze its result-facing state, silence
-        every timer it could re-arm, reroute its ports to the drain sink, and
-        drop the references so a long churn run holds O(active) state.
-
-        Straggler datagrams already in flight keep their own pipeline stages
-        alive until delivered; they terminate in :class:`DrainSink` (counted
-        as ``drained``) instead of a dead socket.
-        """
-        flow.freeze(self.sim.now)
-        flow.wired.detach()
-        self.client_demux.add_route(flow.client_port, self._drain)
-        self.server_demux.add_route(flow.server_port, self._drain)
-        # The per-flow extra-RTT stage sits *between* the shared demux and
-        # the server socket, so rerouting the demux alone would still let
-        # ACKs already inside the delay line hit the dead socket tens of
-        # milliseconds from now (and, for TCP, trigger a whole go-back-N
-        # burst). Point its sink at the drain too.
-        if flow.per_flow_delay is not None:
-            flow.per_flow_delay.sink = self._drain
-        flow.wired = None
-        flow.per_flow_delay = None
+    def _retire(self, flow: WiredFlow) -> None:
+        """Tear down a finished flow (:meth:`WiredFlow.retire`). Its ports
+        lead to the drain sink, which counts the stragglers still in flight
+        as ``drained``; a one-flow run has no demux, and its loop ends with
+        its flow."""
+        if self.client_demux is not None:
+            self.client_demux.add_route(flow.client_port, self._drain)
+            self.server_demux.add_route(flow.server_port, self._drain)
+        # The extra-RTT stage sits *between* the shared demux and the server
+        # socket, so rerouting the demux alone would still let ACKs already
+        # inside the delay line hit the dead socket tens of milliseconds from
+        # now (and, for TCP, trigger a whole go-back-N burst).
+        if flow.ack_sink is not flow.server_sock:
+            flow.ack_sink.sink = self._drain
+        flow.retire(self.sim.now, self.capture_records)
 
     def _collect(self, wall_start: float) -> MultiFlowResult:
-        # One columnar pass: frames on the wire per server port. The tap sees
-        # only the forward direction (server hosts feed it), but filter by
-        # source address anyway so a future topology change cannot silently
-        # misattribute reverse frames.
+        testbed, capture = self.testbed, self.capture_records
+        # The capture's flow-table entries per flow, by server port. The tap
+        # sees only the forward direction (server hosts feed it), but filter
+        # by source address anyway so a future topology change cannot
+        # silently misattribute reverse frames.
         cols = self.sniffer.columns
-        frames_by_flow_index = Counter(cols.flow_index)
-        wire_by_port: Dict[int, int] = {}
-        for flow_idx, count in frames_by_flow_index.items():
-            f = cols.flows[flow_idx]
-            if f[0] == SERVER_ADDR:
-                wire_by_port[f[1]] = wire_by_port.get(f[1], 0) + count
-        # The capture's rows per server port, in capture order: one pass over
-        # the rows, not one per flow.
-        rows_by_port: Dict[int, List[int]] = {}
-        no_rows = CaptureColumns()  # shared by every flow without a capture
-        if self.capture_records:
-            for row, flow_idx in enumerate(cols.flow_index):
-                f = cols.flows[flow_idx]
-                if f[0] == SERVER_ADDR:
-                    rows_by_port.setdefault(f[1], []).append(row)
+        by_port = {flow.server_port: i for i, flow in enumerate(self.flows)}
+        owner = [by_port.get(f[1]) if f[0] == SERVER_ADDR else None for f in cols.flows]
+        frames = [0] * len(owner)
+        for entry in cols.flow_index:
+            frames[entry] += 1
+        wire = [0] * len(self.flows)
+        for entry, index in enumerate(owner):
+            if index is not None:
+                wire[index] += frames[entry]
+        records = _split_capture(cols, owner, wire) if capture else [CaptureColumns()] * len(wire)
 
-        # Congestion drops per server port (forward path: src port == server).
-        congestion_by_port: Dict[int, int] = {}
-        for f, count in self.bottleneck.drops_by_flow.items():
-            congestion_by_port[f[1]] = congestion_by_port.get(f[1], 0) + count
-        # Injected forward drops per server port (src port of a data packet).
-        fwd_injected_by_port: Dict[int, int] = {}
-        for stage in self.fwd_impairments:
-            for f, count in stage.drops_by_flow.items():
-                fwd_injected_by_port[f[1]] = fwd_injected_by_port.get(f[1], 0) + count
-        # Injected reverse (ACK) drops per server port (dst port of an ACK).
-        ack_injected_by_port: Dict[int, int] = {}
-        for stage in self.rev_impairments:
-            for f, count in stage.drops_by_flow.items():
-                ack_injected_by_port[f[3]] = ack_injected_by_port.get(f[3], 0) + count
+        # Drops per server port: congestion and injected forward drops by a
+        # data packet's source port, injected reverse drops by an ACK's
+        # destination port.
+        congestion: Dict[int, int] = {}
+        for f, count in testbed.bottleneck.drops_by_flow.items():
+            congestion[f[1]] = congestion.get(f[1], 0) + count
+        injected: Dict[int, int] = {}
+        ack_drops: Dict[int, int] = {}
+        impairment_stats = {}
+        for stages, by_port, port in (
+            (testbed.fwd_impairments, injected, 1),
+            (testbed.rev_impairments, ack_drops, 3),
+        ):
+            for stage in stages:
+                impairment_stats[stage.name] = stage.stats.as_dict()
+                for f, count in stage.drops_by_flow.items():
+                    by_port[f[port]] = by_port.get(f[port], 0) + count
 
+        now = self.sim.now
         results = []
-        for flow in self._flows:
-            start, end = flow.timing(self.sim.now)
+        for index, flow in enumerate(self.flows):
             port = flow.server_port
-            bytes_received = flow.bytes_delivered()
             results.append(
                 FlowResult(
                     spec=flow.spec,
-                    completed=flow.done,
-                    duration_ns=end - start,
-                    goodput_mbps=goodput_mbps(bytes_received, end - start),
-                    dropped=congestion_by_port.get(port, 0),
-                    bytes_received=bytes_received,
-                    injected_drops=fwd_injected_by_port.get(port, 0),
-                    ack_drops=ack_injected_by_port.get(port, 0),
-                    wire_packets=wire_by_port.get(port, 0),
-                    start_ns=flow.spec.start_ns,
-                    records=cols.select(rows_by_port[port]) if port in rows_by_port else no_rows,
+                    **flow.outputs(now, capture),
+                    dropped=congestion.get(port, 0),
+                    injected_drops=injected.get(port, 0),
+                    ack_drops=ack_drops.get(port, 0),
+                    wire_packets=wire[index],
+                    records=records[index],
                 )
             )
-        impairment_stats = {
-            stage.name: stage.stats.as_dict()
-            for stage in (*self.fwd_impairments, *self.rev_impairments)
-        }
         return MultiFlowResult(
             flows=results,
-            total_dropped=self.bottleneck.dropped,
-            sim_time_ns=self.sim.now,
+            total_dropped=testbed.bottleneck.dropped,
+            sim_time_ns=now,
             seed=self.seed,
-            injected_drops=sum(s.stats.injected_drops for s in self.fwd_impairments),
-            ack_drops=sum(s.stats.injected_drops for s in self.rev_impairments),
-            unrouted=self.client_demux.unrouted + self.server_demux.unrouted,
+            injected_drops=sum(injected.values()),
+            ack_drops=sum(ack_drops.values()),
+            unrouted=self.client_demux.unrouted + self.server_demux.unrouted
+            if self.client_demux is not None
+            else 0,
             drained=self._drain.drained,
             impairment_stats=impairment_stats,
+            queue_trace=list(testbed.bottleneck.queue_trace),
             events_processed=self.sim.events_processed,
             wall_time_s=time.perf_counter() - wall_start,
         )
+
+
+def _split_capture(
+    cols: CaptureColumns, owner: List[Optional[int]], wire: List[int]
+) -> List[CaptureColumns]:
+    """The capture's rows per flow, in capture order, in one pass over the
+    rows; the capture itself when it is one flow's."""
+    if wire == [len(cols.time_ns)]:
+        return [cols]
+    rows: List[List[int]] = [[] for _ in wire]
+    for row, entry in enumerate(cols.flow_index):
+        if owner[entry] is not None:
+            rows[owner[entry]].append(row)
+    return [cols.select(r) for r in rows]

@@ -1,27 +1,22 @@
 """Flow populations: hundreds of concurrent flows over one shared bottleneck.
 
-Many-flow scale is the closest simulation stand-in for a production server's
-"millions of users". This layer generates a *population* of flows — N
-arrivals (Poisson, uniformly spaced, or trace-driven), heterogeneous
-per-flow RTTs, mixed stack/CCA/qdisc profiles, optionally heavy-tailed file
-sizes, all derived from one seed — and drives them through
-:class:`~repro.framework.multiflow.MultiFlowExperiment` on a single shared
-queue.
+A population is an arrival process: N arrivals (Poisson, uniformly spaced,
+or trace-driven) with heterogeneous per-flow RTTs, mixed stack/CCA/qdisc
+profiles and optionally heavy-tailed file sizes, all derived from one seed,
+emitted as one :class:`FlowSpec` per flow for the run of
+:mod:`repro.framework.multiflow` (the one run shape, a single experiment
+being its N = 1). The result adds the QUICbench-style competition view:
+per-flow goodput/loss/FCT distributions, Jain fairness over completed flows,
+a pairwise throughput-ratio matrix across the profiles, and a transitivity
+check over the induced "beats" relation.
 
-The result reports the QUICbench-style competition view: per-flow
-goodput/loss/FCT distributions, Jain fairness over completed flows, a
-pairwise throughput-ratio matrix across the stack profiles sharing the
-bottleneck, and a transitivity check over the induced "beats" relation
-("A beats B, B beats C ⇒ does A beat C?").
-
-Integration. :class:`PopulationConfig` follows the same contract as
-:class:`~repro.framework.config.ExperimentConfig` — ``validate()``,
-``label``, ``repetitions``, ``seed``, ``cache_key()`` over every field — so
-population grids drop straight into :class:`~repro.framework.sweep.SweepRunner`
-(cacheable, stored/resumable, supervised). :class:`PopulationResult`
-exposes the duck-typed result surface the sweep stack consumes
-(``fingerprint()``, ``goodput_mbps``, ``dropped``, ``completed``, …).
-Capture records default to *off* here: a 500-flow run holds the tap's columns
+:class:`PopulationConfig` follows the contract of
+:class:`~repro.framework.config.ExperimentConfig` (``validate()``, ``label``,
+``repetitions``, ``seed``, ``cache_key()`` over every field), and
+:class:`PopulationResult` the result surface the sweep stack reads
+(``fingerprint()``, ``goodput_mbps``, ``dropped``, ``completed``, …), so
+population grids are swept, cached, stored and supervised like experiments.
+Capture records default to *off*: a 500-flow run holds the tap's columns
 once instead of a second, per-flow copy of them.
 """
 
@@ -229,14 +224,9 @@ def _distribution(values: List[float]) -> Dict[str, float]:
 
 @dataclass
 class PopulationResult:
-    """A population run: the underlying multi-flow result plus the
-    distribution / fairness / competition aggregates.
-
-    Duck-typed for the sweep stack: exposes ``seed``, ``completed``,
-    ``goodput_mbps`` (aggregate), ``dropped``, ``injected_drops``,
-    ``duration_ns``, ``events_processed``, ``wall_time_s``, and
-    ``fingerprint()`` like :class:`ExperimentResult`.
-    """
+    """A population run: the multi-flow result plus the distribution,
+    fairness and competition aggregates, with the result surface of an
+    :class:`ExperimentResult` for the sweep stack."""
 
     config: PopulationConfig
     seed: int

@@ -108,7 +108,9 @@ __all__ = ["STORE_VERSION", "ResultStore", "grid_key"]
 #: v5: the fingerprint is the behaviour digest (no config), and the blob holds
 #: the per-repetition config.
 #: v6: a blob's config carries its ``params`` instead of five override fields.
-STORE_VERSION = 6
+#: v7: multi-flow digests moved (flow 0 has the single-flow ports and RNG
+#: streams), and a ``FlowResult`` carries the flow's own outputs.
+STORE_VERSION = 7
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the

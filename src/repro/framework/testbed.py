@@ -13,30 +13,32 @@ The sniffer sits *before* the bottleneck, so captured timestamps show the
 server's pacing, not the shaper's.
 
 :class:`Testbed` is the shared half (tap to bottleneck, and the ACK path);
-:class:`WiredFlow` is one sender host, its client socket and the application
-endpoints, described by an :class:`ExperimentConfig`. The single-flow
-``Experiment`` delivers both paths straight to its one flow's sockets, the
-``MultiFlowExperiment`` to a port demux per direction. Whatever else differs
-between them (ports, RNG stream names) is an argument.
+:class:`WiredFlow` is one flow of a run: a sender host, its client socket and
+the application endpoints, described by an :class:`ExperimentConfig`, and the
+one place that tells TCP from QUIC. The run
+(:class:`~repro.framework.multiflow.MultiFlowExperiment`) wires N of them and
+ends the shared paths at flow 0's sockets when N = 1, else at a port demux
+per direction. A flow's index fixes its ports and RNG stream names.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cc.factory import make_cc
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.kernel.gso import GsoSegmenter
 from repro.kernel.qdisc import make_qdisc
+from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.socket import UdpSocket, reset_gso_ids
+from repro.metrics.goodput import goodput_mbps
 from repro.net.bottleneck import Bottleneck
-from repro.net.impairments import build_impairments
+from repro.net.impairments import EventHook, build_impairments
 from repro.net.link import Link
 from repro.net.nic import Nic
-from repro.net.packet import PacketSink, reset_dgram_ids
+from repro.net.packet import FlowTuple, PacketSink, reset_dgram_ids
 from repro.net.tap import FiberTap, Sniffer
 from repro.net.wifi import WifiBottleneck
 from repro.pacing.gso_policy import GsoPolicy
@@ -52,6 +54,9 @@ from repro.tcp.segment import TCP_MSS
 from repro.tcp.sender import TcpSender
 from repro.units import mib, us
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.framework.multiflow import FlowSpec
+
 SERVER_ADDR = "10.0.0.1"
 CLIENT_ADDR = "10.0.0.2"
 
@@ -59,6 +64,18 @@ CLIENT_ADDR = "10.0.0.2"
 MTU_PAYLOAD = 1252
 
 _ETF_QDISCS = ("etf", "etf-offload")
+
+#: Flow 0 is the paper's one connection: its ports and the RNG stream of each
+#: component role are part of every single-flow golden.
+_FLOW0_PORTS = (443, 40000)
+_FLOW0_STREAMS = {
+    "nic": "nic", "qdisc": "qdisc", "server": "server-proc", "client": "client-proc", "rtt": "rtt",
+}
+#: Flow ``i >= 1`` gets ports ``BASE + i`` and the streams ``flow{i}-<role>``.
+BASE_SERVER_PORT = 4433
+BASE_CLIENT_PORT = 50000
+#: Beyond this many flows the server port range would reach the client range.
+MAX_FLOWS = BASE_CLIENT_PORT - BASE_SERVER_PORT
 
 
 class Testbed:
@@ -75,6 +92,10 @@ class Testbed:
         ecn: bool = False,
     ):
         self.sim = sim
+        self.rngs = rngs
+        #: Per-flow observers of the impairment stages, keyed by the 4-tuple
+        #: of the datagram a stage drops (a flow's qlog trace).
+        self.observers: Dict[FlowTuple, EventHook] = {}
         # Datagram and GSO-buffer ids must be a pure function of this run,
         # not of earlier experiments in the same process (bit-identical
         # serial/parallel/cached results depend on it).
@@ -120,45 +141,55 @@ class Testbed:
         # ACK path: 1 Gbit/s, its one-way delay the link's propagation; the
         # reverse impairments act at its far end (DESIGN 7.4), in front of
         # whatever ``deliver_to`` names.
-        self._reverse_chain = partial(
-            build_impairments, net.reverse_impairments, sim, rng_for=rngs.stream, direction="rev"
+        rev_head, self.rev_impairments, _ = build_impairments(
+            net.reverse_impairments, sim, sink=None, rng_for=rngs.stream, direction="rev"
         )
         self.reverse_link = Link(
-            sim, "reverse-link", net.link_rate_bps, propagation_ns=us(1) + net.one_way_delay_ns
+            sim,
+            "reverse-link",
+            net.link_rate_bps,
+            propagation_ns=us(1) + net.one_way_delay_ns,
+            sink=rev_head,
         )
+        for stage in (*self.fwd_impairments, *self.rev_impairments):
+            stage.observers = self.observers
 
     def deliver_to(self, forward_sink: PacketSink, reverse_sink: PacketSink) -> None:
-        """Terminate the two paths: at one flow's client and server sockets,
-        or at a port demux per direction."""
+        """Terminate the two paths: at one flow's client socket and
+        ``ack_sink``, or at a port demux per direction."""
         self.bottleneck.sink = forward_sink
-        self.reverse_link.sink, self.rev_impairments, _ = self._reverse_chain(sink=reverse_sink)
+        (self.rev_impairments[-1] if self.rev_impairments else self.reverse_link).sink = reverse_sink
 
 
 class WiredFlow:
-    """One flow's own half of the topology: the client socket, the sender
-    host (socket -> qdisc -> GSO segmenter -> NIC -> access link -> tap) and
-    the endpoints — a QUIC ``server``/``client`` driver pair with the
-    server's ``profile``, or a ``tcp_sender``/``tcp_receiver`` pair (the
-    other pair is None).
+    """Flow ``index`` of a run: the client socket, the sender host (socket ->
+    qdisc -> GSO segmenter -> NIC -> access link -> tap), the endpoints — a
+    QUIC ``server``/``client`` driver pair with the server's ``profile``, or
+    a ``tcp_sender``/``tcp_receiver`` pair (the other pair is None) — and,
+    for ``spec.extra_rtt_ns``, a delay stage in front of the server socket
+    (``ack_sink``, where the reverse path ends for this flow).
 
-    ``rng_for`` maps a component role (``"nic"``, ``"qdisc"``, ``"server"``,
-    ``"client"``) to its random stream.
+    It gathers the flow's own outputs (:meth:`outputs`) and, when ``cfg``
+    asks, its traces: the server's cwnd trace and a qlog trace (``qlog``)
+    that also records the shared stages' drops of this flow's datagrams.
     """
 
-    def __init__(
-        self,
-        testbed: Testbed,
-        cfg: ExperimentConfig,
-        name: str,
-        server_port: int,
-        client_port: int,
-        rng_for: Callable[[str], random.Random],
-    ):
+    def __init__(self, testbed: Testbed, index: int, spec: "FlowSpec", cfg: ExperimentConfig):
         sim = testbed.sim
+        self.index, self.spec = index, spec
+        if index == 0:
+            name, streams = "server", _FLOW0_STREAMS
+            self.server_port, self.client_port = _FLOW0_PORTS
+        else:
+            name = f"flow{index}"
+            streams = {role: f"{name}-{role}" for role in _FLOW0_STREAMS}
+            self.server_port = BASE_SERVER_PORT + index
+            self.client_port = BASE_CLIENT_PORT + index
+        rng = testbed.rngs.stream
         self.client_sock = UdpSocket(
-            sim, CLIENT_ADDR, client_port, egress=testbed.reverse_link, rcvbuf_bytes=mib(50)
+            sim, CLIENT_ADDR, self.client_port, egress=testbed.reverse_link, rcvbuf_bytes=mib(50)
         )
-        self.client_sock.connect(SERVER_ADDR, server_port)
+        self.client_sock.connect(SERVER_ADDR, self.server_port)
 
         self.link = Link(
             sim, f"{name}-link", cfg.network.link_rate_bps, propagation_ns=us(1), sink=testbed.tap
@@ -168,7 +199,7 @@ class WiredFlow:
             f"{name}-nic",
             self.link,
             launchtime=(cfg.qdisc == "etf-offload"),
-            rng=rng_for("nic"),
+            rng=rng(streams["nic"]),
         )
         self.segmenter = GsoSegmenter(sim, sink=self.nic)
         qdisc_params = {}
@@ -178,21 +209,47 @@ class WiredFlow:
             cfg.qdisc,
             sim,
             sink=self.segmenter,
-            rng=rng_for("qdisc"),
+            rng=rng(streams["qdisc"]),
             **qdisc_params,
         )
         self.server_sock = UdpSocket(
-            sim, SERVER_ADDR, server_port, egress=self.qdisc, so_txtime=(cfg.stack == "quiche")
+            sim, SERVER_ADDR, self.server_port, egress=self.qdisc, so_txtime=(cfg.stack == "quiche")
         )
-        self.server_sock.connect(CLIENT_ADDR, client_port)
+        self.server_sock.connect(CLIENT_ADDR, self.client_port)
+        # Heterogeneous RTT: extra one-way delay on this flow's reverse path
+        # only, so the shared forward queue stays untouched.
+        self.ack_sink: PacketSink = self.server_sock
+        if spec.extra_rtt_ns > 0:
+            self.ack_sink = NetemQdisc(
+                sim,
+                f"rtt-{index}",
+                sink=self.server_sock,
+                delay_ns=spec.extra_rtt_ns,
+                rng=rng(streams["rtt"]),
+            )
 
         self.file_size = cfg.file_size
+        self.objects = cfg.objects
         self.profile = self.server = self.client = None
         self.tcp_sender = self.tcp_receiver = None
         if cfg.stack == "tcp":
             self._wire_tcp(sim, cfg)
         else:
-            self._wire_quic(sim, cfg, rng_for)
+            self._wire_quic(sim, cfg, rng(streams["server"]), rng(streams["client"]))
+
+        if cfg.trace_cwnd:
+            self.server_cc.enable_trace()
+        self.qlog = None
+        if cfg.qlog and self.server is not None:
+            from repro.quic.qlog import QlogTrace, attach_qlog
+
+            trace = self.qlog = QlogTrace(f"{cfg.label} seed={testbed.rngs.seed}")
+            attach_qlog(self.server.conn, trace)
+            hook = lambda name, time_ns, data: trace.log(time_ns, name, **data)
+            testbed.observers[self.server_sock.flow] = hook
+            testbed.observers[self.client_sock.flow] = hook
+        #: This flow's :meth:`outputs`, frozen by :meth:`retire`.
+        self.frozen: Optional[dict] = None
 
     # -- the transfer, whichever endpoint pair carries it -------------------
 
@@ -207,43 +264,84 @@ class WiredFlow:
     @property
     def done(self) -> bool:
         """The receiver holds the whole file."""
+        if self.frozen is not None:
+            return self.frozen["completed"]
         if self.tcp_receiver is not None:
             return self.tcp_receiver.done
         return self.client.done
 
-    def span(self, now: int, start_ns: int = 0) -> tuple[int, int]:
-        """``(start, end)`` of the transfer: from the sender's start (TCP) or
-        the request (QUIC), else ``start_ns``, to completion, else ``now``;
-        at least 1 ns long."""
+    def outputs(self, now: int, per_packet: bool) -> dict:
+        """This flow's own results, as :class:`FlowResult` fields, frozen
+        once retired. The transfer runs from the sender's start (TCP) or the
+        request (QUIC), else ``spec.start_ns``, to completion, else ``now``
+        (at least 1 ns); goodput is from the application bytes delivered in
+        order. With ``per_packet``, the server's expected-send log too."""
+        if self.frozen is not None:
+            return self.frozen
+        completed = self.done
+        received = self.file_size  # the receiver holds the whole file once done
         if self.tcp_sender is not None:
             start, end = self.tcp_sender.started_at, self.tcp_receiver.completed_at
+            if not completed:
+                # rcv_nxt is the contiguous in-order frontier; the FIN carries
+                # no payload, so it never exceeds the file size.
+                received = min(self.tcp_receiver.rcv_nxt, self.file_size)
+            server_stats = {"retransmissions": self.tcp_sender.retransmissions, "acks_received": 0}
+            expected, objects = [], {}
         else:
             start, end = self.client.request_sent_at, self.client.completed_at
-        start = start or start_ns
-        return start, max(end or now, start + 1)
+            if not completed:
+                # Each response's body bytes in order, past its HTTP/3 framing
+                # (HEADERS + DATA frame header).
+                body = self.file_size // self.objects
+                prefix = len(h3.encode_response_prefix(body))
+                streams = self.client.conn.recv_streams
+                received = sum(
+                    max(0, min(streams[sid].delivered - prefix, body))
+                    for sid in self.client.request_stream_ids
+                    if sid in streams
+                )
+            conn = self.server.conn
+            server_stats = {
+                "packets_sent": conn.packets_sent,
+                "stream_bytes_retx": conn.stream_bytes_retx,
+                "spurious_loss_events": conn.spurious_loss_events,
+                "lost_packets_total": conn.recovery.lost_packets_total,
+                "congestion_events": conn.cc.congestion_events,
+                "rollbacks": getattr(conn.cc, "rollbacks", 0),
+                "gso_buffers": self.segmenter.buffers_split,
+            }
+            expected = self.server.expected_send_log
+            objects = self.client.object_completed_at
+        start = start or self.spec.start_ns
+        duration = max(end or now, start + 1) - start
+        return {
+            "completed": completed,
+            "duration_ns": duration,
+            "goodput_mbps": goodput_mbps(received, duration),
+            "bytes_received": received,
+            "start_ns": self.spec.start_ns,
+            "expected_send_log": list(expected) if per_packet else [],
+            "cwnd_trace": self.server_cc.cwnd_trace,
+            "qdisc_stats": self.qdisc.stats.as_dict(),
+            "server_stats": server_stats,
+            "object_completion_ns": {sid: t - start for sid, t in objects.items()},
+        }
 
-    def bytes_delivered(self) -> int:
-        """Application bytes the receiver got in order, at most the file."""
-        if self.tcp_receiver is not None:
-            # rcv_nxt is the contiguous in-order frontier; the FIN carries no
-            # payload, so it never exceeds the file size.
-            return min(self.tcp_receiver.rcv_nxt, self.file_size)
-        stream = self.client.conn.recv_streams.get(0)
-        if stream is None:
-            return 0
-        # Strip the HTTP/3 response framing (HEADERS + DATA frame header) so
-        # the count is body bytes, directly comparable to the file size.
-        body = stream.delivered - len(h3.encode_response_prefix(self.file_size))
-        return max(0, min(body, self.file_size))
-
-    def detach(self) -> None:
-        """Silence both endpoints: cancel every timer they could re-arm."""
+    def retire(self, now: int, per_packet: bool) -> None:
+        """Churn teardown: freeze :meth:`outputs`, silence both endpoints
+        (cancel every timer they could re-arm) and drop the live objects, so
+        a long run holds O(active) flows."""
+        self.frozen = self.outputs(now, per_packet)
         if self.tcp_sender is not None:
             self.tcp_sender.detach()
             self.tcp_receiver.detach()
         else:
             self.server.detach()
             self.client.detach()
+        self.client_sock = self.server_sock = self.ack_sink = self.link = self.nic = None
+        self.segmenter = self.qdisc = self.server_cc = self.profile = None
+        self.server = self.client = self.tcp_sender = self.tcp_receiver = None
 
     def _wire_tcp(self, sim: Simulator, cfg: ExperimentConfig) -> None:
         # Kernel CUBIC (HyStart with ACK trains) is the sender's own default.
@@ -253,7 +351,11 @@ class WiredFlow:
         self.server_cc = self.tcp_sender.cc
 
     def _wire_quic(
-        self, sim: Simulator, cfg: ExperimentConfig, rng_for: Callable[[str], random.Random]
+        self,
+        sim: Simulator,
+        cfg: ExperimentConfig,
+        server_rng: random.Random,
+        client_rng: random.Random,
     ) -> None:
         profile = self.profile = _quic_profile(cfg)
         self.server_cc = make_cc(
@@ -298,10 +400,10 @@ class WiredFlow:
             profile,
             make_pacer(profile, MTU_PAYLOAD),
             response_size=h3.response_stream_size(cfg.file_size // cfg.objects),
-            rng=rng_for("server"),
+            rng=server_rng,
         )
         self.client = ClientDriver(
-            sim, client_conn, self.client_sock, rng=rng_for("client"), request_count=cfg.objects
+            sim, client_conn, self.client_sock, rng=client_rng, request_count=cfg.objects
         )
 
 

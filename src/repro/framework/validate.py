@@ -1,29 +1,20 @@
-"""Result invariants: sanity checks every repetition must pass before it is
-cached or summarized.
+"""Result invariants every repetition must pass before it is cached or
+summarized.
 
-A long sweep that silently absorbs a torn cache write or a logic regression
-produces a *wrong table*, which is strictly worse than a crashed run. Every
-invariant here is conservative — it holds for any correct simulation of any
-configuration — so a violation always names a real defect (corrupt entry,
-broken accounting, non-monotonic clock) rather than an unusual-but-valid
-result. Violations raise :class:`~repro.errors.ValidationError` with the
-invariant's name, and the supervision layer records them as structured
-repetition failures instead of caching garbage.
+A sweep that silently absorbs a torn cache write or a logic regression
+produces a *wrong table*, which is worse than a crash. Every invariant holds
+for any correct simulation of any configuration, so a violation names a real
+defect; it raises :class:`~repro.errors.ValidationError` with the
+invariant's name, and supervision records it as a failed repetition.
 
-Checked invariants:
-
-* **counter sanity** — durations, drop counts, and per-stage impairment
-  counters are non-negative; ``injected_drops`` equals the sum of the
-  per-stage counters; no stage dropped more packets than it saw.
-* **capture monotonicity** — tap timestamps, cwnd-trace times, and
-  queue-trace times never decrease (simulation time cannot run backwards).
-* **byte conservation** — a completed download must have put at least
-  ``file_size`` payload bytes on the wire (retransmissions only add), and
-  the forward path cannot drop more frames than crossed the tap (plus
-  injected duplicates).
-* **rate ceiling** — goodput of a completed transfer cannot exceed what the
-  bottleneck (TBF rate + token burst, or the Wi-Fi PHY rate) could have
-  carried in the measured duration.
+Every flow is held to the run's conservation: a positive duration,
+non-negative goodput and counters, stage counters that never drop more than
+they saw, and a forward path that cannot drop more frames than crossed the
+tap (plus injected duplicates). A multi-flow run's per-flow counters also
+sum to its totals, and nothing went unrouted. A one-flow result adds what its
+own capture allows: monotonic capture and trace times, a completed download
+whose payload on the wire covers the file, and a delivery (the file once
+complete, else goodput x duration) within what the bottleneck could carry.
 """
 
 from __future__ import annotations
@@ -71,6 +62,47 @@ def validate_result(result) -> None:
         validate_experiment(result)
 
 
+def _check_counters(tag: str, duration_ns: int, goodput_mbps: float, **counters: int) -> None:
+    """A flow's duration is positive, its goodput and counters are not
+    negative."""
+    _check(duration_ns >= 1, "duration", f"{tag}non-positive {duration_ns}")
+    _check(goodput_mbps >= 0.0, "goodput", f"{tag}negative {goodput_mbps}")
+    for counter, value in counters.items():
+        _check(value >= 0, counter, f"{tag}negative {value}")
+
+
+def _check_stages(impairment_stats: dict) -> None:
+    """Every stage counter is non-negative, and no stage dropped more than it
+    saw."""
+    for stage, stats in impairment_stats.items():
+        for counter, value in stats.items():
+            _check(
+                value >= 0,
+                "impairment-counters",
+                f"stage {stage!r} counter {counter!r} is negative ({value})",
+            )
+        _check(
+            stats["injected_drops"] <= stats["seen"],
+            "impairment-counters",
+            f"stage {stage!r} dropped {stats['injected_drops']} of only "
+            f"{stats['seen']} seen packets",
+        )
+
+
+def _check_drop_conservation(dropped: int, impairment_stats: dict, wire_packets: int) -> None:
+    """The forward path cannot drop more frames than crossed the tap, plus
+    the duplicates its stages injected."""
+    fwd = [s for name, s in impairment_stats.items() if name.startswith("fwd/")]
+    injected = sum(s["injected_drops"] for s in fwd)
+    duplicated = sum(s["duplicated"] for s in fwd)
+    _check(
+        dropped + injected <= wire_packets + duplicated,
+        "drop-conservation",
+        f"{dropped} congestion + {injected} injected drops exceed "
+        f"{wire_packets} captured + {duplicated} duplicated frames",
+    )
+
+
 def validate_multiflow(result: MultiFlowResult) -> None:
     """Multi-flow conservation invariants.
 
@@ -88,64 +120,37 @@ def validate_multiflow(result: MultiFlowResult) -> None:
         f"(a flow's port was never registered)",
     )
     for index, flow in enumerate(result.flows):
-        tag = f"flow {index} ({flow.spec.label})"
-        _check(flow.duration_ns >= 1, "duration", f"{tag}: non-positive {flow.duration_ns}")
-        _check(flow.goodput_mbps >= 0.0, "goodput", f"{tag}: negative {flow.goodput_mbps}")
+        tag = f"flow {index} ({flow.spec.label}): "
+        size = flow.spec.file_size
         _check(
-            0 <= flow.bytes_received <= flow.spec.file_size,
+            flow.bytes_received == size if flow.completed else 0 <= flow.bytes_received <= size,
             "bytes-received",
-            f"{tag}: {flow.bytes_received} outside [0, {flow.spec.file_size}]",
+            f"{tag}{'completed but ' if flow.completed else ''}delivered "
+            f"{flow.bytes_received} of {size} B",
         )
-        if flow.completed:
-            _check(
-                flow.bytes_received == flow.spec.file_size,
-                "bytes-received",
-                f"{tag}: completed but delivered {flow.bytes_received} of "
-                f"{flow.spec.file_size} B",
-            )
-        for counter in ("dropped", "injected_drops", "ack_drops", "wire_packets"):
-            value = getattr(flow, counter)
-            _check(value >= 0, counter, f"{tag}: negative {value}")
-    _check(
-        sum(f.dropped for f in result.flows) == result.total_dropped,
-        "drop-attribution",
-        f"per-flow congestion drops sum to {sum(f.dropped for f in result.flows)} "
-        f"but the bottleneck dropped {result.total_dropped}",
-    )
-    _check(
-        sum(f.injected_drops for f in result.flows) == result.injected_drops,
-        "injected-drop-attribution",
-        f"per-flow injected drops sum to "
-        f"{sum(f.injected_drops for f in result.flows)} but the forward stages "
-        f"injected {result.injected_drops}",
-    )
-    _check(
-        sum(f.ack_drops for f in result.flows) == result.ack_drops,
-        "ack-drop-attribution",
-        f"per-flow ACK drops sum to {sum(f.ack_drops for f in result.flows)} "
-        f"but the reverse stages injected {result.ack_drops}",
-    )
-    for stage, stats in result.impairment_stats.items():
-        for counter, value in stats.items():
-            _check(
-                value >= 0,
-                "impairment-counters",
-                f"stage {stage!r} counter {counter!r} is negative ({value})",
-            )
+        _check_counters(
+            tag,
+            flow.duration_ns,
+            flow.goodput_mbps,
+            dropped=flow.dropped,
+            injected_drops=flow.injected_drops,
+            ack_drops=flow.ack_drops,
+            wire_packets=flow.wire_packets,
+        )
+    for counter, total, path in (
+        ("dropped", result.total_dropped, "the bottleneck dropped"),
+        ("injected_drops", result.injected_drops, "the forward stages injected"),
+        ("ack_drops", result.ack_drops, "the reverse stages injected"),
+    ):
+        flows = sum(getattr(f, counter) for f in result.flows)
         _check(
-            stats["injected_drops"] <= stats["seen"],
-            "impairment-counters",
-            f"stage {stage!r} dropped {stats['injected_drops']} of only "
-            f"{stats['seen']} seen packets",
+            flows == total,
+            "drop-attribution",
+            f"per-flow {counter} sum to {flows} but {path} {total}",
         )
-    fwd = {k: v for k, v in result.impairment_stats.items() if k.startswith("fwd/")}
-    fwd_duplicated = sum(s["duplicated"] for s in fwd.values())
-    wire_total = sum(f.wire_packets for f in result.flows)
-    _check(
-        result.total_dropped + result.injected_drops <= wire_total + fwd_duplicated,
-        "drop-conservation",
-        f"{result.total_dropped} congestion + {result.injected_drops} injected "
-        f"drops exceed {wire_total} captured + {fwd_duplicated} duplicated frames",
+    _check_stages(result.impairment_stats)
+    _check_drop_conservation(
+        result.total_dropped, result.impairment_stats, sum(f.wire_packets for f in result.flows)
     )
 
 
@@ -187,36 +192,26 @@ def validate_population(result: PopulationResult) -> None:
 
 
 def validate_experiment(result: ExperimentResult) -> None:
-    """Single-flow invariants (the original checks)."""
+    """One-flow invariants: the multi-flow conservation checks, plus the
+    capture, byte and rate checks only a flow's own capture allows."""
     cfg = result.config
 
-    # -- counter sanity ----------------------------------------------------
-    _check(result.duration_ns >= 1, "duration", f"non-positive {result.duration_ns}")
-    _check(result.goodput_mbps >= 0.0, "goodput", f"negative {result.goodput_mbps}")
-    _check(result.dropped >= 0, "dropped", f"negative {result.dropped}")
-    _check(
-        result.injected_drops >= 0, "injected-drops", f"negative {result.injected_drops}"
+    # -- the conservation a multi-flow run is held to ------------------------
+    _check_counters(
+        "",
+        result.duration_ns,
+        result.goodput_mbps,
+        dropped=result.dropped,
+        injected_drops=result.injected_drops,
     )
-    stage_total = 0
-    for stage, stats in result.impairment_stats.items():
-        for counter, value in stats.items():
-            _check(
-                value >= 0,
-                "impairment-counters",
-                f"stage {stage!r} counter {counter!r} is negative ({value})",
-            )
-        _check(
-            stats["injected_drops"] <= stats["seen"],
-            "impairment-counters",
-            f"stage {stage!r} dropped {stats['injected_drops']} of only "
-            f"{stats['seen']} seen packets",
-        )
-        stage_total += stats["injected_drops"]
+    _check_stages(result.impairment_stats)
+    stage_total = sum(s["injected_drops"] for s in result.impairment_stats.values())
     _check(
         result.injected_drops == stage_total,
         "injected-drops",
         f"result counts {result.injected_drops} but stages sum to {stage_total}",
     )
+    _check_drop_conservation(result.dropped, result.impairment_stats, result.packets_on_wire)
 
     # -- capture monotonicity ---------------------------------------------
     _check_monotonic(result.server_records.time_ns, "capture-monotonic")
@@ -232,34 +227,23 @@ def validate_experiment(result: ExperimentResult) -> None:
             f"completed download of {cfg.file_size} B but only {wire_payload} B "
             f"of payload crossed the tap",
         )
-    fwd = {k: v for k, v in result.impairment_stats.items() if k.startswith("fwd/")}
-    fwd_injected = sum(s["injected_drops"] for s in fwd.values())
-    fwd_duplicated = sum(s["duplicated"] for s in fwd.values())
-    _check(
-        result.dropped + fwd_injected
-        <= result.packets_on_wire + fwd_duplicated,
-        "drop-conservation",
-        f"{result.dropped} congestion + {fwd_injected} injected drops exceed "
-        f"{result.packets_on_wire} captured + {fwd_duplicated} duplicated frames",
-    )
 
     # -- rate ceiling ------------------------------------------------------
-    if result.completed:
-        net = cfg.network
-        if net.bottleneck == "wifi":
-            ceiling_bps = net.wifi_phy_rate_bps
-            burst_bytes = net.wifi_max_aggregate * MTU_SLACK_BYTES
-        else:
-            ceiling_bps = net.bottleneck_rate_bps
-            burst_bytes = net.tbf_burst_bytes
-        capacity_bytes = (
-            ceiling_bps * result.duration_ns / (8 * SEC) + burst_bytes + MTU_SLACK_BYTES
-        )
-        _check(
-            cfg.file_size <= capacity_bytes * RATE_SLACK,
-            "rate-ceiling",
-            f"delivered {cfg.file_size} B in {result.duration_ns} ns but the "
-            f"bottleneck could carry at most {capacity_bytes:.0f} B "
-            f"({result.goodput_mbps:.2f} Mbit/s goodput vs "
-            f"{ceiling_bps / 1e6:.2f} Mbit/s ceiling)",
-        )
+    # What was delivered: the file once complete, else goodput x duration.
+    delivered = cfg.file_size if result.completed else result.goodput_mbps * result.duration_ns / 8e3
+    net = cfg.network
+    if net.bottleneck == "wifi":
+        ceiling_bps = net.wifi_phy_rate_bps
+        burst_bytes = net.wifi_max_aggregate * MTU_SLACK_BYTES
+    else:
+        ceiling_bps = net.bottleneck_rate_bps
+        burst_bytes = net.tbf_burst_bytes
+    capacity_bytes = ceiling_bps * result.duration_ns / (8 * SEC) + burst_bytes + MTU_SLACK_BYTES
+    _check(
+        delivered <= capacity_bytes * RATE_SLACK,
+        "rate-ceiling",
+        f"delivered {delivered:.0f} B in {result.duration_ns} ns but the "
+        f"bottleneck could carry at most {capacity_bytes:.0f} B "
+        f"({result.goodput_mbps:.2f} Mbit/s goodput vs "
+        f"{ceiling_bps / 1e6:.2f} Mbit/s ceiling)",
+    )

@@ -1,11 +1,11 @@
 """Flow demultiplexer: routes datagrams to per-flow sinks by destination port.
 
-Used by multi-flow experiments where several connections share the emulated
+Used by a run of more than one flow, where the connections share the emulated
 bottleneck: the bottleneck's single egress fans out to each receiver socket,
 and the shared reverse path fans out to each sender. An unrouted datagram is
 a wiring bug (a flow whose port was never registered), so the demux counts
-them — in total and per destination port — and the multi-flow conservation
-validator gates results on the total staying zero.
+them and the multi-flow conservation validator gates results on the count
+staying zero.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ class PortDemux:
     def __init__(self, routes: Dict[int, PacketSink] | None = None):
         self.routes: Dict[int, PacketSink] = dict(routes or {})
         self.unrouted = 0
-        #: Dropped datagrams by destination port, for post-hoc attribution of
-        #: a non-zero ``unrouted`` count to the missing route.
-        self.unrouted_by_port: Dict[int, int] = {}
 
     def add_route(self, port: int, sink: PacketSink) -> None:
         self.routes[port] = sink
@@ -32,8 +29,6 @@ class PortDemux:
         sink = self.routes.get(dgram.flow[3])
         if sink is None:
             self.unrouted += 1
-            port = dgram.flow[3]
-            self.unrouted_by_port[port] = self.unrouted_by_port.get(port, 0) + 1
             return
         sink.receive(dgram)
 

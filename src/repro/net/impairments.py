@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.net.bottleneck import Bottleneck
-from repro.net.packet import Datagram, PacketSink
+from repro.net.packet import Datagram, FlowTuple, PacketSink
 from repro.sim.engine import Simulator
 from repro.units import mbit, ms
 
@@ -171,8 +171,8 @@ class ImpairmentStats:
         }
 
 
-#: Optional observer called as ``(event_name, time_ns, data_dict)`` — the
-#: experiment wires this to its qlog trace when tracing is enabled.
+#: Observer called as ``(event_name, time_ns, data_dict)``: a traced flow
+#: wires its qlog trace here for its own datagrams.
 EventHook = Callable[[str, int, dict], None]
 
 
@@ -196,19 +196,18 @@ class ImpairmentStage:
         #: Injected drops keyed by the dropped datagram's flow tuple, so
         #: multi-flow experiments can attribute shared-stage losses per flow.
         self.drops_by_flow: dict = {}
-        self.on_event: Optional[EventHook] = None
+        #: Drop observers keyed by the dropped datagram's flow tuple.
+        self.observers: Dict[FlowTuple, EventHook] = {}
 
     def receive(self, dgram: Datagram) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _forward(self, dgram: Datagram) -> None:
-        self.sink.receive(dgram)
-
     def _drop(self, dgram: Datagram) -> None:
         self.stats.injected_drops += 1
         self.drops_by_flow[dgram.flow] = self.drops_by_flow.get(dgram.flow, 0) + 1
-        if self.on_event is not None:
-            self.on_event(
+        hook = self.observers.get(dgram.flow)
+        if hook is not None:
+            hook(
                 "network:injected_drop",
                 self.sim.now,
                 {
@@ -226,7 +225,7 @@ class IidLossStage(ImpairmentStage):
         if self.rng.random() < self.spec.rate:
             self._drop(dgram)
             return
-        self._forward(dgram)
+        self.sink.receive(dgram)
 
 
 class GilbertElliottStage(ImpairmentStage):
@@ -254,7 +253,7 @@ class GilbertElliottStage(ImpairmentStage):
         if loss > 0.0 and self.rng.random() < loss:
             self._drop(dgram)
             return
-        self._forward(dgram)
+        self.sink.receive(dgram)
 
 
 class ReorderStage(ImpairmentStage):
@@ -262,15 +261,15 @@ class ReorderStage(ImpairmentStage):
         self.stats.seen += 1
         if self.rng.random() < self.spec.rate:
             self.stats.reordered += 1
-            self.sim.schedule(self.spec.extra_delay_ns, self._forward, dgram)
+            self.sim.schedule(self.spec.extra_delay_ns, self.sink.receive, dgram)
             return
-        self._forward(dgram)
+        self.sink.receive(dgram)
 
 
 class DuplicateStage(ImpairmentStage):
     def receive(self, dgram: Datagram) -> None:
         self.stats.seen += 1
-        self._forward(dgram)
+        self.sink.receive(dgram)
         if self.rng.random() < self.spec.rate:
             self.stats.duplicated += 1
             # A distinct object with identical ids: both copies are "the same

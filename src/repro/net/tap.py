@@ -130,6 +130,13 @@ class CaptureColumns:
             out.flow_index.append(new)
         return out
 
+    def from_host(self, addr: str) -> "CaptureColumns":
+        """The rows whose source address is ``addr``: these columns
+        themselves when every row is."""
+        flows = self.flows
+        rows = [row for row, idx in enumerate(self.flow_index) if flows[idx][0] == addr]
+        return self if len(rows) == len(self) else self.select(rows)
+
     def record(self, i: int) -> CaptureRecord:
         """Materialize row ``i`` as a :class:`CaptureRecord`."""
         pn = self.packet_number[i]
@@ -152,9 +159,6 @@ class Sniffer:
         self.name: str = name
         self.columns: CaptureColumns = CaptureColumns()
         self._flow_ids: Dict[FlowTuple, int] = {}
-        #: Per-source-address row indices, maintained at capture time so
-        #: ``from_host`` never rescans the capture.
-        self._rows_by_host: Dict[str, List[int]] = {}
 
     def capture(self, time_ns: int, dgram: Datagram) -> None:
         cols = self.columns
@@ -164,10 +168,6 @@ class Sniffer:
             idx = len(cols.flows)
             self._flow_ids[flow] = idx
             cols.flows.append(flow)
-            rows = self._rows_by_host.setdefault(flow[0], [])
-        else:
-            rows = self._rows_by_host[flow[0]]
-        rows.append(len(cols.time_ns))
         cols.time_ns.append(time_ns)
         cols.wire_size.append(dgram.wire_size)
         cols.payload_size.append(dgram.payload_size)
@@ -177,16 +177,6 @@ class Sniffer:
         gso = dgram.gso_id
         cols.gso_id.append(_NONE if gso is None else gso)
         cols.flow_index.append(idx)
-
-    def from_host(self, addr: str) -> CaptureColumns:
-        """The frames whose source address is ``addr`` (e.g. the server): the
-        capture itself when every frame is."""
-        rows = self._rows_by_host.get(addr)
-        if rows is None:
-            return CaptureColumns()
-        if len(rows) == len(self.columns):
-            return self.columns
-        return self.columns.select(rows)
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -60,7 +60,7 @@ def run(name):
     )
     experiment = Experiment(config, seed=seed)
     states = set()
-    cc = experiment.server_cc
+    cc = experiment.flows[0].server_cc
     record = cc._record
 
     def recording(now):

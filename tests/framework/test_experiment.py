@@ -98,3 +98,32 @@ class TestRunner:
 def test_run_experiment_convenience():
     r = run_experiment(ExperimentConfig(stack="tcp", file_size=kib(100), repetitions=1))
     assert r.completed
+
+
+def test_incomplete_run_reports_delivered_goodput():
+    """Regression: an incomplete run's goodput came from the configured size,
+    so 8 MiB cut at 600 ms read 132.2 Mbit/s through the 40 Mbit/s
+    bottleneck. It is delivered bytes over the duration, and the rate
+    ceiling now rejects the old number."""
+    import dataclasses
+
+    from repro.errors import ValidationError
+    from repro.framework.experiment import ExperimentResult
+    from repro.framework.multiflow import MultiFlowExperiment
+    from repro.framework.validate import validate_result
+    from repro.metrics.goodput import goodput_mbps
+    from repro.units import mib
+
+    cfg = ExperimentConfig(stack="quiche", file_size=mib(8), max_sim_time_ns=ms(600))
+    run = MultiFlowExperiment.run(Experiment(cfg, seed=1))
+    r = ExperimentResult.view(cfg, run)
+    delivered = run.flows[0].bytes_received
+    assert not r.completed
+    assert 0 < delivered < cfg.file_size
+    assert r.goodput_mbps == goodput_mbps(delivered, r.duration_ns)
+    assert r.goodput_mbps < cfg.network.bottleneck_rate_bps / 1e6
+    validate_result(r)
+    with pytest.raises(ValidationError, match="rate-ceiling"):
+        validate_result(
+            dataclasses.replace(r, goodput_mbps=goodput_mbps(cfg.file_size, r.duration_ns))
+        )

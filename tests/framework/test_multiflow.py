@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.framework.multiflow import BASE_SERVER_PORT, FlowSpec, MultiFlowExperiment
+from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
 from repro.framework.scenarios import SF_PATCH
 from repro.framework.testbed import SERVER_ADDR
 from repro.net.tap import CaptureColumns
@@ -57,9 +57,9 @@ def test_per_flow_records_partition_the_server_capture_in_order():
         seed=6,
     )
     result = experiment.run()
-    capture = experiment.sniffer.from_host(SERVER_ADDR)
-    for index, flow in enumerate(result.flows):
-        port = BASE_SERVER_PORT + index
+    capture = experiment.sniffer.columns.from_host(SERVER_ADDR)
+    for wired, flow in zip(experiment.flows, result.flows):
+        port = wired.server_port
         assert flow.records == CaptureColumns.from_records(r for r in capture if r.flow[1] == port)
         # A flow's capture carries its own flow, not the population's table.
         assert flow.records.flows == [f for f in capture.flows if f[1] == port]

@@ -194,6 +194,45 @@ def test_incomplete_population_reports_delivered_goodput():
     result.multi.validate()
 
 
+def test_a_population_flow_traces_qlog_without_moving_the_digest():
+    """A flow of a population is traced through its own config (``qlog``):
+    the trace survives churn teardown, holds that flow's packets and the
+    shared stages' drops of its datagrams only, and the run digests as the
+    untraced one."""
+    from dataclasses import replace
+
+    from repro.framework.multiflow import MultiFlowExperiment
+    from repro.framework.population import aggregate_population
+    from repro.net.impairments import iid_loss
+
+    net = NetworkConfig(
+        forward_impairments=(iid_loss(0.1),), reverse_impairments=(iid_loss(0.1),)
+    )
+    config = small_config(network=net, churn=True)
+    specs = FlowPopulation(config).specs(config.seed)
+    configs = [flow_config(spec, net) for spec in specs]
+    traced = 2  # a quiche flow, not flow 0
+    configs[traced] = replace(configs[traced], qlog=True)
+    experiment = MultiFlowExperiment(
+        specs,
+        network=net,
+        seed=config.seed,
+        max_sim_time_ns=config.max_sim_time_ns,
+        capture_records=config.capture_records,
+        churn=config.churn,
+        configs=configs,
+    )
+    result = aggregate_population(config, config.seed, experiment.run())
+    trace = experiment.flows[traced].qlog
+    flow = result.multi.flows[traced]
+    assert all(f.qlog is None for i, f in enumerate(experiment.flows) if i != traced)
+    assert len(trace.of_type("transport:packet_sent")) == flow.server_stats["packets_sent"] > 0
+    drops = trace.of_type("network:injected_drop")
+    assert len(drops) == flow.injected_drops + flow.ack_drops
+    assert flow.injected_drops > 0 and flow.ack_drops > 0
+    assert result.fingerprint() == run_population(config).fingerprint()
+
+
 def test_ratio_matrix_and_beats_consistent():
     result = run_population(small_config(flows=20))
     labels = sorted(result.per_profile)
@@ -259,19 +298,15 @@ def test_gso_duel_is_a_competition():
 
 
 #: The 200-flow mixed population (`population` of benchmarks/bench at its
-#: default scale), seed 1: recorded on the lazy-cancel heap (PR 13 engine).
-GOLDEN_200 = "e4034898d257b1fd400f6325b1598194986afa02b79da53884d392f6efca240f"
-GOLDEN_200_OLD = "316e0b5ab22ce1be10ed79de9378d090e147c897bff11bb66e953bdeb1e50e7b"
-#: The same population with churn, carried over unedited from BENCH_13.json's
-#: 200-flow churn record. The old digest covers the config's cache key, so
-#: reproducing it also proves the config below is field for field the one
-#: that record was taken with.
-GOLDEN_200_CHURN = "faf44f8e506c08fab36648a1bbfbd42317e3bd5ca93231352256dc8a0efe3a42"
-GOLDEN_200_CHURN_OLD = "4cb2356a0035239d9b89731e09751f820e7e4742e0cac68b95183316736f652c"
-#: ``GOLDEN_*`` is the behaviour digest ``fingerprint()`` takes; ``*_OLD`` is
-#: the config-inclusive value recorded before it, reproduced from the same run
-#: by ``old_fingerprint`` to prove the re-record moved no behaviour. The
-#: ``_OLD`` values are deleted by the first change to a config field.
+#: default scale), seed 1, plain and with churn. ``GOLDEN_*`` is the behaviour
+#: digest ``fingerprint()`` takes; ``*_OLD`` the config-inclusive oracle's
+#: digest of the same run (``old_fingerprint``), deleted by the first change
+#: to a config field. Both re-recorded once when flow 0 took the single-flow
+#: ports and RNG stream names (see ``test_population_churn.py``).
+GOLDEN_200 = "bcf8cbe0f4038316aeaeb791a5d1cf9b48d4e8c45970e6098c1d57cc0e7c4e64"
+GOLDEN_200_OLD = "ec37abd789b83b95543864c13358623e8af5918b385e836c45e3ff278e47063c"
+GOLDEN_200_CHURN = "ce93e16593c71daba25b57bd1e775c30575d2bd0539694091a19eb7ffd6e1227"
+GOLDEN_200_CHURN_OLD = "dceeb19bbc5ff886b08b5d746f6dc96b041502fa3253d180c8b2e0e5d9397e30"
 
 
 def two_hundred_flows(**overrides):
@@ -300,7 +335,7 @@ def test_two_hundred_flow_poisson_population_is_deterministic():
 
 
 @pytest.mark.slow
-def test_two_hundred_flow_churn_population_matches_bench_13():
+def test_two_hundred_flow_churn_population_is_deterministic():
     result = run_population(two_hundred_flows(churn=True), seed=1)
     assert result.fingerprint() == GOLDEN_200_CHURN
     assert old_fingerprint(result) == GOLDEN_200_CHURN_OLD

@@ -10,12 +10,15 @@ departed flow admits nothing more to the calendar, which
 engine from outside.
 
 Each golden has two digests: ``GOLDEN_*`` is the behaviour digest
-``fingerprint()`` takes (seed and outputs), and ``GOLDEN_*_OLD`` the value
-recorded before the fingerprint stopped covering the config and the flow
-specs, reproduced from the same run by the config-inclusive oracle
-(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`). The pair
-proves the re-record moved no behaviour; the ``_OLD`` values are deleted by
-the first change to a config field.
+``fingerprint()`` takes (seed and outputs), and ``GOLDEN_*_OLD`` the
+config-inclusive oracle's digest of the same run
+(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`); the
+``_OLD`` values are deleted by the first change to a config field. Both were
+re-recorded once when a one-flow experiment became the run at N = 1: flow 0
+took the single-flow ports (443/40000) and RNG stream names and starts in
+the run's own call at t = 0. With flow 0 given back its old identity
+(``flow0-*`` streams, 4433/50000, a scheduled start) every previous value
+reproduces.
 """
 
 from __future__ import annotations
@@ -47,17 +50,17 @@ _BASE = dict(
     seed=5,
 )
 
-#: Recorded on the plain lazy-cancel heap; every engine change must keep
-#: reproducing it bit-for-bit (the population-scale golden).
-GOLDEN_PLAIN = "2753c4e10d0c199afd4961793fa2be9db79ea4014dcdd1e8862053d444640514"
-GOLDEN_PLAIN_OLD = "8484eddb03c4e44b94bd3d6017f9a3c7000a7e6d681a2ecbd4cfe8aa62b5929d"
-#: Recorded when churn shipped; pins churn determinism thereafter.
-GOLDEN_CHURN = "1d6153b8e0037d04227b2bfb605fee6248bbf3341bbc672384bf712f2e209005"
-GOLDEN_CHURN_OLD = "985b24de449ee96280c1036a9dc72d73bb908e00c701a342fb4bcc6d5e916320"
-#: 60 flows of the 200/2000-flow mixed population with churn, carried over
-#: unedited from the deleted perf gate's baseline (the CI smoke scale).
-GOLDEN_CHURN_60 = "841eec79e897ae8e81f56f820ed39fc578b5c8f374df13538eb625f9d4ef013c"
-GOLDEN_CHURN_60_OLD = "a306215035e64ef4411accced51bc0431a7d702bc76abcb9a41a0f32f60de608"
+#: The plain run; every engine change must keep reproducing it bit-for-bit
+#: (the population-scale golden).
+GOLDEN_PLAIN = "189f44063861d00f5dbc2dd7cd115d4967ce57c4ef2d6c644af4ae10df613e9e"
+GOLDEN_PLAIN_OLD = "ecd8711e9ed4de1b07669dc23a11f836b5b1cb3a93956223cad74c985492228e"
+#: Pins churn determinism.
+GOLDEN_CHURN = "1f945a351b05351182c665fb0f952ce1fb3c1b35e4c1f4ada4cdfa50c1bc25b6"
+GOLDEN_CHURN_OLD = "cdf5d3280305782e31aed79f9e4a8574f0c232776aa88ad5e0592e812e43c00a"
+#: 60 flows of the 200/2000-flow mixed population with churn (the CI smoke
+#: scale).
+GOLDEN_CHURN_60 = "5e38d10e8942df9fe58fa53d156cfd15394d093788c56a5bd6a87bb905a9ec6a"
+GOLDEN_CHURN_60_OLD = "a766f0e2b64c1322e57dce71144d917c87e656f93346f7012712944744bc8a63"
 
 
 def _config(**overrides) -> PopulationConfig:
@@ -165,12 +168,12 @@ def test_departed_flows_admit_nothing(monkeypatch):
         capture_records=config.capture_records,
         churn=config.churn,
     )
-    for flow in experiment._flows:
-        for component in (*vars(flow.wired).values(), flow.per_flow_delay):
+    for flow in experiment.flows:
+        for component in vars(flow).values():
             if component is not None:
                 components.append(component)
                 flow_of[id(component)] = flow.index
-        for sock in (flow.wired.client_sock, flow.wired.server_sock):
+        for sock in (flow.client_sock, flow.server_sock):
             flow_of[sock.flow] = flow.index
 
     sim = experiment.sim

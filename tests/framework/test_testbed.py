@@ -1,5 +1,5 @@
-"""One testbed: the single-flow and multi-flow experiments are wired by the
-same assembler, so a flow means the same thing in both."""
+"""One testbed and one run: a single-flow experiment is the multi-flow run
+at N = 1, so a flow means the same thing in both."""
 
 import inspect
 
@@ -8,7 +8,7 @@ import pytest
 from repro.cc.bbr import Bbr
 from repro.framework import experiment, multiflow, testbed
 from repro.framework.config import ExperimentConfig, NetworkConfig
-from repro.framework.experiment import Experiment
+from repro.framework.experiment import Experiment, ExperimentResult
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
 from repro.framework.scenarios import SF_PATCH
 from repro.net.impairments import duplication
@@ -62,7 +62,7 @@ def test_multiflow_wifi_network_builds_wifi_bottleneck():
     exp = MultiFlowExperiment(
         [FlowSpec(file_size=SIZE)], network=NetworkConfig(bottleneck="wifi"), seed=3
     )
-    assert isinstance(exp.bottleneck, WifiBottleneck)
+    assert isinstance(exp.testbed.bottleneck, WifiBottleneck)
     assert exp.run().all_completed
 
 
@@ -88,7 +88,7 @@ def test_ack_reaches_the_server_one_way_delay_after_the_reverse_link(reverse):
     assert arrivals == [(at, ack.dgram_id)] * (1 + len(reverse))
 
 
-# -- one flow is the same flow in both experiments ---------------------------
+# -- one flow is the same run in both ------------------------------------------
 
 _PARITY = [
     (stack, qdisc, gso)
@@ -107,8 +107,9 @@ def test_single_flow_parity(stack, qdisc, gso):
     multi = MultiFlowExperiment([spec], seed=3).run()
     single = Experiment(config, seed=3).run()
     assert multi.all_completed and single.completed
-    # RNG stream names differ between the two, so close rather than equal.
-    assert multi.flows[0].wire_packets == pytest.approx(single.packets_on_wire, rel=0.02)
+    # One run shape: a one-flow run is the experiment, digest for digest.
+    assert ExperimentResult.view(config, multi).fingerprint() == single.fingerprint()
+    assert multi.flows[0].wire_packets == single.packets_on_wire
 
 
 # -- structure ---------------------------------------------------------------

@@ -88,3 +88,35 @@ def test_goodput_cannot_beat_the_bottleneck(result):
     # Claim the whole download finished in 1 ms — physically impossible
     # through a 40 Mbit/s shaper.
     _expect("rate-ceiling", dataclasses.replace(result, duration_ns=1_000_000))
+
+
+# -- the conservation checks a multi-flow run shares with one flow ----------
+
+
+@pytest.fixture(scope="module")
+def multi():
+    from repro.framework.multiflow import FlowSpec, MultiFlowExperiment
+
+    flows = [FlowSpec(file_size=kib(150)), FlowSpec(stack="tcp", file_size=kib(150))]
+    return MultiFlowExperiment(flows, seed=3).run()
+
+
+def test_real_multiflow_result_passes(multi):
+    validate_result(multi)
+
+
+def test_multiflow_negative_flow_duration_rejected(multi):
+    flows = [dataclasses.replace(multi.flows[0], duration_ns=0), *multi.flows[1:]]
+    _expect("duration", dataclasses.replace(multi, flows=flows))
+
+
+def test_multiflow_stage_counters_must_be_consistent(multi):
+    stats = {"fwd/0/loss": {"seen": 10, "injected_drops": 11, "reordered": 0, "duplicated": 0}}
+    _expect("impairment-counters", dataclasses.replace(multi, impairment_stats=stats))
+
+
+def test_multiflow_drops_cannot_exceed_frames_on_wire(multi):
+    flows = [dataclasses.replace(f, dropped=1, wire_packets=0) for f in multi.flows]
+    _expect(
+        "drop-conservation", dataclasses.replace(multi, flows=flows, total_dropped=len(flows))
+    )

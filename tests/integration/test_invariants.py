@@ -33,7 +33,7 @@ def test_every_configuration_completes_with_consistent_accounting(params):
     assert 0 < result.goodput_mbps <= cfg.network.bottleneck_rate_bps / 1e6
     # Conservation at the bottleneck — the tap sits directly before it, so
     # captured server packets equal forwarded + dropped.
-    bneck = experiment.bottleneck
+    bneck = experiment.testbed.bottleneck
     server_records = result.server_records
     assert len(server_records) == bneck.forwarded + bneck.dropped
     # Capture timestamps strictly increase (serialized link).
@@ -56,6 +56,6 @@ def test_qdisc_conservation(qdisc, seed):
     experiment = Experiment(cfg, seed=seed)
     result = experiment.run()
     assert result.completed
-    stats = experiment.qdisc.stats
-    backlog = getattr(experiment.qdisc, "backlog_packets", 0)
+    stats = experiment.flows[0].qdisc.stats
+    backlog = getattr(experiment.flows[0].qdisc, "backlog_packets", 0)
     assert stats.enqueued == stats.dequeued + stats.dropped + backlog

@@ -235,10 +235,13 @@ class TestBuildChain:
         head, stages, _ = build_impairments(
             (iid_loss(0.5),), sim, collector, lambda name: random.Random(5), direction="fwd"
         )
-        stages[0].on_event = lambda name, t, data: events.append((name, t, data))
+        traced, other = ("10.0.0.1", 443, "10.0.0.2", 40000), ("10.0.0.1", 4434, "10.0.0.2", 50001)
+        stages[0].observers[traced] = lambda name, t, data: events.append((name, t, data))
         for i in range(100):
-            head.receive(make_dgram(1252, pn=i))
-        assert events
+            head.receive(make_dgram(1252, pn=i, flow=traced))
+            head.receive(make_dgram(1252, pn=i, flow=other))
+        # Only the observed flow's drops reach its hook.
+        assert len(events) == stages[0].drops_by_flow[traced] > 0
         name, _, data = events[0]
         assert name == "network:injected_drop"
         assert data["kind"] == "loss" and data["stage"] == "fwd/0/loss"

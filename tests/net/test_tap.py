@@ -39,11 +39,15 @@ def test_sniffer_filters_by_source(sim):
     tap.receive(make_dgram(10, flow=("a", 1, "b", 2)))
     tap.receive(make_dgram(10, flow=("b", 2, "a", 1)))
     tap.receive(make_dgram(10, flow=("a", 1, "b", 2)))
-    assert len(sniffer.from_host("a")) == 2
-    assert len(sniffer.from_host("b")) == 1
-    assert sniffer.from_host("b").flows == [("b", 2, "a", 1)]
-    unknown = sniffer.from_host("c")
+    capture = sniffer.columns
+    assert len(capture.from_host("a")) == 2
+    assert len(capture.from_host("b")) == 1
+    assert capture.from_host("b").flows == [("b", 2, "a", 1)]
+    unknown = capture.from_host("c")
     assert isinstance(unknown, CaptureColumns) and len(unknown) == 0
+    # A capture that is all one host's is returned as is.
+    only_a = capture.from_host("a")
+    assert only_a.from_host("a") is only_a
 
 
 def test_capture_records_are_immutable(sim):

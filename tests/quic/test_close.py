@@ -51,6 +51,6 @@ def test_client_driver_closes_after_download():
     )
     result = e.run()
     assert result.completed
-    assert e.client.conn.close_sent
+    assert e.flows[0].client.conn.close_sent
     # The server received the close and went quiet.
-    assert e.server.conn.closed
+    assert e.flows[0].server.conn.closed

@@ -130,7 +130,7 @@ class TestEndToEndEcn:
         ecn = Experiment(ExperimentConfig(ecn=True, **base), seed=3)
         r_ecn = ecn.run()
         assert r_plain.completed and r_ecn.completed
-        assert ecn.bottleneck.ce_marked > 0
+        assert ecn.testbed.bottleneck.ce_marked > 0
         assert r_ecn.dropped < r_plain.dropped
         # Goodput stays comparable.
         assert r_ecn.goodput_mbps > 0.9 * r_plain.goodput_mbps

@@ -25,18 +25,18 @@ class TestTxTimeDriver:
     def test_txtimes_monotonic_nondecreasing(self):
         e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         e.run()
-        log = e.server.expected_send_log
+        log = e.flows[0].server.expected_send_log
         times = [t for _, t in log]
         assert times == sorted(times)
 
     def test_txtime_lookahead_bounded(self):
         e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         result = e.run()
-        lookahead = e.profile.txtime_lookahead_ns
+        lookahead = e.flows[0].profile.txtime_lookahead_ns
         # Expected send times never run further ahead of the wire than the
         # lookahead plus one scheduling slop.
         actual_by_pn = {r.packet_number: r.time_ns for r in result.server_records}
-        for pn, expected in e.server.expected_send_log:
+        for pn, expected in e.flows[0].server.expected_send_log:
             actual = actual_by_pn.get(pn)
             if actual is not None:
                 assert expected - actual < lookahead + us(500)
@@ -45,7 +45,7 @@ class TestTxTimeDriver:
         e = build(stack="quiche", qdisc="fq", params=SF_PATCH)
         result = e.run()
         wire_pns = {r.packet_number for r in result.server_records}
-        logged = {pn for pn, _ in e.server.expected_send_log}
+        logged = {pn for pn, _ in e.flows[0].server.expected_send_log}
         missing = logged - wire_pns
         # Only bottleneck-dropped packets may be missing... but the sniffer
         # sits before the bottleneck, so everything logged must appear.
@@ -54,8 +54,8 @@ class TestTxTimeDriver:
     def test_etf_timestamps_respect_min_offset(self):
         e = build(stack="quiche", qdisc="etf", params=SF_PATCH)
         e.run()
-        assert e.profile.txtime_min_offset_ns > 0
-        assert e.qdisc.stats.dropped_late == 0
+        assert e.flows[0].profile.txtime_min_offset_ns > 0
+        assert e.flows[0].qdisc.stats.dropped_late == 0
 
 
 class TestGsoDriver:
@@ -64,7 +64,7 @@ class TestGsoDriver:
             stack="quiche", qdisc="fq", gso="on", gso_segments=4, params=SF_PATCH
         )
         e.run()
-        assert e.segmenter.buffers_split > 0
+        assert e.flows[0].segmenter.buffers_split > 0
         # Reconstruct group sizes from gso ids on the wire.
         sizes = {}
         for r in e.sniffer.columns:
@@ -76,8 +76,8 @@ class TestGsoDriver:
     def test_paced_gso_marks_buffers(self):
         e = build(stack="quiche", qdisc="fq", gso="paced", params=SF_PATCH)
         e.run()
-        assert e.segmenter.paced_buffers > 0
-        assert e.segmenter.paced_buffers <= e.segmenter.buffers_split
+        assert e.flows[0].segmenter.paced_buffers > 0
+        assert e.flows[0].segmenter.paced_buffers <= e.flows[0].segmenter.buffers_split
 
 
 class TestAppPacedDrivers:
@@ -86,15 +86,15 @@ class TestAppPacedDrivers:
         e = build(stack=stack)
         e.run()
         # App-paced drivers never batch via sendmmsg/GSO.
-        assert e.server_sock.gso_sends == 0
-        assert e.server.conn.packets_sent == e.server_sock.datagrams_sent
+        assert e.flows[0].server_sock.gso_sends == 0
+        assert e.flows[0].server.conn.packets_sent == e.flows[0].server_sock.datagrams_sent
 
     def test_pacer_deadline_drives_wakeups(self):
         e = build(stack="ngtcp2")
         e.run()
         # The driver woke many times (pacing timers), far more than packets
         # could be coalesced into a handful of bursts.
-        assert e.server.wakeups > 100
+        assert e.flows[0].server.wakeups > 100
 
 
 class TestPacingOverride:
@@ -102,6 +102,6 @@ class TestPacingOverride:
         e = build(stack="picoquic", params=UNPACED)
         from repro.pacing import NullPacer
 
-        assert isinstance(e.server.pacer, NullPacer)
+        assert isinstance(e.flows[0].server.pacer, NullPacer)
         result = e.run()
         assert result.completed

@@ -66,8 +66,8 @@ def test_recovery_golden_fingerprint(name):
     experiment = tcp_experiment(cca, file_size, network, seed)
     result = experiment.run()
     assert result.completed
-    assert experiment.tcp_sender.retransmissions > 0
-    assert experiment.tcp_sender.rto_events >= min_rtos
+    assert experiment.flows[0].tcp_sender.retransmissions > 0
+    assert experiment.flows[0].tcp_sender.rto_events >= min_rtos
     assert result.fingerprint() == expected
     assert old_fingerprint(result) == old
 
@@ -80,7 +80,7 @@ def test_scoreboard_forgets_what_is_acknowledged():
     to the window only: a repaired hole stays in it until the ACK point
     passes."""
     experiment = tcp_experiment("cubic", mib(2), LOSSY, 3)
-    sender = experiment.tcp_sender
+    sender = experiment.flows[0].tcp_sender
     on_ack = sender._on_ack
     peak = 0
 
