@@ -151,8 +151,9 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, metavar="N", default=2,
-        help="re-attempts per repetition after a crash/timeout, with exponential "
-        "backoff and the same derived seed (default: 2)",
+        help="re-attempts per repetition after its worker died or it timed out, "
+        "at once and with the same derived seed; a repetition that raises is "
+        "not retried (default: 2)",
     )
     parser.add_argument(
         "--resume", action=argparse.BooleanOptionalAction, default=True,

@@ -38,17 +38,19 @@ suite (``tests/framework/test_store_differential.py``) pins exactly that.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import forkserver
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigError
 
 __all__ = [
     "BACKENDS",
+    "WORKER_START_S",
     "Executor",
     "ForkServerExecutor",
     "InProcessExecutor",
@@ -62,6 +64,10 @@ FORKSERVER_PRELOAD: Tuple[str, ...] = (
     "repro.framework.runner",
     "repro.framework.population",
 )
+
+#: How long a new pool's workers may take to start before it is given up
+#: for a cold one.
+WORKER_START_S = 30.0
 
 #: The directory that holds the ``repro`` package this process imported.
 _PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
@@ -82,7 +88,11 @@ class Executor:
     #: True for backends that run repetitions in the calling process.
     serial: bool = False
 
-    def make_pool(self, workers: int) -> ProcessPoolExecutor:
+    def make_pool(self, workers: int, run_fn: Any = None) -> ProcessPoolExecutor:
+        """A pool of ``workers``; with ``run_fn``, each worker unpickles it
+        (importing its module) as it starts, then waits up to
+        :data:`WORKER_START_S` for the others to do the same before it takes
+        a call, or exits and so breaks the pool."""
         raise NotImplementedError(f"{self.name!r} backend does not pool")
 
 
@@ -110,9 +120,19 @@ class ForkServerExecutor(Executor):
         self._context = multiprocessing.get_context("forkserver")
         self._context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
 
-    def make_pool(self, workers: int) -> ProcessPoolExecutor:
+    def make_pool(self, workers: int, run_fn: Any = None) -> ProcessPoolExecutor:
         self._ensure_server()
-        return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
+        initializer = None
+        if run_fn is not None:
+            # The barrier travels to each worker inside its initializer, and
+            # its action, ``id(run_fn)``, is a no-op whose unpickling imports
+            # ``run_fn``'s module: no function of this package runs only in
+            # a worker, where ``tools/reach.py`` cannot see it.
+            action = functools.partial(id, run_fn)
+            initializer = self._context.Barrier(workers, action, WORKER_START_S).wait
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=self._context, initializer=initializer
+        )
 
     @staticmethod
     def _ensure_server() -> None:

@@ -16,26 +16,25 @@ needs:
   (the pool's worker processes are terminated and the pool restarted, since a
   hung worker cannot be cancelled individually); innocent repetitions that
   were in flight are requeued *without* being charged an attempt;
-* **bounded retries with exponential backoff** — failed attempts are retried
-  up to ``retries`` times; a retry reuses the repetition's original derived
-  seed, so a retried success is bit-identical (same ``fingerprint()``) to a
-  first-attempt success;
+* **retries of what the host did, only** — a repetition is a pure function
+  of ``(config, seed)``, so an exception it raises (or a result
+  ``validate_fn`` rejects) would recur on every retry: it is final at its
+  first attempt. A dead worker and a timeout depend on the host; they are
+  retried at once, up to ``retries`` times, with the repetition's original
+  derived seed, so a retried success is bit-identical (same
+  ``fingerprint()``) to a first-attempt success;
 * **pool-crash recovery with attribution** — ``BrokenProcessPool`` restarts
   the pool; when the executor cannot say which worker crashed, nobody is
   charged an attempt — every in-flight repetition becomes a *suspect* and is
   re-run one at a time, so the next crash unambiguously identifies its
   culprit and innocent collateral recovers at zero retry cost;
-* **quarantine** — after ``quarantine_after`` *consecutive* final failures of
-  the same configuration, its remaining repetitions fail fast as
+* **quarantine** — after :data:`QUARANTINE_AFTER` *consecutive* final
+  failures of the same configuration, its remaining repetitions fail fast as
   :class:`~repro.errors.QuarantinedError` instead of crash-looping the pool;
 * **graceful degradation** — the supervisor always returns; failures are
   delivered to the caller as structured :class:`RepFailure` records, never
   raised (``KeyboardInterrupt``/``SystemExit`` still propagate so an operator
   can abort, and the pool's processes are killed on the way out).
-
-Results are *validated* before they count as successes (``validate_fn``), so
-a conservation violation surfaces as a named failure rather than a silently
-wrong table; validation failures are deterministic and are not retried.
 """
 
 from __future__ import annotations
@@ -49,14 +48,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import (
-    QuarantinedError,
-    RepTimeoutError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.errors import QuarantinedError, RepTimeoutError, WorkerCrashError
 from repro.framework.config import ExperimentConfig
-from repro.framework.executors import Executor, make_executor
+from repro.framework.executors import WORKER_START_S, Executor, make_executor
 
 __all__ = [
     "RepFailure",
@@ -68,47 +62,30 @@ __all__ = [
 #: Cap stored tracebacks so a pathological repr cannot bloat a store.
 _TRACEBACK_LIMIT_CHARS = 8_000
 
+#: How often the pooled loop wakes, while nothing lands, to check deadlines.
+POLL_INTERVAL_S = 0.05
 
-#: How long a new pool's workers may take to start before clocks start anyway.
-WORKER_START_S = 30.0
+#: Consecutive final failures of one configuration that quarantine it.
+QUARANTINE_AFTER = 3
 
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs for the supervision loop.
+    """What ``--timeout`` and ``--retries`` set.
 
-    ``timeout_s=None`` disables the watchdog (a repetition may run forever,
-    as before). ``retries`` is the number of *re*-attempts, so every
-    repetition runs at most ``retries + 1`` times. Backoff before attempt
-    ``n+1`` is ``backoff_base_s * 2**(n-1)`` capped at ``backoff_max_s``.
-    In flight at any moment: ``workers`` repetitions running and one staged
-    (one alone, nothing staged, while a crash suspect is unresolved).
+    ``timeout_s=None`` disables the watchdog (a repetition may run forever).
+    ``retries`` is the number of *re*-attempts after a dead worker or a
+    timeout, so such a repetition runs at most ``retries + 1`` times.
     """
 
     timeout_s: Optional[float] = None
     retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 5.0
-    quarantine_after: int = 3
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None to disable)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
-
-    def backoff_s(self, failed_attempts: int) -> float:
-        """Delay before the next attempt after ``failed_attempts`` failures."""
-        if failed_attempts <= 0 or self.backoff_base_s <= 0:
-            return 0.0
-        return min(self.backoff_max_s, self.backoff_base_s * 2 ** (failed_attempts - 1))
 
 
 @dataclass
@@ -157,8 +134,6 @@ class RepTask:
     attempts: int = 0
     #: Accumulated wall time across attempts (including timed-out ones).
     elapsed_s: float = 0.0
-    #: Monotonic time before which a backed-off retry must not be submitted.
-    not_before: float = 0.0
     #: True while this task is a crash suspect: it was in flight when the
     #: pool died ambiguously and must be re-run alone to attribute the crash.
     suspect: bool = False
@@ -238,37 +213,27 @@ class Supervisor:
     # -- serial path -------------------------------------------------------
 
     def _run_serial(self, tasks, on_success, on_failure) -> None:
-        """In-process execution: retries and failure capture, no watchdog.
-
-        A hung repetition cannot be interrupted from inside its own process,
-        so ``timeout_s`` is only enforced on the pooled path; :meth:`run`
-        comes here with a timeout set only under the ``inprocess`` backend.
-        """
+        """In-process, one attempt each: here a repetition can neither lose
+        its worker nor be timed out (it cannot be interrupted from inside its
+        own process, so :meth:`run` comes here with a timeout set only under
+        the ``inprocess`` backend), and whatever it raises is final."""
         for task in tasks:
             if task.name in self._quarantined:
-                on_failure(task, self._quarantine_failure(task))
+                on_failure(task, self._failure(task))
                 continue
-            while True:
-                task.attempts += 1
-                start = time.monotonic()
-                try:
-                    result = self.run_fn(task.config, task.seed)
-                    if self.validate_fn is not None:
-                        self.validate_fn(result)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    task.elapsed_s += time.monotonic() - start
-                    if self._should_retry(task, exc):
-                        time.sleep(self.policy.backoff_s(task.attempts))
-                        continue
-                    on_failure(task, self._final_failure(task, exc))
-                    break
-                else:
-                    task.elapsed_s += time.monotonic() - start
-                    self._consecutive_failures[task.name] = 0
-                    on_success(task, result)
-                    break
+            task.attempts += 1
+            start = time.monotonic()
+            try:
+                result = self.run_fn(task.config, task.seed)
+                if self.validate_fn is not None:
+                    self.validate_fn(result)
+            except Exception as exc:
+                task.elapsed_s += time.monotonic() - start
+                on_failure(task, self._failure(task, exc))
+            else:
+                task.elapsed_s += time.monotonic() - start
+                self._consecutive_failures[task.name] = 0
+                on_success(task, result)
 
     # -- pooled path -------------------------------------------------------
 
@@ -289,18 +254,9 @@ class Supervisor:
                     on_success(task, result)
                 landed.clear()
                 if not flights:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest retry moment.
-                    pending = suspects if suspects else queue
-                    if not pending:
-                        continue
-                    wake = min(t.not_before for t in pending)
-                    time.sleep(max(wake - time.monotonic(), 0.001))
-                    continue
+                    continue  # what was left to launch, if anything, was quarantined
                 done, _ = futures_wait(
-                    set(flights),
-                    timeout=self.policy.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
+                    set(flights), timeout=POLL_INTERVAL_S, return_when=FIRST_COMPLETED
                 )
                 crashed: List[_Flight] = []
                 for future in done:
@@ -312,10 +268,8 @@ class Supervisor:
                             self.validate_fn(result)
                     except BrokenProcessPool:
                         crashed.append(flight)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
                     except Exception as exc:
-                        self._attempt_failed(flight.task, exc, on_failure)
+                        on_failure(flight.task, self._failure(flight.task, exc))
                     else:
                         flight.task.suspect = False
                         self._consecutive_failures[flight.task.name] = 0
@@ -348,7 +302,7 @@ class Supervisor:
         identifies its culprit and innocent collateral loses no retry budget.
         """
         if len(crashed) == 1:
-            self._attempt_failed(
+            self._host_failed(
                 crashed[0].task,
                 WorkerCrashError(
                     "process pool died while this repetition ran alone in it"
@@ -357,14 +311,12 @@ class Supervisor:
             )
             return
         for flight in crashed:
-            task = flight.task
-            task.attempts -= 1
-            task.suspect = True
-            task.not_before = 0.0
-            self._suspects.appendleft(task)
+            flight.task.attempts -= 1
+            flight.task.suspect = True
+            self._suspects.appendleft(flight.task)
 
     def _fill(self, pool, workers, flights, on_failure):
-        """Submit ready tasks until ``workers`` run and one more is staged;
+        """Submit queued tasks until ``workers`` run and one more is staged;
         fail fast quarantined ones.
 
         A flight is staged (no clock, no deadline) when ``workers`` others
@@ -377,30 +329,13 @@ class Supervisor:
         (:meth:`_absorb_crash`); full parallelism resumes once the suspects
         are cleared.
         """
-        now = time.monotonic()
         self._start_clocks(flights, workers)
-        if self._suspects or any(f.task.suspect for f in flights.values()):
-            if flights or not self._suspects:
-                return pool
-            for _ in range(len(self._suspects)):
-                task = self._suspects.popleft()
-                if task.name in self._quarantined:
-                    on_failure(task, self._quarantine_failure(task))
-                    continue
-                if task.not_before > now:
-                    self._suspects.append(task)
-                    continue
-                pool, _ = self._launch(pool, workers, task, flights)
-                break
-            return pool
-        deferred = []
-        while self._queue and len(flights) < workers + 1:
-            task = self._queue.popleft()
+        alone = self._suspects or any(f.task.suspect for f in flights.values())
+        pending, room = (self._suspects, 1) if alone else (self._queue, workers + 1)
+        while pending and len(flights) < room:
+            task = pending.popleft()
             if task.name in self._quarantined:
-                on_failure(task, self._quarantine_failure(task))
-                continue
-            if task.not_before > now:
-                deferred.append(task)
+                on_failure(task, self._failure(task))
                 continue
             pool, launched = self._launch(pool, workers, task, flights)
             if not launched and flights:
@@ -408,7 +343,6 @@ class Supervisor:
                 # pass sees their BrokenProcessPool results and runs the
                 # full recovery path.
                 break
-        self._queue.extend(deferred)
         return pool
 
     def _launch(self, pool, workers, task, flights):
@@ -453,7 +387,7 @@ class Supervisor:
         for future in expired:
             flight = flights.pop(future)
             flight.task.elapsed_s += flight.ran_s(now)
-            self._attempt_failed(
+            self._host_failed(
                 flight.task,
                 RepTimeoutError(
                     f"repetition exceeded the {self.policy.timeout_s:.1f}s wall-clock budget"
@@ -463,7 +397,6 @@ class Supervisor:
         for flight in flights.values():
             flight.task.attempts -= 1
             flight.task.elapsed_s += flight.ran_s(now)
-            flight.task.not_before = 0.0
             (self._suspects if flight.task.suspect else self._queue).appendleft(flight.task)
         flights.clear()
         return self._restart_pool(pool, workers)
@@ -473,21 +406,25 @@ class Supervisor:
         return self._make_pool(workers)
 
     def _make_pool(self, workers) -> ProcessPoolExecutor:
-        """A pool whose workers are up (forked, ``run_fn``'s module imported)
-        before any flight's clock starts. A warm-up that kills the pool
-        leaves a cold one, so the crash is charged to the repetition."""
-        pool = self.executor.make_pool(workers)
-        # A call that does nothing with ``run_fn``: unpickling it imports its module.
-        warm = [pool.submit(id, self.run_fn) for _ in range(workers)]
+        """A pool whose ``workers`` workers have all started and imported
+        ``run_fn``'s module before any flight's clock starts.
+
+        Each worker unpickles ``run_fn`` on start and then waits for the
+        others (:meth:`~repro.framework.executors.Executor.make_pool`), so
+        none takes a call before all are up, and each of the ``workers``
+        no-op calls below finds no idle worker and has the pool start one
+        more. A warm-up that breaks the pool or outlasts
+        :data:`WORKER_START_S` leaves a cold one, so a crash on import is
+        charged to the repetition."""
+        pool = self.executor.make_pool(workers, self.run_fn)
+        warm = [pool.submit(id, None) for _ in range(workers)]
         deadline = time.monotonic() + WORKER_START_S
         try:
             for future in warm:
-                error = future.exception(max(deadline - time.monotonic(), 0.0))
-                if isinstance(error, BrokenProcessPool):
-                    self._kill_pool(pool)
-                    return self.executor.make_pool(workers)
-        except TimeoutError:
-            pass  # clocks start regardless
+                future.result(max(deadline - time.monotonic(), 0.0))
+        except (BrokenProcessPool, TimeoutError):
+            self._kill_pool(pool)
+            return self.executor.make_pool(workers)
         return pool
 
     @staticmethod
@@ -504,28 +441,29 @@ class Supervisor:
 
     # -- outcome bookkeeping ----------------------------------------------
 
-    def _should_retry(self, task: RepTask, exc: Exception) -> bool:
-        if isinstance(exc, ValidationError):
-            # The simulation is deterministic: a result that violates an
-            # invariant will violate it again. Fail immediately.
-            return False
-        return task.attempts < self.policy.max_attempts and task.name not in self._quarantined
-
-    def _attempt_failed(self, task, exc, on_failure) -> None:
-        if self._should_retry(task, exc):
-            task.not_before = time.monotonic() + self.policy.backoff_s(task.attempts)
-            (self._suspects if task.suspect else self._queue).append(task)
+    def _host_failed(self, task, exc, on_failure) -> None:
+        """A dead worker or a timeout: the host's doing, not the repetition's,
+        so it runs again at once, with its seed, while retries are left."""
+        if task.attempts <= self.policy.retries and task.name not in self._quarantined:
+            (self._suspects if task.suspect else self._queue).appendleft(task)
         else:
-            on_failure(task, self._final_failure(task, exc))
+            on_failure(task, self._failure(task, exc))
 
-    def _final_failure(self, task: RepTask, exc: Exception) -> RepFailure:
-        count = self._consecutive_failures.get(task.name, 0) + 1
-        self._consecutive_failures[task.name] = count
-        if count >= self.policy.quarantine_after:
-            self._quarantined.add(task.name)
-        tb = "".join(
-            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-        )
+    def _failure(self, task: RepTask, exc: Optional[Exception] = None) -> RepFailure:
+        """``task``'s final record: ``exc`` ended it (and counts towards its
+        configuration's quarantine), or, without one, that configuration
+        is quarantined already."""
+        if exc is None:
+            exc, tb = QuarantinedError(
+                f"configuration {task.name!r} was quarantined after "
+                f"{QUARANTINE_AFTER} consecutive failures"
+            ), ""
+        else:
+            count = self._consecutive_failures.get(task.name, 0) + 1
+            self._consecutive_failures[task.name] = count
+            if count >= QUARANTINE_AFTER:
+                self._quarantined.add(task.name)
+            tb = "".join(traceback_module.format_exception(exc))[-_TRACEBACK_LIMIT_CHARS:]
         return RepFailure(
             name=task.name,
             label=task.config.label if hasattr(task.config, "label") else task.name,
@@ -533,26 +471,8 @@ class Supervisor:
             seed=task.seed,
             error_type=type(exc).__name__,
             message=str(exc).splitlines()[0] if str(exc) else type(exc).__name__,
-            traceback=tb[-_TRACEBACK_LIMIT_CHARS:],
+            traceback=tb,
             attempts=task.attempts,
             wall_time_s=task.elapsed_s,
             quarantined=task.name in self._quarantined,
-        )
-
-    def _quarantine_failure(self, task: RepTask) -> RepFailure:
-        exc = QuarantinedError(
-            f"configuration {task.name!r} was quarantined after "
-            f"{self.policy.quarantine_after} consecutive failures"
-        )
-        return RepFailure(
-            name=task.name,
-            label=task.config.label if hasattr(task.config, "label") else task.name,
-            rep=task.rep,
-            seed=task.seed,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback="",
-            attempts=task.attempts,
-            wall_time_s=task.elapsed_s,
-            quarantined=True,
         )

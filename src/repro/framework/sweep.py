@@ -20,9 +20,10 @@ reassembled in order regardless of completion order.
 
 Robustness. Execution runs under a
 :class:`~repro.framework.supervision.Supervisor`: per-repetition wall-clock
-timeouts, bounded retries that reuse the repetition's derived seed (so a
-retried success is bit-identical to a first-attempt one), ``BrokenProcessPool``
-recovery that restarts the pool instead of discarding in-flight work, and
+timeouts; bounded retries of a dead worker or a timeout, never of a
+repetition that raised, with the repetition's derived seed, so a retried
+success is bit-identical to a first-attempt one; ``BrokenProcessPool``
+recovery that restarts the pool instead of discarding in-flight work; and
 quarantine of configurations that fail repeatedly. A sweep therefore *always
 returns*: failed repetitions surface as structured
 :class:`~repro.framework.supervision.RepFailure` entries on each
@@ -87,8 +88,8 @@ class SweepRunner:
     ``backend="inprocess"`` runs unwatched. ``stream`` (e.g. ``sys.stderr``)
     receives one progress line per finished repetition.
 
-    ``policy=None`` uses the default :class:`SupervisionPolicy` (no timeout,
-    two retries, quarantine after three consecutive failures).
+    ``policy=None`` uses the default :class:`SupervisionPolicy`: no timeout,
+    and two retries of a repetition whose worker died or that timed out.
     Without a ``store``, ``journal_dir`` names a directory for the sweep's
     checkpoint store, ``<grid_key[:16]>.sqlite`` (keyed by grid content),
     opened for the run; with one, it is ignored. ``resume=False`` runs the

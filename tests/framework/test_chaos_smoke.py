@@ -27,7 +27,7 @@ from repro.net.impairments import iid_loss
 from repro.units import kib
 from tests.conftest import LOCAL_POOLS
 
-FAST = SupervisionPolicy(timeout_s=20.0, retries=2, backoff_base_s=0.0, poll_interval_s=0.02)
+FAST = SupervisionPolicy(timeout_s=20.0, retries=2)
 
 
 def _grid():
@@ -103,9 +103,7 @@ def test_sweep_survives_worker_crash(chaos_dir, clean_serial):
 
 
 def test_sweep_survives_hung_worker(chaos_dir, clean_serial):
-    policy = SupervisionPolicy(
-        timeout_s=3.0, retries=2, backoff_base_s=0.0, poll_interval_s=0.02
-    )
+    policy = SupervisionPolicy(timeout_s=3.0, retries=2)
     summaries = SweepRunner(
         workers=2, policy=policy, run_fn=_with_markers(hang_once_run_one, chaos_dir)
     ).run(_grid())
@@ -179,7 +177,7 @@ def _failures_carry_forward_until_no_resume(setup, chaos_dir):
     # The poison config crashes on every attempt; crash attribution must
     # shield the clean config's reps — an ambiguous pool crash re-runs the
     # in-flight suspects alone instead of charging them retry budget.
-    policy = SupervisionPolicy(retries=1, backoff_base_s=0.0, poll_interval_s=0.02)
+    policy = SupervisionPolicy(retries=1)
     summaries = SweepRunner(
         workers=2, policy=policy, run_fn=always_crash_lossy_run_one,
         **_checkpointed(setup, chaos_dir),
@@ -265,7 +263,7 @@ def test_killed_campaign_resumes_to_bit_identical_store(
 def test_crash_looping_config_fails_into_the_store_under_every_pooled_backend(
     tmp_path, backend
 ):
-    policy = SupervisionPolicy(retries=1, backoff_base_s=0.0, poll_interval_s=0.02)
+    policy = SupervisionPolicy(retries=1)
     store = ResultStore(tmp_path / f"{backend}.sqlite")
     summaries = SweepRunner(
         workers=2,

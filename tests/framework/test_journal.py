@@ -16,7 +16,7 @@ GRID = {
     "b": ExperimentConfig(stack="tcp", file_size=kib(96), repetitions=2),
 }
 
-NO_RETRY = SupervisionPolicy(retries=0, backoff_base_s=0.0)
+NO_RETRY = SupervisionPolicy(retries=0)
 
 
 @pytest.fixture(scope="module")

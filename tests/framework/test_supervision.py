@@ -6,10 +6,11 @@ per-test temporary directory.
 """
 
 import os
+import sys
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,8 +26,6 @@ from repro.framework.supervision import (
     Supervisor,
 )
 from tests.conftest import LOCAL_POOLS
-
-FAST = dict(backoff_base_s=0.0, poll_interval_s=0.02)
 
 
 @dataclass(frozen=True)
@@ -95,32 +94,14 @@ def _collect(supervisor, tasks, workers):
 
 
 class TestPolicy:
-    def test_backoff_doubles_and_caps(self):
-        policy = SupervisionPolicy(backoff_base_s=0.1, backoff_max_s=0.5)
-        assert policy.backoff_s(0) == 0.0
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(10) == pytest.approx(0.5)
-        assert policy.max_attempts == 3
-
     def test_rejects_nonsense(self):
         with pytest.raises(ValueError):
             SupervisionPolicy(timeout_s=0)
         with pytest.raises(ValueError):
             SupervisionPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(quarantine_after=0)
 
-    def test_backoff_schedule_is_derived_not_random(self):
-        # Retry delays are a pure function of (policy, failed-attempt count):
-        # no wall clock, no RNG — so a campaign's retry timing is replayable
-        # and two supervisors with the same policy behave identically.
-        policy = SupervisionPolicy(backoff_base_s=0.05, backoff_max_s=5.0)
-        schedule = [policy.backoff_s(n) for n in range(1, 12)]
-        assert schedule == [policy.backoff_s(n) for n in range(1, 12)]
-        assert schedule == [min(5.0, 0.05 * 2 ** (n - 1)) for n in range(1, 12)]
-        twin = SupervisionPolicy(backoff_base_s=0.05, backoff_max_s=5.0)
-        assert schedule == [twin.backoff_s(n) for n in range(1, 12)]
+    def test_holds_what_the_cli_sets_and_nothing_else(self):
+        assert [f.name for f in fields(SupervisionPolicy)] == ["timeout_s", "retries"]
 
 
 class TestRepFailure:
@@ -145,43 +126,43 @@ class TestRepFailure:
 
 
 class TestSerialSupervision:
-    def test_deterministic_error_is_retried_then_recorded(self, tmp_path):
+    def test_deterministic_error_is_recorded_at_its_first_attempt(self, tmp_path):
         cfg = FaultConfig(mode="boom", marker=str(tmp_path))
-        supervisor = Supervisor(SupervisionPolicy(retries=2, **FAST), run_fn=fault_run)
+        supervisor = Supervisor(SupervisionPolicy(retries=2), run_fn=fault_run)
         successes, failures = _collect(supervisor, _tasks(cfg, 1), workers=1)
         assert not successes
         failure = failures[(cfg.label, 0)]
         assert failure.error_type == "ValueError"
-        assert failure.attempts == 3
+        assert failure.attempts == 1
         assert "boom for seed 1000" in failure.message
         assert "ValueError" in failure.traceback
-        assert len(list(tmp_path.glob("run-*"))) == 3  # really ran 3 times
+        assert len(list(tmp_path.glob("run-*"))) == 1  # ran once, retries unspent
 
-    def test_flaky_task_recovers_with_same_seed(self, tmp_path):
+    def test_flaky_task_is_not_retried(self, tmp_path):
+        # Only a fault outside the simulation can raise once and then pass;
+        # the supervisor does not guess that it was one.
         cfg = FaultConfig(mode="flaky", marker=str(tmp_path))
-        supervisor = Supervisor(SupervisionPolicy(retries=2, **FAST), run_fn=fault_run)
+        supervisor = Supervisor(SupervisionPolicy(retries=2), run_fn=fault_run)
         successes, failures = _collect(supervisor, _tasks(cfg, 1), workers=1)
-        assert not failures
-        task, result = successes[(cfg.label, 0)]
-        assert result == ("ok-after-retry", 1000)  # retry reused the seed
-        assert task.attempts == 2
+        assert not successes
+        failure = failures[(cfg.label, 0)]
+        assert (failure.error_type, failure.attempts) == ("RuntimeError", 1)
 
     def test_quarantine_skips_remaining_reps(self, tmp_path):
         cfg = FaultConfig(mode="boom", marker=str(tmp_path))
-        supervisor = Supervisor(
-            SupervisionPolicy(retries=0, quarantine_after=2, **FAST), run_fn=fault_run
-        )
-        successes, failures = _collect(supervisor, _tasks(cfg, 5), workers=1)
+        supervisor = Supervisor(SupervisionPolicy(retries=0), run_fn=fault_run)
+        successes, failures = _collect(supervisor, _tasks(cfg, 6), workers=1)
         assert not successes
-        assert len(failures) == 5
-        assert failures[(cfg.label, 0)].error_type == "ValueError"
-        assert failures[(cfg.label, 1)].error_type == "ValueError"
-        assert failures[(cfg.label, 1)].quarantined  # tripped the threshold
-        for rep in (2, 3, 4):
+        assert len(failures) == 6
+        for rep in (0, 1, 2):
+            assert failures[(cfg.label, rep)].error_type == "ValueError"
+        assert not failures[(cfg.label, 1)].quarantined
+        assert failures[(cfg.label, 2)].quarantined  # tripped the threshold
+        for rep in (3, 4, 5):
             assert failures[(cfg.label, rep)].error_type == "QuarantinedError"
             assert failures[(cfg.label, rep)].quarantined
-        # Only the first two reps ever executed.
-        assert len(list(tmp_path.glob("run-*"))) == 2
+        # Only the first three reps ever executed.
+        assert len(list(tmp_path.glob("run-*"))) == 3
 
     def test_validation_failure_is_not_retried(self, tmp_path):
         cfg = FaultConfig(mode="ok", marker=str(tmp_path))
@@ -190,7 +171,7 @@ class TestSerialSupervision:
             raise ValidationError("rate-ceiling: impossible goodput")
 
         supervisor = Supervisor(
-            SupervisionPolicy(retries=3, **FAST), run_fn=fault_run, validate_fn=reject
+            SupervisionPolicy(retries=3), run_fn=fault_run, validate_fn=reject
         )
         successes, failures = _collect(supervisor, _tasks(cfg, 1), workers=1)
         assert not successes
@@ -204,17 +185,18 @@ class TestPooledSupervision:
         good = FaultConfig(mode="ok", marker=str(tmp_path))
         bad = FaultConfig(mode="boom", marker=str(tmp_path))
         tasks = _tasks(good, 3) + _tasks(bad, 1)
-        supervisor = Supervisor(SupervisionPolicy(retries=1, **FAST), run_fn=fault_run)
+        supervisor = Supervisor(SupervisionPolicy(retries=1), run_fn=fault_run)
         successes, failures = _collect(supervisor, tasks, workers=2)
         assert len(successes) == 3
         assert failures[(bad.label, 0)].error_type == "ValueError"
-        assert failures[(bad.label, 0)].attempts == 2
+        assert failures[(bad.label, 0)].attempts == 1
+        assert len(list(tmp_path.glob("run-*"))) == 1
 
     def test_worker_crash_restarts_pool_and_keeps_survivors(self, tmp_path):
         good = FaultConfig(mode="ok", marker=str(tmp_path))
         poison = FaultConfig(mode="crash", marker=str(tmp_path))
         tasks = _tasks(good, 4) + _tasks(poison, 1)
-        supervisor = Supervisor(SupervisionPolicy(retries=1, **FAST), run_fn=fault_run)
+        supervisor = Supervisor(SupervisionPolicy(retries=1), run_fn=fault_run)
         successes, failures = _collect(supervisor, tasks, workers=2)
         assert len(successes) == 4  # every non-poison rep survived the crash
         failure = failures[(poison.label, 0)]
@@ -223,7 +205,7 @@ class TestPooledSupervision:
 
     def test_crash_once_recovers_bit_identically(self, tmp_path):
         cfg = FaultConfig(mode="crash-once", marker=str(tmp_path))
-        supervisor = Supervisor(SupervisionPolicy(retries=2, **FAST), run_fn=fault_run)
+        supervisor = Supervisor(SupervisionPolicy(retries=2), run_fn=fault_run)
         successes, failures = _collect(supervisor, _tasks(cfg, 2), workers=2)
         assert not failures
         for rep in (0, 1):
@@ -235,7 +217,7 @@ class TestPooledSupervision:
         stuck = FaultConfig(mode="hang", marker=str(tmp_path))
         tasks = _tasks(stuck, 1) + _tasks(good, 3)
         supervisor = Supervisor(
-            SupervisionPolicy(timeout_s=0.4, retries=0, **FAST), run_fn=fault_run
+            SupervisionPolicy(timeout_s=0.4, retries=0), run_fn=fault_run
         )
         start = time.monotonic()
         successes, failures = _collect(supervisor, tasks, workers=2)
@@ -254,7 +236,7 @@ class TestPooledSupervision:
 
         cfg = FaultConfig(mode="ok", marker=str(tmp_path))
         supervisor = Supervisor(
-            SupervisionPolicy(timeout_s=0.4, retries=0, **FAST), run_fn=slow_import.run
+            SupervisionPolicy(timeout_s=0.4, retries=0), run_fn=slow_import.run
         )
         assert slow_import.IMPORT_S > supervisor.policy.timeout_s
         successes, failures = _collect(supervisor, _tasks(cfg, 3), workers=2)
@@ -263,6 +245,20 @@ class TestPooledSupervision:
             ("ok", 1000), ("ok", 1001), ("ok", 1002)
         ]
 
+    def test_every_worker_has_imported_run_fn_before_the_pool_is_used(self, tmp_path):
+        from tests.framework import slow_import
+
+        supervisor = Supervisor(SupervisionPolicy(), run_fn=slow_import.run)
+        pool = supervisor._make_pool(2)
+        try:
+            pids = set(pool._processes)
+            probes = [pool.submit(imported_here, str(tmp_path), 2) for _ in range(2)]
+            seen = dict(probe.result(timeout=30) for probe in probes)
+        finally:
+            supervisor._kill_pool(pool)
+        assert len(pids) == 2
+        assert seen == {pid: True for pid in pids}
+
     def test_hang_retry_charges_only_expired_task(self, tmp_path):
         # The hung rep is retried (retries=1) and must time out twice; the
         # innocents that shared the pool still complete exactly once each.
@@ -270,7 +266,7 @@ class TestPooledSupervision:
         stuck = FaultConfig(mode="hang", marker=str(tmp_path))
         tasks = _tasks(stuck, 1) + _tasks(good, 2)
         supervisor = Supervisor(
-            SupervisionPolicy(timeout_s=0.3, retries=1, **FAST), run_fn=fault_run
+            SupervisionPolicy(timeout_s=0.3, retries=1), run_fn=fault_run
         )
         successes, failures = _collect(supervisor, tasks, workers=2)
         assert len(successes) == 2
@@ -281,7 +277,7 @@ class TestPooledSupervision:
         # serial path, which has no watchdog. With one, it must not.
         stuck = FaultConfig(mode="hang", marker=str(tmp_path))
         supervisor = Supervisor(
-            SupervisionPolicy(timeout_s=0.4, retries=0, **FAST),
+            SupervisionPolicy(timeout_s=0.4, retries=0),
             run_fn=fault_run,
             executor=make_executor("forkserver"),
         )
@@ -290,6 +286,17 @@ class TestPooledSupervision:
         assert time.monotonic() - start < 30  # nowhere near the 60s sleep
         assert not successes
         assert failures[(stuck.label, 0)].error_type == "RepTimeoutError"
+
+
+def imported_here(marker: str, workers: int):
+    """On a pool worker: note this pid, wait until ``workers`` workers have
+    (so that each takes one probe), and say whether this one has imported
+    ``slow_import``. This module does not import it at the top."""
+    Path(marker, str(os.getpid())).touch()
+    deadline = time.monotonic() + 10.0
+    while len(list(Path(marker).iterdir())) < workers and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid(), "tests.framework.slow_import" in sys.modules
 
 
 class _HandPool:
@@ -316,7 +323,7 @@ class _HandExecutor(Executor):
     def __init__(self):
         self.pools = []
 
-    def make_pool(self, workers):
+    def make_pool(self, workers, run_fn=None):
         self.pools.append(_HandPool())
         return self.pools[-1]
 
@@ -397,7 +404,7 @@ class TestStagingAndSettleOrder:
                 h.land(seed)
                 yield
 
-        harness = _Scripted(monkeypatch, SupervisionPolicy(**FAST), workers=2)
+        harness = _Scripted(monkeypatch, SupervisionPolicy(), workers=2)
         harness.run(_tasks(cfg, 5), script)
         # When rep 0 was settled its replacement (the fourth submission) was
         # already in the pool, and so on until the queue ran dry.
@@ -420,8 +427,8 @@ class TestStagingAndSettleOrder:
             h.land(1002)
             yield
 
-        policy = SupervisionPolicy(retries=0, quarantine_after=1, **FAST)
-        harness = _Scripted(monkeypatch, policy, workers=2)
+        monkeypatch.setattr(supervision, "QUARANTINE_AFTER", 1)
+        harness = _Scripted(monkeypatch, SupervisionPolicy(retries=0), workers=2)
         harness.run(tasks, script)
         assert harness.executor.seeds == [1000, 1001, 1002]  # bad reps 1, 2 never launched
         assert harness.failures[1000].error_type == "ValueError"
@@ -438,12 +445,31 @@ class TestStagingAndSettleOrder:
             h.land(1001)
             yield
 
-        policy = SupervisionPolicy(retries=2, **FAST)
+        policy = SupervisionPolicy(retries=2)
         harness = _Scripted(monkeypatch, policy, workers=2, validate_fn=validate)
         harness.run(_tasks(FaultConfig(), 2), script)
         assert harness.executor.seeds == [1000, 1001]
         assert harness.failures[1000].error_type == "ValidationError"
         assert harness.failures[1000].attempts == 1
+
+    @pytest.mark.parametrize("fault", ["dead worker", "timeout"])
+    def test_a_host_failure_is_retried_at_once_with_its_seed(self, monkeypatch, fault):
+        def script(h):
+            if fault == "dead worker":
+                h.fail(1000, BrokenProcessPool("the worker died"))
+            else:
+                h.now += 11.0
+            yield
+            assert h.executor.seeds == [1000, 1000]  # on a new pool
+            h.land(1000)
+            yield
+
+        policy = SupervisionPolicy(timeout_s=10.0, retries=1)
+        harness = _Scripted(monkeypatch, policy, workers=2)
+        harness.run(_tasks(FaultConfig(), 1), script)
+        assert not harness.failures
+        assert harness.tasks[0].attempts == 2
+        assert harness.now == (111.0 if fault == "timeout" else 100.0)  # no sleep
 
     def test_staged_flight_outlives_the_timeout_and_is_requeued_uncharged(self, monkeypatch):
         def script(h):
@@ -458,7 +484,7 @@ class TestStagingAndSettleOrder:
             h.land(1003)
             yield
 
-        policy = SupervisionPolicy(timeout_s=10.0, retries=0, **FAST)
+        policy = SupervisionPolicy(timeout_s=10.0, retries=0)
         harness = _Scripted(monkeypatch, policy, workers=2)
         harness.run(_tasks(FaultConfig(), 4), script)
         assert {harness.failures[s].error_type for s in (1000, 1001)} == {"RepTimeoutError"}
@@ -478,7 +504,7 @@ class TestStagingAndSettleOrder:
             h.land(1003)
             yield
 
-        policy = SupervisionPolicy(timeout_s=10.0, retries=0, **FAST)
+        policy = SupervisionPolicy(timeout_s=10.0, retries=0)
         harness = _Scripted(monkeypatch, policy, workers=2)
         harness.run(_tasks(FaultConfig(), 4), script)
         assert harness.failures[1000].error_type == "RepTimeoutError"
@@ -496,7 +522,7 @@ class TestStagingAndSettleOrder:
             h.land(1004)
             yield
 
-        harness = _Scripted(monkeypatch, SupervisionPolicy(**FAST), workers=2)
+        harness = _Scripted(monkeypatch, SupervisionPolicy(), workers=2)
         harness.run(_tasks(FaultConfig(), 5), script)
         assert not harness.failures
         assert sorted(harness.executor.seeds[3:6]) == [1000, 1001, 1002]
@@ -520,18 +546,18 @@ class FlakyExperiment:
         return self.config.label
 
 
-def flaky_experiment_run(wrapper: FlakyExperiment, seed: int):
-    marker = Path(wrapper.marker) / f"flaked-{seed}"
+def dies_once_experiment_run(wrapper: FlakyExperiment, seed: int):
+    marker = Path(wrapper.marker) / f"died-{seed}"
     if not marker.exists():
         marker.touch()
-        raise RuntimeError("transient failure before the simulation started")
+        os._exit(17)  # the worker dies before the simulation starts
     from repro.framework.runner import _run_one
 
     return _run_one(wrapper.config, seed)
 
 
 class TestRetryDeterminism:
-    """Satellite guarantee: a retried repetition reuses its derived seed, so
+    """A repetition retried after its worker died reuses its derived seed, so
     its result is byte-identical to a first-try success — under every pooled
     backend."""
 
@@ -551,12 +577,13 @@ class TestRetryDeterminism:
             for rep, seed in enumerate(seeds)
         ]
         supervisor = Supervisor(
-            SupervisionPolicy(retries=2, **FAST),
-            run_fn=flaky_experiment_run,
+            SupervisionPolicy(retries=2),
+            run_fn=dies_once_experiment_run,
             executor=make_executor(backend),
         )
         successes, failures = _collect(supervisor, tasks, workers=2)
         assert not failures
+        assert len(successes) == 2
         for (_, rep), (task, result) in successes.items():
-            assert task.attempts == 2  # first try really flaked
+            assert (tmp_path / f"died-{seeds[rep]}").exists()  # first try really died
             assert result.fingerprint() == baseline[seeds[rep]]

@@ -90,17 +90,13 @@ KEEP: Dict[str, str] = {
     "repro.framework.store:_refusal": FAILURE,
     "repro.framework.store:ResultStore._warn": FAILURE,
     "repro.framework.store:ResultStore.record_failure": FAILURE,
-    "repro.framework.supervision:SupervisionPolicy.max_attempts": FAILURE,
-    "repro.framework.supervision:SupervisionPolicy.backoff_s": FAILURE,
     "repro.framework.supervision:RepFailure.as_dict": FAILURE,
     "repro.framework.supervision:RepFailure.from_dict": FAILURE,
     "repro.framework.supervision:RepFailure.describe": FAILURE,
     "repro.framework.supervision:Supervisor._absorb_crash": FAILURE,
     "repro.framework.supervision:Supervisor._restart_pool": FAILURE,
-    "repro.framework.supervision:Supervisor._should_retry": FAILURE,
-    "repro.framework.supervision:Supervisor._attempt_failed": FAILURE,
-    "repro.framework.supervision:Supervisor._final_failure": FAILURE,
-    "repro.framework.supervision:Supervisor._quarantine_failure": FAILURE,
+    "repro.framework.supervision:Supervisor._host_failed": FAILURE,
+    "repro.framework.supervision:Supervisor._failure": FAILURE,
     "repro.framework.sweep:SweepRunner._run.<locals>.on_failure": FAILURE,
     "repro.kernel.gso:GsoBuffer.total_payload": SEAM,
     "repro.kernel.gso:GsoBuffer.__len__": SEAM,
