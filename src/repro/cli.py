@@ -729,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pop_p.add_argument(
         "--churn", action="store_true",
-        help="tear each flow down when it completes (O(active) state)",
+        help="tear each flow down when it completes (a completed flow keeps only its outputs)",
     )
     pop_p.add_argument("--json", metavar="PATH", help="save results as JSON")
     _add_exec(pop_p)

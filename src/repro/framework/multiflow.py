@@ -204,10 +204,11 @@ class MultiFlowExperiment:
 
     Flow ``i`` is ``flows[i]`` wired from ``configs[i]``, by default
     :func:`flow_config` of it; a config can ask for what a spec cannot say
-    (traces, qlog, ECN, objects). ``capture_records=False`` leaves every
-    flow's per-packet outputs empty (wire-packet counts are still reported),
-    which is what flow-population runs use. With ``churn`` each flow is torn
-    down as it completes.
+    (traces, qlog, ECN, objects). ``capture_records=False`` keeps no
+    per-packet output at all — no capture columns, no expected-send log —
+    only the frames per flow behind ``wire_packets``, which is what
+    flow-population runs use. With ``churn`` each flow is torn down as it
+    completes.
     """
 
     def __init__(
@@ -245,7 +246,7 @@ class MultiFlowExperiment:
         self.churn = churn
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
-        self.sniffer = Sniffer()
+        self.sniffer = Sniffer(per_packet=capture_records)
         #: Shared terminal sink for every departed flow's ports.
         self._drain = DrainSink()
 
@@ -253,7 +254,7 @@ class MultiFlowExperiment:
         testbed.bottleneck.trace_queue = trace_queue
         self.flows: List[WiredFlow] = []
         for index, (spec, cfg) in enumerate(zip(flows, configs)):
-            self.flows.append(WiredFlow(testbed, index, spec, cfg))
+            self.flows.append(WiredFlow(testbed, index, spec, cfg, capture_records))
         self.client_demux = self.server_demux = None
         if len(self.flows) == 1:
             testbed.deliver_to(self.flows[0].client_sock, self.flows[0].ack_sink)
@@ -311,10 +312,10 @@ class MultiFlowExperiment:
         return self._collect(wall_start)
 
     def _retire(self, flow: WiredFlow) -> None:
-        """Tear down a finished flow (:meth:`WiredFlow.retire`). Its ports
-        lead to the drain sink, which counts the stragglers still in flight
-        as ``drained``; a one-flow run has no demux, and its loop ends with
-        its flow."""
+        """Tear down a finished flow (:meth:`WiredFlow.retire`) and drop its
+        RNG streams. Its ports lead to the drain sink, which counts the
+        stragglers still in flight as ``drained``; a one-flow run has no
+        demux, and its loop ends with its flow."""
         if self.client_demux is not None:
             self.client_demux.add_route(flow.client_port, self._drain)
             self.server_demux.add_route(flow.server_port, self._drain)
@@ -324,25 +325,23 @@ class MultiFlowExperiment:
         # now (and, for TCP, trigger a whole go-back-N burst).
         if flow.ack_sink is not flow.server_sock:
             flow.ack_sink.sink = self._drain
-        flow.retire(self.sim.now, self.capture_records)
+        flow.retire(self.sim.now)
+        self.rngs.drop(flow.streams)
 
     def _collect(self, wall_start: float) -> MultiFlowResult:
         testbed, capture = self.testbed, self.capture_records
-        # The capture's flow-table entries per flow, by server port. The tap
-        # sees only the forward direction (server hosts feed it), but filter
-        # by source address anyway so a future topology change cannot
-        # silently misattribute reverse frames.
-        cols = self.sniffer.columns
+        # The captured frames per flow, by server port. The tap sees only the
+        # forward direction (server hosts feed it), but filter by source
+        # address anyway so a future topology change cannot silently
+        # misattribute reverse frames.
         by_port = {flow.server_port: i for i, flow in enumerate(self.flows)}
-        owner = [by_port.get(f[1]) if f[0] == SERVER_ADDR else None for f in cols.flows]
-        frames = [0] * len(owner)
-        for entry in cols.flow_index:
-            frames[entry] += 1
         wire = [0] * len(self.flows)
-        for entry, index in enumerate(owner):
+        for f, count in self.sniffer.frames_per_flow().items():
+            index = by_port.get(f[1]) if f[0] == SERVER_ADDR else None
             if index is not None:
-                wire[index] += frames[entry]
-        records = _split_capture(cols, owner, wire) if capture else [CaptureColumns()] * len(wire)
+                wire[index] += count
+        cols = self.sniffer.columns
+        records = _split_capture(cols, by_port, wire) if capture else [CaptureColumns()] * len(wire)
 
         # Drops per server port: congestion and injected forward drops by a
         # data packet's source port, injected reverse drops by an ACK's
@@ -369,7 +368,7 @@ class MultiFlowExperiment:
             results.append(
                 FlowResult(
                     spec=flow.spec,
-                    **flow.outputs(now, capture),
+                    **flow.outputs(now),
                     dropped=congestion.get(port, 0),
                     injected_drops=injected.get(port, 0),
                     ack_drops=ack_drops.get(port, 0),
@@ -396,12 +395,14 @@ class MultiFlowExperiment:
 
 
 def _split_capture(
-    cols: CaptureColumns, owner: List[Optional[int]], wire: List[int]
+    cols: CaptureColumns, by_port: Dict[int, int], wire: List[int]
 ) -> List[CaptureColumns]:
-    """The capture's rows per flow, in capture order, in one pass over the
-    rows; the capture itself when it is one flow's."""
+    """The capture's rows per flow (``by_port`` maps a server port to its
+    flow), in capture order, in one pass over the rows; the capture itself
+    when it is one flow's."""
     if wire == [len(cols.time_ns)]:
         return [cols]
+    owner = [by_port.get(f[1]) if f[0] == SERVER_ADDR else None for f in cols.flows]
     rows: List[List[int]] = [[] for _ in wire]
     for row, entry in enumerate(cols.flow_index):
         if owner[entry] is not None:

@@ -105,13 +105,15 @@ class PopulationConfig(CanonicalForm):
     seed: int = 1
     network: NetworkConfig = field(default_factory=NetworkConfig)
     max_sim_time_ns: int = seconds(600)
-    #: Split the tap capture into per-flow ``FlowResult.records`` (a second
-    #: copy of every row); populations default to the shared capture only.
+    #: Keep the per-packet outputs: the tap capture, split into per-flow
+    #: ``FlowResult.records``, and each server's expected-send log.
+    #: Populations default to neither (frames per flow only).
     capture_records: bool = False
     #: Flow churn: tear each flow down when it completes (timers silenced,
-    #: ports rerouted to a counting drain, references dropped) so a
-    #: steady-state population holds O(active) state instead of
-    #: O(ever-created). Off by default: teardown cuts post-completion
+    #: ports rerouted to a counting drain, references and RNG streams
+    #: dropped) so a completed flow holds only its outputs; every flow is
+    #: wired at t = 0, so live state is O(not yet completed), not
+    #: O(active). Off by default: teardown cuts post-completion
     #: traffic (e.g. a TCP sender's FIN retransmissions), which perturbs the
     #: shared queue other flows see, so churn runs fingerprint differently.
     churn: bool = False

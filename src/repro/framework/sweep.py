@@ -95,7 +95,10 @@ class SweepRunner:
     opened for the run; with one, it is ignored. ``resume=False`` runs the
     checkpoint's recorded failures again. ``run_fn`` is the per-repetition
     worker function — a seam for chaos tests, which substitute
-    crashing/hanging stand-ins.
+    crashing/hanging stand-ins. Every result, whether a store row, a cache
+    hit or fresh, passes :func:`~repro.framework.validate.validate_result`
+    before it is used: a row or hit that fails is recomputed, a fresh one
+    that fails is a final failure.
 
     ``backend`` selects the execution backend
     (:mod:`repro.framework.executors`): ``"inprocess"`` (serial)
@@ -133,7 +136,6 @@ class SweepRunner:
         policy: Optional[SupervisionPolicy] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
-        validate: bool = True,
         run_fn=_run_one,
         backend: Union[str, Executor, None] = None,
         store: Optional[ResultStore] = None,
@@ -149,7 +151,6 @@ class SweepRunner:
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.resume = resume
-        self.validate = validate
         self.run_fn = run_fn
         self.executor = make_executor(backend)
         self.store = store
@@ -183,7 +184,6 @@ class SweepRunner:
         pending: List[RepTask] = []
         index, count = self.shard
         position = 0
-        validate = validate_result if self.validate else None
         # The cache hits of the scan are committed once per grid entry, not
         # once per repetition.
         batch = store.batch if store is not None else contextlib.nullcontext
@@ -192,7 +192,9 @@ class SweepRunner:
             reps = range((index - position) % count, config.repetitions, count)
             position += config.repetitions
             with batch():
-                served = store.served(name, config, reps, validate) if store is not None else {}
+                served = {}
+                if store is not None:
+                    served = store.served(name, config, reps, validate_result)
                 for rep in reps:
                     held = served.get(rep)
                     if isinstance(held, RepFailure):
@@ -212,7 +214,7 @@ class SweepRunner:
                         continue
                     seed = derive_seed(config.seed, rep)
                     # An entry that fails validation is quarantined and missed.
-                    hit = self.cache.get(config, seed, validate) if self.cache else None
+                    hit = self.cache.get(config, seed, validate_result) if self.cache else None
                     if hit is not None:
                         slots[name][rep] = hit.result
                         if store is not None:
@@ -225,7 +227,7 @@ class SweepRunner:
             supervisor = Supervisor(
                 self.policy,
                 run_fn=self.run_fn,
-                validate_fn=validate,
+                validate_fn=validate_result,
                 executor=self.executor,
             )
 

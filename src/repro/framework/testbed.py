@@ -66,11 +66,11 @@ MTU_PAYLOAD = 1252
 _ETF_QDISCS = ("etf", "etf-offload")
 
 #: Flow 0 is the paper's one connection: its ports and the RNG stream of each
-#: component role are part of every single-flow golden.
+#: component role are part of every single-flow golden. A role's stream is
+#: seeded only for a component that draws from it: the NIC under LaunchTime,
+#: the qdisc under FQ and ETF, and the two processes of a QUIC flow.
 _FLOW0_PORTS = (443, 40000)
-_FLOW0_STREAMS = {
-    "nic": "nic", "qdisc": "qdisc", "server": "server-proc", "client": "client-proc", "rtt": "rtt",
-}
+_FLOW0_STREAMS = {"nic": "nic", "qdisc": "qdisc", "server": "server-proc", "client": "client-proc"}
 #: Flow ``i >= 1`` gets ports ``BASE + i`` and the streams ``flow{i}-<role>``.
 BASE_SERVER_PORT = 4433
 BASE_CLIENT_PORT = 50000
@@ -172,9 +172,13 @@ class WiredFlow:
     It gathers the flow's own outputs (:meth:`outputs`) and, when ``cfg``
     asks, its traces: the server's cwnd trace and a qlog trace (``qlog``)
     that also records the shared stages' drops of this flow's datagrams.
+    With ``per_packet`` its server logs each packet's expected send time;
+    without, the log keeps nothing.
     """
 
-    def __init__(self, testbed: Testbed, index: int, spec: "FlowSpec", cfg: ExperimentConfig):
+    def __init__(
+        self, testbed: Testbed, index: int, spec: "FlowSpec", cfg: ExperimentConfig, per_packet: bool
+    ):
         sim = testbed.sim
         self.index, self.spec = index, spec
         if index == 0:
@@ -185,6 +189,8 @@ class WiredFlow:
             streams = {role: f"{name}-{role}" for role in _FLOW0_STREAMS}
             self.server_port = BASE_SERVER_PORT + index
             self.client_port = BASE_CLIENT_PORT + index
+        #: The names of the RNG streams this flow may draw from.
+        self.streams = tuple(streams.values())
         rng = testbed.rngs.stream
         self.client_sock = UdpSocket(
             sim, CLIENT_ADDR, self.client_port, egress=testbed.reverse_link, rcvbuf_bytes=mib(50)
@@ -194,12 +200,13 @@ class WiredFlow:
         self.link = Link(
             sim, f"{name}-link", cfg.network.link_rate_bps, propagation_ns=us(1), sink=testbed.tap
         )
+        launchtime = cfg.qdisc == "etf-offload"
         self.nic = Nic(
             sim,
             f"{name}-nic",
             self.link,
-            launchtime=(cfg.qdisc == "etf-offload"),
-            rng=rng(streams["nic"]),
+            launchtime=launchtime,
+            rng=rng(streams["nic"]) if launchtime else None,
         )
         self.segmenter = GsoSegmenter(sim, sink=self.nic)
         qdisc_params = {}
@@ -209,7 +216,7 @@ class WiredFlow:
             cfg.qdisc,
             sim,
             sink=self.segmenter,
-            rng=rng(streams["qdisc"]),
+            rng=rng(streams["qdisc"]) if cfg.qdisc != "none" else None,
             **qdisc_params,
         )
         self.server_sock = UdpSocket(
@@ -221,11 +228,7 @@ class WiredFlow:
         self.ack_sink: PacketSink = self.server_sock
         if spec.extra_rtt_ns > 0:
             self.ack_sink = NetemQdisc(
-                sim,
-                f"rtt-{index}",
-                sink=self.server_sock,
-                delay_ns=spec.extra_rtt_ns,
-                rng=rng(streams["rtt"]),
+                sim, f"rtt-{index}", sink=self.server_sock, delay_ns=spec.extra_rtt_ns
             )
 
         self.file_size = cfg.file_size
@@ -235,7 +238,7 @@ class WiredFlow:
         if cfg.stack == "tcp":
             self._wire_tcp(sim, cfg)
         else:
-            self._wire_quic(sim, cfg, rng(streams["server"]), rng(streams["client"]))
+            self._wire_quic(sim, cfg, rng(streams["server"]), rng(streams["client"]), per_packet)
 
         if cfg.trace_cwnd:
             self.server_cc.enable_trace()
@@ -270,12 +273,12 @@ class WiredFlow:
             return self.tcp_receiver.done
         return self.client.done
 
-    def outputs(self, now: int, per_packet: bool) -> dict:
+    def outputs(self, now: int) -> dict:
         """This flow's own results, as :class:`FlowResult` fields, frozen
         once retired. The transfer runs from the sender's start (TCP) or the
         request (QUIC), else ``spec.start_ns``, to completion, else ``now``
         (at least 1 ns); goodput is from the application bytes delivered in
-        order. With ``per_packet``, the server's expected-send log too."""
+        order."""
         if self.frozen is not None:
             return self.frozen
         completed = self.done
@@ -321,18 +324,18 @@ class WiredFlow:
             "goodput_mbps": goodput_mbps(received, duration),
             "bytes_received": received,
             "start_ns": self.spec.start_ns,
-            "expected_send_log": list(expected) if per_packet else [],
+            "expected_send_log": list(expected),
             "cwnd_trace": self.server_cc.cwnd_trace,
             "qdisc_stats": self.qdisc.stats.as_dict(),
             "server_stats": server_stats,
             "object_completion_ns": {sid: t - start for sid, t in objects.items()},
         }
 
-    def retire(self, now: int, per_packet: bool) -> None:
+    def retire(self, now: int) -> None:
         """Churn teardown: freeze :meth:`outputs`, silence both endpoints
         (cancel every timer they could re-arm) and drop the live objects, so
-        a long run holds O(active) flows."""
-        self.frozen = self.outputs(now, per_packet)
+        a retired flow keeps only its outputs."""
+        self.frozen = self.outputs(now)
         if self.tcp_sender is not None:
             self.tcp_sender.detach()
             self.tcp_receiver.detach()
@@ -356,6 +359,7 @@ class WiredFlow:
         cfg: ExperimentConfig,
         server_rng: random.Random,
         client_rng: random.Random,
+        per_packet: bool,
     ) -> None:
         profile = self.profile = _quic_profile(cfg)
         self.server_cc = make_cc(
@@ -401,6 +405,7 @@ class WiredFlow:
             make_pacer(profile, MTU_PAYLOAD),
             response_size=h3.response_stream_size(cfg.file_size // cfg.objects),
             rng=server_rng,
+            log_sends=per_packet,
         )
         self.client = ClientDriver(
             sim, client_conn, self.client_sock, rng=client_rng, request_count=cfg.objects

@@ -4,8 +4,8 @@ Each qdisc accepts datagrams via ``enqueue`` and pushes them to its ``sink``
 (normally the GSO segmenter) when its scheduling logic releases them.
 ``make_qdisc`` builds the qdisc an experiment config names (one of
 ``factory.QDISCS``). :class:`NetemQdisc` is built directly: it is only a
-multi-flow run's per-flow RTT stage. The paper's token bucket is the
-bottleneck itself (:class:`repro.net.bottleneck.Bottleneck`).
+fixed delay line, a multi-flow run's per-flow extra RTT. The paper's token
+bucket is the bottleneck itself (:class:`repro.net.bottleneck.Bottleneck`).
 """
 
 from repro.kernel.qdisc.base import Qdisc, QdiscStats

@@ -13,10 +13,10 @@ from repro.sim.engine import Simulator
 class QdiscStats:
     enqueued: int = 0
     dequeued: int = 0
-    #: Total drops; netem additionally splits it into the loss-model share
-    #: (``dropped_loss``, injected impairment) and the queue-limit share
-    #: (``dropped_overflow``, congestion) so analyses can tell the two apart.
     dropped: int = 0
+    #: Always 0 (no qdisc splits its drops into a loss-model and a
+    #: queue-limit share); the single-flow fingerprint and stored results
+    #: carry the keys.
     dropped_loss: int = 0
     dropped_overflow: int = 0
     dropped_late: int = 0

@@ -25,9 +25,9 @@ def make_qdisc(
     **params,
 ) -> Qdisc:
     """The qdisc a config's ``qdisc`` names: ``"none"`` is the kernel
-    default, pfifo_fast; ``etf-offload`` is ETF (the offload itself lives on
-    the NIC, LaunchTime)."""
-    rng = rng or random.Random(0)
+    default, pfifo_fast, which draws no random numbers (``rng`` is only for
+    FQ's and ETF's jitter); ``etf-offload`` is ETF (the offload itself lives
+    on the NIC, LaunchTime)."""
     if kind == "none":
         return PfifoFast(sim, sink=sink, **params)
     if kind == "fq":

@@ -35,7 +35,8 @@ class Nic:
         self.link: Link = link
         self.launchtime: bool = launchtime
         self.launchtime_precision_ns: int = launchtime_precision_ns
-        self.rng: random.Random = rng or random.Random(0)
+        #: Draws the LaunchTime jitter: only a LaunchTime NIC needs one.
+        self.rng: Optional[random.Random] = rng
         self.frames_held: int = 0
         self._last_launch_at: int = 0
         if not launchtime:  # nothing to hold: frames go straight to the link

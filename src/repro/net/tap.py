@@ -153,16 +153,24 @@ class CaptureColumns:
 
 
 class Sniffer:
-    """Accumulates captures, in arrival order, as columnar arrays."""
+    """Accumulates captures, in arrival order, as columnar arrays; without
+    ``per_packet``, only how many frames each flow put on the wire (the
+    columns stay empty)."""
 
-    def __init__(self, name: str = "sniffer"):
+    def __init__(self, name: str = "sniffer", per_packet: bool = True):
         self.name: str = name
         self.columns: CaptureColumns = CaptureColumns()
         self._flow_ids: Dict[FlowTuple, int] = {}
+        #: Frames per flow when the run keeps no columns, else None.
+        self._counts: Optional[Dict[FlowTuple, int]] = None if per_packet else {}
 
     def capture(self, time_ns: int, dgram: Datagram) -> None:
-        cols = self.columns
         flow = dgram.flow
+        counts = self._counts
+        if counts is not None:
+            counts[flow] = counts.get(flow, 0) + 1
+            return
+        cols = self.columns
         idx = self._flow_ids.get(flow)
         if idx is None:
             idx = len(cols.flows)
@@ -177,6 +185,16 @@ class Sniffer:
         gso = dgram.gso_id
         cols.gso_id.append(_NONE if gso is None else gso)
         cols.flow_index.append(idx)
+
+    def frames_per_flow(self) -> Dict[FlowTuple, int]:
+        """How many frames each flow put on the wire, kept columns or not."""
+        if self._counts is not None:
+            return self._counts
+        cols = self.columns
+        frames = [0] * len(cols.flows)
+        for entry in cols.flow_index:
+            frames[entry] += 1
+        return dict(zip(cols.flows, frames))
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -677,8 +677,9 @@ class Connection:
         size = built.size
         eliciting = built.ack_eliciting
         # The record outlives the wire packet (an ACK-only packet is never
-        # acknowledged), so it keeps the numbers and not the frames.
-        sp = SentPacket(built.pn, now, size, eliciting, eliciting, built.retx)
+        # acknowledged), so it keeps the numbers and not the frames, and not
+        # even an ACK-only packet's empty retransmission list.
+        sp = SentPacket(built.pn, now, size, eliciting, eliciting, built.retx or None)
         # App-limited marking (RFC 9002 §7.8): the window is underutilized
         # because the application has no data or flow control blocks it.
         # Controllers skip window growth for such packets, and BBR discounts

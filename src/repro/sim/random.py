@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, Iterable
 
 
 def derive_seed(base_seed: int, rep: int) -> int:
@@ -24,10 +24,8 @@ def derive_seed(base_seed: int, rep: int) -> int:
     collision) and is stable across processes, sessions, and
     ``PYTHONHASHSEED``.
 
-    Lives in :mod:`repro.sim.random` (not the framework) so wire-level
-    components like :class:`~repro.kernel.qdisc.netem.NetemQdisc` can derive
-    default streams from an experiment seed without a layering cycle;
-    :mod:`repro.framework.runner` re-exports it.
+    Lives next to the streams it seeds; :mod:`repro.framework.runner`
+    re-exports it.
     """
     digest = hashlib.blake2b(f"{base_seed}/{rep}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -48,6 +46,12 @@ class RngRegistry:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
+
+    def drop(self, names: Iterable[str]) -> None:
+        """Forget the streams of a component that will never draw again (a
+        retired flow); a later :meth:`stream` of a name would start it over."""
+        for name in names:
+            self._streams.pop(name, None)
 
     def fork(self, subseed: int) -> "RngRegistry":
         """Derive a registry for a repetition index or sub-experiment."""

@@ -18,8 +18,9 @@ profile's ``pacing`` mode — is where the paper's three approaches live:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, MutableSequence, Optional
 
 from repro.cc.bbr import BbrParams
 from repro.errors import ConfigError
@@ -95,6 +96,7 @@ class ServerDriver(SimProcess):
         pacer: Pacer,
         response_size: int,
         rng: Optional[random.Random] = None,
+        log_sends: bool = True,
     ):
         super().__init__(sim, f"server-{profile.name}", profile.timer_model, rng)
         profile.validate()
@@ -106,8 +108,9 @@ class ServerDriver(SimProcess):
         self.response_started = False
         self._responded: set[int] = set()
         socket.on_readable = self.wake_now
-        #: (packet_number, expected_txtime) pairs for the precision metric.
-        self.expected_send_log: List[tuple[int, int]] = []
+        #: (packet_number, expected_txtime) pairs for the precision metric;
+        #: without ``log_sends``, a log that keeps nothing.
+        self.expected_send_log: MutableSequence = [] if log_sends else deque(maxlen=0)
         self._pacer_deadline: Optional[int] = None
 
     # -- event loop ---------------------------------------------------------

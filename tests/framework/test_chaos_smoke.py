@@ -2,7 +2,8 @@
 mid-run kill, and the surviving/resumed repetitions are bit-identical
 (``fingerprint()``) to an uninterrupted serial run.
 
-The chaotic worker functions wrap the real ``_run_one`` and consult marker
+The chaotic worker functions (:mod:`tests.framework.chaos_run`, a module
+that imports no pytest) wrap the real ``_run_one`` and consult marker
 files under a per-test directory, so each fault fires exactly once and the
 retry — which reuses the repetition's derived seed — must reproduce the
 clean result bit for bit. The directory is bound into the submitted function
@@ -11,9 +12,6 @@ see the environment as it was when the server started, not the live one.
 """
 
 import functools
-import os
-import time
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +24,12 @@ from repro.framework.sweep import SweepRunner
 from repro.net.impairments import iid_loss
 from repro.units import kib
 from tests.conftest import LOCAL_POOLS
+from tests.framework.chaos_run import (
+    always_crash_lossy_run_one,
+    crash_once_run_one,
+    hang_once_run_one,
+    interrupted_run_one,
+)
 
 FAST = SupervisionPolicy(timeout_s=20.0, retries=2)
 
@@ -48,34 +52,6 @@ def _fingerprints(summaries):
         name: [r.fingerprint() for r in summary.results]
         for name, summary in summaries.items()
     }
-
-
-def crash_once_run_one(markers, config, seed):
-    """First execution of the 'lossy' config's rep 0 kills its worker."""
-    marker = Path(markers) / f"crashed-{seed}"
-    if config.network.forward_impairments and not marker.exists():
-        marker.touch()
-        os._exit(23)
-    return _run_one(config, seed)
-
-
-def hang_once_run_one(markers, config, seed):
-    """First execution of the 'lossy' config's rep 0 hangs past the timeout."""
-    marker = Path(markers) / f"hung-{seed}"
-    if config.network.forward_impairments and not marker.exists():
-        marker.touch()
-        time.sleep(120)
-    return _run_one(config, seed)
-
-
-def interrupted_run_one(markers, config, seed):
-    """Simulates the operator killing the sweep after two settled reps."""
-    done = len(list(Path(markers).glob("settled-*")))
-    if done >= 2:
-        raise KeyboardInterrupt
-    result = _run_one(config, seed)
-    (Path(markers) / f"settled-{seed}").touch()
-    return result
 
 
 def _with_markers(run_one, chaos_dir):
@@ -202,12 +178,6 @@ def _failures_carry_forward_until_no_resume(setup, chaos_dir):
     assert len(healed["lossy"].results) == 2
     with _checkpoint(setup, chaos_dir, grid) as store:
         assert (store.rep_count(), store.failure_count()) == (4, 0)
-
-
-def always_crash_lossy_run_one(config, seed):
-    if config.network.forward_impairments:
-        os._exit(29)
-    return _run_one(config, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,25 @@ def test_churn_serial_swept_and_cached_agree(tmp_path):
     assert [r.fingerprint() for r in warm["churn"].results] == direct
 
 
+def test_retired_flows_leave_no_random_stream():
+    """A retired flow never draws again: the registry forgets its streams."""
+    config = _config(flows=20, churn=True)
+    experiment = MultiFlowExperiment(
+        FlowPopulation(config).specs(config.seed),
+        network=config.network,
+        seed=config.seed,
+        max_sim_time_ns=config.max_sim_time_ns,
+        capture_records=False,
+        churn=True,
+    )
+    held = set(experiment.rngs._streams)
+    quic = [flow for flow in experiment.flows if flow.server is not None]
+    assert quic and all(held & set(flow.streams) for flow in quic)
+    experiment.run()
+    retired = [flow for flow in experiment.flows if flow.frozen is not None]
+    assert len(retired) == 20
+    assert not set(experiment.rngs._streams) & {n for f in retired for n in f.streams}
+
 
 def test_departed_flows_admit_nothing(monkeypatch):
     """Once a flow departs, no component of it puts another entry on the

@@ -6,6 +6,7 @@ import pytest
 
 from repro.kernel.qdisc.netem import NetemQdisc
 from repro.kernel.socket import UdpSocket
+from repro.net.impairments import IidLossStage, iid_loss
 from repro.quic.ranges import RangeSet
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.segment import TCP_MSS, TcpSegment
@@ -16,8 +17,10 @@ from repro.units import kib, ms
 def build_pair(sim, file_size, loss_rate=0.0, seed=3):
     rsock = UdpSocket(sim, "client", 1)
     ssock = UdpSocket(sim, "server", 2)
-    fwd = NetemQdisc(sim, "fwd", sink=rsock, delay_ns=ms(20),
-                     loss_rate=loss_rate, rng=random.Random(seed))
+    fwd = NetemQdisc(sim, "fwd", sink=rsock, delay_ns=ms(20))
+    if loss_rate:
+        # One draw per segment, in front of the delay line.
+        fwd = IidLossStage(sim, iid_loss(loss_rate), fwd, random.Random(seed))
     rev = NetemQdisc(sim, "rev", sink=ssock, delay_ns=ms(20))
     ssock.egress = fwd
     rsock.egress = rev

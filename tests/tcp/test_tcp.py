@@ -4,6 +4,7 @@ import random
 
 from repro.kernel.socket import UdpSocket
 from repro.kernel.qdisc.netem import NetemQdisc
+from repro.net.impairments import IidLossStage, iid_loss
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.segment import TCP_MSS, TcpSegment
 from repro.tcp.sender import TcpSender
@@ -22,11 +23,14 @@ class TestSegment:
 
 
 def build_pair(sim, file_size, loss_rate=0.0, seed=3):
-    """Sender and receiver joined by two 20 ms delay pipes."""
+    """Sender and receiver joined by two 20 ms delay pipes, the forward one
+    behind an i.i.d. loss stage when ``loss_rate`` is set."""
     rsock = UdpSocket(sim, "client", 1)
     ssock = UdpSocket(sim, "server", 2)
-    fwd = NetemQdisc(sim, "fwd", sink=rsock, delay_ns=ms(20),
-                     loss_rate=loss_rate, rng=random.Random(seed))
+    fwd = NetemQdisc(sim, "fwd", sink=rsock, delay_ns=ms(20))
+    if loss_rate:
+        # One draw per segment, in front of the delay line.
+        fwd = IidLossStage(sim, iid_loss(loss_rate), fwd, random.Random(seed))
     rev = NetemQdisc(sim, "rev", sink=ssock, delay_ns=ms(20))
     ssock.egress = fwd
     rsock.egress = rev
