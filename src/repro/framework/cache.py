@@ -71,7 +71,8 @@ from repro.framework.population import PopulationResult
 #: v6: a pickled config carries its ``params`` instead of five override fields.
 #: v7: a multi-flow run's flow 0 has the single-flow ports and RNG streams (its
 #: digests moved), and a ``FlowResult`` carries the flow's own outputs.
-CACHE_VERSION = 7
+#: v8: the expected-send log is a columnar ``SendLog``, not a list of tuples.
+CACHE_VERSION = 8
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.

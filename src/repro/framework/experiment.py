@@ -10,11 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.multiflow import FlowSpec, MultiFlowExperiment, MultiFlowResult
 from repro.net.tap import CaptureColumns
+from repro.stacks.base import SendLog
 
 
 #: One capture row as ``json.dumps(asdict(record), sort_keys=True)`` writes
@@ -28,20 +30,29 @@ _CAPTURE_ROW = (
 #: What the fingerprint covers besides the capture: the seed and the outputs.
 _ENCODED = (
     "seed", "completed", "duration_ns", "goodput_mbps", "dropped", "injected_drops",
-    "expected_send_log", "cwnd_trace", "queue_trace", "qdisc_stats", "server_stats",
-    "object_completion_ns", "impairment_stats",
+    "qdisc_stats", "server_stats", "object_completion_ns", "impairment_stats",
 )
 
-#: Capture rows joined and handed to the hash per chunk, so a 100 MiB
-#: transfer's fingerprint never holds its whole encoding in memory.
-_CAPTURE_CHUNK_ROWS = 4096
+#: The per-packet outputs (O(packets) or O(events) long) and how one element
+#: of each is written, exactly as ``json.dumps`` writes it.
+_PER_PACKET = {
+    "expected_send_log": "[%d, %d]".__mod__,
+    "cwnd_trace": json.dumps,
+    "queue_trace": json.dumps,
+}
+
+#: Capture rows or list elements encoded and handed to the hash per chunk:
+#: a fingerprint holds one chunk's encoding at a time (tens of KiB), never a
+#: whole per-packet output's, whatever the transfer's length.
+_CHUNK_ROWS = 256
 
 
 def _encode_capture(cols: CaptureColumns) -> Iterator[bytes]:
-    """The capture as the elements of a JSON list (brackets excluded)."""
+    """The capture as a JSON list of row objects, one chunk at a time."""
     flows = [json.dumps(flow) for flow in cols.flows]
-    for start in range(0, len(cols), _CAPTURE_CHUNK_ROWS):
-        stop = start + _CAPTURE_CHUNK_ROWS
+    yield b"["
+    for start in range(0, len(cols), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
         fields = zip(
             cols.dgram_id[start:stop],
             [flows[i] for i in cols.flow_index[start:stop]],
@@ -53,6 +64,18 @@ def _encode_capture(cols: CaptureColumns) -> Iterator[bytes]:
         )
         rows = [_CAPTURE_ROW % row for row in fields]
         yield ((", " if start else "") + ", ".join(rows)).encode()
+    yield b"]"
+
+
+def _encode_list(items: Iterable, element: Callable[[Any], str]) -> Iterator[bytes]:
+    """``json.dumps(list(items))``, one chunk of ``element``-written items at a time."""
+    items = iter(items)
+    yield b"["
+    separator = ""
+    while chunk := list(islice(items, _CHUNK_ROWS)):
+        yield (separator + ", ".join(map(element, chunk))).encode()
+        separator = ", "
+    yield b"]"
 
 
 @dataclass
@@ -65,7 +88,8 @@ class ExperimentResult:
     dropped: int
     #: The tap's capture of the server's frames, in arrival order.
     server_records: CaptureColumns
-    expected_send_log: List[Tuple[int, int]]
+    #: The server's expected send time per packet (empty for TCP).
+    expected_send_log: SendLog
     cwnd_trace: List[Tuple[int, int]] = field(default_factory=list)
     queue_trace: List[Tuple[int, int]] = field(default_factory=list)
     qdisc_stats: dict = field(default_factory=dict)
@@ -116,18 +140,22 @@ class ExperimentResult:
 
         Exactly ``json.dumps(payload, sort_keys=True)`` of the seed and the
         outputs (capture as one dict per record), but written without
-        building that tree: each capture row is one ``%``-format
-        (:func:`_encode_capture`), every other field goes through
-        ``json.dumps`` itself. The config is not part of it.
+        building that tree or any whole per-packet output: the capture
+        (:func:`_encode_capture`) and each per-packet list
+        (:func:`_encode_list`) go out ``_CHUNK_ROWS`` elements at a time,
+        every other field through ``json.dumps`` itself. The config is not
+        part of it.
         """
         opener = "{"
-        for key in sorted((*_ENCODED, "server_records")):
+        for key in sorted((*_ENCODED, *_PER_PACKET, "server_records")):
+            yield f'{opener}"{key}": '.encode()
+            value = getattr(self, key)
             if key == "server_records":
-                yield f'{opener}"server_records": ['.encode()
-                yield from _encode_capture(self.server_records)
-                yield b"]"
+                yield from _encode_capture(value)
+            elif key in _PER_PACKET:
+                yield from _encode_list(value, _PER_PACKET[key])
             else:
-                yield f'{opener}"{key}": {json.dumps(getattr(self, key), sort_keys=True)}'.encode()
+                yield json.dumps(value, sort_keys=True).encode()
             opener = ", "
         yield b"}"
 
@@ -138,10 +166,11 @@ class ExperimentResult:
         cache key), and execution observability (``wall_time_s``,
         ``events_processed``), so two spellings of one behaviour digest
         equal and serial, parallel and cached runs of a (config, seed) agree.
-        O(packets), so it is taken once per computed repetition and kept with
-        the cache entry and store row; a change to the bytes
-        :meth:`canonical_encoding` yields needs a ``CACHE_VERSION`` and
-        ``STORE_VERSION`` bump.
+        O(packets) in time, so it is taken once per computed repetition and
+        kept with the cache entry and store row; in memory it holds one
+        chunk at a time (a peak of ≈ 0.2 MB), never a whole per-packet
+        output's encoding. A change to the bytes :meth:`canonical_encoding`
+        yields needs a ``CACHE_VERSION`` and ``STORE_VERSION`` bump.
         """
         digest = hashlib.sha256()
         for chunk in self.canonical_encoding():

@@ -33,6 +33,7 @@ from repro.net.demux import DrainSink, PortDemux
 from repro.net.tap import CaptureColumns, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
+from repro.stacks.base import SendLog
 from repro.units import mib, ms, seconds
 
 #: The run loop's step: completion is checked between steps.
@@ -92,7 +93,7 @@ class FlowResult:
     records: CaptureColumns = field(default_factory=CaptureColumns)
     #: ``(packet number, expected send time)`` per QUIC packet the server
     #: built (``capture_records`` runs; empty otherwise and for TCP).
-    expected_send_log: List[Tuple[int, int]] = field(default_factory=list)
+    expected_send_log: SendLog = field(default_factory=SendLog)
     #: The server's cwnd over time (configs with ``trace_cwnd``).
     cwnd_trace: List[Tuple[int, int]] = field(default_factory=list)
     qdisc_stats: dict = field(default_factory=dict)

@@ -110,7 +110,8 @@ __all__ = ["STORE_VERSION", "ResultStore", "grid_key"]
 #: v6: a blob's config carries its ``params`` instead of five override fields.
 #: v7: multi-flow digests moved (flow 0 has the single-flow ports and RNG
 #: streams), and a ``FlowResult`` carries the flow's own outputs.
-STORE_VERSION = 7
+#: v8: a blob's expected-send log is a columnar ``SendLog``.
+STORE_VERSION = 8
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the

@@ -46,7 +46,7 @@ from repro.quic import h3
 from repro.quic.connection import Connection, ConnectionConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
-from repro.stacks.base import ServerDriver, StackProfile, make_pacer
+from repro.stacks.base import SendLog, ServerDriver, StackProfile, make_pacer
 from repro.stacks.client import ClientDriver
 from repro.stacks.profiles import profile_for
 from repro.tcp.receiver import TcpReceiver
@@ -290,7 +290,7 @@ class WiredFlow:
                 # no payload, so it never exceeds the file size.
                 received = min(self.tcp_receiver.rcv_nxt, self.file_size)
             server_stats = {"retransmissions": self.tcp_sender.retransmissions, "acks_received": 0}
-            expected, objects = [], {}
+            expected, objects = SendLog(), {}
         else:
             start, end = self.client.request_sent_at, self.client.completed_at
             if not completed:
@@ -324,7 +324,7 @@ class WiredFlow:
             "goodput_mbps": goodput_mbps(received, duration),
             "bytes_received": received,
             "start_ns": self.spec.start_ns,
-            "expected_send_log": list(expected),
+            "expected_send_log": expected,
             "cwnd_trace": self.server_cc.cwnd_trace,
             "qdisc_stats": self.qdisc.stats.as_dict(),
             "server_stats": server_stats,

@@ -18,9 +18,10 @@ profile's ``pacing`` mode — is where the paper's three approaches live:
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import List, MutableSequence, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.cc.bbr import BbrParams
 from repro.errors import ConfigError
@@ -38,6 +39,37 @@ PACING_MODES = ("txtime", "app_interval", "leaky_bucket", "none")
 
 #: Safety cap on packets produced in one wake-up.
 MAX_PACKETS_PER_WAKEUP = 512
+
+
+#: An append that keeps nothing (the log of a server without ``log_sends``).
+_DISCARD = deque(maxlen=0).append
+
+
+class SendLog:
+    """The server's expected send time per packet it built (the precision
+    metric's log, paper Section 4.4), as two parallel ``array('q')`` columns
+    like the capture's. It iterates as ``(packet_number, expected_ns)`` pairs.
+    """
+
+    __slots__ = ("packet_number", "expected_ns")
+
+    def __init__(self, pairs: Iterable[Tuple[int, int]] = ()) -> None:
+        self.packet_number: "array[int]" = array("q")
+        self.expected_ns: "array[int]" = array("q")
+        for pn, expected_ns in pairs:
+            self.packet_number.append(pn)
+            self.expected_ns.append(expected_ns)
+
+    def __len__(self) -> int:
+        return len(self.packet_number)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.packet_number, self.expected_ns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SendLog):
+            return NotImplemented
+        return self.packet_number == other.packet_number and self.expected_ns == other.expected_ns
 
 
 @dataclass(frozen=True)
@@ -108,9 +140,15 @@ class ServerDriver(SimProcess):
         self.response_started = False
         self._responded: set[int] = set()
         socket.on_readable = self.wake_now
-        #: (packet_number, expected_txtime) pairs for the precision metric;
-        #: without ``log_sends``, a log that keeps nothing.
-        self.expected_send_log: MutableSequence = [] if log_sends else deque(maxlen=0)
+        #: (packet_number, expected_txtime) per built packet, for the
+        #: precision metric; without ``log_sends`` it stays empty, each
+        #: append going to a sink that keeps nothing.
+        self.expected_send_log = SendLog()
+        if log_sends:
+            self._log_pn = self.expected_send_log.packet_number.append
+            self._log_ns = self.expected_send_log.expected_ns.append
+        else:
+            self._log_pn = self._log_ns = _DISCARD
         self._pacer_deadline: Optional[int] = None
 
     # -- event loop ---------------------------------------------------------
@@ -204,6 +242,7 @@ class ServerDriver(SimProcess):
         min_offset = profile.txtime_min_offset_ns
         ecn = 2 if conn.config.ecn else 0
         lookahead = profile.txtime_lookahead_ns
+        log_pn, log_ns = self._log_pn, self._log_ns
         if profile.gso.enabled:
             # With GSO the app fills whole buffers before sleeping, so it is
             # willing to queue at least two buffers' worth into the kernel.
@@ -233,7 +272,8 @@ class ServerDriver(SimProcess):
                 pacer.commit(txtime, size)
                 expected = txtime
             conn.on_packet_sent(built, now)
-            self.expected_send_log.append((built.pn, expected))
+            log_pn(built.pn)
+            log_ns(expected)
             specs.append(SendSpec(built.packet, size, txtime, expected, built.pn, ecn))
         return specs
 
@@ -280,6 +320,7 @@ class ServerDriver(SimProcess):
         pacer = self.pacer
         mtu = conn.config.mtu_payload
         ecn = 2 if conn.config.ecn else 0
+        log_pn, log_ns = self._log_pn, self._log_ns
         sent = 0
         while sent < MAX_PACKETS_PER_WAKEUP and conn.wants_to_send(now):
             release = pacer.release_time(now, mtu)
@@ -292,7 +333,8 @@ class ServerDriver(SimProcess):
             if built.ack_eliciting:
                 pacer.commit(now, built.size)
             conn.on_packet_sent(built, now)
-            self.expected_send_log.append((built.pn, release))
+            log_pn(built.pn)
+            log_ns(release)
             self.socket.sendmsg(
                 SendSpec(built.packet, built.size, None, release, built.pn, ecn)
             )

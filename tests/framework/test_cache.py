@@ -10,6 +10,7 @@ from repro.framework.config import ExperimentConfig
 from repro.framework.experiment import Experiment
 from repro.framework.runner import derive_seed, run_repetitions
 from repro.framework.validate import validate_result
+from repro.stacks.base import SendLog
 from repro.units import kib
 from tests.conftest import flip_capture_byte
 
@@ -39,6 +40,15 @@ def test_hit_returns_identical_result(tmp_path, result):
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.stores == 1
+
+
+def test_a_columnar_send_log_survives_the_entry(tmp_path, result):
+    cache = ResultCache(tmp_path)
+    _put(cache, result)
+    loaded = cache.get(CFG, result.seed).result
+    assert isinstance(loaded.expected_send_log, SendLog)
+    assert len(loaded.expected_send_log) > 10
+    assert loaded.expected_send_log == result.expected_send_log
 
 
 @pytest.mark.parametrize("field,value", [

@@ -338,7 +338,7 @@ def test_store_info_and_an_export_byte_equal_to_run_json(capsys, cli_store, tmp_
     assert main(["store", "info", str(cli_store)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["reps"] == 2 and info["failures"] == 0
-    assert info["names"] == ["quiche/cubic"] and info["version"] == 7
+    assert info["names"] == ["quiche/cubic"] and info["version"] == 8
 
     exported = tmp_path / "out.json"
     assert main(["store", "export", str(cli_store), "quiche/cubic", str(exported)]) == 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -28,7 +29,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import (
-    _CAPTURE_CHUNK_ROWS,
+    _CHUNK_ROWS,
     ExperimentResult,
     run_experiment,
 )
@@ -42,6 +43,7 @@ from repro.framework.population import PopulationResult
 from repro.framework.scenarios import SF_PATCH
 from repro.net.impairments import burst_loss, duplication, iid_loss, reordering
 from repro.net.tap import CaptureColumns, CaptureRecord
+from repro.stacks.base import SendLog
 from repro.units import kib, ms, us
 
 
@@ -54,7 +56,7 @@ def _payload(result: ExperimentResult) -> dict:
         "dropped": result.dropped,
         "injected_drops": result.injected_drops,
         "server_records": [asdict(r) for r in result.server_records],
-        "expected_send_log": result.expected_send_log,
+        "expected_send_log": list(result.expected_send_log),
         "cwnd_trace": result.cwnd_trace,
         "queue_trace": result.queue_trace,
         "qdisc_stats": result.qdisc_stats,
@@ -226,7 +228,7 @@ def _synthetic(records, **overrides) -> ExperimentResult:
         goodput_mbps=12.5,
         dropped=2,
         server_records=records,
-        expected_send_log=[(i, 1000 * i) for i in range(len(records))],
+        expected_send_log=SendLog((i, 1000 * i) for i in range(len(records))),
         qdisc_stats={"enqueued": len(records), "dropped": 0},
         server_stats={"packets_sent": len(records)},
         object_completion_ns={4: 99, 0: 7},
@@ -264,13 +266,65 @@ FLOW_ODD = ('hôte-"中"', 1, "back\\slash\n", 65535)
         (50, [FLOW_A, FLOW_B]),
         (50, [FLOW_A, FLOW_ODD]),
         # Rows are joined per chunk: cover the seams between chunks.
-        (_CAPTURE_CHUNK_ROWS, [FLOW_A]),
-        (2 * _CAPTURE_CHUNK_ROWS + 1, [FLOW_A, FLOW_B]),
+        (_CHUNK_ROWS, [FLOW_A]),
+        (2 * _CHUNK_ROWS + 1, [FLOW_A, FLOW_B]),
     ],
 )
 def test_synthetic_captures_encode_byte_identically(count, flows):
     rng = random.Random(count * 31 + len(flows))
     assert_same_bytes(_synthetic(_records(rng, count, flows)), behaviour_encoding)
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+def test_per_packet_lists_encode_byte_identically(count):
+    """The send log and both traces are written a chunk at a time too: cover
+    an empty list, one element, one whole chunk and the seams between chunks
+    (a float cwnd is written as ``json.dumps`` writes it)."""
+    rng = random.Random(count)
+    result = _synthetic(
+        _records(rng, 3, [FLOW_A]),
+        expected_send_log=SendLog(
+            (rng.randrange(2**40), rng.randrange(2**62)) for _ in range(count)
+        ),
+        cwnd_trace=[(i, rng.choice((12_000, 2**40, 1.5e4 + 0.1))) for i in range(count)],
+        queue_trace=[(i, rng.randrange(10**6)) for i in range(count)],
+    )
+    assert len(result.expected_send_log) == count
+    assert_same_bytes(result, behaviour_encoding)
+
+
+#: Bounds on what a fingerprint holds at its peak (tracemalloc) and on what a
+#: send-log entry holds. Before the log became columns and the chunks 256
+#: elements (4096-row capture chunks, the log and both traces encoded whole,
+#: the log a list of tuples), this test read 3 113 447 B and 131 B per entry;
+#: now it reads 199 895 B and 17 B per entry (CPython 3.11).
+FINGERPRINT_PEAK_BYTES = 256 * 1024
+SEND_LOG_BYTES_PER_ENTRY = 20
+
+
+def test_a_fingerprint_holds_a_chunk_and_a_send_log_entry_two_integers():
+    entries = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = SendLog()
+        for pn in range(entries):  # as the server appends, column by column
+            log.packet_number.append(pn)
+            log.expected_ns.append(10**12 + 1_000 * pn)
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / entries
+        rng = random.Random(9)
+        result = _synthetic(
+            _records(rng, 2 * _CHUNK_ROWS + 1, [FLOW_A, FLOW_B]), expected_send_log=log
+        )
+        digest = result.fingerprint()  # first use: lazily built encoder state
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert result.fingerprint() == digest
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert per_entry <= SEND_LOG_BYTES_PER_ENTRY, f"{per_entry} B per send-log entry"
+    assert peak <= FINGERPRINT_PEAK_BYTES, f"fingerprint peak {peak} B"
 
 
 @pytest.mark.parametrize(
@@ -303,7 +357,7 @@ def test_every_non_capture_field_reaches_the_encoding():
         dropped=3,
         injected_drops=2,
         server_records=base.server_records[:-1],
-        expected_send_log=[],
+        expected_send_log=SendLog(),
         cwnd_trace=[],
         queue_trace=[],
         qdisc_stats={},

@@ -26,6 +26,7 @@ from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import fraction_leq, pooled_gaps
 from repro.metrics.trains import pooled_fraction_of_packets_in_trains_leq
 from repro.net.impairments import iid_loss
+from repro.stacks.base import SendLog
 from repro.units import kib, us
 from tests.conftest import flip_capture_byte, statement_log
 
@@ -203,7 +204,7 @@ class TestConfirm:
         assert _precision(store) == precision
 
     def test_precision_is_null_exactly_when_unmeasured(self, store, results):
-        unmeasured = dataclasses.replace(results[1], expected_send_log=[])
+        unmeasured = dataclasses.replace(results[1], expected_send_log=SendLog())
         store.record_result("quiche", 0, results[0])
         store.record_result("quiche", 1, unmeasured)
         measured, missing = _precision(store)

@@ -25,8 +25,11 @@ from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationConfig, run_population
 from repro.framework.store import ResultStore
 from repro.framework.supervision import RepFailure
+from repro.metrics.precision import pacing_precision_ns
 from repro.net.impairments import iid_loss, reordering
 from repro.net.tap import CaptureColumns
+from repro.sim.random import derive_seed
+from repro.stacks.base import SendLog
 from repro.units import kib, seconds, us
 
 RNG_SEED = 20250807
@@ -85,7 +88,7 @@ def _random_experiment(rng, config, seed: int, max_packets: int = 600) -> Experi
         goodput_mbps=rng.uniform(0.01, 9500.0),
         dropped=rng.randrange(0, 100),
         server_records=_random_capture(rng, rng.randrange(2, max_packets)),
-        expected_send_log=[],
+        expected_send_log=SendLog(),
         qdisc_stats={"enqueued": rng.randrange(0, 10_000)},
         server_stats={"received": rng.randrange(0, 10_000)},
         injected_drops=rng.randrange(0, 50),
@@ -211,6 +214,34 @@ class TestPayloadRoundTrip:
                 ).fetchone()
                 assert row["gap_count"] == len(gaps)
                 assert row["b2b_count"] == sum(gap <= us(15) for gap in gaps)
+
+
+class TestSendLogRoundTrip:
+    def test_a_columnar_send_log_survives_the_blob(self, tmp_path):
+        """A row's blob serves the expected-send log back as the columns it
+        was recorded with, and its ``precision_ns`` column is the metric of
+        that log and the capture."""
+        rng = random.Random(RNG_SEED + 500)
+        config = _random_config(rng)
+        recorded = {}
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            for rep in range(4):
+                result = _random_experiment(rng, config, derive_seed(config.seed, rep))
+                cols = result.server_records
+                result.expected_send_log = SendLog(
+                    (pn, time - rng.randrange(us(50)))
+                    for pn, time in zip(cols.packet_number, cols.time_ns)
+                    if rng.random() < 0.9
+                )
+                store.record_result("n", rep, result)
+                recorded[rep] = result
+            served = store.served("n", config, sorted(recorded))
+            rows = {row["rep"]: row for row in store.query(name="n")}
+        assert sorted(served) == sorted(recorded)
+        for rep, result in recorded.items():
+            log = served[rep].expected_send_log
+            assert isinstance(log, SendLog) and log == result.expected_send_log
+            assert rows[rep]["precision_ns"] == pacing_precision_ns(log, result.server_records)
 
 
 class TestFailureRoundTrip:

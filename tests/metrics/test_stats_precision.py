@@ -10,6 +10,7 @@ from repro.metrics.goodput import goodput_mbps
 from repro.metrics.precision import match_expected_actual, pacing_precision_ns
 from repro.metrics.stats import Summary, summarize
 from repro.net.tap import CaptureColumns, CaptureRecord
+from repro.stacks.base import SendLog
 from repro.units import SEC, mib, seconds
 
 
@@ -18,9 +19,9 @@ def recs(*rows):
     return CaptureColumns.from_records(
         CaptureRecord(
             time_ns=t, wire_size=1294, payload_size=1252,
-            flow=("a", 1, "b", 2), packet_number=pn, dgram_id=pn, gso_id=None,
+            flow=("a", 1, "b", 2), packet_number=pn, dgram_id=i, gso_id=None,
         )
-        for t, pn in rows
+        for i, (t, pn) in enumerate(rows)
     )
 
 
@@ -65,31 +66,65 @@ class TestGoodput:
 
 class TestPrecision:
     def test_matches_by_packet_number(self):
-        expected = [(0, 100), (1, 200), (2, 300)]
+        expected = SendLog([(0, 100), (1, 200), (2, 300)])
         records = recs((150, 0), (250, 1), (350, 2))
-        assert match_expected_actual(expected, records) == [50, 50, 50]
+        assert match_expected_actual(expected, records).tolist() == [50, 50, 50]
 
     def test_constant_offset_has_zero_std(self):
         # Unsynchronized clocks: constant offset is fine, stddev is the metric.
-        expected = [(i, i * 1000) for i in range(50)]
+        expected = SendLog((i, i * 1000) for i in range(50))
         records = recs(*((i * 1000 + 777, i) for i in range(50)))
         assert pacing_precision_ns(expected, records) == 0.0
 
     def test_jitter_produces_std(self):
-        expected = [(i, i * 1000) for i in range(4)]
+        expected = SendLog((i, i * 1000) for i in range(4))
         records = recs((0, 0), (1100, 1), (1900, 2), (3100, 3))
         std = pacing_precision_ns(expected, records)
         assert std > 0
 
     def test_dropped_packets_skipped(self):
-        expected = [(0, 100), (1, 200)]
+        expected = SendLog([(0, 100), (1, 200)])
         records = recs((150, 0))  # pn 1 never hit the wire
-        assert match_expected_actual(expected, records) == [50]
+        assert match_expected_actual(expected, records).tolist() == [50]
 
     def test_first_capture_wins_for_duplicates(self):
-        expected = [(0, 100)]
+        expected = SendLog([(0, 100)])
         records = recs((150, 0), (900, 0))
-        assert match_expected_actual(expected, records) == [50]
+        assert match_expected_actual(expected, records).tolist() == [50]
+
+    def test_unlogged_and_unnumbered_captures_are_ignored(self):
+        # A number past the log's largest and a frame without one (None is
+        # -1 in the column) match nothing; a number logged twice matches twice.
+        expected = SendLog([(1, 100), (0, 50), (1, 400)])
+        records = recs((10, None), (60, 0), (150, 1), (900, 7))
+        assert match_expected_actual(expected, records).tolist() == [50, 10, -250]
 
     def test_too_few_samples_returns_zero(self):
-        assert pacing_precision_ns([(0, 1)], recs((5, 0))) == 0.0
+        assert pacing_precision_ns(SendLog([(0, 1)]), recs((5, 0))) == 0.0
+
+    @pytest.mark.parametrize("entries", [0, 1])
+    def test_a_log_too_short_returns_zero_without_reading_the_capture(self, entries):
+        # A TCP result's log is empty: its capture is never matched.
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"capture column {name} was read")
+
+        assert pacing_precision_ns(SendLog([(0, 1)] * entries), Unread()) == 0.0
+
+    def test_matches_the_per_packet_reference_bit_for_bit(self):
+        """The columnar match against the dict-and-list form it replaced."""
+        rng = np.random.default_rng(7)
+        pns = rng.permutation(400)[:300].tolist()
+        expected = SendLog((int(pn), int(t)) for pn, t in zip(pns, rng.integers(0, 10**9, 300)))
+        numbers, times = rng.integers(-1, 450, 500), rng.integers(0, 10**9, 500)
+        rows = [(int(t), int(pn)) for pn, t in zip(numbers, times)]
+        records = recs(*((t, None if pn < 0 else pn) for t, pn in rows))
+        actual = {}
+        for t, pn in rows:
+            if pn >= 0:
+                actual.setdefault(pn, t)
+        diffs = [actual[pn] - e for pn, e in expected if pn in actual]
+        assert match_expected_actual(expected, records).tolist() == diffs
+        mean = sum(diffs) / len(diffs)
+        std = math.sqrt(sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1))
+        assert pacing_precision_ns(expected, records) == std

@@ -190,6 +190,7 @@ KEEP: Dict[str, str] = {
     "repro.sim.process:SimProcess.timer_armed": SEAM,
     "repro.sim.process:SimProcess.on_wakeup": INTERFACE,
     "repro.sim.random:RngRegistry.fork": SEAM,
+    "repro.stacks.base:SendLog.__eq__": SEAM,
     "repro.units:bytes_per_ns": UNITS,
     "repro.units:rate_bps_from": UNITS,
     "repro.units:fmt_rate": UNITS,
