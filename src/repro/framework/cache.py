@@ -72,7 +72,8 @@ from repro.framework.population import PopulationResult
 #: v7: a multi-flow run's flow 0 has the single-flow ports and RNG streams (its
 #: digests moved), and a ``FlowResult`` carries the flow's own outputs.
 #: v8: the expected-send log is a columnar ``SendLog``, not a list of tuples.
-CACHE_VERSION = 8
+#: v9: every digest is a run's, its frames folded at the tap (``wire_digest``).
+CACHE_VERSION = 9
 
 #: Result types the cache will serve back; anything else in an entry is
 #: treated as stale and quarantined.

@@ -2,84 +2,26 @@
 
 It is the run of :mod:`repro.framework.multiflow` at N = 1, its flow
 described by the :class:`ExperimentConfig` itself; :class:`ExperimentResult`
-is that flow's view of the run, and its fingerprint encoding.
+is that flow's view of the run, and digests as that run.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.framework.config import ExperimentConfig
-from repro.framework.multiflow import FlowSpec, MultiFlowExperiment, MultiFlowResult
-from repro.net.tap import CaptureColumns
+from repro.framework.multiflow import FlowResult, FlowSpec, MultiFlowExperiment, MultiFlowResult
+from repro.net.tap import NO_FRAMES, CaptureColumns
 from repro.stacks.base import SendLog
-
-
-#: One capture row as ``json.dumps(asdict(record), sort_keys=True)`` writes
-#: it; ``flow`` arrives JSON-encoded, ``gso_id``/``packet_number`` as an int or
-#: ``"null"``.
-_CAPTURE_ROW = (
-    '{"dgram_id": %d, "flow": %s, "gso_id": %s, "packet_number": %s, '
-    '"payload_size": %d, "time_ns": %d, "wire_size": %d}'
-)
-
-#: What the fingerprint covers besides the capture: the seed and the outputs.
-_ENCODED = (
-    "seed", "completed", "duration_ns", "goodput_mbps", "dropped", "injected_drops",
-    "qdisc_stats", "server_stats", "object_completion_ns", "impairment_stats",
-)
-
-#: The per-packet outputs (O(packets) or O(events) long) and how one element
-#: of each is written, exactly as ``json.dumps`` writes it.
-_PER_PACKET = {
-    "expected_send_log": "[%d, %d]".__mod__,
-    "cwnd_trace": json.dumps,
-    "queue_trace": json.dumps,
-}
-
-#: Capture rows or list elements encoded and handed to the hash per chunk:
-#: a fingerprint holds one chunk's encoding at a time (tens of KiB), never a
-#: whole per-packet output's, whatever the transfer's length.
-_CHUNK_ROWS = 256
-
-
-def _encode_capture(cols: CaptureColumns) -> Iterator[bytes]:
-    """The capture as a JSON list of row objects, one chunk at a time."""
-    flows = [json.dumps(flow) for flow in cols.flows]
-    yield b"["
-    for start in range(0, len(cols), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        fields = zip(
-            cols.dgram_id[start:stop],
-            [flows[i] for i in cols.flow_index[start:stop]],
-            ["null" if v < 0 else v for v in cols.gso_id[start:stop]],
-            ["null" if v < 0 else v for v in cols.packet_number[start:stop]],
-            cols.payload_size[start:stop],
-            cols.time_ns[start:stop],
-            cols.wire_size[start:stop],
-        )
-        rows = [_CAPTURE_ROW % row for row in fields]
-        yield ((", " if start else "") + ", ".join(rows)).encode()
-    yield b"]"
-
-
-def _encode_list(items: Iterable, element: Callable[[Any], str]) -> Iterator[bytes]:
-    """``json.dumps(list(items))``, one chunk of ``element``-written items at a time."""
-    items = iter(items)
-    yield b"["
-    separator = ""
-    while chunk := list(islice(items, _CHUNK_ROWS)):
-        yield (separator + ", ".join(map(element, chunk))).encode()
-        separator = ", "
-    yield b"]"
 
 
 @dataclass
 class ExperimentResult:
+    """A one-flow run as its flow sees it (:meth:`view`): the flow's outputs
+    and per-packet observability (capture, expected-send log, traces), plus
+    the run's counters its digest reads."""
+
     config: ExperimentConfig
     seed: int
     completed: bool
@@ -101,6 +43,16 @@ class ExperimentResult:
     injected_drops: int = 0
     #: Per-stage impairment counters, keyed ``"{dir}/{index}/{kind}"``.
     impairment_stats: dict = field(default_factory=dict)
+    #: Of ``injected_drops``, those on the reverse (ACK) path.
+    ack_drops: int = 0
+    #: Application bytes delivered to the receiver.
+    bytes_received: int = 0
+    #: The frames the flow put on the wire and their digest, as the tap
+    #: folded them (:attr:`FlowResult.wire_digest`).
+    wire_packets: int = 0
+    wire_digest: str = NO_FRAMES
+    #: When the run stopped (simulated time).
+    sim_time_ns: int = 0
     #: Execution observability (progress/throughput reporting, not metrics):
     #: simulator events fired and host wall-clock seconds for this repetition.
     events_processed: int = 0
@@ -127,6 +79,11 @@ class ExperimentResult:
             object_completion_ns=flow.object_completion_ns,
             injected_drops=run.injected_drops + run.ack_drops,
             impairment_stats=run.impairment_stats,
+            ack_drops=run.ack_drops,
+            bytes_received=flow.bytes_received,
+            wire_packets=flow.wire_packets,
+            wire_digest=flow.wire_digest,
+            sim_time_ns=run.sim_time_ns,
             events_processed=run.events_processed,
             wall_time_s=run.wall_time_s,
         )
@@ -135,47 +92,42 @@ class ExperimentResult:
     def packets_on_wire(self) -> int:
         return len(self.server_records)
 
-    def canonical_encoding(self) -> Iterator[bytes]:
-        """The bytes :meth:`fingerprint` hashes, in order.
-
-        Exactly ``json.dumps(payload, sort_keys=True)`` of the seed and the
-        outputs (capture as one dict per record), but written without
-        building that tree or any whole per-packet output: the capture
-        (:func:`_encode_capture`) and each per-packet list
-        (:func:`_encode_list`) go out ``_CHUNK_ROWS`` elements at a time,
-        every other field through ``json.dumps`` itself. The config is not
-        part of it.
-        """
-        opener = "{"
-        for key in sorted((*_ENCODED, *_PER_PACKET, "server_records")):
-            yield f'{opener}"{key}": '.encode()
-            value = getattr(self, key)
-            if key == "server_records":
-                yield from _encode_capture(value)
-            elif key in _PER_PACKET:
-                yield from _encode_list(value, _PER_PACKET[key])
-            else:
-                yield json.dumps(value, sort_keys=True).encode()
-            opener = ", "
-        yield b"}"
-
     def fingerprint(self) -> str:
-        """The behaviour digest: the seed and every deterministic output.
+        """The behaviour digest of the one-flow run this result views: that
+        run's :meth:`MultiFlowResult.fingerprint`, through its one encoding.
 
-        It excludes the config, the repetition's identity (its store row and
-        cache key), and execution observability (``wall_time_s``,
-        ``events_processed``), so two spellings of one behaviour digest
-        equal and serial, parallel and cached runs of a (config, seed) agree.
-        O(packets) in time, so it is taken once per computed repetition and
-        kept with the cache entry and store row; in memory it holds one
-        chunk at a time (a peak of ≈ 0.2 MB), never a whole per-packet
-        output's encoding. A change to the bytes :meth:`canonical_encoding`
-        yields needs a ``CACHE_VERSION`` and ``STORE_VERSION`` bump.
+        It is computed from this result's own fields, so an altered copy
+        digests anew. The config (identity), execution observability and
+        the per-packet outputs stay out of it, exactly as they stay out of a
+        run's; the capture enters as the tap's ``wire_digest``, so the digest
+        is O(1) to take and holds nothing of the capture.
         """
-        digest = hashlib.sha256()
-        for chunk in self.canonical_encoding():
-            digest.update(chunk)
-        return digest.hexdigest()
+        forward = self.injected_drops - self.ack_drops
+        flow = FlowResult(
+            spec=None,  # identity: no digest reads it
+            completed=self.completed,
+            duration_ns=self.duration_ns,
+            goodput_mbps=self.goodput_mbps,
+            dropped=self.dropped,
+            bytes_received=self.bytes_received,
+            injected_drops=forward,
+            ack_drops=self.ack_drops,
+            wire_packets=self.wire_packets,
+            wire_digest=self.wire_digest,
+            qdisc_stats=self.qdisc_stats,
+            server_stats=self.server_stats,
+            object_completion_ns=self.object_completion_ns,
+        )
+        run = MultiFlowResult(
+            flows=[flow],
+            total_dropped=self.dropped,
+            sim_time_ns=self.sim_time_ns,
+            seed=self.seed,
+            injected_drops=forward,
+            ack_drops=self.ack_drops,
+            impairment_stats=self.impairment_stats,
+        )
+        return run.fingerprint()
 
 
 class Experiment(MultiFlowExperiment):

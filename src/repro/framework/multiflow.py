@@ -30,7 +30,7 @@ from repro.framework.config import ExperimentConfig, NetworkConfig, variant_part
 from repro.framework.testbed import MAX_FLOWS, SERVER_ADDR, Testbed, WiredFlow
 from repro.metrics.fairness import jain_index
 from repro.net.demux import DrainSink, PortDemux
-from repro.net.tap import CaptureColumns, Sniffer
+from repro.net.tap import NO_FRAMES, CaptureColumns, Sniffer
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.stacks.base import SendLog
@@ -39,10 +39,12 @@ from repro.units import mib, ms, seconds
 #: The run loop's step: completion is checked between steps.
 CHUNK_NS = ms(200)
 
-#: What a flow contributes to the run's fingerprint.
+#: What a flow contributes to the run's fingerprint: its outputs, its frames
+#: as the tap folded them among them.
 _FLOW_DIGEST = (
     "completed", "duration_ns", "goodput_mbps", "bytes_received", "dropped",
-    "injected_drops", "ack_drops", "wire_packets", "start_ns",
+    "injected_drops", "ack_drops", "wire_packets", "wire_digest", "start_ns",
+    "qdisc_stats", "server_stats", "object_completion_ns",
 )
 
 
@@ -85,8 +87,10 @@ class FlowResult:
     injected_drops: int = 0
     #: Reverse-path (ACK) fault-injection drops attributed to this flow.
     ack_drops: int = 0
-    #: Frames this flow put on the wire (tap capture), counted columnar.
+    #: Frames this flow put on the wire, and their digest as the tap folded
+    #: them (:class:`~repro.net.tap.Sniffer`), kept columns or not.
     wire_packets: int = 0
+    wire_digest: str = NO_FRAMES
     start_ns: int = 0
     #: This flow's frames at the tap, in arrival order (``capture_records``
     #: runs; empty otherwise).
@@ -150,9 +154,9 @@ class MultiFlowResult:
         return sum(1 for f in self.flows if f.completed)
 
     def canonical_bytes(self) -> bytes:
-        """The bytes :meth:`fingerprint` hashes: the seed and the outputs,
-        each flow's in index order (its :class:`FlowSpec` is identity, not
-        behaviour)."""
+        """The bytes :meth:`fingerprint` hashes, the one encoding of every run
+        shape: the seed and the outputs, each flow's in index order (its
+        :class:`FlowSpec` is identity, not behaviour)."""
         payload = {
             "seed": self.seed,
             "drained": self.drained,
@@ -167,13 +171,15 @@ class MultiFlowResult:
         return json.dumps(payload, sort_keys=True).encode()
 
     def fingerprint(self) -> str:
-        """The behaviour digest: the seed and every deterministic output.
+        """The behaviour digest: the seed and every deterministic output,
+        each flow's frames by their wire digest.
 
         Excludes the flow specs (identity), execution observability
-        (``wall_time_s``, ``events_processed``) and the per-flow per-packet
-        outputs and traces (an observability toggle, not a result: a run with
-        ``capture_records=False`` or a qlog-traced flow must fingerprint
-        identically to the plain run).
+        (``wall_time_s``, ``events_processed``) and what a run only keeps or
+        traces (captures, expected-send logs, cwnd and queue traces), so a
+        run digests the same with or without ``capture_records`` or a trace.
+        Every run shape's digest is this one: a single experiment's is its
+        one-flow run's (:meth:`ExperimentResult.fingerprint`).
         """
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
@@ -207,9 +213,9 @@ class MultiFlowExperiment:
     :func:`flow_config` of it; a config can ask for what a spec cannot say
     (traces, qlog, ECN, objects). ``capture_records=False`` keeps no
     per-packet output at all — no capture columns, no expected-send log —
-    only the frames per flow behind ``wire_packets``, which is what
-    flow-population runs use. With ``churn`` each flow is torn down as it
-    completes.
+    only each flow's frame count and wire digest, which is what
+    flow-population runs use; the digest is the same either way. With
+    ``churn`` each flow is torn down as it completes.
     """
 
     def __init__(
@@ -334,13 +340,14 @@ class MultiFlowExperiment:
         # The captured frames per flow, by server port. The tap sees only the
         # forward direction (server hosts feed it), but filter by source
         # address anyway so a future topology change cannot silently
-        # misattribute reverse frames.
+        # misattribute reverse frames. A server port has one flow tuple.
         by_port = {flow.server_port: i for i, flow in enumerate(self.flows)}
         wire = [0] * len(self.flows)
-        for f, count in self.sniffer.frames_per_flow().items():
+        digests = [NO_FRAMES] * len(self.flows)
+        for f, (count, digest) in self.sniffer.per_flow().items():
             index = by_port.get(f[1]) if f[0] == SERVER_ADDR else None
             if index is not None:
-                wire[index] += count
+                wire[index], digests[index] = count, digest
         cols = self.sniffer.columns
         records = _split_capture(cols, by_port, wire) if capture else [CaptureColumns()] * len(wire)
 
@@ -374,6 +381,7 @@ class MultiFlowExperiment:
                     injected_drops=injected.get(port, 0),
                     ack_drops=ack_drops.get(port, 0),
                     wire_packets=wire[index],
+                    wire_digest=digests[index],
                     records=records[index],
                 )
             )

@@ -16,8 +16,8 @@ check over the induced "beats" relation.
 :class:`PopulationResult` the result surface the sweep stack reads
 (``fingerprint()``, ``goodput_mbps``, ``dropped``, ``completed``, …), so
 population grids are swept, cached, stored and supervised like experiments.
-Capture records default to *off*: a 500-flow run holds the tap's columns
-once instead of a second, per-flow copy of them.
+Capture records default to *off*: the digest folds every frame at the tap
+either way, and a 500-flow run keeps no per-packet column.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class PopulationConfig(CanonicalForm):
     max_sim_time_ns: int = seconds(600)
     #: Keep the per-packet outputs: the tap capture, split into per-flow
     #: ``FlowResult.records``, and each server's expected-send log.
-    #: Populations default to neither (frames per flow only).
+    #: Populations default to neither; the digest is the same either way.
     capture_records: bool = False
     #: Flow churn: tear each flow down when it completes (timers silenced,
     #: ports rerouted to a counting drain, references and RNG streams

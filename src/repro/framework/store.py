@@ -111,7 +111,8 @@ __all__ = ["STORE_VERSION", "ResultStore", "grid_key"]
 #: v7: multi-flow digests moved (flow 0 has the single-flow ports and RNG
 #: streams), and a ``FlowResult`` carries the flow's own outputs.
 #: v8: a blob's expected-send log is a columnar ``SendLog``.
-STORE_VERSION = 8
+#: v9: every digest is a run's, its frames folded at the tap (``wire_digest``).
+STORE_VERSION = 9
 
 #: Bounded retry for writes that race a concurrent reader/writer: SQLite's
 #: own ``busy_timeout`` handles in-transaction lock waits, this handles the

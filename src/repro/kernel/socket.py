@@ -27,9 +27,9 @@ def reset_gso_ids() -> None:
     """Restart the GSO buffer id sequence.
 
     Same rationale as :func:`repro.net.packet.reset_dgram_ids`: ``gso_id``
-    lands in capture records (and so in ``fingerprint()``), so a process-wide
-    counter would make a GSO run's results depend on how many GSO buffers
-    earlier experiments in the same interpreter sent. Each experiment resets
+    is folded into the tap's wire digest (and so into ``fingerprint()``), so a
+    process-wide counter would make a GSO run's digest depend on how many GSO
+    buffers earlier experiments in the same interpreter sent. Each experiment resets
     the sequence at construction.
     """
     global _gso_ids

@@ -6,16 +6,23 @@ so that measurement neither perturbs the connection nor is re-shaped by the
 network emulation. In simulation the tap is a zero-delay pass-through feeding
 a :class:`Sniffer`.
 
-The capture is **columnar** end to end: :class:`CaptureColumns` holds seven
-parallel ``array('q')`` columns plus an interned flow table, appended in
-arrival order, and that object is what a result carries, what validation,
-fingerprint and metrics read, and what crosses a pickle boundary. A
+The tap is also where a run's packets enter its behaviour digest: the
+:class:`Sniffer` folds every frame, as it passes, into a per-flow
+``blake2b`` (:data:`_FRAME`), whether or not it keeps the frame. The digest
+therefore never depends on what a run kept, and costs 448 B per flow.
+
+The capture, when kept, is **columnar** end to end: :class:`CaptureColumns`
+holds seven parallel ``array('q')`` columns plus an interned flow table,
+appended in arrival order, and that object is what a result carries, what
+validation and metrics read, and what crosses a pickle boundary. A
 :class:`CaptureRecord` is one row of it, built on demand when a caller
 indexes or iterates the columns.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Final, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -32,6 +39,15 @@ _NONE: Final[int] = -1
 _VALUE_COLUMNS: Final = (
     "time_ns", "wire_size", "payload_size", "packet_number", "dgram_id", "gso_id",
 )
+
+#: One frame as the per-flow wire digest folds it: the value columns, in
+#: order, ``None`` as :data:`_NONE`.
+_FRAME: Final = struct.Struct("<6q")
+_pack_frame = _FRAME.pack
+_DIGEST_BYTES: Final = 16
+
+#: The wire digest of a flow that put no frame on the wire.
+NO_FRAMES: Final = hashlib.blake2b(digest_size=_DIGEST_BYTES).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -152,49 +168,60 @@ class CaptureColumns:
         )
 
 
+class _FlowTap:
+    """What the sniffer keeps per flow: its frames, their digest so far and
+    its row in the columns' flow table."""
+
+    __slots__ = ("frames", "digest", "index")
+
+    def __init__(self, index: int):
+        self.frames = 0
+        self.digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+        self.index = index
+
+
 class Sniffer:
-    """Accumulates captures, in arrival order, as columnar arrays; without
-    ``per_packet``, only how many frames each flow put on the wire (the
-    columns stay empty)."""
+    """Folds every frame into its flow's wire digest and counts it; with
+    ``per_packet`` also keeps it, in arrival order, as columnar arrays
+    (without, the columns stay empty)."""
 
     def __init__(self, name: str = "sniffer", per_packet: bool = True):
         self.name: str = name
+        self.per_packet: bool = per_packet
         self.columns: CaptureColumns = CaptureColumns()
-        self._flow_ids: Dict[FlowTuple, int] = {}
-        #: Frames per flow when the run keeps no columns, else None.
-        self._counts: Optional[Dict[FlowTuple, int]] = None if per_packet else {}
+        self._flows: Dict[FlowTuple, _FlowTap] = {}
 
     def capture(self, time_ns: int, dgram: Datagram) -> None:
         flow = dgram.flow
-        counts = self._counts
-        if counts is not None:
-            counts[flow] = counts.get(flow, 0) + 1
+        tap = self._flows.get(flow)
+        if tap is None:
+            tap = self._flows[flow] = _FlowTap(len(self._flows))
+            if self.per_packet:
+                self.columns.flows.append(flow)
+        tap.frames += 1
+        wire, payload, dgram_id = dgram.wire_size, dgram.payload_size, dgram.dgram_id
+        pn = dgram.packet_number
+        if pn is None:
+            pn = _NONE
+        gso = dgram.gso_id
+        if gso is None:
+            gso = _NONE
+        tap.digest.update(_pack_frame(time_ns, wire, payload, pn, dgram_id, gso))
+        if not self.per_packet:
             return
         cols = self.columns
-        idx = self._flow_ids.get(flow)
-        if idx is None:
-            idx = len(cols.flows)
-            self._flow_ids[flow] = idx
-            cols.flows.append(flow)
         cols.time_ns.append(time_ns)
-        cols.wire_size.append(dgram.wire_size)
-        cols.payload_size.append(dgram.payload_size)
-        pn = dgram.packet_number
-        cols.packet_number.append(_NONE if pn is None else pn)
-        cols.dgram_id.append(dgram.dgram_id)
-        gso = dgram.gso_id
-        cols.gso_id.append(_NONE if gso is None else gso)
-        cols.flow_index.append(idx)
+        cols.wire_size.append(wire)
+        cols.payload_size.append(payload)
+        cols.packet_number.append(pn)
+        cols.dgram_id.append(dgram_id)
+        cols.gso_id.append(gso)
+        cols.flow_index.append(tap.index)
 
-    def frames_per_flow(self) -> Dict[FlowTuple, int]:
-        """How many frames each flow put on the wire, kept columns or not."""
-        if self._counts is not None:
-            return self._counts
-        cols = self.columns
-        frames = [0] * len(cols.flows)
-        for entry in cols.flow_index:
-            frames[entry] += 1
-        return dict(zip(cols.flows, frames))
+    def per_flow(self) -> Dict[FlowTuple, Tuple[int, str]]:
+        """Each flow's frames on the wire and their digest (hex), kept
+        columns or not."""
+        return {flow: (tap.frames, tap.digest.hexdigest()) for flow, tap in self._flows.items()}
 
     def __len__(self) -> int:
         return len(self.columns)

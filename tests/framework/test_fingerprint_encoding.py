@@ -1,19 +1,21 @@
 """The fingerprint's byte encoding is the contract, not just its hash.
 
-``ExperimentResult.fingerprint()`` used to build a dict tree
-(``dataclasses.asdict`` of the config and of every capture record) and feed it
-to ``json.dumps(..., sort_keys=True)``. The encoder now writes the same bytes
-without the tree, and without the config: the fingerprint is the behaviour
-digest (the seed and the outputs), and the config is identity. The old
-expressions live on here, and only here, as references: every test asserts
-*byte* equality of the encoded payload, so a mismatch points at the differing
+Every run shape digests through one encoding,
+``MultiFlowResult.canonical_bytes``: the seed and the outputs, each flow's
+frames entering as the wire digest the tap folded them into. A single
+experiment's fingerprint is its one-flow run's. The references here are
+written independently of ``src``: :func:`digest_encoding` is that payload as
+one ``json.dumps`` and :func:`wire_fold` the tap's fold over a capture's
+rows. Tests assert *byte* equality, so a mismatch points at the differing
 field instead of at two unequal hashes.
 
-:func:`old_fingerprint` is the config-inclusive digest every golden was
-recorded with before the behaviour digest; each golden case asserts its old
-value through it beside its new one, from the same run. It encodes each
-config as it was then (:func:`_as_recorded`), so the old column outlives the
-changes of config shape since.
+The digests the goldens were recorded with before live on here as oracles
+too, each reproduced from the same run beside the new value:
+:func:`behaviour_fingerprint` is the digest before the fold (a single flow's
+whole capture, send log and traces as ``asdict`` rows; a multi-flow run's
+counters), and :func:`old_fingerprint` the config-inclusive digest before
+that. It encodes each config as it was then (:func:`_as_recorded`), so the
+old column outlives the changes of config shape since.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import struct
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -28,11 +31,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.framework.config import ExperimentConfig, NetworkConfig
-from repro.framework.experiment import (
-    _CHUNK_ROWS,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.framework.experiment import ExperimentResult, run_experiment
 from repro.framework.multiflow import (
     FlowResult,
     FlowSpec,
@@ -42,7 +41,8 @@ from repro.framework.multiflow import (
 from repro.framework.population import PopulationResult
 from repro.framework.scenarios import SF_PATCH
 from repro.net.impairments import burst_loss, duplication, iid_loss, reordering
-from repro.net.tap import CaptureColumns, CaptureRecord
+from repro.net.packet import Datagram
+from repro.net.tap import CaptureColumns, CaptureRecord, Sniffer
 from repro.stacks.base import SendLog
 from repro.units import kib, ms, us
 
@@ -67,7 +67,8 @@ def _payload(result: ExperimentResult) -> dict:
 
 
 def behaviour_encoding(result: ExperimentResult) -> bytes:
-    """The ``fingerprint()`` payload as one ``json.dumps``: seed and outputs."""
+    """A single flow's ``fingerprint()`` payload before the tap's fold, as
+    one ``json.dumps``: the seed, the outputs and every capture row."""
     return json.dumps(_payload(result), sort_keys=True).encode()
 
 
@@ -127,8 +128,8 @@ def _multiflow_payload(result: MultiFlowResult, specs: bool) -> dict:
 
 
 def behaviour_multiflow_encoding(result: MultiFlowResult) -> bytes:
-    """The ``MultiFlowResult.fingerprint()`` payload: no flow specs, and
-    ``drained`` always."""
+    """The ``MultiFlowResult.fingerprint()`` payload before the tap's fold: no
+    flow specs, and ``drained`` always."""
     payload = _multiflow_payload(result, specs=False)
     payload["drained"] = result.drained
     return json.dumps(payload, sort_keys=True).encode()
@@ -143,8 +144,49 @@ def reference_multiflow_encoding(result: MultiFlowResult) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
+def digest_encoding(result: MultiFlowResult) -> bytes:
+    """The one encoding ``fingerprint()`` hashes: the counters, and per flow
+    its outputs and the tap's fold of its frames."""
+    payload = _multiflow_payload(result, specs=False)
+    payload["drained"] = result.drained
+    for flow, fields in zip(result.flows, payload["flows"]):
+        fields["wire_digest"] = flow.wire_digest
+        fields["qdisc_stats"] = flow.qdisc_stats
+        fields["server_stats"] = flow.server_stats
+        fields["object_completion_ns"] = flow.object_completion_ns
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def wire_fold(records) -> str:
+    """The tap's digest of one flow's frames, from its capture rows: each
+    row's integer fields, ``None`` as -1, packed ``<6q``, into a 128-bit
+    blake2b."""
+    digest = hashlib.blake2b(digest_size=16)
+    for r in records:
+        digest.update(
+            struct.pack(
+                "<6q",
+                r.time_ns,
+                r.wire_size,
+                r.payload_size,
+                -1 if r.packet_number is None else r.packet_number,
+                r.dgram_id,
+                -1 if r.gso_id is None else r.gso_id,
+            )
+        )
+    return digest.hexdigest()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def behaviour_fingerprint(result) -> str:
+    """The behaviour digest of an experiment or population result as
+    ``fingerprint()`` took it before the tap folded each flow's frames."""
+    if isinstance(result, PopulationResult):
+        return _sha(behaviour_multiflow_encoding(result.multi))
+    return _sha(behaviour_encoding(result))
 
 
 def old_fingerprint(result) -> str:
@@ -162,12 +204,9 @@ def old_fingerprint(result) -> str:
     return _sha(reference_encoding(result))
 
 
-def assert_same_bytes(result, reference) -> None:
-    if isinstance(result, MultiFlowResult):
-        encoded = result.canonical_bytes()
-    else:
-        encoded = b"".join(result.canonical_encoding())
-    expected = reference(result)
+def assert_same_bytes(result: MultiFlowResult) -> None:
+    encoded = result.canonical_bytes()
+    expected = digest_encoding(result)
     if encoded != expected:  # name the first differing byte, not two hashes
         at = next(i for i, (a, b) in enumerate(zip(encoded, expected)) if a != b)
         pytest.fail(
@@ -204,9 +243,19 @@ REAL_CONFIGS = {
 }
 
 
+def _spec(config: ExperimentConfig) -> FlowSpec:
+    return FlowSpec(
+        config.stack, config.cca, config.qdisc, config.gso, config.params, config.file_size
+    )
+
+
 @pytest.mark.parametrize("name", sorted(REAL_CONFIGS))
 def test_real_results_encode_byte_identically(name):
-    result = run_experiment(REAL_CONFIGS[name], seed=5)
+    """A single experiment digests as its one-flow run, whose bytes are the
+    reference's, and its flow's wire digest is the fold of its capture."""
+    config = REAL_CONFIGS[name]
+    result = run_experiment(config, seed=5)
+    run = MultiFlowExperiment([_spec(config)], config.network, seed=5, configs=[config]).run()
     assert result.server_records
     if name == "quiche-gso":
         assert any(r.gso_id is not None for r in result.server_records)
@@ -216,7 +265,9 @@ def test_real_results_encode_byte_identically(name):
         assert result.impairment_stats
     if name == "picoquic-traced":
         assert result.cwnd_trace and result.queue_trace and len(result.object_completion_ns) == 3
-    assert_same_bytes(result, behaviour_encoding)
+    assert result.wire_digest == run.flows[0].wire_digest == wire_fold(result.server_records)
+    assert_same_bytes(run)
+    assert result.fingerprint() == run.fingerprint()
 
 
 def _synthetic(records, **overrides) -> ExperimentResult:
@@ -265,39 +316,36 @@ FLOW_ODD = ('hôte-"中"', 1, "back\\slash\n", 65535)
         (1, [FLOW_A]),
         (50, [FLOW_A, FLOW_B]),
         (50, [FLOW_A, FLOW_ODD]),
-        # Rows are joined per chunk: cover the seams between chunks.
-        (_CHUNK_ROWS, [FLOW_A]),
-        (2 * _CHUNK_ROWS + 1, [FLOW_A, FLOW_B]),
+        (256, [FLOW_A]),
+        (513, [FLOW_A, FLOW_B]),
     ],
 )
 def test_synthetic_captures_encode_byte_identically(count, flows):
-    rng = random.Random(count * 31 + len(flows))
-    assert_same_bytes(_synthetic(_records(rng, count, flows)), behaviour_encoding)
-
-
-@pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
-def test_per_packet_lists_encode_byte_identically(count):
-    """The send log and both traces are written a chunk at a time too: cover
-    an empty list, one element, one whole chunk and the seams between chunks
-    (a float cwnd is written as ``json.dumps`` writes it)."""
-    rng = random.Random(count)
-    result = _synthetic(
-        _records(rng, 3, [FLOW_A]),
-        expected_send_log=SendLog(
-            (rng.randrange(2**40), rng.randrange(2**62)) for _ in range(count)
-        ),
-        cwnd_trace=[(i, rng.choice((12_000, 2**40, 1.5e4 + 0.1))) for i in range(count)],
-        queue_trace=[(i, rng.randrange(10**6)) for i in range(count)],
-    )
-    assert len(result.expected_send_log) == count
-    assert_same_bytes(result, behaviour_encoding)
+    """Frames through the tap fold per flow, kept or not, to the reference
+    fold of that flow's rows (``None`` ids, 2**40 packet numbers and
+    non-ASCII flow tuples included); kept, they are the rows."""
+    records = list(_records(random.Random(count * 31 + len(flows)), count, flows))
+    by_flow = {}
+    for r in records:
+        by_flow.setdefault(r.flow, []).append(r)
+    for per_packet in (True, False):
+        sniffer = Sniffer(per_packet=per_packet)
+        for r in records:
+            dgram = Datagram(r.flow, r.payload_size, gso_id=r.gso_id, packet_number=r.packet_number)
+            dgram.wire_size, dgram.dgram_id = r.wire_size, r.dgram_id
+            sniffer.capture(r.time_ns, dgram)
+        folds = {flow: (len(rows), wire_fold(rows)) for flow, rows in by_flow.items()}
+        assert sniffer.per_flow() == folds
+        assert list(sniffer.columns) == (records if per_packet else [])
 
 
 #: Bounds on what a fingerprint holds at its peak (tracemalloc) and on what a
-#: send-log entry holds. Before the log became columns and the chunks 256
-#: elements (4096-row capture chunks, the log and both traces encoded whole,
-#: the log a list of tuples), this test read 3 113 447 B and 131 B per entry;
-#: now it reads 199 895 B and 17 B per entry (CPython 3.11).
+#: send-log entry holds. With the capture encoded 4096 rows at a time and the
+#: log and both traces whole (the log a list of tuples), this test read
+#: 3 113 447 B and 131 B per entry; with 256-row chunks and a columnar log,
+#: 199 895 B and 17 B. Now that a flow's frames enter as the tap's wire
+#: digest, a fingerprint holds O(flows), whatever the capture's or the log's
+#: length: 7 505 B (CPython 3.11).
 FINGERPRINT_PEAK_BYTES = 256 * 1024
 SEND_LOG_BYTES_PER_ENTRY = 20
 
@@ -313,9 +361,7 @@ def test_a_fingerprint_holds_a_chunk_and_a_send_log_entry_two_integers():
             log.expected_ns.append(10**12 + 1_000 * pn)
         per_entry = (tracemalloc.get_traced_memory()[0] - before) / entries
         rng = random.Random(9)
-        result = _synthetic(
-            _records(rng, 2 * _CHUNK_ROWS + 1, [FLOW_A, FLOW_B]), expected_send_log=log
-        )
+        result = _synthetic(_records(rng, 513, [FLOW_A, FLOW_B]), expected_send_log=log)
         digest = result.fingerprint()  # first use: lazily built encoder state
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -331,15 +377,14 @@ def test_a_fingerprint_holds_a_chunk_and_a_send_log_entry_two_integers():
     "goodput", [1e-07, 1e16, 0.1 + 0.2, 0.0, 5e-324, 1.7976931348623157e308, 40.0]
 )
 def test_float_repr_is_preserved(goodput):
-    rng = random.Random(1)
-    result = _synthetic(_records(rng, 3, [FLOW_A]), goodput_mbps=goodput)
-    assert_same_bytes(result, behaviour_encoding)
+    flows = [_flow_result(FlowSpec(), goodput_mbps=goodput)]
+    assert_same_bytes(MultiFlowResult(flows=flows, total_dropped=0, sim_time_ns=10**9, seed=3))
 
 
 def test_every_non_capture_field_reaches_the_encoding():
-    """Each fingerprinted field, changed alone, changes the bytes — and the
-    changed result still matches the reference (no field is dropped, cached
-    or reordered). The config is identity, not behaviour: it stays out."""
+    """Each fingerprinted field, changed alone, changes the digest; what a
+    run only keeps or traces, the config and execution observability leave
+    it alone. The capture itself enters as the tap's ``wire_digest``."""
     rng = random.Random(2)
     base = _synthetic(
         _records(rng, 5, [FLOW_A]),
@@ -348,7 +393,6 @@ def test_every_non_capture_field_reaches_the_encoding():
         impairment_stats={"fwd/0/iid_loss": {"seen": 5, "injected_drops": 1}},
         injected_drops=1,
     )
-    base_bytes = b"".join(base.canonical_encoding())
     changes = dict(
         seed=4,
         completed=False,
@@ -356,10 +400,11 @@ def test_every_non_capture_field_reaches_the_encoding():
         goodput_mbps=1.0,
         dropped=3,
         injected_drops=2,
-        server_records=base.server_records[:-1],
-        expected_send_log=SendLog(),
-        cwnd_trace=[],
-        queue_trace=[],
+        ack_drops=1,
+        bytes_received=1,
+        wire_packets=4,
+        wire_digest=wire_fold(base.server_records[:-1]),
+        sim_time_ns=1,
         qdisc_stats={},
         server_stats={},
         object_completion_ns={},
@@ -367,11 +412,18 @@ def test_every_non_capture_field_reaches_the_encoding():
     )
     for field_name, value in changes.items():
         changed = replace(base, **{field_name: value})
-        assert b"".join(changed.canonical_encoding()) != base_bytes, field_name
-        assert_same_bytes(changed, behaviour_encoding)
-    # Execution observability and the config stay out of it.
-    assert replace(base, wall_time_s=9.0, events_processed=7).fingerprint() == base.fingerprint()
-    assert replace(base, config=replace(base.config, cca="bbr")).fingerprint() == base.fingerprint()
+        assert changed.fingerprint() != base.fingerprint(), field_name
+    kept = dict(
+        config=replace(base.config, cca="bbr"),
+        server_records=base.server_records[:-1],
+        expected_send_log=SendLog(),
+        cwnd_trace=[],
+        queue_trace=[],
+        wall_time_s=9.0,
+        events_processed=7,
+    )
+    for field_name, value in kept.items():
+        assert replace(base, **{field_name: value}).fingerprint() == base.fingerprint(), field_name
 
 
 def _flow_result(spec: FlowSpec, **overrides) -> FlowResult:
@@ -392,7 +444,12 @@ def _flow_result(spec: FlowSpec, **overrides) -> FlowResult:
 @pytest.mark.parametrize("drained", [0, 3])
 def test_multiflow_encodes_byte_identically(drained):
     flows = [
-        _flow_result(FlowSpec()),
+        _flow_result(
+            FlowSpec(),
+            wire_digest=wire_fold([]),
+            server_stats={"packets_sent": 40},
+            object_completion_ns={4: 99, 0: 7},
+        ),
         _flow_result(
             FlowSpec(stack="tcp", qdisc="fq", params=SF_PATCH, start_ns=7, extra_rtt_ns=9),
             completed=False,
@@ -410,15 +467,16 @@ def test_multiflow_encodes_byte_identically(drained):
         impairment_stats={"rev/0/iid_loss": {"seen": 9, "injected_drops": 2}},
     )
     encoded = result.canonical_bytes()
-    assert b'"drained"' in encoded and b'"spec"' not in encoded
-    assert_same_bytes(result, behaviour_multiflow_encoding)
+    assert b'"drained"' in encoded and b'"wire_digest"' in encoded and b'"spec"' not in encoded
+    assert_same_bytes(result)
 
 
 def test_real_multiflow_result_encodes_byte_identically():
     result = MultiFlowExperiment(
         [FlowSpec(file_size=kib(64)), FlowSpec(stack="tcp", file_size=kib(64))], seed=2
     ).run()
-    assert_same_bytes(result, behaviour_multiflow_encoding)
+    assert [f.wire_digest for f in result.flows] == [wire_fold(f.records) for f in result.flows]
+    assert_same_bytes(result)
 
 
 #: Pairs of configs that spell one behaviour two ways: a field the run never

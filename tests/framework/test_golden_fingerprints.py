@@ -9,13 +9,15 @@ plus TCP), qdiscs (fq, etf), CCAs (cubic, bbr), GSO, loss impairment, and
 full observability (qlog + cwnd/queue traces), so a determinism break in any
 optimized layer trips at least one entry.
 
-Each case holds two digests. The first is the behaviour digest
-``fingerprint()`` takes (seed and outputs). The second is the value recorded
-before the fingerprint stopped covering the config, reproduced from the same
-run by the config-inclusive oracle
-(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`): the pair
-proves the re-record moved no behaviour. The old column is deleted by the
-first change to a config field.
+Each case holds three digests. The first is the behaviour digest
+``fingerprint()`` takes (seed and outputs, the frames folded at the tap). The
+second is the value recorded before the tap folded the frames, and the third
+the value recorded before the fingerprint stopped covering the config, each
+reproduced from the same run by its oracle
+(:func:`tests.framework.test_fingerprint_encoding.behaviour_fingerprint`,
+:func:`~tests.framework.test_fingerprint_encoding.old_fingerprint`): together
+they prove the re-records moved no behaviour. The old column is deleted by
+the first change to a config field.
 
 A second set of tests runs part of the matrix through the sweep runner's
 serial, parallel, and warm-cache paths: all three must reproduce the same
@@ -33,38 +35,43 @@ from repro.framework.experiment import run_experiment
 from repro.framework.sweep import SweepRunner
 from repro.net.impairments import duplication, iid_loss, reordering
 from repro.units import kib
-from tests.framework.test_fingerprint_encoding import old_fingerprint
+from tests.framework.test_fingerprint_encoding import behaviour_fingerprint, old_fingerprint
 
-#: name -> (config, seed, fingerprint, config-inclusive digest recorded on the
-#: seed implementation).
+#: name -> (config, seed, fingerprint, digest before the tap's fold,
+#: config-inclusive digest recorded on the seed implementation).
 GOLDEN = {
     "quiche-fq": (
         ExperimentConfig(stack="quiche", qdisc="fq", file_size=kib(512)),
         1,
+        "2cf9b2f1f3b701afaedee7b4296b250af26a3979f2089a0e37370dc599021be0",
         "3f51888aa08a81b7f7b2e3161175f6bd23574546784ff6b811de4fdf2261e9aa",
         "329129614e15d2c7c4d59a2e47a5bd54f9867e77fffa4c3883bdf6f77ee09bde",
     ),
     "quiche-gso": (
         ExperimentConfig(stack="quiche", gso="on", file_size=kib(512)),
         2,
+        "aec3f9bf87b222cb3f7e42655e7f5e64f25caccb3050fbe640e4f2aa4ccb46e8",
         "d32aa7f8da86895d2ae6728f44027800fdbe238ad734d3e529e68dbe76228fa4",
         "993c5fb7e9fe941016508070f082adb00d7febe3a9cf262d7619b693392e5f1d",
     ),
     "ngtcp2": (
         ExperimentConfig(stack="ngtcp2", file_size=kib(512)),
         1,
+        "4f03800723225295f7c2f54760253d2ad95cbe5ac14588ba1a6e652717598289",
         "da4544c9292d91b9696caff6d012417015e41ec39bddef6a833b10530d4f1e1a",
         "b11d9b8a928211d3012b7e1ef889be35a218f7e8f3032ad7f1b0027d0fefb8ce",
     ),
     "picoquic": (
         ExperimentConfig(stack="picoquic", file_size=kib(512)),
         2,
+        "ad267ebc1fe6dadbc056ee872f83f9daf13e2a0b24474acd280a786053392c24",
         "f8e076439577bf71e27c83f32e66493bca1b58289ad921268b5ffb5d7230572b",
         "c972eb1ec642a2f50911a8d90cfdac5049f4ff9ad76ca3233dfd44d8a7caa82d",
     ),
     "tcp": (
         ExperimentConfig(stack="tcp", file_size=kib(512)),
         1,
+        "1e66c0dd905783d5acd238c7534f458baad9e41ea2728d7ea758a1c8bfec145c",
         "2f69e39367d689599c4e4bc1c5b2df00ea9a2e33e681f3bd2dc243860e9ac50f",
         "1d196e259f9de9cbe58aacb53133dd6bc146854fd42c03df96a8cb12204c087c",
     ),
@@ -78,6 +85,7 @@ GOLDEN = {
             file_size=kib(256),
         ),
         3,
+        "c1d828c2fc98167eb4e9525b39772d636a1fd5bab59481445156d1f22cc94485",
         "79aefeaf2c124c222cdc613bf9d40b02ca3027b8d4273f9b40bd48a57b1b8300",
         "2c49ed061a90b7859f534b4e9caa1edde4279aa9d73ebc257550ede0cc1a57f9",
     ),
@@ -88,12 +96,14 @@ GOLDEN = {
             network=NetworkConfig(forward_impairments=(iid_loss(0.01),)),
         ),
         1,
+        "469de49b0e9dc4b72c50289efc70cfc393944dd01d0c5e9caba45993187437d5",
         "a4600e2391f6519eeff6fb86957e22e62a47ef62f42a00811b4d245b4ea35ef2",
         "358715bfc36f3fb548bb0aeca7f2791db03e1349e2e154104b1820dfe1ab716f",
     ),
     "quiche-etf": (
         ExperimentConfig(stack="quiche", qdisc="etf", file_size=kib(256)),
         1,
+        "72036bea19be5f986f26e90799c9e7f6f7f271c9a37a6404e25894dc52b24777",
         "077ac0978df6740de54e6f1bf97e990d69410222a16918339ddf148471be2f08",
         "e1494ecbee06a01bd3ef64ea534c1fff8f08c7eedb479e7635152ae78074d135",
     ),
@@ -109,6 +119,7 @@ GOLDEN = {
             ),
         ),
         1,
+        "3ee4a8c116334126fce8922cf8e512e7f7017dd98bb8f82939aab16813938460",
         "5c78d0831937602252e2c1e273fdeccda731edfd65dc0bab381ab032d6f48b34",
         "143bcac0f2b806cb0d87ecdab4468c245eea4d2fb3591a0416972566633658de",
     ),
@@ -119,6 +130,7 @@ GOLDEN = {
             network=NetworkConfig(reverse_impairments=(reordering(),)),
         ),
         1,
+        "968154f6a4f44ccd739c143bb60d47cdfa11e125be55cb72441cd567db360ea1",
         "afce7587e26b0eb1363f3f785121fa356f41355d6d80a56b8c48ad389c991991",
         "ff4e4e96640f9b90fa042cab426ab9f72e1e5d98602a7cc3a857729ee1fcee8e",
     ),
@@ -127,9 +139,10 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_fingerprint(name):
-    config, seed, expected, old = GOLDEN[name]
+    config, seed, expected, before, old = GOLDEN[name]
     result = run_experiment(config, seed=seed)
     assert result.fingerprint() == expected
+    assert behaviour_fingerprint(result) == before
     assert old_fingerprint(result) == old
 
 

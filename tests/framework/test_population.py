@@ -18,7 +18,7 @@ from repro.framework.population import (
 )
 from repro.sim.random import derive_seed
 from repro.units import kib, mib, ms, seconds
-from tests.framework.test_fingerprint_encoding import old_fingerprint
+from tests.framework.test_fingerprint_encoding import behaviour_fingerprint, old_fingerprint
 
 
 def small_config(**kwargs):
@@ -299,13 +299,17 @@ def test_gso_duel_is_a_competition():
 
 #: The 200-flow mixed population (`population` of benchmarks/bench at its
 #: default scale), seed 1, plain and with churn. ``GOLDEN_*`` is the behaviour
-#: digest ``fingerprint()`` takes; ``*_OLD`` the config-inclusive oracle's
-#: digest of the same run (``old_fingerprint``), deleted by the first change
-#: to a config field. Both re-recorded once when flow 0 took the single-flow
-#: ports and RNG stream names (see ``test_population_churn.py``).
-GOLDEN_200 = "bcf8cbe0f4038316aeaeb791a5d1cf9b48d4e8c45970e6098c1d57cc0e7c4e64"
+#: digest ``fingerprint()`` takes; ``*_COUNTERS`` the one before the tap folded
+#: each flow's frames (``behaviour_fingerprint``) and ``*_OLD`` the
+#: config-inclusive one before that (``old_fingerprint``), both of the same
+#: run, ``*_OLD`` deleted by the first change to a config field. The latter
+#: two were re-recorded once when flow 0 took the single-flow ports and RNG
+#: stream names (see ``test_population_churn.py``).
+GOLDEN_200 = "56b0e3ef194324172073472054547ea7ca211fe0796d87dca4c8caf889fa90f5"
+GOLDEN_200_COUNTERS = "bcf8cbe0f4038316aeaeb791a5d1cf9b48d4e8c45970e6098c1d57cc0e7c4e64"
 GOLDEN_200_OLD = "ec37abd789b83b95543864c13358623e8af5918b385e836c45e3ff278e47063c"
-GOLDEN_200_CHURN = "ce93e16593c71daba25b57bd1e775c30575d2bd0539694091a19eb7ffd6e1227"
+GOLDEN_200_CHURN = "14d85727fda08f3ce0d8e25150fe094366c0917499ac689776e43edeeecd443b"
+GOLDEN_200_CHURN_COUNTERS = "ce93e16593c71daba25b57bd1e775c30575d2bd0539694091a19eb7ffd6e1227"
 GOLDEN_200_CHURN_OLD = "dceeb19bbc5ff886b08b5d746f6dc96b041502fa3253d180c8b2e0e5d9397e30"
 
 
@@ -325,6 +329,7 @@ def test_two_hundred_flow_poisson_population_is_deterministic():
     # fingerprint, delivered-byte goodput, clean conservation counters.
     result = run_population(two_hundred_flows(), seed=1)
     assert result.fingerprint() == GOLDEN_200
+    assert behaviour_fingerprint(result) == GOLDEN_200_COUNTERS
     assert old_fingerprint(result) == GOLDEN_200_OLD
     assert len(result.multi.flows) == 200
     assert result.completed
@@ -338,6 +343,7 @@ def test_two_hundred_flow_poisson_population_is_deterministic():
 def test_two_hundred_flow_churn_population_is_deterministic():
     result = run_population(two_hundred_flows(churn=True), seed=1)
     assert result.fingerprint() == GOLDEN_200_CHURN
+    assert behaviour_fingerprint(result) == GOLDEN_200_CHURN_COUNTERS
     assert old_fingerprint(result) == GOLDEN_200_CHURN_OLD
     assert result.completed_count == 200
     assert result.multi.unrouted == 0

@@ -9,12 +9,15 @@ departed flow admits nothing more to the calendar, which
 :func:`test_departed_flows_admit_nothing` checks by watching the plain
 engine from outside.
 
-Each golden has two digests: ``GOLDEN_*`` is the behaviour digest
-``fingerprint()`` takes (seed and outputs), and ``GOLDEN_*_OLD`` the
-config-inclusive oracle's digest of the same run
-(:func:`tests.framework.test_fingerprint_encoding.old_fingerprint`); the
-``_OLD`` values are deleted by the first change to a config field. Both were
-re-recorded once when a one-flow experiment became the run at N = 1: flow 0
+Each golden has three digests: ``GOLDEN_*`` is the behaviour digest
+``fingerprint()`` takes (seed and outputs, each flow's frames folded at the
+tap), ``GOLDEN_*_COUNTERS`` the one before the fold (counters only, no frame)
+and ``GOLDEN_*_OLD`` the config-inclusive one before that, each reproduced
+from the same run by its oracle
+(:func:`tests.framework.test_fingerprint_encoding.behaviour_fingerprint`,
+:func:`~tests.framework.test_fingerprint_encoding.old_fingerprint`); the
+``_OLD`` values are deleted by the first change to a config field. The
+latter two were re-recorded once when a one-flow experiment became the run at N = 1: flow 0
 took the single-flow ports (443/40000) and RNG stream names and starts in
 the run's own call at t = 0. With flow 0 given back its old identity
 (``flow0-*`` streams, 4433/50000, a scheduled start) every previous value
@@ -36,7 +39,7 @@ from repro.framework.sweep import SweepRunner
 from repro.net.packet import Datagram
 from repro.sim.engine import Simulator
 from repro.units import kib, ms, seconds
-from tests.framework.test_fingerprint_encoding import old_fingerprint
+from tests.framework.test_fingerprint_encoding import behaviour_fingerprint, old_fingerprint
 
 #: Small, fast population crossing all stack families (two QUIC + TCP).
 _BASE = dict(
@@ -52,14 +55,17 @@ _BASE = dict(
 
 #: The plain run; every engine change must keep reproducing it bit-for-bit
 #: (the population-scale golden).
-GOLDEN_PLAIN = "189f44063861d00f5dbc2dd7cd115d4967ce57c4ef2d6c644af4ae10df613e9e"
+GOLDEN_PLAIN = "07316582412567e19615c47c9244c27bbd9ce557bb02fb776f58edfaaf2d2eda"
+GOLDEN_PLAIN_COUNTERS = "189f44063861d00f5dbc2dd7cd115d4967ce57c4ef2d6c644af4ae10df613e9e"
 GOLDEN_PLAIN_OLD = "ecd8711e9ed4de1b07669dc23a11f836b5b1cb3a93956223cad74c985492228e"
 #: Pins churn determinism.
-GOLDEN_CHURN = "1f945a351b05351182c665fb0f952ce1fb3c1b35e4c1f4ada4cdfa50c1bc25b6"
+GOLDEN_CHURN = "d70fee5ffe1adea5453e5e852b0f0e0eb2d6644ea4f6e8e6c41ac7c8baa9b0d7"
+GOLDEN_CHURN_COUNTERS = "1f945a351b05351182c665fb0f952ce1fb3c1b35e4c1f4ada4cdfa50c1bc25b6"
 GOLDEN_CHURN_OLD = "cdf5d3280305782e31aed79f9e4a8574f0c232776aa88ad5e0592e812e43c00a"
 #: 60 flows of the 200/2000-flow mixed population with churn (the CI smoke
 #: scale).
-GOLDEN_CHURN_60 = "5e38d10e8942df9fe58fa53d156cfd15394d093788c56a5bd6a87bb905a9ec6a"
+GOLDEN_CHURN_60 = "56a7eebd058645495196fd846ddb154c61c0eb8fc24e0b704b63abae3b905f9d"
+GOLDEN_CHURN_60_COUNTERS = "5e38d10e8942df9fe58fa53d156cfd15394d093788c56a5bd6a87bb905a9ec6a"
 GOLDEN_CHURN_60_OLD = "a766f0e2b64c1322e57dce71144d917c87e656f93346f7012712944744bc8a63"
 
 
@@ -70,12 +76,14 @@ def _config(**overrides) -> PopulationConfig:
 def test_population_golden_fingerprint():
     result = run_population(_config())
     assert result.fingerprint() == GOLDEN_PLAIN
+    assert behaviour_fingerprint(result) == GOLDEN_PLAIN_COUNTERS
     assert old_fingerprint(result) == GOLDEN_PLAIN_OLD
 
 
 def test_churn_golden_fingerprint():
     result = run_population(_config(churn=True))
     assert result.fingerprint() == GOLDEN_CHURN
+    assert behaviour_fingerprint(result) == GOLDEN_CHURN_COUNTERS
     assert old_fingerprint(result) == GOLDEN_CHURN_OLD
     assert result.completed_count == 30
     # Teardown absorbed stragglers rather than mis-routing them.
@@ -87,6 +95,7 @@ def test_sixty_flow_churn_golden_fingerprint():
     grid = population_sweep(60, file_size=kib(64), max_sim_time_ns=seconds(300), churn=True)
     result = run_population(grid["mixed"], seed=1)
     assert result.fingerprint() == GOLDEN_CHURN_60
+    assert behaviour_fingerprint(result) == GOLDEN_CHURN_60_COUNTERS
     assert old_fingerprint(result) == GOLDEN_CHURN_60_OLD
     assert result.completed_count == 60
 

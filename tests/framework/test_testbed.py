@@ -107,9 +107,10 @@ def test_single_flow_parity(stack, qdisc, gso):
     multi = MultiFlowExperiment([spec], seed=3).run()
     single = Experiment(config, seed=3).run()
     assert multi.all_completed and single.completed
-    # One run shape: a one-flow run is the experiment, digest for digest.
+    # One run shape and one digest: a one-flow run is the experiment.
+    assert single.fingerprint() == multi.fingerprint()
     assert ExperimentResult.view(config, multi).fingerprint() == single.fingerprint()
-    assert multi.flows[0].wire_packets == single.packets_on_wire
+    assert multi.flows[0].wire_packets == single.wire_packets == single.packets_on_wire
 
 
 # -- structure ---------------------------------------------------------------

@@ -6,6 +6,9 @@ takes minutes and runs as its own CI job.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,28 @@ def test_report_fails_on_a_failed_path_or_a_function_outside_keep(reach, capsys)
     out = capsys.readouterr().out
     assert "FAIL path exited non-zero: run" in out
     assert f"FAIL tier-1 only and not in KEEP: {outside.name}" in out
+
+
+def test_a_file_still_being_written_is_not_read(reach, tmp_path):
+    """The recorder writes under a ``PART`` name and renames it into the
+    ``*.txt`` glob, so a reader meets only complete files; a malformed row
+    in a complete file still raises."""
+    (tmp_path / "done.txt").write_text("/src/a.py\tf\t1\n/src/b.py\tC.g\t20")
+    (tmp_path / f"torn{reach.PART}").write_text("/src/a.py\tf\t1\n/src/c.py")
+    assert reach.recorded(tmp_path) == {("/src/a.py", "f", 1), ("/src/b.py", "C.g", 20)}
+    (tmp_path / "bad.txt").write_text("/src/c.py")
+    with pytest.raises(ValueError):
+        reach.recorded(tmp_path)
+
+
+def test_the_recorder_leaves_only_complete_files(reach, tmp_path):
+    site, out = reach.recorder(tmp_path, "probe")
+    source = (site / "sitecustomize.py").read_text()
+    assert f"suffix={reach.PART!r}" in source and "os.replace(part, " in source
+    assert not Path(f"torn{reach.PART}").match("*.txt")
+    code = "from repro.units import mib; mib(1)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(site), str(reach.SRC)])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    (written,) = out.iterdir()
+    assert written.suffix == ".txt"
+    assert any(qualname == "mib" for _, qualname, _ in reach.recorded(out))

@@ -191,10 +191,14 @@ KEEP: Dict[str, str] = {
     "repro.sim.process:SimProcess.on_wakeup": INTERFACE,
     "repro.sim.random:RngRegistry.fork": SEAM,
     "repro.stacks.base:SendLog.__eq__": SEAM,
+    "repro.stacks.base:SendLog.__iter__": SEAM,
     "repro.units:bytes_per_ns": UNITS,
     "repro.units:rate_bps_from": UNITS,
     "repro.units:fmt_rate": UNITS,
 }
+
+#: The suffix a recorder file has while it is written.
+PART = ".part"
 
 _SITECUSTOMIZE = '''\
 """Call recorder for tools/reach.py (generated; not part of the project)."""
@@ -220,9 +224,12 @@ def _flush():
         for code in list(_seen)
         if code.co_filename.startswith(_SRC)
     }}
-    fd, _ = tempfile.mkstemp(dir=_OUT, suffix=".txt")
+    # Written under a name outside recorded()'s glob, then renamed into it,
+    # so a process killed mid-write leaves no torn file that is read.
+    fd, part = tempfile.mkstemp(dir=_OUT, suffix={part!r})
     with os.fdopen(fd, "w") as out:
         out.write("\\n".join(sorted(rows)))
+    os.replace(part, part[: -len({part!r})] + ".txt")
 
 
 _real_exit = os._exit
@@ -355,12 +362,14 @@ def recorder(base: Path, phase: str) -> Tuple[Path, Path]:
     site.mkdir(parents=True)
     out.mkdir()
     (site / "sitecustomize.py").write_text(
-        _SITECUSTOMIZE.format(out=str(out), src=str(SRC / "repro"))
+        _SITECUSTOMIZE.format(out=str(out), src=str(SRC / "repro"), part=PART)
     )
     return site, out
 
 
 def recorded(out: Path) -> Set[Tuple[str, str, int]]:
+    """Every ``(path, qualname, first line)`` the complete recorder files in
+    ``out`` name; a file still being written is a ``PART`` file, not read."""
     seen = set()
     for part in out.glob("*.txt"):
         for row in part.read_text().splitlines():
